@@ -3,9 +3,10 @@
 Three promises of :mod:`repro.engine`, pinned:
 
 * sharding and the executor never change results — a 4-shard
-  ProcessPool campaign is byte-identical to the serial reference;
-* on a multi-core host, fanning a fig11-class sweep over 4 workers
-  actually buys wall-clock (>= 2x over the in-process serial run);
+  SupervisedPool campaign is byte-identical to the serial reference;
+* on a multi-core host, fanning a fig11-class sweep over 4 supervised
+  workers actually buys wall-clock (>= 2x over the in-process serial
+  run);
 * a campaign killed mid-run resumes from its journal executing only the
   unfinished shards.  The resumed journal is written to
   ``benchmarks/output/`` so CI archives a real checkpoint artifact.
@@ -22,7 +23,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.engine import ProcessPool, default_job_count, run_campaign
+from repro.engine import SupervisedPool, default_job_count, run_campaign
 from repro.experiments.fig11_ber_cdf import placement_trial
 from repro.sim.runner import MonteCarloRunner
 
@@ -33,11 +34,11 @@ SPEEDUP_WORKERS = 4
 MIN_SPEEDUP = 2.0
 
 
-def test_sharded_process_pool_matches_serial():
+def test_sharded_supervised_pool_matches_serial():
     """The determinism contract, on the real fig11 trial function."""
     serial = MonteCarloRunner(7).run(placement_trial, 24)
     for shards, executor in ((1, None), (4, None),
-                             (4, ProcessPool(jobs=2))):
+                             (4, SupervisedPool(jobs=2))):
         outcome = run_campaign(placement_trial, 24, master_seed=7,
                                num_shards=shards, executor=executor)
         assert [r.values for r in outcome.results] \
@@ -105,7 +106,7 @@ def test_parallel_speedup_on_fig11_class_sweep():
     # Warm both paths so import/fork costs don't pollute the timing.
     run_campaign(placement_trial, SPEEDUP_WORKERS,
                  num_shards=SPEEDUP_WORKERS,
-                 executor=ProcessPool(jobs=SPEEDUP_WORKERS))
+                 executor=SupervisedPool(jobs=SPEEDUP_WORKERS))
 
     start = time.perf_counter()
     serial = run_campaign(placement_trial, SPEEDUP_TRIALS, master_seed=1,
@@ -115,7 +116,7 @@ def test_parallel_speedup_on_fig11_class_sweep():
     start = time.perf_counter()
     parallel = run_campaign(placement_trial, SPEEDUP_TRIALS,
                             master_seed=1, num_shards=SPEEDUP_WORKERS,
-                            executor=ProcessPool(jobs=SPEEDUP_WORKERS))
+                            executor=SupervisedPool(jobs=SPEEDUP_WORKERS))
     parallel_s = time.perf_counter() - start
 
     assert [r.values for r in parallel.results] \

@@ -92,9 +92,9 @@ from .engine import (
     Campaign,
     CampaignPlan,
     CampaignResult,
-    ProcessPool,
     ResultStore,
     SerialExecutor,
+    SupervisedPool,
     run_campaign,
 )
 from .faults import (
@@ -205,7 +205,6 @@ __all__ = [
     "Placement",
     "PlacementSampler",
     "Point",
-    "ProcessPool",
     "Recorder",
     "ReliableLink",
     "ResultStore",
@@ -216,6 +215,7 @@ __all__ = [
     "SdmPacker",
     "SnrBreakdown",
     "SpectrumBook",
+    "SupervisedPool",
     "TelemetryRecorder",
     "TelemetrySnapshot",
     "TimeModulatedArray",

@@ -225,13 +225,11 @@ def run_saturation(config: SaturationConfig | None = None,
                    ) -> SaturationResult:
     """Run the saturation campaign and aggregate the curve.
 
-    Serial by default; pass a :class:`~repro.engine.SupervisedPool` (or
-    ``ProcessPool``) to fan out, and ``store=`` for crash-safe resume.
+    Serial by default; pass a :class:`~repro.engine.SupervisedPool` to
+    fan out, and ``store=`` for crash-safe resume.
     The aggregate depends only on ``master_seed`` and ``config``.
     """
     cfg = config if config is not None else default_config()
-    if num_shards is None:
-        num_shards = max(1, getattr(executor, "jobs", 1))
     trial_fn = partial(saturation_trial, config=cfg)
     outcome = run_campaign(trial_fn, cfg.num_trials,
                            master_seed=master_seed,

@@ -44,12 +44,39 @@ Commands
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from collections.abc import Callable
+from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+if TYPE_CHECKING:
+    from .engine import ShardExecutor
+
 __all__ = ["main", "build_parser"]
+
+
+def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
+    """The seed, worker and result-store flags every campaign preset
+    (``admission saturate``, ``energy compare|outage``, ``campaign``)
+    shares."""
+    parser.add_argument("--seed", type=int, default=0,
+                        help="campaign master seed")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes (1 = in-process serial; "
+                             ">1 runs supervised)")
+    parser.add_argument("--shards", type=int, default=None,
+                        help="shard count (default: --jobs); results "
+                             "never depend on it")
+    parser.add_argument("--out", default=None,
+                        help="JSONL result-store path: completed shards "
+                             "are journaled here, crash-safely")
+    parser.add_argument("--resume", action="store_true",
+                        help="allow --out to already exist and resume "
+                             "the campaign it holds")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,8 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "on stdout instead of the text report")
     chaos.add_argument("--jobs", type=int, default=1,
                        help="worker processes for the '--scenario all' "
-                            "sweep (routed through repro.engine; other "
-                            "runs are single scenarios and stay serial)")
+                            "sweep (1 = in-process serial; >1 runs "
+                            "supervised); other runs are single "
+                            "scenarios and stay serial")
 
     adm = sub.add_parser(
         "admission",
@@ -114,20 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "the stock sweep)")
     sat.add_argument("--replicates", type=int, default=4,
                      help="independent trials per load point")
-    sat.add_argument("--seed", type=int, default=0,
-                     help="campaign master seed")
-    sat.add_argument("--jobs", type=int, default=1,
-                     help="worker processes (1 = in-process serial; "
-                          ">1 runs supervised)")
-    sat.add_argument("--shards", type=int, default=None,
-                     help="shard count (default: --jobs); results "
-                          "never depend on it")
-    sat.add_argument("--out", default=None,
-                     help="JSONL result-store path: completed shards "
-                          "are journaled here, crash-safely")
-    sat.add_argument("--resume", action="store_true",
-                     help="allow --out to already exist and resume "
-                          "the campaign it holds")
+    _add_campaign_flags(sat)
     sat.add_argument("--json", action="store_true", dest="as_json",
                      help="emit the saturation curve as JSON rows")
 
@@ -153,21 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         preset.add_argument("--replicates", type=int, default=4,
                             help="independent trials per node class "
                                  "(compare) or fleets (outage)")
-        preset.add_argument("--seed", type=int, default=0,
-                            help="campaign master seed")
-        preset.add_argument("--jobs", type=int, default=1,
-                            help="worker processes (1 = in-process "
-                                 "serial; >1 runs supervised)")
-        preset.add_argument("--shards", type=int, default=None,
-                            help="shard count (default: --jobs); "
-                                 "results never depend on it")
-        preset.add_argument("--out", default=None,
-                            help="JSONL result-store path: completed "
-                                 "shards are journaled here, "
-                                 "crash-safely")
-        preset.add_argument("--resume", action="store_true",
-                            help="allow --out to already exist and "
-                                 "resume the campaign it holds")
+        _add_campaign_flags(preset)
         preset.add_argument("--json", action="store_true",
                             dest="as_json",
                             help="emit the aggregate as JSON instead "
@@ -183,19 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="trial count (fig11: placements, fig13: "
                            "trials per node count; fig10's count is "
                            "its grid, chaos runs every scenario)")
-    camp.add_argument("--seed", type=int, default=0,
-                      help="campaign master seed")
-    camp.add_argument("--jobs", type=int, default=1,
-                      help="worker processes (1 = in-process serial)")
-    camp.add_argument("--shards", type=int, default=None,
-                      help="shard count (default: --jobs); results "
-                           "never depend on it")
-    camp.add_argument("--out", default=None,
-                      help="JSONL result-store path: completed shards "
-                           "are journaled here, crash-safely")
-    camp.add_argument("--resume", action="store_true",
-                      help="allow --out to already exist and resume "
-                           "the campaign it holds")
+    _add_campaign_flags(camp)
     camp.add_argument("--duration", type=float, default=30.0,
                       help="simulated seconds per scenario "
                            "(chaos campaigns only)")
@@ -366,326 +355,115 @@ def _cmd_characterize() -> int:
     return 0
 
 
-def _cmd_chaos(scenario: str, seed: int, duration: float,
-               ap_crash: bool = False, as_json: bool = False,
-               jobs: int = 1) -> int:
-    from .experiments import chaos
-    from .faults import SCENARIOS
-    from .telemetry import Recorder, to_jsonl
-
-    if jobs < 1:
-        print("repro chaos: --jobs must be at least 1", file=sys.stderr)
-        return 2
-    # With --json every run records into one Recorder and the export —
-    # the same deterministic JSONL the library writes — goes to stdout.
-    recorder = Recorder() if as_json else None
-
-    if ap_crash:
-        outcome = chaos.run_failover(seed=seed, duration_s=duration,
-                                     telemetry=recorder)
-        if recorder is not None:
-            print(to_jsonl(recorder), end="")
-        else:
-            print(chaos.render_failover(outcome))
-        return 0
-    if scenario == "all":
-        executor = None
-        if jobs > 1:
-            from .engine import ProcessPool
-
-            executor = ProcessPool(jobs=jobs)
-        outcomes = chaos.run_all(seed=seed, duration_s=duration,
-                                 telemetry=recorder, executor=executor)
-        if recorder is not None:
-            print(to_jsonl(recorder), end="")
-        else:
-            print(chaos.render_all(outcomes))
-        return 0
-    if scenario not in SCENARIOS:
-        print(f"unknown scenario {scenario!r}; choose from "
-              f"{', '.join(sorted(SCENARIOS))} or 'all'",
-              file=sys.stderr)
-        return 2
-    outcome = chaos.run(scenario, seed=seed, duration_s=duration,
-                        telemetry=recorder)
-    if recorder is not None:
-        print(to_jsonl(recorder), end="")
-    else:
-        print(chaos.render(outcome))
-    return 0
+def _usage_error(prog: str, message: str) -> int:
+    """Report a bad flag as ``prog: message`` on stderr; exit code 2."""
+    print(f"{prog}: {message}", file=sys.stderr)
+    return 2
 
 
-def _cmd_admission_saturate(nodes: int, loads: list[float] | None,
-                            replicates: int, seed: int, jobs: int,
-                            shards: int | None, out: str | None,
-                            resume: bool, as_json: bool) -> int:
-    from .engine import (EngineError, SerialExecutor, StoreError,
-                         SupervisedPool)
+def _campaign_flag_error(args: argparse.Namespace) -> str | None:
+    """Why the shared campaign flags cannot run, or ``None``.
 
-    if nodes < 1:
-        print("repro admission saturate: --nodes must be at least 1",
-              file=sys.stderr)
-        return 2
-    if replicates < 1:
-        print("repro admission saturate: --replicates must be at "
-              "least 1", file=sys.stderr)
-        return 2
-    if jobs < 1:
-        print("repro admission saturate: --jobs must be at least 1",
-              file=sys.stderr)
-        return 2
+    Checks ``--jobs`` and, where the command declares them,
+    ``--shards``, the supervision knobs and ``--out``/``--resume``.
+    """
+    shards = getattr(args, "shards", None)
+    max_retries = getattr(args, "max_retries", None)
+    shard_timeout = getattr(args, "shard_timeout", None)
+    out = getattr(args, "out", None)
+    resume = getattr(args, "resume", False)
+    if args.jobs < 1:
+        return "--jobs must be at least 1"
     if shards is not None and shards < 1:
-        print("repro admission saturate: --shards must be at least 1",
-              file=sys.stderr)
-        return 2
-    if loads is not None and any(lo <= 0 for lo in loads):
-        print("repro admission saturate: --load points must be "
-              "positive", file=sys.stderr)
-        return 2
-    if resume and out is None:
-        print("repro admission saturate: --resume needs --out (the "
-              "store to resume from)", file=sys.stderr)
-        return 2
-    if out is not None and Path(out).exists() and not resume:
-        print(f"repro admission saturate: {out} already exists; pass "
-              "--resume to continue that campaign, or choose a fresh "
-              "path", file=sys.stderr)
-        return 2
-
-    from .admission import default_config, render, run_saturation
-    from .admission.saturation import DEFAULT_LOADS
-
-    config = default_config(
-        loads=tuple(loads) if loads is not None else DEFAULT_LOADS,
-        replicates=replicates, arrivals=nodes)
-    # One supervised pool covers both the ISSUE's resumable-CLI ask and
-    # worker-crash tolerance; serial runs stay in-process.
-    executor: SerialExecutor | SupervisedPool
-    executor = SupervisedPool(jobs=jobs) if jobs > 1 else SerialExecutor()
-    num_shards = shards if shards is not None else jobs
-    try:
-        result = run_saturation(config, master_seed=seed,
-                                executor=executor,
-                                num_shards=num_shards, store=out)
-    except (EngineError, StoreError) as exc:
-        print(_campaign_diagnostic(exc, executor, out), file=sys.stderr)
-        return 2
-    if as_json:
-        import json
-
-        print(json.dumps(result.curve(), indent=2))
-    else:
-        print(render(result))
-    if out is not None:
-        print(f"\ncampaign store: {out}", file=sys.stderr)
-    return 0
-
-
-def _cmd_energy(command: str, replicates: int, seed: int, jobs: int,
-                shards: int | None, out: str | None, resume: bool,
-                as_json: bool, bits: int | None = None,
-                nodes: int | None = None) -> int:
-    from .engine import (EngineError, SerialExecutor, StoreError,
-                         SupervisedPool)
-
-    if replicates < 1:
-        print(f"repro energy {command}: --replicates must be at "
-              "least 1", file=sys.stderr)
-        return 2
-    if jobs < 1:
-        print(f"repro energy {command}: --jobs must be at least 1",
-              file=sys.stderr)
-        return 2
-    if shards is not None and shards < 1:
-        print(f"repro energy {command}: --shards must be at least 1",
-              file=sys.stderr)
-        return 2
-    if bits is not None and bits < 1:
-        print("repro energy compare: --bits must be at least 1",
-              file=sys.stderr)
-        return 2
-    if nodes is not None and nodes < 1:
-        print("repro energy outage: --nodes must be at least 1",
-              file=sys.stderr)
-        return 2
-    if resume and out is None:
-        print(f"repro energy {command}: --resume needs --out (the "
-              "store to resume from)", file=sys.stderr)
-        return 2
-    if out is not None and Path(out).exists() and not resume:
-        print(f"repro energy {command}: {out} already exists; pass "
-              "--resume to continue that campaign, or choose a fresh "
-              "path", file=sys.stderr)
-        return 2
-
-    executor: SerialExecutor | SupervisedPool
-    executor = SupervisedPool(jobs=jobs) if jobs > 1 else SerialExecutor()
-    num_shards = shards if shards is not None else jobs
-    try:
-        if command == "compare":
-            from .energy import compare
-
-            result = compare.run_compare(
-                compare.default_config(
-                    replicates=replicates,
-                    num_bits=bits if bits is not None else 400),
-                master_seed=seed, executor=executor,
-                num_shards=num_shards, store=out)
-            payload: object = result.rows()
-            text = compare.render(result)
-        else:
-            from .energy import outage
-
-            fleet = outage.run_outage(
-                outage.default_config(
-                    nodes=nodes if nodes is not None else 6,
-                    replicates=replicates),
-                master_seed=seed, executor=executor,
-                num_shards=num_shards, store=out)
-            payload = fleet.summary()
-            text = outage.render(fleet)
-    except (EngineError, StoreError) as exc:
-        print(_campaign_diagnostic(exc, executor, out), file=sys.stderr)
-        return 2
-    if as_json:
-        import json
-
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text)
-    if out is not None:
-        print(f"\ncampaign store: {out}", file=sys.stderr)
-    return 0
-
-
-def _cmd_campaign(experiment: str, trials: int | None, seed: int,
-                  jobs: int, shards: int | None, out: str | None,
-                  resume: bool, duration: float,
-                  max_retries: int | None = None,
-                  shard_timeout: float | None = None,
-                  on_failure: str | None = None) -> int:
-    from .engine import (EngineError, ProcessPool, SerialExecutor,
-                         StoreError, SupervisedPool, SupervisionPolicy)
-
-    if jobs < 1:
-        print("repro campaign: --jobs must be at least 1",
-              file=sys.stderr)
-        return 2
-    if shards is not None and shards < 1:
-        print("repro campaign: --shards must be at least 1",
-              file=sys.stderr)
-        return 2
+        return "--shards must be at least 1"
     if max_retries is not None and max_retries < 0:
-        print("repro campaign: --max-retries cannot be negative",
-              file=sys.stderr)
-        return 2
+        return "--max-retries cannot be negative"
     if shard_timeout is not None and shard_timeout <= 0:
-        print("repro campaign: --shard-timeout must be positive",
-              file=sys.stderr)
-        return 2
+        return "--shard-timeout must be positive"
     if resume and out is None:
-        print("repro campaign: --resume needs --out (the store to "
-              "resume from)", file=sys.stderr)
-        return 2
-    if out is not None:
-        if experiment == "chaos":
-            print("repro campaign: chaos outcomes are rich objects, "
-                  "not JSON rows; --out is not supported for the "
-                  "chaos sweep", file=sys.stderr)
-            return 2
-        if Path(out).exists() and not resume:
-            print(f"repro campaign: {out} already exists; pass "
-                  "--resume to continue that campaign, or choose a "
-                  "fresh path", file=sys.stderr)
-            return 2
-    if trials is not None and experiment == "fig10":
-        print("repro campaign: fig10's trial count is its placement "
-              "grid; --trials does not apply", file=sys.stderr)
-        return 2
+        return "--resume needs --out (the store to resume from)"
+    if out is not None and Path(out).exists() and not resume:
+        return (f"{out} already exists; pass --resume to continue that "
+                "campaign, or choose a fresh path")
+    return None
 
-    supervised = (max_retries is not None or shard_timeout is not None
-                  or on_failure is not None)
-    executor: SerialExecutor | ProcessPool | SupervisedPool
-    if supervised:
-        from .engine import ON_FAILURE_MODES
-        from .engine.policy import OnFailure
 
-        mode: OnFailure = "quarantine"
-        for known in ON_FAILURE_MODES:
-            if on_failure == known:
-                mode = known
-        policy = SupervisionPolicy(
-            max_attempts=(max_retries + 1 if max_retries is not None
-                          else 3),
-            shard_timeout_s=shard_timeout,
-            on_failure=mode)
-        executor = SupervisedPool(jobs=jobs, policy=policy)
-    elif jobs > 1:
-        executor = ProcessPool(jobs=jobs)
-    else:
-        executor = SerialExecutor()
-    num_shards = shards if shards is not None else jobs
+def _campaign_executor(args: argparse.Namespace) -> ShardExecutor:
+    """The one place the CLI builds an executor.
+
+    Supervision flags given, or ``--jobs > 1``: a
+    :class:`~repro.engine.SupervisedPool` under the flags' policy.
+    Otherwise the in-process :class:`~repro.engine.SerialExecutor`.
+    """
+    from .engine import SerialExecutor, SupervisedPool, SupervisionPolicy
+
+    max_retries = getattr(args, "max_retries", None)
+    shard_timeout = getattr(args, "shard_timeout", None)
+    on_failure = getattr(args, "on_failure", None)
+    if args.jobs == 1 and max_retries is None and shard_timeout is None \
+            and on_failure is None:
+        return SerialExecutor()
+    policy = SupervisionPolicy(
+        max_attempts=(max_retries + 1 if max_retries is not None
+                      else SupervisionPolicy.max_attempts),
+        shard_timeout_s=shard_timeout,
+        on_failure=on_failure or SupervisionPolicy.on_failure)
+    return SupervisedPool(jobs=args.jobs, policy=policy)
+
+
+def _run_campaign(prog: str, args: argparse.Namespace,
+                  run: Callable[[ShardExecutor], str]) -> int:
+    """Validate the shared flags, build the executor, run one preset."""
+    error = _campaign_flag_error(args)
+    if error is not None:
+        return _usage_error(prog, error)
+    executor = _campaign_executor(args)
+    return _report(prog, lambda: run(executor), executor, args.out)
+
+
+def _report(prog: str, run: Callable[[], str],
+            executor: ShardExecutor | None = None,
+            out: str | None = None) -> int:
+    """Run a command and print its outcome, the same way for every one.
+
+    The text goes to stdout; the store path and any supervision outcome
+    go to stderr, and quarantined shards that never completed make the
+    exit code 1.  A campaign or store failure is one diagnosable line
+    and exit code 2 — never a raw traceback.
+    """
+    from .engine import EngineError, StoreError
 
     try:
-        if experiment == "chaos":
-            from .experiments import chaos
-
-            print(chaos.render_all(chaos.run_all(
-                seed=seed, duration_s=duration, executor=executor,
-                num_shards=num_shards)))
-        elif experiment == "fig10":
-            from .experiments import fig10_snr_map
-
-            print(fig10_snr_map.render(fig10_snr_map.run(
-                seed=seed, executor=executor, num_shards=num_shards,
-                store=out)))
-        elif experiment == "fig11":
-            from .experiments import fig11_ber_cdf
-
-            print(fig11_ber_cdf.render(fig11_ber_cdf.run(
-                seed=seed,
-                num_placements=trials if trials is not None else 30,
-                executor=executor, num_shards=num_shards, store=out)))
-        elif experiment == "fig13":
-            from .experiments import fig13_multinode
-
-            print(fig13_multinode.render(fig13_multinode.run(
-                seed=seed,
-                trials_per_count=trials if trials is not None else 30,
-                executor=executor, num_shards=num_shards, store=out)))
-        else:
-            raise AssertionError("unreachable")
+        text = run()
     except (EngineError, StoreError) as exc:
-        # One line, diagnosable: what died, which shards, where the
-        # journal lives — never a raw traceback.
-        print(_campaign_diagnostic(exc, executor, out), file=sys.stderr)
+        print(_campaign_diagnostic(prog, exc, executor, out),
+              file=sys.stderr)
         return 2
+    print(text)
     if out is not None:
         print(f"\ncampaign store: {out}", file=sys.stderr)
     report = getattr(executor, "last_report", None)
-    if report is not None and (report.retries or report.quarantined):
-        survived = (f"{report.retries} retr"
-                    f"{'y' if report.retries == 1 else 'ies'}")
-        if report.degraded:
-            survived += (", degraded shards "
-                         f"{sorted(report.degraded)} recovered "
-                         "in-process")
-        print(f"repro campaign: supervised run survived {survived}",
+    if report is None or not (report.retries or report.quarantined):
+        return 0
+    survived = (f"{report.retries} retr"
+                f"{'y' if report.retries == 1 else 'ies'}")
+    if report.degraded:
+        survived += (f", degraded shards {sorted(report.degraded)} "
+                     "recovered in-process")
+    print(f"{prog}: supervised run survived {survived}", file=sys.stderr)
+    if report.abandoned:
+        where = f"; journal: {out}" if out is not None else ""
+        print(f"{prog}: partial result — quarantined shards "
+              f"{sorted(report.abandoned)} never completed{where}",
               file=sys.stderr)
-        abandoned = report.abandoned
-        if abandoned:
-            where = f"; journal: {out}" if out is not None else ""
-            print("repro campaign: partial result — quarantined "
-                  f"shards {sorted(abandoned)} never completed"
-                  f"{where}", file=sys.stderr)
-            return 1
+        return 1
     return 0
 
 
-def _campaign_diagnostic(exc: Exception, executor: object,
+def _campaign_diagnostic(prog: str, exc: Exception, executor: object,
                          out: str | None) -> str:
-    """The one-line failure summary ``repro campaign`` prints."""
-    parts = [f"repro campaign: {type(exc).__name__}: {exc}"]
+    """The one-line failure summary a campaign command prints."""
+    parts = [f"{prog}: {type(exc).__name__}: {exc}"]
     report = getattr(executor, "last_report", None)
     if report is not None and report.failures:
         failed = sorted({f.shard_id for f in report.failures})
@@ -696,6 +474,151 @@ def _campaign_diagnostic(exc: Exception, executor: object,
     if out is not None:
         parts.append(f"journal: {out}")
     return " | ".join(parts)
+
+
+def _cmd_chaos(args: argparse.Namespace) -> int:
+    from .experiments import chaos
+    from .faults import SCENARIOS
+    from .telemetry import Recorder, to_jsonl_lines
+
+    error = _campaign_flag_error(args)
+    if error is not None:
+        return _usage_error("repro chaos", error)
+    # With --json every run records into one Recorder and the export —
+    # the same deterministic JSONL the library writes — goes to stdout.
+    recorder = Recorder() if args.as_json else None
+    common: dict[str, Any] = {"seed": args.seed,
+                              "duration_s": args.duration,
+                              "telemetry": recorder}
+    executor: ShardExecutor | None = None
+    execute: Callable[[], Any]
+    render: Callable[[Any], str]
+    if args.ap_crash:
+        execute = partial(chaos.run_failover, **common)
+        render = chaos.render_failover
+    elif args.scenario == "all":
+        # One job stays the plain in-process sweep, whose recorder folds
+        # every scenario onto one clock.
+        if args.jobs > 1:
+            executor = _campaign_executor(args)
+        execute = partial(chaos.run_all, executor=executor, **common)
+        render = chaos.render_all
+    elif args.scenario in SCENARIOS:
+        execute = partial(chaos.run, args.scenario, **common)
+        render = chaos.render
+    else:
+        print(f"unknown scenario {args.scenario!r}; choose from "
+              f"{', '.join(sorted(SCENARIOS))} or 'all'",
+              file=sys.stderr)
+        return 2
+
+    def run() -> str:
+        outcome = execute()
+        if recorder is not None:
+            return "\n".join(to_jsonl_lines(recorder))
+        return render(outcome)
+
+    return _report("repro chaos", run, executor)
+
+
+def _cmd_admission_saturate(args: argparse.Namespace) -> int:
+    prog = "repro admission saturate"
+    if args.nodes < 1:
+        return _usage_error(prog, "--nodes must be at least 1")
+    if args.replicates < 1:
+        return _usage_error(prog, "--replicates must be at least 1")
+    if args.load is not None and any(lo <= 0 for lo in args.load):
+        return _usage_error(prog, "--load points must be positive")
+
+    from .admission import default_config, render, run_saturation
+    from .admission.saturation import DEFAULT_LOADS
+
+    config = default_config(
+        loads=tuple(args.load) if args.load is not None else DEFAULT_LOADS,
+        replicates=args.replicates, arrivals=args.nodes)
+
+    def run(executor: ShardExecutor) -> str:
+        result = run_saturation(config, master_seed=args.seed,
+                                executor=executor,
+                                num_shards=args.shards, store=args.out)
+        if args.as_json:
+            return json.dumps(result.curve(), indent=2)
+        return render(result)
+
+    return _run_campaign(prog, args, run)
+
+
+def _cmd_energy(args: argparse.Namespace) -> int:
+    command = args.energy_command
+    prog = f"repro energy {command}"
+    if args.replicates < 1:
+        return _usage_error(prog, "--replicates must be at least 1")
+    if command == "compare" and args.bits < 1:
+        return _usage_error(prog, "--bits must be at least 1")
+    if command == "outage" and args.nodes < 1:
+        return _usage_error(prog, "--nodes must be at least 1")
+
+    def run(executor: ShardExecutor) -> str:
+        campaign: dict[str, Any] = {
+            "master_seed": args.seed, "executor": executor,
+            "num_shards": args.shards, "store": args.out}
+        payload: object
+        if command == "compare":
+            from .energy import compare
+
+            result = compare.run_compare(
+                compare.default_config(replicates=args.replicates,
+                                       num_bits=args.bits), **campaign)
+            payload, text = result.rows(), compare.render(result)
+        else:
+            from .energy import outage
+
+            fleet = outage.run_outage(
+                outage.default_config(nodes=args.nodes,
+                                      replicates=args.replicates),
+                **campaign)
+            payload, text = fleet.summary(), outage.render(fleet)
+        return json.dumps(payload, indent=2) if args.as_json else text
+
+    return _run_campaign(prog, args, run)
+
+
+def _cmd_campaign(args: argparse.Namespace) -> int:
+    prog = "repro campaign"
+    if args.out is not None and args.experiment == "chaos":
+        return _usage_error(prog, "chaos outcomes are rich objects, not "
+                                  "JSON rows; --out is not supported for "
+                                  "the chaos sweep")
+    if args.trials is not None and args.experiment == "fig10":
+        return _usage_error(prog, "fig10's trial count is its placement "
+                                  "grid; --trials does not apply")
+    trials = args.trials if args.trials is not None else 30
+
+    def run(executor: ShardExecutor) -> str:
+        campaign: dict[str, Any] = {
+            "seed": args.seed, "executor": executor,
+            "num_shards": args.shards}
+        if args.experiment == "chaos":
+            from .experiments import chaos
+
+            return chaos.render_all(chaos.run_all(
+                duration_s=args.duration, **campaign))
+        if args.experiment == "fig10":
+            from .experiments import fig10_snr_map
+
+            return fig10_snr_map.render(fig10_snr_map.run(
+                store=args.out, **campaign))
+        if args.experiment == "fig11":
+            from .experiments import fig11_ber_cdf
+
+            return fig11_ber_cdf.render(fig11_ber_cdf.run(
+                num_placements=trials, store=args.out, **campaign))
+        from .experiments import fig13_multinode
+
+        return fig13_multinode.render(fig13_multinode.run(
+            trials_per_count=trials, store=args.out, **campaign))
+
+    return _run_campaign(prog, args, run)
 
 
 def _cmd_telemetry(command: str, path: str) -> int:
@@ -722,8 +645,6 @@ def _cmd_telemetry(command: str, path: str) -> int:
 
 
 def _cmd_fsck(paths: list[str], repair: bool, as_json: bool) -> int:
-    import json
-
     from .durability import fsck_paths
 
     reports, exit_code = fsck_paths(paths, repair=repair)
@@ -778,25 +699,13 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "characterize":
         return _cmd_characterize()
     if args.command == "chaos":
-        return _cmd_chaos(args.scenario, args.seed, args.duration,
-                          args.ap_crash, args.as_json, args.jobs)
+        return _cmd_chaos(args)
     if args.command == "admission":
-        return _cmd_admission_saturate(args.nodes, args.load,
-                                       args.replicates, args.seed,
-                                       args.jobs, args.shards, args.out,
-                                       args.resume, args.as_json)
+        return _cmd_admission_saturate(args)
     if args.command == "energy":
-        return _cmd_energy(args.energy_command, args.replicates,
-                           args.seed, args.jobs, args.shards, args.out,
-                           args.resume, args.as_json,
-                           bits=getattr(args, "bits", None),
-                           nodes=getattr(args, "nodes", None))
+        return _cmd_energy(args)
     if args.command == "campaign":
-        return _cmd_campaign(args.experiment, args.trials, args.seed,
-                             args.jobs, args.shards, args.out,
-                             args.resume, args.duration,
-                             args.max_retries, args.shard_timeout,
-                             args.on_failure)
+        return _cmd_campaign(args)
     if args.command == "telemetry":
         return _cmd_telemetry(args.telemetry_command, args.path)
     if args.command == "fsck":

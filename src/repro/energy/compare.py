@@ -283,13 +283,10 @@ def run_compare(config: CompareConfig | None = None,
     """Run the node-class comparison campaign and aggregate the table.
 
     Serial by default; pass a :class:`~repro.engine.SupervisedPool`
-    (or ``ProcessPool``) to fan out, and ``store=`` for crash-safe
-    resume.  The aggregate depends only on ``master_seed`` and
-    ``config``.
+    to fan out, and ``store=`` for crash-safe resume.  The aggregate
+    depends only on ``master_seed`` and ``config``.
     """
     cfg = config if config is not None else default_config()
-    if num_shards is None:
-        num_shards = max(1, getattr(executor, "jobs", 1))
     trial_fn = partial(compare_trial, config=cfg)
     outcome = run_campaign(trial_fn, cfg.num_trials,
                            master_seed=master_seed,

@@ -262,12 +262,10 @@ def run_outage(config: OutageConfig | None = None,
     """Run the outage-survival campaign and aggregate the drill.
 
     Serial by default; pass a :class:`~repro.engine.SupervisedPool`
-    (or ``ProcessPool``) to fan out.  The aggregate depends only on
-    ``master_seed`` and ``config``.
+    to fan out.  The aggregate depends only on ``master_seed`` and
+    ``config``.
     """
     cfg = config if config is not None else default_config()
-    if num_shards is None:
-        num_shards = max(1, getattr(executor, "jobs", 1))
     trial_fn = partial(outage_trial, config=cfg)
     outcome = run_campaign(trial_fn, cfg.num_trials,
                            master_seed=master_seed,

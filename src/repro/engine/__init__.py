@@ -1,15 +1,15 @@
 """``repro.engine`` — sharded, resumable Monte-Carlo campaign execution.
 
 Every paper figure is a Monte-Carlo sweep (30 placements in §9.3, 100
-runs in §9.5), and the serial
-:class:`~repro.sim.runner.MonteCarloRunner` bounds them all to one core.
-This package is the scale-out layer: it turns any
+runs in §9.5).  This package runs them: it turns any
 ``trial_fn(rng, index) -> dict`` into a campaign that is
 
 * **sharded** — a :class:`CampaignPlan` spawns every trial's seed from
-  one ``SeedSequence`` (the runner's exact derivation) and partitions
-  trials into contiguous shards;
-* **parallel** — a :class:`ProcessPool` fans shards out across worker
+  one ``SeedSequence`` and partitions trials into contiguous shards;
+  :func:`~repro.engine.shard.run_trials` is the one trial loop every
+  executor (and the serial :class:`~repro.sim.runner.MonteCarloRunner`)
+  drives;
+* **parallel** — a :class:`SupervisedPool` fans shards out across worker
   processes, with :class:`SerialExecutor` as the in-process reference;
 * **crash-safe** — a :class:`ResultStore` journals each completed shard
   to JSONL with SHA-256 integrity hashes, so a killed campaign resumes
@@ -18,7 +18,7 @@ This package is the scale-out layer: it turns any
   per-shard telemetry snapshots in shard order, making aggregate
   results and telemetry exports byte-identical to a serial run for the
   same master seed and plan;
-* **supervised** — a :class:`SupervisedPool` survives worker crashes,
+* **supervised** — the :class:`SupervisedPool` survives worker crashes,
   hangs and corrupt payloads: per-attempt deadlines (absolute and
   adaptive), deterministic exponential backoff, validation of every
   payload against the plan, quarantine of poison shards (the campaign
@@ -28,11 +28,11 @@ This package is the scale-out layer: it turns any
 
 Usage
 -----
->>> from repro.engine import ProcessPool, run_campaign
+>>> from repro.engine import SupervisedPool, run_campaign
 >>> def trial(rng, index):
 ...     return {"x": float(rng.uniform())}
 >>> result = run_campaign(trial, num_trials=100, master_seed=7,
-...                       num_shards=8, executor=ProcessPool(jobs=4))
+...                       num_shards=8, executor=SupervisedPool(jobs=4))
 >>> result.summary("x")["mean"]  # doctest: +SKIP
 0.49...
 
@@ -62,13 +62,8 @@ from .policy import (
     SupervisionPolicy,
     SupervisionReport,
 )
-from .pool import (
-    ProcessPool,
-    SerialExecutor,
-    ShardExecutor,
-    default_job_count,
-)
-from .shard import ShardResult, TrialFn, run_shard
+from .pool import SerialExecutor, ShardExecutor, default_job_count
+from .shard import ShardResult, TrialFn, TrialResult, run_shard
 from .store import STORE_SCHEMA_VERSION, ResultStore, StoreError
 from .supervisor import (
     ShardSupervisor,
@@ -88,7 +83,6 @@ __all__ = [
     "InjectedWorkerCrash",
     "ON_FAILURE_MODES",
     "PartialCampaignResult",
-    "ProcessPool",
     "ResultStore",
     "STORE_SCHEMA_VERSION",
     "SerialExecutor",
@@ -103,6 +97,7 @@ __all__ = [
     "SupervisionPolicy",
     "SupervisionReport",
     "TrialFn",
+    "TrialResult",
     "TrialSpec",
     "WORKER_FAULT_KINDS",
     "WorkBackend",

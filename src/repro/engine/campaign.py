@@ -6,7 +6,8 @@ sharded Monte-Carlo campaign:
 1. a :class:`~repro.engine.plan.CampaignPlan` fixes every trial's seed
    and the shard partition up front;
 2. an executor (:class:`~repro.engine.pool.SerialExecutor` by default,
-   :class:`~repro.engine.pool.ProcessPool` for fan-out) runs the shards;
+   :class:`~repro.engine.supervisor.SupervisedPool` for fan-out) runs
+   the shards;
 3. an optional :class:`~repro.engine.store.ResultStore` journals each
    shard as it completes, so a killed campaign resumes executing *only*
    the unfinished shards;
@@ -27,16 +28,14 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
-from ..sim.runner import MonteCarloRunner, TrialResult
 from ..telemetry import NullRecorder, TelemetryRecorder
 from .plan import CampaignPlan
 from .policy import SupervisionReport
 from .pool import SerialExecutor, ShardExecutor
-from .shard import ShardResult, TrialFn
+from .shard import ShardResult, TrialFn, TrialResult, collect, summary
 from .store import ResultStore
 
 __all__ = ["Campaign", "CampaignResult", "EngineError",
@@ -61,11 +60,11 @@ class CampaignResult:
 
     def collect(self, key: str) -> np.ndarray:
         """One scalar metric across all trials, in index order."""
-        return MonteCarloRunner.collect(list(self.results), key)
+        return collect(self.results, key)
 
     def summary(self, key: str) -> dict[str, float]:
         """Mean / median / percentiles of ``key`` across trials."""
-        return MonteCarloRunner.summary(list(self.results), key)
+        return summary(self.results, key)
 
     @property
     def num_trials(self) -> int:
@@ -105,19 +104,27 @@ class PartialCampaignResult(CampaignResult):
 
 
 class Campaign:
-    """One sharded, resumable Monte-Carlo campaign."""
+    """One sharded, resumable Monte-Carlo campaign.
+
+    ``num_shards=None`` (the default) gives one shard per executor
+    worker — the executor's ``jobs``, or one for
+    :class:`~repro.engine.pool.SerialExecutor`.  Results never depend
+    on the shard count.
+    """
 
     def __init__(self, trial_fn: TrialFn, num_trials: int,
-                 master_seed: int = 0, num_shards: int = 1,
+                 master_seed: int = 0, num_shards: int | None = None,
                  executor: ShardExecutor | None = None,
                  store: ResultStore | str | Path | None = None,
                  telemetry: TelemetryRecorder | None = None) -> None:
         self.trial_fn = trial_fn
+        self.executor: ShardExecutor = (executor if executor is not None
+                                        else SerialExecutor())
+        if num_shards is None:
+            num_shards = max(1, getattr(self.executor, "jobs", 1))
         self.plan = CampaignPlan.build(master_seed=master_seed,
                                        num_trials=num_trials,
                                        num_shards=num_shards)
-        self.executor: ShardExecutor = (executor if executor is not None
-                                        else SerialExecutor())
         self.store = (store if isinstance(store, ResultStore)
                       or store is None else ResultStore(store))
         self.telemetry = (telemetry if telemetry is not None
@@ -237,7 +244,7 @@ class Campaign:
 
 
 def run_campaign(trial_fn: TrialFn, num_trials: int,
-                 master_seed: int = 0, num_shards: int = 1,
+                 master_seed: int = 0, num_shards: int | None = None,
                  executor: ShardExecutor | None = None,
                  store: ResultStore | str | Path | None = None,
                  telemetry: TelemetryRecorder | None = None,

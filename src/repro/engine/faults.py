@@ -21,8 +21,7 @@ shard and misbehaves on cue:
 Fault decisions are keyed on the *attempt*, never on wall time or a
 worker-local RNG, so a faulty campaign replays identically: the same
 attempts fail the same way, every run.  A fault-free schedule (or no
-schedule) leaves the worker path byte-identical to the unsupervised
-one.
+schedule) leaves the worker path byte-identical to the serial one.
 """
 
 from __future__ import annotations

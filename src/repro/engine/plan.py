@@ -4,9 +4,10 @@ A :class:`CampaignPlan` is the *complete* description of a Monte-Carlo
 campaign's randomness and partitioning, fixed before any trial runs:
 
 * per-trial seeds are spawned from one ``numpy`` ``SeedSequence`` rooted
-  at the master seed — the exact derivation
-  :meth:`repro.sim.runner.MonteCarloRunner.child_seeds` uses, so an
-  engine campaign and a plain serial sweep see identical RNG streams;
+  at the master seed (:meth:`CampaignPlan.child_seeds`, which
+  :meth:`repro.sim.runner.MonteCarloRunner.child_seeds` delegates to),
+  so an engine campaign and a plain serial sweep see identical RNG
+  streams;
 * trials are partitioned into contiguous, balanced shards in index
   order, so merging shard outputs back in shard order recovers the
   serial trial order with a plain concatenation;
@@ -59,7 +60,7 @@ class CampaignPlan:
 
     @staticmethod
     def child_seeds(master_seed: int, count: int) -> list[int]:
-        """Per-trial seeds, identical to ``MonteCarloRunner.child_seeds``."""
+        """Deterministic per-trial seeds derived from ``master_seed``."""
         if count < 0:
             raise ValueError("count cannot be negative")
         ss = np.random.SeedSequence(master_seed)

@@ -5,11 +5,11 @@ Two implementations of one tiny protocol (:class:`ShardExecutor`):
 * :class:`SerialExecutor` — runs shards in-process, in shard order.
   The fallback and the reference: campaign results and telemetry under
   any other executor are pinned byte-identical to this one.
-* :class:`ProcessPool` — fans shards out over ``jobs`` worker processes
-  via :class:`concurrent.futures.ProcessPoolExecutor` and yields results
-  in *completion* order, so the campaign can journal each shard the
-  moment it lands (crash-safety) while the final merge re-sorts by
-  shard id (determinism).
+* :class:`~repro.engine.supervisor.SupervisedPool` — every
+  multi-process run: fans shards out over ``jobs`` worker processes and
+  yields results in *completion* order, so the campaign can journal
+  each shard the moment it lands (crash-safety) while the final merge
+  re-sorts by shard id (determinism).
 
 Workers receive everything they need — the trial function, the shard's
 planned seeds, the campaign trial count — as pickled arguments; they
@@ -21,14 +21,12 @@ from __future__ import annotations
 
 import os
 from collections.abc import Iterator, Sequence
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Protocol
 
 from .plan import ShardSpec
 from .shard import ShardResult, TrialFn, run_shard
 
-__all__ = ["ProcessPool", "SerialExecutor", "ShardExecutor",
-           "default_job_count"]
+__all__ = ["SerialExecutor", "ShardExecutor", "default_job_count"]
 
 
 def default_job_count() -> int:
@@ -69,61 +67,3 @@ class SerialExecutor:
 
     def __repr__(self) -> str:
         return "SerialExecutor()"
-
-
-def _execute_shard(trial_fn: TrialFn, shard: ShardSpec, of_total: int,
-                   record_telemetry: bool) -> ShardResult:
-    """Worker-process entry point (module-level so it pickles)."""
-    return run_shard(trial_fn, shard, of_total,
-                     record_telemetry=record_telemetry)
-
-
-class ProcessPool:
-    """Shard fan-out over a pool of worker processes.
-
-    ``jobs`` workers execute shards concurrently; results stream back
-    in completion order.  The trial function (and its partial-bound
-    arguments) must be picklable.  Determinism is unaffected by worker
-    count or completion order: every trial's seed is fixed by the
-    :class:`~repro.engine.plan.CampaignPlan`, and the campaign merge
-    re-sorts shards by id.
-    """
-
-    def __init__(self, jobs: int | None = None) -> None:
-        if jobs is not None and jobs < 1:
-            raise ValueError("a process pool needs at least one worker")
-        self.jobs = jobs if jobs is not None else default_job_count()
-
-    def run_shards(self, trial_fn: TrialFn,
-                   shards: Sequence[ShardSpec], of_total: int,
-                   record_telemetry: bool = False
-                   ) -> Iterator[ShardResult]:
-        """Yield shard results as workers complete them.
-
-        Uses at most ``jobs`` workers (fewer when there are fewer
-        shards).  A failure in any trial propagates out of the
-        iterator; shards already yielded remain journaled by the
-        caller, which is exactly what makes a crashed campaign
-        resumable.  On the way out — error or the caller abandoning
-        the iterator — every not-yet-started shard is cancelled, so a
-        failed campaign does not block behind work nobody will consume.
-        """
-        if not shards:
-            return
-        workers = min(self.jobs, len(shards))
-        executor = ProcessPoolExecutor(max_workers=workers)
-        try:
-            pending = {
-                executor.submit(_execute_shard, trial_fn, shard,
-                                of_total, record_telemetry)
-                for shard in shards}
-            while pending:
-                done, pending = wait(pending,
-                                     return_when=FIRST_COMPLETED)
-                for future in done:
-                    yield future.result()
-        finally:
-            executor.shutdown(wait=True, cancel_futures=True)
-
-    def __repr__(self) -> str:
-        return f"ProcessPool(jobs={self.jobs})"

@@ -1,9 +1,9 @@
 """Supervised shard execution: deadlines, retries, quarantine, degrade.
 
-:class:`~repro.engine.pool.ProcessPool` assumes workers never crash,
-hang, or return garbage — the first exception anywhere kills the whole
-campaign iterator.  This module is the supervision layer that removes
-that assumption while preserving the engine's determinism contract:
+:class:`SupervisedPool` is the engine's multi-process executor, and it
+never assumes workers behave: they may crash, hang, or return garbage.
+This module is the supervision layer that handles each of those while
+preserving the engine's determinism contract:
 
 * every attempt runs under a **deadline** — the tighter of the policy's
   absolute ``shard_timeout_s`` and an adaptive bound derived from
@@ -19,8 +19,8 @@ that assumption while preserving the engine's determinism contract:
   ``on_failure="quarantine"`` the campaign completes as an explicit
   :class:`~repro.engine.campaign.PartialCampaignResult`; under
   ``"degrade"`` quarantined shards get one last in-process serial
-  attempt; under ``"fail"`` the campaign dies (the old behaviour, but
-  with a diagnosable :class:`~repro.engine.campaign.EngineError`).
+  attempt; under ``"fail"`` the campaign dies with a diagnosable
+  :class:`~repro.engine.campaign.EngineError`.
 
 Determinism: supervision never touches seeds or merge order.  A retry
 re-runs the *same* :class:`~repro.engine.plan.ShardSpec` — same seeds,
@@ -252,7 +252,7 @@ def _execute_attempt(trial_fn: TrialFn, shard: ShardSpec, of_total: int,
 
     With ``faults=None`` (or a schedule that skips this attempt) this is
     exactly :func:`~repro.engine.shard.run_shard` — the fault-free
-    supervised path computes the same bytes as the unsupervised one.
+    supervised path computes the same bytes as the serial one.
     """
     if faults is not None:
         faults.apply_before(shard.shard_id, attempt)
@@ -473,13 +473,14 @@ class ShardSupervisor:
 
 
 class SupervisedPool:
-    """A fault-tolerant :class:`~repro.engine.pool.ShardExecutor`.
+    """The multi-process :class:`~repro.engine.pool.ShardExecutor`.
 
-    Drop-in for :class:`~repro.engine.pool.ProcessPool`: same
-    ``run_shards`` contract, same determinism (identical results when
-    no fault fires), but worker crashes, hangs and corrupt payloads are
-    retried, quarantined, or degraded per ``policy`` instead of killing
-    the campaign.  ``faults`` attaches a
+    Same ``run_shards`` contract and determinism as
+    :class:`~repro.engine.pool.SerialExecutor` (identical results when
+    no fault fires), but shards run across ``jobs`` worker processes,
+    and worker crashes, hangs and corrupt payloads are retried,
+    quarantined, or degraded per ``policy`` instead of killing the
+    campaign.  ``faults`` attaches a
     :class:`~repro.engine.faults.WorkerFaultSchedule` for chaos testing
     the supervisor itself.
 
@@ -518,11 +519,11 @@ class SupervisedPool:
                    ) -> Iterator[ShardResult]:
         """Supervised shard fan-out; yields results in completion order.
 
-        Unlike :class:`~repro.engine.pool.ProcessPool`, a worker
-        failure does not propagate (unless ``policy.on_failure`` is
-        ``"fail"`` and a shard exhausts its attempts): failed attempts
-        retry with backoff, and shards that never succeed are reported
-        via :attr:`last_report` rather than raised.
+        A worker failure does not propagate (unless
+        ``policy.on_failure`` is ``"fail"`` and a shard exhausts its
+        attempts): failed attempts retry with backoff, and shards that
+        never succeed are reported via :attr:`last_report` rather than
+        raised.
         """
         self.last_report = None
         workers = min(self.jobs, len(shards)) if shards else 0

@@ -117,7 +117,7 @@ def scenario_trial(rng: np.random.Generator, index: int,
     :class:`~repro.telemetry.Recorder` whose contents come back as a
     :class:`~repro.telemetry.TelemetrySnapshot` for the driver to
     absorb.  Module-level so it pickles into
-    :class:`~repro.engine.ProcessPool` workers.
+    :class:`~repro.engine.SupervisedPool` workers.
     """
     del rng
     name = scenario_names[index]
@@ -143,7 +143,7 @@ def run_all(seed: int = 0, duration_s: float = 30.0,
     exactly the shape the flamegraph export collapses.
 
     ``executor`` (optional) fans the scenarios out through
-    :class:`repro.engine.Campaign` — e.g. ``ProcessPool(jobs=4)`` runs
+    :class:`repro.engine.Campaign` — e.g. ``SupervisedPool(jobs=4)`` runs
     four scenarios at once.  Results are bit-identical to the serial
     sweep (each scenario derives everything from ``seed``), and each
     worker's telemetry snapshot is shifted onto the shared recorder's
@@ -171,8 +171,6 @@ def run_all(seed: int = 0, duration_s: float = 30.0,
                        distance_m=distance_m,
                        record_telemetry=bool(tel is not None
                                              and tel.enabled))
-    if num_shards is None:
-        num_shards = max(1, getattr(executor, "jobs", 1))
     outcome = Campaign(trial_fn, len(names), master_seed=seed,
                        num_shards=num_shards, executor=executor).run()
     results: list[ChaosRunResult] = []

@@ -82,7 +82,7 @@ def grid_cell_trial(rng: np.random.Generator, index: int,
     cell's ±60° orientation offset comes from its own child generator,
     so a cell's value never depends on how many cells ran before it
     (or on which shard ran it).  Module-level so it pickles into
-    :class:`~repro.engine.ProcessPool` workers.
+    :class:`~repro.engine.SupervisedPool` workers.
     """
     xs, ys = grid_axes(grid_step_m)
     iy, ix = divmod(index, xs.size)
@@ -136,7 +136,7 @@ def run(seed: int = 0, grid_step_m: float = 0.5,
     paper's averaged measurements do not show.
 
     The grid runs as an engine campaign (one trial per cell), so
-    ``executor=ProcessPool(...)`` parallelises it and ``store=`` makes
+    ``executor=SupervisedPool(...)`` parallelises it and ``store=`` makes
     it resumable, with values independent of both.
     """
     xs, ys = grid_axes(grid_step_m)
@@ -144,8 +144,6 @@ def run(seed: int = 0, grid_step_m: float = 0.5,
                        blocker_position=(float(blocker_position[0]),
                                          float(blocker_position[1])),
                        num_carriers=num_carriers)
-    if num_shards is None:
-        num_shards = max(1, getattr(executor, "jobs", 1))
     outcome = Campaign(trial_fn, int(xs.size * ys.size), master_seed=seed,
                        num_shards=num_shards, executor=executor,
                        store=store).run()

@@ -9,7 +9,7 @@ Published shape: without OTAM median BER ~1e-5 and 90th percentile ~0.3;
 with OTAM median ~1e-12 and 90th percentile ~1e-3.
 
 The sweep runs as a :mod:`repro.engine` campaign: each placement is one
-independently-seeded trial, so ``run(..., executor=ProcessPool(4))``
+independently-seeded trial, so ``run(..., executor=SupervisedPool(4))``
 fans the 30 placements out across cores (or thousands of placements,
 for the dense-deployment studies the paper motivates) with results
 identical to the serial default.
@@ -71,7 +71,7 @@ def placement_trial(rng: np.random.Generator, index: int,
     without-OTAM CDF.  BER is averaged over ``num_carriers`` carriers —
     each placement's channel was measured with frequency diversity, as
     in Fig. 10.  Module-level (and closed over only picklable
-    parameters) so it runs under a :class:`~repro.engine.ProcessPool`.
+    parameters) so it runs under a :class:`~repro.engine.SupervisedPool`.
     """
     room = default_lab_room()
     room.add_blocker(Blocker(Point(*blocker_position)))
@@ -98,7 +98,7 @@ def run(seed: int = 0, num_placements: int = 30,
     """Sample placements, convert SNR to BER via the closed-form tables.
 
     Runs as an engine campaign: serial by default, multi-core with
-    ``executor=ProcessPool(...)``, resumable with ``store=``.  Results
+    ``executor=SupervisedPool(...)``, resumable with ``store=``.  Results
     depend only on ``seed`` (and the sweep parameters), never on the
     executor or shard count.
     """
@@ -106,8 +106,6 @@ def run(seed: int = 0, num_placements: int = 30,
                        blocker_position=(float(blocker_position[0]),
                                          float(blocker_position[1])),
                        num_carriers=num_carriers)
-    if num_shards is None:
-        num_shards = max(1, getattr(executor, "jobs", 1))
     outcome = Campaign(trial_fn, num_placements, master_seed=seed,
                        num_shards=num_shards, executor=executor,
                        store=store).run()

@@ -62,7 +62,7 @@ def network_trial(rng: np.random.Generator, index: int,
     Each trial builds a fresh room and network from its own child
     generator, so a sample depends only on its seed, never on the
     trials (or shards) that ran before it.  Module-level so it pickles
-    into :class:`~repro.engine.ProcessPool` workers.
+    into :class:`~repro.engine.SupervisedPool` workers.
     """
     count = int(node_counts[index // trials_per_count])
     network = MultiNodeNetwork(default_lab_room(), rng)
@@ -79,15 +79,13 @@ def run(seed: int = 0, node_counts=NODE_COUNTS,
     """Sweep node counts with fresh random placements per trial.
 
     Runs as an engine campaign: serial by default, multi-core with
-    ``executor=ProcessPool(...)``, resumable with ``store=``.  The
+    ``executor=SupervisedPool(...)``, resumable with ``store=``.  The
     per-count statistics depend only on ``seed`` and the sweep
     parameters.
     """
     counts = tuple(int(n) for n in node_counts)
     trial_fn = partial(network_trial, node_counts=counts,
                        trials_per_count=trials_per_count)
-    if num_shards is None:
-        num_shards = max(1, getattr(executor, "jobs", 1))
     outcome = Campaign(trial_fn, len(counts) * trials_per_count,
                        master_seed=seed, num_shards=num_shards,
                        executor=executor, store=store).run()

@@ -13,40 +13,29 @@ accepts a per-trial ``progress`` callback, and a
 ``sim.trial`` span plus a ``sim.trial`` event — the per-trial profile
 the flamegraph export is built from.
 
-Long sweeps are also *parallel*: ``run(..., executor=ProcessPool(4))``
-routes the same trials through :mod:`repro.engine`'s sharded campaign
-machinery (identical seeds, identical results, multi-core wall-clock),
-and ``store=`` makes the sweep crash-safe and resumable.  See
+The runner is the serial streaming view of :mod:`repro.engine`: its
+trial loop is :func:`repro.engine.shard.run_trials` and its seeds are
+:meth:`repro.engine.CampaignPlan.child_seeds`.  Sharded, parallel or
+resumable sweeps go through :class:`repro.engine.Campaign`; see
 ``docs/scaling.md``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
-from typing import Any
 
-import numpy as np
-
+from ..engine import CampaignPlan, TrialFn, TrialResult, TrialSpec
+from ..engine.shard import collect, run_trials, summary
 from ..telemetry import NullRecorder, TelemetryRecorder
 
 __all__ = ["TrialResult", "MonteCarloRunner"]
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    """One trial's outputs, tagged with its index and seed."""
-
-    index: int
-    seed: int
-    values: dict[str, Any]
-
-    def __getitem__(self, key: str) -> Any:
-        return self.values[key]
-
-
 class MonteCarloRunner:
     """Runs ``trial_fn(rng, index) -> dict`` over independent RNG streams."""
+
+    collect = staticmethod(collect)
+    summary = staticmethod(summary)
 
     def __init__(self, master_seed: int = 0,
                  telemetry: TelemetryRecorder | None = None):
@@ -56,113 +45,33 @@ class MonteCarloRunner:
 
     def child_seeds(self, count: int) -> list[int]:
         """Deterministic per-trial seeds derived from the master seed."""
-        if count < 0:
-            raise ValueError("count cannot be negative")
-        ss = np.random.SeedSequence(self.master_seed)
-        return [int(s.generate_state(1)[0]) for s in ss.spawn(count)]
+        return CampaignPlan.child_seeds(self.master_seed, count)
 
-    def run_stream(self, trial_fn: Callable[[np.random.Generator, int], dict],
+    def run_stream(self, trial_fn: TrialFn,
                    num_trials: int) -> Iterator[TrialResult]:
         """Yield each trial's result as soon as it completes.
 
         This is the partial-result path: a sweep of hundreds of trials
         can be consumed incrementally (printed, checkpointed, aborted)
-        instead of blocking until the last trial returns.  Each trial is
-        traced as a ``sim.trial`` span and announced with a ``sim.trial``
-        telemetry event carrying its index and seed.
+        instead of blocking until the last trial returns.
         """
-        tel = self.telemetry
-        for index, seed in enumerate(self.child_seeds(num_trials)):
-            rng = np.random.default_rng(seed)
-            with tel.span("sim.trial", index=index):
-                values = trial_fn(rng, index)
-            if not isinstance(values, dict):
-                raise TypeError("trial function must return a dict of values")
-            if tel.enabled:
-                tel.count("sim.trials")
-                tel.event("sim.trial", index=index, seed=seed,
-                          of=num_trials)
-            yield TrialResult(index=index, seed=seed, values=values)
+        trials = [TrialSpec(index=index, seed=seed) for index, seed
+                  in enumerate(self.child_seeds(num_trials))]
+        yield from run_trials(trial_fn, trials, num_trials,
+                              self.telemetry)
 
-    def run(self, trial_fn: Callable[[np.random.Generator, int], dict],
-            num_trials: int,
-            progress: Callable[[TrialResult], None] | None = None,
-            executor=None, num_shards: int | None = None,
-            store=None, allow_partial: bool = False) -> list[TrialResult]:
-        """Execute ``num_trials`` independent trials.
+    def run(self, trial_fn: TrialFn, num_trials: int,
+            progress: Callable[[TrialResult], None] | None = None
+            ) -> list[TrialResult]:
+        """Execute ``num_trials`` independent trials, serially.
 
         ``progress`` (optional) is invoked with each
         :class:`TrialResult` as it lands — the hook long sweeps use to
         report partial results without changing the return type.
-
-        ``executor`` (optional) routes the sweep through
-        :class:`repro.engine.Campaign`: trials are partitioned into
-        ``num_shards`` shards (default: the executor's worker count)
-        and run on the executor — e.g.
-        :class:`repro.engine.ProcessPool` for multi-core fan-out.
-        ``store`` (a :class:`repro.engine.ResultStore` or path) makes
-        the campaign resumable.  Seeds, results and telemetry exports
-        are identical to the serial path for the same master seed;
-        with an executor, ``progress`` fires per trial in index order
-        after the merge rather than streaming mid-sweep.
-
-        A supervised executor (:class:`repro.engine.SupervisedPool`)
-        may quarantine shards instead of dying; because ``run`` returns
-        a flat trial list that figure code assumes is complete, a
-        partial campaign raises :class:`repro.engine.EngineError` here
-        unless ``allow_partial=True`` (in which case the surviving
-        trials are returned and the holes are the caller's problem).
         """
-        if executor is None and store is None:
-            results = []
-            for result in self.run_stream(trial_fn, num_trials):
-                if progress is not None:
-                    progress(result)
-                results.append(result)
-            return results
-        from ..engine import Campaign, EngineError, PartialCampaignResult
-
-        if num_shards is None:
-            num_shards = max(1, getattr(executor, "jobs", 1))
-        campaign = Campaign(trial_fn, num_trials,
-                            master_seed=self.master_seed,
-                            num_shards=num_shards, executor=executor,
-                            store=store, telemetry=self.telemetry)
-        outcome = campaign.run()
-        if isinstance(outcome, PartialCampaignResult) \
-                and not allow_partial:
-            raise EngineError(
-                "campaign completed partially: shards "
-                f"{list(outcome.quarantined_shards)} were quarantined "
-                f"({len(outcome.missing_trials)} of {num_trials} "
-                "trials missing); completed shards are journaled — "
-                "re-run to retry only the quarantined shards, or use "
-                "on_failure='degrade'")
-        merged = list(outcome.results)
-        if progress is not None:
-            for result in merged:
+        results = []
+        for result in self.run_stream(trial_fn, num_trials):
+            if progress is not None:
                 progress(result)
-        return merged
-
-    @staticmethod
-    def collect(results: list[TrialResult], key: str) -> np.ndarray:
-        """Gather one scalar metric across trials into an array."""
-        return np.asarray([r.values[key] for r in results], dtype=float)
-
-    @staticmethod
-    def summary(results: list[TrialResult], key: str) -> dict[str, float]:
-        """Mean / median / percentiles of a metric across trials."""
-        x = MonteCarloRunner.collect(results, key)
-        if x.size == 0:
-            raise ValueError(
-                f"no results to summarise for {key!r}: the result "
-                "list is empty (summary statistics are undefined on "
-                "zero trials)")
-        return {
-            "mean": float(np.mean(x)),
-            "median": float(np.median(x)),
-            "p10": float(np.percentile(x, 10)),
-            "p90": float(np.percentile(x, 90)),
-            "min": float(np.min(x)),
-            "max": float(np.max(x)),
-        }
+            results.append(result)
+        return results

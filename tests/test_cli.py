@@ -1,8 +1,18 @@
 """Tests for the command-line interface."""
 
+import multiprocessing
+
 import pytest
 
 from repro.cli import build_parser, main
+
+
+def _trial_zero_explodes(rng, index, **_):
+    """A fig11 stand-in whose first trial always fails (module-level so
+    pool workers can unpickle it)."""
+    if index == 0:
+        raise RuntimeError("trial 0 exploded")
+    return {"ber_with": 1e-3, "ber_without": 1e-2}
 
 
 class TestParser:
@@ -245,6 +255,21 @@ class TestCommands:
         assert "StoreError" in diagnostic[0]
         assert f"journal: {store}" in diagnostic[0]
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers see the patched trial only "
+                               "when forked")
+    def test_campaign_jobs_quarantines_a_failing_worker(
+            self, monkeypatch, capsys):
+        from repro.experiments import fig11_ber_cdf
+
+        monkeypatch.setattr(fig11_ber_cdf, "placement_trial",
+                            _trial_zero_explodes)
+        assert main(["campaign", "fig11", "--trials", "4",
+                     "--jobs", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "repro campaign: supervised run survived 2 retries" in err
+        assert "quarantined shards [0] never completed" in err
+
     def test_chaos_ap_crash(self, capsys):
         assert main(["chaos", "--ap-crash", "--seed", "7"]) == 0
         out = capsys.readouterr().out
@@ -425,6 +450,17 @@ class TestAdmissionSaturate:
         # curve, no recomputation surprises.
         assert main(argv + ["--resume"]) == 0
         assert capsys.readouterr().out == first
+
+    def test_failure_diagnostic_names_the_command(self, tmp_path, capsys):
+        store = str(tmp_path / "sat.jsonl")
+        argv = ["admission", "saturate", "--nodes", "40",
+                "--replicates", "1", "--load", "1.0", "--out", store]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + ["--seed", "1", "--resume"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro admission saturate:")
+        assert "different campaign" in err
 
 
 class TestEnergyCommands:

@@ -26,11 +26,11 @@ from repro.engine import (
     Campaign,
     CampaignPlan,
     EngineError,
-    ProcessPool,
     ResultStore,
     SerialExecutor,
     StoreError,
-    default_job_count,
+    SupervisedPool,
+    SupervisionPolicy,
     run_campaign,
     run_shard,
 )
@@ -40,7 +40,7 @@ from repro.telemetry.export import to_jsonl
 
 
 def uniform_trial(rng, index):
-    """Module-level so ProcessPool workers can unpickle it."""
+    """Module-level so SupervisedPool workers can unpickle it."""
     return {"x": float(rng.uniform()), "index": index}
 
 
@@ -146,20 +146,32 @@ class TestCampaignDeterminism:
             assert [r.seed for r in outcome.results] \
                 == [r.seed for r in serial]
 
-    def test_process_pool_matches_serial(self):
+    def test_supervised_pool_matches_serial(self):
         reference = run_campaign(uniform_trial, 10, master_seed=2,
                                  num_shards=4)
         pooled = run_campaign(uniform_trial, 10, master_seed=2,
-                              num_shards=4, executor=ProcessPool(jobs=2))
+                              num_shards=4,
+                              executor=SupervisedPool(jobs=2))
         assert [r.values for r in pooled.results] \
             == [r.values for r in reference.results]
 
-    def test_merged_telemetry_export_is_byte_identical(self):
+    @pytest.mark.parametrize("executor", [
+        pytest.param(SerialExecutor, id="serial"),
+        pytest.param(functools.partial(SupervisedPool, jobs=2),
+                     id="supervised"),
+    ])
+    @pytest.mark.parametrize("shards", [1, 3, 8])
+    def test_merged_telemetry_export_is_byte_identical(self, executor,
+                                                        shards):
         tel_serial = Recorder()
-        MonteCarloRunner(5, telemetry=tel_serial).run(uniform_trial, 8)
+        streamed = list(MonteCarloRunner(5, telemetry=tel_serial)
+                        .run_stream(uniform_trial, 8))
         tel_campaign = Recorder()
-        run_campaign(uniform_trial, 8, master_seed=5, num_shards=4,
-                     telemetry=tel_campaign)
+        outcome = run_campaign(uniform_trial, 8, master_seed=5,
+                               num_shards=shards, executor=executor(),
+                               telemetry=tel_campaign)
+        assert [(r.index, r.seed, r.values) for r in outcome.results] \
+            == [(r.index, r.seed, r.values) for r in streamed]
         assert to_jsonl(tel_campaign) == to_jsonl(tel_serial)
 
     def test_collect_and_summary(self):
@@ -335,53 +347,22 @@ class TestEngineErrors:
             Campaign(uniform_trial, 4, num_shards=2,
                      executor=_SkippingExecutor()).run()
 
-    def test_process_pool_validates_jobs(self):
-        with pytest.raises(ValueError):
-            ProcessPool(jobs=0)
-        assert ProcessPool(jobs=3).jobs == 3
-        assert default_job_count() >= 1
-
     def test_failed_campaign_cancels_pending_shards(self, tmp_path):
-        # One worker, six single-trial shards: shard 0 explodes
-        # immediately, so the pool must cancel the queued shards on the
-        # way out instead of burning through them.  The executor's call
-        # queue pre-buffers ``max_workers + 1`` shards that can no
-        # longer be cancelled, so shards 1-3 may still start — but the
-        # tail must not.
+        # One worker, six single-trial shards, one attempt each and
+        # "fail" on exhaustion: shard 0 explodes immediately, so the
+        # campaign must die without burning through the queued tail.
         trial = functools.partial(marker_trial,
                                   marker_dir=str(tmp_path))
-        with pytest.raises(RuntimeError, match="trial 0"):
-            run_campaign(trial, 6, num_shards=6,
-                         executor=ProcessPool(jobs=1))
+        pool = SupervisedPool(jobs=1, policy=SupervisionPolicy(
+            max_attempts=1, on_failure="fail"))
+        with pytest.raises(EngineError, match="trial 0"):
+            run_campaign(trial, 6, num_shards=6, executor=pool)
         started = {p.name for p in tmp_path.iterdir()}
         assert "trial-0.started" in started
         assert not started & {"trial-4.started", "trial-5.started"}
 
 
 class TestRunnerIntegration:
-    def test_runner_executor_path_matches_serial(self):
-        runner = MonteCarloRunner(13)
-        serial = runner.run(uniform_trial, 9)
-        engine = runner.run(uniform_trial, 9,
-                            executor=SerialExecutor(), num_shards=3)
-        assert [r.values for r in engine] == [r.values for r in serial]
-
-    def test_runner_progress_in_index_order_under_executor(self):
-        seen = []
-        MonteCarloRunner(0).run(uniform_trial, 6,
-                                progress=lambda r: seen.append(r.index),
-                                executor=SerialExecutor(),
-                                num_shards=3)
-        assert seen == list(range(6))
-
-    def test_runner_store_only_path_uses_engine(self, tmp_path):
-        store_path = tmp_path / "campaign.jsonl"
-        runner = MonteCarloRunner(1)
-        stored = runner.run(uniform_trial, 4, store=store_path)
-        assert store_path.exists()
-        assert [r.values for r in stored] \
-            == [r.values for r in runner.run(uniform_trial, 4)]
-
     def test_empty_summary_message_names_the_key(self):
         with pytest.raises(ValueError,
                            match=r"no results to summarise for 'snr'"):

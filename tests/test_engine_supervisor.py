@@ -624,25 +624,6 @@ class TestSupervisedPool:
         assert [r.values for r in resumed.results] \
             == [r.values for r in reference.results]
 
-    def test_runner_surfaces_partial_results_loudly(self):
-        faults = WorkerFaultSchedule(
-            faults={(0, 1): WorkerFault(kind="crash")})
-        runner = MonteCarloRunner(4)
-        pool = SupervisedPool(
-            jobs=2, faults=faults,
-            policy=SupervisionPolicy(max_attempts=1,
-                                     on_failure="quarantine"))
-        with pytest.raises(EngineError, match="completed partially"):
-            runner.run(uniform_trial, 6, executor=pool, num_shards=3)
-
-        pool = SupervisedPool(
-            jobs=2, faults=faults,
-            policy=SupervisionPolicy(max_attempts=1,
-                                     on_failure="quarantine"))
-        surviving = runner.run(uniform_trial, 6, executor=pool,
-                               num_shards=3, allow_partial=True)
-        assert [r.index for r in surviving] == [2, 3, 4, 5]
-
     def test_pool_validates_jobs_and_reports_empty_runs(self):
         with pytest.raises(ValueError):
             SupervisedPool(jobs=0)
