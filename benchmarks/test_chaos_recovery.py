@@ -30,7 +30,8 @@ def test_chaos_recovery_sweep(benchmark):
 
     by_name = {o.scenario: o for o in outcomes}
     assert sorted(by_name) == ["blockage", "drift", "dropout",
-                               "interference", "kitchen-sink", "stuck-beam"]
+                               "energy-outage", "interference",
+                               "kitchen-sink", "stuck-beam"]
 
     # (c) every fault class: post-fault SNR back within tolerance of the
     # clean baseline — the ladder actually recovers, never wedges.

@@ -140,8 +140,11 @@ def _fsk_drift_penalty_db(offset_hz: float, config: AskFskConfig) -> float:
     offset = abs(offset_hz)
     if offset >= config.tone_separation_hz:
         return float("inf")
+    # |sinc(x)| on Python floats, computed as np.sinc does:
+    # sin(pi x) / (pi x), and exactly 1 at x = 0.
     x = offset / config.bit_rate_bps
-    attenuation = abs(np.sinc(x))
+    y = math.pi * x
+    attenuation = abs(math.sin(y) / y) if y else 1.0
     if attenuation <= 1e-9:
         return float("inf")
     return -float(amplitude_to_db(attenuation))

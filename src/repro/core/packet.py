@@ -29,12 +29,16 @@ from ..phy.bits import (
 from ..phy.coding import HammingCode74, crc16_ccitt, deinterleave, interleave
 from ..phy.preamble import default_preamble_bits
 
-__all__ = ["Packet", "PacketCodec", "PacketError"]
+__all__ = ["DEFAULT_PREAMBLE_BITS", "Packet", "PacketCodec", "PacketError",
+           "body_length_bits"]
 
 _LENGTH_BITS = 16
 _SEQ_BITS = 8
 _CRC_BITS = 16
 MAX_PAYLOAD_BYTES = (1 << _LENGTH_BITS) - 1
+
+DEFAULT_PREAMBLE_BITS = default_preamble_bits().size
+"""Length of the default preamble every :class:`PacketCodec` starts with."""
 
 
 class PacketError(Exception):
@@ -53,6 +57,22 @@ class Packet:
             raise ValueError("payload too large for the 16-bit length field")
         if not 0 <= self.sequence < (1 << _SEQ_BITS):
             raise ValueError("sequence number must fit in 8 bits")
+
+
+def body_length_bits(payload_bytes: int, use_fec: bool = False) -> int:
+    """Frame length after the preamble: header, payload and CRC bits.
+
+    With ``use_fec`` the body is padded to whole 4-bit blocks and
+    Hamming(7,4)-coded.  Plain arithmetic, so link-budget and
+    scheduling math need no codec.
+    """
+    if not 0 <= payload_bytes <= MAX_PAYLOAD_BYTES:
+        raise ValueError("invalid payload size")
+    body = _LENGTH_BITS + _SEQ_BITS + 8 * payload_bytes + _CRC_BITS
+    if use_fec:
+        body += (-body) % 4
+        body = body * 7 // 4
+    return body
 
 
 class PacketCodec:
@@ -104,13 +124,8 @@ class PacketCodec:
 
     def frame_length_bits(self, payload_bytes: int) -> int:
         """Total frame length for a payload size — for scheduling math."""
-        if not 0 <= payload_bytes <= MAX_PAYLOAD_BYTES:
-            raise ValueError("invalid payload size")
-        body = _LENGTH_BITS + _SEQ_BITS + 8 * payload_bytes + _CRC_BITS
-        if self.use_fec:
-            body += (-body) % 4
-            body = body * 7 // 4
-        return self.preamble.size + body
+        return self.preamble.size + body_length_bits(payload_bytes,
+                                                     self.use_fec)
 
     # --- decoding -----------------------------------------------------------
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..phy import ber as ber_theory
-from .packet import PacketCodec
+from .packet import DEFAULT_PREAMBLE_BITS, PacketCodec, body_length_bits
 
 __all__ = [
     "CodingMode",
@@ -69,9 +69,7 @@ def frame_success_probability(ber: float, payload_bytes: int,
     """
     if not 0.0 <= ber <= 1.0:
         raise ValueError("BER must be a probability")
-    codec = mode.codec()
-    body_bits = (codec.frame_length_bits(payload_bytes)
-                 - codec.preamble.size)
+    body_bits = body_length_bits(payload_bytes, mode.use_fec)
     if mode.codeword_bits <= 1:
         return float((1.0 - ber) ** body_bits)
     num_codewords = body_bits // mode.codeword_bits
@@ -99,7 +97,8 @@ def goodput_bps(snr_db: float, bit_rate_bps: float, payload_bytes: int,
         raise ValueError("payload must be positive")
     ber = float(ber_theory.ber_ask_table(snr_db))
     p_frame = frame_success_probability(ber, payload_bytes, mode)
-    frame_bits = mode.codec().frame_length_bits(payload_bytes)
+    frame_bits = (DEFAULT_PREAMBLE_BITS
+                  + body_length_bits(payload_bytes, mode.use_fec))
     frames_per_second = bit_rate_bps / frame_bits
     return frames_per_second * p_frame * payload_bytes * 8.0
 

@@ -217,11 +217,19 @@ class ChaosSimulation:
             if tel.enabled:
                 tel.clock.advance(self.time_step_s)
                 tel.count("chaos.steps")
-            d_adaptive = schedule.disturbance_at(t, adaptive_channel[0])
-            d_static = schedule.disturbance_at(t, HOME_CHANNEL)
+            channel = adaptive_channel[0]
+            d_adaptive = schedule.disturbance_at(t, channel)
             b_adaptive = perturb_breakdown(clean, d_adaptive,
                                            self.link.config)
-            b_static = perturb_breakdown(clean, d_static, self.link.config)
+            # Both calls are pure, so until rung 5 moves the adaptive
+            # policy off the home channel the static policy sees the
+            # very same disturbance and breakdown.
+            if channel == HOME_CHANNEL:
+                d_static, b_static = d_adaptive, b_adaptive
+            else:
+                d_static = schedule.disturbance_at(t, HOME_CHANNEL)
+                b_static = perturb_breakdown(clean, d_static,
+                                             self.link.config)
             decision = supervisor.step(
                 t, b_adaptive,
                 node_down=d_adaptive.node_down,

@@ -10,6 +10,7 @@ numbers an operator actually asks for — availability, MTTR, MTBF.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,10 +56,10 @@ class EwmaEstimator:
         estimate hard to the sample — a dead link must not be hidden
         behind a slowly-decaying average.
         """
-        if not np.isfinite(sample):
+        if not math.isfinite(sample):
             self._value = float(sample)
             return self._value
-        if self._value is None or not np.isfinite(self._value):
+        if self._value is None or not math.isfinite(self._value):
             self._value = float(sample)
         else:
             self._value = float(self.alpha * sample

@@ -28,6 +28,7 @@ audit exactly which rung fired when.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -304,7 +305,7 @@ class LinkSupervisor:
 
         # Rung 3: when the link sits in outage, trade rate for SNR —
         # each halving of the bit rate doubles per-bit energy (+3 dB).
-        if state == OUTAGE and np.isfinite(raw_snr) \
+        if state == OUTAGE and math.isfinite(raw_snr) \
                 and self._rate_fraction > self.MIN_RATE_FRACTION:
             self._rate_fraction /= 2.0
             actions.append(self._log(time_s, "rate-step-down",

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.link import OtamLink
+from repro.core.ask_fsk import AskFskConfig
+from repro.core.link import OtamLink, _fsk_drift_penalty_db
 from repro.phy.bits import random_bits
 from repro.phy.preamble import default_preamble_bits
 from repro.sim.environment import Blocker
 from repro.sim.geometry import Point
 from repro.sim.placement import Placement, PlacementSampler
+from repro.units import amplitude_to_db
 
 
 def facing_placement(distance: float = 3.0) -> Placement:
@@ -119,3 +121,36 @@ class TestSampleLevel:
             report = link.simulate_transmission(self._bits(rng, 64), rng=rng)
             failures += report.ber > 0.01
         assert failures <= 2
+
+
+class TestFskDriftPenalty:
+    """The ``math.sin`` sinc against the ``np.sinc`` it replaced."""
+
+    CONFIG = AskFskConfig()
+    SEPARATION_HZ = CONFIG.tone_separation_hz
+
+    def _np_sinc_reference(self, offset_hz: float) -> float:
+        offset = abs(offset_hz)
+        if offset >= self.SEPARATION_HZ:
+            return float("inf")
+        attenuation = abs(np.sinc(offset / self.CONFIG.bit_rate_bps))
+        if attenuation <= 1e-9:
+            return float("inf")
+        return -float(amplitude_to_db(attenuation))
+
+    @pytest.mark.parametrize("offset_hz", [
+        0.0, 1e-3, -1e-3, 1e3,
+        0.25 * SEPARATION_HZ, 0.5 * SEPARATION_HZ, -0.5 * SEPARATION_HZ,
+        0.999 * SEPARATION_HZ])
+    def test_bit_exact_against_np_sinc(self, offset_hz):
+        got = _fsk_drift_penalty_db(offset_hz, self.CONFIG)
+        assert got.hex() == self._np_sinc_reference(offset_hz).hex()
+
+    def test_no_offset_is_no_penalty(self):
+        assert _fsk_drift_penalty_db(0.0, self.CONFIG) == 0.0
+
+    @pytest.mark.parametrize("multiple", [1.0, 1.5, 10.0])
+    def test_at_or_beyond_tone_separation_is_unusable(self, multiple):
+        offset = multiple * self.SEPARATION_HZ
+        assert _fsk_drift_penalty_db(offset, self.CONFIG) == math.inf
+        assert _fsk_drift_penalty_db(-offset, self.CONFIG) == math.inf

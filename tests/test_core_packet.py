@@ -3,7 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.core.packet import MAX_PAYLOAD_BYTES, Packet, PacketCodec, PacketError
+from repro.core.packet import (
+    DEFAULT_PREAMBLE_BITS,
+    MAX_PAYLOAD_BYTES,
+    Packet,
+    PacketCodec,
+    PacketError,
+    body_length_bits,
+)
+from repro.core.throughput import (
+    CODING_MODES,
+    frame_success_probability,
+    goodput_bps,
+)
 
 
 class TestPacket:
@@ -98,3 +110,29 @@ class TestFraming:
         frame[codec.preamble.size] ^= 1  # MSB of the 16-bit length
         with pytest.raises(PacketError):
             codec.decode(frame)
+
+
+class TestBodyLengthBits:
+    """The codec-free length arithmetic against real encoded frames."""
+
+    @pytest.mark.parametrize("use_fec,use_interleaver",
+                             [(False, False), (True, False), (True, True)])
+    @pytest.mark.parametrize("size", [0, 1, 3, 4, 7, 255, 256, 1000])
+    def test_matches_encoded_frame(self, use_fec, use_interleaver, size):
+        codec = PacketCodec(use_fec=use_fec, use_interleaver=use_interleaver)
+        frame = codec.encode(Packet(bytes(size)))
+        assert frame.size == codec.frame_length_bits(size)
+        assert frame.size == (DEFAULT_PREAMBLE_BITS
+                              + body_length_bits(size, use_fec))
+
+    @pytest.mark.parametrize("size", [-1, MAX_PAYLOAD_BYTES + 1])
+    def test_out_of_range_payload_raises(self, size):
+        with pytest.raises(ValueError):
+            body_length_bits(size)
+        with pytest.raises(ValueError):
+            PacketCodec().frame_length_bits(size)
+        for mode in CODING_MODES:
+            with pytest.raises(ValueError):
+                frame_success_probability(1e-3, size, mode)
+            with pytest.raises(ValueError):
+                goodput_bps(10.0, 1e6, size, mode)
