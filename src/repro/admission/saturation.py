@@ -238,7 +238,8 @@ def run_saturation(config: SaturationConfig | None = None,
     n_loads = len(cfg.loads)
 
     def per_load(key: str) -> np.ndarray:
-        samples = outcome.collect(key).reshape(n_loads, cfg.replicates)
+        samples = outcome.collect_planned(key).reshape(n_loads,
+                                                       cfg.replicates)
         return np.asarray([row.mean() for row in samples])
 
     return SaturationResult(

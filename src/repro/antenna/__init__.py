@@ -9,7 +9,7 @@ conventional phased array for the beam-searching baselines.
 
 from .array import UniformLinearArray, array_factor
 from .element import PatchElement, DipoleElement, IsotropicElement
-from .orthogonal import OrthogonalBeamPair, design_mmx_beams
+from .orthogonal import OrthogonalBeamPair, design_mmx_beams, measured_mmx_beams
 from .patterns import (
     half_power_beamwidth_deg,
     find_null_directions_deg,
@@ -31,6 +31,7 @@ __all__ = [
     "directivity_dbi",
     "find_null_directions_deg",
     "half_power_beamwidth_deg",
+    "measured_mmx_beams",
     "pattern_orthogonality_db",
     "peak_direction_deg",
 ]

@@ -18,10 +18,19 @@ beams are orthogonal".  For a 2-element array with spacing ``d``:
 Choosing ``d = lambda`` for both arrays therefore puts Beam 1's null
 exactly on Beam 0's ±30° peaks and vice versa — the mutual-null structure
 of Fig. 8 drops out of the geometry with no phase shifters anywhere.
+
+:class:`ParametricBeam` follows the two-path contract of
+:mod:`repro.units`: a finite ``float`` angle (``np.float64`` included)
+is evaluated on Python floats and returns a ``float`` with the bits the
+0-d array path returns, while arrays and non-finite angles keep the
+numpy path.  The channel tier evaluates one path at a time, so it runs
+on the float path.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +38,7 @@ import numpy as np
 from ..constants import BEAM0_PEAK_DEG, CARRIER_FREQUENCY_HZ
 from ..units import amplitude_to_db, db_to_amplitude, wavelength
 from .array import UniformLinearArray
-from .element import PatchElement
+from .element import _DEGREES_PER_RADIAN, PatchElement
 
 __all__ = ["OrthogonalBeamPair", "design_mmx_beams", "ParametricBeam",
            "measured_mmx_beams"]
@@ -61,7 +70,7 @@ class OrthogonalBeamPair:
         p1 = float(np.trapezoid(self.beam1.field(grid) ** 2, grid))
         p0 = float(np.trapezoid(self.beam0.field(grid) ** 2, grid))
         object.__setattr__(self, "_beam0_scale",
-                           np.sqrt(p1 / p0) if p0 > 0 else 1.0)
+                           float(np.sqrt(p1 / p0)) if p0 > 0 else 1.0)
 
     def pattern(self, bit: int):
         """The beam selected when the data bit is ``bit`` (0 or 1).
@@ -118,7 +127,15 @@ class ParametricBeam:
     """Leakage floor relative to the pattern peak."""
 
     def power_db(self, theta_rad) -> np.ndarray:
-        """Power pattern [dB relative to the strongest lobe peak]."""
+        """Power pattern [dB relative to the strongest lobe peak].
+
+        A finite ``float`` returns a ``float`` (see the module
+        docstring); anything else takes the numpy path.
+        """
+        if isinstance(theta_rad, float) and math.isfinite(theta_rad):
+            value = self._scalar_power_db(theta_rad)
+            if value is not None:
+                return value
         theta_deg = np.degrees(np.asarray(theta_rad, dtype=float))
 
         def wrapped_delta(centre):
@@ -133,6 +150,35 @@ class ParametricBeam:
             delta = np.abs(wrapped_delta(centre))
             notch = depth * np.exp(-0.5 * (delta / (width / 2.0)) ** 2)
             value = value + notch
+        return value
+
+    def _scalar_power_db(self, theta_rad: float) -> float | None:
+        """:meth:`power_db` of one finite angle, on Python floats.
+
+        Each step returns the bits numpy's scalar arithmetic returned:
+        degrees as numpy computes them (``x * (180 / pi)``, where
+        ``math.degrees`` divides), Python ``%`` (numpy's scalar
+        remainder rule), ``** 2`` (libm ``pow``), ``max`` for
+        ``np.maximum`` and ``np.exp`` on the bare float, because
+        ``math.exp`` differs from numpy's ``exp`` in the last bit.
+        None (an angle whose degrees overflow, a zero or overflowing
+        width) hands the angle to the array path, which warns.
+        """
+        theta_deg = theta_rad * _DEGREES_PER_RADIAN
+        if math.isinf(theta_deg):
+            return None
+        value = -math.inf
+        try:
+            for centre, width in self.lobes:
+                delta = (theta_deg - centre + 180.0) % 360.0 - 180.0
+                value = max(value, -3.0 * (2.0 * delta / width) ** 2)
+            value = max(value, float(self.floor_db))
+            for centre, depth, width in self.notches:
+                delta = abs((theta_deg - centre + 180.0) % 360.0 - 180.0)
+                exponent = -0.5 * (delta / (width / 2.0)) ** 2
+                value = value + depth * float(np.exp(exponent))
+        except (ZeroDivisionError, OverflowError):
+            return None
         return value
 
     def field(self, theta_rad) -> np.ndarray:
@@ -152,7 +198,16 @@ def measured_mmx_beams(peak_gain_dbi: float = 8.0) -> OrthogonalBeamPair:
     edge that the node's quoted 120° FoV holds.  The links use this
     pair by default — evaluation should run against the measured
     antenna, not its idealisation.
+
+    The pair is built on first use and shared: every call with the same
+    ``peak_gain_dbi`` returns the same frozen instance, so a link does
+    not re-integrate both patterns.
     """
+    return _measured_mmx_beams(float(peak_gain_dbi))
+
+
+@functools.cache
+def _measured_mmx_beams(peak_gain_dbi: float) -> OrthogonalBeamPair:
     beam1 = ParametricBeam(
         lobes=((0.0, 40.0),),
         notches=((-30.0, -25.0, 6.0), (30.0, -25.0, 6.0)),

@@ -9,9 +9,9 @@ beam — it quantifies what the second beam buys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from ..antenna.orthogonal import measured_mmx_beams
+from ..antenna.orthogonal import OrthogonalBeamPair, measured_mmx_beams
 from ..channel.multipath import beam_channel_gain
 from ..channel.raytrace import trace_paths
 from ..sim.placement import Placement
@@ -25,11 +25,7 @@ class FixedBeamNode:
     """A node that always transmits OOK through one broadside beam."""
 
     frequency_hz: float = 24.125e9
-    beams: object = None
-
-    def __post_init__(self):
-        if self.beams is None:
-            self.beams = measured_mmx_beams()
+    beams: OrthogonalBeamPair = field(default_factory=measured_mmx_beams)
 
     def channel_gain(self, placement: Placement, room, ap_element,
                      max_bounces: int = 1) -> complex:

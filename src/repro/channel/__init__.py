@@ -7,7 +7,12 @@ applies Friis path loss plus the paper's reflection/blockage excess-loss
 bands, and exposes per-beam complex channel gains to the OTAM core.
 """
 
-from .multipath import ChannelResponse, beam_channel_gain, two_beam_gains
+from .multipath import (
+    ChannelResponse,
+    beam_channel_gain,
+    two_beam_gains,
+    two_beam_responses,
+)
 from .noise import noise_power_dbm, complex_awgn
 from .pathloss import (
     free_space_path_loss_db,
@@ -41,4 +46,5 @@ __all__ = [
     "rms_delay_spread_s",
     "trace_paths",
     "two_beam_gains",
+    "two_beam_responses",
 ]

@@ -20,6 +20,7 @@ the over-the-air ASK signal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -28,7 +29,8 @@ from ..units import amplitude_to_db, db_to_amplitude, wavelength
 from .pathloss import free_space_path_loss_db, oxygen_absorption_db
 from .raytrace import PropagationPath, trace_paths
 
-__all__ = ["ChannelResponse", "beam_channel_gain", "two_beam_gains"]
+__all__ = ["ChannelResponse", "beam_channel_gain", "two_beam_gains",
+           "two_beam_responses"]
 
 
 @dataclass(frozen=True)
@@ -86,6 +88,61 @@ class ChannelResponse:
         return max(abs(self.h1), abs(self.h0))
 
 
+def _field_products(paths: tuple[PropagationPath, ...], tx_fields,
+                    rx_field, tx_orientation_rad: float,
+                    rx_orientation_rad: float) -> list[list[float | None]]:
+    """``g_tx * g_rx`` per path for each transmit field.
+
+    The products depend on the geometry only, so every carrier shares
+    them.  A path whose transmit or receive field is zero has no
+    product (``None``): it does not reach that beam's sum.
+    """
+    products: list[list[float | None]] = [[] for _ in tx_fields]
+    for p in paths:
+        dep = normalize_angle(p.departure_bearing_rad - tx_orientation_rad)
+        arr = normalize_angle(p.arrival_bearing_rad - rx_orientation_rad)
+        g_rx = float(rx_field(arr))
+        for tx_field, out in zip(tx_fields, products):
+            g_tx = float(tx_field(dep))
+            out.append(None if g_tx <= 0.0 or g_rx <= 0.0 else g_tx * g_rx)
+    return products
+
+
+def _carrier_terms(paths: tuple[PropagationPath, ...], frequency_hz: float):
+    """Per path at one carrier: loss amplitude and phasor.
+
+    The amplitude is ``10^(-loss/20)`` with ``loss = (FSPL + oxygen) +
+    excess``, and the phasor is ``exp(-j 2 pi L / lambda)``.  Path loss
+    and the phasors run once on the array of lengths, which gives the
+    bits of one call per path.  The amplitudes are converted one float
+    at a time, because numpy's vectorised ``power`` differs from libm
+    ``pow`` in the last bit.
+    """
+    if not paths:
+        return [], []
+    lengths = np.array([p.length_m for p in paths], dtype=float)
+    excess = np.array([p.excess_loss_db for p in paths], dtype=float)
+    loss = (free_space_path_loss_db(lengths, frequency_hz)
+            + oxygen_absorption_db(lengths, frequency_hz)) + excess
+    amplitudes = [db_to_amplitude(-value) for value in loss.tolist()]
+    lam = float(wavelength(frequency_hz))
+    phasors = np.exp(1j * (-2.0 * np.pi * lengths / lam))
+    return amplitudes, phasors
+
+
+def _path_sum(products: list[float | None], amplitudes, phasors) -> complex:
+    """``sum_p (g_p * amplitude_p) * phasor_p``, one path at a time.
+
+    Accumulating in path order (not ``np.sum``, whose pairwise summation
+    rounds differently) keeps the bits of the per-path formula.
+    """
+    total = 0.0 + 0.0j
+    for product, amplitude, phasor in zip(products, amplitudes, phasors):
+        if product is not None:
+            total += product * amplitude * phasor
+    return complex(total)
+
+
 def beam_channel_gain(paths, tx_field, rx_field,
                       tx_orientation_rad: float,
                       rx_orientation_rad: float,
@@ -104,22 +161,40 @@ def beam_channel_gain(paths, tx_field, rx_field,
     frequency_hz:
         Carrier frequency, for the phase term and FSPL.
     """
-    lam = float(wavelength(frequency_hz))
-    total = 0.0 + 0.0j
-    for p in paths:
-        dep = normalize_angle(p.departure_bearing_rad - tx_orientation_rad)
-        arr = normalize_angle(p.arrival_bearing_rad - rx_orientation_rad)
-        g_tx = float(np.asarray(tx_field(dep), dtype=float))
-        g_rx = float(np.asarray(rx_field(arr), dtype=float))
-        if g_tx <= 0.0 or g_rx <= 0.0:
-            continue
-        loss_db = (float(free_space_path_loss_db(p.length_m, frequency_hz))
-                   + float(oxygen_absorption_db(p.length_m, frequency_hz))
-                   + p.excess_loss_db)
-        amplitude = g_tx * g_rx * float(db_to_amplitude(-loss_db))
-        phase = -2.0 * np.pi * p.length_m / lam
-        total += amplitude * np.exp(1j * phase)
-    return complex(total)
+    paths = tuple(paths)
+    (products,) = _field_products(paths, (tx_field,), rx_field,
+                                  tx_orientation_rad, rx_orientation_rad)
+    return _path_sum(products, *_carrier_terms(paths, frequency_hz))
+
+
+def two_beam_responses(node_position: Point, ap_position: Point, room,
+                       beams, ap_element,
+                       node_orientation_rad: float,
+                       ap_orientation_rad: float,
+                       frequencies_hz,
+                       max_bounces: int = 1
+                       ) -> tuple[ChannelResponse, ...]:
+    """Both node beams at several carriers over one trace of the room.
+
+    The trace and each path's field products are carrier-independent,
+    so they are computed once; each carrier adds only its path loss and
+    phases.  Entry ``i`` is bit-identical to :func:`two_beam_gains` at
+    ``frequencies_hz[i]``, and every entry shares one ``paths`` tuple.
+    """
+    paths = tuple(trace_paths(node_position, ap_position, room,
+                              max_bounces=max_bounces))
+    beam1, beam0 = _field_products(
+        paths,
+        (partial(beams.field, 1), partial(beams.field, 0)),
+        ap_element.field, node_orientation_rad, ap_orientation_rad)
+    responses = []
+    for frequency_hz in frequencies_hz:
+        amplitudes, phasors = _carrier_terms(paths, float(frequency_hz))
+        responses.append(ChannelResponse(
+            h1=_path_sum(beam1, amplitudes, phasors),
+            h0=_path_sum(beam0, amplitudes, phasors),
+            paths=paths))
+    return tuple(responses)
 
 
 def two_beam_gains(node_position: Point, ap_position: Point, room,
@@ -132,17 +207,10 @@ def two_beam_gains(node_position: Point, ap_position: Point, room,
 
     ``beams`` is an :class:`repro.antenna.OrthogonalBeamPair`;
     ``ap_element`` anything with a ``field(theta)`` method (the AP dipole).
+    This is the one-carrier case of :func:`two_beam_responses`.
     """
-    paths = tuple(trace_paths(node_position, ap_position, room,
-                              max_bounces=max_bounces))
-    gains = {}
-    for bit in (0, 1):
-        gains[bit] = beam_channel_gain(
-            paths,
-            tx_field=lambda theta, b=bit: beams.field(b, theta),
-            rx_field=ap_element.field,
-            tx_orientation_rad=node_orientation_rad,
-            rx_orientation_rad=ap_orientation_rad,
-            frequency_hz=frequency_hz,
-        )
-    return ChannelResponse(h1=gains[1], h0=gains[0], paths=paths)
+    (response,) = two_beam_responses(
+        node_position, ap_position, room, beams, ap_element,
+        node_orientation_rad, ap_orientation_rad, (frequency_hz,),
+        max_bounces=max_bounces)
+    return response

@@ -99,9 +99,8 @@ def _los_path(tx: Point, rx: Point, room: Room) -> PropagationPath | None:
 
 
 def _first_order_path(tx: Point, rx: Point, room: Room,
-                      wall_idx: int) -> PropagationPath | None:
+                      wall_idx: int, image: Point) -> PropagationPath | None:
     wall = room.walls[wall_idx]
-    image = reflect_point_across_line(rx, wall.segment)
     bounce = segment_intersection(Segment(tx, image), wall.segment)
     if bounce is None:
         return None
@@ -126,14 +125,13 @@ def _first_order_path(tx: Point, rx: Point, room: Room,
 
 
 def _second_order_path(tx: Point, rx: Point, room: Room,
-                       first_idx: int, second_idx: int
+                       first_idx: int, second_idx: int, image2: Point
                        ) -> PropagationPath | None:
     if first_idx == second_idx:
         return None
     w1 = room.walls[first_idx]
     w2 = room.walls[second_idx]
-    # Image of rx in w2, then image of that in w1.
-    image2 = reflect_point_across_line(rx, w2.segment)
+    # image2 is rx's image in w2; reflect it again in w1.
     image1 = reflect_point_across_line(image2, w1.segment)
     bounce1 = segment_intersection(Segment(tx, image1), w1.segment)
     if bounce1 is None:
@@ -178,15 +176,17 @@ def trace_paths(tx: Point, rx: Point, room: Room,
     los = _los_path(tx, rx, room)
     if los is not None:
         paths.append(los)
-    if max_bounces >= 1:
-        for i in range(len(room.walls)):
-            p = _first_order_path(tx, rx, room, i)
-            if p is not None:
-                paths.append(p)
+    # rx's image in each wall, shared by every candidate through it.
+    images = ([reflect_point_across_line(rx, wall.segment)
+               for wall in room.walls] if max_bounces >= 1 else [])
+    for i, image in enumerate(images):
+        p = _first_order_path(tx, rx, room, i, image)
+        if p is not None:
+            paths.append(p)
     if max_bounces >= 2:
         for i in range(len(room.walls)):
-            for j in range(len(room.walls)):
-                p = _second_order_path(tx, rx, room, i, j)
+            for j, image in enumerate(images):
+                p = _second_order_path(tx, rx, room, i, j, image)
                 if p is not None:
                     paths.append(p)
     paths = [p for p in paths if p.excess_loss_db <= max_excess_loss_db]

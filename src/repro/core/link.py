@@ -26,13 +26,19 @@ import numpy as np
 
 from ..antenna.element import DipoleElement
 from ..antenna.orthogonal import OrthogonalBeamPair, measured_mmx_beams
-from ..channel.multipath import ChannelResponse, two_beam_gains
+from ..channel.multipath import (
+    ChannelResponse,
+    two_beam_gains,
+    two_beam_responses,
+)
 from ..channel.noise import complex_awgn, noise_power_dbm
 from ..channel.pathloss import friis_received_power_dbm
 from ..constants import (
     AP_ANTENNA_GAIN_DBI,
     CARRIER_FREQUENCY_HZ,
     EVAL_NODE_CHANNEL_BANDWIDTH_HZ,
+    ISM_24GHZ_HIGH_HZ,
+    ISM_24GHZ_LOW_HZ,
     NODE_EIRP_DBM,
 )
 from ..hardware.chains import AccessPointHardware
@@ -50,7 +56,18 @@ from .demodulator import DemodResult, JointDemodulator
 from .otam import OtamModulator
 
 __all__ = ["BistaticBreakdown", "SnrBreakdown", "LinkReport", "OtamLink",
-           "bistatic_breakdown", "perturb_breakdown"]
+           "bistatic_breakdown", "ism_carriers", "perturb_breakdown"]
+
+
+def ism_carriers(num_carriers: int) -> np.ndarray:
+    """``num_carriers`` evenly spaced carriers inside the 24 GHz ISM band.
+
+    The band edges are excluded.  These are the carriers the Fig. 10-12
+    placements average over, the frequency diversity of a measurement
+    campaign.
+    """
+    return np.linspace(ISM_24GHZ_LOW_HZ, ISM_24GHZ_HIGH_HZ,
+                       num_carriers + 2)[1:-1]
 
 
 @dataclass(frozen=True)
@@ -331,12 +348,20 @@ class LinkReport:
 
 @dataclass
 class OtamLink:
-    """A node-AP link through a simulated room."""
+    """A node-AP link through a simulated room.
+
+    One link serves every carrier of a placement:
+    :meth:`channel_responses` traces the room once and shares the trace
+    and the per-path beam products across the carriers, and
+    :meth:`snr_breakdown` takes each response in turn (nothing in it
+    depends on the carrier).  ``frequency_hz`` is the carrier of
+    :meth:`channel_response`.
+    """
 
     placement: Placement
     room: object
     config: AskFskConfig = field(default_factory=AskFskConfig)
-    beams: OrthogonalBeamPair = None
+    beams: OrthogonalBeamPair = field(default_factory=measured_mmx_beams)
     ap_element: DipoleElement = field(default_factory=DipoleElement)
     ap_hardware: AccessPointHardware = field(default_factory=AccessPointHardware)
     frequency_hz: float = CARRIER_FREQUENCY_HZ
@@ -346,8 +371,6 @@ class OtamLink:
     max_bounces: int = 2
 
     def __post_init__(self):
-        if self.beams is None:
-            self.beams = measured_mmx_beams()
         self.modulator = OtamModulator(
             self.config,
             eirp_dbm=(self.eirp_dbm - self.implementation_loss_db))
@@ -356,7 +379,7 @@ class OtamLink:
     # --- channel ------------------------------------------------------------
 
     def channel_response(self) -> ChannelResponse:
-        """Trace the room and evaluate both beams for this placement."""
+        """Trace the room and evaluate both beams at ``frequency_hz``."""
         return two_beam_gains(
             self.placement.node_position,
             self.placement.ap_position,
@@ -366,6 +389,24 @@ class OtamLink:
             node_orientation_rad=self.placement.node_orientation_rad,
             ap_orientation_rad=self.placement.ap_orientation_rad,
             frequency_hz=self.frequency_hz,
+            max_bounces=self.max_bounces,
+        )
+
+    def channel_responses(self, frequencies_hz) -> tuple[ChannelResponse, ...]:
+        """Both beams at each carrier, from one trace of the room.
+
+        Entry ``i`` equals ``channel_response()`` of this link built
+        with ``frequency_hz=frequencies_hz[i]``, bit for bit.
+        """
+        return two_beam_responses(
+            self.placement.node_position,
+            self.placement.ap_position,
+            self.room,
+            beams=self.beams,
+            ap_element=self.ap_element,
+            node_orientation_rad=self.placement.node_orientation_rad,
+            ap_orientation_rad=self.placement.ap_orientation_rad,
+            frequencies_hz=frequencies_hz,
             max_bounces=self.max_bounces,
         )
 

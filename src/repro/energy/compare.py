@@ -295,7 +295,8 @@ def run_compare(config: CompareConfig | None = None,
     n_classes = len(cfg.classes)
 
     def per_class(key: str) -> np.ndarray:
-        samples = outcome.collect(key).reshape(n_classes, cfg.replicates)
+        samples = outcome.collect_planned(key).reshape(n_classes,
+                                                       cfg.replicates)
         return np.asarray([row.mean() for row in samples])
 
     return CompareResult(
@@ -315,7 +316,12 @@ def run_compare(config: CompareConfig | None = None,
 
 
 def _si(value: float, unit: str) -> str:
-    """Short engineering formatting for the table cells."""
+    """Short engineering formatting for the table cells.
+
+    NaN (a class whose trials a partial campaign lost) prints as nan.
+    """
+    if math.isnan(value):
+        return f"nan {unit}"
     for scale, prefix in ((1.0, ""), (1e-3, "m"), (1e-6, "µ"),
                           (1e-9, "n"), (1e-12, "p")):
         if abs(value) >= scale:

@@ -62,6 +62,19 @@ class CampaignResult:
         """One scalar metric across all trials, in index order."""
         return collect(self.results, key)
 
+    def collect_planned(self, key: str) -> np.ndarray:
+        """One scalar metric for every planned trial, at its index.
+
+        A trial missing from a partial campaign leaves NaN in its slot,
+        so the array always has ``plan.num_trials`` entries and reshapes
+        onto the campaign's sweep; for a full campaign it equals
+        :meth:`collect`.
+        """
+        values = np.full(self.plan.num_trials, np.nan)
+        for result in self.results:
+            values[result.index] = result.values[key]
+        return values
+
     def summary(self, key: str) -> dict[str, float]:
         """Mean / median / percentiles of ``key`` across trials."""
         return summary(self.results, key)

@@ -27,7 +27,6 @@ from ..baselines.beam_search import (
     HierarchicalBeamSearch,
 )
 from ..channel.multipath import beam_channel_gain
-from ..channel.raytrace import trace_paths
 from ..core.link import OtamLink
 from ..sim.environment import default_lab_room
 from ..sim.mobility import los_blocker_between
@@ -353,18 +352,17 @@ def run_oracle_comparison(seed: int = 0, num_placements: int = 120,
                 placement.node_position, placement.ap_position,
                 fraction=float(rng.uniform(0.3, 0.7)), rng=rng))
         link = OtamLink(placement=placement, room=room)
-        breakdown = link.snr_breakdown()
+        channel = link.channel_response()
+        breakdown = link.snr_breakdown(channel)
         otam_snr = breakdown.otam_snr_db
 
         # Oracle: evaluate every codebook beam through the same traced
         # channel; take the best.  Gain above the mmX arrays' 8 dBi is
         # credited relative to the same EIRP budget.
-        paths = trace_paths(placement.node_position, placement.ap_position,
-                            room, max_bounces=link.max_bounces)
         best_level = float("-inf")
         for pattern in steered:
             gain = beam_channel_gain(
-                paths, tx_field=pattern.field,
+                channel.paths, tx_field=pattern.field,
                 rx_field=link.ap_element.field,
                 tx_orientation_rad=placement.node_orientation_rad,
                 rx_orientation_rad=placement.ap_orientation_rad,

@@ -23,7 +23,7 @@ from typing import Any
 import numpy as np
 
 from ..constants import EVAL_ROOM_LENGTH_M, EVAL_ROOM_WIDTH_M
-from ..core.link import OtamLink
+from ..core.link import OtamLink, ism_carriers
 from ..engine import Campaign, ResultStore, ShardExecutor
 from ..sim.environment import Blocker, default_lab_room
 from ..sim.geometry import Point, angle_of, normalize_angle
@@ -100,11 +100,10 @@ def grid_cell_trial(rng: np.random.Generator, index: int,
         ap_position=ap,
         ap_orientation_rad=np.pi / 2.0,
     )
-    carriers = np.linspace(24.0e9, 24.25e9, num_carriers + 2)[1:-1]
+    link = OtamLink(placement=placement, room=room)
     wo_lin, w_lin = [], []
-    for carrier in carriers:
-        breakdown = OtamLink(placement=placement, room=room,
-                             frequency_hz=float(carrier)).snr_breakdown()
+    for channel in link.channel_responses(ism_carriers(num_carriers)):
+        breakdown = link.snr_breakdown(channel)
         wo_lin.append(float(db_to_linear(breakdown.no_otam_snr_db)))
         w_lin.append(float(db_to_linear(breakdown.otam_snr_db)))
     return {

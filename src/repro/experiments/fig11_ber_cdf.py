@@ -23,7 +23,7 @@ from typing import Any
 
 import numpy as np
 
-from ..core.link import OtamLink
+from ..core.link import OtamLink, ism_carriers
 from ..engine import Campaign, ResultStore, ShardExecutor
 from ..sim.environment import Blocker, default_lab_room
 from ..sim.geometry import Point
@@ -76,11 +76,10 @@ def placement_trial(rng: np.random.Generator, index: int,
     room = default_lab_room()
     room.add_blocker(Blocker(Point(*blocker_position)))
     placement = PlacementSampler(room, rng).sample()
-    carriers = np.linspace(24.0e9, 24.25e9, num_carriers + 2)[1:-1]
+    link = OtamLink(placement=placement, room=room)
     ber_w, ber_wo = [], []
-    for carrier in carriers:
-        breakdown = OtamLink(placement=placement, room=room,
-                             frequency_hz=float(carrier)).snr_breakdown()
+    for channel in link.channel_responses(ism_carriers(num_carriers)):
+        breakdown = link.snr_breakdown(channel)
         ber_w.append(breakdown.ber_with_otam())
         ber_wo.append(breakdown.ber_without_otam())
     return {

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.link import OtamLink
+from ..core.link import OtamLink, ism_carriers
 from ..sim.environment import Room
 from ..sim.placement import PlacementSampler
 from ..units import db_to_linear, linear_to_db
@@ -70,17 +70,15 @@ def run(max_distance_m: float = 18.0, num_points: int = 12,
     rng = np.random.default_rng(0)
     sampler = PlacementSampler(room, rng)
     distances = np.linspace(1.0, max_distance_m, num_points)
-    carriers = np.linspace(24.0e9, 24.25e9, num_carriers + 2)[1:-1]
+    carriers = ism_carriers(num_carriers)
     facing, not_facing = [], []
     for d in distances:
         for scenario, out in ((True, facing), (False, not_facing)):
             placement = sampler.at_distance(float(d), facing=scenario)
-            snrs_linear = []
-            for carrier in carriers:
-                link = OtamLink(placement=placement, room=room,
-                                frequency_hz=float(carrier))
-                snrs_linear.append(
-                    float(db_to_linear(link.snr_breakdown().otam_snr_db)))
+            link = OtamLink(placement=placement, room=room)
+            snrs_linear = [
+                float(db_to_linear(link.snr_breakdown(channel).otam_snr_db))
+                for channel in link.channel_responses(carriers)]
             out.append(float(linear_to_db(np.mean(snrs_linear))))
     return Fig12Result(distances_m=distances,
                        snr_facing_db=np.asarray(facing),

@@ -89,7 +89,7 @@ def run(seed: int = 0, node_counts=NODE_COUNTS,
     outcome = Campaign(trial_fn, len(counts) * trials_per_count,
                        master_seed=seed, num_shards=num_shards,
                        executor=executor, store=store).run()
-    samples = outcome.collect("mean_sinr_db").reshape(
+    samples = outcome.collect_planned("mean_sinr_db").reshape(
         len(counts), trials_per_count)
     means = np.asarray([row.mean() for row in samples])
     stds = np.asarray([row.std() for row in samples])

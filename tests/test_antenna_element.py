@@ -1,7 +1,12 @@
 """Tests for repro.antenna.element."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.antenna.element import DipoleElement, IsotropicElement, PatchElement
 
@@ -72,3 +77,49 @@ class TestIsotropic:
         theta = np.radians(np.linspace(-180, 180, 19))
         assert iso.field(theta) == pytest.approx(np.ones(19))
         assert iso.power_db(theta) == pytest.approx(np.zeros(19))
+
+
+def _bits(value) -> bytes:
+    return struct.pack("<d", value)
+
+
+class TestDipoleScalarPath:
+    """The float path of DipoleElement.power_db against the 0-d array
+    path it replaced: same bits, and a Python float."""
+
+    @staticmethod
+    def _assert_matches_array_path(theta):
+        # Angles whose degrees or lobe term overflow fall back to the
+        # array path (and its warnings); every other one stays on floats.
+        dipole = DipoleElement()
+        with np.errstate(over="ignore"):
+            value = dipole.power_db(theta)
+            reference = dipole.power_db(np.asarray(theta))
+        assert _bits(float(value)) == _bits(float(reference))
+        if abs(theta) <= 1e6:
+            assert type(value) is float
+
+    @pytest.mark.parametrize("theta", [
+        0.0, -0.0, math.pi, -math.pi, 4 * math.pi, -4 * math.pi,
+        math.radians(31.0), -math.radians(31.0), float(np.radians(31.0))])
+    def test_pinned_angles(self, theta):
+        self._assert_matches_array_path(theta)
+
+    @given(theta=st.one_of(st.floats(-10.0, 10.0),
+                           st.floats(allow_nan=False, allow_infinity=False)))
+    def test_any_finite_angle(self, theta):
+        self._assert_matches_array_path(theta)
+
+    def test_field_is_a_float(self):
+        dipole = DipoleElement()
+        assert type(dipole.field(0.3)) is float
+        assert _bits(dipole.field(0.3)) == _bits(
+            float(dipole.field(np.asarray(0.3))))
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angles_take_the_array_path(self, theta):
+        dipole = DipoleElement()
+        value = dipole.power_db(theta)
+        assert type(value) is not float
+        assert _bits(float(value)) == _bits(
+            float(dipole.power_db(np.asarray(theta))))

@@ -1,7 +1,13 @@
 """Tests for the mmX orthogonal beam pair (Fig. 8 properties)."""
 
+import dataclasses
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.antenna.orthogonal import (
     OrthogonalBeamPair,
@@ -134,3 +140,84 @@ class TestParametricBeam:
         low = design_mmx_beams(frequency_hz=24.0e9)
         high = design_mmx_beams(frequency_hz=24.25e9)
         assert low.beam1.spacing_m > high.beam1.spacing_m
+
+
+def _bits(value) -> bytes:
+    return struct.pack("<d", value)
+
+
+#: Signed zeros, the wrap points, and the lobe and notch centres.
+PINNED_ANGLES = (0.0, -0.0, math.pi, -math.pi, 4 * math.pi, -4 * math.pi,
+                 math.radians(30.0), -math.radians(30.0),
+                 float(np.radians(30.0)), float(np.radians(-30.0)))
+
+ANGLES = st.one_of(st.floats(-10.0, 10.0),
+                   st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestScalarPowerDb:
+    """The float path of ParametricBeam.power_db against the 0-d array
+    path it replaced: same bits, and a Python float."""
+
+    @pytest.fixture(params=[1, 0], ids=["beam1", "beam0"])
+    def beam(self, request) -> ParametricBeam:
+        return measured_mmx_beams().pattern(request.param)
+
+    @staticmethod
+    def _assert_matches_array_path(beam, theta):
+        # Angles whose degrees or lobe terms overflow fall back to the
+        # array path (and its warnings); every other one stays on floats.
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = beam.power_db(theta)
+            reference = beam.power_db(np.asarray(theta))
+        assert _bits(float(value)) == _bits(float(reference))
+        if abs(theta) <= 1e6:
+            assert type(value) is float
+
+    @pytest.mark.parametrize("theta", PINNED_ANGLES)
+    def test_pinned_angles(self, beam, theta):
+        self._assert_matches_array_path(beam, theta)
+
+    @given(theta=ANGLES)
+    def test_any_finite_angle(self, theta):
+        for bit in (0, 1):
+            self._assert_matches_array_path(
+                measured_mmx_beams().pattern(bit), theta)
+
+    def test_field_is_a_float(self, beam):
+        theta = math.radians(12.5)
+        assert type(beam.field(theta)) is float
+        assert _bits(beam.field(theta)) == _bits(
+            float(beam.field(np.asarray(theta))))
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angles_take_the_array_path(self, beam, theta):
+        with np.errstate(invalid="ignore"):
+            value = beam.power_db(theta)
+            reference = beam.power_db(np.asarray(theta))
+        assert type(value) is not float
+        assert math.isnan(value) and math.isnan(reference)
+
+    def test_zero_width_takes_the_array_path(self):
+        beam = ParametricBeam(lobes=((0.0, 0.0),))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = beam.power_db(0.5)
+        assert type(value) is not float
+
+
+class TestSharedMeasuredBeams:
+    def test_repeat_calls_return_one_instance(self):
+        pair = measured_mmx_beams()
+        assert measured_mmx_beams() is pair
+        assert measured_mmx_beams(8.0) is pair
+        assert measured_mmx_beams(peak_gain_dbi=8) is pair
+        assert measured_mmx_beams(5.0) is measured_mmx_beams(5.0)
+        assert measured_mmx_beams(5.0) is not pair
+
+    def test_shared_instance_is_frozen(self):
+        pair = measured_mmx_beams()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pair.peak_gain_dbi = 3.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pair.beam1.floor_db = 0.0
+        assert isinstance(pair.beam0.lobes, tuple)

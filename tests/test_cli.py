@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import multiprocessing
+from functools import partial
 
 import pytest
 
@@ -13,6 +14,14 @@ def _trial_zero_explodes(rng, index, **_):
     if index == 0:
         raise RuntimeError("trial 0 exploded")
     return {"ber_with": 1e-3, "ber_without": 1e-2}
+
+
+def _keyed_trial_zero_explodes(rng, index, keys=(), **_):
+    """A stand-in trial returning 1.0 for each of ``keys`` whose first
+    trial always fails (module-level so pool workers can unpickle it)."""
+    if index == 0:
+        raise RuntimeError("trial 0 exploded")
+    return dict.fromkeys(keys, 1.0)
 
 
 class TestParser:
@@ -269,6 +278,37 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "repro campaign: supervised run survived 2 retries" in err
         assert "quarantined shards [0] never completed" in err
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers see the patched trial only "
+                               "when forked")
+    @pytest.mark.parametrize("argv, module, trial, keys, title", [
+        (["campaign", "fig13", "--trials", "4"],
+         "repro.experiments.fig13_multinode", "network_trial",
+         ("node_count", "mean_sinr_db"), "Fig. 13 — multi-node performance"),
+        (["admission", "saturate", "--replicates", "2"],
+         "repro.admission.saturation", "saturation_trial",
+         ("blocking_probability", "fdm_share", "sdm_share",
+          "mean_occupancy", "mean_fragmentation", "churn_ops"),
+         "Admission saturation — blocking vs offered load"),
+        (["energy", "compare", "--replicates", "2"],
+         "repro.energy.compare", "compare_trial",
+         ("cost_usd", "active_power_w", "energy_per_bit_j", "bitrate_bps",
+          "range_m", "measured_ber", "duty_cycle", "delivery_ratio",
+          "harvested_uw"),
+         "Node-class comparison — Table 1 extended down-market"),
+    ], ids=["fig13", "admission-saturate", "energy-compare"])
+    def test_sweep_presets_render_a_partial_campaign(
+            self, monkeypatch, capsys, argv, module, trial, keys, title):
+        # These presets reshape trials onto their sweep; a quarantined
+        # shard leaves NaN rows in the table instead of a crash.
+        monkeypatch.setattr(module + "." + trial,
+                            partial(_keyed_trial_zero_explodes, keys=keys))
+        assert main(argv + ["--jobs", "2"]) == 1
+        captured = capsys.readouterr()
+        assert title in captured.out
+        assert "nan" in captured.out
+        assert "quarantined shards [0] never completed" in captured.err
 
     def test_chaos_ap_crash(self, capsys):
         assert main(["chaos", "--ap-crash", "--seed", "7"]) == 0

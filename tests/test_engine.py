@@ -26,6 +26,7 @@ from repro.engine import (
     Campaign,
     CampaignPlan,
     EngineError,
+    PartialCampaignResult,
     ResultStore,
     SerialExecutor,
     StoreError,
@@ -181,6 +182,19 @@ class TestCampaignDeterminism:
         assert xs.shape == (6,)
         assert outcome.summary("x")["mean"] == pytest.approx(xs.mean())
         assert outcome.num_trials == 6
+
+    def test_collect_planned_puts_trials_at_their_index(self):
+        full = run_campaign(uniform_trial, 6, master_seed=1, num_shards=3)
+        assert full.collect_planned("x").tobytes() \
+            == full.collect("x").tobytes()
+        partial = PartialCampaignResult(
+            plan=full.plan, results=full.results[2:],
+            executed_shards=(1, 2), resumed_shards=(),
+            quarantined_shards=(0,), missing_trials=(0, 1))
+        xs = partial.collect_planned("x")
+        assert xs.shape == (6,)
+        assert np.isnan(xs[:2]).all()
+        assert xs[2:].tobytes() == full.collect("x")[2:].tobytes()
 
     def test_progress_fires_after_each_shard(self):
         seen = []
