@@ -11,20 +11,27 @@ This is the substrate for everything the paper's Fig. 2 and Fig. 4
 describe: the LoS path, the environmental reflection OTAM's Beam 0 uses,
 and the way a person standing in the LoS leg pushes the direct path 10-15
 dB below the reflected one.
+
+``max_bounces`` ranges over 0 (LoS only), 1 and 2.  The tracer runs on
+plain floats: each call copies the room's walls and blockers into
+coordinate tables, tests every candidate leg with the float kernels of
+:mod:`repro.sim.geometry`, and builds :class:`~repro.sim.geometry.Point`
+and :class:`PropagationPath` objects only for the paths it keeps.  The
+kernels carry the same arithmetic as the ``Point``/``Segment`` functions,
+so the paths are bit-identical to tracing with those.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from ..sim.environment import Room, Wall
+from ..sim.environment import Room
 from ..sim.geometry import (
     Point,
-    Segment,
-    angle_of,
-    distance,
-    reflect_point_across_line,
-    segment_intersection,
+    reflect_point_xy,
+    segment_circle_intersects_xy,
+    segment_intersection_xy,
 )
 from ..units import amplitude_to_db
 
@@ -62,102 +69,32 @@ class PropagationPath:
         return self.num_bounces == 0
 
 
-def _wall_blocks(leg: Segment, walls: list[Wall],
-                 skip: set[int]) -> bool:
-    """Whether any wall (except those in ``skip``) cuts a leg's interior."""
-    for i, wall in enumerate(walls):
-        if i in skip or not wall.occludes:
+def _blocked(occluders: list[tuple[int, float, float, float, float]],
+             skip: tuple[int, ...],
+             ax: float, ay: float, bx: float, by: float) -> bool:
+    """Whether any occluding wall not in ``skip`` cuts leg ``a-b``."""
+    for k, cx, cy, dx, dy in occluders:
+        if k in skip:
             continue
-        hit = segment_intersection(leg, wall.segment)
+        hit = segment_intersection_xy(ax, ay, bx, by, cx, cy, dx, dy)
         if hit is None:
             continue
         # Endpoint grazes (the leg starts/ends exactly on the wall, e.g.
         # the bounce point itself) do not count as blockage.
-        if distance(hit, leg.a) > 1e-6 and distance(hit, leg.b) > 1e-6:
+        hx, hy = hit
+        if (math.hypot(hx - ax, hy - ay) > 1e-6
+                and math.hypot(hx - bx, hy - by) > 1e-6):
             return True
     return False
 
 
-def _leg_loss_db(leg: Segment, room: Room) -> float:
-    """Blocker penetration loss along one leg."""
-    return room.blockage_loss_db(leg)
-
-
-def _los_path(tx: Point, rx: Point, room: Room) -> PropagationPath | None:
-    leg = Segment(tx, rx)
-    if _wall_blocks(leg, room.walls, skip=set()):
-        return None
-    return PropagationPath(
-        vertices=(tx, rx),
-        length_m=leg.length(),
-        departure_bearing_rad=angle_of(tx, rx),
-        arrival_bearing_rad=angle_of(rx, tx),
-        excess_loss_db=_leg_loss_db(leg, room),
-        kind="los",
-        num_bounces=0,
-    )
-
-
-def _first_order_path(tx: Point, rx: Point, room: Room,
-                      wall_idx: int, image: Point) -> PropagationPath | None:
-    wall = room.walls[wall_idx]
-    bounce = segment_intersection(Segment(tx, image), wall.segment)
-    if bounce is None:
-        return None
-    leg1 = Segment(tx, bounce)
-    leg2 = Segment(bounce, rx)
-    if leg1.length() < 1e-6 or leg2.length() < 1e-6:
-        return None
-    if (_wall_blocks(leg1, room.walls, skip={wall_idx})
-            or _wall_blocks(leg2, room.walls, skip={wall_idx})):
-        return None
-    excess = (wall.reflection_loss_db
-              + _leg_loss_db(leg1, room) + _leg_loss_db(leg2, room))
-    return PropagationPath(
-        vertices=(tx, bounce, rx),
-        length_m=leg1.length() + leg2.length(),
-        departure_bearing_rad=angle_of(tx, bounce),
-        arrival_bearing_rad=angle_of(rx, bounce),
-        excess_loss_db=excess,
-        kind="reflection",
-        num_bounces=1,
-    )
-
-
-def _second_order_path(tx: Point, rx: Point, room: Room,
-                       first_idx: int, second_idx: int, image2: Point
-                       ) -> PropagationPath | None:
-    if first_idx == second_idx:
-        return None
-    w1 = room.walls[first_idx]
-    w2 = room.walls[second_idx]
-    # image2 is rx's image in w2; reflect it again in w1.
-    image1 = reflect_point_across_line(image2, w1.segment)
-    bounce1 = segment_intersection(Segment(tx, image1), w1.segment)
-    if bounce1 is None:
-        return None
-    bounce2 = segment_intersection(Segment(bounce1, image2), w2.segment)
-    if bounce2 is None:
-        return None
-    legs = [Segment(tx, bounce1), Segment(bounce1, bounce2),
-            Segment(bounce2, rx)]
-    if any(leg.length() < 1e-6 for leg in legs):
-        return None
-    skips = [{first_idx}, {first_idx, second_idx}, {second_idx}]
-    for leg, skip in zip(legs, skips):
-        if _wall_blocks(leg, room.walls, skip=skip):
-            return None
-    excess = (w1.reflection_loss_db + w2.reflection_loss_db
-              + sum(_leg_loss_db(leg, room) for leg in legs))
-    return PropagationPath(
-        vertices=(tx, bounce1, bounce2, rx),
-        length_m=sum(leg.length() for leg in legs),
-        departure_bearing_rad=angle_of(tx, bounce1),
-        arrival_bearing_rad=angle_of(rx, bounce2),
-        excess_loss_db=excess,
-        kind="reflection2",
-        num_bounces=2,
-    )
+def _blockage_db(blockers: list[tuple[float, float, float, float]],
+                 ax: float, ay: float, bx: float, by: float) -> float:
+    """Blocker penetration loss along leg ``a-b``, as
+    :meth:`~repro.sim.environment.Room.blockage_loss_db` sums it."""
+    return sum(loss for ox, oy, radius, loss in blockers
+               if segment_circle_intersects_xy(ax, ay, bx, by,
+                                               ox, oy, radius))
 
 
 def trace_paths(tx: Point, rx: Point, room: Room,
@@ -165,6 +102,8 @@ def trace_paths(tx: Point, rx: Point, room: Room,
                 max_excess_loss_db: float = 60.0) -> list[PropagationPath]:
     """All propagation paths between ``tx`` and ``rx`` up to ``max_bounces``.
 
+    ``max_bounces`` is 0 (LoS only), 1 or 2; the tracer finds no
+    third-order reflections, so a larger value raises ``ValueError``.
     Paths whose excess loss exceeds ``max_excess_loss_db`` are pruned —
     they are irrelevant against the paper's 10-35 dB SNR operating range.
     Results are sorted by increasing excess-plus-spreading significance
@@ -172,24 +111,111 @@ def trace_paths(tx: Point, rx: Point, room: Room,
     """
     if max_bounces < 0:
         raise ValueError("max_bounces must be >= 0")
+    if max_bounces > 2:
+        raise ValueError("max_bounces must be <= 2")
+    # Per-call tables: a Room's walls and blockers can change between
+    # calls, and building these costs a few microseconds.
+    walls = [(w.segment.a.x, w.segment.a.y, w.segment.b.x, w.segment.b.y)
+             for w in room.walls]
+    wall_loss = [w.reflection_loss_db for w in room.walls]
+    occluders = [(k, *walls[k]) for k, w in enumerate(room.walls)
+                 if w.occludes]
+    blockers = [(b.position.x, b.position.y, b.radius_m,
+                 b.penetration_loss_db) for b in room.blockers]
+    tx_x, tx_y = tx.x, tx.y
+    rx_x, rx_y = rx.x, rx.y
     paths: list[PropagationPath] = []
-    los = _los_path(tx, rx, room)
-    if los is not None:
-        paths.append(los)
-    # rx's image in each wall, shared by every candidate through it.
-    images = ([reflect_point_across_line(rx, wall.segment)
-               for wall in room.walls] if max_bounces >= 1 else [])
-    for i, image in enumerate(images):
-        p = _first_order_path(tx, rx, room, i, image)
-        if p is not None:
-            paths.append(p)
+
+    if not _blocked(occluders, (), tx_x, tx_y, rx_x, rx_y):
+        excess = _blockage_db(blockers, tx_x, tx_y, rx_x, rx_y)
+        if excess <= max_excess_loss_db:
+            paths.append(PropagationPath(
+                vertices=(tx, rx),
+                length_m=math.hypot(tx_x - rx_x, tx_y - rx_y),
+                departure_bearing_rad=math.atan2(rx_y - tx_y, rx_x - tx_x),
+                arrival_bearing_rad=math.atan2(tx_y - rx_y, tx_x - rx_x),
+                excess_loss_db=excess,
+                kind="los",
+                num_bounces=0,
+            ))
+
+    # rx's mirror image in each wall, shared by every candidate through it.
+    images = ([reflect_point_xy(rx_x, rx_y, ax, ay, bx, by)
+               for ax, ay, bx, by in walls] if max_bounces >= 1 else [])
+    for i, (mx, my) in enumerate(images):
+        ax, ay, bx, by = walls[i]
+        bounce = segment_intersection_xy(tx_x, tx_y, mx, my, ax, ay, bx, by)
+        if bounce is None:
+            continue
+        px, py = bounce
+        len1 = math.hypot(tx_x - px, tx_y - py)
+        len2 = math.hypot(px - rx_x, py - rx_y)
+        if len1 < 1e-6 or len2 < 1e-6:
+            continue
+        skip = (i,)
+        if (_blocked(occluders, skip, tx_x, tx_y, px, py)
+                or _blocked(occluders, skip, px, py, rx_x, rx_y)):
+            continue
+        excess = (wall_loss[i]
+                  + _blockage_db(blockers, tx_x, tx_y, px, py)
+                  + _blockage_db(blockers, px, py, rx_x, rx_y))
+        if excess <= max_excess_loss_db:
+            paths.append(PropagationPath(
+                vertices=(tx, Point(px, py), rx),
+                length_m=len1 + len2,
+                departure_bearing_rad=math.atan2(py - tx_y, px - tx_x),
+                arrival_bearing_rad=math.atan2(py - rx_y, px - rx_x),
+                excess_loss_db=excess,
+                kind="reflection",
+                num_bounces=1,
+            ))
+
     if max_bounces >= 2:
-        for i in range(len(room.walls)):
-            for j, image in enumerate(images):
-                p = _second_order_path(tx, rx, room, i, j, image)
-                if p is not None:
-                    paths.append(p)
-    paths = [p for p in paths if p.excess_loss_db <= max_excess_loss_db]
+        # First bounce off wall i, second off wall j.
+        for i, (ax, ay, bx, by) in enumerate(walls):
+            for j, (m2x, m2y) in enumerate(images):
+                if i == j:
+                    continue
+                m1x, m1y = reflect_point_xy(m2x, m2y, ax, ay, bx, by)
+                bounce1 = segment_intersection_xy(tx_x, tx_y, m1x, m1y,
+                                                  ax, ay, bx, by)
+                if bounce1 is None:
+                    continue
+                p1x, p1y = bounce1
+                cx, cy, dx, dy = walls[j]
+                bounce2 = segment_intersection_xy(p1x, p1y, m2x, m2y,
+                                                  cx, cy, dx, dy)
+                if bounce2 is None:
+                    continue
+                p2x, p2y = bounce2
+                len1 = math.hypot(tx_x - p1x, tx_y - p1y)
+                len2 = math.hypot(p1x - p2x, p1y - p2y)
+                len3 = math.hypot(p2x - rx_x, p2y - rx_y)
+                if len1 < 1e-6 or len2 < 1e-6 or len3 < 1e-6:
+                    continue
+                if (_blocked(occluders, (i,), tx_x, tx_y, p1x, p1y)
+                        or _blocked(occluders, (i, j), p1x, p1y, p2x, p2y)
+                        or _blocked(occluders, (j,), p2x, p2y, rx_x, rx_y)):
+                    continue
+                # sum(), not +: from Python 3.12 sum() compensates float
+                # rounding, so + could move the last bit of these totals.
+                excess = (wall_loss[i] + wall_loss[j] + sum((
+                    _blockage_db(blockers, tx_x, tx_y, p1x, p1y),
+                    _blockage_db(blockers, p1x, p1y, p2x, p2y),
+                    _blockage_db(blockers, p2x, p2y, rx_x, rx_y))))
+                if excess <= max_excess_loss_db:
+                    paths.append(PropagationPath(
+                        vertices=(tx, Point(p1x, p1y), Point(p2x, p2y), rx),
+                        length_m=sum((len1, len2, len3)),
+                        departure_bearing_rad=math.atan2(p1y - tx_y,
+                                                         p1x - tx_x),
+                        arrival_bearing_rad=math.atan2(p2y - rx_y,
+                                                       p2x - rx_x),
+                        excess_loss_db=excess,
+                        kind="reflection2",
+                        num_bounces=2,
+                    ))
+
     # Sort by a rough strength proxy: excess loss plus spreading loss
     # relative to a 1 m reference (20 log10 of the length ratio).
     paths.sort(key=lambda p: p.excess_loss_db

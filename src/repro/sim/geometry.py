@@ -1,10 +1,19 @@
 """2-D computational geometry for the ray tracer.
 
-Everything operates on points as ``(x, y)`` float pairs.  The primitives
-here are exactly the ones image-method ray tracing needs: segment
-intersection (does a ray cross a wall / does a blocker occlude a leg),
-point reflection across a wall line (to build mirror images), and angle
-bookkeeping.
+The primitives here are exactly the ones image-method ray tracing needs:
+segment intersection (does a ray cross a wall / does a blocker occlude a
+leg), point reflection across a wall line (to build mirror images), and
+angle bookkeeping.
+
+The geometry is three float kernels -- :func:`segment_intersection_xy`,
+:func:`reflect_point_xy` and :func:`segment_circle_intersects_xy` -- that
+take and return bare coordinates, so the tracer can test the hundreds of
+candidate legs of one trace without building an object per leg.  The
+:class:`Point`/:class:`Segment` functions of the same names are thin
+wrappers over them.  Each kernel keeps its expressions and their operand
+order: that is what keeps every traced path bit-identical, whichever
+entry point a caller uses.  Coordinates pass through unconverted, so
+int and ``np.float64`` inputs keep their types through the arithmetic.
 """
 
 from __future__ import annotations
@@ -15,12 +24,15 @@ from dataclasses import dataclass
 __all__ = [
     "Point",
     "Segment",
-    "segment_intersection",
-    "segment_circle_intersects",
-    "reflect_point_across_line",
     "angle_of",
-    "normalize_angle",
     "distance",
+    "normalize_angle",
+    "reflect_point_across_line",
+    "reflect_point_xy",
+    "segment_circle_intersects",
+    "segment_circle_intersects_xy",
+    "segment_intersection",
+    "segment_intersection_xy",
 ]
 
 
@@ -71,8 +83,36 @@ def distance(p: Point, q: Point) -> float:
     return math.hypot(p.x - q.x, p.y - q.y)
 
 
-def _cross(ox, oy, ax, ay, bx, by) -> float:
-    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+def segment_intersection_xy(px: float, py: float, ex: float, ey: float,
+                            qx: float, qy: float, fx: float, fy: float,
+                            tol: float = 1e-9) -> tuple[float, float] | None:
+    """Intersection of segments ``p-e`` and ``q-f`` as ``(x, y)``, or ``None``.
+
+    The kernel under :func:`segment_intersection`, on bare coordinates.
+    """
+    rx, ry = ex - px, ey - py
+    sx, sy = fx - qx, fy - qy
+    denom = rx * sy - ry * sx
+    qpx, qpy = qx - px, qy - py
+    if abs(denom) < tol:
+        # Parallel.  Check collinearity, then overlap.
+        if abs(qpx * ry - qpy * rx) > tol:
+            return None
+        r_len2 = rx * rx + ry * ry
+        if r_len2 < tol:
+            return (px, py) if math.hypot(px - qx, py - qy) < tol else None
+        t0 = (qpx * rx + qpy * ry) / r_len2
+        t1 = t0 + (sx * rx + sy * ry) / r_len2
+        lo, hi = min(t0, t1), max(t0, t1)
+        if hi < -tol or lo > 1 + tol:
+            return None
+        t = max(0.0, lo)
+        return (px + t * rx, py + t * ry)
+    t = (qpx * sy - qpy * sx) / denom
+    u = (qpx * ry - qpy * rx) / denom
+    if -tol <= t <= 1 + tol and -tol <= u <= 1 + tol:
+        return (px + t * rx, py + t * ry)
+    return None
 
 
 def segment_intersection(s1: Segment, s2: Segment,
@@ -83,44 +123,23 @@ def segment_intersection(s1: Segment, s2: Segment,
     the first segment's endpoint that lies on the other segment (the ray
     tracer treats grazing propagation along a wall as blocked).
     """
-    p, r_end = s1.a, s1.b
-    q, s_end = s2.a, s2.b
-    rx, ry = r_end.x - p.x, r_end.y - p.y
-    sx, sy = s_end.x - q.x, s_end.y - q.y
-    denom = rx * sy - ry * sx
-    qpx, qpy = q.x - p.x, q.y - p.y
-    if abs(denom) < tol:
-        # Parallel.  Check collinearity, then overlap.
-        if abs(qpx * ry - qpy * rx) > tol:
-            return None
-        r_len2 = rx * rx + ry * ry
-        if r_len2 < tol:
-            return p if distance(p, q) < tol else None
-        t0 = (qpx * rx + qpy * ry) / r_len2
-        t1 = t0 + (sx * rx + sy * ry) / r_len2
-        lo, hi = min(t0, t1), max(t0, t1)
-        if hi < -tol or lo > 1 + tol:
-            return None
-        t = max(0.0, lo)
-        return Point(p.x + t * rx, p.y + t * ry)
-    t = (qpx * sy - qpy * sx) / denom
-    u = (qpx * ry - qpy * rx) / denom
-    if -tol <= t <= 1 + tol and -tol <= u <= 1 + tol:
-        return Point(p.x + t * rx, p.y + t * ry)
-    return None
+    hit = segment_intersection_xy(s1.a.x, s1.a.y, s1.b.x, s1.b.y,
+                                  s2.a.x, s2.a.y, s2.b.x, s2.b.y, tol)
+    return None if hit is None else Point(*hit)
 
 
-def segment_circle_intersects(seg: Segment, centre: Point,
-                              radius: float) -> bool:
-    """Whether a segment passes within ``radius`` of ``centre``.
+def segment_circle_intersects_xy(px: float, py: float, ex: float, ey: float,
+                                 ox: float, oy: float,
+                                 radius: float) -> bool:
+    """Whether segment ``p-e`` passes within ``radius`` of ``(ox, oy)``.
 
-    This is the blocker occlusion test: a person is a circle and a
-    propagation leg is a segment.
+    The kernel under :func:`segment_circle_intersects`, on bare
+    coordinates.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
-    ax, ay = seg.a.x - centre.x, seg.a.y - centre.y
-    bx, by = seg.b.x - centre.x, seg.b.y - centre.y
+    ax, ay = px - ox, py - oy
+    bx, by = ex - ox, ey - oy
     dx, dy = bx - ax, by - ay
     seg_len2 = dx * dx + dy * dy
     if seg_len2 == 0.0:
@@ -131,20 +150,41 @@ def segment_circle_intersects(seg: Segment, centre: Point,
     return math.hypot(cx, cy) <= radius
 
 
+def segment_circle_intersects(seg: Segment, centre: Point,
+                              radius: float) -> bool:
+    """Whether a segment passes within ``radius`` of ``centre``.
+
+    This is the blocker occlusion test: a person is a circle and a
+    propagation leg is a segment.
+    """
+    return segment_circle_intersects_xy(seg.a.x, seg.a.y, seg.b.x, seg.b.y,
+                                        centre.x, centre.y, radius)
+
+
+def reflect_point_xy(px: float, py: float, ax: float, ay: float,
+                     bx: float, by: float) -> tuple[float, float]:
+    """Mirror image of ``(px, py)`` across the line through ``a`` and ``b``.
+
+    The kernel under :func:`reflect_point_across_line`, on bare
+    coordinates; returns ``(x, y)``.
+    """
+    dx, dy = bx - ax, by - ay
+    len2 = dx * dx + dy * dy
+    if len2 == 0.0:
+        raise ValueError("degenerate line segment")
+    t = ((px - ax) * dx + (py - ay) * dy) / len2
+    foot_x, foot_y = ax + t * dx, ay + t * dy
+    return 2.0 * foot_x - px, 2.0 * foot_y - py
+
+
 def reflect_point_across_line(p: Point, line: Segment) -> Point:
     """Mirror image of ``p`` across the infinite line through ``line``.
 
     The image method: a first-order reflection off a wall is equivalent to
     a straight ray from the mirrored source.
     """
-    ax, ay = line.a.x, line.a.y
-    dx, dy = line.b.x - ax, line.b.y - ay
-    len2 = dx * dx + dy * dy
-    if len2 == 0.0:
-        raise ValueError("degenerate line segment")
-    t = ((p.x - ax) * dx + (p.y - ay) * dy) / len2
-    foot = Point(ax + t * dx, ay + t * dy)
-    return Point(2.0 * foot.x - p.x, 2.0 * foot.y - p.y)
+    return Point(*reflect_point_xy(p.x, p.y, line.a.x, line.a.y,
+                                   line.b.x, line.b.y))
 
 
 def angle_of(origin: Point, target: Point) -> float:

@@ -1,13 +1,19 @@
 """Tests for the image-method ray tracer."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.channel.raytrace import trace_paths
 from repro.sim.environment import Blocker, Room, Wall, default_lab_room
 from repro.sim.geometry import Point, Segment
+from repro.sim.placement import PlacementSampler
+
+from .raytrace_reference import reference_trace_paths
 
 
 @pytest.fixture
@@ -107,6 +113,12 @@ class TestSecondOrderReflections:
         with pytest.raises(ValueError):
             trace_paths(Point(1, 1), Point(2, 2), square, max_bounces=-1)
 
+    def test_more_than_two_bounces_rejected(self, square):
+        # No third-order paths are traced, so asking for them must not
+        # quietly return the two-bounce set.
+        with pytest.raises(ValueError, match="max_bounces"):
+            trace_paths(Point(1, 1.5), Point(3, 2.5), square, max_bounces=3)
+
 
 class TestEmergentNlosBand:
     def test_nlos_excess_lands_in_paper_band(self):
@@ -137,3 +149,103 @@ class TestEmergentNlosBand:
             gaps.append(gap)
         median_gap = float(np.median(gaps))
         assert 8.0 <= median_gap <= 20.0
+
+
+# --- Differential tests: the float tracer against the Segment slow path ---
+
+# Coordinates the tracer meets: anywhere in or just outside a room up to
+# 6 m x 6 m, exactly on walls and corners, and as int or np.float64.
+_ON_WALLS = (0.0, 0.8, 2.3, 3.6, 4.0, 4.9, 5.4, 6.0)
+_coords = st.one_of(
+    st.floats(-1.0, 7.0, allow_nan=False),
+    st.sampled_from(_ON_WALLS),
+    st.integers(0, 6),
+    st.floats(0.0, 6.0, allow_nan=False).map(np.float64),
+)
+_points = st.builds(Point, _coords, _coords)
+_losses = st.floats(0.0, 40.0, allow_nan=False)
+
+
+@st.composite
+def _rooms(draw) -> Room:
+    kind = draw(st.sampled_from(["furnished", "bare", "rectangular"]))
+    if kind == "rectangular":
+        size = st.one_of(st.integers(2, 6),
+                         st.floats(2.0, 6.0, allow_nan=False))
+        room = Room.rectangular(draw(size), draw(size),
+                                reflection_loss_db=draw(_losses))
+    else:
+        room = default_lab_room(reflection_loss_db=draw(_losses),
+                                furniture=kind == "furnished")
+    if draw(st.booleans()):
+        room.walls = [replace(w, reflection_loss_db=draw(_losses))
+                      for w in room.walls]
+    if draw(st.booleans()):
+        room.add_wall(Wall(Segment(Point(1.0, 3.0), Point(2.5, 3.0)),
+                           reflection_loss_db=draw(_losses),
+                           name="partition"))
+    for _ in range(draw(st.integers(0, 3))):
+        room.add_blocker(Blocker(
+            draw(_points), radius_m=draw(st.floats(0.05, 0.6)),
+            penetration_loss_db=draw(_losses)))
+    return room
+
+
+def _assert_matches_reference(tx, rx, room, max_bounces,
+                              max_excess_loss_db=60.0):
+    # repr pins the bits, the coordinate types (int, float, np.float64,
+    # the int-0 excess of a clear LoS path) and the order.
+    fast = trace_paths(tx, rx, room, max_bounces, max_excess_loss_db)
+    slow = reference_trace_paths(tx, rx, room, max_bounces,
+                                 max_excess_loss_db)
+    assert repr(fast) == repr(slow)
+    for path in fast:
+        assert path.vertices[0] is tx and path.vertices[-1] is rx
+
+
+class TestMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(room=_rooms(), tx=_points, rx=_points,
+           max_bounces=st.integers(0, 2),
+           max_excess_loss_db=st.one_of(
+               st.just(60.0), st.floats(0.0, 100.0, allow_nan=False)))
+    def test_random_rooms_and_points(self, room, tx, rx, max_bounces,
+                                     max_excess_loss_db):
+        _assert_matches_reference(tx, rx, room, max_bounces,
+                                  max_excess_loss_db)
+
+    @settings(max_examples=50, deadline=None)
+    @given(room=_rooms(), tx=_points, max_bounces=st.integers(0, 2))
+    def test_coincident_endpoints(self, room, tx, max_bounces):
+        _assert_matches_reference(tx, tx, room, max_bounces)
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), max_bounces=st.integers(0, 2))
+    def test_fig11_placements(self, seed, max_bounces):
+        room = default_lab_room()
+        room.add_blocker(Blocker(Point(2.0, 1.2)))
+        rng = np.random.default_rng(seed)
+        placement = PlacementSampler(room, rng).sample()
+        _assert_matches_reference(placement.node_position,
+                                  placement.ap_position, room, max_bounces)
+
+    @pytest.mark.parametrize("facing", [True, False])
+    def test_fig12_straight_out_placements(self, facing):
+        # The LoS leg runs along the corridor, parallel to its side
+        # walls to within an ulp: the kernel's parallel branch.
+        room = Room.rectangular(width_m=4.0, length_m=20.0)
+        sampler = PlacementSampler(room, np.random.default_rng(0))
+        for d in np.linspace(1.0, 18.0, 12):
+            placement = sampler.at_distance(float(d), facing=facing)
+            _assert_matches_reference(placement.node_position,
+                                      placement.ap_position, room, 2)
+
+    def test_degenerate_wall_raises_once_reflections_are_traced(self):
+        room = default_lab_room()
+        room.add_wall(Wall(Segment(Point(1.0, 1.0), Point(1.0, 1.0))))
+        tx, rx = Point(0.5, 0.5), Point(3.0, 5.0)
+        _assert_matches_reference(tx, rx, room, 0)
+        for max_bounces in (1, 2):
+            for tracer in (trace_paths, reference_trace_paths):
+                with pytest.raises(ValueError, match="degenerate"):
+                    tracer(tx, rx, room, max_bounces)
