@@ -9,7 +9,8 @@ Commands
 ``chaos --scenario NAME``  fault-injection run: recovery ladder vs static
 ``chaos --ap-crash``       multi-AP failover vs a frozen single AP
 ``chaos ... --json``       same run, but emit the telemetry export (JSONL)
-``chaos all --jobs N``     the scenario sweep across N worker processes
+``chaos --scenario all``   the scenario sweep; ``--jobs N`` spreads it
+                           across N worker processes
 ``admission saturate``     offered-load saturation study: blocking
                            probability vs load through the admission
                            ladder (``--nodes``, ``--load``, ``--jobs``,
@@ -321,6 +322,8 @@ def _cmd_link(distance: float, offset_deg: float, blocked: bool) -> int:
 
 
 def _cmd_network(nodes: int, seed: int) -> int:
+    if nodes < 1:
+        return _usage_error("repro network", "--nodes must be at least 1")
     from .network.network import MultiNodeNetwork
     from .sim.environment import default_lab_room
 
@@ -386,6 +389,24 @@ def _campaign_flag_error(args: argparse.Namespace) -> str | None:
         return (f"{out} already exists; pass --resume to continue that "
                 "campaign, or choose a fresh path")
     return None
+
+
+def _chaos_duration_error(duration_s: float,
+                          ap_crash: bool = False) -> str | None:
+    """Why a chaos ``--duration`` cannot run, or ``None``.
+
+    Every scenario run ends in the fault-free
+    :data:`~repro.experiments.chaos.QUIET_TAIL_S`, so it must last
+    longer than that; the AP-crash drill has no quiet tail.
+    """
+    from .experiments.chaos import QUIET_TAIL_S
+
+    if ap_crash:
+        return None if duration_s > 0 else "--duration must be positive"
+    if duration_s > QUIET_TAIL_S:
+        return None
+    return (f"--duration must exceed the {QUIET_TAIL_S:g} s fault-free "
+            "tail that ends every scenario run")
 
 
 def _campaign_executor(args: argparse.Namespace) -> ShardExecutor:
@@ -481,7 +502,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from .faults import SCENARIOS
     from .telemetry import Recorder, to_jsonl_lines
 
-    error = _campaign_flag_error(args)
+    error = (_campaign_flag_error(args)
+             or _chaos_duration_error(args.duration, args.ap_crash))
     if error is not None:
         return _usage_error("repro chaos", error)
     # With --json every run records into one Recorder and the export —
@@ -589,9 +611,17 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         return _usage_error(prog, "chaos outcomes are rich objects, not "
                                   "JSON rows; --out is not supported for "
                                   "the chaos sweep")
-    if args.trials is not None and args.experiment == "fig10":
-        return _usage_error(prog, "fig10's trial count is its placement "
-                                  "grid; --trials does not apply")
+    fixed_count = {"fig10": "fig10's trial count is its placement grid",
+                   "chaos": "the chaos sweep runs every scenario once"}
+    if args.trials is not None and args.experiment in fixed_count:
+        return _usage_error(prog, f"{fixed_count[args.experiment]}; "
+                                  "--trials does not apply")
+    if args.trials is not None and args.trials < 1:
+        return _usage_error(prog, "--trials must be at least 1")
+    if args.experiment == "chaos":
+        error = _chaos_duration_error(args.duration)
+        if error is not None:
+            return _usage_error(prog, error)
     trials = args.trials if args.trials is not None else 30
 
     def run(executor: ShardExecutor) -> str:

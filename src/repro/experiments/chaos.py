@@ -34,6 +34,10 @@ DEFAULT_DISTANCE_M = 4.0
 """Node-AP distance for the chaos placement: mid-room, facing, well
 inside Fig. 12's working range — faults, not geometry, set the SNR."""
 
+QUIET_TAIL_S = 3.0
+"""Fault-free seconds at the end of every scenario run, so post-fault
+recovery is measurable; a run must last longer than this."""
+
 
 @dataclass(frozen=True)
 class ChaosRunResult:
@@ -76,7 +80,7 @@ def _facing_link(distance_m: float):
 
 
 def run(scenario: str = "kitchen-sink", seed: int = 0,
-        duration_s: float = 30.0, quiet_tail_s: float = 3.0,
+        duration_s: float = 30.0, quiet_tail_s: float = QUIET_TAIL_S,
         distance_m: float = DEFAULT_DISTANCE_M,
         time_step_s: float = 0.1,
         telemetry: TelemetryRecorder | None = None) -> ChaosRunResult:
@@ -103,7 +107,7 @@ def run(scenario: str = "kitchen-sink", seed: int = 0,
 def scenario_trial(rng: np.random.Generator, index: int,
                    scenario_names: tuple[str, ...] = (),
                    seed: int = 0, duration_s: float = 30.0,
-                   quiet_tail_s: float = 3.0,
+                   quiet_tail_s: float = QUIET_TAIL_S,
                    distance_m: float = DEFAULT_DISTANCE_M,
                    record_telemetry: bool = False) -> dict[str, Any]:
     """One chaos sweep trial: a single named scenario, worker-side.
@@ -131,7 +135,7 @@ def scenario_trial(rng: np.random.Generator, index: int,
 
 
 def run_all(seed: int = 0, duration_s: float = 30.0,
-            quiet_tail_s: float = 3.0,
+            quiet_tail_s: float = QUIET_TAIL_S,
             distance_m: float = DEFAULT_DISTANCE_M,
             telemetry: TelemetryRecorder | None = None,
             executor=None,

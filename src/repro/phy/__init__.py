@@ -33,13 +33,7 @@ from .coding import (
     deinterleave,
 )
 from .envelope import envelope_detect, automatic_gain_control, threshold_levels
-from .filters import (
-    moving_average,
-    fir_lowpass,
-    apply_fir,
-    decimate,
-    exponential_smooth,
-)
+from .filters import moving_average, fir_lowpass, apply_fir
 from .goertzel import goertzel_power, goertzel_block_powers
 from .impairments import (
     apply_cfo,
@@ -107,14 +101,12 @@ __all__ = [
     "check_emission_mask",
     "correlate_preamble",
     "crc16_ccitt",
-    "decimate",
     "default_preamble_bits",
     "deinterleave",
     "envelope_detect",
     "estimate_snr_from_evm",
     "estimate_snr_two_level",
     "estimate_timing_offset",
-    "exponential_smooth",
     "fir_lowpass",
     "goertzel_block_powers",
     "goertzel_power",

@@ -220,6 +220,43 @@ class TestCommands:
         assert main(["campaign", "fig10", "--trials", "9"]) == 2
         assert "grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, reason", [
+        pytest.param(["campaign", "fig11", "--trials", "0"], "--trials",
+                     id="fig11-zero-trials"),
+        pytest.param(["campaign", "fig11", "--trials", "-2"], "--trials",
+                     id="fig11-negative-trials"),
+        pytest.param(["campaign", "fig13", "--trials", "0"], "--trials",
+                     id="fig13-zero-trials"),
+        pytest.param(["campaign", "chaos", "--trials", "5", "--duration",
+                      "5"], "every scenario", id="campaign-chaos-trials"),
+        pytest.param(["chaos", "--duration", "2"], "--duration",
+                     id="chaos-inside-quiet-tail"),
+        pytest.param(["chaos", "--scenario", "all", "--duration", "nan"],
+                     "--duration", id="chaos-nan-duration"),
+        pytest.param(["campaign", "chaos", "--duration", "2"], "--duration",
+                     id="campaign-chaos-inside-quiet-tail"),
+        pytest.param(["chaos", "--ap-crash", "--duration", "0"],
+                     "--duration", id="ap-crash-zero-duration"),
+        pytest.param(["network", "--nodes", "0"], "--nodes",
+                     id="network-no-nodes"),
+    ])
+    def test_bad_arguments_are_usage_errors(self, argv, reason, capsys):
+        """Rejected before running: one stderr line, exit code 2."""
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert reason in captured.err
+
+    def test_chaos_duration_bound_is_the_quiet_tail(self, capsys):
+        from repro.experiments.chaos import QUIET_TAIL_S
+
+        assert main(["chaos", "--duration", str(QUIET_TAIL_S)]) == 2
+        assert f"{QUIET_TAIL_S:g} s" in capsys.readouterr().err
+        assert main(["chaos", "--duration", str(QUIET_TAIL_S + 0.5)]) == 0
+        assert main(["chaos", "--ap-crash", "--duration",
+                     str(QUIET_TAIL_S)]) == 0
+
     def test_campaign_chaos_rejects_out(self, tmp_path, capsys):
         out = str(tmp_path / "chaos.jsonl")
         assert main(["campaign", "chaos", "--out", out]) == 2

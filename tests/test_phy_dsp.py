@@ -60,35 +60,6 @@ class TestFirLowpass:
             F.fir_lowpass(1e5, 8e6, num_taps=1)
 
 
-class TestDecimate:
-    def test_factor_one_is_copy(self):
-        x = np.arange(10, dtype=float)
-        assert F.decimate(x, 1) == pytest.approx(x)
-
-    def test_length_reduced(self):
-        x = np.random.default_rng(0).standard_normal(1000)
-        assert F.decimate(x, 4).size == 250
-
-    def test_invalid_factor(self):
-        with pytest.raises(ValueError):
-            F.decimate(np.ones(8), 0)
-
-
-class TestExponentialSmooth:
-    def test_alpha_one_is_identity(self):
-        x = np.array([3.0, 1.0, 4.0])
-        assert F.exponential_smooth(x, 1.0) == pytest.approx(x)
-
-    def test_tracks_step(self):
-        x = np.concatenate([np.zeros(10), np.ones(200)])
-        y = F.exponential_smooth(x, 0.2)
-        assert y[-1] == pytest.approx(1.0, abs=1e-3)
-
-    def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            F.exponential_smooth(np.ones(4), 0.0)
-
-
 class TestEnvelope:
     def test_recovers_two_levels(self):
         t = np.arange(160) / 8e6

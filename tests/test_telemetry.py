@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,6 +358,24 @@ class TestStackInstrumentation:
         assert len(scenario_spans) == 1
         assert scenario_spans[0].attrs["scenario"] == "kitchen-sink"
         assert scenario_spans[0].duration_s == pytest.approx(8.0)
+
+    def test_observability_doc_recorder_example_runs(self):
+        """docs/observability.md's recorder example runs as written and
+        its ``chaos.steps`` comment shows the value the run counts."""
+        doc = (Path(__file__).resolve().parents[1] / "docs"
+               / "observability.md").read_text(encoding="utf-8")
+        section = doc[doc.index("## The recorder"):]
+        start = section.index("```python\n") + len("```python\n")
+        example = section[start:section.index("```", start)]
+        shown = re.search(r'counter\("chaos\.steps"\)\.value\s+#\s*(\S+)',
+                          example)
+        assert shown is not None
+        namespace: dict[str, object] = {}
+        exec(example, namespace)
+        tel = namespace["tel"]
+        assert isinstance(tel, Recorder)
+        assert tel.metrics.counter("chaos.steps").value \
+            == float(shown.group(1))
 
     def test_telemetry_does_not_change_results(self):
         from repro.experiments.chaos import run
