@@ -52,7 +52,6 @@ from .admission import (
 from .antenna import OrthogonalBeamPair, PhasedArray, design_mmx_beams
 from .baselines import (
     ExhaustiveBeamSearch,
-    FixedBeamNode,
     HierarchicalBeamSearch,
     comparison_table,
 )
@@ -175,7 +174,6 @@ __all__ = [
     "FaultInjector",
     "FaultSchedule",
     "FdmAllocator",
-    "FixedBeamNode",
     "HarvestModel",
     "HeartbeatMonitor",
     "HierarchicalBeamSearch",

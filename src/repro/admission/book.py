@@ -281,16 +281,6 @@ class SpectrumBook:
     # --- introspection ----------------------------------------------------
 
     @property
-    def plan_count(self) -> int:
-        """Number of committed channel plans."""
-        return len(self._plans)
-
-    @property
-    def gap_count(self) -> int:
-        """Number of maximal free intervals."""
-        return len(self._gaps)
-
-    @property
     def free_hz(self) -> float:
         """Total free (unoccupied, unblocked) spectrum in the band."""
         return self._free_hz
@@ -300,10 +290,6 @@ class SpectrumBook:
         """Width of the widest free interval (0.0 when the band is full)."""
         ml = self._gaps._maxlen
         return float(ml.max()) if ml.size else 0.0
-
-    def gaps(self) -> list[tuple[float, float]]:
-        """Free intervals as ``(start, end)`` pairs (tests/debugging)."""
-        return [(g[0], g[1]) for g in self._gaps]
 
     # --- first-fit placement ----------------------------------------------
 

@@ -275,13 +275,12 @@ class AdmissionController:
     def reallocate(self, node_id: int) -> AdmissionDecision | None:
         """Move one admitted node off its (interfered) FDM channel.
 
-        The single-node recovery path (chaos rung 5 /
-        :meth:`repro.node.access_point.MmxAccessPoint.reallocate_node`):
-        first-fit onto clean FDM spectrum, spilling onto the SDM rung
-        when the band has no room.  Returns the new decision, or
-        ``None`` when neither rung can take the node — in which case it
-        keeps its old channel (a failed move must never strand a node),
-        mirroring :meth:`FdmAllocator.reallocate`'s restore semantics.
+        The single-node recovery path: first-fit onto clean FDM
+        spectrum, spilling onto the SDM rung when the band has no room.
+        Returns the new decision, or ``None`` when neither rung can take
+        the node — in which case it keeps its old channel (a failed move
+        must never strand a node), mirroring
+        :meth:`FdmAllocator.reallocate`'s restore semantics.
         SDM-admitted nodes are already off the FDM band and are
         returned unchanged.
         """

@@ -80,8 +80,9 @@ class SaturationConfig:
     sdm_max_probes: int = 16
 
     def __post_init__(self) -> None:
-        if not self.loads or any(lo <= 0 for lo in self.loads):
-            raise ValueError("loads must be positive")
+        if not self.loads or any(not (lo > 0 and math.isfinite(lo))
+                                 for lo in self.loads):
+            raise ValueError("loads must be finite and positive")
         if self.replicates < 1 or self.arrivals < 1:
             raise ValueError("need at least one replicate and arrival")
         if not 0.0 <= self.warmup_fraction < 1.0:

@@ -73,21 +73,10 @@ class SdmPacker:
     def __len__(self) -> int:
         return len(self._assignments)
 
-    def assignment_for(self, node_id: int) -> SdmAssignment:
-        """Look up a node's spatial admission record."""
-        try:
-            return self._assignments[node_id]
-        except KeyError:
-            raise KeyError(f"node {node_id} holds no SDM slot") from None
-
     @property
     def assignments(self) -> list[SdmAssignment]:
         """All current spatial admissions, sorted by node id."""
         return [self._assignments[n] for n in sorted(self._assignments)]
-
-    def channel_load(self, channel_index: int) -> int:
-        """Number of nodes sharing one spatial channel."""
-        return len(self._members[channel_index])
 
     # --- the collision predicate -----------------------------------------
 

@@ -1,9 +1,9 @@
 """Baselines mmX is compared against.
 
 Two families: (1) beam-management alternatives — exhaustive and
-hierarchical phased-array search with AP feedback, and the naive
-fixed-beam node (section 6's strawmen); (2) whole-platform comparators
-for Table 1 — MiRa, OpenMili/Pasternack, 802.11n WiFi and Bluetooth.
+hierarchical phased-array search, and fixed beams with AP feedback
+(section 6's strawmen); (2) whole-platform comparators for Table 1 —
+MiRa, OpenMili/Pasternack, 802.11n WiFi and Bluetooth.
 """
 
 from .beam_search import (
@@ -12,7 +12,6 @@ from .beam_search import (
     HierarchicalBeamSearch,
     FeedbackBeamSelection,
 )
-from .fixed_beam import FixedBeamNode
 from .platforms import PlatformSpec, PLATFORMS, mmx_platform, comparison_table
 from .spectrum import WifiChannelModel, MmxCapacityModel, iot_device_capacity
 
@@ -20,7 +19,6 @@ __all__ = [
     "BeamSearchResult",
     "ExhaustiveBeamSearch",
     "FeedbackBeamSelection",
-    "FixedBeamNode",
     "HierarchicalBeamSearch",
     "MmxCapacityModel",
     "PLATFORMS",

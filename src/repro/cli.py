@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from collections.abc import Callable
 from functools import partial
@@ -290,6 +291,10 @@ def _cmd_reproduce(names: list[str]) -> int:
 
 
 def _cmd_link(distance: float, offset_deg: float, blocked: bool) -> int:
+    if distance <= 0:
+        return _usage_error("repro link", "--distance must be positive")
+    if not math.isfinite(offset_deg):
+        return _usage_error("repro link", "--offset-deg must be finite")
     from .core.link import OtamLink
     from .sim.environment import default_lab_room
     from .sim.geometry import Point, angle_of, normalize_angle
@@ -324,6 +329,8 @@ def _cmd_link(distance: float, offset_deg: float, blocked: bool) -> int:
 def _cmd_network(nodes: int, seed: int) -> int:
     if nodes < 1:
         return _usage_error("repro network", "--nodes must be at least 1")
+    if seed < 0:
+        return _usage_error("repro network", "--seed cannot be negative")
     from .network.network import MultiNodeNetwork
     from .sim.environment import default_lab_room
 
@@ -367,7 +374,7 @@ def _usage_error(prog: str, message: str) -> int:
 def _campaign_flag_error(args: argparse.Namespace) -> str | None:
     """Why the shared campaign flags cannot run, or ``None``.
 
-    Checks ``--jobs`` and, where the command declares them,
+    Checks ``--seed``, ``--jobs`` and, where the command declares them,
     ``--shards``, the supervision knobs and ``--out``/``--resume``.
     """
     shards = getattr(args, "shards", None)
@@ -375,6 +382,8 @@ def _campaign_flag_error(args: argparse.Namespace) -> str | None:
     shard_timeout = getattr(args, "shard_timeout", None)
     out = getattr(args, "out", None)
     resume = getattr(args, "resume", False)
+    if args.seed < 0:
+        return "--seed cannot be negative"
     if args.jobs < 1:
         return "--jobs must be at least 1"
     if shards is not None and shards < 1:
@@ -397,10 +406,13 @@ def _chaos_duration_error(duration_s: float,
 
     Every scenario run ends in the fault-free
     :data:`~repro.experiments.chaos.QUIET_TAIL_S`, so it must last
-    longer than that; the AP-crash drill has no quiet tail.
+    longer than that; the AP-crash drill has no quiet tail.  Either run
+    steps through the whole duration, so it must be finite.
     """
     from .experiments.chaos import QUIET_TAIL_S
 
+    if not math.isfinite(duration_s):
+        return "--duration must be finite"
     if ap_crash:
         return None if duration_s > 0 else "--duration must be positive"
     if duration_s > QUIET_TAIL_S:
@@ -549,8 +561,10 @@ def _cmd_admission_saturate(args: argparse.Namespace) -> int:
         return _usage_error(prog, "--nodes must be at least 1")
     if args.replicates < 1:
         return _usage_error(prog, "--replicates must be at least 1")
-    if args.load is not None and any(lo <= 0 for lo in args.load):
-        return _usage_error(prog, "--load points must be positive")
+    if args.load is not None and any(
+            not (lo > 0 and math.isfinite(lo)) for lo in args.load):
+        return _usage_error(prog, "--load points must be finite and "
+                                  "positive")
 
     from .admission import default_config, render, run_saturation
     from .admission.saturation import DEFAULT_LOADS

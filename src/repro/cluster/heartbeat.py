@@ -155,10 +155,6 @@ class NodeLivenessTracker:
             raise KeyError(f"node {node_id} is not being watched")
         self._dormant.add(node_id)
 
-    def is_dormant(self, node_id: int) -> bool:
-        """Whether the node currently has dormancy declared."""
-        return node_id in self._dormant
-
     def classify(self, node_id: int, now_s: float) -> str:
         """Reason code for this node's current (lack of) chatter."""
         last = self._last_heard_s.get(node_id)
@@ -174,16 +170,6 @@ class NodeLivenessTracker:
         """Reason codes for every watched node (sorted by id)."""
         return {node_id: self.classify(node_id, now_s)
                 for node_id in sorted(self._last_heard_s)}
-
-    def silent_nodes(self, now_s: float) -> list[int]:
-        """Nodes whose silence has *no* declared reason (sorted)."""
-        return [n for n, code in self.classify_all(now_s).items()
-                if code == NODE_SILENT]
-
-    def forget(self, node_id: int) -> None:
-        """Stop tracking a node (deregistration)."""
-        self._last_heard_s.pop(node_id, None)
-        self._dormant.discard(node_id)
 
     def watched(self) -> list[int]:
         """Every node currently being tracked (sorted)."""

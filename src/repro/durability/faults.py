@@ -111,11 +111,6 @@ class FsFaultSchedule:
         """How many operations this schedule sabotages."""
         return len(self.faults)
 
-    @property
-    def last_op(self) -> int:
-        """The highest sabotaged ordinal (0 for a clean schedule)."""
-        return max(self.faults, default=0)
-
     @classmethod
     def crash_at(cls, op_index: int) -> FsFaultSchedule:
         """Die at exactly syscall ``op_index`` — the sweep primitive."""

@@ -69,19 +69,6 @@ class CarrierScheduler:
         """Granted / capacity, in [0, 1]."""
         return self._granted / self.airtime_capacity
 
-    @property
-    def grants(self) -> dict[int, float]:
-        """Node → granted duty fraction (a copy)."""
-        return dict(self._grants)
-
-    def duty_for(self, node_id: int) -> float:
-        """The duty fraction one tag holds."""
-        try:
-            return self._grants[node_id]
-        except KeyError:
-            raise KeyError(f"node {node_id} holds no carrier "
-                           "grant") from None
-
     def reserve(self, node_id: int, duty_fraction: float) -> bool:
         """Try to book illumination airtime for one tag.
 

@@ -129,13 +129,6 @@ class FaultSchedule:
             active_kinds=tuple(sorted(set(kinds))),
         )
 
-    def disturbance_series(self, times_s,
-                           channel_index: int | None = None
-                           ) -> list[LinkDisturbance]:
-        """Disturbances for a whole sampling grid."""
-        return [self.disturbance_at(float(t), channel_index)
-                for t in times_s]
-
 
 class FaultInjector:
     """Composes fault processes into seeded, reproducible schedules."""

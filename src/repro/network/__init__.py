@@ -1,11 +1,9 @@
-"""Multi-node support: FDM, TMA-based SDM, MIMO baseline, interference.
+"""Multi-node support: FDM, TMA-based SDM, interference.
 
 Section 7: mmX shares the AP among many nodes with frequency-division
 (channels sized to demand, assigned once at initialization) and, when
 demand exceeds the band, spatial reuse via a Time-Modulated Array that
 hashes arrival directions onto distinct harmonic frequencies (Eq. 1-4).
-A hybrid-MIMO AP model is included as the power-hungry alternative the
-paper argues against.
 """
 
 from .deployment import Deployment, NodeAssignment, plan_access_points
@@ -13,7 +11,6 @@ from .fdm import ChannelPlan, FdmAllocator, SpectrumExhausted
 from .init_protocol import SideChannel, InitializationProtocol
 from .interference import InterferenceModel, sinr_db
 from .mac import PacketQueue, TdmaSchedule, UplinkSimulator, UplinkStats
-from .mimo import HybridMimoAp
 from .network import MultiNodeNetwork, NetworkSnapshot, NodeStats
 from .sdm_scheduler import (
     AngularSdmScheduler,
@@ -28,7 +25,6 @@ __all__ = [
     "ChannelPlan",
     "Deployment",
     "FdmAllocator",
-    "HybridMimoAp",
     "InitializationProtocol",
     "InterferenceModel",
     "MultiNodeNetwork",

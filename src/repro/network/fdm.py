@@ -275,11 +275,6 @@ class FdmAllocator:
         return self._book.free_hz
 
     @property
-    def largest_free_gap_hz(self) -> float:
-        """Widest contiguous free interval (0.0 when the band is full)."""
-        return self._book.largest_gap_hz
-
-    @property
     def fragmentation(self) -> float:
         """1 − (largest free gap / total free spectrum), in [0, 1].
 

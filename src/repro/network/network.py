@@ -90,11 +90,6 @@ class NetworkSnapshot:
         """Worst node's SINR."""
         return float(np.min([n.sinr_db for n in self.nodes]))
 
-    @property
-    def sinr_values_db(self) -> np.ndarray:
-        """All per-node SINRs."""
-        return np.asarray([n.sinr_db for n in self.nodes], dtype=float)
-
 
 class MultiNodeNetwork:
     """Places N nodes in a room and evaluates simultaneous transmission."""
@@ -129,19 +124,6 @@ class MultiNodeNetwork:
             num_elements=tma_elements,
             frequency_hz=24.125e9,
             switching_rate_hz=2.0 * channel_bandwidth_hz)
-
-    # --- channel assignment -----------------------------------------------------
-
-    def assign_channels(self, num_nodes: int) -> list[int]:
-        """Round-robin FDM; wraps into SDM sharing once the band is full.
-
-        Node i gets channel ``i mod num_fdm_channels``: the first
-        ``num_fdm_channels`` nodes get exclusive spectrum, later ones
-        share a channel spatially — the FDM-then-SDM escalation of §7.
-        """
-        if num_nodes < 1:
-            raise ValueError("need at least one node")
-        return [i % self.num_fdm_channels for i in range(num_nodes)]
 
     # --- evaluation -----------------------------------------------------------------
 
@@ -270,15 +252,3 @@ class MultiNodeNetwork:
                 interference_dbm=interference_dbm,
             ))
         return NetworkSnapshot(nodes=tuple(stats))
-
-    def sweep_node_counts(self, counts, trials_per_count: int = 20
-                          ) -> dict[int, np.ndarray]:
-        """Mean SINR samples per node count — the Fig. 13 x-axis sweep."""
-        if trials_per_count < 1:
-            raise ValueError("need at least one trial per count")
-        results: dict[int, np.ndarray] = {}
-        for count in counts:
-            means = [self.evaluate(count).mean_sinr_db
-                     for _ in range(trials_per_count)]
-            results[int(count)] = np.asarray(means, dtype=float)
-        return results

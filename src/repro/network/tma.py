@@ -103,11 +103,6 @@ class TimeModulatedArray:
         return np.exp(1j * 2.0 * np.pi * self.spacing_m / lam
                       * n * np.sin(theta_rad))
 
-    def harmonic_gain(self, harmonic: int, theta_rad: float) -> complex:
-        """Complex gain of harmonic ``m`` for a signal from ``theta`` (Eq. 4)."""
-        coeffs = self.fourier_coefficients([harmonic])[0]
-        return complex(coeffs @ self.steering_vector(theta_rad))
-
     def harmonic_powers_db(self, theta_rad: float,
                            max_harmonic: int | None = None) -> np.ndarray:
         """Power [dB] of each harmonic -max..max for one arrival direction.

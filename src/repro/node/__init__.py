@@ -8,13 +8,10 @@ per-node demodulators).
 """
 
 from .access_point import MmxAccessPoint, NodeRegistration
-from .channelizer import ChannelSlice, Channelizer
 from .controller import DigitalController, TransmitJob
 from .node import MmxNode
 
 __all__ = [
-    "ChannelSlice",
-    "Channelizer",
     "DigitalController",
     "MmxAccessPoint",
     "MmxNode",

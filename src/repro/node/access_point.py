@@ -10,8 +10,6 @@ joint ASK-FSK decoder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-
 from typing import TYPE_CHECKING
 
 from ..antenna.element import DipoleElement
@@ -19,11 +17,10 @@ from ..core.ask_fsk import AskFskConfig
 from ..core.demodulator import DemodResult, JointDemodulator
 from ..core.packet import Packet, PacketCodec, PacketError
 from ..hardware.chains import AccessPointHardware
-from ..network.fdm import ChannelPlan, FdmAllocator
+from ..network.fdm import ChannelPlan, FdmAllocator, SpectrumExhausted
 from ..phy.waveform import Waveform
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle guard
-    from ..admission.controller import AdmissionController
     from ..energy.carrier import CarrierScheduler
     from ..energy.classes import NodeClassSpec
 
@@ -47,36 +44,13 @@ class MmxAccessPoint:
                  antenna: DipoleElement | None = None,
                  allocator: FdmAllocator | None = None,
                  codec: PacketCodec | None = None,
-                 admission: AdmissionController | None = None,
                  carrier: CarrierScheduler | None = None):
         self.hardware = hardware or AccessPointHardware()
         self.antenna = antenna or DipoleElement()
-        self.admission = admission
-        """Optional :class:`repro.admission.AdmissionController`.  When
-        set, registration walks the full admission ladder (FDM first,
-        SDM escalation, reject) and interference handling runs the
-        controller's batched re-admission pass; the controller's
-        allocator becomes :attr:`allocator` so cluster checkpoints and
-        failover see one consistent spectrum map."""
-        if admission is not None:
-            self.allocator = admission.allocator
-        else:
-            self.allocator = allocator or FdmAllocator()
+        self.allocator = allocator or FdmAllocator()
         self.carrier = carrier
         """Optional :class:`repro.energy.CarrierScheduler` — the AP's
-        illumination-airtime budget for passive backscatter tags.  With
-        an admission controller attached the two must be the same
-        object (the ladder unwinds spectrum when airtime blocks), so a
-        controller-held scheduler is adopted automatically."""
-        if carrier is None and admission is not None:
-            self.carrier = admission.carrier
-        elif carrier is not None and admission is not None \
-                and admission.carrier is None:
-            admission.carrier = carrier
-        elif carrier is not None and admission is not None \
-                and admission.carrier is not carrier:
-            raise ValueError("the AP and its admission controller must "
-                             "share one CarrierScheduler")
+        illumination-airtime budget for passive backscatter tags."""
         self.codec = codec or PacketCodec()
         self._registrations: dict[int, NodeRegistration] = {}
         self._demodulators: dict[int, JointDemodulator] = {}
@@ -86,36 +60,17 @@ class MmxAccessPoint:
     # --- initialization phase --------------------------------------------------
 
     def register_node(self, node_id: int, demanded_rate_bps: float,
-                      config: AskFskConfig | None = None,
-                      bearing_rad: float | None = None) -> NodeRegistration:
+                      config: AskFskConfig | None = None) -> NodeRegistration:
         """Admit a node: allocate a channel sized to its rate demand.
 
         This is the once-only initialization of section 7(a), performed
-        over the WiFi/Bluetooth module in hardware.
-
-        With an admission controller attached, the request walks the
-        full ladder: FDM first, then — given the node's arrival
-        ``bearing_rad`` — SDM spatial reuse (the node lands on a shared
-        slice plus a TMA harmonic).  A fully blocked ladder raises
-        :class:`~repro.network.fdm.SpectrumExhausted`, the same signal
-        a bare allocator sends, so cluster failover keeps walking its
-        AP preference order unchanged.
+        over the WiFi/Bluetooth module in hardware.  A full band raises
+        :class:`~repro.network.fdm.SpectrumExhausted`, so cluster
+        failover can walk on to the next AP in its preference order.
         """
         if node_id in self._registrations:
             raise ValueError(f"node {node_id} is already registered")
-        if self.admission is not None:
-            from ..network.fdm import SpectrumExhausted
-
-            decision = self.admission.admit(node_id, demanded_rate_bps,
-                                            bearing_rad=bearing_rad)
-            if not decision.admitted:
-                raise SpectrumExhausted(
-                    f"admission ladder blocked node {node_id}")
-            assert decision.plan is not None
-            channel = decision.plan
-        else:
-            decision = None
-            channel = self.allocator.allocate(node_id, demanded_rate_bps)
+        channel = self.allocator.allocate(node_id, demanded_rate_bps)
         if config is None:
             config = AskFskConfig(
                 bit_rate_bps=demanded_rate_bps,
@@ -124,15 +79,12 @@ class MmxAccessPoint:
                                         config=config)
         self._registrations[node_id] = registration
         self._demodulators[node_id] = JointDemodulator(config)
-        if decision is not None and decision.sdm is not None:
-            self.assign_tma_slot(node_id, decision.sdm.harmonic_index)
         return registration
 
     def register_backscatter_node(self, node_id: int,
                                   illumination_duty: float,
                                   spec: NodeClassSpec | None = None,
-                                  config: AskFskConfig | None = None,
-                                  bearing_rad: float | None = None
+                                  config: AskFskConfig | None = None
                                   ) -> NodeRegistration:
         """Admit a passive backscatter tag.
 
@@ -142,12 +94,10 @@ class MmxAccessPoint:
         bits only exist while the AP illuminates the tag.  Requires a
         :class:`~repro.energy.CarrierScheduler` (:attr:`carrier`).
 
-        With an admission controller the whole two-resource walk is one
-        atomic :meth:`AdmissionController.admit` call; standalone, the
-        same order (spectrum, then airtime, unwinding spectrum on an
-        airtime miss) is applied here.  Either way a blocked tag holds
-        nothing and :class:`~repro.network.fdm.SpectrumExhausted` is
-        raised, matching :meth:`register_node`'s failure signal.
+        Spectrum is granted first, then airtime; an airtime miss unwinds
+        the spectrum grant.  A blocked tag holds nothing and
+        :class:`~repro.network.fdm.SpectrumExhausted` is raised, matching
+        :meth:`register_node`'s failure signal.
         """
         from ..energy.classes import BACKSCATTER_CLASS, node_class
 
@@ -160,26 +110,11 @@ class MmxAccessPoint:
         if tag.modulation != "backscatter-ask":
             raise ValueError(f"node class {tag.name!r} is not a "
                              "backscatter class")
-        from ..network.fdm import SpectrumExhausted
-
-        sdm_harmonic: int | None = None
-        if self.admission is not None:
-            decision = self.admission.admit(
-                node_id, tag.bitrate_bps, bearing_rad=bearing_rad,
-                illumination_duty=illumination_duty)
-            if not decision.admitted:
-                raise SpectrumExhausted(
-                    f"admission ladder blocked tag {node_id}")
-            assert decision.plan is not None
-            channel = decision.plan
-            if decision.sdm is not None:
-                sdm_harmonic = decision.sdm.harmonic_index
-        else:
-            channel = self.allocator.allocate(node_id, tag.bitrate_bps)
-            if not self.carrier.reserve(node_id, illumination_duty):
-                self.allocator.release(node_id)
-                raise SpectrumExhausted(
-                    f"no illumination airtime for tag {node_id}")
+        channel = self.allocator.allocate(node_id, tag.bitrate_bps)
+        if not self.carrier.reserve(node_id, illumination_duty):
+            self.allocator.release(node_id)
+            raise SpectrumExhausted(
+                f"no illumination airtime for tag {node_id}")
         if config is None:
             from ..energy.backscatter import backscatter_config
 
@@ -188,8 +123,6 @@ class MmxAccessPoint:
                                         config=config)
         self._registrations[node_id] = registration
         self._demodulators[node_id] = JointDemodulator(config)
-        if sdm_harmonic is not None:
-            self.assign_tma_slot(node_id, sdm_harmonic)
         return registration
 
     def adopt_registration(self, node_id: int, channel: ChannelPlan,
@@ -223,13 +156,9 @@ class MmxAccessPoint:
             raise KeyError(f"node {node_id} is not registered")
         self._demodulators.pop(node_id, None)
         self._tma_assignments.pop(node_id, None)
-        if self.admission is not None and node_id in self.admission:
-            self.admission.release(node_id)
-        else:
-            self.allocator.release(node_id)
-        # Standalone (no-admission) tags hold a carrier grant the
-        # allocator knows nothing about; the admission path has
-        # already freed its own.
+        self.allocator.release(node_id)
+        # A tag also holds a carrier grant the allocator knows nothing
+        # about.
         if self.carrier is not None and node_id in self.carrier:
             self.carrier.release(node_id)
 
@@ -255,26 +184,7 @@ class MmxAccessPoint:
         returned so the caller (typically a
         :class:`repro.resilience.LinkSupervisor`) can decide to
         :meth:`reallocate_node` them.
-
-        With an admission controller attached, this is the **batched**
-        path: one :meth:`AdmissionController.mark_interference` pass
-        frees every victim's spectrum before re-admitting any of them
-        (FDM move, SDM spill, or eviction), and the registrations are
-        updated to the outcome.  The victim IDs are still returned.
         """
-        if self.admission is not None:
-            report = self.admission.mark_interference(low_hz, high_hz)
-            for node_id in report.moved:
-                self._adopt_decision(node_id)
-            for node_id in report.spilled_to_sdm:
-                self._adopt_decision(node_id)
-            for node_id in report.evicted:
-                self._registrations.pop(node_id, None)
-                self._demodulators.pop(node_id, None)
-                self._tma_assignments.pop(node_id, None)
-            return [node_id for node_id in report.victims
-                    if node_id in self._registrations
-                    or node_id in report.evicted]
         self.allocator.block_range(low_hz, high_hz)
         probe = ChannelPlan(node_id=-1, center_hz=(low_hz + high_hz) / 2.0,
                             bandwidth_hz=high_hz - low_hz)
@@ -284,21 +194,6 @@ class MmxAccessPoint:
                       in self.allocator.plans_overlapping(probe.low_hz,
                                                           probe.high_hz)
                       if plan.node_id in self._registrations)
-
-    def _adopt_decision(self, node_id: int) -> None:
-        """Refresh one registration from the controller's decision."""
-        assert self.admission is not None
-        reg = self._registrations.get(node_id)
-        if reg is None:
-            return
-        decision = self.admission.decision_for(node_id)
-        assert decision.plan is not None
-        self._registrations[node_id] = NodeRegistration(
-            node_id=node_id, channel=decision.plan, config=reg.config)
-        if decision.sdm is not None:
-            self._tma_assignments[node_id] = decision.sdm.harmonic_index
-        else:
-            self._tma_assignments.pop(node_id, None)
 
     def reallocate_node(self, node_id: int) -> NodeRegistration | None:
         """Move a node's FDM channel away from blocked spectrum.
@@ -313,16 +208,7 @@ class MmxAccessPoint:
         must never strand a node without *any* channel, nor crash the
         supervisor that asked for the move.
         """
-        from ..network.fdm import SpectrumExhausted
-
         reg = self.registration(node_id)
-        if self.admission is not None:
-            decision = self.admission.reallocate(node_id)
-            if decision is None:
-                self.reallocation_failures += 1
-                return None
-            self._adopt_decision(node_id)
-            return self._registrations[node_id]
         try:
             channel = self.allocator.reallocate(node_id)
         except SpectrumExhausted:

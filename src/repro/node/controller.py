@@ -50,16 +50,6 @@ class DigitalController:
         self._sequence = (self._sequence + 1) % 256
         return value
 
-    def reconfigure(self, codec: PacketCodec) -> None:
-        """Swap the framing codec without resetting the sequence counter.
-
-        This is the node half of the supervisor's coding step-down/up:
-        the AP commands a new FEC mode over the side channel and the
-        controller re-frames subsequent packets with it; in-flight
-        sequence numbering is unaffected.
-        """
-        self.codec = codec
-
     def prepare(self, payload: bytes) -> TransmitJob:
         """Frame a payload into a transmit job."""
         packet = Packet(payload=payload, sequence=self.next_sequence())

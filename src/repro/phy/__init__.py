@@ -20,7 +20,6 @@ from .bits import (
     bits_to_bytes,
     bytes_to_bits,
     bit_errors,
-    bit_error_rate,
     random_bits,
     pack_uint,
     unpack_uint,
@@ -34,13 +33,12 @@ from .coding import (
 )
 from .envelope import envelope_detect, automatic_gain_control, threshold_levels
 from .filters import moving_average, fir_lowpass, apply_fir
-from .goertzel import goertzel_power, goertzel_block_powers
+from .goertzel import goertzel_block_powers
 from .impairments import (
     apply_cfo,
     apply_phase_noise,
     apply_iq_imbalance,
     quantize,
-    cfo_tolerance_hz,
 )
 from .preamble import (
     BARKER13,
@@ -53,22 +51,16 @@ from .snr import (
     noise_figure_cascade_db,
     LinkBudget,
     estimate_snr_two_level,
-    estimate_snr_from_evm,
 )
 from .spectrum import (
-    adjacent_channel_leakage_db,
-    check_emission_mask,
     occupied_bandwidth_hz,
-    power_in_band_fraction,
     power_spectral_density,
 )
 from .timing import estimate_timing_offset, align_to_bits, timing_metric
 from .waveform import (
     Waveform,
     carrier,
-    ook_waveform,
     two_level_waveform,
-    add_awgn,
     awgn_noise,
 )
 
@@ -78,8 +70,6 @@ __all__ = [
     "LinkBudget",
     "RepetitionCode",
     "Waveform",
-    "add_awgn",
-    "adjacent_channel_leakage_db",
     "align_to_bits",
     "apply_cfo",
     "apply_fir",
@@ -92,32 +82,25 @@ __all__ = [
     "ber_fsk_noncoherent",
     "ber_ook_coherent",
     "ber_ook_noncoherent",
-    "bit_error_rate",
     "bit_errors",
     "bits_to_bytes",
     "bytes_to_bits",
     "carrier",
-    "cfo_tolerance_hz",
-    "check_emission_mask",
     "correlate_preamble",
     "crc16_ccitt",
     "default_preamble_bits",
     "deinterleave",
     "envelope_detect",
-    "estimate_snr_from_evm",
     "estimate_snr_two_level",
     "estimate_timing_offset",
     "fir_lowpass",
     "goertzel_block_powers",
-    "goertzel_power",
     "interleave",
     "locate_preamble",
     "moving_average",
     "noise_figure_cascade_db",
     "occupied_bandwidth_hz",
-    "ook_waveform",
     "pack_uint",
-    "power_in_band_fraction",
     "power_spectral_density",
     "qfunc",
     "qfunc_inv",

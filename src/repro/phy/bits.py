@@ -15,7 +15,6 @@ __all__ = [
     "bits_to_bytes",
     "bytes_to_bits",
     "bit_errors",
-    "bit_error_rate",
     "random_bits",
     "pack_uint",
     "unpack_uint",
@@ -58,14 +57,6 @@ def bit_errors(sent, received) -> int:
     if a.size != b.size:
         raise ValueError(f"length mismatch: {a.size} vs {b.size}")
     return int(np.count_nonzero(a != b))
-
-
-def bit_error_rate(sent, received) -> float:
-    """Fraction of differing bits between two equal-length bit arrays."""
-    a = as_bit_array(sent)
-    if a.size == 0:
-        return 0.0
-    return bit_errors(sent, received) / a.size
 
 
 def random_bits(n: int, rng: np.random.Generator | None = None) -> np.ndarray:

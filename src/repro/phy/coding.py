@@ -13,7 +13,6 @@ from .bits import as_bit_array
 
 __all__ = [
     "crc16_ccitt",
-    "crc16_ccitt_bits",
     "RepetitionCode",
     "HammingCode74",
     "interleave",
@@ -32,14 +31,6 @@ def crc16_ccitt(data: bytes, initial: int = 0xFFFF) -> int:
             else:
                 crc = (crc << 1) & 0xFFFF
     return crc
-
-
-def crc16_ccitt_bits(bits) -> int:
-    """CRC-16 over a bit array whose length is a multiple of 8."""
-    arr = as_bit_array(bits)
-    if arr.size % 8 != 0:
-        raise ValueError("CRC input must be whole bytes")
-    return crc16_ccitt(np.packbits(arr).tobytes())
 
 
 class RepetitionCode:

@@ -3,7 +3,7 @@
 scipy loads on first use: :func:`fir_lowpass` and :func:`apply_fir`
 import :mod:`scipy.signal` in their bodies.  At module top, scipy cost
 every cold start of ``import repro`` about 1 s and 68 MiB of RSS (2-vCPU
-host), and only the USRP front end and the node channelizer filter.
+host), and only the USRP front end filters.
 """
 
 from __future__ import annotations

@@ -13,28 +13,7 @@ import numpy.typing as npt
 
 from ..units import FloatArray
 
-__all__ = ["goertzel_power", "goertzel_block_powers"]
-
-
-def goertzel_power(samples: npt.ArrayLike, frequency_hz: float,
-                   sample_rate_hz: float) -> float:
-    """Power of ``samples`` at a single frequency via the Goertzel DFT.
-
-    Works on complex baseband input (negative frequencies allowed).
-    Returns ``|X(f)|^2 / N^2`` so a unit-amplitude tone at exactly
-    ``frequency_hz`` yields 1.0 regardless of length.
-    """
-    x = np.asarray(samples, dtype=np.complex128)
-    n = x.size
-    if n == 0:
-        raise ValueError("empty sample block")
-    if sample_rate_hz <= 0:
-        raise ValueError("sample rate must be positive")
-    # Complex Goertzel == projection onto the tone; vectorised dot product
-    # is the numerically cleanest equivalent of the classic recursion.
-    k = np.exp(-2j * np.pi * frequency_hz / sample_rate_hz * np.arange(n))
-    bin_value = np.dot(x, k)
-    return float(np.abs(bin_value) ** 2) / (n * n)
+__all__ = ["goertzel_block_powers"]
 
 
 def goertzel_block_powers(samples: npt.ArrayLike, block_size: int,

@@ -22,7 +22,6 @@ __all__ = [
     "apply_phase_noise",
     "quantize",
     "apply_iq_imbalance",
-    "cfo_tolerance_hz",
 ]
 
 
@@ -95,16 +94,3 @@ def apply_iq_imbalance(wave: Waveform, gain_db: float = 0.5,
     nu = 0.5 * (1.0 - g * np.exp(1j * phi))
     return Waveform(mu * wave.samples + nu * np.conj(wave.samples),
                     wave.sample_rate_hz)
-
-
-def cfo_tolerance_hz(bit_rate_bps: float, fsk_deviation_hz: float) -> float:
-    """How much CFO the joint demodulator can absorb by design.
-
-    The FSK discriminator compares powers at ±deviation; a CFO moves
-    both tones equally, and the decision survives until the weaker
-    tone's energy leaks across the midpoint — roughly half the tone
-    separation minus half a bit-rate of spectral width.
-    """
-    if bit_rate_bps <= 0 or fsk_deviation_hz <= 0:
-        raise ValueError("rates must be positive")
-    return max(fsk_deviation_hz - bit_rate_bps / 2.0, 0.0)

@@ -21,7 +21,6 @@ __all__ = [
     "noise_figure_cascade_db",
     "LinkBudget",
     "estimate_snr_two_level",
-    "estimate_snr_from_evm",
 ]
 
 
@@ -114,19 +113,3 @@ def estimate_snr_two_level(samples: npt.ArrayLike,
     if noise_var <= 0.0:
         return float("inf")
     return float(linear_to_db(distance**2 / (2.0 * noise_var)))
-
-
-def estimate_snr_from_evm(reference: npt.ArrayLike,
-                          received: npt.ArrayLike) -> float:
-    """SNR [dB] from error-vector magnitude against a known reference."""
-    ref = np.asarray(reference)
-    rx = np.asarray(received)
-    if ref.shape != rx.shape:
-        raise ValueError("shape mismatch between reference and received")
-    signal_power = float(np.mean(np.abs(ref) ** 2))
-    error_power = float(np.mean(np.abs(rx - ref) ** 2))
-    if error_power == 0.0:
-        return float("inf")
-    if signal_power == 0.0:
-        return float("-inf")
-    return float(linear_to_db(signal_power / error_power))

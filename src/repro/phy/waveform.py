@@ -15,15 +15,13 @@ import numpy as np
 import numpy.typing as npt
 
 from ..rng import ensure_rng
-from ..units import FloatArray, db_to_linear
+from ..units import FloatArray
 
 __all__ = [
     "Waveform",
     "carrier",
-    "ook_waveform",
     "two_level_waveform",
     "awgn_noise",
-    "add_awgn",
 ]
 
 ComplexArray = npt.NDArray[np.complex128]
@@ -98,25 +96,6 @@ def _samples_per_bit(bit_rate_bps: float, sample_rate_hz: float) -> int:
     return int(round(sps))
 
 
-def ook_waveform(bits: npt.ArrayLike, bit_rate_bps: float,
-                 sample_rate_hz: float,
-                 frequency_hz: float = 0.0, high: float = 1.0,
-                 low: float = 0.0) -> Waveform:
-    """Classic on-off-keyed tone: bit 1 -> ``high`` amplitude, 0 -> ``low``.
-
-    This is the signal a *conventional* (non-OTAM) ASK node would radiate —
-    the paper's "without OTAM" baseline, where modulation happens at the
-    node before the antenna.
-    """
-    bit_array = np.asarray(bits, dtype=float).ravel()
-    sps = _samples_per_bit(bit_rate_bps, sample_rate_hz)
-    levels = np.where(bit_array > 0.5, high, low)
-    envelope = np.repeat(levels, sps)
-    t = np.arange(envelope.size) / sample_rate_hz
-    tone = np.exp(1j * 2.0 * np.pi * frequency_hz * t)
-    return Waveform(envelope * tone, sample_rate_hz)
-
-
 def two_level_waveform(bits: npt.ArrayLike, bit_rate_bps: float,
                        sample_rate_hz: float,
                        amp_one: complex, amp_zero: complex,
@@ -158,19 +137,3 @@ def awgn_noise(n: int, noise_power: float,
                                    + 1j * generator.standard_normal(n))
     return noise
 
-
-def add_awgn(wave: Waveform, snr_db: float,
-             rng: np.random.Generator | None = None,
-             reference_power: float | None = None) -> Waveform:
-    """Add white Gaussian noise at a target SNR relative to signal power.
-
-    ``reference_power`` overrides the measured waveform power when the SNR
-    should be defined against a known level (e.g. the strong ASK level)
-    rather than the empirical average.
-    """
-    power = wave.power() if reference_power is None else reference_power
-    if power <= 0:
-        raise ValueError("cannot set SNR for a zero-power waveform")
-    noise_power = power / float(db_to_linear(snr_db))
-    noise = awgn_noise(len(wave), noise_power, rng)
-    return Waveform(wave.samples + noise, wave.sample_rate_hz)

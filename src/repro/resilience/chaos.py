@@ -95,15 +95,6 @@ class ChaosResult:
         return bool(np.isfinite(post)
                     and post >= self.clean_snr_db - tolerance_db)
 
-    def delivery_during(self, start_s: float, end_s: float
-                        ) -> tuple[float, float]:
-        """(adaptive, static) mean delivery inside a window."""
-        mask = (self.times_s >= start_s) & (self.times_s < end_s)
-        if not np.any(mask):
-            return (float("nan"), float("nan"))
-        return (float(np.mean(self.adaptive_success[mask])),
-                float(np.mean(self.static_success[mask])))
-
 
 class _StaticPolicy:
     """The do-nothing baseline: frozen configuration, naive retries."""

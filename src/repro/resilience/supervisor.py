@@ -77,13 +77,6 @@ class SupervisorDecision:
     frame_success: float
     actions: tuple[RecoveryAction, ...]
 
-    @property
-    def goodput_fraction(self) -> float:
-        """Delivered fraction of the full-rate offered load."""
-        if not self.transmitting:
-            return 0.0
-        return self.frame_success * self.rate_fraction
-
 
 def _branch_ber(branch: str, snr_db: float) -> float:
     """Channel BER for the branch actually decoding (paper's §9.3 curves)."""

@@ -18,7 +18,7 @@ from .geometry import (
     angle_of,
     normalize_angle,
 )
-from .mobility import RandomWaypoint, LinearCrossing, WalkingBlocker
+from .mobility import LinearCrossing, WalkingBlocker
 from .placement import PlacementSampler, Placement
 from .runner import MonteCarloRunner, TrialResult
 from .timeline import LinkTrace, TimelineSimulator
@@ -31,7 +31,6 @@ __all__ = [
     "Placement",
     "PlacementSampler",
     "Point",
-    "RandomWaypoint",
     "Room",
     "Segment",
     "TimelineSimulator",

@@ -1,67 +1,21 @@
-"""Mobility models for blockers and nodes.
+"""Mobility models for human blockers.
 
 Section 9.2's protocol: "We also asked people to walk around. In order to
 block the signal, one person was blocking the line-of-sight path between
 the node and the AP for the entire duration of the experiment."  These
-models supply both behaviours: random walkers and a dedicated LoS blocker.
+models supply a walker crossing a fixed path and the dedicated LoS blocker.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import Blocker, Room
+from .environment import Blocker
 from .geometry import Point, Segment
 
-__all__ = ["RandomWaypoint", "LinearCrossing", "WalkingBlocker",
-           "los_blocker_between"]
-
-
-class RandomWaypoint:
-    """Random-waypoint walker: pick a point, walk to it, repeat.
-
-    The classic pedestrian mobility model; speeds default to a casual
-    indoor walking pace (0.5-1.5 m/s).
-    """
-
-    def __init__(self, room: Room, rng: np.random.Generator,
-                 speed_range_mps: tuple[float, float] = (0.5, 1.5),
-                 margin_m: float = 0.3):
-        if speed_range_mps[0] <= 0 or speed_range_mps[1] < speed_range_mps[0]:
-            raise ValueError("invalid speed range")
-        self.room = room
-        self.rng = rng
-        self.speed_range = speed_range_mps
-        self.margin = margin_m
-        self.position = room.random_interior_point(rng, margin_m)
-        self._pick_waypoint()
-
-    def _pick_waypoint(self) -> None:
-        self.waypoint = self.room.random_interior_point(self.rng, self.margin)
-        self.speed = float(self.rng.uniform(*self.speed_range))
-
-    def step(self, dt_s: float) -> Point:
-        """Advance the walker by ``dt_s`` seconds; returns the new position."""
-        if dt_s < 0:
-            raise ValueError("time step cannot be negative")
-        remaining = self.speed * dt_s
-        while remaining > 0:
-            dx = self.waypoint.x - self.position.x
-            dy = self.waypoint.y - self.position.y
-            dist = math.hypot(dx, dy)
-            if dist <= remaining:
-                self.position = self.waypoint
-                remaining -= dist
-                self._pick_waypoint()
-            else:
-                k = remaining / dist
-                self.position = Point(self.position.x + k * dx,
-                                      self.position.y + k * dy)
-                remaining = 0.0
-        return self.position
+__all__ = ["LinearCrossing", "WalkingBlocker", "los_blocker_between"]
 
 
 class LinearCrossing:

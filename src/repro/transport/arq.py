@@ -170,11 +170,6 @@ class SelectiveRepeatReceiver:
         self._delivered: list[bytes] = []
         self.duplicates = 0
 
-    @property
-    def delivered_count(self) -> int:
-        """How many payloads have been released in order so far."""
-        return len(self._delivered)
-
     def on_data(self, frame: TransportFrame) -> TransportFrame:
         """Accept one data segment; returns the ACK to send back."""
         if not frame.is_data:

@@ -419,6 +419,10 @@ class TestSaturationCampaign:
         with pytest.raises(ValueError):
             SaturationConfig(loads=(0.0,))
         with pytest.raises(ValueError):
+            SaturationConfig(loads=(math.inf,))
+        with pytest.raises(ValueError):
+            SaturationConfig(loads=(math.nan,))
+        with pytest.raises(ValueError):
             SaturationConfig(replicates=0)
         with pytest.raises(ValueError):
             SaturationConfig(warmup_fraction=1.0)
@@ -433,61 +437,3 @@ class TestSaturationCampaign:
         text = render(run_saturation(config))
         assert "0.50" in text and "1.50" in text
         assert "P(block)" in text
-
-
-class TestAccessPointIntegration:
-    def _ap(self, sdm_channels: int = 4):
-        from repro.node.access_point import MmxAccessPoint
-
-        alloc = FdmAllocator(band_low_hz=0.0, band_high_hz=100.0,
-                             bandwidth_per_bps=1.0, guard_fraction=0.0,
-                             min_channel_hz=1e-9)
-        ctrl = AdmissionController(allocator=alloc,
-                                   sdm_channels=sdm_channels)
-        return MmxAccessPoint(admission=ctrl), ctrl
-
-    def test_registration_walks_the_ladder(self):
-        ap, ctrl = self._ap()
-        reg = ap.register_node(0, 100.0)
-        assert reg.channel == ctrl.decision_for(0).plan
-        # Band is full; bearing-carrying arrival lands on SDM + TMA.
-        sdm_reg = ap.register_node(1, 10.0, bearing_rad=1.0)
-        assert ctrl.decision_for(1).state == "sdm"
-        assert ap.tma_assignments[1] == ctrl.decision_for(1) \
-            .sdm.harmonic_index
-        assert sdm_reg.channel == ctrl.decision_for(1).plan
-
-    def test_blocked_ladder_raises_spectrum_exhausted(self):
-        # Cluster failover catches SpectrumExhausted to walk its AP
-        # preference order; the ladder must keep that contract.
-        ap, _ = self._ap()
-        ap.register_node(0, 100.0)
-        with pytest.raises(SpectrumExhausted):
-            ap.register_node(1, 10.0)  # no bearing, no SDM rung
-
-    def test_deregister_routes_through_controller(self):
-        ap, ctrl = self._ap()
-        ap.register_node(0, 50.0)
-        ap.deregister_node(0)
-        assert 0 not in ctrl
-        assert ap.registered_nodes == []
-
-    def test_mark_interference_updates_registrations(self):
-        ap, ctrl = self._ap()
-        ap.register_node(0, 30.0)
-        ap.register_node(1, 30.0)
-        victims = ap.mark_interference(0.0, 40.0)
-        assert victims == [0, 1]
-        for node_id in (0, 1):
-            assert ap.registration(node_id).channel == \
-                ctrl.decision_for(node_id).plan
-            assert ap.registration(node_id).channel.low_hz >= 40.0
-
-    def test_eviction_drops_the_registration(self):
-        ap, _ = self._ap(sdm_channels=2)
-        ap.register_node(0, 60.0, bearing_rad=0.0)
-        ap.register_node(1, 30.0)  # no bearing: evicted under sweep
-        victims = ap.mark_interference(0.0, 100.0)
-        assert victims == [0, 1]
-        assert ap.registered_nodes == [0]
-        assert 1 not in ap.tma_assignments

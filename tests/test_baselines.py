@@ -1,23 +1,17 @@
-"""Tests for the beam-search, fixed-beam and platform baselines."""
+"""Tests for the beam-search and platform baselines."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.antenna.element import DipoleElement
 from repro.antenna.phased_array import PhasedArray
 from repro.baselines.beam_search import (
     ExhaustiveBeamSearch,
     FeedbackBeamSelection,
     HierarchicalBeamSearch,
 )
-from repro.baselines.fixed_beam import FixedBeamNode
 from repro.baselines.platforms import PLATFORMS, comparison_table, mmx_platform
-from repro.channel.noise import noise_power_dbm
-from repro.sim.environment import Blocker, default_lab_room
-from repro.sim.geometry import Point
-from repro.sim.placement import Placement
 
 FREQ = 24.125e9
 
@@ -97,30 +91,6 @@ class TestFeedbackSelection:
     def test_needs_two_beams(self):
         with pytest.raises(ValueError):
             FeedbackBeamSelection([0.0])
-
-
-class TestFixedBeamNode:
-    def test_outage_when_blocked(self):
-        room = default_lab_room()
-        node_pos, ap_pos = Point(2.0, 4.0), Point(2.0, 0.15)
-        placement = Placement(node_pos, -math.pi / 2, ap_pos, math.pi / 2)
-        node = FixedBeamNode()
-        noise = noise_power_dbm(25e6, 3.2)
-        clear_snr, clear_outage = node.outage(placement, room,
-                                              DipoleElement(), noise)
-        room.add_blocker(Blocker(Point(2.0, 2.0), penetration_loss_db=35.0))
-        blocked_snr, blocked_outage = node.outage(placement, room,
-                                                  DipoleElement(), noise)
-        room.clear_blockers()
-        assert not clear_outage
-        assert blocked_snr < clear_snr - 10.0
-
-    def test_channel_gain_positive_when_facing(self):
-        room = default_lab_room()
-        placement = Placement(Point(2.0, 3.0), -math.pi / 2,
-                              Point(2.0, 0.15), math.pi / 2)
-        gain = FixedBeamNode().channel_gain(placement, room, DipoleElement())
-        assert abs(gain) > 0.0
 
 
 class TestPlatforms:

@@ -1,113 +1,8 @@
-"""Tests for the wideband channelizer and the interleaved packet codec."""
+"""Tests for the interleaved packet codec."""
 
-import numpy as np
 import pytest
 
-from repro.channel.multipath import ChannelResponse
-from repro.core.ask_fsk import AskFskConfig
-from repro.core.demodulator import JointDemodulator
-from repro.core.otam import OtamModulator
 from repro.core.packet import Packet, PacketCodec, PacketError
-from repro.node.channelizer import ChannelSlice, Channelizer
-from repro.phy.bits import random_bits
-from repro.phy.preamble import default_preamble_bits
-from repro.phy.waveform import Waveform, awgn_noise, carrier
-
-CONFIG = AskFskConfig(bit_rate_bps=1e6, sample_rate_hz=8e6)
-WIDEBAND_RATE = 64e6
-
-
-def _node_waveform(rng, h1=1.0, h0=0.15, n_bits=64):
-    bits = np.concatenate([default_preamble_bits(), random_bits(n_bits, rng)])
-    mod = OtamModulator(CONFIG, eirp_dbm=0.0)
-    return bits, mod.received_waveform(
-        bits, ChannelResponse(h1=h1, h0=h0, paths=()))
-
-
-class TestChannelizerBasics:
-    def test_single_tone_extraction(self):
-        # A tone at +10 MHz in the wideband capture appears at DC after
-        # extraction of a channel centred there.
-        capture = carrier(10e6, 5e-5, WIDEBAND_RATE)
-        chan = Channelizer([ChannelSlice(1, 10e6, 4e6, 8e6)])
-        out = chan.extract(capture, 1)
-        assert out.sample_rate_hz == 8e6
-        spectrum = np.abs(np.fft.fft(out.samples))
-        freqs = np.fft.fftfreq(len(out), 1 / 8e6)
-        assert abs(freqs[int(np.argmax(spectrum))]) < 3e5
-
-    def test_out_of_channel_energy_rejected(self):
-        # A tone 20 MHz away should barely survive the channel filter.
-        capture = carrier(20e6, 1e-4, WIDEBAND_RATE)
-        chan = Channelizer([ChannelSlice(1, 0.0, 4e6, 8e6)])
-        out = chan.extract(capture, 1)
-        assert out.power() < 0.01 * capture.power()
-
-    def test_unknown_node_rejected(self):
-        chan = Channelizer([ChannelSlice(1, 0.0, 4e6, 8e6)])
-        with pytest.raises(KeyError):
-            chan.extract(carrier(0, 1e-5, WIDEBAND_RATE), 2)
-
-    def test_non_integer_ratio_rejected(self):
-        chan = Channelizer([ChannelSlice(1, 0.0, 4e6, 7e6)])
-        with pytest.raises(ValueError):
-            chan.extract(carrier(0, 1e-5, WIDEBAND_RATE), 1)
-
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError):
-            Channelizer([ChannelSlice(1, 0.0, 4e6, 8e6),
-                         ChannelSlice(1, 5e6, 4e6, 8e6)])
-
-    def test_slice_validation(self):
-        with pytest.raises(ValueError):
-            ChannelSlice(1, 0.0, 16e6, 8e6)  # bandwidth > output rate
-
-
-class TestTwoNodeFdmCapture:
-    """The §7a story end-to-end: two nodes, one capture, both decoded."""
-
-    def _run(self, rng, offsets=(-12e6, 12e6), noise_power=1e-5):
-        bits_a, wave_a = _node_waveform(rng, h1=1.0, h0=0.2)
-        bits_b, wave_b = _node_waveform(rng, h1=0.8, h0=0.1)
-        capture = Channelizer.compose(
-            WIDEBAND_RATE, [(wave_a, offsets[0]), (wave_b, offsets[1])])
-        noisy = Waveform(capture.samples
-                         + awgn_noise(len(capture), noise_power, rng),
-                         WIDEBAND_RATE)
-        chan = Channelizer([
-            ChannelSlice(10, offsets[0], 5e6, CONFIG.sample_rate_hz),
-            ChannelSlice(20, offsets[1], 5e6, CONFIG.sample_rate_hz),
-        ])
-        demod = JointDemodulator(CONFIG)
-        out = {}
-        for node_id, bits in ((10, bits_a), (20, bits_b)):
-            baseband = chan.extract(noisy, node_id)
-            result = demod.demodulate(baseband, recover_timing=True)
-            n = min(bits.size, result.bits.size)
-            # Timing recovery may drop the first (filter-delayed) bit.
-            errors = int(np.count_nonzero(bits[:n] != result.bits[:n]))
-            alt = int(np.count_nonzero(bits[1:n] != result.bits[:n - 1]))
-            out[node_id] = min(errors, alt)
-        return out
-
-    def test_both_nodes_decode(self, rng):
-        errors = self._run(rng)
-        assert errors[10] <= 1
-        assert errors[20] <= 1
-
-    def test_extract_all_returns_everyone(self, rng):
-        _, wave = _node_waveform(rng)
-        capture = Channelizer.compose(WIDEBAND_RATE, [(wave, 5e6)])
-        chan = Channelizer([ChannelSlice(3, 5e6, 5e6, 8e6)])
-        result = chan.extract_all(capture)
-        assert set(result) == {3}
-
-    def test_compose_validates(self, rng):
-        _, wave = _node_waveform(rng)
-        with pytest.raises(ValueError):
-            Channelizer.compose(WIDEBAND_RATE, [])
-        with pytest.raises(ValueError):
-            Channelizer.compose(3e6, [(wave, 0.0)])
 
 
 class TestInterleavedCodec:

@@ -1,11 +1,12 @@
 """Tests for the command-line interface."""
 
+import math
 import multiprocessing
 from functools import partial
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _chaos_duration_error, build_parser, main
 
 
 def _trial_zero_explodes(rng, index, **_):
@@ -239,6 +240,28 @@ class TestCommands:
                      "--duration", id="ap-crash-zero-duration"),
         pytest.param(["network", "--nodes", "0"], "--nodes",
                      id="network-no-nodes"),
+        pytest.param(["network", "--seed", "-1"], "--seed",
+                     id="network-negative-seed"),
+        pytest.param(["chaos", "--seed", "-1"], "--seed",
+                     id="chaos-negative-seed"),
+        pytest.param(["campaign", "fig11", "--seed", "-1"], "--seed",
+                     id="campaign-negative-seed"),
+        pytest.param(["admission", "saturate", "--seed", "-1"], "--seed",
+                     id="admission-negative-seed"),
+        pytest.param(["energy", "compare", "--seed", "-1"], "--seed",
+                     id="energy-compare-negative-seed"),
+        pytest.param(["energy", "outage", "--seed", "-1"], "--seed",
+                     id="energy-outage-negative-seed"),
+        pytest.param(["chaos", "--ap-crash", "--duration", "inf"],
+                     "--duration", id="ap-crash-infinite-duration"),
+        pytest.param(["admission", "saturate", "--load", "inf"], "--load",
+                     id="admission-infinite-load"),
+        pytest.param(["admission", "saturate", "--load", "nan"], "--load",
+                     id="admission-nan-load"),
+        pytest.param(["link", "--offset-deg", "nan"], "--offset-deg",
+                     id="link-nan-offset"),
+        pytest.param(["link", "--distance", "0"], "--distance",
+                     id="link-zero-distance"),
     ])
     def test_bad_arguments_are_usage_errors(self, argv, reason, capsys):
         """Rejected before running: one stderr line, exit code 2."""
@@ -256,6 +279,12 @@ class TestCommands:
         assert main(["chaos", "--duration", str(QUIET_TAIL_S + 0.5)]) == 0
         assert main(["chaos", "--ap-crash", "--duration",
                      str(QUIET_TAIL_S)]) == 0
+
+    def test_chaos_duration_must_be_finite(self):
+        # An infinite run never returns, so this checks the validator
+        # directly: a regression fails here instead of hanging main().
+        assert _chaos_duration_error(math.inf) is not None
+        assert _chaos_duration_error(math.inf, ap_crash=True) is not None
 
     def test_campaign_chaos_rejects_out(self, tmp_path, capsys):
         out = str(tmp_path / "chaos.jsonl")

@@ -278,18 +278,3 @@ class TestReallocateDegradation:
         assert counters["admission.reallocated"] == 1
         # The freed FDM spectrum really was released.
         assert alloc.allocated_bandwidth_hz == pytest.approx(0.0)
-
-    def test_ap_reallocate_node_admission_path_counts_failures(self):
-        from repro.admission import AdmissionController
-        from repro.node.access_point import MmxAccessPoint
-
-        alloc = FdmAllocator(band_low_hz=0.0, band_high_hz=100.0,
-                             bandwidth_per_bps=1.0, guard_fraction=0.0,
-                             min_channel_hz=1e-9)
-        ap = MmxAccessPoint(admission=AdmissionController(allocator=alloc))
-        ap.register_node(0, 50.0)
-        alloc.block_range(0.0, 100.0)
-        before = ap.registration(0)
-        assert ap.reallocate_node(0) is None
-        assert ap.registration(0) == before
-        assert ap.stats()["reallocation_failures"] == 1

@@ -1,10 +1,9 @@
-"""Tests for interference accounting, MIMO baseline and the network sim."""
+"""Tests for interference accounting and the network sim."""
 
 import numpy as np
 import pytest
 
 from repro.network.interference import InterferenceModel, sinr_db
-from repro.network.mimo import HybridMimoAp
 from repro.network.network import MultiNodeNetwork
 from repro.network.init_protocol import InitializationProtocol, SideChannel
 from repro.node.access_point import MmxAccessPoint
@@ -52,45 +51,10 @@ class TestInterferenceModel:
                               nonadjacent_rejection_db=60.0)
 
 
-class TestHybridMimo:
-    def test_power_and_cost_scale_with_chains(self):
-        one = HybridMimoAp(num_chains=1)
-        four = HybridMimoAp(num_chains=4)
-        assert four.power_consumption_w > 3 * one.power_consumption_w
-        assert four.cost_usd > 3 * one.cost_usd
-
-    def test_mimo_is_the_expensive_option(self):
-        # Section 7(b)'s argument: multiple mmWave chains are power
-        # hungry versus the mmX AP front end (~0.6 W).
-        from repro.hardware.chains import AccessPointHardware
-        mimo = HybridMimoAp(num_chains=4)
-        assert mimo.power_consumption_w > 5 * AccessPointHardware().total_power_w
-
-    def test_separation_gain_positive_for_distinct_directions(self):
-        mimo = HybridMimoAp(num_chains=2)
-        gain = mimo.separation_gain_db(np.radians(0.0), np.radians(40.0))
-        assert gain > 6.0
-
-    def test_cochannel_capacity(self):
-        assert HybridMimoAp(num_chains=3).max_cochannel_nodes == 3
-
-
 class TestMultiNodeNetwork:
     def _network(self, seed=0) -> MultiNodeNetwork:
         rng = np.random.default_rng(seed)
         return MultiNodeNetwork(default_lab_room(), rng)
-
-    def test_channel_assignment_fdm_first(self):
-        net = self._network()
-        channels = net.assign_channels(net.num_fdm_channels)
-        assert len(set(channels)) == net.num_fdm_channels
-
-    def test_channel_assignment_wraps_to_sdm(self):
-        net = self._network()
-        n = net.num_fdm_channels + 3
-        channels = net.assign_channels(n)
-        shared = [c for c in set(channels) if channels.count(c) > 1]
-        assert len(shared) == 3
 
     def test_snapshot_structure(self):
         net = self._network()

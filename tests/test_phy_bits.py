@@ -50,12 +50,6 @@ class TestErrors:
         with pytest.raises(ValueError):
             B.bit_errors([1, 0], [1])
 
-    def test_ber(self):
-        assert B.bit_error_rate([1, 1, 1, 1], [1, 1, 0, 0]) == pytest.approx(0.5)
-
-    def test_ber_empty_is_zero(self):
-        assert B.bit_error_rate([], []) == 0.0
-
 
 class TestRandomBits:
     def test_length(self, rng):

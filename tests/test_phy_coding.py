@@ -21,15 +21,6 @@ class TestCrc16:
         data[3] ^= 0x10
         assert C.crc16_ccitt(bytes(data)) != good
 
-    def test_bits_variant_matches_bytes(self):
-        data = b"\xde\xad\xbe\xef"
-        bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-        assert C.crc16_ccitt_bits(bits) == C.crc16_ccitt(data)
-
-    def test_bits_variant_requires_whole_bytes(self):
-        with pytest.raises(ValueError):
-            C.crc16_ccitt_bits([1, 0, 1])
-
 
 class TestRepetition:
     def test_roundtrip_clean(self, rng):

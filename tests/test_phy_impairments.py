@@ -97,16 +97,6 @@ class TestIqImbalance:
         assert np.allclose(out.samples, wave.samples)
 
 
-class TestCfoTolerance:
-    def test_formula(self):
-        assert I.cfo_tolerance_hz(1e6, 5e5) == pytest.approx(0.0)
-        assert I.cfo_tolerance_hz(1e6, 2e6) == pytest.approx(1.5e6)
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            I.cfo_tolerance_hz(0.0, 1e5)
-
-
 class TestDemodulatorUnderImpairments:
     """The robustness argument: coarse modulations shrug off dirt."""
 

@@ -97,20 +97,3 @@ class TestTwoLevelSnrEstimator:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             S.estimate_snr_two_level(np.ones(4), np.ones(3))
-
-
-class TestEvmSnr:
-    def test_perfect_is_inf(self):
-        x = np.exp(1j * np.linspace(0, 5, 32))
-        assert S.estimate_snr_from_evm(x, x) == np.inf
-
-    def test_known_noise_level(self, rng):
-        x = np.exp(1j * np.linspace(0, 50, 5000))
-        noise = 0.1 * (rng.standard_normal(5000) + 1j * rng.standard_normal(5000))
-        est = S.estimate_snr_from_evm(x, x + noise)
-        expected = 10 * np.log10(1.0 / np.mean(np.abs(noise) ** 2))
-        assert est == pytest.approx(expected, abs=0.3)
-
-    def test_zero_signal_is_neg_inf(self):
-        z = np.zeros(8, dtype=complex)
-        assert S.estimate_snr_from_evm(z, z + 1.0) == -np.inf

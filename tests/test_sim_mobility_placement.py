@@ -4,41 +4,13 @@ import math
 
 import pytest
 
-from repro.sim.environment import Room
 from repro.sim.geometry import Point, Segment
 from repro.sim.mobility import (
     LinearCrossing,
-    RandomWaypoint,
     WalkingBlocker,
     los_blocker_between,
 )
 from repro.sim.runner import MonteCarloRunner
-
-
-class TestRandomWaypoint:
-    def test_stays_inside_room(self, rng):
-        room = Room.rectangular(4.0, 6.0)
-        walker = RandomWaypoint(room, rng)
-        for _ in range(200):
-            p = walker.step(0.5)
-            assert room.contains(p, margin=0.29)
-
-    def test_moves_at_bounded_speed(self, rng):
-        room = Room.rectangular(4.0, 6.0)
-        walker = RandomWaypoint(room, rng, speed_range_mps=(1.0, 1.0))
-        prev = walker.position
-        p = walker.step(0.1)
-        moved = math.hypot(p.x - prev.x, p.y - prev.y)
-        assert moved <= 0.1 + 1e-9
-
-    def test_invalid_speed_range(self, rng):
-        with pytest.raises(ValueError):
-            RandomWaypoint(Room.rectangular(), rng, speed_range_mps=(2.0, 1.0))
-
-    def test_negative_step_rejected(self, rng):
-        walker = RandomWaypoint(Room.rectangular(), rng)
-        with pytest.raises(ValueError):
-            walker.step(-1.0)
 
 
 class TestLinearCrossing:

@@ -66,34 +66,6 @@ class TestOccupiedBandwidth:
             SP.occupied_bandwidth_hz(wave, fraction=1.0)
 
 
-class TestBandPowerAndMask:
-    def test_in_band_fraction_of_tone(self):
-        wave = carrier(1e6, 2e-3, 16e6)
-        assert SP.power_in_band_fraction(wave, 0.5e6, 1.5e6) > 0.95
-        assert SP.power_in_band_fraction(wave, -2e6, -1e6) < 0.01
-
-    def test_aclr_positive_for_contained_signal(self, rng):
-        cfg, wave = _otam_wave(rng)
-        aclr = SP.adjacent_channel_leakage_db(wave, 5e6)
-        assert aclr > 15.0
-
-    def test_mask_passes_for_clean_tone(self):
-        wave = carrier(0.0, 4e-3, 16e6)
-        assert SP.check_emission_mask(wave, [(3e6, 30.0), (6e6, 40.0)])
-
-    def test_mask_fails_for_wideband_noise(self, rng):
-        noise = Waveform(rng.standard_normal(8192)
-                         + 1j * rng.standard_normal(8192), 16e6)
-        assert not SP.check_emission_mask(noise, [(3e6, 30.0)])
-
-    def test_invalid_band(self, rng):
-        _, wave = _otam_wave(rng, n_bits=64)
-        with pytest.raises(ValueError):
-            SP.power_in_band_fraction(wave, 1e6, 0.0)
-        with pytest.raises(ValueError):
-            SP.check_emission_mask(wave, [])
-
-
 class TestChannelStatistics:
     def _paths(self):
         room = default_lab_room()
