@@ -29,7 +29,6 @@ from repro.engine import (
     SupervisionPolicy,
     WorkerFault,
     WorkerFaultSchedule,
-    run_campaign,
 )
 from repro.experiments.fig11_ber_cdf import placement_trial
 
@@ -57,13 +56,13 @@ def test_chaotic_campaign_recovers_every_trial():
         policy=SupervisionPolicy(max_attempts=2, backoff_base_s=0.01,
                                  shard_timeout_s=2.0,
                                  on_failure="degrade"))
-    outcome = run_campaign(placement_trial, CHAOS_TRIALS, master_seed=3,
-                           num_shards=CHAOS_SHARDS, executor=pool)
+    outcome = Campaign(placement_trial, CHAOS_TRIALS, master_seed=3,
+                       num_shards=CHAOS_SHARDS, executor=pool).run()
     assert not outcome.is_partial
     assert outcome.num_trials == CHAOS_TRIALS
 
-    serial = run_campaign(placement_trial, CHAOS_TRIALS, master_seed=3,
-                          num_shards=CHAOS_SHARDS)
+    serial = Campaign(placement_trial, CHAOS_TRIALS, master_seed=3,
+                      num_shards=CHAOS_SHARDS).run()
     assert [r.values for r in outcome.results] \
         == [r.values for r in serial.results]
     assert [r.seed for r in outcome.results] \

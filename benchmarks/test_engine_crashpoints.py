@@ -22,8 +22,6 @@ import json
 import os
 import time
 
-import pytest
-
 from repro.durability import (
     FS_FAULT_KINDS,
     FaultyFs,
@@ -31,7 +29,7 @@ from repro.durability import (
     InjectedFsCrash,
     fsck_path,
 )
-from repro.engine import run_campaign
+from repro.engine import Campaign
 from repro.engine.store import ResultStore, StoreError
 
 from conftest import OUTPUT_DIR, record
@@ -50,10 +48,10 @@ def sweep_trial(seed: int, index: int) -> dict:
 
 
 def run_journaled(path, fs=None):
-    return run_campaign(sweep_trial, SWEEP_TRIALS,
-                        master_seed=MASTER_SEED,
-                        num_shards=SWEEP_SHARDS,
-                        store=ResultStore(path, fs=fs))
+    return Campaign(sweep_trial, SWEEP_TRIALS,
+                    master_seed=MASTER_SEED,
+                    num_shards=SWEEP_SHARDS,
+                    store=ResultStore(path, fs=fs)).run()
 
 
 def enumerate_ops(tmp_path) -> int:
@@ -197,8 +195,8 @@ def test_durable_seam_overhead_is_negligible(tmp_path):
     trials = OVERHEAD_SHARDS  # one trial per shard = one append each
 
     def run_with(store):
-        return run_campaign(sweep_trial, trials, master_seed=1,
-                            num_shards=OVERHEAD_SHARDS, store=store)
+        return Campaign(sweep_trial, trials, master_seed=1,
+                        num_shards=OVERHEAD_SHARDS, store=store).run()
 
     # Warm both paths (page cache, imports).
     run_with(_Pr6Store(tmp_path / "warm-old.jsonl"))

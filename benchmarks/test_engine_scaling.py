@@ -23,7 +23,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.engine import SupervisedPool, default_job_count, run_campaign
+from repro.engine import Campaign, SupervisedPool, default_job_count
 from repro.experiments.fig11_ber_cdf import placement_trial
 from repro.sim.runner import MonteCarloRunner
 
@@ -39,8 +39,8 @@ def test_sharded_supervised_pool_matches_serial():
     serial = MonteCarloRunner(7).run(placement_trial, 24)
     for shards, executor in ((1, None), (4, None),
                              (4, SupervisedPool(jobs=2))):
-        outcome = run_campaign(placement_trial, 24, master_seed=7,
-                               num_shards=shards, executor=executor)
+        outcome = Campaign(placement_trial, 24, master_seed=7,
+                           num_shards=shards, executor=executor).run()
         assert [r.values for r in outcome.results] \
             == [r.values for r in serial], \
             f"shards={shards} executor={executor} diverged from serial"
@@ -69,17 +69,17 @@ def test_resumed_campaign_checkpoint(tmp_path):
 
     store_path = tmp_path / "campaign.jsonl"
     with pytest.raises(KeyboardInterrupt):
-        run_campaign(placement_trial, 16, master_seed=3, num_shards=4,
-                     executor=Dying(survive=2), store=store_path)
+        Campaign(placement_trial, 16, master_seed=3, num_shards=4,
+                 executor=Dying(survive=2), store=store_path).run()
     assert len(store_path.read_text().splitlines()) == 3
 
-    resumed = run_campaign(placement_trial, 16, master_seed=3,
-                           num_shards=4, store=store_path)
+    resumed = Campaign(placement_trial, 16, master_seed=3,
+                       num_shards=4, store=store_path).run()
     assert resumed.resumed_shards == (0, 1)
     assert resumed.executed_shards == (2, 3)
 
-    clean = run_campaign(placement_trial, 16, master_seed=3,
-                         num_shards=4)
+    clean = Campaign(placement_trial, 16, master_seed=3,
+                     num_shards=4).run()
     assert np.array_equal(resumed.collect("ber_with"),
                           clean.collect("ber_with"))
     assert np.array_equal(resumed.collect("ber_without"),
@@ -105,20 +105,21 @@ def test_parallel_speedup_on_fig11_class_sweep():
     """>= 2x wall-clock win at 4 workers on a fig11-class sweep."""
     # Warm both paths so import/fork costs don't pollute the timing:
     # scipy.special loads on the first BER call, in this process too.
-    run_campaign(placement_trial, SPEEDUP_WORKERS,
-                 num_shards=SPEEDUP_WORKERS,
-                 executor=SupervisedPool(jobs=SPEEDUP_WORKERS))
-    run_campaign(placement_trial, SPEEDUP_WORKERS, num_shards=SPEEDUP_WORKERS)
+    Campaign(placement_trial, SPEEDUP_WORKERS,
+             num_shards=SPEEDUP_WORKERS,
+             executor=SupervisedPool(jobs=SPEEDUP_WORKERS)).run()
+    Campaign(placement_trial, SPEEDUP_WORKERS,
+             num_shards=SPEEDUP_WORKERS).run()
 
     start = time.perf_counter()
-    serial = run_campaign(placement_trial, SPEEDUP_TRIALS, master_seed=1,
-                          num_shards=SPEEDUP_WORKERS)
+    serial = Campaign(placement_trial, SPEEDUP_TRIALS, master_seed=1,
+                      num_shards=SPEEDUP_WORKERS).run()
     serial_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    parallel = run_campaign(placement_trial, SPEEDUP_TRIALS,
-                            master_seed=1, num_shards=SPEEDUP_WORKERS,
-                            executor=SupervisedPool(jobs=SPEEDUP_WORKERS))
+    parallel = Campaign(placement_trial, SPEEDUP_TRIALS,
+                        master_seed=1, num_shards=SPEEDUP_WORKERS,
+                        executor=SupervisedPool(jobs=SPEEDUP_WORKERS)).run()
     parallel_s = time.perf_counter() - start
 
     assert [r.values for r in parallel.results] \

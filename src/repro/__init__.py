@@ -94,7 +94,6 @@ from .engine import (
     ResultStore,
     SerialExecutor,
     SupervisedPool,
-    run_campaign,
 )
 from .faults import (
     FaultEvent,
@@ -225,7 +224,6 @@ __all__ = [
     "node_class",
     "random_bits",
     "registered_classes",
-    "run_campaign",
     "run_compare",
     "run_outage",
     "run_saturation",

@@ -6,9 +6,10 @@ quadratic for "billions of things".  This package turns allocation into
 an admission-control engine:
 
 * :class:`SpectrumBook` — interval-indexed free/occupied bookkeeping
-  with O(√n)-per-op allocate/release/reallocate, first-fit results
+  with O(√n)-per-op allocate/release, first-fit results
   **byte-identical** to the seed :class:`repro.network.fdm.FdmAllocator`
-  scan (which now runs on the book);
+  scan (which now runs on the book), and the only record of the
+  channel plans and blocked ranges;
 * :class:`SdmPacker` — online, harmonic-collision-aware packing of
   arrival bearings into spatial channels, using the exact
   ``count_harmonic_collisions`` predicate;

@@ -43,6 +43,11 @@ of committed plan intervals and blocked ranges, clipped to the managed
 band.  ``tests/test_admission.py`` proves the equivalence with
 hypothesis sequences against a verbatim copy of the seed scan.
 
+The book is the only record of the spectrum map: every committed
+:class:`~repro.network.fdm.ChannelPlan` and every blocked range lives
+here once, and the allocator, the access point and checkpoints read it
+back from the book rather than keeping copies that could drift apart.
+
 Complexity
 ----------
 
@@ -60,8 +65,13 @@ per-op growth for 10× nodes.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - import-cycle guard
+    from ..network.fdm import ChannelPlan
 
 __all__ = ["SpectrumBook"]
 
@@ -253,14 +263,14 @@ class SpectrumBook:
 
     * **gaps** — maximal free intervals, each ``(start, end, base,
       limit)`` (see the module docstring for ``base``/``limit``);
-    * **plans** — committed channel extents ``(low, high, node_id)``;
-    * **blocks** — interference-blocked ranges, kept merged/disjoint
-      for subtraction (the raw caller-supplied list stays with the
-      allocator, whose API exposes it verbatim).
+    * **plans** — committed channels, each held once as a ``(low,
+      high, plan)`` record in a frequency-ordered index and reached by
+      node ID through a map to that same record;
+    * **blocks** — interference-blocked ranges, merged into a sorted
+      disjoint set.
 
-    All methods take the *exact* float edges the caller computed
-    (``ChannelPlan.low_hz``/``high_hz``) so comparisons reproduce the
-    seed allocator bit-for-bit.
+    Plan edges are the exact floats ``ChannelPlan.low_hz``/``high_hz``
+    compute, so comparisons reproduce the seed allocator bit-for-bit.
     """
 
     def __init__(self, band_low_hz: float, band_high_hz: float, *,
@@ -269,11 +279,11 @@ class SpectrumBook:
             raise ValueError("invalid band edges")
         self._low = band_low_hz
         self._high = band_high_hz
-        self._block_size = block_size
         self._gaps = _SqrtList(
             [(band_low_hz, band_high_hz, None, None)],
             spans=True, target=block_size)
         self._plans = _SqrtList(target=block_size)
+        self._by_node: dict[int, tuple[float, float, ChannelPlan]] = {}
         self._blk_lows: list[float] = []
         self._blk_highs: list[float] = []
         self._free_hz = band_high_hz - band_low_hz
@@ -290,6 +300,13 @@ class SpectrumBook:
         """Width of the widest free interval (0.0 when the band is full)."""
         ml = self._gaps._maxlen
         return float(ml.max()) if ml.size else 0.0
+
+    def edge_tolerance(self, width: float) -> float:
+        """Bound on the rounding of a plan edge computed as
+        ``center ± width / 2`` in this band (a few ulps of the band
+        magnitude): a placed plan's edges may sit this far outside the
+        gap that was found for it."""
+        return 4e-16 * (abs(self._low) + abs(self._high) + width)
 
     # --- first-fit placement ----------------------------------------------
 
@@ -315,7 +332,7 @@ class SpectrumBook:
         # Conservative block-level prune: a fitting gap satisfies
         # fl(start + width) <= end, hence its recorded span is at least
         # width minus a few ulps of the band magnitude.
-        slack = width - 4e-16 * (abs(self._low) + abs(self._high) + width)
+        slack = width - self.edge_tolerance(width)
         for bi in np.nonzero(ml >= slack)[0]:
             for rec in gi._blocks[bi]:
                 start, end, base, limit = rec
@@ -356,10 +373,12 @@ class SpectrumBook:
                 and (pred[3] is None or pred[3] > lo):
             gi.replace(pred[0], (pred[0], pred[1], pred[2], lo))
 
-    def commit(self, node_id: int, low: float, high: float) -> None:
-        """Mark a channel plan's extent occupied."""
-        self._plans.insert((low, high, node_id))
-        self._occupy(low, high)
+    def commit(self, plan: ChannelPlan) -> None:
+        """Record a channel plan and mark its extent occupied."""
+        rec = (plan.low_hz, plan.high_hz, plan)
+        self._plans.insert(rec)
+        self._by_node[plan.node_id] = rec
+        self._occupy(rec[0], rec[1])
 
     def block(self, low: float, high: float) -> None:
         """Mark an interference range unusable (merged into the
@@ -426,9 +445,14 @@ class SpectrumBook:
         gi.insert((start, end, base, limit))
         self._free_hz += end - start
 
-    def release(self, node_id: int, low: float, high: float) -> None:
-        """Return a plan's extent to the pool, minus whatever blocked
-        ranges or (ulp-overlapping) neighbour plans still occupy it."""
+    def release(self, node_id: int) -> None:
+        """Drop a node's plan and return its extent to the pool, minus
+        whatever blocked ranges or (ulp-overlapping) neighbour plans
+        still occupy it."""
+        rec = self._by_node.pop(node_id, None)
+        if rec is None:
+            raise KeyError(f"node {node_id} holds no channel")
+        low, high = rec[0], rec[1]
         self._plans.remove(low)
         pieces = [(low, high)]
         for blo, bhi in zip(self._blk_lows, self._blk_highs):
@@ -437,8 +461,8 @@ class SpectrumBook:
             if bhi <= low:
                 continue
             pieces = self._subtract(pieces, blo, bhi)
-        for rec in self._plans.overlapping(low, high):
-            pieces = self._subtract(pieces, rec[0], rec[1])
+        for other in self._plans.overlapping(low, high):
+            pieces = self._subtract(pieces, other[0], other[1])
         for plo, phi in pieces:
             if phi > plo:
                 self._free_piece(plo, phi)
@@ -457,35 +481,32 @@ class SpectrumBook:
                 out.append((hi, phi))
         return out
 
-    # --- blocked-range lifecycle -----------------------------------------
+    # --- queries ----------------------------------------------------------
 
-    def clear_blocks(self) -> None:
-        """Forget all blocked ranges and rebuild the gap index from the
-        committed plans alone (the interferers went away)."""
-        self._blk_lows = []
-        self._blk_highs = []
-        regions: list[tuple[float, float]] = []
-        for rec in self._plans:
-            if regions and rec[0] <= regions[-1][1]:
-                prev = regions[-1]
-                regions[-1] = (prev[0], max(prev[1], rec[1]))
-            else:
-                regions.append((rec[0], rec[1]))
-        gaps: list[tuple] = []
-        cursor = self._low
-        base: float | None = None
-        for rlow, rhigh in regions:
-            if rlow > cursor:
-                gaps.append((cursor, rlow, base, rlow))
-            cursor = max(cursor, rhigh)
-            base = rhigh if base is None else max(base, rhigh)
-        if self._high > cursor:
-            gaps.append((cursor, self._high, base, None))
-        self._gaps = _SqrtList(gaps, spans=True, target=self._block_size)
-        self._free_hz = sum(g[1] - g[0] for g in gaps)
+    def __contains__(self, node_id: int) -> bool:
+        return node_id in self._by_node
 
-    # --- plan queries -----------------------------------------------------
+    def plan_for(self, node_id: int) -> ChannelPlan:
+        """The plan committed for one node."""
+        rec = self._by_node.get(node_id)
+        if rec is None:
+            raise KeyError(f"node {node_id} holds no channel")
+        return rec[2]
 
-    def overlapping_plan_ids(self, low: float, high: float) -> list[int]:
-        """Node IDs of plans overlapping ``(low, high)``, by frequency."""
-        return [int(rec[2]) for rec in self._plans.overlapping(low, high)]
+    @property
+    def plans(self) -> list[ChannelPlan]:
+        """Every committed plan, by frequency."""
+        return [rec[2] for rec in self._plans]
+
+    def committed(self) -> Iterator[ChannelPlan]:
+        """Every committed plan, in commit order."""
+        return (rec[2] for rec in self._by_node.values())
+
+    def overlapping_plans(self, low: float, high: float) -> list[ChannelPlan]:
+        """Plans overlapping ``(low, high)``, by frequency."""
+        return [rec[2] for rec in self._plans.overlapping(low, high)]
+
+    @property
+    def blocked_ranges(self) -> tuple[tuple[float, float], ...]:
+        """Blocked spectrum as sorted, disjoint ``(low, high)`` ranges."""
+        return tuple(zip(self._blk_lows, self._blk_highs))

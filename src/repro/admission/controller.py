@@ -272,65 +272,25 @@ class AdmissionController:
             tel.count("admission.released")
             self._gauges()
 
-    def reallocate(self, node_id: int) -> AdmissionDecision | None:
-        """Move one admitted node off its (interfered) FDM channel.
-
-        The single-node recovery path: first-fit onto clean FDM
-        spectrum, spilling onto the SDM rung when the band has no room.
-        Returns the new decision, or ``None`` when neither rung can take
-        the node — in which case it keeps its old channel (a failed move
-        must never strand a node), mirroring
-        :meth:`FdmAllocator.reallocate`'s restore semantics.
-        SDM-admitted nodes are already off the FDM band and are
-        returned unchanged.
-        """
-        try:
-            state = self._nodes[node_id]
-        except KeyError:
-            raise KeyError(f"node {node_id} is not admitted") from None
-        if state.decision.state == "sdm":
-            return state.decision
-        tel = self.telemetry
-        try:
-            plan = self.allocator.reallocate(node_id)
-        except SpectrumExhausted:
-            decision_or_none = self._try_sdm(node_id, state.bearing_rad)
-            if decision_or_none is None:
-                # FdmAllocator.reallocate already restored the old plan.
-                return None
-            self.allocator.release(node_id)
-            state.decision = decision_or_none
-            if tel.enabled:
-                tel.count("admission.reallocated")
-                tel.count("admission.sdm_spill")
-                self._gauges()
-            return decision_or_none
-        state.decision = AdmissionDecision(node_id=node_id, state="fdm",
-                                           plan=plan, sdm=None)
-        if tel.enabled:
-            tel.count("admission.reallocated")
-            self._gauges()
-        return state.decision
-
     # --- batched interference handling ------------------------------------
 
     def mark_interference(self, low_hz: float,
                           high_hz: float) -> ReadmissionReport:
         """Block a range and re-admit every hit node in one pass.
 
-        The batched discipline: (1) find the victims with an indexed
-        range query, (2) block the range, (3) free **all** victim
-        spectrum, (4) re-admit victims in node-id order through the full
-        ladder.  Freeing everything before re-admitting means the pass
-        is order-independent in what it vacates — a victim can take over
-        another victim's old (still clean) spectrum, which per-node
-        ``reallocate`` loops structurally cannot do.
+        This is the one code path that moves a node off blocked
+        spectrum.  The batched discipline: (1) find the victims with an
+        indexed range query, (2) block the range, (3) free **all**
+        victim spectrum, (4) re-admit victims in node-id order through
+        the full ladder.  Freeing everything before re-admitting means
+        the pass is order-independent in what it vacates — a victim can
+        take over another victim's old (still clean) spectrum, which
+        per-node move loops structurally cannot do.
 
-        Unlike :meth:`FdmAllocator.reallocate`, a victim that no rung
-        can take is **evicted** (its spectrum stays free): under an
-        interferer sweep, keeping nodes parked on jammed spectrum only
-        manufactures collisions.  The eviction shows up in the report
-        and the ``admission.evicted`` counter.
+        A victim that no rung can take is **evicted** (its spectrum
+        stays free): under an interferer sweep, keeping nodes parked on
+        jammed spectrum only manufactures collisions.  The eviction
+        shows up in the report and the ``admission.evicted`` counter.
         """
         victims = [plan.node_id for plan
                    in self.allocator.plans_overlapping(low_hz, high_hz)
@@ -376,9 +336,3 @@ class AdmissionController:
                                  moved=tuple(moved),
                                  spilled_to_sdm=tuple(spilled),
                                  evicted=tuple(evicted))
-
-    def clear_interference(self) -> None:
-        """Forget all blocked ranges (interferers went away)."""
-        self.allocator.clear_blocks()
-        if self.telemetry.enabled:
-            self._gauges()

@@ -33,7 +33,7 @@ from typing import Any
 
 import numpy as np
 
-from ..engine import CampaignResult, ResultStore, ShardExecutor, run_campaign
+from ..engine import Campaign, CampaignResult, ResultStore, ShardExecutor
 from ..network.fdm import FdmAllocator
 from ..telemetry import TelemetryRecorder
 from .controller import AdmissionController
@@ -232,10 +232,10 @@ def run_saturation(config: SaturationConfig | None = None,
     """
     cfg = config if config is not None else default_config()
     trial_fn = partial(saturation_trial, config=cfg)
-    outcome = run_campaign(trial_fn, cfg.num_trials,
-                           master_seed=master_seed,
-                           num_shards=num_shards, executor=executor,
-                           store=store, telemetry=telemetry)
+    outcome = Campaign(trial_fn, cfg.num_trials,
+                       master_seed=master_seed,
+                       num_shards=num_shards, executor=executor,
+                       store=store, telemetry=telemetry).run()
     n_loads = len(cfg.loads)
 
     def per_load(key: str) -> np.ndarray:

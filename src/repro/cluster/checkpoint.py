@@ -1,10 +1,11 @@
 """Crash-safe AP state: versioned, integrity-hashed checkpoints.
 
-Every piece of mmX control-plane state lives in AP memory — node
-registrations, the FDM spectrum map (including interference blocks),
-and the TMA harmonic assignments.  A crash loses all of it and strands
-every registered node (they are feedback-free; they keep transmitting
-into a void).  :class:`ApCheckpoint` makes that state durable:
+Every piece of mmX control-plane state lives in AP memory — the FDM
+spectrum map (channel plans and interference blocks) and each
+registered node's demodulator numerology.  A crash loses all of it and
+strands every registered node (they are feedback-free; they keep
+transmitting into a void).  :class:`ApCheckpoint` makes that state
+durable:
 
 * ``capture`` walks a :class:`repro.node.access_point.MmxAccessPoint`
   into a plain dataclass-of-primitives;
@@ -12,9 +13,13 @@ into a void).  :class:`ApCheckpoint` makes that state durable:
   with a ``schema_version`` and a SHA-256 ``integrity`` hash over the
   canonical serialisation, so a truncated or tampered checkpoint is
   rejected instead of restored;
-* ``restore`` rebuilds an AP whose allocator plans, blocked ranges,
-  registrations and TMA slots are *identical* to the captured one —
-  the property the chaos-failover gate asserts bit-for-bit.
+* ``restore`` rebuilds an AP whose allocator plans, blocked ranges and
+  registrations are *identical* to the captured one — the property the
+  chaos-failover gate asserts bit-for-bit.
+
+Schema 2 stores each channel once, in ``plans``; a registration carries
+only its node ID and numerology and is re-attached to its plan on
+restore.
 """
 
 from __future__ import annotations
@@ -33,13 +38,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["CHECKPOINT_SCHEMA_VERSION", "CheckpointError", "ApCheckpoint"]
 
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 """Bump on any change to the checkpoint layout; ``from_dict`` refuses
-newer (unknown) schemas rather than misreading them."""
+every other schema (older or newer) rather than misreading it."""
 
 
 class CheckpointError(Exception):
-    """Raised when a checkpoint is unreadable, tampered, or too new."""
+    """Raised when a checkpoint is unreadable, tampered, or of another
+    schema."""
 
 
 @dataclass(frozen=True)
@@ -54,16 +60,11 @@ class ApCheckpoint:
     """Every FDM allocation: (node_id, center_hz, bandwidth_hz)."""
 
     blocked: tuple
-    """Interference-blocked spectrum ranges: (low_hz, high_hz)."""
+    """Interference-blocked spectrum, merged: (low_hz, high_hz)."""
 
     registrations: tuple
-    """Per-node admission state: id, rate numerology, channel."""
-
-    tma_assignments: tuple
-    """SDM bookkeeping: (node_id, harmonic_index) pairs."""
-
-    reallocation_failures: int
-    """Carried through restore so stats survive the crash too."""
+    """Per-node numerology: (node_id, bit_rate_bps, sample_rate_hz,
+    fsk_deviation_hz); the node's channel is its entry in ``plans``."""
 
     # --- capture ----------------------------------------------------------
 
@@ -74,13 +75,11 @@ class ApCheckpoint:
         plans = tuple(sorted(
             (p.node_id, p.center_hz, p.bandwidth_hz)
             for p in alloc.plans))
-        registrations = tuple(sorted(
-            (reg.node_id,
-             reg.channel.center_hz, reg.channel.bandwidth_hz,
-             reg.config.bit_rate_bps, reg.config.sample_rate_hz,
-             reg.config.fsk_deviation_hz)
+        registrations = tuple(
+            (reg.node_id, reg.config.bit_rate_bps,
+             reg.config.sample_rate_hz, reg.config.fsk_deviation_hz)
             for reg in (access_point.registration(n)
-                        for n in access_point.registered_nodes)))
+                        for n in access_point.registered_nodes))
         return cls(
             schema_version=CHECKPOINT_SCHEMA_VERSION,
             band={
@@ -91,11 +90,8 @@ class ApCheckpoint:
                 "min_channel_hz": alloc.min_channel_hz,
             },
             plans=plans,
-            blocked=tuple(alloc.blocked_ranges),
+            blocked=alloc.blocked_ranges,
             registrations=registrations,
-            tma_assignments=tuple(sorted(
-                access_point.tma_assignments.items())),
-            reallocation_failures=access_point.reallocation_failures,
         )
 
     # --- serialisation ----------------------------------------------------
@@ -140,9 +136,6 @@ class ApCheckpoint:
                 blocked=tuple(tuple(b) for b in state["blocked"]),
                 registrations=tuple(tuple(r)
                                     for r in state["registrations"]),
-                tma_assignments=tuple(tuple(t)
-                                      for t in state["tma_assignments"]),
-                reallocation_failures=int(state["reallocation_failures"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"malformed checkpoint: {exc}") from exc
@@ -182,8 +175,8 @@ class ApCheckpoint:
         The returned :class:`MmxAccessPoint` reproduces the captured
         spectrum map (plans land via
         :meth:`FdmAllocator.restore_plan`, not a fresh first-fit — so
-        allocation order cannot shift channels), registrations,
-        demodulators, TMA slots, and stats counters.
+        allocation order cannot shift channels), registrations and
+        demodulators.
         """
         from ..node.access_point import MmxAccessPoint
 
@@ -202,18 +195,10 @@ class ApCheckpoint:
                 bandwidth_hz=bandwidth_hz))
         ap = MmxAccessPoint(hardware=hardware, antenna=antenna,
                             allocator=allocator, codec=codec)
-        for (node_id, center_hz, bandwidth_hz,
-             bit_rate_bps, sample_rate_hz, fsk_deviation_hz) in \
-                self.registrations:
+        for (node_id, bit_rate_bps, sample_rate_hz,
+             fsk_deviation_hz) in self.registrations:
             config = AskFskConfig(bit_rate_bps=bit_rate_bps,
                                   sample_rate_hz=sample_rate_hz,
                                   fsk_deviation_hz=fsk_deviation_hz)
-            ap.adopt_registration(int(node_id),
-                                  ChannelPlan(node_id=int(node_id),
-                                              center_hz=center_hz,
-                                              bandwidth_hz=bandwidth_hz),
-                                  config)
-        for node_id, harmonic in self.tma_assignments:
-            ap.assign_tma_slot(int(node_id), int(harmonic))
-        ap.reallocation_failures = self.reallocation_failures
+            ap.adopt_registration(int(node_id), config)
         return ap

@@ -24,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from ..engine import CampaignResult, ResultStore, ShardExecutor, run_campaign
+from ..engine import Campaign, CampaignResult, ResultStore, ShardExecutor
 from ..hardware.power import PowerStateProfile
 from ..phy.preamble import default_preamble_bits
 from ..telemetry import TelemetryRecorder
@@ -288,10 +288,10 @@ def run_compare(config: CompareConfig | None = None,
     """
     cfg = config if config is not None else default_config()
     trial_fn = partial(compare_trial, config=cfg)
-    outcome = run_campaign(trial_fn, cfg.num_trials,
-                           master_seed=master_seed,
-                           num_shards=num_shards, executor=executor,
-                           store=store, telemetry=telemetry)
+    outcome = Campaign(trial_fn, cfg.num_trials,
+                       master_seed=master_seed,
+                       num_shards=num_shards, executor=executor,
+                       store=store, telemetry=telemetry).run()
     n_classes = len(cfg.classes)
 
     def per_class(key: str) -> np.ndarray:

@@ -30,7 +30,7 @@ from typing import Any
 import numpy as np
 
 from ..cluster import Cluster, NodeLivenessTracker
-from ..engine import CampaignResult, ResultStore, ShardExecutor, run_campaign
+from ..engine import Campaign, CampaignResult, ResultStore, ShardExecutor
 from ..faults import EnergyOutageProcess, FaultInjector
 from ..node.access_point import MmxAccessPoint
 from ..resilience import LinkSupervisor
@@ -267,10 +267,10 @@ def run_outage(config: OutageConfig | None = None,
     """
     cfg = config if config is not None else default_config()
     trial_fn = partial(outage_trial, config=cfg)
-    outcome = run_campaign(trial_fn, cfg.num_trials,
-                           master_seed=master_seed,
-                           num_shards=num_shards, executor=executor,
-                           store=store, telemetry=telemetry)
+    outcome = Campaign(trial_fn, cfg.num_trials,
+                       master_seed=master_seed,
+                       num_shards=num_shards, executor=executor,
+                       store=store, telemetry=telemetry).run()
 
     def mean(key: str) -> float:
         return float(outcome.collect(key).mean())

@@ -28,11 +28,11 @@ runs in §9.5).  This package runs them: it turns any
 
 Usage
 -----
->>> from repro.engine import SupervisedPool, run_campaign
+>>> from repro.engine import Campaign, SupervisedPool
 >>> def trial(rng, index):
 ...     return {"x": float(rng.uniform())}
->>> result = run_campaign(trial, num_trials=100, master_seed=7,
-...                       num_shards=8, executor=SupervisedPool(jobs=4))
+>>> result = Campaign(trial, num_trials=100, master_seed=7,
+...                   num_shards=8, executor=SupervisedPool(jobs=4)).run()
 >>> result.summary("x")["mean"]  # doctest: +SKIP
 0.49...
 
@@ -45,7 +45,6 @@ from .campaign import (
     CampaignResult,
     EngineError,
     PartialCampaignResult,
-    run_campaign,
 )
 from .faults import (
     WORKER_FAULT_KINDS,
@@ -105,7 +104,6 @@ __all__ = [
     "WorkerFaultSchedule",
     "corrupt_shard_result",
     "default_job_count",
-    "run_campaign",
     "run_shard",
     "seed_fingerprint",
     "validate_shard_result",

@@ -39,7 +39,7 @@ from .shard import ShardResult, TrialFn, TrialResult, collect, summary
 from .store import ResultStore
 
 __all__ = ["Campaign", "CampaignResult", "EngineError",
-           "PartialCampaignResult", "run_campaign"]
+           "PartialCampaignResult"]
 
 
 class EngineError(Exception):
@@ -254,19 +254,3 @@ class Campaign:
             executed_shards=executed, resumed_shards=resumed,
             quarantined_shards=tuple(sorted(missing)),
             missing_trials=missing_trials)
-
-
-def run_campaign(trial_fn: TrialFn, num_trials: int,
-                 master_seed: int = 0, num_shards: int | None = None,
-                 executor: ShardExecutor | None = None,
-                 store: ResultStore | str | Path | None = None,
-                 telemetry: TelemetryRecorder | None = None,
-                 ) -> CampaignResult:
-    """One-call convenience wrapper around :class:`Campaign`.
-
-    Builds the campaign and runs it; see :class:`Campaign` for the
-    parameter semantics.
-    """
-    return Campaign(trial_fn, num_trials, master_seed=master_seed,
-                    num_shards=num_shards, executor=executor,
-                    store=store, telemetry=telemetry).run()

@@ -11,7 +11,9 @@ registration churn); placement now runs on the interval-indexed
 :class:`repro.admission.book.SpectrumBook`, which keeps the free gaps
 sorted and prunes non-fitting ones in bulk — O(√n)-per-op with C-level
 constants, byte-identical results (proven by the hypothesis equivalence
-suite in ``tests/test_admission.py``).
+suite in ``tests/test_admission.py``).  The book is also the only record
+of the spectrum map: the allocator holds its sizing parameters and reads
+plans and blocked ranges back from the book.
 """
 
 from __future__ import annotations
@@ -88,16 +90,16 @@ class FdmAllocator:
         self.telemetry = telemetry if telemetry is not None \
             else NullRecorder()
         """Sink for the ``fdm.*`` metric family: allocation-churn
-        counters (allocations / releases / reallocations / exhausted /
-        blocked_ranges) and the committed-spectrum gauge.  The allocator
-        never touches the recorder's clock — the driver owns time."""
+        counters (allocations / releases / exhausted / blocked_ranges)
+        and the committed-spectrum gauge.  The allocator never touches
+        the recorder's clock — the driver owns time."""
         # Deferred import: repro.admission.controller imports this
         # module back, so a top-level import would cycle.
         from ..admission.book import SpectrumBook
 
-        self._plans: dict[int, ChannelPlan] = {}
-        self._blocked: list[tuple[float, float]] = []
         self._book: SpectrumBook = SpectrumBook(band_low_hz, band_high_hz)
+        """The spectrum map itself — every plan and blocked range.  The
+        allocator holds only the sizing policy around it."""
 
     @property
     def total_bandwidth_hz(self) -> float:
@@ -108,7 +110,7 @@ class FdmAllocator:
     def allocated_bandwidth_hz(self) -> float:
         """Spectrum currently committed (guards included)."""
         return sum(p.bandwidth_hz * (1.0 + self.guard_fraction)
-                   for p in self._plans.values())
+                   for p in self._book.committed())
 
     def channel_bandwidth_for_rate(self, rate_bps: float) -> float:
         """Provisioned channel width for a demanded bit rate."""
@@ -116,39 +118,27 @@ class FdmAllocator:
             raise ValueError("demanded rate must be positive")
         return max(self.min_channel_hz, rate_bps * self.bandwidth_per_bps)
 
-    def _place(self, node_id: int, width: float) -> ChannelPlan:
-        """First-fit a channel of ``width`` into the free, unblocked band.
-
-        Delegates the gap search to the spectrum book; the returned
-        cursor is bit-identical to the seed's sorted-scan cursor.  The
-        caller must :meth:`SpectrumBook.commit` the plan's extent once
-        the allocation is final.
-        """
-        cursor = self._book.place(width, self.guard_fraction)
-        if cursor is None:
-            raise SpectrumExhausted(
-                f"no room for a {width/1e6:.1f} MHz channel")
-        return ChannelPlan(node_id=node_id, center_hz=cursor + width / 2.0,
-                           bandwidth_hz=width)
-
     def allocate(self, node_id: int, demanded_rate_bps: float) -> ChannelPlan:
         """Assign the lowest free channel that fits the demand.
 
-        Raises :class:`SpectrumExhausted` when the band cannot fit the
-        request — the signal to switch that node to SDM.
+        The gap search runs on the spectrum book; the cursor it returns
+        is bit-identical to the seed's sorted-scan cursor.  Raises
+        :class:`SpectrumExhausted` when the band cannot fit the request
+        — the signal to switch that node to SDM.
         """
-        if node_id in self._plans:
+        if node_id in self._book:
             raise ValueError(f"node {node_id} already holds a channel")
         width = self.channel_bandwidth_for_rate(demanded_rate_bps)
         tel = self.telemetry
-        try:
-            plan = self._place(node_id, width)
-        except SpectrumExhausted:
+        cursor = self._book.place(width, self.guard_fraction)
+        if cursor is None:
             if tel.enabled:
                 tel.count("fdm.exhausted")
-            raise
-        self._book.commit(node_id, plan.low_hz, plan.high_hz)
-        self._plans[node_id] = plan
+            raise SpectrumExhausted(
+                f"no room for a {width/1e6:.1f} MHz channel")
+        plan = ChannelPlan(node_id=node_id, center_hz=cursor + width / 2.0,
+                           bandwidth_hz=width)
+        self._book.commit(plan)
         if tel.enabled:
             tel.count("fdm.allocations")
             tel.gauge("fdm.allocated_bandwidth_hz",
@@ -160,82 +150,50 @@ class FdmAllocator:
     def block_range(self, low_hz: float, high_hz: float) -> None:
         """Mark a spectrum range as unusable (a detected interferer).
 
-        Blocked ranges are skipped by :meth:`allocate` and
-        :meth:`reallocate`; existing allocations are not evicted — move
-        a hit node explicitly with :meth:`reallocate`.
+        Blocked ranges are skipped by :meth:`allocate`; existing
+        allocations stay where they are —
+        :meth:`~repro.admission.AdmissionController.mark_interference`
+        is the one path that moves the nodes a block hits.
         """
         if high_hz <= low_hz:
             raise ValueError("invalid blocked range")
-        self._blocked.append((float(low_hz), float(high_hz)))
         self._book.block(float(low_hz), float(high_hz))
         if self.telemetry.enabled:
             self.telemetry.count("fdm.blocked_ranges")
 
-    def clear_blocks(self) -> None:
-        """Forget all blocked ranges (the interferer went away)."""
-        self._blocked = []
-        self._book.clear_blocks()
-
     @property
     def blocked_ranges(self) -> tuple[tuple[float, float], ...]:
-        """Currently blocked spectrum ranges, sorted."""
-        return tuple(sorted(self._blocked))
-
-    def reallocate(self, node_id: int) -> ChannelPlan:
-        """Move a node to fresh spectrum, preserving its bandwidth.
-
-        Intended to follow :meth:`block_range` once an interferer is
-        localised: first-fit then lands the node on the lowest clean
-        slot.  On :class:`SpectrumExhausted` the old plan is restored —
-        a failed move must not strand the node without any channel.
-        """
-        old = self.plan_for(node_id)
-        del self._plans[node_id]
-        self._book.release(node_id, old.low_hz, old.high_hz)
-        tel = self.telemetry
-        try:
-            plan = self._place(node_id, old.bandwidth_hz)
-        except SpectrumExhausted:
-            self._book.commit(node_id, old.low_hz, old.high_hz)
-            self._plans[node_id] = old
-            if tel.enabled:
-                tel.count("fdm.exhausted")
-            raise
-        self._book.commit(node_id, plan.low_hz, plan.high_hz)
-        self._plans[node_id] = plan
-        if tel.enabled:
-            tel.count("fdm.reallocations")
-            tel.event("fdm.reallocation", node_id=node_id,
-                      from_hz=old.center_hz, to_hz=plan.center_hz)
-        return plan
+        """Blocked spectrum, merged into sorted disjoint ranges."""
+        return self._book.blocked_ranges
 
     def restore_plan(self, plan: ChannelPlan) -> None:
         """Re-install an exact channel plan (checkpoint restore path).
 
         Unlike :meth:`allocate`, no placement search runs: the plan is
         inserted verbatim so a restored AP reproduces its pre-crash
-        spectrum map bit-for-bit.  Rejects duplicates and overlaps with
-        existing plans — a corrupt checkpoint must not silently build
-        an inconsistent spectrum map.
+        spectrum map bit-for-bit.  Rejects duplicates, plans outside
+        the band and overlaps with existing plans — a corrupt
+        checkpoint must not silently build an inconsistent spectrum
+        map.  Both checks allow the rounding of ``center ± width / 2``
+        (:meth:`SpectrumBook.edge_tolerance`): a first-fit plan's edges
+        can land an ulp past the band edge or into its neighbour.
         """
-        if plan.node_id in self._plans:
+        if plan.node_id in self._book:
             raise ValueError(f"node {plan.node_id} already holds a channel")
-        if plan.low_hz < self.band_low_hz or plan.high_hz > self.band_high_hz:
+        tol = self._book.edge_tolerance(plan.bandwidth_hz)
+        low, high = plan.low_hz, plan.high_hz
+        if low < self.band_low_hz - tol or high > self.band_high_hz + tol:
             raise ValueError("restored plan falls outside the managed band")
-        hit = self._book.overlapping_plan_ids(plan.low_hz, plan.high_hz)
+        hit = self._book.overlapping_plans(low + tol, high - tol)
         if hit:
             raise ValueError(
                 f"restored plan for node {plan.node_id} overlaps "
-                f"node {hit[0]}")
-        self._book.commit(plan.node_id, plan.low_hz, plan.high_hz)
-        self._plans[plan.node_id] = plan
+                f"node {hit[0].node_id}")
+        self._book.commit(plan)
 
     def release(self, node_id: int) -> None:
         """Return a node's channel to the pool."""
-        if node_id not in self._plans:
-            raise KeyError(f"node {node_id} holds no channel")
-        old = self._plans.pop(node_id)
-        self._book.release(node_id, old.low_hz, old.high_hz)
+        self._book.release(node_id)
         if self.telemetry.enabled:
             self.telemetry.count("fdm.releases")
             self.telemetry.gauge("fdm.allocated_bandwidth_hz",
@@ -243,15 +201,12 @@ class FdmAllocator:
 
     def plan_for(self, node_id: int) -> ChannelPlan:
         """Look up a node's channel."""
-        try:
-            return self._plans[node_id]
-        except KeyError:
-            raise KeyError(f"node {node_id} holds no channel") from None
+        return self._book.plan_for(node_id)
 
     @property
     def plans(self) -> list[ChannelPlan]:
         """All current allocations, sorted by center frequency."""
-        return sorted(self._plans.values(), key=lambda p: p.center_hz)
+        return self._book.plans
 
     # --- indexed queries (admission-control fast paths) -------------------
 
@@ -260,14 +215,12 @@ class FdmAllocator:
         """Plans overlapping ``(low_hz, high_hz)``, by frequency.
 
         An indexed range query — O(√n + hits) instead of a scan over
-        every registration — used by
-        :meth:`repro.node.access_point.MmxAccessPoint.mark_interference`
-        and the :class:`repro.admission.AdmissionController` batched
+        every plan — used by the
+        :class:`repro.admission.AdmissionController` batched
         re-admission pass.  Overlap is the same strict-inequality
         predicate as :meth:`ChannelPlan.overlaps`.
         """
-        return [self._plans[node_id] for node_id
-                in self._book.overlapping_plan_ids(low_hz, high_hz)]
+        return self._book.overlapping_plans(low_hz, high_hz)
 
     @property
     def free_bandwidth_hz(self) -> float:

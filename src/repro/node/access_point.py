@@ -5,6 +5,10 @@ Fig. 3(b) plus the network-side duties of section 4: during
 rate demand (over a WiFi/Bluetooth side link — here a direct method
 call); during *transmission* it demodulates each node's capture with the
 joint ASK-FSK decoder.
+
+The AP keeps one demodulator per registered node and nothing else per
+node: a node's channel lives in the allocator's spectrum book, and a
+:class:`NodeRegistration` is assembled from the two on demand.
 """
 
 from __future__ import annotations
@@ -52,10 +56,7 @@ class MmxAccessPoint:
         """Optional :class:`repro.energy.CarrierScheduler` — the AP's
         illumination-airtime budget for passive backscatter tags."""
         self.codec = codec or PacketCodec()
-        self._registrations: dict[int, NodeRegistration] = {}
         self._demodulators: dict[int, JointDemodulator] = {}
-        self._tma_assignments: dict[int, int] = {}
-        self.reallocation_failures = 0
 
     # --- initialization phase --------------------------------------------------
 
@@ -68,18 +69,16 @@ class MmxAccessPoint:
         :class:`~repro.network.fdm.SpectrumExhausted`, so cluster
         failover can walk on to the next AP in its preference order.
         """
-        if node_id in self._registrations:
+        if node_id in self._demodulators:
             raise ValueError(f"node {node_id} is already registered")
         channel = self.allocator.allocate(node_id, demanded_rate_bps)
         if config is None:
             config = AskFskConfig(
                 bit_rate_bps=demanded_rate_bps,
                 sample_rate_hz=8 * demanded_rate_bps)
-        registration = NodeRegistration(node_id=node_id, channel=channel,
-                                        config=config)
-        self._registrations[node_id] = registration
         self._demodulators[node_id] = JointDemodulator(config)
-        return registration
+        return NodeRegistration(node_id=node_id, channel=channel,
+                                config=config)
 
     def register_backscatter_node(self, node_id: int,
                                   illumination_duty: float,
@@ -104,7 +103,7 @@ class MmxAccessPoint:
         if self.carrier is None:
             raise ValueError("backscatter registration needs a "
                              "CarrierScheduler on the AP")
-        if node_id in self._registrations:
+        if node_id in self._demodulators:
             raise ValueError(f"node {node_id} is already registered")
         tag = spec if spec is not None else node_class(BACKSCATTER_CLASS)
         if tag.modulation != "backscatter-ask":
@@ -119,43 +118,31 @@ class MmxAccessPoint:
             from ..energy.backscatter import backscatter_config
 
             config = backscatter_config(tag.bitrate_bps)
-        registration = NodeRegistration(node_id=node_id, channel=channel,
-                                        config=config)
-        self._registrations[node_id] = registration
         self._demodulators[node_id] = JointDemodulator(config)
-        return registration
+        return NodeRegistration(node_id=node_id, channel=channel,
+                                config=config)
 
-    def adopt_registration(self, node_id: int, channel: ChannelPlan,
+    def adopt_registration(self, node_id: int,
                            config: AskFskConfig) -> NodeRegistration:
-        """Install a registration whose channel the allocator already holds.
+        """Register a node on the channel the allocator already holds.
 
         The checkpoint-restore path: :meth:`register_node` would run a
         fresh first-fit and could land the node on a *different*
-        channel; adoption re-attaches the exact pre-crash plan (which
-        must already be present via
-        :meth:`repro.network.fdm.FdmAllocator.restore_plan`).
+        channel; adoption attaches a demodulator to the exact pre-crash
+        plan, which must already be present via
+        :meth:`repro.network.fdm.FdmAllocator.restore_plan`.
         """
-        if node_id in self._registrations:
+        if node_id in self._demodulators:
             raise ValueError(f"node {node_id} is already registered")
-        held = self.allocator.plan_for(node_id)
-        if (held.center_hz != channel.center_hz
-                or held.bandwidth_hz != channel.bandwidth_hz):
-            raise ValueError(
-                f"node {node_id}: adopted channel disagrees with the "
-                f"allocator's plan")
-        registration = NodeRegistration(node_id=node_id, channel=channel,
-                                        config=config)
-        self._registrations[node_id] = registration
+        channel = self.allocator.plan_for(node_id)
         self._demodulators[node_id] = JointDemodulator(config)
-        return registration
+        return NodeRegistration(node_id=node_id, channel=channel,
+                                config=config)
 
     def deregister_node(self, node_id: int) -> None:
-        """Release a node's channel (and any TMA slot it held)."""
-        reg = self._registrations.pop(node_id, None)
-        if reg is None:
+        """Release a node's channel."""
+        if self._demodulators.pop(node_id, None) is None:
             raise KeyError(f"node {node_id} is not registered")
-        self._demodulators.pop(node_id, None)
-        self._tma_assignments.pop(node_id, None)
         self.allocator.release(node_id)
         # A tag also holds a carrier grant the allocator knows nothing
         # about.
@@ -163,95 +150,21 @@ class MmxAccessPoint:
             self.carrier.release(node_id)
 
     def registration(self, node_id: int) -> NodeRegistration:
-        """Look up a node's registration."""
-        try:
-            return self._registrations[node_id]
-        except KeyError:
-            raise KeyError(f"node {node_id} is not registered") from None
+        """Look up a node's registration: its allocator plan and its
+        demodulator's numerology."""
+        demod = self._demodulators.get(node_id)
+        if demod is None:
+            raise KeyError(f"node {node_id} is not registered")
+        return NodeRegistration(node_id=node_id,
+                                channel=self.allocator.plan_for(node_id),
+                                config=demod.config)
 
     @property
     def registered_nodes(self) -> list[int]:
         """IDs of all admitted nodes."""
-        return sorted(self._registrations)
+        return sorted(self._demodulators)
 
     # --- resilience hooks ------------------------------------------------------
-
-    def mark_interference(self, low_hz: float, high_hz: float) -> list[int]:
-        """Record an in-band interferer; returns the node IDs it hits.
-
-        The spectrum range is blocked in the allocator so future
-        allocations avoid it; nodes whose channels overlap it are
-        returned so the caller (typically a
-        :class:`repro.resilience.LinkSupervisor`) can decide to
-        :meth:`reallocate_node` them.
-        """
-        self.allocator.block_range(low_hz, high_hz)
-        probe = ChannelPlan(node_id=-1, center_hz=(low_hz + high_hz) / 2.0,
-                            bandwidth_hz=high_hz - low_hz)
-        # Indexed range query instead of a scan over every
-        # registration; same strict-overlap predicate, same result.
-        return sorted(plan.node_id for plan
-                      in self.allocator.plans_overlapping(probe.low_hz,
-                                                          probe.high_hz)
-                      if plan.node_id in self._registrations)
-
-    def reallocate_node(self, node_id: int) -> NodeRegistration | None:
-        """Move a node's FDM channel away from blocked spectrum.
-
-        Preserves the node's bandwidth and demodulator (including any
-        attached health monitor); only the channel plan changes.
-
-        Degrades gracefully when the allocator has no clean channel
-        left: the node keeps its old (interfered) registration, the
-        failure is counted in :attr:`reallocation_failures` (surfaced
-        by :meth:`stats`), and ``None`` is returned — a congested band
-        must never strand a node without *any* channel, nor crash the
-        supervisor that asked for the move.
-        """
-        reg = self.registration(node_id)
-        try:
-            channel = self.allocator.reallocate(node_id)
-        except SpectrumExhausted:
-            self.reallocation_failures += 1
-            return None
-        updated = NodeRegistration(node_id=node_id, channel=channel,
-                                   config=reg.config)
-        self._registrations[node_id] = updated
-        return updated
-
-    # --- SDM / TMA bookkeeping -------------------------------------------------
-
-    def assign_tma_slot(self, node_id: int, harmonic_index: int) -> None:
-        """Record which TMA harmonic a (SDM-sharing) node is hashed to.
-
-        The assignment is part of the AP's control-plane state — it
-        must survive a crash/restore cycle along with the FDM map, which
-        is why :mod:`repro.cluster.checkpoint` serialises it.
-        """
-        if node_id not in self._registrations:
-            raise KeyError(f"node {node_id} is not registered")
-        if harmonic_index < 0:
-            raise ValueError("harmonic index cannot be negative")
-        self._tma_assignments[node_id] = int(harmonic_index)
-
-    @property
-    def tma_assignments(self) -> dict[int, int]:
-        """Node -> TMA harmonic index for every SDM-sharing node."""
-        return dict(self._tma_assignments)
-
-    def stats(self) -> dict:
-        """Control-plane health counters for operators and chaos gates."""
-        stats = {
-            "registered_nodes": len(self._registrations),
-            "tma_assignments": len(self._tma_assignments),
-            "reallocation_failures": self.reallocation_failures,
-            "allocated_bandwidth_hz": self.allocator.allocated_bandwidth_hz,
-            "blocked_ranges": len(self.allocator.blocked_ranges),
-        }
-        if self.carrier is not None:
-            stats["carrier_grants"] = len(self.carrier)
-            stats["carrier_utilization"] = self.carrier.utilization
-        return stats
 
     def attach_health_monitor(self, node_id: int, monitor) -> None:
         """Attach a :class:`repro.resilience.LinkHealthMonitor` to one

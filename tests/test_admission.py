@@ -6,7 +6,7 @@ The load-bearing claims:
 * the interval-indexed :class:`SpectrumBook` places channels
   **byte-identically** to the seed first-fit scan (proven here against
   a verbatim reference implementation, under hypothesis-driven op
-  sequences of allocates / releases / reallocates / blocks);
+  sequences of allocates / releases / blocks);
 * occupancy accounting never drifts: the book's incremental ``free_hz``
   always equals the brute-force complement of the live plans + blocks;
 * the SDM packer never admits a harmonic collision (the exact
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -85,8 +84,7 @@ def _free_complement(low: float, high: float,
 # produce exhaustion, gap reuse, out-of-band blocks and ulp-hostile
 # widths.
 _OPS = st.lists(
-    st.tuples(st.sampled_from(["alloc", "release", "realloc", "block",
-                               "clear"]),
+    st.tuples(st.sampled_from(["alloc", "release", "block"]),
               st.floats(min_value=0.0, max_value=1.0,
                         allow_nan=False, allow_infinity=False),
               st.floats(min_value=0.0, max_value=1.0,
@@ -136,30 +134,11 @@ class TestBookMatchesSeedFirstFit:
                 victim = live.pop(int(u * len(live)) % len(live))
                 alloc.release(victim)
                 del ref.plans[victim]
-            elif kind == "realloc" and live:
-                victim = live[int(u * len(live)) % len(live)]
-                width = ref.plans[victim].bandwidth_hz
-                del ref.plans[victim]
-                expected = ref.place(width)
-                try:
-                    got = alloc.reallocate(victim).low_hz
-                except SpectrumExhausted:
-                    got = None
-                if expected is None:
-                    assert got is None  # old plan restored in place
-                else:
-                    probe = ChannelPlan(node_id=0, bandwidth_hz=width,
-                                        center_hz=expected + width / 2.0)
-                    assert got == probe.low_hz
-                ref.plans[victim] = alloc.plan_for(victim)
             elif kind == "block":
                 a = low - span * 0.3 + u * span * 1.6
                 b = a + span * (1e-6 + v * 0.4)
                 alloc.block_range(a, b)
                 ref.blocked.append((float(a), float(b)))
-            elif kind == "clear":
-                alloc.clear_blocks()
-                ref.blocked = []
             # Occupancy accounting must never drift from brute force.
             occupied = ([(p.low_hz, p.high_hz)
                          for p in ref.plans.values()] + ref.blocked)
@@ -173,36 +152,53 @@ class TestSpectrumBook:
         book = SpectrumBook(0.0, 100.0)
         at = book.place(10.0, 0.0)
         assert at == 0.0
-        book.commit(1, 0.0, 10.0)
+        book.commit(ChannelPlan(1, 5.0, 10.0))
         assert book.place(10.0, 0.0) == 10.0
-        book.release(1, 0.0, 10.0)
+        book.release(1)
         assert book.place(10.0, 0.0) == 0.0
         assert book.free_hz == pytest.approx(100.0)
+
+    def test_release_finds_the_extent_by_node_id(self):
+        book = SpectrumBook(0.0, 100.0)
+        plan = ChannelPlan(7, 25.0, 10.0)
+        book.commit(plan)
+        book.commit(ChannelPlan(8, 45.0, 10.0))
+        assert book.plan_for(7) is plan
+        assert 7 in book and 9 not in book
+        book.release(7)
+        assert 7 not in book
+        assert [p.node_id for p in book.plans] == [8]
+        assert book.free_hz == pytest.approx(90.0)
+        with pytest.raises(KeyError):
+            book.release(7)
+        with pytest.raises(KeyError):
+            book.plan_for(7)
 
     def test_too_wide_returns_none(self):
         book = SpectrumBook(0.0, 100.0)
         assert book.place(100.5, 0.0) is None
 
-    def test_blocks_merge_and_clear(self):
+    def test_blocks_merge(self):
         book = SpectrumBook(0.0, 100.0)
         book.block(10.0, 30.0)
         book.block(20.0, 40.0)  # overlapping: merges
-        assert book.free_hz == pytest.approx(70.0)
-        assert book.place(50.0, 0.0) == 40.0
-        book.clear_blocks()
-        assert book.free_hz == pytest.approx(100.0)
-        assert book.place(50.0, 0.0) == 0.0
+        book.block(60.0, 70.0)
+        book.block(70.0, 75.0)  # touching: merges
+        assert book.blocked_ranges == ((10.0, 40.0), (60.0, 75.0))
+        assert book.free_hz == pytest.approx(55.0)
+        assert book.place(20.0, 0.0) == 40.0
 
     def test_overlapping_plan_ids(self):
         book = SpectrumBook(0.0, 100.0)
-        book.commit(1, 0.0, 10.0)
-        book.commit(2, 20.0, 30.0)
-        assert book.overlapping_plan_ids(5.0, 25.0) == [1, 2]
-        assert book.overlapping_plan_ids(10.0, 20.0) == []
+        book.commit(ChannelPlan(1, 5.0, 10.0))
+        book.commit(ChannelPlan(2, 25.0, 10.0))
+        assert [p.node_id for p in book.overlapping_plans(5.0, 25.0)] \
+            == [1, 2]
+        assert book.overlapping_plans(10.0, 20.0) == []
 
     def test_largest_gap_tracks_fragmentation(self):
         book = SpectrumBook(0.0, 100.0)
-        book.commit(1, 40.0, 50.0)
+        book.commit(ChannelPlan(1, 45.0, 10.0))
         assert book.largest_gap_hz == pytest.approx(50.0)
         assert book.free_hz == pytest.approx(90.0)
 
@@ -369,14 +365,6 @@ class TestBatchedReadmission:
         assert report.evicted == (1,)
         assert ctrl.decision_for(0).state == "sdm"
         assert 1 not in ctrl
-
-    def test_clear_interference_restores_fdm_room(self):
-        ctrl = self._tiny()
-        ctrl.admit(0, 10.0)
-        ctrl.mark_interference(50.0, 100.0)
-        assert ctrl.admit(1, 60.0).state == "blocked"
-        ctrl.clear_interference()
-        assert ctrl.admit(2, 60.0).state == "fdm"
 
     def test_interference_telemetry(self):
         tel = Recorder()

@@ -1,5 +1,7 @@
 """Tests for checkpointing, heartbeat detection, and multi-AP failover."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,32 +14,78 @@ from repro.cluster import (
     FailoverSimulation,
     HeartbeatMonitor,
 )
-from repro.network.fdm import SpectrumExhausted
+from repro.cluster.checkpoint import _digest
+from repro.constants import ISM_24GHZ_HIGH_HZ, ISM_24GHZ_LOW_HZ
+from repro.network.fdm import FdmAllocator, SpectrumExhausted
 from repro.node.access_point import MmxAccessPoint
 
 
-def _populated_ap(rates, blocks=(), tma=()):
+def _populated_ap(rates, blocks=()):
     ap = MmxAccessPoint()
     for node_id, rate in enumerate(rates):
         ap.register_node(node_id, rate)
     for low, high in blocks:
         ap.allocator.block_range(low, high)
-    for node_id, harmonic in tma:
-        ap.assign_tma_slot(node_id, harmonic)
     return ap
+
+
+_UNIT = st.floats(min_value=0.0, max_value=1.0,
+                  allow_nan=False, allow_infinity=False)
 
 
 class TestCheckpoint:
     def test_round_trip_exact(self):
         ap = _populated_ap([1e6, 2e6, 4e6],
-                           blocks=[(24.2e9, 24.21e9)],
-                           tma=[(1, 2)])
+                           blocks=[(24.2e9, 24.21e9)])
         snapshot = ApCheckpoint.capture(ap)
         restored = snapshot.restore()
         assert ApCheckpoint.capture(restored) == snapshot
         assert restored.registered_nodes == ap.registered_nodes
         assert restored.allocator.plans == ap.allocator.plans
-        assert restored.tma_assignments == ap.tma_assignments
+
+    def test_each_channel_stored_once(self):
+        snapshot = ApCheckpoint.capture(_populated_ap([1e6, 2e6]))
+        data = snapshot.to_dict()
+        # Registrations carry node id + numerology; the channel lives
+        # only in ``plans``.
+        assert [r[0] for r in data["registrations"]] == [0, 1]
+        assert all(len(r) == 4 for r in data["registrations"])
+        text = json.dumps(data)
+        for _, center_hz, _ in data["plans"]:
+            assert text.count(json.dumps(center_hz)) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(ops=st.lists(st.tuples(
+               st.sampled_from(["alloc", "release", "block"]),
+               _UNIT, _UNIT), min_size=1, max_size=40),
+           band=st.sampled_from([(0.0, 100.0), (24.0e9, 24.0e9 + 1000.0),
+                                 (-50.0, -36.3), (7.3, 21.0),
+                                 (ISM_24GHZ_LOW_HZ, ISM_24GHZ_HIGH_HZ)]),
+           guard=st.sampled_from([0.0, 0.25, 1.0, 0.017]))
+    def test_restore_accepts_every_first_fit_state(self, ops, band, guard):
+        """capture(restore(ck)) == ck for any state the allocator built,
+        edge rounding included."""
+        low, high = band
+        span = high - low
+        alloc = FdmAllocator(band_low_hz=low, band_high_hz=high,
+                             bandwidth_per_bps=1.0, guard_fraction=guard,
+                             min_channel_hz=1e-9)
+        ap = MmxAccessPoint(allocator=alloc)
+        live: list[int] = []
+        for node_id, (kind, u, v) in enumerate(ops):
+            if kind == "alloc":
+                try:
+                    alloc.allocate(node_id, span * (1e-6 + u / 3.0))
+                    live.append(node_id)
+                except SpectrumExhausted:
+                    pass
+            elif kind == "release" and live:
+                alloc.release(live.pop(int(u * len(live)) % len(live)))
+            elif kind == "block":
+                a = low - span * 0.3 + u * span * 1.6
+                alloc.block_range(a, a + span * (1e-6 + v * 0.4))
+            snapshot = ApCheckpoint.capture(ap)
+            assert ApCheckpoint.capture(snapshot.restore()) == snapshot
 
     @settings(max_examples=25, deadline=None)
     @given(rates=st.lists(
@@ -64,7 +112,7 @@ class TestCheckpoint:
     def test_tampered_payload_rejected(self):
         snapshot = ApCheckpoint.capture(_populated_ap([1e6]))
         data = snapshot.to_dict()
-        data["reallocation_failures"] = 99
+        data["plans"][0][1] += 1.0
         with pytest.raises(CheckpointError):
             ApCheckpoint.from_dict(data)
 
@@ -78,9 +126,27 @@ class TestCheckpoint:
         snapshot = ApCheckpoint.capture(_populated_ap([1e6]))
         data = snapshot._state_dict()
         data["schema_version"] = 999
-        from repro.cluster.checkpoint import _digest
         data["integrity"] = _digest(data)
         with pytest.raises(CheckpointError):
+            ApCheckpoint.from_dict(data)
+
+    def test_schema_1_rejected(self):
+        """The schema-1 layout (each channel stored twice, TMA slots,
+        reallocation counter) is refused, not misread."""
+        data = {
+            "schema_version": 1,
+            "band": {"band_low_hz": ISM_24GHZ_LOW_HZ,
+                     "band_high_hz": ISM_24GHZ_HIGH_HZ,
+                     "bandwidth_per_bps": 2.0, "guard_fraction": 0.25,
+                     "min_channel_hz": 1e6},
+            "plans": [[0, 24.001e9, 2e6]],
+            "blocked": [],
+            "registrations": [[0, 24.001e9, 2e6, 1e6, 8e6, 250e3]],
+            "tma_assignments": [],
+            "reallocation_failures": 0,
+        }
+        data["integrity"] = _digest(data)
+        with pytest.raises(CheckpointError, match="schema 1"):
             ApCheckpoint.from_dict(data)
 
     def test_garbage_json_rejected(self):
@@ -92,6 +158,41 @@ class TestCheckpoint:
         path = tmp_path / "ap.ckpt"
         snapshot.save(path)
         assert ApCheckpoint.load(path) == snapshot
+
+
+class TestSingleSpectrumRecord:
+    """The allocator's book is the AP's only record of its channels."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=st.lists(st.tuples(
+        st.sampled_from(["register", "deregister", "block"]),
+        _UNIT, _UNIT), min_size=1, max_size=40))
+    def test_ap_state_is_read_from_the_book(self, ops):
+        ap = MmxAccessPoint()
+        alloc = ap.allocator
+        span = alloc.total_bandwidth_hz
+        for node_id, (kind, u, v) in enumerate(ops):
+            if kind == "register":
+                try:
+                    ap.register_node(node_id, 1e5 + u * 20e6)
+                except SpectrumExhausted:
+                    pass
+            elif kind == "deregister" and ap.registered_nodes:
+                nodes = ap.registered_nodes
+                ap.deregister_node(nodes[int(u * len(nodes)) % len(nodes)])
+            elif kind == "block":
+                # Wide, often overlapping ranges, some past the band.
+                low = alloc.band_low_hz - 0.1 * span + u * 1.1 * span
+                alloc.block_range(low, low + span * (1e-3 + 0.3 * v))
+            for n in ap.registered_nodes:
+                assert ap.registration(n).channel is alloc.plan_for(n)
+            assert ap.registered_nodes == sorted(
+                p.node_id for p in alloc.plans)
+            blocked = alloc.blocked_ranges
+            assert all(lo < hi for lo, hi in blocked)
+            assert all(a[1] < b[0] for a, b in zip(blocked, blocked[1:]))
+            snapshot = ApCheckpoint.capture(ap)
+            assert ApCheckpoint.capture(snapshot.restore()) == snapshot
 
 
 class TestHeartbeat:

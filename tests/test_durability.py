@@ -32,7 +32,7 @@ from repro.durability import (
     seal,
     verify_sealed,
 )
-from repro.engine import CampaignPlan, run_campaign
+from repro.engine import Campaign, CampaignPlan
 from repro.engine.store import ResultStore
 
 
@@ -43,8 +43,8 @@ def trial(seed: int, index: int) -> dict:
 def make_journal(path, faulty=None, num_trials=6, num_shards=3):
     """A small real campaign journal (optionally via a faulty backend)."""
     store = ResultStore(path, fs=faulty)
-    run_campaign(trial, num_trials, master_seed=11,
-                 num_shards=num_shards, store=store)
+    Campaign(trial, num_trials, master_seed=11,
+             num_shards=num_shards, store=store).run()
     return store
 
 
@@ -317,8 +317,8 @@ class TestFsck:
         assert fsck_path(path).exit_code == 0
         # The salvaged journal resumes: only the damaged shard re-runs.
         store = ResultStore(path)
-        result = run_campaign(trial, 6, master_seed=11, num_shards=3,
-                              store=store)
+        result = Campaign(trial, 6, master_seed=11, num_shards=3,
+                          store=store).run()
         assert result.num_trials == 6
 
     def test_headerless_journal_is_fatal(self, tmp_path):
@@ -402,7 +402,7 @@ class TestStoreIntegration:
             self, tmp_path):
         """The headline guarantee, in miniature (the full sweep is the
         ``benchmarks/test_engine_crashpoints.py`` gate)."""
-        clean = run_campaign(trial, 6, master_seed=11, num_shards=3)
+        clean = Campaign(trial, 6, master_seed=11, num_shards=3).run()
         probe = FaultyFs()
         make_journal(tmp_path / "probe.jsonl", faulty=probe)
         for crash_op in range(1, probe.op_count + 1):
@@ -416,9 +416,9 @@ class TestStoreIntegration:
                 fsck_path(path, repair=True)
             resumed = make_journal(path)  # fresh backend = rebooted
             del resumed
-            result = run_campaign(trial, 6, master_seed=11,
-                                  num_shards=3,
-                                  store=ResultStore(path))
+            result = Campaign(trial, 6, master_seed=11,
+                              num_shards=3,
+                              store=ResultStore(path)).run()
             assert result.results == clean.results, \
                 f"divergence after crash at op {crash_op}"
 

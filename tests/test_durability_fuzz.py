@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.durability import fsck_path, scan_journal_text
-from repro.engine import CampaignPlan, run_campaign
+from repro.engine import Campaign, CampaignPlan
 from repro.engine.store import ResultStore, StoreError
 
 MASTER_SEED = 23
@@ -39,8 +39,8 @@ def corpus(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz-corpus")
     path = root / "clean.jsonl"
     store = ResultStore(path)
-    clean = run_campaign(trial, NUM_TRIALS, master_seed=MASTER_SEED,
-                         num_shards=NUM_SHARDS, store=store)
+    clean = Campaign(trial, NUM_TRIALS, master_seed=MASTER_SEED,
+                     num_shards=NUM_SHARDS, store=store).run()
     v2 = path.read_bytes()
     # A v1 journal is the same layout with the old header version and
     # shard records only (which this journal already is).
@@ -115,10 +115,10 @@ class TestJournalFuzz:
             "repair did not converge to a clean journal"
         assert_no_wrong_merge(path, corpus)
         try:
-            resumed = run_campaign(trial, NUM_TRIALS,
-                                   master_seed=MASTER_SEED,
-                                   num_shards=NUM_SHARDS,
-                                   store=ResultStore(path))
+            resumed = Campaign(trial, NUM_TRIALS,
+                               master_seed=MASTER_SEED,
+                               num_shards=NUM_SHARDS,
+                               store=ResultStore(path)).run()
         except StoreError:
             # Damage landed in the (unhashed) header — e.g. inside the
             # fingerprint — so the journal reads as a *different*

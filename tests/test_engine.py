@@ -32,7 +32,6 @@ from repro.engine import (
     StoreError,
     SupervisedPool,
     SupervisionPolicy,
-    run_campaign,
     run_shard,
 )
 from repro.sim.runner import MonteCarloRunner
@@ -140,19 +139,19 @@ class TestCampaignDeterminism:
     def test_matches_plain_runner_exactly(self):
         serial = MonteCarloRunner(11).run(uniform_trial, 12)
         for shards in (1, 4, 12):
-            outcome = run_campaign(uniform_trial, 12, master_seed=11,
-                                   num_shards=shards)
+            outcome = Campaign(uniform_trial, 12, master_seed=11,
+                               num_shards=shards).run()
             assert [r.values for r in outcome.results] \
                 == [r.values for r in serial]
             assert [r.seed for r in outcome.results] \
                 == [r.seed for r in serial]
 
     def test_supervised_pool_matches_serial(self):
-        reference = run_campaign(uniform_trial, 10, master_seed=2,
-                                 num_shards=4)
-        pooled = run_campaign(uniform_trial, 10, master_seed=2,
-                              num_shards=4,
-                              executor=SupervisedPool(jobs=2))
+        reference = Campaign(uniform_trial, 10, master_seed=2,
+                             num_shards=4).run()
+        pooled = Campaign(uniform_trial, 10, master_seed=2,
+                          num_shards=4,
+                          executor=SupervisedPool(jobs=2)).run()
         assert [r.values for r in pooled.results] \
             == [r.values for r in reference.results]
 
@@ -168,23 +167,23 @@ class TestCampaignDeterminism:
         streamed = list(MonteCarloRunner(5, telemetry=tel_serial)
                         .run_stream(uniform_trial, 8))
         tel_campaign = Recorder()
-        outcome = run_campaign(uniform_trial, 8, master_seed=5,
-                               num_shards=shards, executor=executor(),
-                               telemetry=tel_campaign)
+        outcome = Campaign(uniform_trial, 8, master_seed=5,
+                           num_shards=shards, executor=executor(),
+                           telemetry=tel_campaign).run()
         assert [(r.index, r.seed, r.values) for r in outcome.results] \
             == [(r.index, r.seed, r.values) for r in streamed]
         assert to_jsonl(tel_campaign) == to_jsonl(tel_serial)
 
     def test_collect_and_summary(self):
-        outcome = run_campaign(uniform_trial, 6, master_seed=1,
-                               num_shards=2)
+        outcome = Campaign(uniform_trial, 6, master_seed=1,
+                           num_shards=2).run()
         xs = outcome.collect("x")
         assert xs.shape == (6,)
         assert outcome.summary("x")["mean"] == pytest.approx(xs.mean())
         assert outcome.num_trials == 6
 
     def test_collect_planned_puts_trials_at_their_index(self):
-        full = run_campaign(uniform_trial, 6, master_seed=1, num_shards=3)
+        full = Campaign(uniform_trial, 6, master_seed=1, num_shards=3).run()
         assert full.collect_planned("x").tobytes() \
             == full.collect("x").tobytes()
         partial = PartialCampaignResult(
@@ -204,7 +203,7 @@ class TestCampaignDeterminism:
 
     def test_trial_failure_propagates(self):
         with pytest.raises(RuntimeError, match="trial 3"):
-            run_campaign(failing_trial, 6, num_shards=2)
+            Campaign(failing_trial, 6, num_shards=2).run()
 
 
 class _DyingExecutor:
@@ -228,9 +227,9 @@ class TestResultStore:
     def test_resume_runs_only_unfinished_shards(self, tmp_path):
         store_path = tmp_path / "campaign.jsonl"
         with pytest.raises(KeyboardInterrupt):
-            run_campaign(uniform_trial, 8, master_seed=9, num_shards=4,
-                         executor=_DyingExecutor(survive=2),
-                         store=store_path)
+            Campaign(uniform_trial, 8, master_seed=9, num_shards=4,
+                     executor=_DyingExecutor(survive=2),
+                     store=store_path).run()
         journal = store_path.read_text().splitlines()
         assert len(journal) == 3  # header + the two surviving shards
 
@@ -242,74 +241,74 @@ class TestResultStore:
         assert resumed.resumed_shards == (0, 1)
         assert resumed.executed_shards == (2, 3)
 
-        clean = run_campaign(uniform_trial, 8, master_seed=9,
-                             num_shards=4)
+        clean = Campaign(uniform_trial, 8, master_seed=9,
+                         num_shards=4).run()
         assert [r.values for r in resumed.results] \
             == [r.values for r in clean.results]
 
     def test_finished_store_reruns_nothing(self, tmp_path):
         store_path = tmp_path / "campaign.jsonl"
-        run_campaign(uniform_trial, 6, num_shards=3, store=store_path)
-        again = run_campaign(uniform_trial, 6, num_shards=3,
-                             store=store_path)
+        Campaign(uniform_trial, 6, num_shards=3, store=store_path).run()
+        again = Campaign(uniform_trial, 6, num_shards=3,
+                         store=store_path).run()
         assert again.executed_shards == ()
         assert again.resumed_shards == (0, 1, 2)
 
     def test_torn_final_line_is_dropped(self, tmp_path):
         store_path = tmp_path / "campaign.jsonl"
-        run_campaign(uniform_trial, 6, num_shards=3, store=store_path)
+        Campaign(uniform_trial, 6, num_shards=3, store=store_path).run()
         torn = store_path.read_text()[:-20]
         store_path.write_text(torn)
-        outcome = run_campaign(uniform_trial, 6, num_shards=3,
-                               store=store_path)
+        outcome = Campaign(uniform_trial, 6, num_shards=3,
+                           store=store_path).run()
         assert outcome.resumed_shards == (0, 1)
         assert outcome.executed_shards == (2,)
 
     def test_interior_corruption_quarantined_and_rerun(self, tmp_path):
         store_path = tmp_path / "campaign.jsonl"
-        run_campaign(uniform_trial, 6, num_shards=3, store=store_path)
+        Campaign(uniform_trial, 6, num_shards=3, store=store_path).run()
         lines = store_path.read_text().splitlines()
         lines[1] = lines[1].replace('"record":"shard"',
                                     '"record":"sharf"')
         store_path.write_text("\n".join(lines) + "\n")
         store = ResultStore(store_path)
-        outcome = run_campaign(uniform_trial, 6, num_shards=3,
-                               store=store)
+        outcome = Campaign(uniform_trial, 6, num_shards=3,
+                           store=store).run()
         # The damaged record was quarantined (reported, never merged)
         # and its shard re-ran; the others resumed untouched.
         assert store.quarantined_lines == (2,)
         assert outcome.resumed_shards == (1, 2)
         assert outcome.executed_shards == (0,)
-        clean = run_campaign(uniform_trial, 6, num_shards=3)
+        clean = Campaign(uniform_trial, 6, num_shards=3).run()
         assert [r.values for r in outcome.results] \
             == [r.values for r in clean.results]
 
     def test_corrupt_header_rejected(self, tmp_path):
         store_path = tmp_path / "campaign.jsonl"
-        run_campaign(uniform_trial, 6, num_shards=3, store=store_path)
+        Campaign(uniform_trial, 6, num_shards=3, store=store_path).run()
         text = store_path.read_text()
         store_path.write_text("garbage" + text)
         with pytest.raises(StoreError, match="not JSON"):
-            run_campaign(uniform_trial, 6, num_shards=3,
-                         store=store_path)
+            Campaign(uniform_trial, 6, num_shards=3,
+                     store=store_path).run()
 
     def test_different_campaign_rejected(self, tmp_path):
         store_path = tmp_path / "campaign.jsonl"
-        run_campaign(uniform_trial, 6, master_seed=0, num_shards=3,
-                     store=store_path)
+        Campaign(uniform_trial, 6, master_seed=0, num_shards=3,
+                 store=store_path).run()
         with pytest.raises(StoreError, match="different campaign"):
-            run_campaign(uniform_trial, 6, master_seed=1, num_shards=3,
-                         store=store_path)
+            Campaign(uniform_trial, 6, master_seed=1, num_shards=3,
+                     store=store_path).run()
         with pytest.raises(StoreError, match="different campaign"):
-            run_campaign(uniform_trial, 7, master_seed=0, num_shards=3,
-                         store=store_path)
+            Campaign(uniform_trial, 7, master_seed=0, num_shards=3,
+                     store=store_path).run()
 
     def test_non_json_values_rejected_at_journal_time(self, tmp_path):
         store_path = tmp_path / "campaign.jsonl"
 
         with pytest.raises(StoreError, match="JSON-serialisable"):
-            run_campaign(lambda rng, i: {"x": object()}, 2,
-                         num_shards=1, store=store_path)
+            Campaign(lambda rng, i: {"x": object()}, 2,
+                     num_shards=1, store=store_path).run()
 
     def test_header_is_canonical_json_with_fingerprint(self, tmp_path):
         store_path = tmp_path / "campaign.jsonl"
@@ -324,27 +323,27 @@ class TestResultStore:
     def test_telemetry_round_trips_through_the_journal(self, tmp_path):
         store_path = tmp_path / "campaign.jsonl"
         tel_direct = Recorder()
-        run_campaign(uniform_trial, 6, master_seed=3, num_shards=3,
-                     telemetry=tel_direct)
+        Campaign(uniform_trial, 6, master_seed=3, num_shards=3,
+                 telemetry=tel_direct).run()
 
         with pytest.raises(KeyboardInterrupt):
-            run_campaign(uniform_trial, 6, master_seed=3, num_shards=3,
-                         executor=_DyingExecutor(survive=2),
-                         store=store_path, telemetry=Recorder())
+            Campaign(uniform_trial, 6, master_seed=3, num_shards=3,
+                     executor=_DyingExecutor(survive=2),
+                     store=store_path, telemetry=Recorder()).run()
         tel_resumed = Recorder()
-        run_campaign(uniform_trial, 6, master_seed=3, num_shards=3,
-                     store=store_path, telemetry=tel_resumed)
+        Campaign(uniform_trial, 6, master_seed=3, num_shards=3,
+                 store=store_path, telemetry=tel_resumed).run()
         assert to_jsonl(tel_resumed) == to_jsonl(tel_direct)
 
     def test_traced_resume_refuses_untraced_journal(self, tmp_path):
         store_path = tmp_path / "campaign.jsonl"
         with pytest.raises(KeyboardInterrupt):
-            run_campaign(uniform_trial, 6, num_shards=3,
-                         executor=_DyingExecutor(survive=1),
-                         store=store_path)
+            Campaign(uniform_trial, 6, num_shards=3,
+                     executor=_DyingExecutor(survive=1),
+                     store=store_path).run()
         with pytest.raises(EngineError, match="without telemetry"):
-            run_campaign(uniform_trial, 6, num_shards=3,
-                         store=store_path, telemetry=Recorder())
+            Campaign(uniform_trial, 6, num_shards=3,
+                     store=store_path, telemetry=Recorder()).run()
 
 
 class _SkippingExecutor:
@@ -370,7 +369,7 @@ class TestEngineErrors:
         pool = SupervisedPool(jobs=1, policy=SupervisionPolicy(
             max_attempts=1, on_failure="fail"))
         with pytest.raises(EngineError, match="trial 0"):
-            run_campaign(trial, 6, num_shards=6, executor=pool)
+            Campaign(trial, 6, num_shards=6, executor=pool).run()
         started = {p.name for p in tmp_path.iterdir()}
         assert "trial-0.started" in started
         assert not started & {"trial-4.started", "trial-5.started"}

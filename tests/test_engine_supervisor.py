@@ -40,7 +40,6 @@ from repro.engine import (
     WorkerFault,
     WorkerFaultSchedule,
     corrupt_shard_result,
-    run_campaign,
     run_shard,
     seed_fingerprint,
     validate_shard_result,
@@ -532,19 +531,19 @@ class TestKillResumeByteIdentity:
         store_path = tmp_path_factory.mktemp("resume") / "campaign.jsonl"
 
         tel_direct = Recorder()
-        direct = run_campaign(uniform_trial, 8, master_seed=master_seed,
-                              num_shards=4, telemetry=tel_direct)
+        direct = Campaign(uniform_trial, 8, master_seed=master_seed,
+                          num_shards=4, telemetry=tel_direct).run()
 
         with pytest.raises(KeyboardInterrupt):
-            run_campaign(uniform_trial, 8, master_seed=master_seed,
-                         num_shards=4,
-                         executor=_DyingExecutor(survive=survive),
-                         store=store_path, telemetry=Recorder())
+            Campaign(uniform_trial, 8, master_seed=master_seed,
+                     num_shards=4,
+                     executor=_DyingExecutor(survive=survive),
+                     store=store_path, telemetry=Recorder()).run()
 
         tel_resumed = Recorder()
-        resumed = run_campaign(uniform_trial, 8,
-                               master_seed=master_seed, num_shards=4,
-                               store=store_path, telemetry=tel_resumed)
+        resumed = Campaign(uniform_trial, 8,
+                           master_seed=master_seed, num_shards=4,
+                           store=store_path, telemetry=tel_resumed).run()
         assert len(resumed.resumed_shards) == survive
         assert [(r.index, r.seed, r.values) for r in resumed.results] \
             == [(r.index, r.seed, r.values) for r in direct.results]
@@ -559,10 +558,10 @@ class TestSupervisedPool:
         serial = MonteCarloRunner(5, telemetry=tel_serial).run(
             uniform_trial, 8)
         tel_pool = Recorder()
-        pooled = run_campaign(uniform_trial, 8, master_seed=5,
-                              num_shards=4,
-                              executor=SupervisedPool(jobs=2),
-                              telemetry=tel_pool)
+        pooled = Campaign(uniform_trial, 8, master_seed=5,
+                          num_shards=4,
+                          executor=SupervisedPool(jobs=2),
+                          telemetry=tel_pool).run()
         assert not pooled.is_partial
         assert [(r.seed, r.values) for r in pooled.results] \
             == [(r.seed, r.values) for r in serial]
@@ -575,11 +574,11 @@ class TestSupervisedPool:
             jobs=2, faults=faults,
             policy=SupervisionPolicy(max_attempts=2,
                                      backoff_base_s=0.01))
-        outcome = run_campaign(uniform_trial, 6, master_seed=3,
-                               num_shards=3, executor=pool)
+        outcome = Campaign(uniform_trial, 6, master_seed=3,
+                           num_shards=3, executor=pool).run()
         assert not outcome.is_partial
-        reference = run_campaign(uniform_trial, 6, master_seed=3,
-                                 num_shards=3)
+        reference = Campaign(uniform_trial, 6, master_seed=3,
+                             num_shards=3).run()
         assert [r.values for r in outcome.results] \
             == [r.values for r in reference.results]
         assert pool.last_report is not None
@@ -619,8 +618,8 @@ class TestSupervisedPool:
         assert not resumed.is_partial
         assert resumed.resumed_shards == (0, 2)
         assert resumed.executed_shards == (1,)
-        reference = run_campaign(uniform_trial, 6, master_seed=9,
-                                 num_shards=3)
+        reference = Campaign(uniform_trial, 6, master_seed=9,
+                             num_shards=3).run()
         assert [r.values for r in resumed.results] \
             == [r.values for r in reference.results]
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.admission import SpectrumBook
 from repro.constants import ISM_24GHZ_HIGH_HZ, ISM_24GHZ_LOW_HZ
 from repro.network.fdm import ChannelPlan, FdmAllocator, SpectrumExhausted
 
@@ -133,6 +134,48 @@ class TestRestorePlan:
         with pytest.raises(ValueError):
             alloc.restore_plan(ChannelPlan(1, 24.21e9, 20e6))
 
+    @staticmethod
+    def _unit(low=0.0, high=100.0):
+        return FdmAllocator(band_low_hz=low, band_high_hz=high,
+                            bandwidth_per_bps=1.0, guard_fraction=0.0,
+                            min_channel_hz=1e-9)
+
+    def test_ulp_overlapping_first_fit_neighbours_restore(self):
+        alloc = self._unit()
+        alloc.allocate(0, 27.714109)
+        alloc.allocate(1, 36.531517)
+        # center ± width/2 rounds plan 1's low edge an ulp below plan
+        # 0's high edge; restore must accept what first-fit built.
+        assert alloc.plan_for(1).low_hz < alloc.plan_for(0).high_hz
+        fresh = self._unit()
+        for plan in alloc.plans:
+            fresh.restore_plan(plan)
+        assert fresh.plans == alloc.plans
+
+    def test_first_fit_plan_an_ulp_below_the_band_restores(self):
+        alloc = self._unit(7.3, 21.0)
+        plan = alloc.allocate(0, 3.7064514688526446)
+        assert plan.low_hz < alloc.band_low_hz
+        fresh = self._unit(7.3, 21.0)
+        fresh.restore_plan(plan)
+        assert fresh.plan_for(0) == plan
+
+    def test_shift_beyond_rounding_allowance_rejected(self):
+        tol = SpectrumBook(0.0, 100.0).edge_tolerance(10.0)
+        alloc = self._unit()
+        alloc.restore_plan(ChannelPlan(0, 25.0, 10.0))  # [20, 30]
+        # A neighbour reaching into [20, 30] by less than the allowance
+        # is rounding; by twice the allowance it is an overlap.
+        with pytest.raises(ValueError, match="overlaps node 0"):
+            alloc.restore_plan(ChannelPlan(1, 35.0 - 2 * tol, 10.0))
+        alloc.restore_plan(ChannelPlan(1, 35.0 - tol / 2, 10.0))
+        with pytest.raises(ValueError, match="outside the managed band"):
+            alloc.restore_plan(ChannelPlan(2, 5.0 - 2 * tol, 10.0))
+        with pytest.raises(ValueError, match="outside the managed band"):
+            alloc.restore_plan(ChannelPlan(2, 95.0 + 2 * tol, 10.0))
+        alloc.restore_plan(ChannelPlan(2, 5.0 - tol / 2, 10.0))
+        alloc.restore_plan(ChannelPlan(3, 95.0 + tol / 2, 10.0))
+
 
 class TestExhaustionAndDegradation:
     """Allocator exhaustion and the AP's graceful handling of it."""
@@ -155,37 +198,23 @@ class TestExhaustionAndDegradation:
             for b in alloc.plans[i + 1:]:
                 assert not a.overlaps(b)
 
-    def test_mark_interference_on_full_ap(self):
-        from repro.node.access_point import MmxAccessPoint
+    def test_mark_interference_on_full_band(self):
+        from repro.admission import AdmissionController
 
-        ap = MmxAccessPoint()
+        ctrl = AdmissionController()
         node_id = 0
-        while True:
-            try:
-                ap.register_node(node_id, 10e6)
-            except SpectrumExhausted:
-                break
+        while ctrl.admit(node_id, 10e6).state == "fdm":
             node_id += 1
-        victim = ap.allocator.plan_for(0)
-        hit = ap.mark_interference(victim.low_hz, victim.high_hz)
-        assert 0 in hit
-        # Fully allocated band + a fresh block: no clean channel exists,
-        # so the move degrades gracefully instead of raising.
-        before = ap.registration(0)
-        assert ap.reallocate_node(0) is None
-        assert ap.registration(0) == before
-        assert ap.stats()["reallocation_failures"] == 1
-
-    def test_reallocation_failure_counter_accumulates(self):
-        from repro.node.access_point import MmxAccessPoint
-
-        ap = MmxAccessPoint()
-        ap.register_node(0, 10e6)
-        # Block the entire band except the victim's own slot.
-        ap.allocator.block_range(ISM_24GHZ_LOW_HZ, ISM_24GHZ_HIGH_HZ)
-        assert ap.reallocate_node(0) is None
-        assert ap.reallocate_node(0) is None
-        assert ap.reallocation_failures == 2
+        victim = ctrl.decision_for(0).plan
+        report = ctrl.mark_interference(victim.low_hz, victim.high_hz)
+        # Fully allocated band + a fresh block: no clean channel exists
+        # and the victim has no bearing for the SDM rung, so the pass
+        # evicts it instead of raising or leaving it on jammed spectrum.
+        assert report.victims == (0,)
+        assert report.evicted == (0,)
+        assert 0 not in ctrl
+        assert [p.node_id for p in ctrl.allocator.plans] \
+            == list(range(1, node_id))
 
 
 class TestFirstFitRegression:
@@ -232,32 +261,7 @@ class TestFirstFitRegression:
 
 
 class TestReallocateDegradation:
-    """Graceful-``None`` moves and the SDM-spill telemetry contract."""
-
-    def test_allocator_reallocate_restores_on_exhaustion(self):
-        alloc = FdmAllocator(band_low_hz=0.0, band_high_hz=100.0,
-                             bandwidth_per_bps=1.0, guard_fraction=0.0,
-                             min_channel_hz=1e-9)
-        plan = alloc.allocate(0, 80.0)
-        alloc.block_range(0.0, 100.0)
-        with pytest.raises(SpectrumExhausted):
-            alloc.reallocate(0)
-        # The failed move left the old plan exactly in place.
-        assert alloc.plan_for(0) == plan
-        assert alloc.allocated_bandwidth_hz == pytest.approx(80.0)
-
-    def test_controller_reallocate_returns_none_under_blocked_band(self):
-        from repro.admission import AdmissionController
-
-        alloc = FdmAllocator(band_low_hz=0.0, band_high_hz=100.0,
-                             bandwidth_per_bps=1.0, guard_fraction=0.0,
-                             min_channel_hz=1e-9)
-        ctrl = AdmissionController(allocator=alloc)
-        ctrl.admit(0, 50.0)  # no bearing: the SDM rung cannot catch it
-        alloc.block_range(0.0, 100.0)
-        old = ctrl.decision_for(0)
-        assert ctrl.reallocate(0) is None
-        assert ctrl.decision_for(0) == old  # still on the old channel
+    """The SDM-spill telemetry contract of the batched move."""
 
     def test_reallocate_spills_to_sdm_and_counts_it(self):
         from repro.admission import AdmissionController
@@ -270,9 +274,9 @@ class TestReallocateDegradation:
         ctrl = AdmissionController(allocator=alloc, sdm_channels=2,
                                    telemetry=tel)
         ctrl.admit(0, 50.0, bearing_rad=0.3)
-        alloc.block_range(0.0, 100.0)
-        decision = ctrl.reallocate(0)
-        assert decision is not None and decision.state == "sdm"
+        report = ctrl.mark_interference(0.0, 100.0)
+        assert report.spilled_to_sdm == (0,)
+        assert ctrl.decision_for(0).state == "sdm"
         counters = {c.name: c.value for c in tel.metrics.counters()}
         assert counters["admission.sdm_spill"] == 1
         assert counters["admission.reallocated"] == 1

@@ -16,7 +16,7 @@ from repro.faults import (
     PersistentBlockerProcess,
     scenario_injector,
 )
-from repro.network.fdm import FdmAllocator, SpectrumExhausted
+from repro.network.fdm import FdmAllocator
 from repro.node.access_point import MmxAccessPoint
 from repro.phy.waveform import Waveform
 from repro.resilience import (
@@ -290,21 +290,17 @@ class TestTimelineFaultInjection:
 
 class TestFdmRecoveryHooks:
     def test_reallocate_moves_off_blocked_spectrum(self):
-        allocator = FdmAllocator()
-        plan = allocator.allocate(1, 10e6)
-        allocator.block_range(plan.low_hz - 1e6, plan.high_hz + 1e6)
-        moved = allocator.reallocate(1)
+        from repro.admission import AdmissionController
+
+        admission = AdmissionController()
+        plan = admission.admit(1, 10e6).plan
+        report = admission.mark_interference(plan.low_hz - 1e6,
+                                             plan.high_hz + 1e6)
+        assert report.moved == (1,)
+        moved = admission.allocator.plan_for(1)
         assert moved.bandwidth_hz == plan.bandwidth_hz
         assert moved.low_hz >= plan.high_hz + 1e6
-        assert allocator.plan_for(1) == moved
-
-    def test_failed_reallocation_restores_old_plan(self):
-        allocator = FdmAllocator()
-        plan = allocator.allocate(1, 10e6)
-        allocator.block_range(allocator.band_low_hz, allocator.band_high_hz)
-        with pytest.raises(SpectrumExhausted):
-            allocator.reallocate(1)
-        assert allocator.plan_for(1) == plan
+        assert admission.decision_for(1).plan is moved
 
     def test_allocate_skips_blocked_ranges(self):
         allocator = FdmAllocator()
@@ -312,19 +308,8 @@ class TestFdmRecoveryHooks:
                               allocator.band_low_hz + 50e6)
         plan = allocator.allocate(1, 10e6)
         assert plan.low_hz >= allocator.band_low_hz + 50e6
-        allocator.clear_blocks()
-        assert allocator.blocked_ranges == ()
-
-    def test_ap_mark_interference_and_reallocate(self):
-        ap = MmxAccessPoint()
-        reg = ap.register_node(1, 10e6)
-        ap.register_node(2, 10e6)
-        victims = ap.mark_interference(reg.channel.low_hz - 0.5e6,
-                                      reg.channel.high_hz + 0.5e6)
-        assert victims == [1]
-        moved = ap.reallocate_node(1)
-        assert moved.channel.low_hz > reg.channel.high_hz
-        assert ap.registration(1).channel == moved.channel
+        assert allocator.blocked_ranges == (
+            (allocator.band_low_hz, allocator.band_low_hz + 50e6),)
 
     def test_ap_attach_health_monitor(self):
         ap = MmxAccessPoint()
