@@ -103,8 +103,7 @@ def test_resumed_campaign_checkpoint(tmp_path):
     reason=f"speedup gate needs >= {SPEEDUP_WORKERS} usable CPUs")
 def test_parallel_speedup_on_fig11_class_sweep():
     """>= 2x wall-clock win at 4 workers on a fig11-class sweep."""
-    # Warm both paths so import/fork costs don't pollute the timing:
-    # scipy.special loads on the first BER call, in this process too.
+    # Warm both paths so import/fork costs don't pollute the timing.
     Campaign(placement_trial, SPEEDUP_WORKERS,
              num_shards=SPEEDUP_WORKERS,
              executor=SupervisedPool(jobs=SPEEDUP_WORKERS)).run()

@@ -1,10 +1,12 @@
 """The cold-start contract: ``import repro`` loads no scipy.
 
-scipy loads on first use only: :mod:`scipy.special` on the first BER
-call, :mod:`scipy.signal` on the first filter or PSD.  The routines
-reached that way are the same objects as a direct scipy call, so every
-output keeps its bits.  Each check runs in a fresh interpreter, because
-this test process may already hold scipy.
+BER calls never load scipy: :mod:`repro.phy.ber` runs its own ports of
+the Cephes kernels behind ``scipy.special.erfc``/``erfcinv`` and
+returns their bits.  :mod:`scipy.signal` loads on the first filter or
+PSD, and the routines reached that way are the same objects as a direct
+scipy call, so every output keeps its bits.  A figure and a chaos
+scenario load no scipy at all.  Each check runs in a fresh interpreter,
+because this test process may already hold scipy.
 """
 
 from __future__ import annotations
@@ -64,16 +66,21 @@ def test_cli_list_loads_no_scipy():
 _FIRST_BER_CALLS = """
 import json, sys
 import numpy as np
-from repro.phy.ber import qfunc, qfunc_inv
+from repro.phy.ber import qfunc, qfunc_inv, snr_db_for_target_ber
+from repro.units import linear_to_db
 
 x = {x}
 p = {p}
-loaded_before = "scipy.special" in sys.modules
 q, q_inv = qfunc(x), qfunc_inv(p)
+snr = [snr_db_for_target_ber(1e-6, m) for m in ("ook", "bpsk")]
+loaded = sorted(sys.modules)
 from scipy import special
 
-want_q = 0.5 * special.erfc(x / np.sqrt(2.0))
-want_inv = np.sqrt(2.0) * special.erfcinv(2.0 * p)
+want_q = 0.5 * special.erfc(np.asarray(x) / np.sqrt(2.0))
+want_inv = np.sqrt(2.0) * special.erfcinv(2.0 * np.asarray(p))
+inv = float(np.sqrt(2.0) * special.erfcinv(2.0 * 1e-6))
+want_snr = [float(linear_to_db(2.0 * inv ** 2)),
+            float(linear_to_db(inv ** 2 / 2.0))]
 
 
 def same(a, b):
@@ -82,8 +89,9 @@ def same(a, b):
         and a.tobytes() == b.tobytes()
 
 
-print(json.dumps({{"loaded_before": loaded_before,
-                  "q": same(q, want_q), "q_inv": same(q_inv, want_inv)}}))
+print(json.dumps({{"loaded": loaded, "q": same(q, want_q),
+                  "q_inv": same(q_inv, want_inv),
+                  "snr": same(snr, want_snr)}}))
 """
 
 
@@ -92,22 +100,33 @@ print(json.dumps({{"loaded_before": loaded_before,
     ("2.5", "1e-6"),
     ("np.float64(-0.75)", "np.float64(0.3)"),
 ], ids=["arrays", "floats", "numpy-scalars"])
-def test_first_ber_calls_load_scipy_special_and_keep_bits(x, p):
-    """The first qfunc/qfunc_inv calls import scipy.special themselves
+def test_ber_calls_load_no_scipy_and_keep_bits(x, p):
+    """qfunc, qfunc_inv and snr_db_for_target_ber load no scipy module
     and return the direct scipy expressions bit for bit."""
     outcome = _fresh_json(_FIRST_BER_CALLS.format(x=x, p=p))
-    assert outcome == {"loaded_before": False, "q": True, "q_inv": True}
+    assert _scipy_modules(outcome.pop("loaded")) == []
+    assert outcome == {"q": True, "q_inv": True, "snr": True}
 
 
 def test_ber_calls_run_no_import_statement():
-    """The BER hot path reaches the ufuncs through one cached accessor."""
-    for fn in (ber.qfunc, ber.qfunc_inv):
+    """The BER hot path runs no import statement per call."""
+    for fn in (ber.qfunc, ber.qfunc_inv, ber._erfc, ber._erfcinv,
+               ber._ndtri):
         opnames = {ins.opname for ins in dis.get_instructions(fn)}
         assert "IMPORT_NAME" not in opnames, fn.__name__
-    from scipy import special
 
-    assert ber._erfc_ufuncs() == (special.erfc, special.erfcinv)
-    assert ber._erfc_ufuncs() is ber._erfc_ufuncs()
+
+def test_figure_and_chaos_runs_load_no_scipy():
+    """One fig11 placement and one chaos scenario, the BER-heavy
+    workloads, run without loading any scipy module."""
+    loaded = _fresh_json(
+        "import json, sys\n"
+        "from repro.experiments import chaos, fig11_ber_cdf\n"
+        "fig11_ber_cdf.run(seed=0, num_placements=1)\n"
+        "chaos.run('kitchen-sink', seed=0, duration_s=30.0)\n"
+        "print(json.dumps(sorted(sys.modules)))")
+    assert "repro.experiments.chaos" in loaded
+    assert _scipy_modules(loaded) == []
 
 
 _FIRST_SIGNAL_CALLS = """

@@ -1,7 +1,13 @@
 """Tests for repro.phy.ber: closed-form error-rate theory."""
 
+import math
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import special
 
 from repro.phy import ber
 
@@ -105,3 +111,148 @@ class TestSnrForTargetBer:
     def test_unknown_modulation(self):
         with pytest.raises(ValueError):
             ber.snr_db_for_target_ber(1e-3, "qam4096")
+
+
+def _toward_zero(x: float) -> float:
+    return math.nextafter(x, 0.0)
+
+
+ERFC_EDGES = [
+    0.0, -0.0, 1.0, -1.0, _toward_zero(1.0), _toward_zero(-1.0),
+    8.0, -8.0, _toward_zero(8.0), _toward_zero(-8.0),
+    26.6, -26.6, 27.3, -27.3, 38.5, -38.5, 1e200, -1e200,
+    sys.float_info.max, -sys.float_info.max, 5e-324, -5e-324,
+    math.inf, -math.inf, math.nan,
+]
+"""Signed zeros, the |x| = 1 and |x| = 8 branch edges from below,
+both sides of sqrt(MAXLOG) ~ 26.64 where exp(-x^2) underflows, values
+far past it, the largest and smallest magnitudes, infinities and NaN."""
+
+_TAIL_EDGES = [2.0 * math.exp(-2.0), 2.0 * math.exp(-32.0),
+               2.0 - 2.0 * math.exp(-2.0)]
+ERFCINV_EDGES = [
+    0.0, 2.0, 1.0, 5e-324, 2.0 - 2.0**-52,
+    *(v for edge in _TAIL_EDGES
+      for v in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, 2.0))),
+    -0.0, -1e-300, -1.0, 2.0 + 2.0**-51, 3.0, 1e300,
+    math.inf, -math.inf, math.nan,
+]
+"""The domain ends and centre, the smallest subnormal, the largest value
+below 2, the ndtri branch edges y/2 = exp(-2), exp(-32) and 1 - exp(-2)
+with their neighbours, and values outside [0, 2]."""
+
+
+def _same_bits(got: float, want: float) -> bool:
+    """Equal IEEE-754 bit patterns (any NaN matches any NaN)."""
+    if math.isnan(want):
+        return math.isnan(got)
+    return float(got).hex() == float(want).hex()
+
+
+def _assert_array_bits(got, want) -> None:
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+
+
+def _q_oracle(x):
+    return 0.5 * special.erfc(np.asarray(x, dtype=np.float64) / np.sqrt(2.0))
+
+
+def _q_inv_oracle(p):
+    doubled = 2.0 * np.asarray(p, dtype=np.float64)
+    return np.sqrt(2.0) * special.erfcinv(doubled)
+
+
+class TestKernelsMatchScipy:
+    """The Cephes ports return scipy's bits, NaN for NaN."""
+
+    @pytest.mark.parametrize("x", ERFC_EDGES, ids=repr)
+    def test_erfc_edges(self, x):
+        assert _same_bits(ber._erfc(x), special.erfc(x))
+
+    @settings(max_examples=1000)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_erfc_all_finite_floats(self, x):
+        assert _same_bits(ber._erfc(x), special.erfc(x))
+
+    @settings(max_examples=1000)
+    @given(st.floats(min_value=-30.0, max_value=30.0))
+    def test_erfc_working_range(self, x):
+        assert _same_bits(ber._erfc(x), special.erfc(x))
+
+    @pytest.mark.parametrize("y", ERFCINV_EDGES, ids=repr)
+    def test_erfcinv_edges(self, y):
+        assert _same_bits(ber._erfcinv(y), special.erfcinv(y))
+
+    @settings(max_examples=1000)
+    @given(st.floats(allow_nan=False, allow_infinity=False))
+    def test_erfcinv_all_finite_floats(self, y):
+        assert _same_bits(ber._erfcinv(y), special.erfcinv(y))
+
+    @settings(max_examples=1000)
+    @given(st.floats(min_value=0.0, max_value=2.0))
+    def test_erfcinv_domain(self, y):
+        assert _same_bits(ber._erfcinv(y), special.erfcinv(y))
+
+
+class TestQFunctionsMatchScipy:
+    """qfunc/qfunc_inv return the direct scipy expressions bit for bit."""
+
+    @pytest.mark.parametrize("x", ERFC_EDGES, ids=repr)
+    def test_qfunc_scalars(self, x):
+        want = float(_q_oracle(x))
+        assert _same_bits(ber.qfunc(x), want)
+        assert _same_bits(ber.qfunc(np.float64(x)), want)
+
+    @pytest.mark.parametrize("p", ERFCINV_EDGES, ids=repr)
+    def test_qfunc_inv_scalars(self, p):
+        want = float(_q_inv_oracle(p))
+        assert _same_bits(ber.qfunc_inv(p), want)
+        assert _same_bits(ber.qfunc_inv(np.float64(p)), want)
+
+    @given(st.floats())
+    def test_qfunc_float_and_array_paths(self, x):
+        want = _q_oracle(x)
+        assert _same_bits(ber.qfunc(x), want)
+        _assert_array_bits(ber.qfunc(np.array([x])), want.reshape(1))
+
+    # 2p overflows past DBL_MAX / 2, and numpy warns about it.
+    @pytest.mark.filterwarnings(
+        "ignore:overflow encountered in multiply:RuntimeWarning")
+    @given(st.floats())
+    def test_qfunc_inv_float_and_array_paths(self, p):
+        want = _q_inv_oracle(p)
+        assert _same_bits(ber.qfunc_inv(p), want)
+        _assert_array_bits(ber.qfunc_inv(np.array([p])), want.reshape(1))
+
+    def test_arrays(self):
+        x = np.concatenate([np.linspace(-8.0, 40.0, 4001),
+                            ERFC_EDGES]).reshape(2, -1)
+        p = np.concatenate([np.linspace(1e-12, 0.999, 5001),
+                            np.array(ERFCINV_EDGES) / 2.0])
+        _assert_array_bits(ber.qfunc(x), _q_oracle(x))
+        _assert_array_bits(ber.qfunc_inv(p), _q_inv_oracle(p))
+        ints = [0, 1, 3]
+        _assert_array_bits(ber.qfunc(ints), _q_oracle(ints))
+
+
+class TestQFunctionTypes:
+    @pytest.mark.parametrize("value", [2.5, 3, np.float64(0.25)],
+                             ids=["float", "int", "np.float64"])
+    def test_scalars_return_python_floats(self, value):
+        assert type(ber.qfunc(value)) is float
+        assert type(ber.qfunc_inv(value / 10)) is float
+
+    def test_arrays_keep_shape_as_float64(self):
+        for fn in (ber.qfunc, ber.qfunc_inv):
+            out = fn(np.full((2, 3), 0.25, dtype=np.float32))
+            assert isinstance(out, np.ndarray)
+            assert out.dtype == np.float64 and out.shape == (2, 3)
+            assert fn(np.empty((0, 4))).shape == (0, 4)
+
+    def test_zero_d_array_gives_numpy_scalar(self):
+        assert type(ber.qfunc(np.asarray(1.0))) is np.float64
+        assert type(ber.qfunc_inv(np.asarray(0.25))) is np.float64
