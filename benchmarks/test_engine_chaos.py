@@ -10,7 +10,9 @@ the real fig11 trial function:
 * a poison shard (sabotaged past ``max_attempts``) is quarantined, the
   campaign ends as an explicit :class:`PartialCampaignResult`, and the
   attempt/quarantine journal it leaves behind is archived to
-  ``benchmarks/output/`` so CI uploads a real forensics artifact.
+  ``benchmarks/artifacts/`` so CI uploads a real forensics artifact
+  (its shard records land in completion order, so it is not checked
+  in).
 
 Both gates run everywhere (``--benchmark-disable`` in CI).  The
 supervised pool is the engine's only multi-process executor, so there
@@ -32,7 +34,7 @@ from repro.engine import (
 )
 from repro.experiments.fig11_ber_cdf import placement_trial
 
-from conftest import OUTPUT_DIR, record
+from conftest import ARTIFACT_DIR, record
 
 CHAOS_TRIALS = 16
 CHAOS_SHARDS = 4
@@ -108,8 +110,8 @@ def test_poison_shard_quarantine_journal_artifact(tmp_path):
 
     # Archive the quarantine journal: CI uploads it as the chaos
     # forensics artifact.
-    OUTPUT_DIR.mkdir(exist_ok=True)
-    artifact = OUTPUT_DIR / "engine-chaos-journal.jsonl"
+    ARTIFACT_DIR.mkdir(exist_ok=True)
+    artifact = ARTIFACT_DIR / "engine-chaos-journal.jsonl"
     artifact.write_text(store_path.read_text())
     record("engine_quarantine",
            f"campaign of {CHAOS_TRIALS} trials / {CHAOS_SHARDS} shards "

@@ -10,7 +10,8 @@ yields a byte-identical full result or an explicit
 Also gated here:
 
 * the ``repro fsck`` report for a faulted journal is archived to
-  ``benchmarks/output/`` so CI uploads real repair forensics;
+  ``benchmarks/artifacts/`` so CI uploads real repair forensics (it
+  names temporary paths, so it is not checked in);
 * the durable seam is close to free: a fault-free journaled campaign
   costs at most 5% wall-clock (plus a fixed epsilon) over the PR 6
   style raw-``open()`` journal it replaced.
@@ -32,7 +33,7 @@ from repro.durability import (
 from repro.engine import Campaign
 from repro.engine.store import ResultStore, StoreError
 
-from conftest import OUTPUT_DIR, record
+from conftest import ARTIFACT_DIR, record
 
 SWEEP_TRIALS = 6
 SWEEP_SHARDS = 3
@@ -147,8 +148,8 @@ def test_fsck_report_artifact(tmp_path):
     after = fsck_path(path)
     assert after.exit_code == 0
 
-    OUTPUT_DIR.mkdir(exist_ok=True)
-    artifact = OUTPUT_DIR / "engine-fsck-report.json"
+    ARTIFACT_DIR.mkdir(exist_ok=True)
+    artifact = ARTIFACT_DIR / "engine-fsck-report.json"
     artifact.write_text(json.dumps(
         {"found": before.to_dict(), "repaired": repaired.to_dict(),
          "verified": after.to_dict()}, indent=1, sort_keys=True))

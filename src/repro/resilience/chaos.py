@@ -15,6 +15,18 @@ injector and the supervisor's backoff jitter), so any delivery gap is
 attributable to link management alone.  Delivery is accounted in
 expectation — per-step frame survival probability — which keeps the
 comparison deterministic and free of sampling noise.
+
+Each distinct link state is scored once per run.  A schedule holds few
+distinct disturbances (most steps repeat the one before), so
+:meth:`ChaosSimulation.run` keeps one per-run dict from
+:class:`~repro.faults.LinkDisturbance` to the perturbed breakdown,
+shared by both policies, and each policy keeps its own dict from
+(branch, SNR, coding-mode index) to frame survival.  That is exact:
+:func:`~repro.core.link.perturb_breakdown`, the BER curves and
+:func:`~repro.core.throughput.frame_success_probability` are pure, the
+keys are frozen, a ±0.0 field gives the same SNRs as 0.0, and a NaN
+field never matches a key (only the very same float object is found
+again, by identity).  Nothing is cached across runs.
 """
 
 from __future__ import annotations
@@ -23,12 +35,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.throughput import CODING_MODES, frame_success_probability
+from ..core.ask_fsk import AskFskConfig
+from ..core.link import SnrBreakdown, perturb_breakdown
+from ..core.throughput import CODING_MODES
+from ..faults.events import LinkDisturbance
 from ..faults.injector import FaultInjector, FaultSchedule
-from ..phy import ber as ber_theory
 from ..telemetry import NullRecorder, TelemetryRecorder
 from .health import LinkHealthMonitor, LinkHealthReport
-from .supervisor import LinkSupervisor, RecoveryAction
+from .supervisor import LinkSupervisor, RecoveryAction, _frame_success
 
 __all__ = ["ChaosResult", "ChaosSimulation"]
 
@@ -96,13 +110,24 @@ class ChaosResult:
                     and post >= self.clean_snr_db - tolerance_db)
 
 
+def _perturbed(memo: dict[LinkDisturbance, SnrBreakdown],
+               clean: SnrBreakdown, disturbance: LinkDisturbance,
+               config: AskFskConfig) -> SnrBreakdown:
+    """``clean`` under ``disturbance``, scored once per key of ``memo``."""
+    breakdown = memo.get(disturbance)
+    if breakdown is None:
+        breakdown = memo[disturbance] = perturb_breakdown(
+            clean, disturbance, config)
+    return breakdown
+
+
 class _StaticPolicy:
     """The do-nothing baseline: frozen configuration, naive retries."""
 
     def __init__(self, payload_bytes: int):
         self.payload_bytes = payload_bytes
         self.initialized = True
-        self._mode = CODING_MODES[0]
+        self._success_memo: dict[tuple[str, float, int], float] = {}
 
     def step(self, breakdown, *, node_down: bool,
              side_channel_up: bool) -> tuple[float, float]:
@@ -117,9 +142,8 @@ class _StaticPolicy:
                 self.initialized = True
             return (float("-inf"), 0.0)
         snr = breakdown.ask_snr_db
-        ber = float(ber_theory.ber_ask_table(snr))
-        return (snr, frame_success_probability(ber, self.payload_bytes,
-                                               self._mode))
+        return (snr, _frame_success(self._success_memo, "ask", snr, 0,
+                                    CODING_MODES, self.payload_bytes))
 
 
 class ChaosSimulation:
@@ -153,10 +177,16 @@ class ChaosSimulation:
         faults, recovery timing, every reported number — regenerates
         bit-identically.  ``quiet_tail_s`` reserves a fault-free window
         at the end so post-fault recovery is always measurable.
+
+        Each distinct disturbance is scored once per run: one dict,
+        built here and dropped on return, maps every disturbance seen
+        to its perturbed breakdown for both policies (see the module
+        docstring for why that is exact).  The ``chaos.steps`` counter
+        and the two success gauges are recorded once, after the loop,
+        with the run's step count and the last step's values.
         """
         if duration_s <= 0:
             raise ValueError("duration must be positive")
-        from ..core.link import perturb_breakdown
 
         schedule = self.injector.schedule(duration_s, quiet_tail_s)
         ss = np.random.SeedSequence(self.injector.master_seed + 1)
@@ -202,16 +232,16 @@ class ChaosSimulation:
         static_snr = np.empty(steps)
         adaptive_success = np.empty(steps)
         static_success = np.empty(steps)
+        breakdowns: dict[LinkDisturbance, SnrBreakdown] = {}
+        config = self.link.config
         tel = self.telemetry
         for i, t in enumerate(times):
             t = float(t)
             if tel.enabled:
                 tel.clock.advance(self.time_step_s)
-                tel.count("chaos.steps")
             channel = adaptive_channel[0]
             d_adaptive = schedule.disturbance_at(t, channel)
-            b_adaptive = perturb_breakdown(clean, d_adaptive,
-                                           self.link.config)
+            b_adaptive = _perturbed(breakdowns, clean, d_adaptive, config)
             # Both calls are pure, so until rung 5 moves the adaptive
             # policy off the home channel the static policy sees the
             # very same disturbance and breakdown.
@@ -219,8 +249,7 @@ class ChaosSimulation:
                 d_static, b_static = d_adaptive, b_adaptive
             else:
                 d_static = schedule.disturbance_at(t, HOME_CHANNEL)
-                b_static = perturb_breakdown(clean, d_static,
-                                             self.link.config)
+                b_static = _perturbed(breakdowns, clean, d_static, config)
             decision = supervisor.step(
                 t, b_adaptive,
                 node_down=d_adaptive.node_down,
@@ -234,10 +263,14 @@ class ChaosSimulation:
             static_monitor.observe(t, snr)
             static_snr[i] = snr
             static_success[i] = p
-            if tel.enabled:
-                tel.gauge("chaos.adaptive_success", float(decision.frame_success))
-                tel.gauge("chaos.static_success", float(p))
         if tel.enabled:
+            # Exact: a counter adds whole steps exactly, and an export
+            # keeps only a gauge's last value.
+            if steps:
+                tel.count("chaos.steps", steps)
+                tel.gauge("chaos.adaptive_success",
+                          float(adaptive_success[-1]))
+                tel.gauge("chaos.static_success", float(static_success[-1]))
             tel.count("chaos.runs")
             tel.event("chaos.run", duration_s=duration_s, steps=steps,
                       faults=len(schedule.events))

@@ -85,8 +85,38 @@ def _branch_ber(branch: str, snr_db: float) -> float:
     return float(ber_theory.ber_ask_table(snr_db))
 
 
+def _frame_success(memo: dict[tuple[str, float, int], float], branch: str,
+                   snr_db: float, index: int,
+                   modes: tuple[CodingMode, ...], payload_bytes: int) -> float:
+    """Frame survival of ``modes[index]`` on ``branch`` at ``snr_db``.
+
+    ``memo`` is the caller's own dict, so each distinct (branch, SNR,
+    mode index) is scored once per caller and every repeat is a dict
+    hit.  The mode index is part of the key because one SNR is scored
+    under every mode while the ladder searches.
+    """
+    key = (branch, snr_db, index)
+    p = memo.get(key)
+    if p is None:
+        p = memo[key] = frame_success_probability(
+            _branch_ber(branch, snr_db), payload_bytes, modes[index])
+    return p
+
+
 class LinkSupervisor:
-    """Watches one link's health and applies the recovery ladder."""
+    """Watches one link's health and applies the recovery ladder.
+
+    The frame-success ladder is scored once per distinct (branch, SNR,
+    coding-mode index) per supervisor: :meth:`step` looks each
+    candidate up in a per-instance dict and scores only new keys.  That
+    is exact because the BER curves and
+    :func:`~repro.core.throughput.frame_success_probability` are pure,
+    ``payload_bytes`` and ``modes`` are fixed per instance, a ±0.0 SNR
+    gives the same BER either way, and a NaN SNR never matches a key
+    (only the very same float object is found again, by identity).  A
+    link held on one unchanged breakdown (the energy-outage drill)
+    scores each candidate once.
+    """
 
     MIN_RATE_FRACTION = 0.25
 
@@ -145,6 +175,7 @@ class LinkSupervisor:
         self._outage_span = None
         self._reinit_span = None
         self._dormant = False
+        self._success_memo: dict[tuple[str, float, int], float] = {}
 
     # --- helpers ---------------------------------------------------------
 
@@ -340,9 +371,9 @@ class LinkSupervisor:
                           ("fsk", self._mode_index)]
         branch, best_index, p_frame = self._branch, self._mode_index, -1.0
         for cand_branch, cand_index in candidates:
-            p = frame_success_probability(
-                _branch_ber(cand_branch, branch_snrs[cand_branch]),
-                self.payload_bytes, self.modes[cand_index])
+            p = _frame_success(self._success_memo, cand_branch,
+                               branch_snrs[cand_branch], cand_index,
+                               self.modes, self.payload_bytes)
             if p > p_frame + 1e-12:
                 branch, best_index, p_frame = cand_branch, cand_index, p
         if branch != self._branch:

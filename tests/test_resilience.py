@@ -2,6 +2,8 @@
 perturbation hooks it rides on (perturb_breakdown, demodulator monitor,
 fault-aware TimelineSimulator, FDM reallocation)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -257,6 +259,19 @@ class TestChaosSimulation:
             time_step_s=0.25)
         result = sim.run(20.0, quiet_tail_s=3.0)
         assert np.isfinite(result.post_fault_snr_db(settle_s=1.0))
+
+    def test_robustness_doc_sample_sweep_is_current(self):
+        """docs/robustness.md's sample table is what ``python -m repro
+        chaos --scenario all --seed 7 --duration 30`` prints."""
+        from repro.experiments import chaos
+
+        doc = (Path(__file__).resolve().parents[1] / "docs"
+               / "robustness.md").read_text(encoding="utf-8")
+        section = doc[doc.index("Sample sweep ("):]
+        start = section.index("```\n") + len("```\n")
+        table = section[start:section.index("```", start)]
+        assert table.rstrip("\n") == chaos.render_all(
+            chaos.run_all(seed=7, duration_s=30.0))
 
 
 class TestTimelineFaultInjection:
