@@ -23,9 +23,16 @@ import time
 import numpy as np
 import pytest
 
-from repro.engine import Campaign, SupervisedPool, default_job_count
+from repro.engine import (
+    Campaign,
+    CampaignPlan,
+    SupervisedPool,
+    TrialSpec,
+    default_job_count,
+)
+from repro.engine.shard import run_trials
 from repro.experiments.fig11_ber_cdf import placement_trial
-from repro.sim.runner import MonteCarloRunner
+from repro.telemetry import NullRecorder
 
 from conftest import OUTPUT_DIR, record
 
@@ -35,8 +42,14 @@ MIN_SPEEDUP = 2.0
 
 
 def test_sharded_supervised_pool_matches_serial():
-    """The determinism contract, on the real fig11 trial function."""
-    serial = MonteCarloRunner(7).run(placement_trial, 24)
+    """The determinism contract, on the real fig11 trial function.
+
+    The reference is one unsharded trial-loop pass over the plan's
+    seeds: no partition, executor or merge is involved.
+    """
+    trials = [TrialSpec(index=index, seed=seed) for index, seed
+              in enumerate(CampaignPlan.child_seeds(7, 24))]
+    serial = list(run_trials(placement_trial, trials, 24, NullRecorder()))
     for shards, executor in ((1, None), (4, None),
                              (4, SupervisedPool(jobs=2))):
         outcome = Campaign(placement_trial, 24, master_seed=7,

@@ -33,10 +33,9 @@ Layout
 ``repro.admission`` million-node spectrum/SDM admission control
 ``repro.energy``    node classes, backscatter tags, harvesting duty cycles
 ``repro.baselines`` beam-search baselines and Table 1 platforms
-``repro.sim``       rooms, blockers, mobility, placements, Monte Carlo
+``repro.sim``       rooms, blockers, mobility, placements
 ``repro.faults``    seeded fault-injection processes and schedules
 ``repro.resilience`` link health monitoring and the recovery ladder
-``repro.transport`` reliable transport: ARQ, adaptive RTO, circuit breaker
 ``repro.cluster``   AP checkpointing, heartbeats, multi-AP failover
 ``repro.engine``    sharded, resumable, parallel Monte-Carlo campaigns
 ``repro.telemetry`` sim-time metrics, spans, deterministic exporters
@@ -77,7 +76,6 @@ from .core import (
 )
 from .energy import (
     BackscatterLink,
-    CarrierScheduler,
     EnergyStateMachine,
     EnergyStore,
     HarvestModel,
@@ -120,7 +118,6 @@ from .resilience import (
 )
 from .sim import (
     Blocker,
-    MonteCarloRunner,
     Placement,
     PlacementSampler,
     Point,
@@ -136,18 +133,11 @@ from .telemetry import (
     TelemetrySnapshot,
     Tracer,
 )
-from .transport import (
-    AdaptiveRetransmission,
-    CircuitBreaker,
-    ReliableLink,
-    RtoEstimator,
-)
 
 __version__ = "1.0.0"
 
 __all__ = [
     "AccessPointHardware",
-    "AdaptiveRetransmission",
     "AdmissionController",
     "ApCheckpoint",
     "AskFskConfig",
@@ -157,11 +147,9 @@ __all__ = [
     "Campaign",
     "CampaignPlan",
     "CampaignResult",
-    "CarrierScheduler",
     "ChannelResponse",
     "ChaosResult",
     "ChaosSimulation",
-    "CircuitBreaker",
     "Cluster",
     "DemodResult",
     "DigitalController",
@@ -186,7 +174,6 @@ __all__ = [
     "MetricsRegistry",
     "MmxAccessPoint",
     "MmxNode",
-    "MonteCarloRunner",
     "MultiNodeNetwork",
     "NODE_EIRP_DBM",
     "NodeClassSpec",
@@ -203,10 +190,8 @@ __all__ = [
     "PlacementSampler",
     "Point",
     "Recorder",
-    "ReliableLink",
     "ResultStore",
     "Room",
-    "RtoEstimator",
     "SerialExecutor",
     "SimClock",
     "SdmPacker",

@@ -29,15 +29,11 @@ saturation campaign byte-identical across serial and parallel runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from ..network.fdm import ChannelPlan, FdmAllocator, SpectrumExhausted
 from ..network.sdm_scheduler import HARMONIC_COLLISION_RAD
 from ..telemetry import NullRecorder, TelemetryRecorder
 from .sdm import SdmAssignment, SdmPacker
-
-if TYPE_CHECKING:  # pragma: no cover - import-cycle guard
-    from ..energy.carrier import CarrierScheduler
 
 __all__ = ["AdmissionDecision", "ReadmissionReport", "AdmissionController"]
 
@@ -82,16 +78,13 @@ class ReadmissionReport:
 class _NodeState:
     """Mutable per-node admission record (slots keep 10⁶ of them cheap)."""
 
-    __slots__ = ("rate_bps", "bearing_rad", "decision",
-                 "illumination_duty")
+    __slots__ = ("rate_bps", "bearing_rad", "decision")
 
     def __init__(self, rate_bps: float, bearing_rad: float | None,
-                 decision: AdmissionDecision,
-                 illumination_duty: float | None = None):
+                 decision: AdmissionDecision):
         self.rate_bps = rate_bps
         self.bearing_rad = bearing_rad
         self.decision = decision
-        self.illumination_duty = illumination_duty
 
 
 class AdmissionController:
@@ -102,8 +95,7 @@ class AdmissionController:
                  sdm_channels: int = 8,
                  sdm_threshold_rad: float = HARMONIC_COLLISION_RAD,
                  sdm_max_probes: int = 16,
-                 telemetry: TelemetryRecorder | None = None,
-                 carrier: CarrierScheduler | None = None):
+                 telemetry: TelemetryRecorder | None = None):
         if sdm_channels < 1:
             raise ValueError("need at least one SDM channel")
         self.allocator = allocator if allocator is not None \
@@ -115,12 +107,6 @@ class AdmissionController:
             else NullRecorder()
         """Sink for the ``admission.*`` family.  The controller never
         advances the recorder's clock — the driver owns time."""
-        self.carrier = carrier
-        """Optional :class:`repro.energy.CarrierScheduler`.  When set,
-        admissions that name an ``illumination_duty`` (backscatter
-        tags) must *also* win illumination airtime — a tag consumes
-        carrier time, not just spectrum — and blocked airtime unwinds
-        the spectrum rung so a rejected tag holds nothing."""
         self._nodes: dict[int, _NodeState] = {}
         self._slice_hz = self.allocator.total_bandwidth_hz / sdm_channels
 
@@ -194,27 +180,16 @@ class AdmissionController:
                                  plan=plan, sdm=assignment)
 
     def admit(self, node_id: int, rate_bps: float,
-              bearing_rad: float | None = None,
-              illumination_duty: float | None = None) -> AdmissionDecision:
+              bearing_rad: float | None = None) -> AdmissionDecision:
         """Walk the ladder for one arriving node.
 
         FDM needs only the rate demand; the SDM rung additionally needs
         the node's arrival ``bearing_rad`` (spatial reuse is impossible
         without geometry — a bearing-less node skips straight from a
         full band to ``"blocked"``).
-
-        ``illumination_duty`` marks a backscatter tag: besides a
-        spectrum rung the tag must win that fraction of the AP's
-        illumination airtime from the attached
-        :class:`~repro.energy.CarrierScheduler`.  If the airtime budget
-        refuses, the freshly won spectrum is handed back and the tag is
-        ``"blocked"`` — it never holds a slot it cannot be heard on.
         """
         if node_id in self._nodes:
             raise ValueError(f"node {node_id} is already admitted")
-        if illumination_duty is not None and self.carrier is None:
-            raise ValueError("illumination_duty needs a CarrierScheduler "
-                             "attached to the controller")
         tel = self.telemetry
         decision_or_none: AdmissionDecision | None = None
         plan = self._try_fdm(node_id, rate_bps)
@@ -223,23 +198,9 @@ class AdmissionController:
                 node_id=node_id, state="fdm", plan=plan, sdm=None)
         else:
             decision_or_none = self._try_sdm(node_id, bearing_rad)
-        if decision_or_none is not None and illumination_duty is not None:
-            assert self.carrier is not None
-            if not self.carrier.reserve(node_id, illumination_duty):
-                # Unwind the spectrum rung: a tag without illumination
-                # airtime is inaudible, so granting it a slot would
-                # only shred the band.
-                if decision_or_none.state == "fdm":
-                    self.allocator.release(node_id)
-                else:
-                    self.sdm.release(node_id)
-                decision_or_none = None
-                if tel.enabled:
-                    tel.count("admission.blocked_carrier")
         if decision_or_none is not None:
             self._nodes[node_id] = _NodeState(rate_bps, bearing_rad,
-                                              decision_or_none,
-                                              illumination_duty)
+                                              decision_or_none)
             if tel.enabled:
                 tel.count("admission.admitted_fdm"
                           if decision_or_none.state == "fdm"
@@ -251,12 +212,6 @@ class AdmissionController:
         return AdmissionDecision(node_id=node_id, state="blocked",
                                  plan=None, sdm=None)
 
-    def _release_carrier(self, state: _NodeState, node_id: int) -> None:
-        """Hand an illuminated tag's airtime back (no-op otherwise)."""
-        if state.illumination_duty is not None and self.carrier is not None \
-                and node_id in self.carrier:
-            self.carrier.release(node_id)
-
     def release(self, node_id: int) -> None:
         """Return a node's channel (whichever rung holds it)."""
         state = self._nodes.pop(node_id, None)
@@ -266,7 +221,6 @@ class AdmissionController:
             self.allocator.release(node_id)
         else:
             self.sdm.release(node_id)
-        self._release_carrier(state, node_id)
         tel = self.telemetry
         if tel.enabled:
             tel.count("admission.released")
@@ -321,7 +275,6 @@ class AdmissionController:
                     tel.count("admission.reallocated")
                     tel.count("admission.sdm_spill")
                 continue
-            self._release_carrier(state, node_id)
             del self._nodes[node_id]
             evicted.append(node_id)
             if tel.enabled:

@@ -27,7 +27,6 @@ from ..phy.envelope import envelope_detect, threshold_levels
 from ..phy.goertzel import goertzel_block_powers
 from ..phy.preamble import default_preamble_bits, locate_preamble
 from ..phy.snr import estimate_snr_two_level
-from ..phy.timing import align_to_bits
 from ..phy.waveform import Waveform
 from .ask_fsk import AskFskConfig
 
@@ -130,17 +129,12 @@ class JointDemodulator:
 
     # --- joint decision ---------------------------------------------------
 
-    def demodulate(self, wave: Waveform,
-                   recover_timing: bool = False) -> DemodResult:
+    def demodulate(self, wave: Waveform) -> DemodResult:
         """Full joint ASK-FSK demodulation with polarity resolution.
 
-        ``recover_timing=True`` first estimates the bit-boundary sample
-        offset blindly (:mod:`repro.phy.timing`) — required when the
-        capture did not start exactly on a bit edge, as real captures
-        never do.
+        The capture must start on a bit edge: bit ``k`` is the sample
+        block ``[k * samples_per_bit, (k + 1) * samples_per_bit)``.
         """
-        if recover_timing and len(wave):
-            wave, _ = align_to_bits(wave, self.config.samples_per_bit)
         ask_bits, ask_snr = self.demodulate_ask(wave)
         fsk_bits, fsk_snr = self.demodulate_fsk(wave)
 

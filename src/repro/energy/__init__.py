@@ -7,11 +7,9 @@ supplies them, layered bottom-up:
 * :mod:`~repro.energy.classes` — the node-class registry: per-class
   capability descriptors (power source, carrier source, modulation,
   duty model) with the paper's active node re-registered unchanged;
-* :mod:`~repro.energy.backscatter` + :mod:`~repro.energy.carrier` —
-  passive reflection-coefficient ASK tags riding the *unchanged*
-  envelope/Goertzel receiver (the bistatic budget lives in
-  :func:`repro.core.link.bistatic_breakdown`), plus the AP-side
-  illumination-airtime ledger admission consults;
+* :mod:`~repro.energy.backscatter` — passive reflection-coefficient
+  ASK tags riding the *unchanged* envelope/Goertzel receiver (the
+  bistatic budget lives in :func:`repro.core.link.bistatic_breakdown`);
 * :mod:`~repro.energy.harvest`, :mod:`~repro.energy.battery`,
   :mod:`~repro.energy.scheduler` — the Khan et al. harvesting closed
   forms, the never-negative energy store with its harvest → charge →
@@ -31,7 +29,6 @@ from .battery import (
     EnergyStep,
     EnergyStore,
 )
-from .carrier import CarrierScheduler
 from .classes import (
     ACTIVE_CLASS,
     BACKSCATTER_CLASS,
@@ -60,7 +57,6 @@ __all__ = [
     "BACKSCATTER_CLASS",
     "BackscatterLink",
     "CARRIER_SOURCES",
-    "CarrierScheduler",
     "CompareConfig",
     "CompareResult",
     "DUTY_MODELS",

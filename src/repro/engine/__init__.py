@@ -7,8 +7,7 @@ runs in §9.5).  This package runs them: it turns any
 * **sharded** — a :class:`CampaignPlan` spawns every trial's seed from
   one ``SeedSequence`` and partitions trials into contiguous shards;
   :func:`~repro.engine.shard.run_trials` is the one trial loop every
-  executor (and the serial :class:`~repro.sim.runner.MonteCarloRunner`)
-  drives;
+  executor drives;
 * **parallel** — a :class:`SupervisedPool` fans shards out across worker
   processes, with :class:`SerialExecutor` as the in-process reference;
 * **crash-safe** — a :class:`ResultStore` journals each completed shard

@@ -4,10 +4,8 @@ A :class:`CampaignPlan` is the *complete* description of a Monte-Carlo
 campaign's randomness and partitioning, fixed before any trial runs:
 
 * per-trial seeds are spawned from one ``numpy`` ``SeedSequence`` rooted
-  at the master seed (:meth:`CampaignPlan.child_seeds`, which
-  :meth:`repro.sim.runner.MonteCarloRunner.child_seeds` delegates to),
-  so an engine campaign and a plain serial sweep see identical RNG
-  streams;
+  at the master seed (:meth:`CampaignPlan.child_seeds`), so every
+  shard layout and executor sees identical RNG streams;
 * trials are partitioned into contiguous, balanced shards in index
   order, so merging shard outputs back in shard order recovers the
   serial trial order with a plain concatenation;

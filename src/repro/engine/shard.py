@@ -2,18 +2,14 @@
 
 :func:`run_trials` is the single per-trial code path in the package —
 seed → ``default_rng`` → ``sim.trial`` span → ``trial_fn`` → dict check
-→ ``sim.trials`` count and ``sim.trial`` event.  Everything that runs
-trials consumes it:
-
-* :func:`run_shard` collects one shard's trials into a
-  :class:`ShardResult` (in-process under
-  :class:`~repro.engine.pool.SerialExecutor`, or in a worker process
-  under :class:`~repro.engine.supervisor.SupervisedPool`), recording
-  into a worker-local :class:`~repro.telemetry.Recorder` captured as a
-  :class:`~repro.telemetry.TelemetrySnapshot` so the campaign can merge
-  shard traces back into one byte-stable export;
-* :meth:`repro.sim.runner.MonteCarloRunner.run_stream` streams a whole
-  sweep against the runner's own recorder.
+→ ``sim.trials`` count and ``sim.trial`` event.  Every executor reaches
+it through :func:`run_shard`, which collects one shard's trials into a
+:class:`ShardResult` (in-process under
+:class:`~repro.engine.pool.SerialExecutor`, or in a worker process
+under :class:`~repro.engine.supervisor.SupervisedPool`), recording into
+a worker-local :class:`~repro.telemetry.Recorder` captured as a
+:class:`~repro.telemetry.TelemetrySnapshot` so the campaign can merge
+shard traces back into one byte-stable export.
 
 One loop is what makes the executor choice invisible in the results: a
 trial always sees the same seed, runs the same function, and records the

@@ -19,7 +19,6 @@ from .frontend import (
 )
 from .power import EnergyModel, energy_per_bit_j
 from .switch import ADRF5020Switch
-from .usrp import UsrpReceiver
 from .vco import HMC533VCO
 
 __all__ = [
@@ -34,6 +33,5 @@ __all__ = [
     "MicrostripFilter",
     "NodeHardware",
     "RFComponent",
-    "UsrpReceiver",
     "energy_per_bit_j",
 ]

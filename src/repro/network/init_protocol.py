@@ -70,15 +70,6 @@ class InitializationProtocol:
     channel is not hammered by a tight retry loop — the same discipline
     :class:`repro.resilience.LinkSupervisor` uses for re-initialization
     after a dropout.
-
-    ``breaker`` optionally guards the side channel with a
-    :class:`repro.transport.CircuitBreaker`: consecutive control-frame
-    failures trip it, after which every initialization fails fast with
-    :class:`repro.transport.CircuitOpenError` until the breaker's reset
-    timeout has passed — a *flapping* side channel stops the whole
-    re-init storm instead of each node hammering it independently.  The
-    breaker's clock is the protocol's accumulated handshake time, so
-    behaviour stays deterministic.
     """
 
     def __init__(self, access_point, side_channel: SideChannel | None = None,
@@ -86,8 +77,7 @@ class InitializationProtocol:
                  backoff_base_s: float = 0.02,
                  backoff_factor: float = 2.0,
                  backoff_jitter: float = 0.25,
-                 backoff_max_s: float = 0.5,
-                 breaker=None):
+                 backoff_max_s: float = 0.5):
         if max_attempts < 1:
             raise ValueError("need at least one attempt")
         if backoff_base_s < 0 or backoff_max_s < backoff_base_s:
@@ -103,8 +93,6 @@ class InitializationProtocol:
         self.backoff_factor = backoff_factor
         self.backoff_jitter = backoff_jitter
         self.backoff_max_s = backoff_max_s
-        self.breaker = breaker
-        self.clock_s = 0.0
         self.records: list[InitRecord] = []
 
     def _backoff_delay_s(self, failed_attempts: int) -> float:
@@ -126,48 +114,20 @@ class InitializationProtocol:
         attempts, reflected in the record's ``elapsed_s`` — up to
         ``max_attempts`` times, then raises ``ConnectionError`` — an
         un-initialisable node never touches the mmWave band.
-
-        With a circuit ``breaker`` attached, an open circuit fails the
-        whole call fast (:class:`repro.transport.CircuitOpenError`)
-        before any channel is allocated, and a circuit tripping
-        mid-handshake aborts the remaining retries.
         """
-        if self.breaker is not None and not self.breaker.allow(self.clock_s):
-            from ..transport.breaker import CircuitOpenError
-
-            wait = self.breaker.seconds_until_retry(self.clock_s)
-            raise CircuitOpenError(
-                f"node {node.node_id}: side-channel circuit open, "
-                f"retry in {wait:.2f} s")
         registration = self.access_point.register_node(
             node.node_id, demanded_rate_bps, config=config)
         attempts = 0
         elapsed_s = 0.0
         delivered = False
-        tripped = False
         while attempts < self.max_attempts and not delivered:
             if attempts:
                 elapsed_s += self._backoff_delay_s(attempts)
             attempts += 1
             elapsed_s += self.side_channel.latency_s
             delivered = self.side_channel.deliver()
-            if self.breaker is not None:
-                if delivered:
-                    self.breaker.record_success()
-                else:
-                    self.breaker.record_failure(self.clock_s + elapsed_s)
-                    if self.breaker.state == "open":
-                        tripped = True
-                        break
-        self.clock_s += elapsed_s
         if not delivered:
             self.access_point.deregister_node(node.node_id)
-            if tripped:
-                from ..transport.breaker import CircuitOpenError
-
-                raise CircuitOpenError(
-                    f"node {node.node_id}: side-channel circuit tripped "
-                    f"after {attempts} attempt(s)")
             raise ConnectionError(
                 f"node {node.node_id}: side channel failed "
                 f"{self.max_attempts} times")

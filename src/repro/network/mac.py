@@ -145,15 +145,8 @@ class UplinkSimulator:
 
     ``frame_success_probability`` is the per-transmission survival
     chance (from :mod:`repro.core.throughput` at the placement's SNR).
-    Retransmission follows one of two disciplines:
-
-    * default — the seed behaviour: immediate retry, up to
-      ``max_retries``, then the packet is counted lost;
-    * ``transport=`` an :class:`repro.transport.AdaptiveRetransmission`
-      — each failed attempt waits out the policy's Jacobson RTO before
-      the retransmission (the loss has to be *detected*), successful
-      first attempts feed the estimator, and the attempt cap comes from
-      the policy.  This is the end-to-end reliable-transport path.
+    A failed frame is retried immediately, up to ``max_retries``
+    times, then the packet is counted lost.
 
     Transmission time = frame bits / link rate.
     """
@@ -163,7 +156,6 @@ class UplinkSimulator:
                  queue: PacketQueue | None = None,
                  max_retries: int = 3,
                  rng: np.random.Generator | None = None,
-                 transport=None,
                  telemetry: TelemetryRecorder | None = None):
         if link_rate_bps <= 0 or frame_bits <= 0:
             raise ValueError("link rate and frame size must be positive")
@@ -177,7 +169,6 @@ class UplinkSimulator:
         self.queue = queue or PacketQueue()
         self.max_retries = max_retries
         self.rng = ensure_rng(rng)
-        self.transport = transport
         self.telemetry = telemetry if telemetry is not None \
             else NullRecorder()
         """Sink for the ``mac.*`` metric family (see
@@ -224,23 +215,12 @@ class UplinkSimulator:
             start = max(clock, arrival)
             attempts = 0
             success = False
-            if self.transport is not None:
-                cap = self.transport.max_transmissions
-                while attempts < cap:
-                    attempts += 1
-                    success = bool(self.rng.random() < self.p_success)
-                    start += self.transport.attempt_cost_s(
-                        self.frame_airtime_s, success,
-                        first_attempt=(attempts == 1))
-                    if success:
-                        break
-            else:
-                while attempts <= self.max_retries:
-                    attempts += 1
-                    start += self.frame_airtime_s
-                    if self.rng.random() < self.p_success:
-                        success = True
-                        break
+            while attempts <= self.max_retries:
+                attempts += 1
+                start += self.frame_airtime_s
+                if self.rng.random() < self.p_success:
+                    success = True
+                    break
             retransmissions += attempts - 1
             clock = start
             if tel.enabled:

@@ -14,19 +14,14 @@ node: a node's channel lives in the allocator's spectrum book, and a
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from ..antenna.element import DipoleElement
 from ..core.ask_fsk import AskFskConfig
 from ..core.demodulator import DemodResult, JointDemodulator
 from ..core.packet import Packet, PacketCodec, PacketError
 from ..hardware.chains import AccessPointHardware
-from ..network.fdm import ChannelPlan, FdmAllocator, SpectrumExhausted
+from ..network.fdm import ChannelPlan, FdmAllocator
 from ..phy.waveform import Waveform
-
-if TYPE_CHECKING:  # pragma: no cover - import-cycle guard
-    from ..energy.carrier import CarrierScheduler
-    from ..energy.classes import NodeClassSpec
 
 __all__ = ["NodeRegistration", "MmxAccessPoint"]
 
@@ -47,14 +42,10 @@ class MmxAccessPoint:
                  hardware: AccessPointHardware | None = None,
                  antenna: DipoleElement | None = None,
                  allocator: FdmAllocator | None = None,
-                 codec: PacketCodec | None = None,
-                 carrier: CarrierScheduler | None = None):
+                 codec: PacketCodec | None = None):
         self.hardware = hardware or AccessPointHardware()
         self.antenna = antenna or DipoleElement()
         self.allocator = allocator or FdmAllocator()
-        self.carrier = carrier
-        """Optional :class:`repro.energy.CarrierScheduler` — the AP's
-        illumination-airtime budget for passive backscatter tags."""
         self.codec = codec or PacketCodec()
         self._demodulators: dict[int, JointDemodulator] = {}
 
@@ -76,48 +67,6 @@ class MmxAccessPoint:
             config = AskFskConfig(
                 bit_rate_bps=demanded_rate_bps,
                 sample_rate_hz=8 * demanded_rate_bps)
-        self._demodulators[node_id] = JointDemodulator(config)
-        return NodeRegistration(node_id=node_id, channel=channel,
-                                config=config)
-
-    def register_backscatter_node(self, node_id: int,
-                                  illumination_duty: float,
-                                  spec: NodeClassSpec | None = None,
-                                  config: AskFskConfig | None = None
-                                  ) -> NodeRegistration:
-        """Admit a passive backscatter tag.
-
-        A tag needs **two** grants where an active node needs one: a
-        spectrum rung (the reflected sidebands still occupy band) *and*
-        ``illumination_duty`` of this AP's carrier airtime — reflected
-        bits only exist while the AP illuminates the tag.  Requires a
-        :class:`~repro.energy.CarrierScheduler` (:attr:`carrier`).
-
-        Spectrum is granted first, then airtime; an airtime miss unwinds
-        the spectrum grant.  A blocked tag holds nothing and
-        :class:`~repro.network.fdm.SpectrumExhausted` is raised, matching
-        :meth:`register_node`'s failure signal.
-        """
-        from ..energy.classes import BACKSCATTER_CLASS, node_class
-
-        if self.carrier is None:
-            raise ValueError("backscatter registration needs a "
-                             "CarrierScheduler on the AP")
-        if node_id in self._demodulators:
-            raise ValueError(f"node {node_id} is already registered")
-        tag = spec if spec is not None else node_class(BACKSCATTER_CLASS)
-        if tag.modulation != "backscatter-ask":
-            raise ValueError(f"node class {tag.name!r} is not a "
-                             "backscatter class")
-        channel = self.allocator.allocate(node_id, tag.bitrate_bps)
-        if not self.carrier.reserve(node_id, illumination_duty):
-            self.allocator.release(node_id)
-            raise SpectrumExhausted(
-                f"no illumination airtime for tag {node_id}")
-        if config is None:
-            from ..energy.backscatter import backscatter_config
-
-            config = backscatter_config(tag.bitrate_bps)
         self._demodulators[node_id] = JointDemodulator(config)
         return NodeRegistration(node_id=node_id, channel=channel,
                                 config=config)
@@ -144,10 +93,6 @@ class MmxAccessPoint:
         if self._demodulators.pop(node_id, None) is None:
             raise KeyError(f"node {node_id} is not registered")
         self.allocator.release(node_id)
-        # A tag also holds a carrier grant the allocator knows nothing
-        # about.
-        if self.carrier is not None and node_id in self.carrier:
-            self.carrier.release(node_id)
 
     def registration(self, node_id: int) -> NodeRegistration:
         """Look up a node's registration: its allocator plan and its

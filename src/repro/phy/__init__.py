@@ -1,7 +1,7 @@
 """Physical-layer substrate: DSP, modulation math, coding and link budgets.
 
 This subpackage contains everything below the mmX-specific logic: generic
-signal processing (waveforms, filters, envelope detection, tone detection),
+signal processing (waveforms, envelope detection, tone detection),
 closed-form error-rate theory, channel coding, and noise/link-budget math.
 The mmX core in :mod:`repro.core` composes these pieces.
 """
@@ -31,8 +31,7 @@ from .coding import (
     interleave,
     deinterleave,
 )
-from .envelope import envelope_detect, automatic_gain_control, threshold_levels
-from .filters import moving_average, fir_lowpass, apply_fir
+from .envelope import envelope_detect, threshold_levels
 from .goertzel import goertzel_block_powers
 from .impairments import (
     apply_cfo,
@@ -52,11 +51,6 @@ from .snr import (
     LinkBudget,
     estimate_snr_two_level,
 )
-from .spectrum import (
-    occupied_bandwidth_hz,
-    power_spectral_density,
-)
-from .timing import estimate_timing_offset, align_to_bits, timing_metric
 from .waveform import (
     Waveform,
     carrier,
@@ -70,12 +64,9 @@ __all__ = [
     "LinkBudget",
     "RepetitionCode",
     "Waveform",
-    "align_to_bits",
     "apply_cfo",
-    "apply_fir",
     "apply_iq_imbalance",
     "apply_phase_noise",
-    "automatic_gain_control",
     "awgn_noise",
     "ber_ask_coherent",
     "ber_bpsk",
@@ -92,16 +83,11 @@ __all__ = [
     "deinterleave",
     "envelope_detect",
     "estimate_snr_two_level",
-    "estimate_timing_offset",
-    "fir_lowpass",
     "goertzel_block_powers",
     "interleave",
     "locate_preamble",
-    "moving_average",
     "noise_figure_cascade_db",
-    "occupied_bandwidth_hz",
     "pack_uint",
-    "power_spectral_density",
     "qfunc",
     "qfunc_inv",
     "quantize",
@@ -109,7 +95,6 @@ __all__ = [
     "snr_db_for_target_ber",
     "thermal_noise_dbm",
     "threshold_levels",
-    "timing_metric",
     "two_level_waveform",
     "unpack_uint",
 ]

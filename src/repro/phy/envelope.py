@@ -4,42 +4,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .filters import moving_average
-
 __all__ = [
     "envelope_detect",
-    "automatic_gain_control",
     "threshold_levels",
 ]
 
 
-def envelope_detect(samples: np.ndarray, smooth_window: int = 1) -> np.ndarray:
-    """Magnitude envelope of a complex baseband signal, optionally smoothed.
+def envelope_detect(samples: np.ndarray) -> np.ndarray:
+    """Magnitude envelope of a complex baseband signal.
 
     The mmX AP sees a sine wave whose amplitude was modulated by the
     channel (OTAM); taking ``|x[n]|`` recovers exactly that amplitude
-    track.  ``smooth_window`` applies a moving average, typically sized to
-    a fraction of a bit period.
+    track.
     """
-    env = np.abs(np.asarray(samples))
-    if smooth_window > 1:
-        env = moving_average(env, smooth_window)
-    return env
-
-
-def automatic_gain_control(envelope: np.ndarray,
-                           target_level: float = 1.0) -> np.ndarray:
-    """Normalise an envelope so its RMS hits ``target_level``.
-
-    Removes the absolute received power so the decision logic only deals
-    with the *ratio* between the two OTAM levels, which is what carries
-    the data.
-    """
-    envelope = np.asarray(envelope, dtype=float)
-    rms = float(np.sqrt(np.mean(envelope**2))) if envelope.size else 0.0
-    if rms <= 0.0:
-        return envelope.copy()
-    return envelope * (target_level / rms)
+    return np.abs(np.asarray(samples))
 
 
 def threshold_levels(envelope: np.ndarray) -> tuple[float, float, float]:

@@ -12,8 +12,7 @@ advances it.  That is the property the whole subsystem hangs on:
   *simulated* seconds.
 
 Drivers own the clock: :class:`repro.resilience.ChaosSimulation`,
-:class:`repro.cluster.FailoverSimulation`,
-:class:`repro.transport.ReliableLink` and
+:class:`repro.cluster.FailoverSimulation` and
 :class:`repro.network.mac.UplinkSimulator` each advance the recorder's
 clock by their own time step as they run.  Leaf components (allocators,
 supervisors, schedulers) never touch it — they just record against

@@ -6,7 +6,7 @@ inside simulation inner loops and must cost nanoseconds, not
 microseconds:
 
 * :class:`Counter` — a monotone float total (``mac.frames_delivered``);
-* :class:`Gauge` — a last-value sample (``transport.rto_s``);
+* :class:`Gauge` — a last-value sample (``admission.occupancy``);
 * :class:`Histogram` — an exponential-bucket distribution
   (``mac.latency_s``) whose bucket edges are ``least * growth**i``, the
   classic HdrHistogram/Prometheus-native layout that covers microseconds

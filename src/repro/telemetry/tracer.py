@@ -5,7 +5,7 @@ timeline with a name, optional attributes and a parent.  Two usage
 shapes cover everything the stack needs:
 
 * scoped — ``with tracer.span("sim.trial", index=3): ...`` for work
-  that nests cleanly (a Monte-Carlo trial, a transport transfer);
+  that nests cleanly (a Monte-Carlo trial, one chaos scenario);
 * manual — ``handle = tracer.begin("cluster.ap_outage"); ...;
   tracer.end(handle)`` for intervals that open and close on different
   simulation steps (an AP's crash-to-recovery window, a link's

@@ -1,12 +1,11 @@
-"""The cold-start contract: ``import repro`` loads no scipy.
+"""The cold-start contract: numpy is the only runtime dependency.
 
-BER calls never load scipy: :mod:`repro.phy.ber` runs its own ports of
-the Cephes kernels behind ``scipy.special.erfc``/``erfcinv`` and
-returns their bits.  :mod:`scipy.signal` loads on the first filter or
-PSD, and the routines reached that way are the same objects as a direct
-scipy call, so every output keeps its bits.  A figure and a chaos
-scenario load no scipy at all.  Each check runs in a fresh interpreter,
-because this test process may already hold scipy.
+``import repro`` loads no scipy, and neither does any CLI subcommand:
+scipy is a test-only oracle.  BER calls never load it either:
+:mod:`repro.phy.ber` runs its own ports of the Cephes kernels behind
+``scipy.special.erfc``/``erfcinv`` and returns their bits.  Each check
+runs in a fresh interpreter, because this test process may already hold
+scipy.
 """
 
 from __future__ import annotations
@@ -129,59 +128,57 @@ def test_figure_and_chaos_runs_load_no_scipy():
     assert _scipy_modules(loaded) == []
 
 
-_FIRST_SIGNAL_CALLS = """
-import json, sys
-import numpy as np
-from repro.phy.filters import apply_fir, fir_lowpass
-from repro.phy.spectrum import power_spectral_density
-from repro.phy.waveform import Waveform
+_EVERY_SUBCOMMAND = """
+import contextlib, io, json, sys
+from pathlib import Path
+from repro.cli import main
 
-loaded_before = "scipy.signal" in sys.modules
-rng = np.random.default_rng(7)
-real = rng.standard_normal(3000)
-cplx = real + 1j * rng.standard_normal(3000)
-wave = Waveform(cplx, 8e6)
-taps = fir_lowpass(5e5, 8e6, 101)
-filtered = [apply_fir(real, taps), apply_fir(cplx, taps)]
-freqs, psd = power_spectral_density(wave)
-short_freqs, short_psd = power_spectral_density(wave, nperseg=256)
-from scipy import signal
-
-want_taps = signal.firwin(101, 5e5, fs=8e6)
-delay = (want_taps.size - 1) // 2
-want_filtered = [
-    signal.lfilter(want_taps, [1.0],
-                   np.concatenate([x, np.full(delay, x[-1])]))[delay:]
-    for x in (real, cplx)]
+tmp, lint_target = Path(sys.argv[1]), sys.argv[2]
+telemetry = tmp / "chaos.jsonl"
+journal = tmp / "campaign.jsonl"
+codes = {}
 
 
-def welch_sorted(nperseg):
-    f, s = signal.welch(cplx, fs=8e6, nperseg=nperseg,
-                        return_onesided=False, detrend=False)
-    order = np.argsort(f)
-    return f[order], s[order]
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        codes[" ".join(argv)] = main(list(argv))
+    return out.getvalue()
 
 
-def same(a, b):
-    return a.dtype == b.dtype and np.array_equal(a, b)
-
-
-print(json.dumps({
-    "loaded_before": loaded_before,
-    "fir_lowpass": same(taps, want_taps),
-    "apply_fir": all(same(got, want)
-                     for got, want in zip(filtered, want_filtered)),
-    "psd": all(same(got, want) for got, want in zip(
-        (freqs, psd, short_freqs, short_psd),
-        welch_sorted(1024) + welch_sorted(256))),
-}))
+run("list")
+run("reproduce", "table1")
+run("link")
+run("network", "--nodes", "1")
+run("characterize")
+telemetry.write_text(run("chaos", "--scenario", "blockage",
+                         "--duration", "10", "--json"))
+run("admission", "saturate", "--nodes", "20", "--replicates", "1",
+    "--load", "0.5")
+run("energy", "compare", "--replicates", "1", "--bits", "64")
+run("energy", "outage", "--replicates", "1", "--nodes", "1")
+run("campaign", "fig11", "--trials", "1", "--out", str(journal))
+run("telemetry", "summarize", str(telemetry))
+run("telemetry", "flame", str(telemetry))
+run("fsck", str(journal), str(telemetry))
+run("lint", lint_target)
+print(json.dumps({"codes": codes, "loaded": sorted(sys.modules)}))
 """
 
 
-def test_filters_and_psd_load_scipy_signal_and_match_it():
-    """fir_lowpass, apply_fir and power_spectral_density import
-    scipy.signal on first use and return what firwin, lfilter and
-    welch return."""
-    outcome = _fresh_json(_FIRST_SIGNAL_CALLS)
-    assert outcome == {"loaded_before": False, "fir_lowpass": True,
-                       "apply_fir": True, "psd": True}
+def test_every_cli_subcommand_loads_no_scipy(tmp_path):
+    """The smallest form of each ``python -m repro`` subcommand, run
+    one after another in one interpreter, exits 0 and leaves no scipy
+    module behind."""
+    from repro.cli import build_parser
+
+    done = _fresh_python("-c", _EVERY_SUBCOMMAND, str(tmp_path),
+                         str(SRC_DIR / "repro" / "rng.py"))
+    outcome = json.loads(done.stdout.splitlines()[-1])
+    subparsers = next(action for action in build_parser()._actions
+                      if action.dest == "command")
+    ran = {argv.split()[0] for argv in outcome["codes"]}
+    assert ran == set(subparsers.choices)
+    assert all(code == 0 for code in outcome["codes"].values()), \
+        outcome["codes"]
+    assert _scipy_modules(outcome["loaded"]) == []

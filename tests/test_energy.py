@@ -27,7 +27,6 @@ from repro.energy import (
     ENERGY_STATES,
     HARVESTING_CLASS,
     BackscatterLink,
-    CarrierScheduler,
     DutyCycleScheduler,
     EnergyStateMachine,
     EnergyStore,
@@ -367,74 +366,6 @@ class TestDutyCycleScheduler:
         assert stats.retries == 2
         assert stats.dropped == 1
         assert stats.delivered == 0
-
-
-class TestCarrierScheduler:
-    def test_reserve_release_roundtrip(self):
-        carrier = CarrierScheduler(airtime_capacity=0.5)
-        assert carrier.reserve(1, 0.2)
-        assert carrier.reserve(2, 0.3)
-        assert not carrier.reserve(3, 0.01)  # budget exhausted
-        assert 3 not in carrier
-        carrier.release(1)
-        assert carrier.free_airtime == pytest.approx(0.2)
-        assert carrier.reserve(3, 0.2)
-
-    def test_double_grant_and_unknown_release_raise(self):
-        carrier = CarrierScheduler()
-        carrier.reserve(1, 0.1)
-        with pytest.raises(ValueError, match="already holds"):
-            carrier.reserve(1, 0.1)
-        with pytest.raises(KeyError):
-            carrier.release(99)
-
-    def test_long_churn_does_not_leak_airtime(self):
-        carrier = CarrierScheduler(airtime_capacity=1.0)
-        for i in range(2000):
-            assert carrier.reserve(i, 0.1)
-            carrier.release(i)
-        assert carrier.granted_airtime == 0.0
-        assert carrier.free_airtime == 1.0
-
-
-class TestBackscatterAdmission:
-    def test_tag_consumes_carrier_airtime_not_just_spectrum(self):
-        from repro.admission import AdmissionController
-        from repro.network.fdm import FdmAllocator
-
-        carrier = CarrierScheduler(airtime_capacity=0.5)
-        controller = AdmissionController(
-            allocator=FdmAllocator(), carrier=carrier)
-        before = controller.allocator.allocated_bandwidth_hz
-        assert controller.admit(1, 1e6,
-                                illumination_duty=0.4).admitted
-        assert carrier.granted_airtime == pytest.approx(0.4)
-        # Plenty of spectrum left, but the illumination budget blocks —
-        # and the freshly won channel must be unwound.
-        decision = controller.admit(2, 1e6, illumination_duty=0.4)
-        assert decision.state == "blocked"
-        assert 2 not in carrier
-        controller.release(1)
-        assert carrier.granted_airtime == 0.0
-        assert controller.allocator.allocated_bandwidth_hz == before
-
-    def test_illumination_needs_a_scheduler(self):
-        from repro.admission import AdmissionController
-
-        with pytest.raises(ValueError, match="CarrierScheduler"):
-            AdmissionController().admit(1, 1e6, illumination_duty=0.2)
-
-    def test_ap_standalone_tag_registration_unwinds_on_airtime_miss(self):
-        from repro.network.fdm import SpectrumExhausted
-
-        ap = MmxAccessPoint(carrier=CarrierScheduler(airtime_capacity=0.3))
-        ap.register_backscatter_node(1, illumination_duty=0.3)
-        free_hz = ap.allocator.free_bandwidth_hz
-        with pytest.raises(SpectrumExhausted):
-            ap.register_backscatter_node(2, illumination_duty=0.1)
-        assert ap.allocator.free_bandwidth_hz == free_hz
-        ap.deregister_node(1)
-        assert ap.carrier.granted_airtime == 0.0
 
 
 class TestDormantSupervision:

@@ -2,8 +2,8 @@
 
 The load-bearing guarantees under test:
 
-* the engine's seed derivation is the runner's, so campaign trials see
-  the exact RNG streams a serial sweep would;
+* the engine's seed derivation is a plain serial sweep's, so campaign
+  trials see the exact RNG streams one unsharded trial loop would;
 * results and merged telemetry exports are byte-identical across shard
   counts and executors;
 * a killed campaign resumes from its journal executing only the
@@ -34,9 +34,10 @@ from repro.engine import (
     SupervisionPolicy,
     run_shard,
 )
-from repro.sim.runner import MonteCarloRunner
 from repro.telemetry import Recorder
 from repro.telemetry.export import to_jsonl
+
+from .engine_reference import serial_trials
 
 
 def uniform_trial(rng, index):
@@ -70,7 +71,8 @@ class TestCampaignPlan:
     def test_seeds_match_runner_derivation(self):
         plan = CampaignPlan.build(master_seed=7, num_trials=10,
                                   num_shards=3)
-        runner_seeds = MonteCarloRunner(7).child_seeds(10)
+        runner_seeds = [r.seed for r in serial_trials(uniform_trial, 10,
+                                                      master_seed=7)]
         plan_seeds = [t.seed for shard in plan.shards
                       for t in shard.trials]
         assert plan_seeds == runner_seeds
@@ -137,7 +139,7 @@ class TestRunShard:
 
 class TestCampaignDeterminism:
     def test_matches_plain_runner_exactly(self):
-        serial = MonteCarloRunner(11).run(uniform_trial, 12)
+        serial = list(serial_trials(uniform_trial, 12, master_seed=11))
         for shards in (1, 4, 12):
             outcome = Campaign(uniform_trial, 12, master_seed=11,
                                num_shards=shards).run()
@@ -164,8 +166,8 @@ class TestCampaignDeterminism:
     def test_merged_telemetry_export_is_byte_identical(self, executor,
                                                         shards):
         tel_serial = Recorder()
-        streamed = list(MonteCarloRunner(5, telemetry=tel_serial)
-                        .run_stream(uniform_trial, 8))
+        streamed = list(serial_trials(uniform_trial, 8, master_seed=5,
+                                      telemetry=tel_serial))
         tel_campaign = Recorder()
         outcome = Campaign(uniform_trial, 8, master_seed=5,
                            num_shards=shards, executor=executor(),
@@ -375,18 +377,45 @@ class TestEngineErrors:
         assert not started & {"trial-4.started", "trial-5.started"}
 
 
+class TestSerialCampaign:
+    """A one-shard in-process campaign: the default front door."""
+
+    def test_deterministic_across_runs(self):
+        a = Campaign(uniform_trial, 10, master_seed=7).run()
+        b = Campaign(uniform_trial, 10, master_seed=7).run()
+        assert [r["x"] for r in a.results] == [r["x"] for r in b.results]
+
+    def test_trials_independent(self):
+        results = Campaign(uniform_trial, 20).run().results
+        assert len({r["x"] for r in results}) == 20
+
+    def test_summary_statistics(self):
+        stats = Campaign(uniform_trial, 11).run().summary("index")
+        assert stats["mean"] == pytest.approx(5.0)
+        assert stats["median"] == pytest.approx(5.0)
+        assert stats["min"] == 0.0
+        assert stats["max"] == 10.0
+
+    def test_collect(self):
+        outcome = Campaign(uniform_trial, 3).run()
+        assert list(outcome.collect("index")) == [0, 1, 2]
+
+    def test_non_dict_trial_rejected(self):
+        with pytest.raises(TypeError):
+            Campaign(non_dict_trial, 1).run()
+
+
 class TestRunnerIntegration:
     def test_empty_summary_message_names_the_key(self):
         with pytest.raises(ValueError,
                            match=r"no results to summarise for 'snr'"):
-            MonteCarloRunner.summary([], "snr")
+            Campaign(uniform_trial, 0).run().summary("snr")
 
 
 class TestStreamAbandonment:
     def test_abandoned_stream_leaves_no_open_spans(self):
         tel = Recorder()
-        runner = MonteCarloRunner(0, telemetry=tel)
-        stream = runner.run_stream(uniform_trial, 10)
+        stream = serial_trials(uniform_trial, 10, telemetry=tel)
         for _ in range(3):
             next(stream)
         del stream

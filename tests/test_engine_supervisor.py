@@ -45,9 +45,10 @@ from repro.engine import (
     validate_shard_result,
 )
 from repro.engine.supervisor import AttemptCompletion
-from repro.sim.runner import MonteCarloRunner
 from repro.telemetry import Recorder
 from repro.telemetry.export import to_jsonl
+
+from .engine_reference import serial_trials
 
 
 def uniform_trial(rng, index):
@@ -555,8 +556,8 @@ class TestSupervisedPool:
 
     def test_fault_free_supervised_matches_serial_exactly(self):
         tel_serial = Recorder()
-        serial = MonteCarloRunner(5, telemetry=tel_serial).run(
-            uniform_trial, 8)
+        serial = list(serial_trials(uniform_trial, 8, master_seed=5,
+                                    telemetry=tel_serial))
         tel_pool = Recorder()
         pooled = Campaign(uniform_trial, 8, master_seed=5,
                           num_shards=4,

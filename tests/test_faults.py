@@ -146,7 +146,7 @@ class TestFaultInjector:
 
     def test_per_process_streams_independent(self):
         """Appending a process must not perturb earlier processes' draws
-        — the MonteCarloRunner child-stream discipline."""
+        — the CampaignPlan child-stream discipline."""
         base = [TransientBlockerProcess()]
         extended = base + [NodeDropoutProcess()]
         a = FaultInjector(base, master_seed=7).schedule(60.0)

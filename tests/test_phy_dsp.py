@@ -1,63 +1,10 @@
-"""Tests for repro.phy filters, envelope detection and Goertzel."""
+"""Tests for repro.phy envelope detection, level estimation and Goertzel."""
 
 import numpy as np
 import pytest
 
 from repro.phy import envelope as E
-from repro.phy import filters as F
 from repro.phy import goertzel as G
-
-
-class TestMovingAverage:
-    def test_window_one_is_identity(self):
-        x = np.array([1.0, 2.0, 3.0])
-        assert F.moving_average(x, 1) == pytest.approx(x)
-
-    def test_length_preserved(self):
-        x = np.arange(50, dtype=float)
-        assert F.moving_average(x, 7).size == 50
-
-    def test_constant_signal_unchanged(self):
-        x = np.full(30, 4.2)
-        assert F.moving_average(x, 5) == pytest.approx(x)
-
-    def test_smooths_noise(self, rng):
-        x = rng.standard_normal(2000)
-        assert F.moving_average(x, 16).std() < 0.5 * x.std()
-
-    def test_window_larger_than_signal_ok(self):
-        x = np.array([1.0, 2.0])
-        out = F.moving_average(x, 10)
-        assert out.size == 2
-
-    def test_invalid_window(self):
-        with pytest.raises(ValueError):
-            F.moving_average(np.ones(4), 0)
-
-
-class TestFirLowpass:
-    def test_passband_gain_near_unity(self):
-        taps = F.fir_lowpass(1e6, 8e6, 63)
-        # DC gain.
-        assert np.sum(taps) == pytest.approx(1.0, abs=1e-3)
-
-    def test_attenuates_out_of_band_tone(self):
-        fs = 8e6
-        taps = F.fir_lowpass(5e5, fs, 101)
-        t = np.arange(4000) / fs
-        in_band = np.cos(2 * np.pi * 1e5 * t)
-        out_band = np.cos(2 * np.pi * 3e6 * t)
-        y_in = F.apply_fir(in_band, taps)
-        y_out = F.apply_fir(out_band, taps)
-        assert y_out[500:-500].std() < 0.01 * y_in[500:-500].std()
-
-    def test_invalid_cutoff(self):
-        with pytest.raises(ValueError):
-            F.fir_lowpass(5e6, 8e6)
-
-    def test_too_few_taps(self):
-        with pytest.raises(ValueError):
-            F.fir_lowpass(1e5, 8e6, num_taps=1)
 
 
 class TestEnvelope:
@@ -68,21 +15,6 @@ class TestEnvelope:
         env = E.envelope_detect(env_in * tone)
         assert env[:80] == pytest.approx(np.full(80, 1.0))
         assert env[80:] == pytest.approx(np.full(80, 0.3))
-
-    def test_smoothing_reduces_variance(self, rng):
-        x = np.ones(1000) + 0.2 * rng.standard_normal(1000)
-        raw = E.envelope_detect(x)
-        smooth = E.envelope_detect(x, smooth_window=16)
-        assert smooth.std() < raw.std()
-
-    def test_agc_normalises_rms(self, rng):
-        env = np.abs(rng.standard_normal(500)) * 7.3
-        out = E.automatic_gain_control(env)
-        assert np.sqrt(np.mean(out**2)) == pytest.approx(1.0)
-
-    def test_agc_zero_signal_safe(self):
-        out = E.automatic_gain_control(np.zeros(8))
-        assert np.all(out == 0)
 
 
 class TestThresholdLevels:

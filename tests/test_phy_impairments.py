@@ -132,6 +132,16 @@ class TestDemodulatorUnderImpairments:
         bits, wave = self._clean_capture(rng, config)
         assert self._errors(config, bits, I.quantize(wave, 8)) == 0
 
+    def test_survives_cheap_digitiser(self, rng):
+        # The three dirt sources of a low-cost receive chain at once: a
+        # 50 kHz LO offset, a 2 kHz oscillator linewidth and an 8-bit
+        # ADC.
+        config = AskFskConfig(bit_rate_bps=1e6, sample_rate_hz=16e6)
+        bits, wave = self._clean_capture(rng, config)
+        dirty = I.quantize(
+            I.apply_phase_noise(I.apply_cfo(wave, 50e3), 2e3, rng), 8)
+        assert self._errors(config, bits, dirty) == 0
+
     def test_survives_iq_imbalance(self, rng):
         config = AskFskConfig(bit_rate_bps=1e6, sample_rate_hz=8e6)
         bits, wave = self._clean_capture(rng, config)

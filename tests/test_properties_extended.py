@@ -1,9 +1,9 @@
-"""Additional property-based tests: timing, throughput, scheduling, TMA."""
+"""Additional property-based tests: throughput, scheduling, TMA."""
 
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.throughput import CODING_MODES, frame_success_probability, goodput_bps
@@ -11,34 +11,8 @@ from repro.network.sdm_scheduler import (
     AngularSdmScheduler,
     assignment_min_separation_rad,
 )
-from repro.phy.timing import estimate_timing_offset
-from repro.phy.waveform import Waveform
 from repro.sim.environment import default_lab_room
 from repro.sim.placement import PlacementSampler
-
-
-class TestTimingProperties:
-    @given(st.lists(st.integers(0, 1), min_size=8, max_size=64),
-           st.integers(min_value=0, max_value=7))
-    @settings(max_examples=40)
-    def test_offset_recovered_for_any_pattern_with_transitions(self, bits,
-                                                               cut):
-        assume(len(set(bits)) == 2)  # needs at least one level transition
-        sps = 8
-        # Two-level envelope with distinct amplitudes; cut samples off
-        # the front to create a timing offset.
-        env = np.repeat(np.where(np.asarray(bits) == 1, 1.0, 0.25), sps)
-        samples = env.astype(complex)[cut:]
-        assume(samples.size >= 3 * sps)
-        wave = Waveform(samples, 8e6)
-        estimated = estimate_timing_offset(wave, sps)
-        assert estimated == (sps - cut) % sps
-
-    @given(st.integers(min_value=2, max_value=16))
-    @settings(max_examples=10)
-    def test_constant_signal_any_sps(self, sps):
-        wave = Waveform(np.ones(sps * 12, dtype=complex), 8e6)
-        assert estimate_timing_offset(wave, sps) == 0
 
 
 class TestThroughputProperties:

@@ -17,7 +17,7 @@ import repro
 PACKAGES = [
     "repro", "repro.core", "repro.phy", "repro.antenna", "repro.channel",
     "repro.hardware", "repro.node", "repro.network", "repro.baselines",
-    "repro.sim", "repro.experiments", "repro.transport", "repro.cluster",
+    "repro.sim", "repro.experiments", "repro.cluster",
     "repro.telemetry", "repro.engine", "repro.energy",
 ]
 

@@ -1,4 +1,4 @@
-"""Tests for mobility models, placement sampling and the MC runner."""
+"""Tests for mobility models and placement sampling."""
 
 import math
 
@@ -10,7 +10,6 @@ from repro.sim.mobility import (
     WalkingBlocker,
     los_blocker_between,
 )
-from repro.sim.runner import MonteCarloRunner
 
 
 class TestLinearCrossing:
@@ -103,47 +102,3 @@ class TestPlacementSampler:
     def test_invalid_distance(self, sampler):
         with pytest.raises(ValueError):
             sampler.at_distance(0.0)
-
-
-class TestMonteCarloRunner:
-    def test_deterministic_across_runs(self):
-        def trial(rng, index):
-            return {"value": float(rng.uniform())}
-
-        a = MonteCarloRunner(master_seed=7).run(trial, 10)
-        b = MonteCarloRunner(master_seed=7).run(trial, 10)
-        assert [r["value"] for r in a] == [r["value"] for r in b]
-
-    def test_trials_independent(self):
-        def trial(rng, index):
-            return {"value": float(rng.uniform())}
-
-        results = MonteCarloRunner(0).run(trial, 20)
-        values = [r["value"] for r in results]
-        assert len(set(values)) == 20
-
-    def test_summary_statistics(self):
-        def trial(rng, index):
-            return {"x": float(index)}
-
-        results = MonteCarloRunner(0).run(trial, 11)
-        stats = MonteCarloRunner.summary(results, "x")
-        assert stats["mean"] == pytest.approx(5.0)
-        assert stats["median"] == pytest.approx(5.0)
-        assert stats["min"] == 0.0
-        assert stats["max"] == 10.0
-
-    def test_collect(self):
-        def trial(rng, index):
-            return {"x": index * 2}
-
-        results = MonteCarloRunner(0).run(trial, 3)
-        assert list(MonteCarloRunner.collect(results, "x")) == [0, 2, 4]
-
-    def test_non_dict_trial_rejected(self):
-        with pytest.raises(TypeError):
-            MonteCarloRunner(0).run(lambda rng, i: 42, 1)
-
-    def test_empty_summary_rejected(self):
-        with pytest.raises(ValueError):
-            MonteCarloRunner.summary([], "x")

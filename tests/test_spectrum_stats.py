@@ -1,4 +1,4 @@
-"""Tests for spectral analysis and channel characterisation."""
+"""Tests for a node's emission bandwidth and channel characterisation."""
 
 import numpy as np
 import pytest
@@ -8,11 +8,35 @@ from repro.channel.multipath import ChannelResponse
 from repro.channel.raytrace import trace_paths
 from repro.core.ask_fsk import AskFskConfig
 from repro.core.otam import OtamModulator
-from repro.phy import spectrum as SP
 from repro.phy.bits import random_bits
 from repro.phy.waveform import Waveform, carrier
 from repro.sim.environment import default_lab_room
 from repro.sim.placement import PlacementSampler
+
+
+def occupied_bandwidth_hz(wave: Waveform, fraction: float = 0.99) -> float:
+    """x%-power occupied bandwidth (the regulatory OBW definition).
+
+    The interval that trims ``(1 - fraction) / 2`` of the power off each
+    tail of the two-sided Welch PSD of ``wave``.  The FDM allocator
+    (§7a) sizes each node's channel from its data rate; this measures
+    whether the node's emission actually fits it.
+    """
+    if not 0.0 < fraction < 1.0:
+        raise ValueError("fraction must be in (0, 1)")
+    from scipy.signal import welch
+
+    freqs, psd = welch(wave.samples, fs=wave.sample_rate_hz,
+                       nperseg=min(1024, len(wave)),
+                       return_onesided=False, detrend=False)
+    order = np.argsort(freqs)
+    freqs, psd = freqs[order], psd[order]
+    cumulative = np.cumsum(psd) / float(np.sum(psd))
+    tail = (1.0 - fraction) / 2.0
+    low_idx = int(np.searchsorted(cumulative, tail))
+    high_idx = min(int(np.searchsorted(cumulative, 1.0 - tail)),
+                   freqs.size - 1)
+    return float(freqs[high_idx] - freqs[low_idx])
 
 
 def _otam_wave(rng, bit_rate=1e6, fs=16e6, n_bits=2000):
@@ -22,33 +46,14 @@ def _otam_wave(rng, bit_rate=1e6, fs=16e6, n_bits=2000):
         random_bits(n_bits, rng), ChannelResponse(h1=1.0, h0=0.3, paths=()))
 
 
-class TestPsd:
-    def test_tone_peaks_at_its_frequency(self):
-        wave = carrier(2e6, 2e-3, 16e6)
-        freqs, psd = SP.power_spectral_density(wave)
-        assert freqs[int(np.argmax(psd))] == pytest.approx(2e6, abs=5e4)
-
-    def test_total_power_parseval(self):
-        wave = carrier(1e6, 2e-3, 16e6, amplitude=0.5)
-        freqs, psd = SP.power_spectral_density(wave)
-        df = freqs[1] - freqs[0]
-        assert float(np.sum(psd) * df) == pytest.approx(wave.power(),
-                                                        rel=0.05)
-
-    def test_too_short_rejected(self):
-        with pytest.raises(ValueError):
-            SP.power_spectral_density(Waveform(np.ones(4, dtype=complex),
-                                               1e6))
-
-
 class TestOccupiedBandwidth:
     def test_tone_is_narrow(self):
         wave = carrier(0.0, 4e-3, 16e6)
-        assert SP.occupied_bandwidth_hz(wave) < 1e5
+        assert occupied_bandwidth_hz(wave) < 1e5
 
     def test_otam_obw_matches_config_estimate(self, rng):
         cfg, wave = _otam_wave(rng)
-        obw = SP.occupied_bandwidth_hz(wave)
+        obw = occupied_bandwidth_hz(wave)
         # The config's occupied-bandwidth rule of thumb (tone separation
         # plus two main lobes) should land within ~2x of the measured
         # 99% OBW.
@@ -57,13 +62,13 @@ class TestOccupiedBandwidth:
     def test_faster_bits_occupy_more(self, rng):
         _, slow = _otam_wave(rng, bit_rate=1e6)
         _, fast = _otam_wave(rng, bit_rate=4e6)
-        assert (SP.occupied_bandwidth_hz(fast)
-                > 2 * SP.occupied_bandwidth_hz(slow))
+        assert (occupied_bandwidth_hz(fast)
+                > 2 * occupied_bandwidth_hz(slow))
 
     def test_invalid_fraction(self, rng):
         _, wave = _otam_wave(rng, n_bits=64)
         with pytest.raises(ValueError):
-            SP.occupied_bandwidth_hz(wave, fraction=1.0)
+            occupied_bandwidth_hz(wave, fraction=1.0)
 
 
 class TestChannelStatistics:

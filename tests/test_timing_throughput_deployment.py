@@ -1,13 +1,7 @@
-"""Tests for timing recovery, link adaptation, and deployment planning."""
+"""Tests for link adaptation and deployment planning."""
 
-
-import numpy as np
 import pytest
 
-from repro.channel.multipath import ChannelResponse
-from repro.core.ask_fsk import AskFskConfig
-from repro.core.demodulator import JointDemodulator
-from repro.core.otam import OtamModulator
 from repro.core.throughput import (
     CODING_MODES,
     RateAdapter,
@@ -15,77 +9,8 @@ from repro.core.throughput import (
     goodput_bps,
 )
 from repro.network.deployment import Deployment, plan_access_points
-from repro.phy.bits import random_bits
-from repro.phy.preamble import default_preamble_bits
-from repro.phy.timing import align_to_bits, estimate_timing_offset, timing_metric
-from repro.phy.waveform import Waveform, awgn_noise
 from repro.sim.environment import Room
 from repro.sim.geometry import Point
-
-CONFIG = AskFskConfig(bit_rate_bps=1e6, sample_rate_hz=8e6)
-
-
-def _capture(rng, offset_samples=0, h1=1.0, h0=0.15, n_bits=64):
-    bits = np.concatenate([default_preamble_bits(), random_bits(n_bits, rng)])
-    mod = OtamModulator(CONFIG, eirp_dbm=0.0)
-    wave = mod.received_waveform(bits, ChannelResponse(h1=h1, h0=h0,
-                                                       paths=()))
-    samples = np.concatenate([
-        np.zeros(0, dtype=complex),
-        wave.samples[offset_samples:] if offset_samples else wave.samples,
-    ])
-    noisy = samples + awgn_noise(samples.size, 1e-4, rng)
-    return bits, Waveform(noisy, CONFIG.sample_rate_hz)
-
-
-class TestTimingRecovery:
-    def test_aligned_capture_estimates_zero(self, rng):
-        _, wave = _capture(rng)
-        assert estimate_timing_offset(wave, CONFIG.samples_per_bit) == 0
-
-    @pytest.mark.parametrize("cut", [1, 3, 5, 7])
-    def test_recovers_arbitrary_offsets(self, rng, cut):
-        # Cutting `cut` samples off the front leaves the first bit
-        # truncated; the bit boundary is then at (sps - cut).
-        _, wave = _capture(rng, offset_samples=cut)
-        estimated = estimate_timing_offset(wave, CONFIG.samples_per_bit)
-        assert estimated == (CONFIG.samples_per_bit - cut)
-
-    def test_align_to_bits_trims_whole_bits(self, rng):
-        _, wave = _capture(rng, offset_samples=3)
-        aligned, offset = align_to_bits(wave, CONFIG.samples_per_bit)
-        assert offset == 5
-        assert len(aligned) % CONFIG.samples_per_bit == 0
-
-    def test_demodulate_with_recovery_end_to_end(self, rng):
-        bits, wave = _capture(rng, offset_samples=5)
-        demod = JointDemodulator(CONFIG)
-        result = demod.demodulate(wave, recover_timing=True)
-        # The first (truncated) bit is lost; everything after decodes.
-        decoded = result.bits
-        expected = bits[1:]
-        n = min(decoded.size, expected.size)
-        errors = int(np.count_nonzero(decoded[:n] != expected[:n]))
-        assert errors <= 1
-
-    def test_without_recovery_misaligned_capture_fails(self, rng):
-        bits, wave = _capture(rng, offset_samples=4)
-        result = JointDemodulator(CONFIG).demodulate(wave)
-        n = min(bits.size, result.bits.size)
-        errors = int(np.count_nonzero(bits[:n] != result.bits[:n]))
-        # Half-bit misalignment smears decisions badly.
-        assert errors > 3
-
-    def test_metric_validates_inputs(self):
-        env = np.ones(64)
-        with pytest.raises(ValueError):
-            timing_metric(env, 1, 0)
-        with pytest.raises(ValueError):
-            timing_metric(env, 8, 8)
-
-    def test_constant_envelope_falls_back_to_zero(self):
-        wave = Waveform(np.ones(256, dtype=complex), 8e6)
-        assert estimate_timing_offset(wave, 8) == 0
 
 
 class TestFrameSuccess:

@@ -17,7 +17,7 @@ through.  v2 fixes that with a three-stage pipeline:
    into a symbol/import/call graph, resolves call edges through import
    aliases, collects worker *entry points* (anything handed to
    ``run_shard`` / ``run_shards`` / executor ``submit`` /
-   ``Campaign`` / ``run_campaign``, unwrapping ``functools.partial``),
+   ``Campaign``, unwrapping ``functools.partial``),
    and computes the worker-reachable closure the PAR0xx rules walk.
 
 Known static limits (documented in ``docs/static-analysis.md``): calls
@@ -68,11 +68,11 @@ CACHE_DIR_NAME = ".reprolint-cache"
 
 #: Call-site names that hand a function across the worker boundary.
 #: ``submit`` covers ``ProcessPoolExecutor``/backend submission;
-#: ``run_shards`` the executor protocol; ``Campaign``/``run_campaign``
-#: the engine driver.  The *first positional* argument (or the
-#: ``trial_fn`` keyword) is the handed-off callable.
+#: ``run_shards`` the executor protocol; ``Campaign`` the engine
+#: driver.  The *first positional* argument (or the ``trial_fn``
+#: keyword) is the handed-off callable.
 HANDOFF_CALLEES = frozenset({
-    "run_shards", "submit", "Campaign", "run_campaign",
+    "run_shards", "submit", "Campaign",
 })
 
 def default_jobs() -> int:

@@ -1,7 +1,7 @@
 """DET001: simulation code must not consult wall clocks or ``random``.
 
 Simulated time is explicit everywhere in this repo (``now_s`` wanders
-through the transport, breaker and chaos layers as an argument).  A
+through the heartbeat, failover and chaos layers as an argument).  A
 ``time.time()`` or stdlib-``random`` call hidden in a sim/experiment
 path makes a trajectory unreproducible in a way no seed can fix.
 
