@@ -404,6 +404,10 @@ class TestSerialCampaign:
         with pytest.raises(TypeError):
             Campaign(non_dict_trial, 1).run()
 
+    def test_empty_summary_rejected(self):
+        with pytest.raises(ValueError):
+            Campaign(uniform_trial, 0).run().summary("x")
+
 
 class TestRunnerIntegration:
     def test_empty_summary_message_names_the_key(self):
