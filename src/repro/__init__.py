@@ -81,7 +81,6 @@ from .energy import (
     HarvestModel,
     NodeClassSpec,
     node_class,
-    registered_classes,
     run_compare,
     run_outage,
 )
@@ -208,7 +207,6 @@ __all__ = [
     "design_mmx_beams",
     "node_class",
     "random_bits",
-    "registered_classes",
     "run_compare",
     "run_outage",
     "run_saturation",

@@ -116,9 +116,6 @@ class _SqrtList:
         else:
             self._maxlen = np.empty(0, dtype=np.float64)
 
-    def __len__(self) -> int:
-        return sum(len(b) for b in self._blocks)
-
     def __iter__(self):
         for b in self._blocks:
             yield from b

@@ -112,12 +112,6 @@ class AdmissionController:
 
     # --- introspection ----------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def __contains__(self, node_id: int) -> bool:
-        return node_id in self._nodes
-
     def decision_for(self, node_id: int) -> AdmissionDecision:
         """The current admission state of one node."""
         try:
@@ -136,16 +130,6 @@ class AdmissionController:
         """Free-spectrum shredding metric (see
         :attr:`repro.network.fdm.FdmAllocator.fragmentation`)."""
         return self.allocator.fragmentation
-
-    def counts(self) -> dict[str, int]:
-        """Admitted-node census per ladder rung."""
-        fdm = sdm = 0
-        for state in self._nodes.values():
-            if state.decision.state == "fdm":
-                fdm += 1
-            else:
-                sdm += 1
-        return {"fdm": fdm, "sdm": sdm, "total": len(self._nodes)}
 
     def _slice_plan(self, node_id: int, channel_index: int) -> ChannelPlan:
         """The fixed spectral slice backing one SDM spatial channel."""

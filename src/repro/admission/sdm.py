@@ -70,14 +70,6 @@ class SdmPacker:
         self._load_heap: list[tuple[int, int]] = [
             (0, c) for c in range(num_channels)]
 
-    def __len__(self) -> int:
-        return len(self._assignments)
-
-    @property
-    def assignments(self) -> list[SdmAssignment]:
-        """All current spatial admissions, sorted by node id."""
-        return [self._assignments[n] for n in sorted(self._assignments)]
-
     # --- the collision predicate -----------------------------------------
 
     def _compatible(self, channel_index: int, bearing: float) -> bool:

@@ -8,28 +8,23 @@ conventional phased array for the beam-searching baselines.
 """
 
 from .array import UniformLinearArray, array_factor
-from .element import PatchElement, DipoleElement, IsotropicElement
+from .element import PatchElement, DipoleElement
 from .orthogonal import OrthogonalBeamPair, design_mmx_beams, measured_mmx_beams
 from .patterns import (
     half_power_beamwidth_deg,
-    find_null_directions_deg,
     peak_direction_deg,
     pattern_orthogonality_db,
-    directivity_dbi,
 )
 from .phased_array import PhasedArray
 
 __all__ = [
     "DipoleElement",
-    "IsotropicElement",
     "OrthogonalBeamPair",
     "PatchElement",
     "PhasedArray",
     "UniformLinearArray",
     "array_factor",
     "design_mmx_beams",
-    "directivity_dbi",
-    "find_null_directions_deg",
     "half_power_beamwidth_deg",
     "measured_mmx_beams",
     "pattern_orthogonality_db",

@@ -94,18 +94,3 @@ class UniformLinearArray:
         """Normalised power pattern [dB relative to the pattern peak]."""
         amp = self.field(theta_rad)
         return amplitude_to_db(np.maximum(amp, 1e-12))
-
-    def steered(self, steer_theta_rad: float) -> UniformLinearArray:
-        """Return a copy phased to steer the main lobe to a direction.
-
-        This is what a *phased array* does with its phase shifters; the
-        mmX node deliberately avoids it, but the beam-search baselines
-        need it.
-        """
-        lam = wavelength(self.frequency_hz)
-        n = np.arange(self.num_elements)
-        steer = np.exp(-1j * 2.0 * np.pi * self.spacing_m / lam
-                       * n * np.sin(steer_theta_rad))
-        return UniformLinearArray(self.element, self.num_elements,
-                                  self.spacing_m, self.frequency_hz,
-                                  weights=self.weights * steer)

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..units import amplitude_to_db, db_to_amplitude
+from ..units import db_to_amplitude
 
-__all__ = ["PatchElement", "DipoleElement", "IsotropicElement"]
+__all__ = ["PatchElement", "DipoleElement"]
 
 _DEGREES_PER_RADIAN = 180.0 / math.pi
 """The factor ``np.degrees`` multiplies by (``math.degrees`` divides)."""
@@ -50,11 +50,6 @@ class PatchElement:
                                                self.exponent), 0.0)
         floor = db_to_amplitude(self.back_lobe_db)
         return np.maximum(forward, floor)
-
-    def power_db(self, theta_rad) -> np.ndarray:
-        """Power pattern [dB relative to peak]."""
-        amp = self.field(theta_rad)
-        return amplitude_to_db(amp)
 
 
 @dataclass(frozen=True)
@@ -102,23 +97,6 @@ class DipoleElement:
             return None
         return float(max(lobe, self.floor_db))
 
-    def gain_dbi_at(self, theta_rad) -> np.ndarray:
-        """Absolute gain [dBi] including the 5 dBi peak."""
-        return self.gain_dbi + self.power_db(theta_rad)
-
     def field(self, theta_rad) -> np.ndarray:
         """Field amplitude relative to the peak."""
         return db_to_amplitude(self.power_db(theta_rad))
-
-
-@dataclass(frozen=True)
-class IsotropicElement:
-    """Unit-gain reference element, mostly for tests and WiFi baselines."""
-
-    def field(self, theta_rad) -> np.ndarray:
-        """Unit field in every direction."""
-        return np.ones_like(np.asarray(theta_rad, dtype=float))
-
-    def power_db(self, theta_rad) -> np.ndarray:
-        """0 dB everywhere."""
-        return np.zeros_like(np.asarray(theta_rad, dtype=float))

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..constants import BEAM0_PEAK_DEG, CARRIER_FREQUENCY_HZ
-from ..units import amplitude_to_db, db_to_amplitude, wavelength
+from ..units import db_to_amplitude, wavelength
 from .array import UniformLinearArray
 from .element import _DEGREES_PER_RADIAN, PatchElement
 
@@ -93,17 +93,6 @@ class OrthogonalBeamPair:
         if bit == 0:
             value = value * self._beam0_scale
         return value
-
-    def gain_dbi(self, bit: int, theta_rad) -> np.ndarray:
-        """Absolute gain [dBi] of the selected beam toward ``theta_rad``."""
-        gain = self.peak_gain_dbi + self.pattern(bit).power_db(theta_rad)
-        if bit == 0:
-            gain = gain + amplitude_to_db(self._beam0_scale)
-        return gain
-
-    def amplitude_gain(self, bit: int, theta_rad) -> np.ndarray:
-        """Linear field-amplitude gain (sqrt of power gain) toward a direction."""
-        return db_to_amplitude(self.gain_dbi(bit, theta_rad))
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..units import db_to_linear, linear_to_db
-
 __all__ = [
     "half_power_beamwidth_deg",
-    "find_null_directions_deg",
     "peak_direction_deg",
     "pattern_orthogonality_db",
-    "directivity_dbi",
 ]
 
 _GRID_DEG = np.linspace(-180.0, 180.0, 7201)
@@ -70,20 +66,6 @@ def half_power_beamwidth_deg(pattern, around_deg: float | None = None) -> float:
     return float(grid[right] - grid[left])
 
 
-def find_null_directions_deg(pattern, depth_db: float = -15.0,
-                             search_range_deg: tuple[float, float] = (-90, 90),
-                             ) -> np.ndarray:
-    """Directions of pattern nulls (local minima below ``depth_db``)."""
-    lo, hi = search_range_deg
-    grid = np.linspace(lo, hi, int((hi - lo) * 20) + 1)
-    _, p = _power_db_on_grid(pattern, grid)
-    nulls = []
-    for i in range(1, p.size - 1):
-        if p[i] <= p[i - 1] and p[i] <= p[i + 1] and p[i] < depth_db:
-            nulls.append(grid[i])
-    return np.asarray(nulls)
-
-
 def pattern_orthogonality_db(pattern_a, pattern_b) -> float:
     """How deep pattern B is at pattern A's peak direction [dB].
 
@@ -94,16 +76,3 @@ def pattern_orthogonality_db(pattern_a, pattern_b) -> float:
     peak_a = peak_direction_deg(pattern_a)
     value = pattern_b.power_db(np.radians(peak_a))
     return float(np.asarray(value))
-
-
-def directivity_dbi(pattern) -> float:
-    """Azimuth-cut directivity estimate [dBi].
-
-    2-D directivity: peak power over the mean power around the full
-    azimuth circle.  This understates true 3-D directivity but preserves
-    ordering between patterns, which is all the reproduction relies on.
-    """
-    grid, p = _power_db_on_grid(pattern)
-    linear = db_to_linear(p)
-    mean = float(np.trapezoid(linear, grid) / (grid[-1] - grid[0]))
-    return float(linear_to_db(linear.max() / mean))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..units import linear_to_db, wavelength
+from ..units import wavelength
 from .array import UniformLinearArray
 from .element import PatchElement
 
@@ -84,13 +84,3 @@ class PhasedArray:
             raise ValueError("codebook needs at least one beam")
         sines = np.linspace(-0.9, 0.9, count)
         return np.arcsin(sines)
-
-    def gain_dbi_at(self, steer_theta_rad: float, look_theta_rad) -> np.ndarray:
-        """Absolute gain toward ``look_theta`` when steered to ``steer_theta``.
-
-        Peak gain scales as 10*log10(N) + element gain (~5 dBi for a
-        patch sub-array), the standard array-gain rule.
-        """
-        peak = float(linear_to_db(self.num_elements)) + 5.0
-        pattern = self.steered_pattern(steer_theta_rad)
-        return peak + pattern.power_db(look_theta_rad)

@@ -33,14 +33,6 @@ class BeamSearchResult:
     probes: int
     feedback_messages: int
 
-    def overhead_s(self, probe_duration_s: float,
-                   feedback_duration_s: float) -> float:
-        """Wall-clock alignment overhead for given per-message costs."""
-        if probe_duration_s < 0 or feedback_duration_s < 0:
-            raise ValueError("durations cannot be negative")
-        return (self.probes * probe_duration_s
-                + self.feedback_messages * feedback_duration_s)
-
     def node_energy_j(self, probe_duration_s: float,
                       feedback_duration_s: float,
                       tx_power_w: float, rx_power_w: float) -> float:
@@ -133,9 +125,3 @@ class FeedbackBeamSelection:
             probes=self.directions.size,
             feedback_messages=self.directions.size,
         )
-
-    def feedback_rate_hz(self, coherence_time_s: float) -> float:
-        """Feedback exchanges per second to track a changing channel."""
-        if coherence_time_s <= 0:
-            raise ValueError("coherence time must be positive")
-        return self.directions.size / coherence_time_s

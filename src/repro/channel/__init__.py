@@ -16,7 +16,6 @@ from .multipath import (
 from .noise import noise_power_dbm, complex_awgn
 from .pathloss import (
     free_space_path_loss_db,
-    log_distance_path_loss_db,
     friis_received_power_dbm,
     oxygen_absorption_db,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "complex_awgn",
     "free_space_path_loss_db",
     "friis_received_power_dbm",
-    "log_distance_path_loss_db",
     "noise_power_dbm",
     "oxygen_absorption_db",
     "rician_k_factor_db",

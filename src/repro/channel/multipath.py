@@ -25,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from ..sim.geometry import Point, normalize_angle
-from ..units import amplitude_to_db, db_to_amplitude, wavelength
+from ..units import db_to_amplitude, wavelength
 from .pathloss import free_space_path_loss_db, oxygen_absorption_db
 from .raytrace import PropagationPath, trace_paths
 
@@ -48,23 +48,6 @@ class ChannelResponse:
     h0: complex
     paths: tuple[PropagationPath, ...]
 
-    def level_db(self, bit: int) -> float:
-        """Received level for a bit, in dB relative to the node's EIRP."""
-        h = self.h1 if bit == 1 else self.h0
-        mag = abs(h)
-        return float(amplitude_to_db(mag)) if mag > 0 else float("-inf")
-
-    @property
-    def ask_contrast_db(self) -> float:
-        """|level difference| between the beams [dB] — the ASK opening."""
-        a, b = abs(self.h1), abs(self.h0)
-        hi, lo = max(a, b), min(a, b)
-        if hi == 0.0:
-            return 0.0
-        if lo == 0.0:
-            return float("inf")
-        return float(amplitude_to_db(hi / lo))
-
     @property
     def inverted(self) -> bool:
         """True when Beam 0 is received *stronger* than Beam 1.
@@ -82,10 +65,6 @@ class ChannelResponse:
         entering the ASK BER formula.
         """
         return abs(abs(self.h1) - abs(self.h0))
-
-    def stronger_gain(self) -> float:
-        """max(|h1|, |h0|) — the level FSK detection rides on."""
-        return max(abs(self.h1), abs(self.h0))
 
 
 def _field_products(paths: tuple[PropagationPath, ...], tx_fields,

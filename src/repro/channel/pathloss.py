@@ -11,11 +11,10 @@ from __future__ import annotations
 import numpy as np
 import numpy.typing as npt
 
-from ..units import FloatArray, amplitude_to_db, linear_to_db, wavelength
+from ..units import FloatArray, amplitude_to_db, wavelength
 
 __all__ = [
     "free_space_path_loss_db",
-    "log_distance_path_loss_db",
     "friis_received_power_dbm",
     "oxygen_absorption_db",
 ]
@@ -37,23 +36,6 @@ def free_space_path_loss_db(distance_m: npt.ArrayLike,
     lam = wavelength(frequency_hz)
     d = np.maximum(d, lam)
     return amplitude_to_db(4.0 * np.pi * d / lam)
-
-
-def log_distance_path_loss_db(distance_m: npt.ArrayLike, frequency_hz: float,
-                              exponent: float = 2.0,
-                              reference_m: float = 1.0) -> FloatArray:
-    """Log-distance model: FSPL at ``reference_m`` plus ``10 n log10(d/d0)``.
-
-    Indoor LoS mmWave measurements report exponents near 2 (free space);
-    cluttered NLoS fits use 2.5-3.  Exposed for ablations.
-    """
-    if exponent <= 0:
-        raise ValueError("path-loss exponent must be positive")
-    if reference_m <= 0:
-        raise ValueError("reference distance must be positive")
-    d = np.maximum(np.asarray(distance_m, dtype=np.float64), reference_m)
-    pl0 = free_space_path_loss_db(reference_m, frequency_hz)
-    return pl0 + exponent * linear_to_db(d / reference_m)
 
 
 def friis_received_power_dbm(eirp_dbm: float, rx_gain_dbi: float,

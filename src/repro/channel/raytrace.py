@@ -63,11 +63,6 @@ class PropagationPath:
     num_bounces: int
     """Number of wall reflections along the path."""
 
-    @property
-    def is_los(self) -> bool:
-        """Whether this is the direct line-of-sight path."""
-        return self.num_bounces == 0
-
 
 def _blocked(occluders: list[tuple[int, float, float, float, float]],
              skip: tuple[int, ...],
@@ -90,8 +85,7 @@ def _blocked(occluders: list[tuple[int, float, float, float, float]],
 
 def _blockage_db(blockers: list[tuple[float, float, float, float]],
                  ax: float, ay: float, bx: float, by: float) -> float:
-    """Blocker penetration loss along leg ``a-b``, as
-    :meth:`~repro.sim.environment.Room.blockage_loss_db` sums it."""
+    """Blocker penetration loss summed along leg ``a-b``."""
     return sum(loss for ox, oy, radius, loss in blockers
                if segment_circle_intersects_xy(ax, ay, bx, by,
                                                ox, oy, radius))

@@ -402,17 +402,6 @@ class Cluster:
                 tel.end(span)
         return member.ap
 
-    def stats(self) -> dict[str, int]:
-        """Cluster-level health counters."""
-        return {
-            "aps": len(self.members),
-            "alive_aps": len(self.alive_ap_ids()),
-            "served_nodes": sum(self.is_served(n) for n in self.serving),
-            "orphaned_nodes": len(self.orphaned),
-            "failovers": self.failover_count,
-            "silence_failovers": self.silence_failovers,
-        }
-
 
 @dataclass(frozen=True)
 class FailoverResult:

@@ -87,10 +87,6 @@ class HeartbeatMonitor:
                 dead.append(ap_id)
         return dead
 
-    def watched(self) -> list[int]:
-        """Every AP currently being tracked (sorted)."""
-        return sorted(self._last_beat_s)
-
 
 class NodeLivenessTracker:
     """Classifies per-node silence with an explicit *reason code*.
@@ -170,7 +166,3 @@ class NodeLivenessTracker:
         """Reason codes for every watched node (sorted by id)."""
         return {node_id: self.classify(node_id, now_s)
                 for node_id in sorted(self._last_heard_s)}
-
-    def watched(self) -> list[int]:
-        """Every node currently being tracked (sorted)."""
-        return sorted(self._last_heard_s)

@@ -53,9 +53,6 @@ This is what a human body costs a 24 GHz ray that passes through it."""
 NODE_EIRP_DBM = 10.0
 """Radiated power of the mmX node, FCC compliant (section 8.1)."""
 
-VCO_MAX_OUTPUT_DBM = 12.0
-"""HMC533 VCO maximum output power (section 8.1)."""
-
 VCO_TUNE_VOLTAGE_RANGE_V = (3.5, 4.9)
 """Control-voltage range that sweeps the full ISM band (Fig. 7)."""
 

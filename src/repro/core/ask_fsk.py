@@ -84,12 +84,3 @@ class AskFskConfig:
     def occupied_bandwidth_hz(self) -> float:
         """Rough occupied bandwidth: tone separation plus two main lobes."""
         return self.tone_separation_hz + 2.0 * self.bit_rate_bps
-
-    def tones_orthogonal(self) -> bool:
-        """Whether the tone separation is a multiple of the bit rate.
-
-        Non-coherent FSK detection is interference-free exactly when the
-        separation is ``k / T_bit``.
-        """
-        ratio = self.tone_separation_hz / self.bit_rate_bps
-        return abs(ratio - round(ratio)) < 1e-9 and round(ratio) >= 1

@@ -55,27 +55,16 @@ class DemodResult:
     preamble_found: bool
     """Whether the preamble correlation cleared its threshold."""
 
-    @property
-    def snr_db(self) -> float:
-        """Decision SNR of the branch actually used."""
-        return self.ask_snr_db if self.branch == "ask" else self.fsk_snr_db
-
 
 class JointDemodulator:
     """Decodes OTAM captures; one instance per configured link."""
 
     def __init__(self, config: AskFskConfig, preamble=None,
-                 preamble_threshold: float = 0.6,
-                 health_monitor=None):
+                 preamble_threshold: float = 0.6):
         self.config = config
         self.preamble = (default_preamble_bits() if preamble is None
                          else np.asarray(preamble, dtype=np.uint8))
         self.preamble_threshold = preamble_threshold
-        self.health_monitor = health_monitor
-        """Optional :class:`repro.resilience.LinkHealthMonitor`; when
-        attached, every capture's decision SNR is folded into the link's
-        health estimate (``observe_demod``) as a side effect of
-        :meth:`demodulate`."""
 
     # --- per-branch soft demodulation -----------------------------------
 
@@ -151,26 +140,21 @@ class JointDemodulator:
                 ask_bits = (1 - ask_bits).astype(np.uint8)
 
         if ask_bits.size == 0 and fsk_bits.size == 0:
-            result = DemodResult(bits=np.zeros(0, dtype=np.uint8),
-                                 branch="none",
-                                 ask_snr_db=ask_snr, fsk_snr_db=fsk_snr,
-                                 inverted=False, preamble_found=False)
+            return DemodResult(bits=np.zeros(0, dtype=np.uint8),
+                               branch="none",
+                               ask_snr_db=ask_snr, fsk_snr_db=fsk_snr,
+                               inverted=False, preamble_found=False)
+        # If the ASK branch found no preamble its polarity is a
+        # guess; a clean FSK branch is then preferable even at
+        # comparable SNR.
+        ask_effective = ask_snr if preamble_found else ask_snr - 6.0
+        if ask_effective >= fsk_snr:
+            branch, bits = "ask", ask_bits
         else:
-            # If the ASK branch found no preamble its polarity is a
-            # guess; a clean FSK branch is then preferable even at
-            # comparable SNR.
-            ask_effective = ask_snr if preamble_found else ask_snr - 6.0
-            if ask_effective >= fsk_snr:
-                branch, bits = "ask", ask_bits
-            else:
-                branch, bits = "fsk", fsk_bits
-            result = DemodResult(bits=bits, branch=branch,
-                                 ask_snr_db=ask_snr, fsk_snr_db=fsk_snr,
-                                 inverted=inverted,
-                                 preamble_found=preamble_found)
-        if self.health_monitor is not None:
-            self.health_monitor.observe_demod(result)
-        return result
+            branch, bits = "fsk", fsk_bits
+        return DemodResult(bits=bits, branch=branch,
+                           ask_snr_db=ask_snr, fsk_snr_db=fsk_snr,
+                           inverted=inverted, preamble_found=preamble_found)
 
     # --- helpers ------------------------------------------------------------
 

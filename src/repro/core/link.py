@@ -255,16 +255,6 @@ class BistaticBreakdown:
     """SNR of the reflection-ASK decision (level difference vs
     noise) — the only modulation dimension a passive tag has."""
 
-    @property
-    def ask_contrast_db(self) -> float:
-        """|level gap| between the two reflection states."""
-        return abs(self.on_level_dbm - self.off_level_dbm)
-
-    def ber(self) -> float:
-        """Predicted BER via the same §9.3 ASK table the active link
-        uses (:func:`repro.phy.ber.ber_ask_table`)."""
-        return float(ber_theory.ber_ask_table(self.ask_snr_db))
-
 
 def bistatic_breakdown(*, downlink_m: float, uplink_m: float | None = None,
                        ap_eirp_dbm: float = 20.0,

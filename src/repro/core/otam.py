@@ -128,7 +128,3 @@ class OtamModulator:
             freq_one_hz=self.config.freq_one_hz,
             freq_zero_hz=self.config.freq_one_hz,
         )
-
-    def switching_energy_per_bit_j(self, node_power_w: float = 1.1) -> float:
-        """Energy per transmitted bit at this configuration's bitrate."""
-        return node_power_w / self.config.bit_rate_bps

@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..phy import ber as ber_theory
 from .packet import DEFAULT_PREAMBLE_BITS, PacketCodec, body_length_bits
 
@@ -129,14 +127,3 @@ class RateAdapter:
             if mode.name == best_name:
                 return mode
         raise AssertionError("unreachable")
-
-    def crossover_snr_db(self, low_db: float = -5.0,
-                         high_db: float = 25.0,
-                         resolution_db: float = 0.1) -> float | None:
-        """SNR where the preferred mode switches (None if it never does)."""
-        grid = np.arange(low_db, high_db, resolution_db)
-        names = [self.select(float(s)).name for s in grid]
-        for previous, current, snr in zip(names, names[1:], grid[1:]):
-            if previous != current:
-                return float(snr)
-        return None

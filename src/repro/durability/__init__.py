@@ -51,7 +51,6 @@ from .integrity import (
     IntegrityError,
     canonical_json,
     digest,
-    seal,
     verify_sealed,
 )
 from .io import (
@@ -61,7 +60,6 @@ from .io import (
     RealFs,
     append_line,
     atomic_replace,
-    fsync_directory,
 )
 
 __all__ = [
@@ -87,8 +85,6 @@ __all__ = [
     "digest",
     "fsck_path",
     "fsck_paths",
-    "fsync_directory",
     "scan_journal_text",
-    "seal",
     "verify_sealed",
 ]

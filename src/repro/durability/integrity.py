@@ -20,8 +20,7 @@ import hashlib
 import json
 from typing import Any
 
-__all__ = ["IntegrityError", "canonical_json", "digest", "seal",
-           "verify_sealed"]
+__all__ = ["IntegrityError", "canonical_json", "digest", "verify_sealed"]
 
 
 class IntegrityError(ValueError):
@@ -36,18 +35,6 @@ def canonical_json(payload: dict[str, Any]) -> str:
 def digest(payload: dict[str, Any]) -> str:
     """SHA-256 hex digest over the canonical serialisation."""
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
-
-
-def seal(payload: dict[str, Any]) -> dict[str, Any]:
-    """A copy of ``payload`` carrying its own integrity hash.
-
-    The hash covers everything *except* the ``integrity`` key itself,
-    so :func:`verify_sealed` can pop and recompute it.
-    """
-    sealed = dict(payload)
-    sealed.pop("integrity", None)
-    sealed["integrity"] = digest(sealed)
-    return sealed
 
 
 def verify_sealed(data: dict[str, Any]) -> dict[str, Any]:

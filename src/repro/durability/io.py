@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Protocol
 
 __all__ = ["DurableFile", "FsBackend", "REAL_FS", "RealFs",
-           "append_line", "atomic_replace", "fsync_directory"]
+           "append_line", "atomic_replace"]
 
 
 class FsBackend(Protocol):
@@ -171,13 +171,6 @@ def atomic_replace(path: str | Path, data: str | bytes, *,
         raise
     fs.fsync_dir(str(path.parent))
     return path
-
-
-def fsync_directory(path: str | Path, *,
-                    fs: FsBackend | None = None) -> None:
-    """Fsync one directory through the seam (rarely needed directly)."""
-    fs = fs if fs is not None else REAL_FS
-    fs.fsync_dir(str(path))
 
 
 class DurableFile:

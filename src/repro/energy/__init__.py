@@ -40,7 +40,6 @@ from .classes import (
     POWER_SOURCES,
     node_class,
     register_node_class,
-    registered_classes,
 )
 from .compare import (
     CompareConfig,
@@ -79,7 +78,6 @@ __all__ = [
     "outage_trial",
     "rectified_power_w",
     "register_node_class",
-    "registered_classes",
     "run_compare",
     "run_outage",
 ]

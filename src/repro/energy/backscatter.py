@@ -28,7 +28,7 @@ import numpy as np
 from ..channel.multipath import ChannelResponse
 from ..channel.noise import complex_awgn, noise_power_dbm
 from ..core.ask_fsk import AskFskConfig
-from ..core.demodulator import DemodResult, JointDemodulator
+from ..core.demodulator import JointDemodulator
 from ..core.link import BistaticBreakdown, LinkReport, bistatic_breakdown
 from ..core.otam import OtamModulator, transmitted_beam_bits
 from ..hardware.chains import AccessPointHardware
@@ -147,10 +147,6 @@ class BackscatterLink:
             self.ap_hardware.cascade_noise_figure_db)
         noise = complex_awgn(len(clean), noise_dbm, rng)
         return Waveform(clean.samples + noise, clean.sample_rate_hz)
-
-    def demodulate(self, wave: Waveform) -> DemodResult:
-        """Decode a capture through the stock envelope/Goertzel path."""
-        return self.demodulator.demodulate(wave)
 
     def simulate_transmission(self, bits,
                               rng: np.random.Generator | None = None,

@@ -77,21 +77,6 @@ class EnergyStore:
         return self._level_j
 
     @property
-    def harvested_j(self) -> float:
-        """Lifetime energy deposited [J] (spill included)."""
-        return self._harvested_j
-
-    @property
-    def consumed_j(self) -> float:
-        """Lifetime energy withdrawn [J]."""
-        return self._consumed_j
-
-    @property
-    def spilled_j(self) -> float:
-        """Lifetime harvest lost to a full store [J]."""
-        return self._spilled_j
-
-    @property
     def conservation_error_j(self) -> float:
         """``initial + harvested - level - consumed - spilled``.
 

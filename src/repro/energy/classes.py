@@ -47,7 +47,6 @@ __all__ = [
     "POWER_SOURCES",
     "node_class",
     "register_node_class",
-    "registered_classes",
 ]
 
 POWER_SOURCES = ("mains", "battery", "harvested", "passive")
@@ -127,21 +126,6 @@ class NodeClassSpec:
                              "carrier")
 
     @property
-    def is_passive(self) -> bool:
-        """Whether the device has no transmitter of its own."""
-        return self.power_source == "passive"
-
-    @property
-    def generates_carrier(self) -> bool:
-        """Whether the node radiates its own carrier (vs reflecting)."""
-        return self.carrier_source == "self"
-
-    @property
-    def needs_illumination(self) -> bool:
-        """Whether the AP must spend carrier airtime to hear this node."""
-        return self.carrier_source == "ap"
-
-    @property
     def energy_per_bit_j(self) -> float:
         """Transmit-state energy per bit [J] — the Table-1 metric."""
         return self.power.tx_w / self.bitrate_bps
@@ -178,11 +162,6 @@ def node_class(name: str) -> NodeClassSpec:
         known = ", ".join(sorted(_REGISTRY)) or "<none>"
         raise KeyError(f"unknown node class {name!r}; "
                        f"registered: {known}") from None
-
-
-def registered_classes() -> tuple[str, ...]:
-    """Names of all registered classes, in registration order."""
-    return tuple(_REGISTRY)
 
 
 def _builtin_active() -> NodeClassSpec:

@@ -70,11 +70,6 @@ class DutyCycleScheduler:
         self.dropped = 0
         self.dormant_steps = 0
 
-    @property
-    def pending(self) -> int:
-        """Frames waiting (including deferred retries)."""
-        return len(self._queue)
-
     def offer(self, frames: int) -> int:
         """Enqueue new traffic; returns how many frames fit."""
         if frames < 0:

@@ -25,7 +25,6 @@ which records no float-summed histograms across shard boundaries).
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,7 +34,7 @@ from ..telemetry import NullRecorder, TelemetryRecorder
 from .plan import CampaignPlan
 from .policy import SupervisionReport
 from .pool import SerialExecutor, ShardExecutor
-from .shard import ShardResult, TrialFn, TrialResult, collect, summary
+from .shard import ShardResult, TrialFn, TrialResult, collect
 from .store import ResultStore
 
 __all__ = ["Campaign", "CampaignResult", "EngineError",
@@ -74,10 +73,6 @@ class CampaignResult:
         for result in self.results:
             values[result.index] = result.values[key]
         return values
-
-    def summary(self, key: str) -> dict[str, float]:
-        """Mean / median / percentiles of ``key`` across trials."""
-        return summary(self.results, key)
 
     @property
     def num_trials(self) -> int:
@@ -143,14 +138,9 @@ class Campaign:
         self.telemetry = (telemetry if telemetry is not None
                           else NullRecorder())
 
-    def run(self,
-            progress: Callable[[ShardResult], None] | None = None
-            ) -> CampaignResult:
+    def run(self) -> CampaignResult:
         """Execute (or resume) the campaign and merge the results.
 
-        ``progress`` (optional) fires with each :class:`ShardResult`
-        the moment it completes — after it has been journaled, so a
-        progress consumer never sees a shard the store could lose.
         Raises :class:`EngineError` when a telemetry-enabled campaign
         resumes from a journal written without telemetry (the merged
         export would silently miss the resumed trials).
@@ -188,8 +178,6 @@ class Campaign:
                 self.store.record_shard(result)
             completed[result.shard_id] = result
             executed.append(result.shard_id)
-            if progress is not None:
-                progress(result)
         quarantined = self._quarantined_shards()
         if quarantined and self.store is not None:
             self.store.record_quarantine(quarantined)

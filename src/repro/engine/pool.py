@@ -64,6 +64,3 @@ class SerialExecutor:
         for shard in shards:
             yield run_shard(trial_fn, shard, of_total,
                             record_telemetry=record_telemetry)
-
-    def __repr__(self) -> str:
-        return "SerialExecutor()"

@@ -71,11 +71,6 @@ class ShardResult:
         self.trials = trials
         self.telemetry = telemetry
 
-    def __repr__(self) -> str:
-        return (f"ShardResult(shard_id={self.shard_id}, "
-                f"trials={len(self.trials)}, "
-                f"traced={self.telemetry is not None})")
-
 
 def run_trials(trial_fn: TrialFn, trials: Iterable[TrialSpec],
                of_total: int, telemetry: TelemetryRecorder
@@ -117,21 +112,3 @@ def run_shard(trial_fn: TrialFn, shard: ShardSpec, of_total: int,
 def collect(results: Sequence[TrialResult], key: str) -> np.ndarray:
     """Gather one scalar metric across trials into an array."""
     return np.asarray([r.values[key] for r in results], dtype=float)
-
-
-def summary(results: Sequence[TrialResult], key: str) -> dict[str, float]:
-    """Mean / median / percentiles of a metric across trials."""
-    x = collect(results, key)
-    if x.size == 0:
-        raise ValueError(
-            f"no results to summarise for {key!r}: the result "
-            "list is empty (summary statistics are undefined on "
-            "zero trials)")
-    return {
-        "mean": float(np.mean(x)),
-        "median": float(np.median(x)),
-        "p10": float(np.percentile(x, 10)),
-        "p90": float(np.percentile(x, 90)),
-        "min": float(np.min(x)),
-        "max": float(np.max(x)),
-    }

@@ -539,8 +539,3 @@ class SupervisedPool:
             yield from supervisor.run(backend, shards)
         finally:
             self.last_report = supervisor.report
-
-    def __repr__(self) -> str:
-        return (f"SupervisedPool(jobs={self.jobs}, "
-                f"on_failure={self.policy.on_failure!r}, "
-                f"faulted={self.faults is not None})")

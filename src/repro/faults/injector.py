@@ -53,9 +53,6 @@ class FaultSchedule:
             if event.start_s >= self.duration_s:
                 raise ValueError("event starts after the schedule ends")
 
-    def __len__(self) -> int:
-        return len(self.events)
-
     def active_at(self, time_s: float) -> tuple[FaultEvent, ...]:
         """All events in force at an instant."""
         return tuple(e for e in self.events if e.active_at(time_s))

@@ -17,7 +17,7 @@ from .frontend import (
     ADF5356PLL,
     MicrostripFilter,
 )
-from .power import EnergyModel, energy_per_bit_j
+from .power import EnergyModel
 from .switch import ADRF5020Switch
 from .vco import HMC533VCO
 
@@ -33,5 +33,4 @@ __all__ = [
     "MicrostripFilter",
     "NodeHardware",
     "RFComponent",
-    "energy_per_bit_j",
 ]

@@ -60,16 +60,6 @@ class NodeHardware:
         """Bitrate cap — the switch's toggle limit (100 Mbps)."""
         return self.switch.max_bitrate_bps
 
-    def eirp_dbm(self, antenna_peak_gain_dbi: float = 8.0) -> float:
-        """Peak EIRP [dBm]: VCO output - switch loss + array gain.
-
-        With default parts: 12 - 2 + 8 = 18 dBm of *available* EIRP;
-        the prototype backs the radiated power off to the FCC-compliant
-        10 dBm (section 8.1), which :attr:`radiated_eirp_dbm` reports.
-        """
-        return (self.vco.max_output_dbm - self.switch.insertion_loss_db
-                + antenna_peak_gain_dbi)
-
     @property
     def radiated_eirp_dbm(self) -> float:
         """The FCC-compliant operating EIRP the paper quotes (10 dBm)."""
@@ -107,24 +97,3 @@ class AccessPointHardware:
         chain = [(c.gain_db, c.noise_figure_db) for c in self.stages()]
         chain.append((0.0, self.baseband_noise_figure_db))
         return noise_figure_cascade_db(chain)
-
-    @property
-    def cascade_gain_db(self) -> float:
-        """Net conversion gain of the analog chain [dB]."""
-        return sum(c.gain_db for c in self.stages())
-
-    @property
-    def total_power_w(self) -> float:
-        """AP front-end power draw (excluding the USRP baseband)."""
-        return sum(c.power_w for c in self.stages()) + self.pll.power_w
-
-    @property
-    def total_cost_usd(self) -> float:
-        """AP front-end BOM cost (excluding the USRP baseband)."""
-        antenna = 10.0
-        return sum(c.cost_usd for c in self.stages()) + self.pll.cost_usd + antenna
-
-    def if_frequency_hz(self, rf_frequency_hz: float = 24.0e9) -> float:
-        """IF the baseband digitises for a given RF carrier (4 GHz at 24 GHz)."""
-        return self.mixer.output_if_hz(rf_frequency_hz,
-                                       self.pll.output_frequency_hz)

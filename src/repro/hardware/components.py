@@ -42,11 +42,6 @@ class RFComponent:
         self.spec = spec
 
     @property
-    def name(self) -> str:
-        """Component display name."""
-        return self.spec.name
-
-    @property
     def gain_db(self) -> float:
         """Small-signal power gain [dB] (negative = loss)."""
         return self.spec.gain_db
@@ -65,8 +60,3 @@ class RFComponent:
     def cost_usd(self) -> float:
         """Unit cost [USD]."""
         return self.spec.cost_usd
-
-    def __repr__(self) -> str:
-        return (f"{type(self).__name__}(name={self.name!r}, "
-                f"gain={self.gain_db:+.1f} dB, nf={self.noise_figure_db:.1f} dB, "
-                f"power={self.power_w:.2f} W, cost=${self.cost_usd:.0f})")

@@ -9,8 +9,6 @@ into a USRP.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..constants import (
     AP_FILTER_INSERTION_LOSS_DB,
     AP_LNA_GAIN_DB,
@@ -67,21 +65,6 @@ class MicrostripFilter(RFComponent):
         self.bandwidth_hz = bandwidth_hz
         self.stopband_rejection_db = stopband_rejection_db
 
-    def attenuation_db(self, frequency_hz) -> np.ndarray:
-        """Attenuation at a frequency: passband IL or stopband rejection.
-
-        A simple raised-cosine transition over half a bandwidth on each
-        side keeps the response continuous.
-        """
-        f = np.asarray(frequency_hz, dtype=float)
-        offset = np.abs(f - self.center_frequency_hz)
-        half_bw = self.bandwidth_hz / 2.0
-        transition = half_bw  # transition band width
-        il = -self.spec.gain_db
-        ramp = np.clip((offset - half_bw) / transition, 0.0, 1.0)
-        shape = 0.5 * (1.0 - np.cos(np.pi * ramp))  # 0 in band -> 1 stopband
-        return il + shape * (self.stopband_rejection_db - il)
-
 
 class HMC264SubharmonicMixer(RFComponent):
     """HMC264LC3B sub-harmonic mixer: internally doubles the LO.
@@ -96,13 +79,6 @@ class HMC264SubharmonicMixer(RFComponent):
         super().__init__(ComponentSpec(
             name="HMC264 sub-harmonic mixer", gain_db=-conversion_loss_db,
             noise_figure_db=conversion_loss_db, power_w=0.04, cost_usd=50.0))
-
-    def output_if_hz(self, rf_frequency_hz: float,
-                     lo_frequency_hz: float = AP_LO_FREQUENCY_HZ) -> float:
-        """IF frequency for an RF input: ``|RF - 2*LO|`` (LO doubling)."""
-        if rf_frequency_hz <= 0 or lo_frequency_hz <= 0:
-            raise ValueError("frequencies must be positive")
-        return abs(rf_frequency_hz - 2.0 * lo_frequency_hz)
 
 
 class ADF5356PLL(RFComponent):
@@ -120,11 +96,3 @@ class ADF5356PLL(RFComponent):
             name="ADF5356 PLL", gain_db=0.0, noise_figure_db=0.0,
             power_w=0.4, cost_usd=45.0))
         self.output_frequency_hz = output_frequency_hz
-
-    def effective_lo_hz(self) -> float:
-        """LO seen by the RF port after the mixer's internal doubling."""
-        return 2.0 * self.output_frequency_hz
-
-    def expected_if_hz(self, rf_frequency_hz: float = 24.0e9) -> float:
-        """IF produced for a given RF carrier; 4 GHz for 24 GHz RF."""
-        return abs(rf_frequency_hz - self.effective_lo_hz())

@@ -3,7 +3,7 @@
 Two granularities live here:
 
 * the paper's single **aggregate** figure (1.1 W while transmitting,
-  :func:`energy_per_bit_j`, :class:`EnergyModel`) — unchanged, and still
+  :class:`EnergyModel`) — unchanged, and still
   what Table 1 reports for the active node class;
 * a **per-state** ledger (:class:`PowerStateProfile`) splitting the
   draw across tx / rx / idle / sleep, which is what the
@@ -21,7 +21,7 @@ if TYPE_CHECKING:  # pragma: no cover - import-cycle guard
     from .chains import NodeHardware
 
 __all__ = ["EnergyModel", "POWER_STATES", "PowerStateProfile",
-           "active_node_profile", "energy_per_bit_j"]
+           "active_node_profile"]
 
 POWER_STATES = ("tx", "rx", "idle", "sleep")
 """The four operating states a node's power ledger distinguishes."""
@@ -73,23 +73,6 @@ class PowerStateProfile:
         raise ValueError(
             f"unknown power state {state!r}; choose from {POWER_STATES}")
 
-    def mean_power_w(self, duty: dict[str, float]) -> float:
-        """Time-weighted mean draw [W] for a state-duty mix.
-
-        ``duty`` maps state name to occupancy fraction; fractions must
-        be non-negative and sum to 1 (within float tolerance).
-        """
-        total = 0.0
-        weight = 0.0
-        for state, fraction in duty.items():
-            if fraction < 0:
-                raise ValueError("duty fractions cannot be negative")
-            total += self.draw_w(state) * fraction
-            weight += fraction
-        if abs(weight - 1.0) > 1e-9:
-            raise ValueError("duty fractions must sum to 1")
-        return total
-
     def energy_j(self, state: str, duration_s: float) -> float:
         """Energy [J] one state consumes over a duration."""
         if duration_s < 0:
@@ -117,19 +100,6 @@ def active_node_profile(
                              rx_w=controller_w,
                              idle_w=controller_w,
                              sleep_w=sleep_w)
-
-
-def energy_per_bit_j(power_w: float, bitrate_bps: float) -> float:
-    """Energy efficiency [J/bit] = power / bitrate.
-
-    The paper's headline: 1.1 W at 100 Mbps -> 11 nJ/bit, below the
-    802.11n module it compares against (17.5 nJ/bit).
-    """
-    if power_w < 0:
-        raise ValueError("power cannot be negative")
-    if bitrate_bps <= 0:
-        raise ValueError("bitrate must be positive")
-    return power_w / bitrate_bps
 
 
 @dataclass
@@ -166,12 +136,6 @@ class EnergyModel:
         """Mean power [W] at a given offered load."""
         duty = self.duty_cycle_for_load(offered_load_bps)
         return duty * self.active_power_w + (1.0 - duty) * self.idle_power_w
-
-    def energy_per_delivered_bit_j(self, offered_load_bps: float) -> float:
-        """Total energy per *useful* bit, idle overhead included."""
-        if offered_load_bps <= 0:
-            raise ValueError("offered load must be positive")
-        return self.average_power_w(offered_load_bps) / offered_load_bps
 
     def battery_life_hours(self, battery_wh: float,
                            offered_load_bps: float) -> float:

@@ -9,14 +9,11 @@ bearing: the 100 MHz maximum toggle rate caps the node at 100 Mbps
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..constants import (
     SWITCH_INSERTION_LOSS_DB,
     SWITCH_ISOLATION_DB,
     SWITCH_MAX_RATE_HZ,
 )
-from ..units import db_to_amplitude
 from .components import ComponentSpec, RFComponent
 
 __all__ = ["ADRF5020Switch"]
@@ -55,31 +52,3 @@ class ADRF5020Switch(RFComponent):
             raise ValueError(
                 f"bitrate {bitrate_bps/1e6:.0f} Mbps exceeds the switch's "
                 f"{self.max_rate_hz/1e6:.0f} MHz toggle limit")
-
-    def port_amplitudes(self, selected_port: int) -> tuple[float, float]:
-        """Linear field amplitude delivered to (port0, port1).
-
-        The selected port sees the input attenuated by the insertion
-        loss; the other port sees it attenuated by the isolation — the
-        small leakage that radiates out of the *wrong* beam.
-        """
-        if selected_port not in (0, 1):
-            raise ValueError("selected_port must be 0 or 1")
-        through = float(db_to_amplitude(-self.insertion_loss_db))
-        leak = float(db_to_amplitude(-self.isolation_db))
-        if selected_port == 0:
-            return through, leak
-        return leak, through
-
-    def port_amplitude_matrix(self, bits) -> np.ndarray:
-        """Per-bit (n, 2) matrix of amplitudes on (port0, port1).
-
-        Port 1 carries Beam 1 ('1' bits), port 0 carries Beam 0.
-        """
-        bits = np.asarray(bits, dtype=np.uint8).ravel()
-        out = np.empty((bits.size, 2), dtype=float)
-        for value in (0, 1):
-            amps = self.port_amplitudes(value)
-            out[bits == value, 0] = amps[0]
-            out[bits == value, 1] = amps[1]
-        return out

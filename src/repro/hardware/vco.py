@@ -12,7 +12,6 @@ import numpy as np
 
 from ..constants import (
     VCO_FREQ_RANGE_HZ,
-    VCO_MAX_OUTPUT_DBM,
     VCO_TUNE_VOLTAGE_RANGE_V,
 )
 from .components import ComponentSpec, RFComponent
@@ -40,7 +39,6 @@ class HMC533VCO(RFComponent):
         self.phase_noise_dbc_hz = phase_noise_dbc_hz
         self.v_min, self.v_max = VCO_TUNE_VOLTAGE_RANGE_V
         self.f_min, self.f_max = VCO_FREQ_RANGE_HZ
-        self.max_output_dbm = VCO_MAX_OUTPUT_DBM
 
     def frequency_hz(self, tuning_voltage_v) -> np.ndarray:
         """Output frequency [Hz] for a control voltage [V].

@@ -9,8 +9,8 @@ hashes arrival directions onto distinct harmonic frequencies (Eq. 1-4).
 from .deployment import Deployment, NodeAssignment, plan_access_points
 from .fdm import ChannelPlan, FdmAllocator, SpectrumExhausted
 from .init_protocol import SideChannel, InitializationProtocol
-from .interference import InterferenceModel, sinr_db
-from .mac import PacketQueue, TdmaSchedule, UplinkSimulator, UplinkStats
+from .interference import InterferenceModel
+from .mac import PacketQueue, UplinkSimulator, UplinkStats
 from .network import MultiNodeNetwork, NetworkSnapshot, NodeStats
 from .sdm_scheduler import (
     AngularSdmScheduler,
@@ -35,7 +35,6 @@ __all__ = [
     "RoundRobinScheduler",
     "SideChannel",
     "SpectrumExhausted",
-    "TdmaSchedule",
     "TimeModulatedArray",
     "UplinkSimulator",
     "UplinkStats",
@@ -43,5 +42,4 @@ __all__ = [
     "assignment_min_separation_rad",
     "plan_access_points",
     "sequential_switching_schedule",
-    "sinr_db",
 ]

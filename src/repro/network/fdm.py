@@ -56,10 +56,6 @@ class ChannelPlan:
         """Upper channel edge."""
         return self.center_hz + self.bandwidth_hz / 2.0
 
-    def overlaps(self, other: ChannelPlan) -> bool:
-        """Whether two channels share spectrum."""
-        return self.low_hz < other.high_hz and other.low_hz < self.high_hz
-
 
 class FdmAllocator:
     """First-fit contiguous allocator over the 24 GHz ISM band.
@@ -217,8 +213,8 @@ class FdmAllocator:
         An indexed range query — O(√n + hits) instead of a scan over
         every plan — used by the
         :class:`repro.admission.AdmissionController` batched
-        re-admission pass.  Overlap is the same strict-inequality
-        predicate as :meth:`ChannelPlan.overlaps`.
+        re-admission pass.  Overlap is strict: a plan that only touches
+        ``low_hz`` or ``high_hz`` is not returned.
         """
         return self._book.overlapping_plans(low_hz, high_hz)
 

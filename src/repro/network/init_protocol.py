@@ -141,7 +141,3 @@ class InitializationProtocol:
         )
         self.records.append(record)
         return record
-
-    def initialize_all(self, nodes_and_rates) -> list[InitRecord]:
-        """Initialise ``[(node, rate_bps), ...]`` in order."""
-        return [self.initialize(node, rate) for node, rate in nodes_and_rates]

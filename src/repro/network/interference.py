@@ -2,30 +2,17 @@
 
 With FDM, neighbours leak adjacent-channel energy; with SDM, co-channel
 signals survive only as TMA harmonic images 20-30 dB down (section 7,
-citing [25]).  :class:`InterferenceModel` turns a set of received levels
-plus channel relationships into per-node SINR — the quantity Fig. 13
-plots as "SNR" (their measured SNR includes this interference).
+citing [25]).  :class:`InterferenceModel` gives the suppression for each
+channel relationship; :class:`repro.network.MultiNodeNetwork` sums the
+suppressed levels into per-node SINR — the quantity Fig. 13 plots as
+"SNR" (their measured SNR includes this interference).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from ..units import db_to_linear, linear_to_db
-
-__all__ = ["InterferenceModel", "sinr_db"]
-
-
-def sinr_db(signal_dbm: float, noise_dbm: float,
-            interference_dbm_list) -> float:
-    """Signal over (noise + sum of interference), all in dBm/dB."""
-    noise_lin = db_to_linear(noise_dbm)
-    interf_lin = float(np.sum(db_to_linear(
-        np.asarray(list(interference_dbm_list), dtype=float))))
-    total = noise_lin + interf_lin
-    return float(signal_dbm - linear_to_db(total))
+__all__ = ["InterferenceModel"]
 
 
 @dataclass(frozen=True)
@@ -68,8 +55,3 @@ class InterferenceModel:
         if relationship == "far":
             return self.nonadjacent_rejection_db
         raise ValueError(f"unknown channel relationship {relationship!r}")
-
-    def interference_dbm(self, interferer_level_dbm: float,
-                         relationship: str) -> float:
-        """Interference power landing in the victim's channel [dBm]."""
-        return interferer_level_dbm - self.coupling_db(relationship)

@@ -1,4 +1,4 @@
-"""A minimal MAC for mmX uplinks: per-node queueing and TDMA slotting.
+"""A minimal MAC for mmX uplinks: per-node queueing.
 
 mmX's air interface is feedback-free, but a *node* still has to decide
 when to key its own switch: video frames arrive from the sensor, queue,
@@ -7,9 +7,6 @@ provides a discrete-event model of that producer/consumer loop:
 
 * :class:`PacketQueue` — a finite buffer with tail-drop and byte/packet
   accounting.
-* :class:`TdmaSchedule` — when several nodes *share* one channel via
-  SDM but their directions are not separable, the AP can fall back to
-  time slicing; the schedule computes each node's duty cycle.
 * :class:`UplinkSimulator` — drives a periodic source (a camera's frame
   cadence) through the queue and the link's frame-success process,
   producing throughput/latency/drop statistics.
@@ -29,7 +26,7 @@ import numpy as np
 from ..rng import ensure_rng
 from ..telemetry import NullRecorder, TelemetryRecorder
 
-__all__ = ["PacketQueue", "TdmaSchedule", "UplinkStats", "UplinkSimulator"]
+__all__ = ["PacketQueue", "UplinkStats", "UplinkSimulator"]
 
 
 @dataclass
@@ -71,47 +68,6 @@ class PacketQueue:
         if not self._items:
             raise IndexError("queue empty")
         return self._items.popleft()
-
-    @property
-    def backlog_bytes(self) -> int:
-        """Bytes currently waiting."""
-        return sum(size for _, size in self._items)
-
-
-@dataclass(frozen=True)
-class TdmaSchedule:
-    """Equal time slicing among nodes stuck on one channel."""
-
-    num_nodes: int
-    slot_duration_s: float = 1e-3
-
-    def __post_init__(self):
-        if self.num_nodes < 1:
-            raise ValueError("need at least one node")
-        if self.slot_duration_s <= 0:
-            raise ValueError("slot duration must be positive")
-
-    @property
-    def frame_duration_s(self) -> float:
-        """One full TDMA rotation."""
-        return self.num_nodes * self.slot_duration_s
-
-    def duty_cycle(self) -> float:
-        """Fraction of airtime each node owns."""
-        return 1.0 / self.num_nodes
-
-    def owner_at(self, time_s: float) -> int:
-        """Which node's slot covers an instant."""
-        if time_s < 0:
-            raise ValueError("time cannot be negative")
-        slot = int(time_s / self.slot_duration_s)
-        return slot % self.num_nodes
-
-    def effective_rate_bps(self, channel_rate_bps: float) -> float:
-        """Per-node throughput ceiling under the slicing."""
-        if channel_rate_bps <= 0:
-            raise ValueError("channel rate must be positive")
-        return channel_rate_bps * self.duty_cycle()
 
 
 @dataclass(frozen=True)

@@ -164,20 +164,3 @@ class TimeModulatedArray:
         for n in range(self.num_elements):
             y += self.schedule[n, slot] * steering[n] * x
         return y
-
-    def separate(self, samples: np.ndarray, sample_rate_hz: float,
-                 arrivals: list[float]) -> np.ndarray:
-        """Mix several same-channel arrivals through the TMA.
-
-        ``samples`` has shape (num_signals, n); each row arrives from the
-        matching direction in ``arrivals``.  Returns the combined output
-        whose spectrum shows each signal shifted to its direction's
-        dominant harmonic — the demultiplexing of Fig. 6.
-        """
-        x = np.atleast_2d(np.asarray(samples, dtype=np.complex128))
-        if x.shape[0] != len(arrivals):
-            raise ValueError("one arrival direction per signal row required")
-        out = np.zeros(x.shape[1], dtype=np.complex128)
-        for row, theta in zip(x, arrivals):
-            out += self.process(row, sample_rate_hz, theta)
-        return out

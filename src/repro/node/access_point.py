@@ -109,16 +109,6 @@ class MmxAccessPoint:
         """IDs of all admitted nodes."""
         return sorted(self._demodulators)
 
-    # --- resilience hooks ------------------------------------------------------
-
-    def attach_health_monitor(self, node_id: int, monitor) -> None:
-        """Attach a :class:`repro.resilience.LinkHealthMonitor` to one
-        node's demodulator, so every capture feeds its health estimate."""
-        demod = self._demodulators.get(node_id)
-        if demod is None:
-            raise KeyError(f"node {node_id} is not registered")
-        demod.health_monitor = monitor
-
     # --- transmission phase -------------------------------------------------------
 
     def demodulate(self, node_id: int, capture: Waveform) -> DemodResult:

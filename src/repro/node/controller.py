@@ -31,11 +31,6 @@ class TransmitJob:
     vco_bits: np.ndarray
     packet: Packet
 
-    @property
-    def num_bits(self) -> int:
-        """Frame length in channel bits."""
-        return int(self.beam_bits.size)
-
 
 class DigitalController:
     """Frames payloads and produces switch/VCO control sequences."""
@@ -55,14 +50,3 @@ class DigitalController:
         packet = Packet(payload=payload, sequence=self.next_sequence())
         bits = self.codec.encode(packet)
         return TransmitJob(beam_bits=bits, vco_bits=bits.copy(), packet=packet)
-
-    def prepare_stream(self, payload: bytes,
-                       max_payload_bytes: int = 1024) -> list[TransmitJob]:
-        """Split a large payload into multiple framed jobs."""
-        if max_payload_bytes <= 0:
-            raise ValueError("max payload size must be positive")
-        jobs = []
-        for start in range(0, max(len(payload), 1), max_payload_bytes):
-            chunk = payload[start:start + max_payload_bytes]
-            jobs.append(self.prepare(chunk))
-        return jobs

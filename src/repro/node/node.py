@@ -61,29 +61,9 @@ class MmxNode:
         self._channel_center_hz = center_frequency_hz
 
     @property
-    def channel_center_hz(self) -> float:
-        """The assigned carrier; raises if initialization never happened."""
-        if self._channel_center_hz is None:
-            raise RuntimeError(
-                f"node {self.node_id} has no channel assignment yet")
-        return self._channel_center_hz
-
-    @property
     def is_initialized(self) -> bool:
         """Whether the AP has assigned this node a channel."""
         return self._channel_center_hz is not None
-
-    def vco_control_voltages(self) -> tuple[float, float]:
-        """Control voltages implementing the two FSK tones.
-
-        The joint ASK-FSK frequency nudge is "simply implemented by
-        changing the control voltage of the VCO" (section 6.3); this
-        computes the exact pair of voltages for the assigned channel.
-        """
-        vco = self.hardware.vco
-        f0 = self.channel_center_hz + self.config.freq_zero_hz
-        f1 = self.channel_center_hz + self.config.freq_one_hz
-        return vco.voltage_for_frequency(f0), vco.voltage_for_frequency(f1)
 
     # --- transmission phase ----------------------------------------------------
 
@@ -104,11 +84,3 @@ class MmxNode:
         job = self.frame(payload)
         wave = self._modulator.received_waveform(job.beam_bits, channel)
         return job, wave
-
-    # --- accounting --------------------------------------------------------------
-
-    def energy_for_payload_j(self, payload_bytes: int) -> float:
-        """Transmit energy for one framed payload at the configured rate."""
-        frame_bits = self.controller.codec.frame_length_bits(payload_bytes)
-        duration_s = frame_bits / self.config.bit_rate_bps
-        return self.hardware.total_power_w * duration_s

@@ -19,7 +19,6 @@ from .ber import (
 from .bits import (
     bits_to_bytes,
     bytes_to_bits,
-    bit_errors,
     random_bits,
     pack_uint,
     unpack_uint,
@@ -46,14 +45,11 @@ from .preamble import (
     locate_preamble,
 )
 from .snr import (
-    thermal_noise_dbm,
     noise_figure_cascade_db,
-    LinkBudget,
     estimate_snr_two_level,
 )
 from .waveform import (
     Waveform,
-    carrier,
     two_level_waveform,
     awgn_noise,
 )
@@ -61,7 +57,6 @@ from .waveform import (
 __all__ = [
     "BARKER13",
     "HammingCode74",
-    "LinkBudget",
     "RepetitionCode",
     "Waveform",
     "apply_cfo",
@@ -73,10 +68,8 @@ __all__ = [
     "ber_fsk_noncoherent",
     "ber_ook_coherent",
     "ber_ook_noncoherent",
-    "bit_errors",
     "bits_to_bytes",
     "bytes_to_bits",
-    "carrier",
     "correlate_preamble",
     "crc16_ccitt",
     "default_preamble_bits",
@@ -93,7 +86,6 @@ __all__ = [
     "quantize",
     "random_bits",
     "snr_db_for_target_ber",
-    "thermal_noise_dbm",
     "threshold_levels",
     "two_level_waveform",
     "unpack_uint",

@@ -14,7 +14,6 @@ __all__ = [
     "as_bit_array",
     "bits_to_bytes",
     "bytes_to_bits",
-    "bit_errors",
     "random_bits",
     "pack_uint",
     "unpack_uint",
@@ -48,15 +47,6 @@ def bits_to_bytes(bits) -> bytes:
     if arr.size % 8 != 0:
         raise ValueError(f"bit length {arr.size} is not a multiple of 8")
     return np.packbits(arr).tobytes()
-
-
-def bit_errors(sent, received) -> int:
-    """Number of positions where two equal-length bit arrays differ."""
-    a = as_bit_array(sent)
-    b = as_bit_array(received)
-    if a.size != b.size:
-        raise ValueError(f"length mismatch: {a.size} vs {b.size}")
-    return int(np.count_nonzero(a != b))
 
 
 def random_bits(n: int, rng: np.random.Generator | None = None) -> np.ndarray:

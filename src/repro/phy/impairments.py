@@ -33,7 +33,7 @@ def apply_cfo(wave: Waveform, offset_hz: float) -> Waveform:
     compares *two tone powers* whose frequencies drift together, and
     the ASK decision ignores frequency entirely.
     """
-    t = wave.time_axis()
+    t = np.arange(wave.samples.size) / wave.sample_rate_hz
     shifted = wave.samples * np.exp(2j * np.pi * offset_hz * t)
     return Waveform(shifted, wave.sample_rate_hz)
 

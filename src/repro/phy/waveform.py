@@ -15,11 +15,9 @@ import numpy as np
 import numpy.typing as npt
 
 from ..rng import ensure_rng
-from ..units import FloatArray
 
 __all__ = [
     "Waveform",
-    "carrier",
     "two_level_waveform",
     "awgn_noise",
 ]
@@ -44,46 +42,6 @@ class Waveform:
 
     def __len__(self) -> int:
         return self.samples.size
-
-    @property
-    def duration_s(self) -> float:
-        """Duration of the waveform in seconds."""
-        return self.samples.size / self.sample_rate_hz
-
-    def time_axis(self) -> FloatArray:
-        """Sample timestamps [s], starting at zero."""
-        axis: FloatArray = np.arange(self.samples.size) / self.sample_rate_hz
-        return axis
-
-    def power(self) -> float:
-        """Mean power of the samples (linear units)."""
-        if self.samples.size == 0:
-            return 0.0
-        return float(np.mean(np.abs(self.samples) ** 2))
-
-    def scaled(self, amplitude: complex) -> Waveform:
-        """Return a copy scaled by a (possibly complex) amplitude factor."""
-        return Waveform(self.samples * amplitude, self.sample_rate_hz)
-
-    def concatenated(self, other: Waveform) -> Waveform:
-        """Concatenate two waveforms at identical sample rates."""
-        if other.sample_rate_hz != self.sample_rate_hz:
-            raise ValueError("cannot concatenate waveforms at different rates")
-        return Waveform(np.concatenate([self.samples, other.samples]),
-                        self.sample_rate_hz)
-
-
-def carrier(frequency_hz: float, duration_s: float, sample_rate_hz: float,
-            amplitude: float = 1.0, phase_rad: float = 0.0) -> Waveform:
-    """A pure complex tone — what the mmX node's VCO emits at baseband.
-
-    ``frequency_hz`` is the *offset from the nominal carrier*; 0 means the
-    tone sits exactly at the channel centre.
-    """
-    n = int(round(duration_s * sample_rate_hz))
-    t = np.arange(n) / sample_rate_hz
-    samples = amplitude * np.exp(1j * (2.0 * np.pi * frequency_hz * t + phase_rad))
-    return Waveform(samples, sample_rate_hz)
 
 
 def _samples_per_bit(bit_rate_bps: float, sample_rate_hz: float) -> int:

@@ -44,11 +44,6 @@ class EwmaEstimator:
         self.alpha = alpha
         self._value: float | None = None
 
-    @property
-    def value(self) -> float | None:
-        """Current estimate (None before the first sample)."""
-        return self._value
-
     def update(self, sample: float) -> float:
         """Fold one sample in and return the new estimate.
 
@@ -157,30 +152,11 @@ class LinkHealthMonitor:
         self._samples.append((float(time_s), value, self.state))
         return self.state
 
-    def observe_demod(self, result, time_s: float | None = None) -> str:
-        """Feed one :class:`repro.core.demodulator.DemodResult` in.
-
-        This is the hook :class:`JointDemodulator` calls when a monitor
-        is attached; ``time_s`` defaults to a per-capture counter so
-        sample-level pipelines need not thread a clock through.
-        """
-        if time_s is None:
-            time_s = float(len(self._samples))
-        snr = result.snr_db
-        if result.branch == "none" or not result.bits.size:
-            snr = float("-inf")
-        return self.observe(time_s, snr)
-
     def reset_estimate(self) -> None:
         """Forget the EWMA (after re-init / channel move), keep history."""
         self.ewma.reset()
 
     # --- reporting -------------------------------------------------------
-
-    @property
-    def num_samples(self) -> int:
-        """How many observations have been folded in."""
-        return len(self._samples)
 
     def outage_intervals(self) -> list[tuple[float, float]]:
         """(start_s, duration_s) of each contiguous outage episode.

@@ -14,7 +14,6 @@ from .geometry import (
     Point,
     Segment,
     segment_intersection,
-    segment_circle_intersects,
     reflect_point_across_line,
     angle_of,
     normalize_angle,
@@ -39,6 +38,5 @@ __all__ = [
     "default_lab_room",
     "normalize_angle",
     "reflect_point_across_line",
-    "segment_circle_intersects",
     "segment_intersection",
 ]

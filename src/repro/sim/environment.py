@@ -20,7 +20,7 @@ from ..constants import (
     EVAL_ROOM_LENGTH_M,
     EVAL_ROOM_WIDTH_M,
 )
-from .geometry import Point, Segment, segment_circle_intersects
+from .geometry import Point, Segment
 
 __all__ = ["Wall", "Blocker", "Room", "default_lab_room"]
 
@@ -74,10 +74,6 @@ class Blocker:
             raise ValueError("blocker radius must be positive")
         if self.penetration_loss_db < 0:
             raise ValueError("penetration loss cannot be negative")
-
-    def occludes(self, leg: Segment) -> bool:
-        """Whether this blocker intersects a propagation leg."""
-        return segment_circle_intersects(leg, self.position, self.radius_m)
 
     def moved_to(self, position: Point) -> Blocker:
         """Copy of this blocker at a new position (for mobility models)."""
@@ -135,11 +131,6 @@ class Room:
         """Whether a point lies inside the rectangular footprint."""
         return (margin <= p.x <= self.width_m - margin
                 and margin <= p.y <= self.length_m - margin)
-
-    def blockage_loss_db(self, leg: Segment) -> float:
-        """Total blocker penetration loss along one propagation leg [dB]."""
-        return sum(b.penetration_loss_db for b in self.blockers
-                   if b.occludes(leg))
 
     def random_interior_point(self, rng: np.random.Generator,
                               margin: float = 0.3) -> Point:

@@ -8,12 +8,13 @@ angle bookkeeping.
 The geometry is three float kernels -- :func:`segment_intersection_xy`,
 :func:`reflect_point_xy` and :func:`segment_circle_intersects_xy` -- that
 take and return bare coordinates, so the tracer can test the hundreds of
-candidate legs of one trace without building an object per leg.  The
-:class:`Point`/:class:`Segment` functions of the same names are thin
-wrappers over them.  Each kernel keeps its expressions and their operand
-order: that is what keeps every traced path bit-identical, whichever
-entry point a caller uses.  Coordinates pass through unconverted, so
-int and ``np.float64`` inputs keep their types through the arithmetic.
+candidate legs of one trace without building an object per leg.
+:func:`segment_intersection` and :func:`reflect_point_across_line` are
+thin :class:`Point`/:class:`Segment` wrappers over the first two.  Each
+kernel keeps its expressions and their operand order: that is what
+keeps every traced path bit-identical, whichever entry point a caller
+uses.  Coordinates pass through unconverted, so int and ``np.float64``
+inputs keep their types through the arithmetic.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ __all__ = [
     "normalize_angle",
     "reflect_point_across_line",
     "reflect_point_xy",
-    "segment_circle_intersects",
     "segment_circle_intersects_xy",
     "segment_intersection",
     "segment_intersection_xy",
@@ -43,19 +43,8 @@ class Point:
     x: float
     y: float
 
-    def __iter__(self):
-        yield self.x
-        yield self.y
-
-    def __add__(self, other: Point) -> Point:
-        return Point(self.x + other.x, self.y + other.y)
-
     def __sub__(self, other: Point) -> Point:
         return Point(self.x - other.x, self.y - other.y)
-
-    def scaled(self, k: float) -> Point:
-        """Scalar multiple of the position vector."""
-        return Point(self.x * k, self.y * k)
 
     def norm(self) -> float:
         """Euclidean length of the position vector."""
@@ -72,10 +61,6 @@ class Segment:
     def length(self) -> float:
         """Segment length [m]."""
         return distance(self.a, self.b)
-
-    def midpoint(self) -> Point:
-        """Segment midpoint."""
-        return Point(0.5 * (self.a.x + self.b.x), 0.5 * (self.a.y + self.b.y))
 
 
 def distance(p: Point, q: Point) -> float:
@@ -133,8 +118,7 @@ def segment_circle_intersects_xy(px: float, py: float, ex: float, ey: float,
                                  radius: float) -> bool:
     """Whether segment ``p-e`` passes within ``radius`` of ``(ox, oy)``.
 
-    The kernel under :func:`segment_circle_intersects`, on bare
-    coordinates.
+    On bare coordinates, as the ray tracer's blocker test calls it.
     """
     if radius < 0:
         raise ValueError("radius must be non-negative")
@@ -148,17 +132,6 @@ def segment_circle_intersects_xy(px: float, py: float, ex: float, ey: float,
     t = max(0.0, min(1.0, t))
     cx, cy = ax + t * dx, ay + t * dy
     return math.hypot(cx, cy) <= radius
-
-
-def segment_circle_intersects(seg: Segment, centre: Point,
-                              radius: float) -> bool:
-    """Whether a segment passes within ``radius`` of ``centre``.
-
-    This is the blocker occlusion test: a person is a circle and a
-    propagation leg is a segment.
-    """
-    return segment_circle_intersects_xy(seg.a.x, seg.a.y, seg.b.x, seg.b.y,
-                                        centre.x, centre.y, radius)
 
 
 def reflect_point_xy(px: float, py: float, ax: float, ay: float,

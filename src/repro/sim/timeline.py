@@ -73,16 +73,6 @@ class LinkTrace:
             return 0
         return int(np.count_nonzero(np.diff(self.inverted.astype(int))))
 
-    def summary(self, threshold_db: float = 10.0) -> dict[str, float]:
-        """The headline robustness numbers for this trace."""
-        return {
-            "mean_otam_snr_db": float(np.mean(self.otam_snr_db)),
-            "mean_no_otam_snr_db": float(np.mean(self.no_otam_snr_db)),
-            "otam_outage": self.outage_fraction(threshold_db, True),
-            "no_otam_outage": self.outage_fraction(threshold_db, False),
-            "polarity_flips": float(self.polarity_flips()),
-        }
-
 
 class TimelineSimulator:
     """Steps walkers through a room and records link quality over time."""

@@ -21,21 +21,19 @@ Pieces
 
 Usage
 -----
->>> from repro.telemetry import Recorder, to_jsonl
+>>> from repro.telemetry import Recorder, to_jsonl_lines
 >>> from repro.resilience import ChaosSimulation  # doctest: +SKIP
 >>> rec = Recorder()                              # doctest: +SKIP
 >>> ChaosSimulation(link, injector, telemetry=rec).run(30)  # doctest: +SKIP
->>> print(to_jsonl(rec))                          # doctest: +SKIP
+>>> for line in to_jsonl_lines(rec):              # doctest: +SKIP
+...     print(line)
 """
 
 from .clock import SimClock
 from .export import (
     collapsed_stacks,
     to_csv,
-    to_jsonl,
     to_jsonl_lines,
-    write_csv,
-    write_jsonl,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .recorder import EventRecord, NullRecorder, Recorder, TelemetryRecorder
@@ -77,8 +75,5 @@ __all__ = [
     "spans_to_collapsed",
     "summarize",
     "to_csv",
-    "to_jsonl",
     "to_jsonl_lines",
-    "write_csv",
-    "write_jsonl",
 ]

@@ -24,15 +24,13 @@ from __future__ import annotations
 
 import json
 import math
-from pathlib import Path
 from typing import Any
 
-from ..durability.io import FsBackend, atomic_replace
 from .recorder import Recorder
 from .tracer import SpanRecord
 
 __all__ = ["EXPORT_FORMAT_VERSION", "collapsed_stacks", "to_csv",
-           "to_jsonl", "to_jsonl_lines", "write_csv", "write_jsonl"]
+           "to_jsonl_lines"]
 
 EXPORT_FORMAT_VERSION = 1
 """Bump on any change to the JSONL line layout."""
@@ -86,22 +84,6 @@ def to_jsonl_lines(recorder: Recorder) -> list[str]:
     return lines
 
 
-def to_jsonl(recorder: Recorder) -> str:
-    """The full JSONL export as one newline-terminated string."""
-    return "\n".join(to_jsonl_lines(recorder)) + "\n"
-
-
-def write_jsonl(recorder: Recorder, path: str | Path,
-                fs: FsBackend | None = None) -> Path:
-    """Write the JSONL export to ``path``; returns the path written.
-
-    Atomic and durable (:func:`repro.durability.atomic_replace`): a
-    crash mid-export leaves the previous file or none, never a torn
-    one — a half-written export would replay as a *different* run.
-    """
-    return atomic_replace(Path(path), to_jsonl(recorder), fs=fs)
-
-
 def to_csv(recorder: Recorder) -> str:
     """A flat CSV view: ``record,name,time_s,value,detail`` rows.
 
@@ -139,15 +121,6 @@ def to_csv(recorder: Recorder) -> str:
         rows.append(f"event,{cell(event.name)},{event.time_s},,"
                     f"{cell(detail)}")
     return "\n".join(rows) + "\n"
-
-
-def write_csv(recorder: Recorder, path: str | Path,
-              fs: FsBackend | None = None) -> Path:
-    """Write the CSV export to ``path``; returns the path written.
-
-    Atomic and durable, like :func:`write_jsonl`.
-    """
-    return atomic_replace(Path(path), to_csv(recorder), fs=fs)
 
 
 def collapsed_stacks(spans: list[SpanRecord]) -> list[str]:

@@ -251,7 +251,3 @@ class MetricsRegistry:
     def histograms(self) -> list[Histogram]:
         """Every histogram, name-sorted."""
         return [self._histograms[k] for k in sorted(self._histograms)]
-
-    def __len__(self) -> int:
-        return (len(self._counters) + len(self._gauges)
-                + len(self._histograms))

@@ -132,8 +132,3 @@ class Tracer:
             self.finished.append(renumbered)
             absorbed.append(renumbered)
         return absorbed
-
-    @property
-    def open_count(self) -> int:
-        """Spans currently begun but not ended."""
-        return len(self._open)

@@ -253,6 +253,14 @@ class TestSdmPacker:
             taken.add(assignment.harmonic_index)
 
 
+def _is_admitted(ctrl: AdmissionController, node_id: int) -> bool:
+    try:
+        ctrl.decision_for(node_id)
+    except KeyError:
+        return False
+    return True
+
+
 class TestAdmissionLadder:
     def _tiny(self, **kwargs) -> AdmissionController:
         """A controller over a 100 Hz band (1 Hz per bps, no floor)."""
@@ -266,7 +274,7 @@ class TestAdmissionLadder:
         decision = ctrl.admit(0, 10.0, bearing_rad=0.0)
         assert decision.state == "fdm" and decision.admitted
         assert decision.sdm is None
-        assert ctrl.counts() == {"fdm": 1, "sdm": 0, "total": 1}
+        assert ctrl.decision_for(0) == decision
 
     def test_sdm_escalation_when_band_full(self):
         ctrl = self._tiny(sdm_channels=4)
@@ -275,20 +283,20 @@ class TestAdmissionLadder:
         assert decision.state == "sdm" and decision.admitted
         assert decision.sdm is not None
         assert decision.plan is not None  # the shared slice
-        assert ctrl.counts()["sdm"] == 1
+        assert ctrl.decision_for(1) == decision
 
     def test_blocked_without_bearing(self):
         ctrl = self._tiny()
         ctrl.admit(0, 100.0)
         decision = ctrl.admit(1, 10.0)  # no bearing: no SDM rung
         assert decision.state == "blocked" and not decision.admitted
-        assert 1 not in ctrl
+        assert not _is_admitted(ctrl, 1)
 
     def test_release_returns_spectrum(self):
         ctrl = self._tiny()
         ctrl.admit(0, 100.0)
         ctrl.release(0)
-        assert len(ctrl) == 0
+        assert not _is_admitted(ctrl, 0)
         assert ctrl.admit(1, 100.0).state == "fdm"
 
     def test_release_sdm_node(self):
@@ -296,7 +304,7 @@ class TestAdmissionLadder:
         ctrl.admit(0, 100.0)
         assert ctrl.admit(1, 10.0, bearing_rad=0.5).state == "sdm"
         ctrl.release(1)
-        assert 1 not in ctrl and 0 in ctrl
+        assert not _is_admitted(ctrl, 1) and _is_admitted(ctrl, 0)
 
     def test_occupancy_and_fragmentation(self):
         ctrl = self._tiny()
@@ -340,7 +348,7 @@ class TestBatchedReadmission:
             assert plan.low_hz >= 25.0 or plan.high_hz <= 0.0
         for i, a in enumerate(plans):
             for b in plans[i + 1:]:
-                assert not a.overlaps(b)
+                assert a.high_hz <= b.low_hz or b.high_hz <= a.low_hz
 
     def test_batched_pass_beats_per_node_loops(self):
         # Two 30 Hz victims + 40 Hz blocked: re-admitting one at a time
@@ -364,7 +372,7 @@ class TestBatchedReadmission:
         assert report.spilled_to_sdm == (0,)
         assert report.evicted == (1,)
         assert ctrl.decision_for(0).state == "sdm"
-        assert 1 not in ctrl
+        assert not _is_admitted(ctrl, 1)
 
     def test_interference_telemetry(self):
         tel = Recorder()

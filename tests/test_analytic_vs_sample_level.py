@@ -28,6 +28,11 @@ def _facing(distance: float) -> Placement:
                      Point(2.0, 0.15), math.pi / 2)
 
 
+def _decision_snr_db(demod) -> float:
+    """Decision SNR of the branch the demodulator used."""
+    return demod.ask_snr_db if demod.branch == "ask" else demod.fsk_snr_db
+
+
 def _frame(rng, n=256):
     return np.concatenate([default_preamble_bits(), random_bits(n, rng)])
 
@@ -51,7 +56,7 @@ class TestSnrAgreement:
             channel, bandwidth_hz=CONFIG.bit_rate_bps)
         report = link.simulate_transmission(_frame(rng), channel=channel,
                                             rng=rng)
-        measured = report.demod.snr_db
+        measured = _decision_snr_db(report.demod)
         predicted = analytic.otam_snr_db
         if predicted > 45.0:
             # Estimator saturates (finite bits, no errors) — just check
@@ -71,7 +76,7 @@ class TestSnrAgreement:
                                             rng=rng)
         room.clear_blockers()
         if analytic.otam_snr_db < 45.0:
-            assert report.demod.snr_db == pytest.approx(
+            assert _decision_snr_db(report.demod) == pytest.approx(
                 analytic.otam_snr_db, abs=7.0)
 
 

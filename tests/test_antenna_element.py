@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.antenna.element import DipoleElement, IsotropicElement, PatchElement
+from repro.antenna.element import DipoleElement, PatchElement
+
+from .signal_fixtures import IsotropicElement
 
 
 class TestPatchElement:
@@ -31,9 +33,6 @@ class TestPatchElement:
         patch = PatchElement(back_lobe_db=-20.0)
         behind = patch.field(np.radians(180.0))
         assert float(behind) == pytest.approx(10 ** (-20 / 20))
-
-    def test_power_db_at_peak_zero(self):
-        assert float(PatchElement().power_db(0.0)) == pytest.approx(0.0)
 
     def test_exponent_controls_width(self):
         narrow = PatchElement(exponent=2.0)
@@ -59,10 +58,6 @@ class TestDipoleElement:
     def test_floor_far_out(self):
         dipole = DipoleElement(floor_db=-15.0)
         assert float(dipole.power_db(np.radians(150.0))) == pytest.approx(-15.0)
-
-    def test_absolute_gain(self):
-        dipole = DipoleElement()
-        assert float(dipole.gain_dbi_at(0.0)) == pytest.approx(5.0)
 
     def test_field_consistent_with_power(self):
         dipole = DipoleElement()

@@ -83,16 +83,6 @@ class TestPairInterface:
         p0 = np.trapezoid(np.asarray(beams.field(0, grid)) ** 2, grid)
         assert p0 == pytest.approx(p1, rel=0.02)
 
-    def test_gain_dbi_peak(self, beams):
-        grid = np.linspace(-np.pi, np.pi, 3601)
-        assert float(np.max(beams.gain_dbi(1, grid))) == pytest.approx(
-            beams.peak_gain_dbi, abs=0.05)
-
-    def test_amplitude_gain_consistent(self, beams):
-        theta = np.radians(12.0)
-        expected = 10 ** (float(beams.gain_dbi(1, theta)) / 20.0)
-        assert float(beams.amplitude_gain(1, theta)) == pytest.approx(expected)
-
 
 class TestFieldOfView:
     def test_combined_coverage_within_fov(self):

@@ -89,14 +89,6 @@ class TestBeamChannelGain:
 
 
 class TestChannelResponse:
-    def test_contrast_db(self):
-        ch = ChannelResponse(h1=1.0, h0=0.1, paths=())
-        assert ch.ask_contrast_db == pytest.approx(20.0)
-
-    def test_contrast_with_zero(self):
-        assert ChannelResponse(h1=1.0, h0=0.0, paths=()).ask_contrast_db == math.inf
-        assert ChannelResponse(h1=0.0, h0=0.0, paths=()).ask_contrast_db == 0.0
-
     def test_inverted_flag(self):
         assert ChannelResponse(h1=0.1, h0=0.5, paths=()).inverted
         assert not ChannelResponse(h1=0.5, h0=0.1, paths=()).inverted
@@ -106,15 +98,6 @@ class TestChannelResponse:
         # them apart, so the difference gain must be ~0.
         ch = ChannelResponse(h1=0.5, h0=0.5j, paths=())
         assert ch.difference_gain() == pytest.approx(0.0)
-
-    def test_stronger_gain(self):
-        ch = ChannelResponse(h1=0.2, h0=0.7, paths=())
-        assert ch.stronger_gain() == pytest.approx(0.7)
-
-    def test_level_db(self):
-        ch = ChannelResponse(h1=0.1, h0=0.0, paths=())
-        assert ch.level_db(1) == pytest.approx(-20.0)
-        assert ch.level_db(0) == -math.inf
 
 
 class TestTwoBeamGains:

@@ -1,6 +1,5 @@
 """Tests for path-loss models."""
 
-import numpy as np
 import pytest
 
 from repro.channel import pathloss as PL
@@ -35,22 +34,6 @@ class TestFreeSpace:
     def test_invalid_frequency(self):
         with pytest.raises(ValueError):
             PL.free_space_path_loss_db(1.0, 0.0)
-
-
-class TestLogDistance:
-    def test_exponent_two_matches_friis(self):
-        d = np.array([1.0, 3.0, 10.0])
-        assert PL.log_distance_path_loss_db(d, 24e9, exponent=2.0) == (
-            pytest.approx(np.asarray(PL.free_space_path_loss_db(d, 24e9)),
-                          abs=0.01))
-
-    def test_higher_exponent_more_loss(self):
-        assert (float(PL.log_distance_path_loss_db(10.0, 24e9, 3.0))
-                > float(PL.log_distance_path_loss_db(10.0, 24e9, 2.0)))
-
-    def test_invalid_exponent(self):
-        with pytest.raises(ValueError):
-            PL.log_distance_path_loss_db(1.0, 24e9, exponent=0.0)
 
 
 class TestFriisReceived:

@@ -25,7 +25,7 @@ class TestLosPath:
     def test_present_in_open_room(self, square):
         paths = trace_paths(Point(1, 1), Point(3, 3), square, max_bounces=0)
         assert len(paths) == 1
-        assert paths[0].is_los
+        assert paths[0].num_bounces == 0
         assert paths[0].length_m == pytest.approx(math.sqrt(8.0))
 
     def test_bearings_are_opposite(self, square):
@@ -90,7 +90,7 @@ class TestFirstOrderReflections:
 
     def test_paths_sorted_strongest_first(self, square):
         paths = trace_paths(Point(1, 2), Point(3, 2), square, max_bounces=1)
-        assert paths[0].is_los
+        assert paths[0].num_bounces == 0
 
 
 class TestSecondOrderReflections:
@@ -138,7 +138,7 @@ class TestEmergentNlosBand:
             if (tx - rx).norm() < 1.5:
                 continue
             paths = trace_paths(tx, rx, room, max_bounces=1)
-            los = [p for p in paths if p.is_los]
+            los = [p for p in paths if p.num_bounces == 0]
             refl = [p for p in paths if p.num_bounces == 1]
             if not los or not refl:
                 continue

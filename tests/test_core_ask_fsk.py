@@ -6,9 +6,6 @@ from repro.core.ask_fsk import AskFskConfig
 
 
 class TestDefaults:
-    def test_default_tones_orthogonal(self):
-        assert AskFskConfig().tones_orthogonal()
-
     def test_default_deviation_half_bitrate(self):
         cfg = AskFskConfig(bit_rate_bps=1e6, sample_rate_hz=8e6)
         assert cfg.fsk_deviation_hz == pytest.approx(5e5)
@@ -45,13 +42,3 @@ class TestValidation:
         with pytest.raises(ValueError):
             AskFskConfig(bit_rate_bps=1e6, sample_rate_hz=8e6,
                          fsk_deviation_hz=3e6)
-
-    def test_non_orthogonal_detected(self):
-        cfg = AskFskConfig(bit_rate_bps=1e6, sample_rate_hz=8e6,
-                           fsk_deviation_hz=3e5)
-        assert not cfg.tones_orthogonal()
-
-    def test_double_separation_still_orthogonal(self):
-        cfg = AskFskConfig(bit_rate_bps=1e6, sample_rate_hz=8e6,
-                           fsk_deviation_hz=1e6)
-        assert cfg.tones_orthogonal()

@@ -96,13 +96,6 @@ class TestJointDecision:
         if result.branch == "ask":
             assert result.inverted
 
-    def test_snr_property_tracks_branch(self, cfg, rng):
-        _, wave = _capture(cfg, rng, h1=1.0, h0=0.1)
-        result = JointDemodulator(cfg).demodulate(wave)
-        expected = (result.ask_snr_db if result.branch == "ask"
-                    else result.fsk_snr_db)
-        assert result.snr_db == expected
-
     def test_low_snr_produces_errors(self, cfg, rng):
         bits, wave = _capture(cfg, rng, h1=1.0, h0=0.5, snr_db=-3.0,
                               num_data_bits=400)

@@ -106,8 +106,5 @@ class TestAskOnlyBaseline:
         bits = np.array([1, 1], dtype=np.uint8)
         strong_h0 = mod.ask_only_waveform(bits, channel(h1=0.5, h0=5.0))
         weak_h0 = mod.ask_only_waveform(bits, channel(h1=0.5, h0=0.0))
-        assert strong_h0.power() == pytest.approx(weak_h0.power())
-
-    def test_energy_per_bit(self, cfg):
-        mod = OtamModulator(cfg)
-        assert mod.switching_energy_per_bit_j(1.1) == pytest.approx(1.1 / 1e6)
+        assert np.mean(np.abs(strong_h0.samples) ** 2) == pytest.approx(
+            np.mean(np.abs(weak_h0.samples) ** 2))

@@ -29,7 +29,6 @@ from repro.durability import (
     fsck_path,
     fsck_paths,
     scan_journal_text,
-    seal,
     verify_sealed,
 )
 from repro.engine import Campaign, CampaignPlan
@@ -51,10 +50,12 @@ def make_journal(path, faulty=None, num_trials=6, num_shards=3):
 class TestIntegrity:
     def test_seal_verify_round_trip(self):
         payload = {"record": "shard", "values": [1, 2.5, None]}
-        assert verify_sealed(seal(payload)) == payload
+        sealed = {**payload, "integrity": digest(payload)}
+        assert verify_sealed(sealed) == payload
 
     def test_tampering_is_detected(self):
-        sealed = seal({"record": "shard", "v": 1})
+        payload = {"record": "shard", "v": 1}
+        sealed = {**payload, "integrity": digest(payload)}
         sealed["v"] = 2
         with pytest.raises(IntegrityError):
             verify_sealed(sealed)
@@ -348,12 +349,12 @@ class TestFsck:
         assert (tmp_path / "ap0.ckpt.corrupt").exists()
 
     def test_telemetry_export_repair(self, tmp_path):
-        from repro.telemetry import Recorder, write_jsonl
+        from repro.telemetry import Recorder, to_jsonl_lines
 
         recorder = Recorder()
         recorder.count("x.events", 3)
         path = tmp_path / "t.jsonl"
-        write_jsonl(recorder, path)
+        path.write_text("\n".join(to_jsonl_lines(recorder)) + "\n")
         assert fsck_path(path).exit_code == 0
 
         with open(path, "a") as fh:

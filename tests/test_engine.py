@@ -35,7 +35,7 @@ from repro.engine import (
     run_shard,
 )
 from repro.telemetry import Recorder
-from repro.telemetry.export import to_jsonl
+from repro.telemetry.export import to_jsonl_lines
 
 from .engine_reference import serial_trials
 
@@ -174,14 +174,13 @@ class TestCampaignDeterminism:
                            telemetry=tel_campaign).run()
         assert [(r.index, r.seed, r.values) for r in outcome.results] \
             == [(r.index, r.seed, r.values) for r in streamed]
-        assert to_jsonl(tel_campaign) == to_jsonl(tel_serial)
+        assert to_jsonl_lines(tel_campaign) == to_jsonl_lines(tel_serial)
 
     def test_collect_and_summary(self):
         outcome = Campaign(uniform_trial, 6, master_seed=1,
                            num_shards=2).run()
         xs = outcome.collect("x")
         assert xs.shape == (6,)
-        assert outcome.summary("x")["mean"] == pytest.approx(xs.mean())
         assert outcome.num_trials == 6
 
     def test_collect_planned_puts_trials_at_their_index(self):
@@ -196,12 +195,6 @@ class TestCampaignDeterminism:
         assert xs.shape == (6,)
         assert np.isnan(xs[:2]).all()
         assert xs[2:].tobytes() == full.collect("x")[2:].tobytes()
-
-    def test_progress_fires_after_each_shard(self):
-        seen = []
-        Campaign(uniform_trial, 6, num_shards=3).run(
-            progress=lambda shard: seen.append(shard.shard_id))
-        assert seen == [0, 1, 2]
 
     def test_trial_failure_propagates(self):
         with pytest.raises(RuntimeError, match="trial 3"):
@@ -235,11 +228,8 @@ class TestResultStore:
         journal = store_path.read_text().splitlines()
         assert len(journal) == 3  # header + the two surviving shards
 
-        executed = []
         resumed = Campaign(uniform_trial, 8, master_seed=9,
-                           num_shards=4, store=store_path).run(
-            progress=lambda shard: executed.append(shard.shard_id))
-        assert executed == [2, 3]
+                           num_shards=4, store=store_path).run()
         assert resumed.resumed_shards == (0, 1)
         assert resumed.executed_shards == (2, 3)
 
@@ -335,7 +325,7 @@ class TestResultStore:
         tel_resumed = Recorder()
         Campaign(uniform_trial, 6, master_seed=3, num_shards=3,
                  store=store_path, telemetry=tel_resumed).run()
-        assert to_jsonl(tel_resumed) == to_jsonl(tel_direct)
+        assert to_jsonl_lines(tel_resumed) == to_jsonl_lines(tel_direct)
 
     def test_traced_resume_refuses_untraced_journal(self, tmp_path):
         store_path = tmp_path / "campaign.jsonl"
@@ -389,13 +379,6 @@ class TestSerialCampaign:
         results = Campaign(uniform_trial, 20).run().results
         assert len({r["x"] for r in results}) == 20
 
-    def test_summary_statistics(self):
-        stats = Campaign(uniform_trial, 11).run().summary("index")
-        assert stats["mean"] == pytest.approx(5.0)
-        assert stats["median"] == pytest.approx(5.0)
-        assert stats["min"] == 0.0
-        assert stats["max"] == 10.0
-
     def test_collect(self):
         outcome = Campaign(uniform_trial, 3).run()
         assert list(outcome.collect("index")) == [0, 1, 2]
@@ -403,17 +386,6 @@ class TestSerialCampaign:
     def test_non_dict_trial_rejected(self):
         with pytest.raises(TypeError):
             Campaign(non_dict_trial, 1).run()
-
-    def test_empty_summary_rejected(self):
-        with pytest.raises(ValueError):
-            Campaign(uniform_trial, 0).run().summary("x")
-
-
-class TestRunnerIntegration:
-    def test_empty_summary_message_names_the_key(self):
-        with pytest.raises(ValueError,
-                           match=r"no results to summarise for 'snr'"):
-            Campaign(uniform_trial, 0).run().summary("snr")
 
 
 class TestStreamAbandonment:
@@ -424,7 +396,7 @@ class TestStreamAbandonment:
             next(stream)
         del stream
         gc.collect()
-        assert tel.tracer.open_count == 0
+        assert not tel.tracer._open
         trial_spans = [s for s in tel.tracer.finished
                        if s.name == "sim.trial"]
         assert len(trial_spans) == 3

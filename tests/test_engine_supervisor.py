@@ -46,7 +46,7 @@ from repro.engine import (
 )
 from repro.engine.supervisor import AttemptCompletion
 from repro.telemetry import Recorder
-from repro.telemetry.export import to_jsonl
+from repro.telemetry.export import to_jsonl_lines
 
 from .engine_reference import serial_trials
 
@@ -548,7 +548,7 @@ class TestKillResumeByteIdentity:
         assert len(resumed.resumed_shards) == survive
         assert [(r.index, r.seed, r.values) for r in resumed.results] \
             == [(r.index, r.seed, r.values) for r in direct.results]
-        assert to_jsonl(tel_resumed) == to_jsonl(tel_direct)
+        assert to_jsonl_lines(tel_resumed) == to_jsonl_lines(tel_direct)
 
 
 class TestSupervisedPool:
@@ -566,7 +566,7 @@ class TestSupervisedPool:
         assert not pooled.is_partial
         assert [(r.seed, r.values) for r in pooled.results] \
             == [(r.seed, r.values) for r in serial]
-        assert to_jsonl(tel_pool) == to_jsonl(tel_serial)
+        assert to_jsonl_lines(tel_pool) == to_jsonl_lines(tel_serial)
 
     def test_injected_crash_is_retried_to_a_full_result(self):
         faults = WorkerFaultSchedule(
@@ -631,4 +631,3 @@ class TestSupervisedPool:
         assert list(pool.run_shards(uniform_trial, [], 0)) == []
         assert pool.last_report is not None
         assert pool.last_report.attempts == 0
-        assert "on_failure='quarantine'" in repr(pool)

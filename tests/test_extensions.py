@@ -58,12 +58,6 @@ class TestLinkTrace:
                             inverted=[False, True, True, False, True])
         assert trace.polarity_flips() == 3
 
-    def test_summary_keys(self):
-        summary = self._trace([20, 5]).summary()
-        assert set(summary) == {"mean_otam_snr_db", "mean_no_otam_snr_db",
-                                "otam_outage", "no_otam_outage",
-                                "polarity_flips"}
-
 
 class TestTimelineSimulator:
     def test_static_environment_constant_trace(self):

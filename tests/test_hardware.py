@@ -9,12 +9,10 @@ from repro.constants import (
 )
 from repro.hardware.chains import AccessPointHardware, NodeHardware
 from repro.hardware.frontend import (
-    ADF5356PLL,
-    HMC264SubharmonicMixer,
     HMC751LNA,
     MicrostripFilter,
 )
-from repro.hardware.power import EnergyModel, energy_per_bit_j
+from repro.hardware.power import EnergyModel
 from repro.hardware.switch import ADRF5020Switch
 from repro.hardware.vco import HMC533VCO
 
@@ -82,21 +80,6 @@ class TestSwitch:
         with pytest.raises(ValueError):
             sw.validate_bitrate(0.0)
 
-    def test_port_amplitudes(self):
-        sw = ADRF5020Switch()
-        through, leak = sw.port_amplitudes(0)
-        assert through == pytest.approx(10 ** (-2.0 / 20.0))
-        assert leak == pytest.approx(10 ** (-65.0 / 20.0))
-        assert leak < 0.001 * through
-
-    def test_port_amplitude_matrix(self):
-        sw = ADRF5020Switch()
-        m = sw.port_amplitude_matrix([1, 0, 1])
-        assert m.shape == (3, 2)
-        # Bit 1 -> port 1 carries the through path.
-        assert m[0, 1] > m[0, 0]
-        assert m[1, 0] > m[1, 1]
-
     def test_isolation_must_exceed_loss(self):
         with pytest.raises(ValueError):
             ADRF5020Switch(insertion_loss_db=10.0, isolation_db=5.0)
@@ -108,28 +91,8 @@ class TestApFrontend:
         assert lna.gain_db == 25.0
         assert lna.noise_figure_db == 2.0
 
-    def test_filter_passband_vs_stopband(self):
-        filt = MicrostripFilter()
-        assert float(filt.attenuation_db(24.1e9)) == pytest.approx(5.0)
-        assert float(filt.attenuation_db(30.0e9)) == pytest.approx(40.0)
-
-    def test_filter_transition_monotone(self):
-        filt = MicrostripFilter()
-        f = np.linspace(24.0e9, 27.0e9, 50)
-        att = filt.attenuation_db(f)
-        assert np.all(np.diff(att) >= -1e-9)
-
     def test_filter_costs_nothing(self):
         assert MicrostripFilter().cost_usd == 0.0
-
-    def test_mixer_if_frequency(self):
-        mixer = HMC264SubharmonicMixer()
-        assert mixer.output_if_hz(24.0e9, 10.0e9) == pytest.approx(4.0e9)
-
-    def test_pll_doubling(self):
-        pll = ADF5356PLL()
-        assert pll.effective_lo_hz() == pytest.approx(20.0e9)
-        assert pll.expected_if_hz(24.0e9) == pytest.approx(4.0e9)
 
 
 class TestNodeHardware:
@@ -147,10 +110,6 @@ class TestNodeHardware:
     def test_bitrate_cap(self):
         assert NodeHardware().max_bitrate_bps == 100e6
 
-    def test_available_eirp_exceeds_radiated(self):
-        hw = NodeHardware()
-        assert hw.eirp_dbm() >= hw.radiated_eirp_dbm
-
     def test_energy_per_bit_validates_rate(self):
         with pytest.raises(ValueError):
             NodeHardware().energy_per_bit_j(1e9)
@@ -163,24 +122,11 @@ class TestApHardware:
         ap = AccessPointHardware()
         assert 2.0 < ap.cascade_noise_figure_db < 3.5
 
-    def test_if_frequency(self):
-        assert AccessPointHardware().if_frequency_hz(24.0e9) == pytest.approx(4.0e9)
-
-    def test_cheaper_than_commercial_platforms(self):
-        # MiRa/OpenMili cost thousands; the mmX AP front end is tens.
-        assert AccessPointHardware().total_cost_usd < 300.0
-
-    def test_cascade_gain_positive(self):
-        assert AccessPointHardware().cascade_gain_db > 0.0
-
 
 class TestEnergyModel:
     def model(self) -> EnergyModel:
         return EnergyModel(active_power_w=1.1, idle_power_w=0.3,
                            bitrate_bps=100e6)
-
-    def test_energy_per_bit(self):
-        assert energy_per_bit_j(1.1, 100e6) == pytest.approx(11e-9)
 
     def test_duty_cycle(self):
         assert self.model().duty_cycle_for_load(10e6) == pytest.approx(0.1)
@@ -190,11 +136,6 @@ class TestEnergyModel:
         assert m.average_power_w(0.0) == pytest.approx(0.3)
         assert m.average_power_w(100e6) == pytest.approx(1.1)
         assert 0.3 < m.average_power_w(50e6) < 1.1
-
-    def test_idle_overhead_dominates_light_loads(self):
-        m = self.model()
-        # At 1% duty cycle the idle floor dwarfs the per-bit energy.
-        assert m.energy_per_delivered_bit_j(1e6) > 10 * energy_per_bit_j(1.1, 100e6)
 
     def test_battery_life(self):
         m = self.model()

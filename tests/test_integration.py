@@ -10,7 +10,7 @@ from repro.node.access_point import MmxAccessPoint
 from repro.node.node import MmxNode
 from repro.phy.waveform import Waveform, awgn_noise
 from repro.sim.environment import Blocker, default_lab_room
-from repro.sim.geometry import Point, Segment
+from repro.sim.geometry import Point, Segment, segment_circle_intersects_xy
 from repro.sim.mobility import LinearCrossing, WalkingBlocker, los_blocker_between
 from repro.sim.placement import Placement, PlacementSampler
 
@@ -89,8 +89,10 @@ class TestDynamicEnvironment:
             room.clear_blockers()
             room.add_blocker(blocker)
             link = OtamLink(placement=placement, room=room, config=CONFIG)
-            blocked_states += blocker.occludes(
-                Segment(placement.node_position, placement.ap_position))
+            node, ap = placement.node_position, placement.ap_position
+            blocked_states += segment_circle_intersects_xy(
+                node.x, node.y, ap.x, ap.y, blocker.position.x,
+                blocker.position.y, blocker.radius_m)
             report = link.simulate_transmission(frame, rng=rng)
             try:
                 packet = codec.decode(report.demod.bits)
@@ -123,11 +125,12 @@ class TestMultiCameraNetwork:
         ap = MmxAccessPoint()
         proto = InitializationProtocol(ap)
         nodes = [MmxNode(node_id=i, config=CONFIG) for i in range(6)]
-        proto.initialize_all([(n, 10e6) for n in nodes])
+        for node in nodes:
+            proto.initialize(node, 10e6)
         plans = [ap.registration(n.node_id).channel for n in nodes]
         for i, a in enumerate(plans):
             for b in plans[i + 1:]:
-                assert not a.overlaps(b)
+                assert a.high_hz <= b.low_hz or b.high_hz <= a.low_hz
         for node in nodes:
             assert node.is_initialized
 

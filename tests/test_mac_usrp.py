@@ -1,11 +1,10 @@
-"""Tests for the MAC layer: queueing, TDMA slotting and the uplink loop."""
+"""Tests for the MAC layer: queueing and the uplink loop."""
 
 import numpy as np
 import pytest
 
 from repro.network.mac import (
     PacketQueue,
-    TdmaSchedule,
     UplinkSimulator,
 )
 
@@ -26,12 +25,6 @@ class TestPacketQueue:
         assert q.dropped == 1
         assert len(q) == 2
 
-    def test_backlog_bytes(self):
-        q = PacketQueue()
-        q.offer(0.0, 100)
-        q.offer(0.0, 50)
-        assert q.backlog_bytes == 150
-
     def test_pop_empty_raises(self):
         with pytest.raises(IndexError):
             PacketQueue().pop()
@@ -39,29 +32,6 @@ class TestPacketQueue:
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             PacketQueue().offer(0.0, 0)
-
-
-class TestTdmaSchedule:
-    def test_duty_cycle(self):
-        assert TdmaSchedule(4).duty_cycle() == pytest.approx(0.25)
-
-    def test_owner_rotates(self):
-        schedule = TdmaSchedule(3, slot_duration_s=1.0)
-        assert [schedule.owner_at(t) for t in (0.5, 1.5, 2.5, 3.5)] == \
-            [0, 1, 2, 0]
-
-    def test_effective_rate(self):
-        schedule = TdmaSchedule(5)
-        assert schedule.effective_rate_bps(100e6) == pytest.approx(20e6)
-
-    def test_frame_duration(self):
-        assert TdmaSchedule(4, 2e-3).frame_duration_s == pytest.approx(8e-3)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            TdmaSchedule(0)
-        with pytest.raises(ValueError):
-            TdmaSchedule(2).owner_at(-1.0)
 
 
 class TestUplinkSimulator:

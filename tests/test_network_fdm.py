@@ -13,18 +13,6 @@ class TestChannelPlan:
         assert plan.low_hz == pytest.approx(24.09e9)
         assert plan.high_hz == pytest.approx(24.11e9)
 
-    def test_overlap_detection(self):
-        a = ChannelPlan(0, 24.10e9, 20e6)
-        b = ChannelPlan(1, 24.11e9, 20e6)
-        c = ChannelPlan(2, 24.20e9, 20e6)
-        assert a.overlaps(b)
-        assert not a.overlaps(c)
-
-    def test_adjacent_channels_do_not_overlap(self):
-        a = ChannelPlan(0, 24.10e9, 20e6)
-        b = ChannelPlan(1, 24.12e9, 20e6)  # edges touch exactly
-        assert not a.overlaps(b)
-
 
 class TestAllocator:
     def test_sizing_scales_with_rate(self):
@@ -41,7 +29,7 @@ class TestAllocator:
         plans = [alloc.allocate(i, 10e6) for i in range(5)]
         for i, a in enumerate(plans):
             for b in plans[i + 1:]:
-                assert not a.overlaps(b)
+                assert a.high_hz <= b.low_hz or b.high_hz <= a.low_hz
 
     def test_allocations_inside_band(self):
         alloc = FdmAllocator()
@@ -196,7 +184,7 @@ class TestExhaustionAndDegradation:
         assert len(alloc.plans) == count
         for i, a in enumerate(alloc.plans):
             for b in alloc.plans[i + 1:]:
-                assert not a.overlaps(b)
+                assert a.high_hz <= b.low_hz or b.high_hz <= a.low_hz
 
     def test_mark_interference_on_full_band(self):
         from repro.admission import AdmissionController
@@ -212,7 +200,8 @@ class TestExhaustionAndDegradation:
         # evicts it instead of raising or leaving it on jammed spectrum.
         assert report.victims == (0,)
         assert report.evicted == (0,)
-        assert 0 not in ctrl
+        with pytest.raises(KeyError):
+            ctrl.decision_for(0)
         assert [p.node_id for p in ctrl.allocator.plans] \
             == list(range(1, node_id))
 

@@ -3,27 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.network.interference import InterferenceModel, sinr_db
+from repro.network.interference import InterferenceModel
 from repro.network.network import MultiNodeNetwork
 from repro.network.init_protocol import InitializationProtocol, SideChannel
 from repro.node.access_point import MmxAccessPoint
 from repro.node.node import MmxNode
 from repro.core.ask_fsk import AskFskConfig
 from repro.sim.environment import default_lab_room
-
-
-class TestSinr:
-    def test_no_interference_is_snr(self):
-        assert sinr_db(-60.0, -90.0, []) == pytest.approx(30.0)
-
-    def test_strong_interference_dominates(self):
-        value = sinr_db(-60.0, -120.0, [-70.0])
-        assert value == pytest.approx(10.0, abs=0.1)
-
-    def test_interferers_accumulate(self):
-        one = sinr_db(-60.0, -120.0, [-80.0])
-        three = sinr_db(-60.0, -120.0, [-80.0, -80.0, -80.0])
-        assert three == pytest.approx(one - 10 * np.log10(3), abs=0.01)
 
 
 class TestInterferenceModel:
@@ -35,11 +21,6 @@ class TestInterferenceModel:
 
     def test_tma_default_in_paper_band(self):
         assert 20.0 <= InterferenceModel().tma_image_suppression_db <= 30.0
-
-    def test_interference_power(self):
-        model = InterferenceModel()
-        out = model.interference_dbm(-60.0, "adjacent")
-        assert out == pytest.approx(-60.0 - model.adjacent_channel_rejection_db)
 
     def test_unknown_relationship(self):
         with pytest.raises(ValueError):
@@ -134,14 +115,6 @@ class TestInitializationProtocol:
         # The failed node must not hold spectrum.
         assert ap.registered_nodes == []
         assert not node.is_initialized
-
-    def test_initialize_all(self):
-        ap = MmxAccessPoint()
-        proto = InitializationProtocol(ap)
-        nodes = [MmxNode(node_id=i, config=AskFskConfig()) for i in range(3)]
-        records = proto.initialize_all([(n, 5e6) for n in nodes])
-        assert len(records) == 3
-        assert all(n.is_initialized for n in nodes)
 
     def test_invalid_delivery_ratio(self):
         with pytest.raises(ValueError):

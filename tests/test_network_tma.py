@@ -96,27 +96,9 @@ class TestTimeDomain:
         expected = tma.dominant_harmonic(theta) * tma.switching_rate_hz
         assert peak_freq == pytest.approx(expected, abs=tma.switching_rate_hz / 2)
 
-    def test_separate_two_cochannel_signals(self, tma):
-        fs = tma.switching_rate_hz * tma.samples_per_period
-        n = tma.samples_per_period * 64
-        thetas = [0.0, float(np.arcsin(0.5))]
-        signals = np.ones((2, n), dtype=complex)
-        out = tma.separate(signals, fs, thetas)
-        spectrum = np.abs(np.fft.fft(out)) / n
-        freqs = np.fft.fftfreq(n, 1 / fs)
-        # Energy present at both expected harmonics.
-        for theta in thetas:
-            target = tma.dominant_harmonic(theta) * tma.switching_rate_hz
-            bin_idx = int(np.argmin(np.abs(freqs - target)))
-            assert spectrum[bin_idx] > 0.05
-
     def test_sample_rate_too_low(self, tma):
         with pytest.raises(ValueError):
             tma.process(np.ones(64, dtype=complex), 1e6, 0.0)
-
-    def test_mismatched_arrivals(self, tma):
-        with pytest.raises(ValueError):
-            tma.separate(np.ones((2, 64), dtype=complex), 1e9, [0.0])
 
 
 class TestValidation:

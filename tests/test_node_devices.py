@@ -30,22 +30,6 @@ class TestController:
         job = DigitalController().prepare(b"abc")
         assert np.array_equal(job.beam_bits, job.vco_bits)
 
-    def test_stream_chunks(self):
-        controller = DigitalController()
-        jobs = controller.prepare_stream(b"z" * 2500, max_payload_bytes=1024)
-        assert len(jobs) == 3
-        total = b"".join(controller.codec.decode(j.beam_bits).payload
-                         for j in jobs)
-        assert total == b"z" * 2500
-
-    def test_stream_empty_payload(self):
-        jobs = DigitalController().prepare_stream(b"")
-        assert len(jobs) == 1
-
-    def test_invalid_chunk_size(self):
-        with pytest.raises(ValueError):
-            DigitalController().prepare_stream(b"abc", max_payload_bytes=0)
-
 
 class TestMmxNode:
     def _node(self) -> MmxNode:
@@ -57,14 +41,11 @@ class TestMmxNode:
         assert not node.is_initialized
         with pytest.raises(RuntimeError):
             node.transmit(b"data", ChannelResponse(h1=1, h0=0.1, paths=()))
-        with pytest.raises(RuntimeError):
-            node.channel_center_hz
 
     def test_channel_assignment(self):
         node = self._node()
         node.assign_channel(24.05e9)
         assert node.is_initialized
-        assert node.channel_center_hz == 24.05e9
 
     def test_out_of_band_assignment_rejected(self):
         node = self._node()
@@ -77,27 +58,12 @@ class TestMmxNode:
         with pytest.raises(ValueError):
             node.assign_channel(23.9e9)
 
-    def test_vco_control_voltages_distinct(self):
-        node = self._node()
-        node.assign_channel(24.1e9)
-        v0, v1 = node.vco_control_voltages()
-        assert v1 > v0
-        # FSK nudge is a small fraction of the tuning range.
-        assert (v1 - v0) < 0.05
-
     def test_transmit_produces_waveform(self):
         node = self._node()
         node.assign_channel(24.1e9)
         job, wave = node.transmit(b"hi", ChannelResponse(h1=1.0, h0=0.1,
                                                          paths=()))
-        assert len(wave) == job.num_bits * node.config.samples_per_bit
-
-    def test_energy_accounting(self):
-        node = self._node()
-        energy = node.energy_for_payload_j(1000)
-        frame_bits = node.controller.codec.frame_length_bits(1000)
-        assert energy == pytest.approx(
-            node.hardware.total_power_w * frame_bits / 1e6)
+        assert len(wave) == job.beam_bits.size * node.config.samples_per_bit
 
     def test_bitrate_over_cap_rejected_at_construction(self):
         with pytest.raises(ValueError):

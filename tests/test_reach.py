@@ -1,15 +1,19 @@
-"""tools/reach.py: the keep file stays in step with the code it keeps.
+"""tools/reach.py: the keep file, the entry list and the gate's verdict.
 
-The sweep itself runs in CI as a report; tier-1 checks only what can go
-stale silently: every keep entry must still name a module or a
-definition under ``src/repro``, so deleting kept code also deletes its
-entry.
+The sweep itself runs in CI as a gate (about 40 s).  Tier-1 checks what
+can go stale or wrong without running it: every keep entry still names
+a module or a definition under ``src/repro``; the entry list runs every
+leaf subcommand of the CLI; and the verdict exits 1 when a definition is
+neither reached nor kept, or when a keep entry keeps nothing.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 from pathlib import Path
+
+from repro.cli import build_parser
 
 REPO_DIR = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_DIR / "tools"))
@@ -23,6 +27,86 @@ def test_every_keep_entry_names_a_definition():
     keep = reach.load_keep(reach.KEEP_FILE)
     assert keep
     assert sorted(set(keep) - names) == []
+
+
+def _leaf_commands(parser: argparse.ArgumentParser,
+                   path: tuple[str, ...] = ()) -> set[tuple[str, ...]]:
+    """Every subcommand path that has no subcommands of its own."""
+    actions = [a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    if not actions:
+        return {path}
+    leaves: set[tuple[str, ...]] = set()
+    for action in actions:
+        seen: set[int] = set()
+        for name, child in action.choices.items():
+            if id(child) not in seen:  # an alias names the same parser
+                seen.add(id(child))
+                leaves |= _leaf_commands(child, (*path, name))
+    return leaves
+
+
+def test_entry_list_runs_every_leaf_subcommand():
+    leaves = _leaf_commands(build_parser())
+    assert ("telemetry", "summarize") in leaves
+    missed = {leaf for leaf in leaves
+              if not any(argv[:len(leaf)] == leaf for argv in reach.CLI)}
+    assert missed == set()
+
+
+def _package(tmp_path: Path) -> list[reach.Definition]:
+    package = tmp_path / "repro"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(
+        "def used():\n"
+        "    return 1\n"
+        "\n"
+        "def helper():\n"
+        "    return 2\n"
+        "\n"
+        "class C:\n"
+        "    def method(self):\n"
+        "        return 3\n")
+    return reach.inventory(tmp_path)
+
+
+def _sweep(definitions: list[reach.Definition],
+           reached: set[str]) -> reach.Sweep:
+    return reach.Sweep(definitions, reached, entries=1, seconds=0.0)
+
+
+def test_verdict_passes_when_everything_is_reached_or_kept(tmp_path):
+    result = _sweep(_package(tmp_path), {"repro.mod.used", "repro.mod.C"})
+    keep = {"repro.mod.helper": "kept helper",
+            "repro.mod.C.method": "kept method"}
+    verdict = reach.judge(result, keep)
+    assert (verdict.left, verdict.stale) == ([], [])
+    assert verdict.kept == {"kept helper": 1, "kept method": 1}
+    assert verdict.status == 0
+
+
+def test_verdict_fails_on_an_unreached_unkept_definition(tmp_path):
+    result = _sweep(_package(tmp_path), {"repro.mod.used", "repro.mod.C"})
+    verdict = reach.judge(result, {"repro.mod.C.method": "kept method"})
+    assert [d.name for d in verdict.left] == ["repro.mod.helper"]
+    assert verdict.stale == []
+    assert verdict.status == 1
+    text = reach.report(result, verdict, tmp_path)
+    assert "unreached and not kept: 1 definitions" in text
+    assert "repro/mod.py:4  repro.mod.helper  (2 lines)" in text
+
+
+def test_verdict_fails_on_a_keep_entry_that_keeps_nothing(tmp_path):
+    definitions = _package(tmp_path)
+    result = _sweep(definitions, {d.name for d in definitions})
+    verdict = reach.judge(result, {"repro.mod.helper": "stale reason"},
+                          targets=frozenset({"repro.mod.used"}))
+    assert verdict.left == []
+    assert verdict.stale == ["repro.mod.helper"]
+    assert verdict.status == 1
+    assert "keep entries that keep nothing: 1\n  repro.mod.helper" \
+        in reach.report(result, verdict, tmp_path)
 
 
 def test_inventory_and_keep_prefixes(tmp_path):
@@ -52,6 +136,6 @@ def test_inventory_and_keep_prefixes(tmp_path):
     assert (found["repro.mod.C.p"].first, found["repro.mod.C.p"].line) \
         == (13, 14)
     keep = {"repro.mod.C": "kept class", "repro.mod": "kept module"}
-    assert reach.keep_reason("repro.mod.C.p", keep) == "kept class"
-    assert reach.keep_reason("repro.mod.f", keep) == "kept module"
-    assert reach.keep_reason("repro.other.g", keep) is None
+    assert reach.keep_entry("repro.mod.C.p", keep) == "repro.mod.C"
+    assert reach.keep_entry("repro.mod.f", keep) == "repro.mod"
+    assert reach.keep_entry("repro.other.g", keep) is None

@@ -7,8 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.demodulator import JointDemodulator
-from repro.core.ask_fsk import AskFskConfig
 from repro.core.link import perturb_breakdown
 from repro.faults import (
     FaultEvent,
@@ -19,8 +17,6 @@ from repro.faults import (
     scenario_injector,
 )
 from repro.network.fdm import FdmAllocator
-from repro.node.access_point import MmxAccessPoint
-from repro.phy.waveform import Waveform
 from repro.resilience import (
     DEGRADED,
     HEALTHY,
@@ -50,7 +46,6 @@ def clean(link):
 class TestEwmaEstimator:
     def test_first_sample_seeds_estimate(self):
         est = EwmaEstimator(alpha=0.5)
-        assert est.value is None
         assert est.update(10.0) == 10.0
 
     def test_smoothing(self):
@@ -69,7 +64,7 @@ class TestEwmaEstimator:
         est = EwmaEstimator()
         est.update(5.0)
         est.reset()
-        assert est.value is None
+        assert est.update(20.0) == 20.0
 
     def test_alpha_validated(self):
         with pytest.raises(ValueError):
@@ -108,24 +103,6 @@ class TestLinkHealthMonitor:
     def test_report_requires_samples(self):
         with pytest.raises(ValueError):
             LinkHealthMonitor().report()
-
-    def test_observe_demod_dead_capture(self):
-        monitor = LinkHealthMonitor(alpha=1.0)
-        config = AskFskConfig(bit_rate_bps=1e6, sample_rate_hz=8e6)
-        demod = JointDemodulator(config, health_monitor=monitor)
-        demod.demodulate(Waveform(np.zeros(0, dtype=complex),
-                                  config.sample_rate_hz))
-        assert monitor.num_samples == 1
-        assert monitor.state == OUTAGE
-
-    def test_demodulator_feeds_monitor(self):
-        monitor = LinkHealthMonitor()
-        config = AskFskConfig(bit_rate_bps=1e6, sample_rate_hz=8e6)
-        demod = JointDemodulator(config, health_monitor=monitor)
-        rng = np.random.default_rng(0)
-        samples = rng.standard_normal(800) + 1j * rng.standard_normal(800)
-        demod.demodulate(Waveform(samples, config.sample_rate_hz))
-        assert monitor.num_samples == 1
 
 
 class TestPerturbBreakdown:
@@ -325,17 +302,3 @@ class TestFdmRecoveryHooks:
         assert plan.low_hz >= allocator.band_low_hz + 50e6
         assert allocator.blocked_ranges == (
             (allocator.band_low_hz, allocator.band_low_hz + 50e6),)
-
-    def test_ap_attach_health_monitor(self):
-        ap = MmxAccessPoint()
-        ap.register_node(1, 1e6)
-        monitor = LinkHealthMonitor()
-        ap.attach_health_monitor(1, monitor)
-        config = ap.registration(1).config
-        rng = np.random.default_rng(0)
-        n = config.samples_per_bit * 64
-        samples = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        ap.demodulate(1, Waveform(samples, config.sample_rate_hz))
-        assert monitor.num_samples == 1
-        with pytest.raises(KeyError):
-            ap.attach_health_monitor(9, monitor)

@@ -19,11 +19,6 @@ class TestWall:
 
 
 class TestBlocker:
-    def test_occlusion(self):
-        person = Blocker(Point(1.0, 1.0), radius_m=0.25)
-        assert person.occludes(Segment(Point(0, 1), Point(2, 1)))
-        assert not person.occludes(Segment(Point(0, 2), Point(2, 2)))
-
     def test_moved_to_preserves_loss(self):
         person = Blocker(Point(0, 0), penetration_loss_db=30.0)
         moved = person.moved_to(Point(1, 1))
@@ -51,13 +46,6 @@ class TestRoom:
         assert room.contains(Point(2, 3))
         assert not room.contains(Point(5, 3))
         assert not room.contains(Point(2, 3), margin=10.0)
-
-    def test_blockage_loss_accumulates(self):
-        room = Room.rectangular(4.0, 6.0)
-        leg = Segment(Point(0.5, 3), Point(3.5, 3))
-        room.add_blocker(Blocker(Point(1.5, 3), penetration_loss_db=25.0))
-        room.add_blocker(Blocker(Point(2.5, 3), penetration_loss_db=30.0))
-        assert room.blockage_loss_db(leg) == pytest.approx(55.0)
 
     def test_clear_blockers(self):
         room = Room.rectangular()

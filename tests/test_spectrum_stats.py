@@ -9,9 +9,11 @@ from repro.channel.raytrace import trace_paths
 from repro.core.ask_fsk import AskFskConfig
 from repro.core.otam import OtamModulator
 from repro.phy.bits import random_bits
-from repro.phy.waveform import Waveform, carrier
+from repro.phy.waveform import Waveform
 from repro.sim.environment import default_lab_room
 from repro.sim.placement import PlacementSampler
+
+from .signal_fixtures import carrier
 
 
 def occupied_bandwidth_hz(wave: Waveform, fraction: float = 0.99) -> float:

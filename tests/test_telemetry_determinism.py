@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.faults import SCENARIOS
 from repro.network.mac import UplinkSimulator
-from repro.telemetry import Recorder, to_csv, to_jsonl
+from repro.telemetry import Recorder, to_csv, to_jsonl_lines
 
 SCENARIO_NAMES = sorted(SCENARIOS)
 
@@ -31,12 +31,13 @@ def _uplink_run(recorder: Recorder,
                                             packet_interval_s=0.01)
 
 
-def _chaos_export(scenario: str, seed: int, duration_s: float) -> str:
+def _chaos_export(scenario: str, seed: int,
+                  duration_s: float) -> list[str]:
     from repro.experiments.chaos import run
 
     recorder = Recorder()
     run(scenario, seed=seed, duration_s=duration_s, telemetry=recorder)
-    return to_jsonl(recorder)
+    return to_jsonl_lines(recorder)
 
 
 class TestByteIdenticalExports:
@@ -51,10 +52,10 @@ class TestByteIdenticalExports:
     @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=6, deadline=None)
     def test_uplink_exports_regenerate(self, seed):
-        def export() -> tuple[str, str]:
+        def export() -> tuple[list[str], str]:
             recorder = Recorder()
             _uplink_run(recorder, np.random.default_rng(seed))
-            return to_jsonl(recorder), to_csv(recorder)
+            return to_jsonl_lines(recorder), to_csv(recorder)
 
         assert export() == export()
 
@@ -71,10 +72,10 @@ class TestReproSeedEnvironment:
         """Two runs with the same ``REPRO_SEED`` and *no* explicit rng
         argument are byte-identical; the env var is the seed."""
 
-        def export() -> str:
+        def export() -> list[str]:
             recorder = Recorder()
             _uplink_run(recorder)
-            return to_jsonl(recorder)
+            return to_jsonl_lines(recorder)
 
         monkeypatch.setenv("REPRO_SEED", "424242")
         first = export()

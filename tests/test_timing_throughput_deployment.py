@@ -72,15 +72,6 @@ class TestRateAdapter:
         adapter = RateAdapter()
         assert adapter.select(20.0).name == "uncoded"
 
-    def test_crossover_exists_and_is_sane(self):
-        crossover = RateAdapter().crossover_snr_db()
-        assert crossover is not None
-        assert 5.0 < crossover < 15.0
-
-    def test_single_mode_never_crosses(self):
-        adapter = RateAdapter(modes=(CODING_MODES[0],))
-        assert adapter.crossover_snr_db() is None
-
     def test_empty_modes_rejected(self):
         with pytest.raises(ValueError):
             RateAdapter(modes=())

@@ -23,13 +23,16 @@ reason per entry.  The ``bench/layers.py`` targets and the workloads'
 trial boundaries are kept automatically, because the bench harness
 fails when one of them disappears.
 
-The report prints the reached count, the kept count per reason, and
-every definition that is neither reached nor kept, with its
-``file:line`` and line count.  It is a report, not a gate: the exit
-status is 0 unless an entry point fails.  ``--root`` sweeps another
-checkout with this entry list; ``--json`` writes the reached and
-unreached names for comparing two checkouts.  A sweep takes about
-40 s on two cores.
+The report prints the reached count, the kept count per reason, every
+definition that is neither reached nor kept, with its ``file:line`` and
+line count, and every keep entry that keeps nothing (everything under
+it is reached, or it names nothing).  It is a gate: the exit status is
+1 when either list is non-empty, so a definition only tests reach is
+answered by deleting it or by keeping it with a reason.  An entry point
+that fails also stops the sweep.  ``--root`` sweeps another checkout
+with this entry list and keep file; ``--json`` writes the reached and
+unreached names for comparing two checkouts.  A sweep takes about 40 s
+on two cores.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ CLI: tuple[tuple[str, ...], ...] = (
     ("network", "--nodes", "10"),
     ("characterize",),
     ("chaos",),
+    ("chaos", "--ap-crash"),
     ("chaos", "--ap-crash", "--seed", "0", "--json"),
     ("chaos", "--scenario", "all", "--seed", "0", "--duration", "30",
      "--json"),
@@ -203,14 +207,14 @@ def load_keep(path: Path) -> dict[str, str]:
     return keep
 
 
-def keep_reason(name: str, keep: dict[str, str]) -> str | None:
-    """The reason of the longest keep entry that is ``name`` or one of
-    its enclosing modules, classes or functions."""
+def keep_entry(name: str, keep: dict[str, str]) -> str | None:
+    """The longest keep entry that is ``name`` or one of its enclosing
+    modules, classes or functions."""
     parts = name.split(".")
     for end in range(len(parts), 0, -1):
-        reason = keep.get(".".join(parts[:end]))
-        if reason is not None:
-            return reason
+        entry = ".".join(parts[:end])
+        if entry in keep:
+            return entry
     return None
 
 
@@ -397,39 +401,75 @@ def resolve(definitions: list[Definition], calls: CallLog,
     return reached
 
 
-# --- report ------------------------------------------------------------
+# --- verdict and report --------------------------------------------------
 
 
-def report(result: Sweep, keep: dict[str, str], root: Path) -> str:
-    """The reached count, kept counts by reason, and what is left."""
+@dataclass
+class Verdict:
+    """What a sweep leaves unreached, sorted against the keep file."""
+
+    kept: Counter[str]
+    """Reason -> how many unreached definitions it keeps."""
+
+    left: list[Definition]
+    """Unreached and not kept."""
+
+    stale: list[str]
+    """Keep-file entries that keep no unreached definition."""
+
+    @property
+    def status(self) -> int:
+        """The exit status: 1 when anything is left or stale."""
+        return 1 if self.left or self.stale else 0
+
+
+def judge(result: Sweep, keep: dict[str, str],
+          targets: frozenset[str] = frozenset()) -> Verdict:
+    """Sort the unreached definitions by the keep entry that keeps
+    them.  ``targets`` (the bench layer targets) are kept too, but are
+    never stale."""
+    everything = dict.fromkeys(targets, "bench/layers.py target")
+    everything.update(keep)
     kept: Counter[str] = Counter()
     left: list[Definition] = []
+    used: set[str] = set()
     for d in result.definitions:
         if d.name in result.reached:
             continue
-        reason = keep_reason(d.name, keep)
-        if reason is None:
+        entry = keep_entry(d.name, everything)
+        if entry is None:
             left.append(d)
         else:
-            kept[reason] += 1
+            used.add(entry)
+            kept[everything[entry]] += 1
+    return Verdict(kept, left, sorted(set(keep) - used))
+
+
+def report(result: Sweep, verdict: Verdict, root: Path) -> str:
+    """The reached count, kept counts by reason, what is left, and the
+    stale keep entries."""
     total = len(result.definitions)
     lines = [f"reach: {len(result.reached)} of {total} definitions "
              f"reached by {result.entries} entry points "
              f"({result.seconds:.0f} s)",
-             f"kept although unreached: {sum(kept.values())}"]
+             f"kept although unreached: {sum(verdict.kept.values())}"]
     lines += [f"  {count:5d}  {reason}"
-              for reason, count in sorted(kept.items(),
+              for reason, count in sorted(verdict.kept.items(),
                                           key=lambda kv: (-kv[1], kv[0]))]
+    left = verdict.left
     lines.append(f"unreached and not kept: {len(left)} definitions, "
                  f"{sum(d.lines for d in left)} lines")
     for d in left:
         where = f"{d.path.relative_to(root.resolve())}:{d.line}"
         lines.append(f"  {where}  {d.name}  ({d.lines} lines)")
+    lines.append(f"keep entries that keep nothing: {len(verdict.stale)}")
+    lines += [f"  {entry}" for entry in verdict.stale]
     return "\n".join(lines)
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run the sweep and print the report."""
+    """Run the sweep, print the report, and return the verdict's exit
+    status."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--root", type=Path, default=DEFAULT_ROOT,
                         help="repository checkout to sweep "
@@ -441,16 +481,15 @@ def main(argv: list[str] | None = None) -> int:
     sys.path[:0] = [str(root / "src"), str(root / "bench")]
     keep = load_keep(KEEP_FILE)
     result = sweep(root)
-    for name in bench_targets(root):
-        keep.setdefault(name, "bench/layers.py target")
-    print(report(result, keep, root))
+    verdict = judge(result, keep, frozenset(bench_targets(root)))
+    print(report(result, verdict, root))
     if args.json is not None:
         names = [d.name for d in result.definitions]
         args.json.write_text(json.dumps({
             "reached": sorted(result.reached),
             "unreached": sorted(set(names) - result.reached),
         }, indent=1) + "\n")
-    return 0
+    return verdict.status
 
 
 if __name__ == "__main__":
