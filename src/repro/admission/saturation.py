@@ -35,7 +35,6 @@ import numpy as np
 
 from ..engine import Campaign, CampaignResult, ResultStore, ShardExecutor
 from ..network.fdm import FdmAllocator
-from ..telemetry import TelemetryRecorder
 from .controller import AdmissionController
 
 __all__ = ["SaturationConfig", "SaturationResult", "default_config",
@@ -221,8 +220,7 @@ def run_saturation(config: SaturationConfig | None = None,
                    master_seed: int = 0,
                    executor: ShardExecutor | None = None,
                    num_shards: int | None = None,
-                   store: ResultStore | str | None = None,
-                   telemetry: TelemetryRecorder | None = None
+                   store: ResultStore | str | None = None
                    ) -> SaturationResult:
     """Run the saturation campaign and aggregate the curve.
 
@@ -235,7 +233,7 @@ def run_saturation(config: SaturationConfig | None = None,
     outcome = Campaign(trial_fn, cfg.num_trials,
                        master_seed=master_seed,
                        num_shards=num_shards, executor=executor,
-                       store=store, telemetry=telemetry).run()
+                       store=store).run()
     n_loads = len(cfg.loads)
 
     def per_load(key: str) -> np.ndarray:

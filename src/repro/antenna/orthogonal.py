@@ -46,18 +46,16 @@ __all__ = ["OrthogonalBeamPair", "design_mmx_beams", "ParametricBeam",
 
 @dataclass(frozen=True)
 class OrthogonalBeamPair:
-    """The node's two switchable beams plus absolute-gain calibration.
+    """The node's two switchable beams, as peak-normalised patterns.
 
-    ``peak_gain_dbi`` anchors the normalised patterns to an absolute gain
-    so link budgets can use ``gain_dbi(beam, theta)`` directly.  A
-    2-element patch array has ~8-9 dBi peak gain; the default of 8 dBi
-    together with the VCO's 12 dBm output and ~2 dB switch loss lands on
-    the paper's 10 dBm radiated EIRP by construction.
+    The absolute gain is not stored here: the link budget starts from
+    the node's radiated EIRP (:data:`repro.constants.NODE_EIRP_DBM`),
+    which already includes the ~8 dBi peak gain of a 2-element patch
+    array.
     """
 
     beam1: object
     beam0: object
-    peak_gain_dbi: float = 8.0
 
     def __post_init__(self):
         # Both beams radiate the same total power (they share the one
@@ -175,7 +173,7 @@ class ParametricBeam:
         return db_to_amplitude(self.power_db(theta_rad))
 
 
-def measured_mmx_beams(peak_gain_dbi: float = 8.0) -> OrthogonalBeamPair:
+def measured_mmx_beams() -> OrthogonalBeamPair:
     """The node beams as a parametric fit to the *measured* Fig. 8 cut.
 
     Where :func:`design_mmx_beams` derives the patterns from first
@@ -188,15 +186,14 @@ def measured_mmx_beams(peak_gain_dbi: float = 8.0) -> OrthogonalBeamPair:
     pair by default — evaluation should run against the measured
     antenna, not its idealisation.
 
-    The pair is built on first use and shared: every call with the same
-    ``peak_gain_dbi`` returns the same frozen instance, so a link does
-    not re-integrate both patterns.
+    The pair is built on first use and shared: every call returns the
+    same frozen instance, so a link does not re-integrate both patterns.
     """
-    return _measured_mmx_beams(float(peak_gain_dbi))
+    return _measured_mmx_beams()
 
 
 @functools.cache
-def _measured_mmx_beams(peak_gain_dbi: float) -> OrthogonalBeamPair:
+def _measured_mmx_beams() -> OrthogonalBeamPair:
     beam1 = ParametricBeam(
         lobes=((0.0, 40.0),),
         notches=((-30.0, -25.0, 6.0), (30.0, -25.0, 6.0)),
@@ -205,12 +202,10 @@ def _measured_mmx_beams(peak_gain_dbi: float) -> OrthogonalBeamPair:
         lobes=((-30.0, 40.0), (30.0, 40.0)),
         notches=((0.0, -25.0, 6.0),),
     )
-    return OrthogonalBeamPair(beam1=beam1, beam0=beam0,
-                              peak_gain_dbi=peak_gain_dbi)
+    return OrthogonalBeamPair(beam1=beam1, beam0=beam0)
 
 
 def design_mmx_beams(frequency_hz: float = CARRIER_FREQUENCY_HZ,
-                     peak_gain_dbi: float = 8.0,
                      back_lobe_db: float = -20.0,
                      beam1_element_exponent: float = 2.0,
                      beam0_element_exponent: float = 0.5
@@ -245,5 +240,4 @@ def design_mmx_beams(frequency_hz: float = CARRIER_FREQUENCY_HZ,
                      exponent=beam0_element_exponent),
         num_elements=2, spacing_m=spacing, frequency_hz=frequency_hz,
         weights=np.array([1.0, -1.0]))
-    return OrthogonalBeamPair(beam1=beam1, beam0=beam0,
-                              peak_gain_dbi=peak_gain_dbi)
+    return OrthogonalBeamPair(beam1=beam1, beam0=beam0)

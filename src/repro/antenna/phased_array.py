@@ -33,15 +33,13 @@ class PhasedArray:
     num_elements: int
     frequency_hz: float
     phase_bits: int = 5
-    element: object = None
 
     def __post_init__(self):
         if self.num_elements < 2:
             raise ValueError("a phased array needs at least 2 elements")
         if self.phase_bits < 1:
             raise ValueError("phase shifters need at least 1 bit")
-        if self.element is None:
-            self.element = PatchElement()
+        self.element = PatchElement()
         self.spacing_m = float(wavelength(self.frequency_hz)) / 2.0
 
     @property

@@ -40,9 +40,9 @@ class PlatformSpec:
         return self.carrier_ghz >= 20.0
 
 
-def mmx_platform(hardware: NodeHardware | None = None) -> PlatformSpec:
+def mmx_platform() -> PlatformSpec:
     """The mmX row, derived from the node hardware models."""
-    hw = hardware or NodeHardware()
+    hw = NodeHardware()
     return PlatformSpec(
         name="mmX",
         carrier_ghz=24.0,
@@ -76,8 +76,7 @@ PLATFORMS: dict[str, PlatformSpec] = {
 }
 
 
-def comparison_table(hardware: NodeHardware | None = None
-                     ) -> list[PlatformSpec]:
+def comparison_table() -> list[PlatformSpec]:
     """All Table 1 rows, mmX first — the paper's column order."""
-    return [mmx_platform(hardware), PLATFORMS["MiRa"], PLATFORMS["OpenMili"],
+    return [mmx_platform(), PLATFORMS["MiRa"], PLATFORMS["OpenMili"],
             PLATFORMS["WiFi"], PLATFORMS["Bluetooth"]]

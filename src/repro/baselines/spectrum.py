@@ -115,10 +115,7 @@ class MmxCapacityModel:
         return fdm * self.sdm_reuse
 
 
-def iot_device_capacity(per_device_rate_bps: float = 1e6,
-                        wifi: WifiChannelModel | None = None,
-                        mmx: MmxCapacityModel | None = None
-                        ) -> dict[str, int]:
+def iot_device_capacity(per_device_rate_bps: float = 1e6) -> dict[str, int]:
     """Devices-per-AP comparison at a given IoT load (default 1 Mbps).
 
     Returns counts for a WiFi channel (airtime-limited at the low IoT
@@ -126,12 +123,11 @@ def iot_device_capacity(per_device_rate_bps: float = 1e6,
     magnitude — is §1's "huge strain on today's WiFi spectrum" argument
     in one number.
     """
-    wifi = wifi or WifiChannelModel()
-    mmx = mmx or MmxCapacityModel()
-    wifi.reset()
+    wifi = WifiChannelModel()
     wifi_count = 0
     while wifi.admit(per_device_rate_bps):
         wifi_count += 1
         if wifi_count > 100_000:
             break
-    return {"wifi": wifi_count, "mmx": mmx.capacity(per_device_rate_bps)}
+    return {"wifi": wifi_count,
+            "mmx": MmxCapacityModel().capacity(per_device_rate_bps)}

@@ -79,9 +79,8 @@ def rms_delay_spread_s(paths: list[PropagationPath],
 
 
 def angular_spread_rad(paths: list[PropagationPath],
-                       frequency_hz: float,
-                       at_transmitter: bool = True) -> float:
-    """Power-weighted circular std of departure (or arrival) bearings.
+                       frequency_hz: float) -> float:
+    """Power-weighted circular std of departure bearings.
 
     Small angular spread at the node is the geometric fact behind two
     fixed beams covering the useful directions.
@@ -89,9 +88,7 @@ def angular_spread_rad(paths: list[PropagationPath],
     amps = path_amplitudes(paths, frequency_hz)
     if amps.size == 0:
         return 0.0
-    bearings = np.asarray([
-        p.departure_bearing_rad if at_transmitter else p.arrival_bearing_rad
-        for p in paths])
+    bearings = np.asarray([p.departure_bearing_rad for p in paths])
     weights = amps**2 / np.sum(amps**2)
     # Circular statistics: resultant length -> circular standard deviation.
     c = float(np.sum(weights * np.cos(bearings)))

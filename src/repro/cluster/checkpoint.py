@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from ..core.ask_fsk import AskFskConfig
 from ..durability.integrity import digest as _digest
@@ -168,8 +168,7 @@ class ApCheckpoint:
 
     # --- restore ----------------------------------------------------------
 
-    def restore(self, hardware: Any = None, antenna: Any = None,
-                codec: Any = None) -> MmxAccessPoint:
+    def restore(self) -> MmxAccessPoint:
         """Rebuild an AP with exactly this control-plane state.
 
         The returned :class:`MmxAccessPoint` reproduces the captured
@@ -193,8 +192,7 @@ class ApCheckpoint:
             allocator.restore_plan(ChannelPlan(
                 node_id=int(node_id), center_hz=center_hz,
                 bandwidth_hz=bandwidth_hz))
-        ap = MmxAccessPoint(hardware=hardware, antenna=antenna,
-                            allocator=allocator, codec=codec)
+        ap = MmxAccessPoint(allocator=allocator)
         for (node_id, bit_rate_bps, sample_rate_hz,
              fsk_deviation_hz) in self.registrations:
             config = AskFskConfig(bit_rate_bps=bit_rate_bps,

@@ -37,7 +37,6 @@ from typing import Any
 
 import numpy as np
 
-from ..durability.io import FsBackend
 from ..faults.injector import FaultSchedule
 from ..network.fdm import SpectrumExhausted
 from ..node.access_point import MmxAccessPoint
@@ -73,7 +72,6 @@ class Cluster:
                  heartbeat: HeartbeatMonitor | None = None,
                  telemetry: TelemetryRecorder | None = None,
                  checkpoint_dir: str | Path | None = None,
-                 fs: FsBackend | None = None,
                  liveness: NodeLivenessTracker | None = None,
                  silence_failover: bool = False):
         if not aps:
@@ -103,8 +101,6 @@ class Cluster:
         :mod:`repro.durability` seam), and :meth:`recover` falls back to
         the on-disk copy when the in-memory one is gone — the process-
         restart story the in-memory checkpoints cannot cover."""
-        self.fs = fs
-        """Injectable durability backend for checkpoint persistence."""
         self.recovery_errors: list[tuple[int, str]] = []
         """``(ap_id, reason)`` per checkpoint that could not be used at
         recovery time (corrupt, unreadable).  Recovery *reports* the
@@ -219,7 +215,7 @@ class Cluster:
                 captured += 1
                 if self.checkpoint_dir is not None:
                     member.checkpoint.save(
-                        self.checkpoint_path(member.ap_id), fs=self.fs)
+                        self.checkpoint_path(member.ap_id))
             if member.checkpoint is not None:
                 out[member.ap_id] = member.checkpoint
         if self.telemetry.enabled and captured:
@@ -457,7 +453,6 @@ class FailoverSimulation:
                  payload_bytes: int = 256,
                  heartbeat: HeartbeatMonitor | None = None,
                  checkpoint_interval_s: float = 1.0,
-                 link_kwargs: dict[str, Any] | None = None,
                  telemetry: TelemetryRecorder | None = None):
         from ..network.network import frame_success_matrix
 
@@ -476,7 +471,7 @@ class FailoverSimulation:
         self.checkpoint_interval_s = float(checkpoint_interval_s)
         self.success = frame_success_matrix(
             room, self.ap_positions, self.node_positions,
-            payload_bytes=payload_bytes, link_kwargs=link_kwargs)
+            payload_bytes=payload_bytes)
 
     def _crash_windows(self, schedule: FaultSchedule
                        ) -> list[tuple[float, float, int]]:

@@ -108,9 +108,6 @@ AP_LNA_NOISE_FIGURE_DB = 2.0
 AP_FILTER_INSERTION_LOSS_DB = 5.0
 """Coupled-line microstrip filter passband insertion loss (section 8.2)."""
 
-AP_LO_FREQUENCY_HZ = 10.0e9
-"""ADF5356 LO output, doubled by the sub-harmonic mixer (section 8.2)."""
-
 AP_IF_FREQUENCY_HZ = 4.0e9
 """Intermediate frequency after down-conversion: 24 GHz - 2*10 GHz."""
 

@@ -59,12 +59,9 @@ class DemodResult:
 class JointDemodulator:
     """Decodes OTAM captures; one instance per configured link."""
 
-    def __init__(self, config: AskFskConfig, preamble=None,
-                 preamble_threshold: float = 0.6):
+    def __init__(self, config: AskFskConfig):
         self.config = config
-        self.preamble = (default_preamble_bits() if preamble is None
-                         else np.asarray(preamble, dtype=np.uint8))
-        self.preamble_threshold = preamble_threshold
+        self.preamble = default_preamble_bits()
 
     # --- per-branch soft demodulation -----------------------------------
 
@@ -132,8 +129,7 @@ class JointDemodulator:
         preamble_found = False
         if ask_bits.size >= self.preamble.size:
             soft = 2.0 * ask_bits.astype(float) - 1.0
-            detection = locate_preamble(soft, self.preamble,
-                                        threshold=self.preamble_threshold)
+            detection = locate_preamble(soft, self.preamble)
             preamble_found = detection.found
             if detection.found and detection.inverted:
                 inverted = True

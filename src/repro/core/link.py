@@ -411,18 +411,14 @@ class OtamLink:
                 + float(amplitude_to_db(gain)))
 
     def snr_breakdown(self, channel: ChannelResponse | None = None,
-                      bandwidth_hz: float = EVAL_NODE_CHANNEL_BANDWIDTH_HZ,
-                      disturbance=None) -> SnrBreakdown:
+                      bandwidth_hz: float = EVAL_NODE_CHANNEL_BANDWIDTH_HZ
+                      ) -> SnrBreakdown:
         """Closed-form link quality for this placement.
 
         ``bandwidth_hz`` defaults to the 25 MHz per-node channel of the
         multi-node experiment (section 9.5) so SNR numbers sit on the
-        paper's Fig. 10/12 scales.
-
-        ``disturbance`` optionally applies an active
-        :class:`repro.faults.LinkDisturbance` (see
-        :func:`perturb_breakdown`); ``None`` or a clear disturbance
-        leaves the fault-free computation bit-identical to the seed.
+        paper's Fig. 10/12 scales.  Faults are applied to the result by
+        :func:`perturb_breakdown`.
         """
         ch = channel or self.channel_response()
         noise = noise_power_dbm(bandwidth_hz,
@@ -433,7 +429,7 @@ class OtamLink:
         joint_gain = math.sqrt((abs(ch.h1) ** 2 + abs(ch.h0) ** 2) / 2.0)
         fsk_snr = self._level_dbm(joint_gain) - noise
         no_otam = level1 - noise
-        breakdown = SnrBreakdown(
+        return SnrBreakdown(
             beam1_level_dbm=level1,
             beam0_level_dbm=level0,
             noise_dbm=noise,
@@ -442,10 +438,6 @@ class OtamLink:
             no_otam_snr_db=no_otam,
             inverted=ch.inverted,
         )
-        if disturbance is not None and not disturbance.is_clear:
-            breakdown = perturb_breakdown(breakdown, disturbance,
-                                          self.config)
-        return breakdown
 
     # --- sample-level view ------------------------------------------------------
 

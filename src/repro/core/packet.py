@@ -87,12 +87,11 @@ class PacketCodec:
 
     INTERLEAVE_DEPTH = 7
 
-    def __init__(self, preamble=None, use_fec: bool = False,
+    def __init__(self, use_fec: bool = False,
                  use_interleaver: bool = False):
         if use_interleaver and not use_fec:
             raise ValueError("interleaving without FEC protects nothing")
-        self.preamble = (default_preamble_bits() if preamble is None
-                         else np.asarray(preamble, dtype=np.uint8))
+        self.preamble = default_preamble_bits()
         self.use_fec = use_fec
         self.use_interleaver = use_interleaver
         self._fec = HammingCode74() if use_fec else None

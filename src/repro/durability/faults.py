@@ -41,7 +41,7 @@ from typing import Literal
 
 import numpy as np
 
-from .io import REAL_FS, FsBackend
+from .io import REAL_FS
 
 __all__ = [
     "FS_FAULT_KINDS",
@@ -172,7 +172,7 @@ class FsFaultSchedule:
 class FaultyFs:
     """A fault-injecting :class:`~repro.durability.io.FsBackend`.
 
-    Wraps a real backend, counts every mutating operation, and strikes
+    Wraps the real backend, counts every mutating operation, and strikes
     when the count hits a scheduled ordinal.  With an empty schedule it
     is a pure op counter/tracer: run once fault-free, read
     :attr:`op_count`, and you have enumerated every crash point the
@@ -183,11 +183,9 @@ class FaultyFs:
     which is what the dir-fsync regression tests assert against.
     """
 
-    def __init__(self, schedule: FsFaultSchedule | None = None,
-                 inner: FsBackend | None = None) -> None:
+    def __init__(self, schedule: FsFaultSchedule | None = None) -> None:
         self.schedule = schedule if schedule is not None \
             else FsFaultSchedule()
-        self.inner: FsBackend = inner if inner is not None else REAL_FS
         self.op_count = 0
         self.crashed = False
         self.trace: list[str] = []
@@ -230,7 +228,7 @@ class FaultyFs:
         fault = self._arm("open", Path(path).name)
         if fault is not None:
             self._strike(fault, "open")
-        fd = self.inner.open(path, flags, mode)
+        fd = REAL_FS.open(path, flags, mode)
         self._names[fd] = Path(path).name
         return fd
 
@@ -241,7 +239,7 @@ class FaultyFs:
         name = self._names.get(fd, "?")
         fault = self._arm("write", name)
         if fault is None:
-            return self.inner.write(fd, data)
+            return REAL_FS.write(fd, data)
         if fault.kind in ("enospc", "eio"):
             raise OSError(_ERRNO[fault.kind],
                           f"injected {fault.kind} at write "
@@ -253,13 +251,13 @@ class FaultyFs:
             if flipped:
                 bit = fault.bit % (len(flipped) * 8)
                 flipped[bit // 8] ^= 1 << (bit % 8)
-            self.inner.write(fd, bytes(flipped))
+            REAL_FS.write(fd, bytes(flipped))
             return len(data)
         # torn_write / short_write: a prefix lands.
         keep = min(len(data) - 1, int(len(data) * fault.fraction))
         keep = max(keep, 0)
         if keep:
-            self.inner.write(fd, data[:keep])
+            REAL_FS.write(fd, data[:keep])
         if fault.kind == "torn_write":
             self._die("write")
         return len(data)  # short_write: the lie
@@ -271,12 +269,12 @@ class FaultyFs:
         fault = self._arm("fsync", self._names.get(fd, "?"))
         if fault is not None:
             self._strike(fault, "fsync")
-        self.inner.fsync(fd)
+        REAL_FS.fsync(fd)
 
     def close(self, fd: int) -> None:
         """Close is always real (fd hygiene) and never counted."""
         self._names.pop(fd, None)
-        self.inner.close(fd)
+        REAL_FS.close(fd)
 
     def replace(self, src: str, dst: str) -> None:
         """Atomic rename (inert after a crash)."""
@@ -286,7 +284,7 @@ class FaultyFs:
             "replace", f"{Path(src).name}->{Path(dst).name}")
         if fault is not None:
             self._strike(fault, "replace")
-        self.inner.replace(src, dst)
+        REAL_FS.replace(src, dst)
 
     def remove(self, path: str) -> None:
         """Unlink (inert after a crash)."""
@@ -295,7 +293,7 @@ class FaultyFs:
         fault = self._arm("remove", Path(path).name)
         if fault is not None:
             self._strike(fault, "remove")
-        self.inner.remove(path)
+        REAL_FS.remove(path)
 
     def fsync_dir(self, path: str) -> None:
         """Directory fsync (inert after a crash)."""
@@ -304,4 +302,4 @@ class FaultyFs:
         fault = self._arm("fsync_dir", Path(path).name)
         if fault is not None:
             self._strike(fault, "fsync_dir")
-        self.inner.fsync_dir(path)
+        REAL_FS.fsync_dir(path)

@@ -367,9 +367,8 @@ def fsck_path(path: str | Path, *, repair: bool = False,
 
 
 def fsck_paths(paths: list[str | Path] | list[str] | list[Path], *,
-               repair: bool = False, fs: FsBackend | None = None
-               ) -> tuple[list[FsckReport], int]:
+               repair: bool = False) -> tuple[list[FsckReport], int]:
     """fsck several paths; returns the reports and the worst exit code."""
-    reports = [fsck_path(p, repair=repair, fs=fs) for p in paths]
+    reports = [fsck_path(p, repair=repair) for p in paths]
     exit_code = max((r.exit_code for r in reports), default=0)
     return reports, exit_code

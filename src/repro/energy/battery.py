@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..hardware.power import PowerStateProfile
-from ..telemetry import NullRecorder, TelemetryRecorder
 
 __all__ = [
     "ENERGY_STATES",
@@ -143,14 +142,12 @@ class EnergyStateMachine:
         addition to* the tx-state floor draw for the step.
     frames_per_step:
         MAC budget: at most this many frames leave per transmit step.
-    telemetry:
-        Optional ``energy.*`` recorder (defaults to the null sink).
     """
 
     def __init__(self, store: EnergyStore, profile: PowerStateProfile, *,
                  wake_threshold_j: float, reserve_j: float = 0.0,
-                 frame_energy_j: float = 0.0, frames_per_step: int = 1,
-                 telemetry: TelemetryRecorder | None = None) -> None:
+                 frame_energy_j: float = 0.0, frames_per_step: int = 1
+                 ) -> None:
         if not 0.0 <= reserve_j < wake_threshold_j:
             raise ValueError("need 0 <= reserve < wake threshold")
         if wake_threshold_j > store.capacity_j:
@@ -165,8 +162,6 @@ class EnergyStateMachine:
         self.reserve_j = reserve_j
         self.frame_energy_j = frame_energy_j
         self.frames_per_step = frames_per_step
-        self.telemetry = telemetry if telemetry is not None \
-            else NullRecorder()
         self.state = "charge" if store.level_j < wake_threshold_j \
             else "sleep"
         self.steps = 0
@@ -236,15 +231,6 @@ class EnergyStateMachine:
 
         self.steps += 1
         self.state_steps[state] += 1
-        self.telemetry.count("energy.steps")
-        self.telemetry.count(f"energy.state.{state}")
-        self.telemetry.gauge("energy.level_j", level)
-        if frames_sent:
-            self.telemetry.count("energy.frames_sent", frames_sent)
-        if next_state == "charge" and state != "charge":
-            self.telemetry.count("energy.brownouts")
-            self.telemetry.event("energy.dormant", state_from=state,
-                                 level_j=level)
         self.state = next_state
         return EnergyStep(state=state, harvested_j=harvested,
                           consumed_j=consumed, level_j=level,

@@ -27,7 +27,6 @@ import numpy as np
 from ..engine import Campaign, CampaignResult, ResultStore, ShardExecutor
 from ..hardware.power import PowerStateProfile
 from ..phy.preamble import default_preamble_bits
-from ..telemetry import TelemetryRecorder
 from .backscatter import BackscatterLink
 from .battery import EnergyStateMachine, EnergyStore
 from .classes import (
@@ -277,8 +276,7 @@ def run_compare(config: CompareConfig | None = None,
                 master_seed: int = 0,
                 executor: ShardExecutor | None = None,
                 num_shards: int | None = None,
-                store: ResultStore | str | None = None,
-                telemetry: TelemetryRecorder | None = None
+                store: ResultStore | str | None = None
                 ) -> CompareResult:
     """Run the node-class comparison campaign and aggregate the table.
 
@@ -291,7 +289,7 @@ def run_compare(config: CompareConfig | None = None,
     outcome = Campaign(trial_fn, cfg.num_trials,
                        master_seed=master_seed,
                        num_shards=num_shards, executor=executor,
-                       store=store, telemetry=telemetry).run()
+                       store=store).run()
     n_classes = len(cfg.classes)
 
     def per_class(key: str) -> np.ndarray:

@@ -34,7 +34,6 @@ from ..engine import Campaign, CampaignResult, ResultStore, ShardExecutor
 from ..faults import EnergyOutageProcess, FaultInjector
 from ..node.access_point import MmxAccessPoint
 from ..resilience import LinkSupervisor
-from ..telemetry import TelemetryRecorder
 from .battery import EnergyStateMachine, EnergyStore
 from .classes import HARVESTING_CLASS, node_class
 from .compare import _facing_link, burst_profile
@@ -256,8 +255,7 @@ def run_outage(config: OutageConfig | None = None,
                master_seed: int = 0,
                executor: ShardExecutor | None = None,
                num_shards: int | None = None,
-               store: ResultStore | str | None = None,
-               telemetry: TelemetryRecorder | None = None
+               store: ResultStore | str | None = None
                ) -> OutageResult:
     """Run the outage-survival campaign and aggregate the drill.
 
@@ -270,7 +268,7 @@ def run_outage(config: OutageConfig | None = None,
     outcome = Campaign(trial_fn, cfg.num_trials,
                        master_seed=master_seed,
                        num_shards=num_shards, executor=executor,
-                       store=store, telemetry=telemetry).run()
+                       store=store).run()
 
     def mean(key: str) -> float:
         return float(outcome.collect(key).mean())

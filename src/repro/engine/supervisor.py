@@ -492,16 +492,13 @@ class SupervisedPool:
 
     def __init__(self, jobs: int | None = None,
                  policy: SupervisionPolicy | None = None,
-                 faults: WorkerFaultSchedule | None = None,
-                 telemetry: TelemetryRecorder | None = None) -> None:
+                 faults: WorkerFaultSchedule | None = None) -> None:
         if jobs is not None and jobs < 1:
             raise ValueError("a supervised pool needs at least one "
                              "worker")
         self.jobs = jobs if jobs is not None else default_job_count()
         self.policy = policy if policy is not None else SupervisionPolicy()
         self.faults = faults
-        self.telemetry = (telemetry if telemetry is not None
-                          else NullRecorder())
         self.last_report: SupervisionReport | None = None
         self._failure_sink: Callable[[ShardFailure], None] | None = None
 
@@ -533,7 +530,6 @@ class SupervisedPool:
         backend = _ProcessBackend(workers, trial_fn, of_total,
                                   record_telemetry, self.faults)
         supervisor = ShardSupervisor(self.policy,
-                                     telemetry=self.telemetry,
                                      failure_sink=self._failure_sink)
         try:
             yield from supervisor.run(backend, shards)

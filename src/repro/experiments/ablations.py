@@ -64,7 +64,7 @@ def _non_orthogonal_beams() -> OrthogonalBeamPair:
     """
     beam1 = ParametricBeam(lobes=((0.0, 40.0),))
     beam0 = ParametricBeam(lobes=((30.0, 40.0),))
-    return OrthogonalBeamPair(beam1=beam1, beam0=beam0, peak_gain_dbi=8.0)
+    return OrthogonalBeamPair(beam1=beam1, beam0=beam0)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ outages, in-band ISM interferers, whole-AP crashes) emit
 :class:`FaultEvent` schedules; a
 seeded :class:`FaultInjector` composes them reproducibly; and the
 resulting per-instant :class:`LinkDisturbance` perturbs the analytic
-link state wherever the stack evaluates it (``OtamLink.snr_breakdown``,
-``TimelineSimulator``, the chaos experiment).
+link state through :func:`repro.core.link.perturb_breakdown`, which
+the chaos experiment applies each step.
 """
 
 from .events import FAULT_KINDS, NO_DISTURBANCE, FaultEvent, LinkDisturbance

@@ -16,7 +16,7 @@ vocabulary for that regime:
   node, a dead side channel, in-band interference power).
 
 Both are plain frozen dataclasses with no dependency on the rest of the
-package, so every layer (core link, timeline, resilience) can consume
+package, so every layer (core link, resilience, energy) can consume
 them without import cycles.
 """
 
@@ -160,19 +160,6 @@ class LinkDisturbance:
             raise ValueError("stuck beam must be None, 0 or 1")
         if not 0.0 <= self.harvest_scale <= 1.0:
             raise ValueError("harvest scale must be in [0, 1]")
-
-    @property
-    def is_clear(self) -> bool:
-        """Whether this instant perturbs nothing (field-wise, not by
-        ``active_kinds`` — a hand-built disturbance need not tag them)."""
-        return (self.beam1_extra_loss_db == 0.0
-                and self.beam0_extra_loss_db == 0.0
-                and self.vco_offset_hz == 0.0
-                and self.stuck_beam is None
-                and not self.node_down
-                and self.side_channel_up
-                and not self.has_interference
-                and self.harvest_scale == 1.0)
 
     @property
     def has_interference(self) -> bool:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from ..constants import NODE_EIRP_DBM, NODE_POWER_W
 from ..phy.snr import noise_figure_cascade_db
 from .components import RFComponent
-from .frontend import ADF5356PLL, HMC264SubharmonicMixer, HMC751LNA, MicrostripFilter
+from .frontend import HMC264SubharmonicMixer, HMC751LNA, MicrostripFilter
 from .switch import ADRF5020Switch
 from .vco import HMC533VCO
 
@@ -79,7 +79,6 @@ class AccessPointHardware:
     lna: HMC751LNA = field(default_factory=HMC751LNA)
     bandpass: MicrostripFilter = field(default_factory=MicrostripFilter)
     mixer: HMC264SubharmonicMixer = field(default_factory=HMC264SubharmonicMixer)
-    pll: ADF5356PLL = field(default_factory=ADF5356PLL)
     baseband_noise_figure_db: float = 8.0
 
     def stages(self) -> list[RFComponent]:

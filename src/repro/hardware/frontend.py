@@ -1,10 +1,11 @@
-"""AP front-end stages: LNA, microstrip filter, sub-harmonic mixer, PLL.
+"""AP front-end stages: LNA, microstrip filter, sub-harmonic mixer.
 
 Section 8.2 builds the mmX AP as LNA (HMC751, 25 dB gain / 2 dB NF at
 24 GHz) -> coupled-line microstrip filter (5 dB passband IL, free on the
 PCB) -> HMC264 sub-harmonic mixer driven by an ADF5356 PLL at 10 GHz
 (doubled internally, so the costly mmWave PLL is avoided) -> 4 GHz IF
-into a USRP.
+into a USRP.  The PLL is not modelled: it adds no gain or noise figure
+to the signal path, which is all the link budget reads.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from ..constants import (
     AP_FILTER_INSERTION_LOSS_DB,
     AP_LNA_GAIN_DB,
     AP_LNA_NOISE_FIGURE_DB,
-    AP_LO_FREQUENCY_HZ,
 )
 from .components import ComponentSpec, RFComponent
 
@@ -21,7 +21,6 @@ __all__ = [
     "HMC751LNA",
     "MicrostripFilter",
     "HMC264SubharmonicMixer",
-    "ADF5356PLL",
 ]
 
 
@@ -45,25 +44,17 @@ class HMC751LNA(RFComponent):
 class MicrostripFilter(RFComponent):
     """Coupled-line microstrip band-pass filter printed on the PCB.
 
-    Costs nothing (it is copper traces), passes the 24 GHz ISM band with
-    5 dB insertion loss, and provides out-of-band rejection.
+    Costs nothing (it is copper traces) and passes the 24 GHz ISM band
+    with 5 dB insertion loss.
     """
 
     def __init__(self,
-                 center_frequency_hz: float = 24.0e9,
-                 bandwidth_hz: float = 1.0e9,
-                 insertion_loss_db: float = AP_FILTER_INSERTION_LOSS_DB,
-                 stopband_rejection_db: float = 40.0):
-        if bandwidth_hz <= 0:
-            raise ValueError("filter bandwidth must be positive")
-        if insertion_loss_db < 0 or stopband_rejection_db <= insertion_loss_db:
-            raise ValueError("need 0 <= insertion loss < stopband rejection")
+                 insertion_loss_db: float = AP_FILTER_INSERTION_LOSS_DB):
+        if insertion_loss_db < 0:
+            raise ValueError("insertion loss cannot be negative")
         super().__init__(ComponentSpec(
             name="microstrip filter", gain_db=-insertion_loss_db,
             noise_figure_db=insertion_loss_db, power_w=0.0, cost_usd=0.0))
-        self.center_frequency_hz = center_frequency_hz
-        self.bandwidth_hz = bandwidth_hz
-        self.stopband_rejection_db = stopband_rejection_db
 
 
 class HMC264SubharmonicMixer(RFComponent):
@@ -80,19 +71,3 @@ class HMC264SubharmonicMixer(RFComponent):
             name="HMC264 sub-harmonic mixer", gain_db=-conversion_loss_db,
             noise_figure_db=conversion_loss_db, power_w=0.04, cost_usd=50.0))
 
-
-class ADF5356PLL(RFComponent):
-    """ADF5356 synthesiser generating the 10 GHz LO.
-
-    Operating the PLL at 10 GHz instead of 20-24 GHz is the cost/power
-    trick section 5.2 describes; a mmWave PLL would be "costly and power
-    hungry".
-    """
-
-    def __init__(self, output_frequency_hz: float = AP_LO_FREQUENCY_HZ):
-        if output_frequency_hz <= 0:
-            raise ValueError("LO frequency must be positive")
-        super().__init__(ComponentSpec(
-            name="ADF5356 PLL", gain_db=0.0, noise_figure_db=0.0,
-            power_w=0.4, cost_usd=45.0))
-        self.output_frequency_hz = output_frequency_hz

@@ -28,15 +28,13 @@ class HMC533VCO(RFComponent):
     endpoints exactly.
     """
 
-    def __init__(self, curvature: float = 0.06,
-                 phase_noise_dbc_hz: float = -100.0):
+    def __init__(self, curvature: float = 0.06):
         super().__init__(ComponentSpec(
             name="HMC533 VCO", gain_db=0.0, noise_figure_db=0.0,
             power_w=0.405, cost_usd=35.0))
         if not 0.0 <= curvature < 0.5:
             raise ValueError("curvature must be in [0, 0.5)")
         self.curvature = curvature
-        self.phase_noise_dbc_hz = phase_noise_dbc_hz
         self.v_min, self.v_max = VCO_TUNE_VOLTAGE_RANGE_V
         self.f_min, self.f_max = VCO_FREQ_RANGE_HZ
 

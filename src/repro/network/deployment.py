@@ -19,7 +19,7 @@ negligible next to the noise floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,18 +45,15 @@ class NodeAssignment:
         return self.snr_db >= threshold_db
 
 
-def _link_snr(node: Point, ap: Point, room: Room,
-              orientation_offset_rad: float = 0.0,
-              link_kwargs: dict | None = None) -> float:
-    """OTAM SNR for a node facing (approximately) toward an AP."""
-    toward = angle_of(node, ap)
+def _link_snr(node: Point, ap: Point, room: Room) -> float:
+    """OTAM SNR for a node facing toward an AP."""
     placement = Placement(
         node_position=node,
-        node_orientation_rad=normalize_angle(toward + orientation_offset_rad),
+        node_orientation_rad=normalize_angle(angle_of(node, ap)),
         ap_position=ap,
         ap_orientation_rad=angle_of(ap, node),
     )
-    link = OtamLink(placement=placement, room=room, **(link_kwargs or {}))
+    link = OtamLink(placement=placement, room=room)
     return link.snr_breakdown().otam_snr_db
 
 
@@ -66,30 +63,18 @@ class Deployment:
 
     room: Room
     ap_positions: list[Point]
-    link_kwargs: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.ap_positions:
             raise ValueError("a deployment needs at least one AP")
 
-    def assign(self, node_positions: list[Point],
-               orientation_offsets_rad: list[float] | None = None
-               ) -> list[NodeAssignment]:
-        """Best-AP assignment for each node.
-
-        ``orientation_offsets_rad`` optionally perturbs each node's
-        facing (installation error); defaults to perfectly aimed nodes.
-        """
-        if orientation_offsets_rad is None:
-            orientation_offsets_rad = [0.0] * len(node_positions)
-        if len(orientation_offsets_rad) != len(node_positions):
-            raise ValueError("one orientation offset per node required")
+    def assign(self, node_positions: list[Point]) -> list[NodeAssignment]:
+        """Best-AP assignment for each node, each aimed at its AP."""
         assignments = []
-        for node, offset in zip(node_positions, orientation_offsets_rad):
+        for node in node_positions:
             best_idx, best_snr = -1, float("-inf")
             for idx, ap in enumerate(self.ap_positions):
-                snr = _link_snr(node, ap, self.room, offset,
-                                self.link_kwargs)
+                snr = _link_snr(node, ap, self.room)
                 if snr > best_snr:
                     best_idx, best_snr = idx, snr
             assignments.append(NodeAssignment(
@@ -113,8 +98,7 @@ class Deployment:
 
 
 def snr_matrix(room: Room, ap_positions: list[Point],
-               node_positions: list[Point],
-               link_kwargs: dict | None = None) -> np.ndarray:
+               node_positions: list[Point]) -> np.ndarray:
     """Per-(node, AP) OTAM SNR table — the failover affinity map.
 
     ``result[i, j]`` is node *i*'s SNR when aimed at AP *j*.  A cluster
@@ -128,15 +112,14 @@ def snr_matrix(room: Room, ap_positions: list[Point],
     out = np.empty((len(node_positions), len(ap_positions)), dtype=float)
     for i, node in enumerate(node_positions):
         for j, ap in enumerate(ap_positions):
-            out[i, j] = _link_snr(node, ap, room, link_kwargs=link_kwargs)
+            out[i, j] = _link_snr(node, ap, room)
     return out
 
 
 def plan_access_points(room: Room, node_positions: list[Point],
                        candidate_positions: list[Point],
                        threshold_db: float = 10.0,
-                       max_aps: int | None = None,
-                       link_kwargs: dict | None = None) -> list[Point]:
+                       max_aps: int | None = None) -> list[Point]:
     """Greedy set-cover AP placement.
 
     Repeatedly adds the candidate AP that covers the most currently
@@ -150,14 +133,12 @@ def plan_access_points(room: Room, node_positions: list[Point],
         max_aps = len(candidate_positions)
     if max_aps < 1:
         raise ValueError("need at least one AP allowed")
-    link_kwargs = link_kwargs or {}
 
     # Precompute per-candidate coverage sets.
     covers: list[set[int]] = []
     for ap in candidate_positions:
         covered = {i for i, node in enumerate(node_positions)
-                   if _link_snr(node, ap, room,
-                                link_kwargs=link_kwargs) >= threshold_db}
+                   if _link_snr(node, ap, room) >= threshold_db}
         covers.append(covered)
 
     chosen: list[Point] = []

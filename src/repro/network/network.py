@@ -10,7 +10,6 @@ from the other transmitters is what bends the curve down as N grows.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +22,7 @@ from ..core.link import OtamLink
 from ..sim.placement import Placement, PlacementSampler
 from ..units import db_to_linear, linear_to_db
 from .interference import InterferenceModel
+from .sdm_scheduler import arrival_bearing_rad
 from .tma import TimeModulatedArray
 
 __all__ = ["NodeStats", "NetworkSnapshot", "MultiNodeNetwork",
@@ -30,8 +30,7 @@ __all__ = ["NodeStats", "NetworkSnapshot", "MultiNodeNetwork",
 
 
 def frame_success_matrix(room, ap_positions, node_positions,
-                         payload_bytes: int = 256,
-                         link_kwargs: dict | None = None) -> np.ndarray:
+                         payload_bytes: int = 256) -> np.ndarray:
     """Per-(node, AP) frame-survival probabilities for a deployment.
 
     Maps :func:`repro.network.deployment.snr_matrix` through the
@@ -46,8 +45,7 @@ def frame_success_matrix(room, ap_positions, node_positions,
     from ..phy import ber as ber_theory
     from .deployment import snr_matrix
 
-    snrs = snr_matrix(room, ap_positions, node_positions,
-                      link_kwargs=link_kwargs)
+    snrs = snr_matrix(room, ap_positions, node_positions)
     out = np.empty_like(snrs)
     for i in range(snrs.shape[0]):
         for j in range(snrs.shape[1]):
@@ -97,18 +95,15 @@ class MultiNodeNetwork:
     def __init__(self, room, rng: np.random.Generator,
                  channel_bandwidth_hz: float = EVAL_NODE_CHANNEL_BANDWIDTH_HZ,
                  band_width_hz: float = ISM_24GHZ_BANDWIDTH_HZ,
-                 interference_model: InterferenceModel | None = None,
                  tma_elements: int = 8,
-                 demodulator_rejection_db: float = 15.0,
-                 link_kwargs: dict | None = None):
+                 demodulator_rejection_db: float = 15.0):
         if channel_bandwidth_hz <= 0 or band_width_hz <= 0:
             raise ValueError("bandwidths must be positive")
         self.room = room
         self.rng = rng
         self.sampler = PlacementSampler(room, rng)
-        self.channel_bandwidth_hz = channel_bandwidth_hz
         self.num_fdm_channels = max(1, int(band_width_hz // channel_bandwidth_hz))
-        self.interference = interference_model or InterferenceModel()
+        self.interference = InterferenceModel()
         # Matched-filter decorrelation: the victim's per-bit Goertzel
         # projection coherently integrates its own tone but only
         # partially captures an unsynchronised co-channel interferer
@@ -117,7 +112,6 @@ class MultiNodeNetwork:
         if demodulator_rejection_db < 0:
             raise ValueError("demodulator rejection cannot be negative")
         self.demodulator_rejection_db = demodulator_rejection_db
-        self.link_kwargs = link_kwargs or {}
         # TMA switching rate must exceed the per-channel bandwidth so the
         # harmonic images fall outside the victim channel's neighbours.
         self.tma = TimeModulatedArray(
@@ -126,12 +120,6 @@ class MultiNodeNetwork:
             switching_rate_hz=2.0 * channel_bandwidth_hz)
 
     # --- evaluation -----------------------------------------------------------------
-
-    def _arrival_bearing_rad(self, placement: Placement) -> float:
-        """Arrival direction at the AP, relative to the AP's boresight."""
-        dx = placement.node_position.x - placement.ap_position.x
-        dy = placement.node_position.y - placement.ap_position.y
-        return math.atan2(dy, dx) - placement.ap_orientation_rad
 
     @property
     def tma_resolvable_separation_rad(self) -> float:
@@ -156,8 +144,8 @@ class MultiNodeNetwork:
         """
         from ..sim.geometry import normalize_angle
 
-        theta_v = self._arrival_bearing_rad(victim)
-        theta_i = self._arrival_bearing_rad(interferer)
+        theta_v = arrival_bearing_rad(victim)
+        theta_i = arrival_bearing_rad(interferer)
         delta = abs(normalize_angle(theta_v - theta_i))
         resolvable = self.tma_resolvable_separation_rad
         if delta >= resolvable:
@@ -168,9 +156,7 @@ class MultiNodeNetwork:
     def evaluate(self, num_nodes: int,
                  placements: list[Placement] | None = None,
                  measurement_bandwidth_hz: float = 2.5e6,
-                 scheduler=None,
-                 external_interferers: dict[int, float] | None = None
-                 ) -> NetworkSnapshot:
+                 scheduler=None) -> NetworkSnapshot:
         """One simultaneous-transmission snapshot for N nodes.
 
         ``measurement_bandwidth_hz`` is the per-node post-channelisation
@@ -183,13 +169,6 @@ class MultiNodeNetwork:
         ``scheduler`` optionally overrides the default direction-aware
         channel assignment with any policy exposing
         ``assign(placements) -> list[int]``.
-
-        ``external_interferers`` maps FDM channel index to the received
-        power (dBm, at the AP) of a non-mmX in-band emitter parked on
-        that channel — e.g. a WiFi/ISM device.  It raises the
-        interference floor of every node sharing the channel, which is
-        exactly the signature :class:`repro.resilience.LinkSupervisor`
-        detects and escapes via channel re-allocation.
         """
         if num_nodes < 1:
             raise ValueError("need at least one node")
@@ -207,8 +186,7 @@ class MultiNodeNetwork:
         channels = scheduler.assign(list(placements))
         if len(channels) != num_nodes:
             raise ValueError("scheduler returned a bad assignment")
-        links = [OtamLink(placement=p, room=self.room, **self.link_kwargs)
-                 for p in placements]
+        links = [OtamLink(placement=p, room=self.room) for p in placements]
         breakdowns = [link.snr_breakdown(bandwidth_hz=measurement_bandwidth_hz)
                       for link in links]
         # Received level each node presents at the AP (its stronger beam;
@@ -221,10 +199,6 @@ class MultiNodeNetwork:
         for i in range(num_nodes):
             victim_noise_dbm = breakdowns[i].noise_dbm
             interference_lin = 0.0
-            if external_interferers:
-                jammer_dbm = external_interferers.get(channels[i])
-                if jammer_dbm is not None:
-                    interference_lin += float(db_to_linear(jammer_dbm))
             for j in range(num_nodes):
                 if j == i:
                     continue

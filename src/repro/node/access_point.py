@@ -15,11 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..antenna.element import DipoleElement
 from ..core.ask_fsk import AskFskConfig
 from ..core.demodulator import DemodResult, JointDemodulator
 from ..core.packet import Packet, PacketCodec, PacketError
-from ..hardware.chains import AccessPointHardware
 from ..network.fdm import ChannelPlan, FdmAllocator
 from ..phy.waveform import Waveform
 
@@ -38,15 +36,9 @@ class NodeRegistration:
 class MmxAccessPoint:
     """A complete mmX AP device."""
 
-    def __init__(self,
-                 hardware: AccessPointHardware | None = None,
-                 antenna: DipoleElement | None = None,
-                 allocator: FdmAllocator | None = None,
-                 codec: PacketCodec | None = None):
-        self.hardware = hardware or AccessPointHardware()
-        self.antenna = antenna or DipoleElement()
+    def __init__(self, allocator: FdmAllocator | None = None):
         self.allocator = allocator or FdmAllocator()
-        self.codec = codec or PacketCodec()
+        self.codec = PacketCodec()
         self._demodulators: dict[int, JointDemodulator] = {}
 
     # --- initialization phase --------------------------------------------------

@@ -35,8 +35,8 @@ class TransmitJob:
 class DigitalController:
     """Frames payloads and produces switch/VCO control sequences."""
 
-    def __init__(self, codec: PacketCodec | None = None):
-        self.codec = codec or PacketCodec()
+    def __init__(self):
+        self.codec = PacketCodec()
         self._sequence = 0
 
     def next_sequence(self) -> int:

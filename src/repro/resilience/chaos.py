@@ -152,7 +152,6 @@ class ChaosSimulation:
     def __init__(self, link, injector: FaultInjector,
                  time_step_s: float = 0.1,
                  payload_bytes: int = 256,
-                 supervisor_kwargs: dict | None = None,
                  telemetry: TelemetryRecorder | None = None):
         if time_step_s <= 0:
             raise ValueError("time step must be positive")
@@ -160,7 +159,6 @@ class ChaosSimulation:
         self.injector = injector
         self.time_step_s = time_step_s
         self.payload_bytes = payload_bytes
-        self.supervisor_kwargs = supervisor_kwargs or {}
         self.telemetry = telemetry if telemetry is not None \
             else NullRecorder()
         """Sink for the ``chaos.*`` step counters; also handed down to
@@ -194,8 +192,7 @@ class ChaosSimulation:
             monitor=LinkHealthMonitor(),
             payload_bytes=self.payload_bytes,
             rng=np.random.default_rng(ss),
-            telemetry=self.telemetry,
-            **self.supervisor_kwargs)
+            telemetry=self.telemetry)
         static = _StaticPolicy(self.payload_bytes)
         static_monitor = LinkHealthMonitor()
 

@@ -28,20 +28,19 @@ DEFAULT_SEED_ENV = "REPRO_SEED"
 """Environment variable that pins every :func:`fresh_rng` fallback."""
 
 
-def fresh_rng(seed: int | np.random.SeedSequence | None = None
-              ) -> np.random.Generator:
-    """A new Generator: seeded if asked, ``REPRO_SEED``-pinned otherwise.
+def fresh_rng() -> np.random.Generator:
+    """A new Generator, ``REPRO_SEED``-pinned when that variable is set.
 
-    With ``seed=None`` and ``REPRO_SEED`` unset this is plain OS
-    entropy — the same behaviour as ``np.random.default_rng()`` — but
-    routed through the one module the lint rule exempts, so every such
-    fallback in the codebase is enumerable.
+    With ``REPRO_SEED`` unset this is plain OS entropy — the same
+    behaviour as ``np.random.default_rng()`` — but routed through the
+    one module the lint rule exempts, so every such fallback in the
+    codebase is enumerable.  A seeded generator is
+    ``np.random.default_rng(seed)``, which the rule allows anywhere.
     """
-    if seed is None:
-        env_seed = os.environ.get(DEFAULT_SEED_ENV)
-        if env_seed is not None:
-            return np.random.default_rng(int(env_seed))
-    return np.random.default_rng(seed)
+    env_seed = os.environ.get(DEFAULT_SEED_ENV)
+    if env_seed is not None:
+        return np.random.default_rng(int(env_seed))
+    return np.random.default_rng()
 
 
 def ensure_rng(rng: np.random.Generator | None) -> np.random.Generator:

@@ -47,7 +47,6 @@ class PlacementSampler:
     """Draws placements per the paper's protocol inside a room."""
 
     def __init__(self, room: Room, rng: np.random.Generator,
-                 ap_position: Point | None = None,
                  orientation_range_deg=EVAL_ORIENTATION_RANGE_DEG,
                  margin_m: float = 0.3):
         self.room = room
@@ -58,11 +57,9 @@ class PlacementSampler:
             raise ValueError("invalid orientation range")
         self.orientation_range_rad = (math.radians(lo), math.radians(hi))
         # "We place mmX's AP on one side of the room": mid-width, near y=0.
-        if ap_position is None:
-            ap_position = Point(room.width_m / 2.0, 0.15)
-        self.ap_position = ap_position
+        self.ap_position = Point(room.width_m / 2.0, 0.15)
         # AP faces into the room.
-        self.ap_orientation_rad = math.pi / 2.0 if ap_position.y < room.length_m / 2 \
+        self.ap_orientation_rad = math.pi / 2.0 if self.ap_position.y < room.length_m / 2 \
             else -math.pi / 2.0
 
     def sample(self) -> Placement:

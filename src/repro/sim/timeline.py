@@ -79,42 +79,20 @@ class TimelineSimulator:
 
     def __init__(self, room: Room, placement: Placement,
                  walkers: list | None = None,
-                 time_step_s: float = 0.1,
-                 link_kwargs: dict | None = None,
-                 fault_injector=None,
-                 fault_channel: int | None = None):
+                 time_step_s: float = 0.1):
         if time_step_s <= 0:
             raise ValueError("time step must be positive")
         self.room = room
         self.placement = placement
         self.walkers = walkers or []
         self.time_step_s = time_step_s
-        self.link_kwargs = link_kwargs or {}
-        self.fault_injector = fault_injector
-        """Optional :class:`repro.faults.FaultInjector` (or a
-        pre-materialised :class:`repro.faults.FaultSchedule`); its
-        per-instant :class:`~repro.faults.LinkDisturbance` is applied on
-        top of the ray-traced walker/blocker dynamics each step."""
-
-        self.fault_channel = fault_channel
-        """FDM channel the victim occupies for interference matching
-        (``None`` = conservative any-channel view)."""
-
-    def _fault_schedule(self, duration_s: float):
-        """Materialise the schedule (``None`` when faults are off)."""
-        if self.fault_injector is None:
-            return None
-        if hasattr(self.fault_injector, "disturbance_at"):
-            return self.fault_injector  # already a FaultSchedule
-        return self.fault_injector.schedule(duration_s)
 
     def run(self, duration_s: float) -> LinkTrace:
         """Simulate ``duration_s`` seconds of the environment evolving.
 
         Each step every walker moves, the room's blocker set is
         refreshed, the channel is re-traced and the analytic link
-        quality recorded — then any scheduled fault disturbance is
-        layered on top.  Static obstacles already in the room are
+        quality recorded.  Static obstacles already in the room are
         preserved.
         """
         # Imported here to avoid a package-level cycle (core.link pulls
@@ -125,7 +103,6 @@ class TimelineSimulator:
             raise ValueError("duration must be positive")
         steps = int(round(duration_s / self.time_step_s))
         static_blockers = list(self.room.blockers)
-        schedule = self._fault_schedule(duration_s)
         times = np.arange(steps) * self.time_step_s
         otam = np.empty(steps)
         no_otam = np.empty(steps)
@@ -134,12 +111,8 @@ class TimelineSimulator:
             for i in range(steps):
                 moving = [w.step(self.time_step_s) for w in self.walkers]
                 self.room.blockers = static_blockers + moving
-                link = OtamLink(placement=self.placement, room=self.room,
-                                **self.link_kwargs)
-                disturbance = (schedule.disturbance_at(float(times[i]),
-                                                       self.fault_channel)
-                               if schedule is not None else None)
-                breakdown = link.snr_breakdown(disturbance=disturbance)
+                link = OtamLink(placement=self.placement, room=self.room)
+                breakdown = link.snr_breakdown()
                 otam[i] = breakdown.otam_snr_db
                 no_otam[i] = breakdown.no_otam_snr_db
                 inverted[i] = breakdown.inverted

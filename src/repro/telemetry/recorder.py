@@ -73,8 +73,8 @@ class TelemetryRecorder:
     enabled: bool = False
     __slots__ = ("clock",)
 
-    def __init__(self, clock: SimClock | None = None) -> None:
-        self.clock = clock if clock is not None else SimClock()
+    def __init__(self) -> None:
+        self.clock = SimClock()
 
     def count(self, name: str, amount: float = 1.0) -> None:
         """Increment the counter ``name`` (no-op here)."""
@@ -128,8 +128,8 @@ class Recorder(TelemetryRecorder):
     enabled = True
     __slots__ = ("metrics", "tracer", "events")
 
-    def __init__(self, clock: SimClock | None = None) -> None:
-        super().__init__(clock)
+    def __init__(self) -> None:
+        super().__init__()
         self.metrics = MetricsRegistry()
         self.tracer = Tracer(self.clock)
         self.events: list[EventRecord] = []

@@ -199,15 +199,11 @@ class TestSharedMeasuredBeams:
     def test_repeat_calls_return_one_instance(self):
         pair = measured_mmx_beams()
         assert measured_mmx_beams() is pair
-        assert measured_mmx_beams(8.0) is pair
-        assert measured_mmx_beams(peak_gain_dbi=8) is pair
-        assert measured_mmx_beams(5.0) is measured_mmx_beams(5.0)
-        assert measured_mmx_beams(5.0) is not pair
 
     def test_shared_instance_is_frozen(self):
         pair = measured_mmx_beams()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            pair.peak_gain_dbi = 3.0
+            pair.beam1 = pair.beam0
         with pytest.raises(dataclasses.FrozenInstanceError):
             pair.beam1.floor_db = 0.0
         assert isinstance(pair.beam0.lobes, tuple)

@@ -63,14 +63,7 @@ class TestFaultEvent:
 
 class TestLinkDisturbance:
     def test_default_is_clear(self):
-        assert NO_DISTURBANCE.is_clear
         assert not NO_DISTURBANCE.has_interference
-
-    def test_field_wise_clearness(self):
-        assert not LinkDisturbance(node_down=True).is_clear
-        assert not LinkDisturbance(stuck_beam=1).is_clear
-        assert not LinkDisturbance(side_channel_up=False).is_clear
-        assert not LinkDisturbance(interference_dbm=-70.0).is_clear
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -210,8 +203,6 @@ class TestEnergyOutage:
             LinkDisturbance(harvest_scale=1.5)
         with pytest.raises(ValueError):
             LinkDisturbance(harvest_scale=-0.1)
-        assert not LinkDisturbance(harvest_scale=0.5).is_clear
-        assert LinkDisturbance(harvest_scale=1.0).is_clear
 
     def test_severities_compose_multiplicatively(self):
         from repro.faults.processes import EnergyOutageProcess
