@@ -12,6 +12,9 @@ those go to the git-ignored ``benchmarks/artifacts/``.
 from __future__ import annotations
 
 import pathlib
+import statistics
+import time
+from collections.abc import Callable, Sequence
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 """Checked-in reports: the same bytes on every run, so CI diffs them."""
@@ -36,3 +39,30 @@ def record(name: str, text: str) -> None:
     directory.mkdir(exist_ok=True)
     (directory / f"{name}.txt").write_text(text + "\n")
     print(f"\n===== {name} =====\n{text}\n")
+
+
+def interleaved_times(runs: Sequence[Callable[[], object]],
+                      rounds: int) -> list[list[float]]:
+    """Wall seconds of every run in every round, one list per run.
+
+    Each round calls every run once, forwards on even rounds and
+    backwards on odd ones, so a drift in host speed, or a cache warmed
+    by the run before, lands on every run alike.  Samples of one round
+    were taken side by side: compare them as pairs
+    (:func:`median_ratio`), not as separate distributions.
+    """
+    times: list[list[float]] = [[] for _ in runs]
+    order = list(range(len(runs)))
+    for round_index in range(rounds):
+        for index in order if round_index % 2 == 0 else order[::-1]:
+            start = time.perf_counter()
+            runs[index]()
+            times[index].append(time.perf_counter() - start)
+    return times
+
+
+def median_ratio(times: Sequence[float],
+                 baseline: Sequence[float]) -> float:
+    """Median over rounds of ``times[r] / baseline[r]``: the paired
+    estimate of how much slower ``times`` ran (1.0 = no difference)."""
+    return statistics.median(t / b for t, b in zip(times, baseline))

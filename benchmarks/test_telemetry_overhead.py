@@ -5,14 +5,17 @@ default :class:`~repro.telemetry.NullRecorder` costs essentially
 nothing — hot loops guard whole blocks behind ``telemetry.enabled`` —
 and that a live :class:`~repro.telemetry.Recorder` stays under 5%
 end-to-end on a realistic chaos workload.  Wall-clock timing is
-inherently noisy, so each configuration is timed as the *minimum* over
-several repeats (the standard low-noise estimator: the min is the run
-least disturbed by the host).
+noisy, and a chaos run is short, so the three configurations are timed
+side by side: every round runs each one once, flipping the order
+every round, and each overhead is the median over rounds of that
+round's ratio to the uninstrumented run.  Host noise that hits one
+round hits its three runs alike and cancels in the ratio.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 import time
 
 import numpy as np
@@ -25,9 +28,9 @@ from repro.sim.geometry import Point, angle_of
 from repro.sim.placement import Placement
 from repro.telemetry import NullRecorder, Recorder
 
-from conftest import record
+from conftest import interleaved_times, median_ratio, record
 
-REPEATS = 5
+ROUNDS = 101
 DURATION_S = 20.0
 TIME_STEP_S = 0.05
 NULL_OVERHEAD_LIMIT = 0.03
@@ -49,35 +52,29 @@ def _chaos_sim(telemetry) -> ChaosSimulation:
                            telemetry=telemetry)
 
 
-def _best_time(telemetry) -> float:
-    """Min-of-N wall seconds for one full chaos run."""
-    sim = _chaos_sim(telemetry)
-    sim.run(DURATION_S)  # warm-up: JIT nothing, but fill caches
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        sim.run(DURATION_S)
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def test_telemetry_overhead_gates():
-    baseline_s = _best_time(None)
-    null_s = _best_time(NullRecorder())
     recorder = Recorder()
-    recording_s = _best_time(recorder)
+    sims = [_chaos_sim(telemetry)
+            for telemetry in (None, NullRecorder(), recorder)]
+    for sim in sims:
+        sim.run(DURATION_S)  # warm-up: JIT nothing, but fill caches
+    baseline, null, recording = interleaved_times(
+        [lambda sim=sim: sim.run(DURATION_S) for sim in sims], ROUNDS)
 
-    null_overhead = null_s / baseline_s - 1.0
-    recording_overhead = recording_s / baseline_s - 1.0
+    null_overhead = median_ratio(null, baseline) - 1.0
+    recording_overhead = median_ratio(recording, baseline) - 1.0
 
     steps = int(round(DURATION_S / TIME_STEP_S))
     text = "\n".join([
         f"chaos workload: kitchen-sink, {DURATION_S:.0f} s simulated, "
-        f"{steps} steps, min of {REPEATS} runs",
-        f"  baseline (telemetry=None) : {baseline_s * 1e3:8.1f} ms",
-        f"  NullRecorder              : {null_s * 1e3:8.1f} ms "
-        f"({null_overhead:+.1%})",
-        f"  Recorder (full recording) : {recording_s * 1e3:8.1f} ms "
+        f"{steps} steps, {ROUNDS} interleaved rounds",
+        "  (median run; overheads are medians of per-round ratios)",
+        f"  baseline (telemetry=None) : "
+        f"{statistics.median(baseline) * 1e3:8.1f} ms",
+        f"  NullRecorder              : "
+        f"{statistics.median(null) * 1e3:8.1f} ms ({null_overhead:+.1%})",
+        f"  Recorder (full recording) : "
+        f"{statistics.median(recording) * 1e3:8.1f} ms "
         f"({recording_overhead:+.1%})",
         f"  gates: null < {NULL_OVERHEAD_LIMIT:.0%}, "
         f"recording < {RECORDING_OVERHEAD_LIMIT:.0%}",
@@ -94,7 +91,7 @@ def test_telemetry_overhead_gates():
     # The recording run must actually have recorded — an accidentally
     # disabled recorder would pass the gates vacuously.
     assert recorder.metrics.counter("chaos.steps").value \
-        == float(steps * (1 + REPEATS))
+        == float(steps * (1 + ROUNDS))
 
 
 def test_recording_throughput_sane():

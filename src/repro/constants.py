@@ -108,9 +108,6 @@ AP_LNA_NOISE_FIGURE_DB = 2.0
 AP_FILTER_INSERTION_LOSS_DB = 5.0
 """Coupled-line microstrip filter passband insertion loss (section 8.2)."""
 
-AP_IF_FREQUENCY_HZ = 4.0e9
-"""Intermediate frequency after down-conversion: 24 GHz - 2*10 GHz."""
-
 AP_ANTENNA_GAIN_DBI = 5.0
 """AP dipole antenna gain (section 8.2)."""
 

@@ -44,6 +44,8 @@ from ..constants import (
 from ..hardware.chains import AccessPointHardware
 from ..phy import ber as ber_theory
 from ..phy.waveform import Waveform
+from ..sim.environment import default_lab_room
+from ..sim.geometry import Point, angle_of
 from ..sim.placement import Placement
 from ..units import (
     amplitude_to_db,
@@ -56,7 +58,8 @@ from .demodulator import DemodResult, JointDemodulator
 from .otam import OtamModulator
 
 __all__ = ["BistaticBreakdown", "SnrBreakdown", "LinkReport", "OtamLink",
-           "bistatic_breakdown", "ism_carriers", "perturb_breakdown"]
+           "bistatic_breakdown", "facing_link", "ism_carriers",
+           "perturb_breakdown"]
 
 
 def ism_carriers(num_carriers: int) -> np.ndarray:
@@ -469,3 +472,20 @@ class OtamLink:
         ber = errors / bits.size if bits.size else 0.0
         return LinkReport(demod=demod, bit_errors=errors, ber=ber,
                           num_bits=int(bits.size))
+
+
+def facing_link(distance_m: float) -> OtamLink:
+    """A node facing the AP from ``distance_m`` in the default lab room.
+
+    The AP sits mid-width by the near wall, the node straight down the
+    room from it; a node that would land within 0.1 m of a wall raises
+    :class:`ValueError`.  The chaos runs and the energy campaigns put
+    their one link here.
+    """
+    room = default_lab_room()
+    ap = Point(room.width_m / 2.0, 0.15)
+    node = Point(room.width_m / 2.0, 0.15 + distance_m)
+    if not room.contains(node, margin=0.1):
+        raise ValueError("distance does not fit in the lab room")
+    placement = Placement(node, angle_of(node, ap), ap, math.pi / 2)
+    return OtamLink(placement=placement, room=room)

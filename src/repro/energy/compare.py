@@ -24,6 +24,7 @@ from typing import Any
 
 import numpy as np
 
+from ..core.link import facing_link
 from ..engine import Campaign, CampaignResult, ResultStore, ShardExecutor
 from ..hardware.power import PowerStateProfile
 from ..phy.preamble import default_preamble_bits
@@ -113,20 +114,6 @@ def default_config(replicates: int = 4,
     return CompareConfig(replicates=replicates, num_bits=num_bits)
 
 
-def _facing_link(distance_m: float):
-    """A facing active node at ``distance_m`` in the default lab room."""
-    from ..core.link import OtamLink
-    from ..sim.environment import default_lab_room
-    from ..sim.geometry import Point, angle_of
-    from ..sim.placement import Placement
-
-    room = default_lab_room()
-    ap = Point(room.width_m / 2.0, 0.15)
-    node = Point(room.width_m / 2.0, 0.15 + distance_m)
-    placement = Placement(node, angle_of(node, ap), ap, math.pi / 2)
-    return OtamLink(placement=placement, room=room)
-
-
 def burst_profile(spec: NodeClassSpec,
                   airtime_fraction: float = BURST_AIRTIME_FRACTION
                   ) -> PowerStateProfile:
@@ -210,7 +197,7 @@ def compare_trial(rng: np.random.Generator, index: int, *,
         harvested_uw = 0.0
         dormant_steps = 0.0
     else:
-        link = _facing_link(config.active_distance_m)
+        link = facing_link(config.active_distance_m)
         report = link.simulate_transmission(bits, rng=rng)
         ber = report.ber
         if spec.duty_model == "duty-cycled":

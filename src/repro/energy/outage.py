@@ -30,13 +30,14 @@ from typing import Any
 import numpy as np
 
 from ..cluster import Cluster, NodeLivenessTracker
+from ..core.link import facing_link
 from ..engine import Campaign, CampaignResult, ResultStore, ShardExecutor
 from ..faults import EnergyOutageProcess, FaultInjector
 from ..node.access_point import MmxAccessPoint
 from ..resilience import LinkSupervisor
 from .battery import EnergyStateMachine, EnergyStore
 from .classes import HARVESTING_CLASS, node_class
-from .compare import _facing_link, burst_profile
+from .compare import burst_profile
 from .harvest import HarvestModel
 from .scheduler import DutyCycleScheduler
 
@@ -127,7 +128,7 @@ def outage_trial(rng: np.random.Generator, index: int, *,
                              severity=config.severity)],
         master_seed=int(rng.integers(2 ** 31)))
     schedule = injector.schedule(config.duration_s)
-    clean = _facing_link(config.link_distance_m).snr_breakdown()
+    clean = facing_link(config.link_distance_m).snr_breakdown()
 
     liveness = NodeLivenessTracker(
         interval_s=config.dt_s,

@@ -13,7 +13,6 @@ registered in :data:`repro.faults.SCENARIOS` from one master seed.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
@@ -22,6 +21,7 @@ from typing import Any
 import numpy as np
 
 from ..cluster import FailoverResult
+from ..core.link import facing_link
 from ..faults import scenario_injector
 from ..resilience import ChaosResult, ChaosSimulation
 from ..telemetry import Recorder, TelemetryRecorder, TelemetrySnapshot
@@ -63,22 +63,6 @@ class ChaosRunResult:
         return dict(Counter(a.policy for a in self.result.actions))
 
 
-def _facing_link(distance_m: float):
-    """A facing node at ``distance_m`` in the default lab room."""
-    from ..core.link import OtamLink
-    from ..sim.environment import default_lab_room
-    from ..sim.geometry import Point, angle_of
-    from ..sim.placement import Placement
-
-    room = default_lab_room()
-    ap = Point(room.width_m / 2.0, 0.15)
-    node = Point(room.width_m / 2.0, 0.15 + distance_m)
-    if not room.contains(node, margin=0.1):
-        raise ValueError("distance does not fit in the lab room")
-    placement = Placement(node, angle_of(node, ap), ap, math.pi / 2)
-    return OtamLink(placement=placement, room=room)
-
-
 def run(scenario: str = "kitchen-sink", seed: int = 0,
         duration_s: float = 30.0, quiet_tail_s: float = QUIET_TAIL_S,
         distance_m: float = DEFAULT_DISTANCE_M,
@@ -94,7 +78,7 @@ def run(scenario: str = "kitchen-sink", seed: int = 0,
     the ``chaos.*`` / ``resilience.*`` families for export.
     """
     injector = scenario_injector(scenario, master_seed=seed)
-    sim = ChaosSimulation(_facing_link(distance_m), injector,
+    sim = ChaosSimulation(facing_link(distance_m), injector,
                           time_step_s=time_step_s,
                           telemetry=telemetry)
     tel = sim.telemetry

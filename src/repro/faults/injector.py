@@ -14,6 +14,8 @@ instant, from the point of view of a victim on any FDM channel.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import replace
 
 import numpy as np
@@ -41,7 +43,22 @@ whole reason OTAM's second beam exists (section 6.1)."""
 
 
 class FaultSchedule:
-    """An immutable, queryable set of scheduled fault events."""
+    """An immutable, queryable set of scheduled fault events.
+
+    The constructor indexes the events once.  ``_edges`` holds the
+    sorted distinct start and end times; ``_segments[k]`` holds the
+    events in force on ``[_edges[k - 1], _edges[k])``, in schedule
+    order (``_segments[0]``, before the first edge, is empty, and so is
+    the segment from the last edge on).  Every event switches on at its
+    start and off at its end, both edges, so the active set is constant
+    between two edges and a query is one bisection.
+
+    Each distinct (segment, channel) pair is composed into a
+    :class:`LinkDisturbance` once per schedule, on its first query, and
+    every later query returns that same object.  A segment holding a
+    ``vco_drift`` event is composed per query instead, because the
+    drift profile moves with time.
+    """
 
     def __init__(self, events, duration_s: float):
         if duration_s <= 0:
@@ -52,10 +69,22 @@ class FaultSchedule:
         for event in self.events:
             if event.start_s >= self.duration_s:
                 raise ValueError("event starts after the schedule ends")
+        # A NaN time is no edge: an event with a NaN start or end is
+        # never active, and a NaN query bisects past every edge.
+        self._edges = tuple(sorted(
+            {time for event in self.events
+             for time in (event.start_s, event.end_s)
+             if not math.isnan(time)}))
+        self._segments: tuple[tuple[FaultEvent, ...], ...] = ((),) + tuple(
+            tuple(e for e in self.events if e.active_at(edge))
+            for edge in self._edges)
+        self._drifting = tuple(any(e.kind == "vco_drift" for e in segment)
+                               for segment in self._segments)
+        self._composed: dict[tuple[int, int | None], LinkDisturbance] = {}
 
     def active_at(self, time_s: float) -> tuple[FaultEvent, ...]:
         """All events in force at an instant."""
-        return tuple(e for e in self.events if e.active_at(time_s))
+        return self._segments[bisect_right(self._edges, time_s)]
 
     def kinds(self) -> tuple[str, ...]:
         """The distinct fault classes this schedule exercises (sorted)."""
@@ -79,52 +108,70 @@ class FaultSchedule:
         recent stuck-beam event wins, and energy-outage severities
         (harvest fractions lost) compose multiplicatively on the
         surviving harvest scale.
+
+        Outside a drift segment the result is the object composed at
+        the segment's first query on this channel (see the class
+        docstring).
         """
-        active = self.active_at(time_s)
+        segment = bisect_right(self._edges, time_s)
+        active = self._segments[segment]
         if not active:
             return NO_DISTURBANCE
-        beam1_loss = 0.0
-        beam0_loss = 0.0
-        vco_offset = 0.0
-        stuck: int | None = None
-        node_down = False
-        side_up = True
-        interference_lin = 0.0
-        harvest_scale = 1.0
-        kinds = []
-        for event in active:
-            kinds.append(event.kind)
-            if event.kind == "blockage":
-                beam1_loss += event.severity * event.profile(time_s)
-                beam0_loss += (NLOS_BLOCKAGE_FRACTION * event.severity
-                               * event.profile(time_s))
-            elif event.kind == "vco_drift":
-                vco_offset += event.severity * event.profile(time_s)
-            elif event.kind == "stuck_beam":
-                stuck = int(event.severity)
-            elif event.kind == "dropout":
-                node_down = True
-            elif event.kind == "side_channel_outage":
-                side_up = False
-            elif event.kind == "interference":
-                if channel_index is None \
-                        or event.channel_index == channel_index:
-                    interference_lin += float(dbm_to_milliwatts(event.severity))
-            elif event.kind == "energy_outage":
-                harvest_scale *= 1.0 - event.severity
-        interference_dbm = (float(milliwatts_to_dbm(interference_lin))
-                            if interference_lin > 0 else float("-inf"))
-        return LinkDisturbance(
-            beam1_extra_loss_db=beam1_loss,
-            beam0_extra_loss_db=beam0_loss,
-            vco_offset_hz=vco_offset,
-            stuck_beam=stuck,
-            node_down=node_down,
-            side_channel_up=side_up,
-            interference_dbm=float(interference_dbm),
-            harvest_scale=harvest_scale,
-            active_kinds=tuple(sorted(set(kinds))),
-        )
+        if self._drifting[segment]:
+            return _compose(active, time_s, channel_index)
+        key = (segment, channel_index)
+        disturbance = self._composed.get(key)
+        if disturbance is None:
+            disturbance = self._composed[key] = _compose(
+                active, time_s, channel_index)
+        return disturbance
+
+
+def _compose(active: tuple[FaultEvent, ...], time_s: float,
+             channel_index: int | None) -> LinkDisturbance:
+    """The disturbance of ``active`` at ``time_s`` (see ``disturbance_at``)."""
+    beam1_loss = 0.0
+    beam0_loss = 0.0
+    vco_offset = 0.0
+    stuck: int | None = None
+    node_down = False
+    side_up = True
+    interference_lin = 0.0
+    harvest_scale = 1.0
+    kinds = []
+    for event in active:
+        kinds.append(event.kind)
+        if event.kind == "blockage":
+            beam1_loss += event.severity * event.profile(time_s)
+            beam0_loss += (NLOS_BLOCKAGE_FRACTION * event.severity
+                           * event.profile(time_s))
+        elif event.kind == "vco_drift":
+            vco_offset += event.severity * event.profile(time_s)
+        elif event.kind == "stuck_beam":
+            stuck = int(event.severity)
+        elif event.kind == "dropout":
+            node_down = True
+        elif event.kind == "side_channel_outage":
+            side_up = False
+        elif event.kind == "interference":
+            if channel_index is None \
+                    or event.channel_index == channel_index:
+                interference_lin += float(dbm_to_milliwatts(event.severity))
+        elif event.kind == "energy_outage":
+            harvest_scale *= 1.0 - event.severity
+    interference_dbm = (float(milliwatts_to_dbm(interference_lin))
+                        if interference_lin > 0 else float("-inf"))
+    return LinkDisturbance(
+        beam1_extra_loss_db=beam1_loss,
+        beam0_extra_loss_db=beam0_loss,
+        vco_offset_hz=vco_offset,
+        stuck_beam=stuck,
+        node_down=node_down,
+        side_channel_up=side_up,
+        interference_dbm=float(interference_dbm),
+        harvest_scale=harvest_scale,
+        active_kinds=tuple(sorted(set(kinds))),
+    )
 
 
 class FaultInjector:

@@ -26,7 +26,15 @@ shared by both policies, and each policy keeps its own dict from
 :func:`~repro.core.throughput.frame_success_probability` are pure, the
 keys are frozen, a ±0.0 field gives the same SNRs as 0.0, and a NaN
 field never matches a key (only the very same float object is found
-again, by identity).  Nothing is cached across runs.
+again, by identity).
+
+The schedule itself composes each distinct active set once per
+schedule and hands back that same object while the set holds, except
+while a drift event is active, when it composes per step (see
+:class:`~repro.faults.FaultSchedule`).  So a step whose disturbance is
+the very object of the step before reuses the breakdown at hand and
+skips the dict.  Nothing is cached across runs: the schedule, like the
+dicts, is built per run.
 """
 
 from __future__ import annotations
@@ -232,21 +240,28 @@ class ChaosSimulation:
         breakdowns: dict[LinkDisturbance, SnrBreakdown] = {}
         config = self.link.config
         tel = self.telemetry
-        for i, t in enumerate(times):
-            t = float(t)
+        d_adaptive = d_static = b_adaptive = b_static = None
+        for i, t in enumerate(times.tolist()):
             if tel.enabled:
                 tel.clock.advance(self.time_step_s)
             channel = adaptive_channel[0]
-            d_adaptive = schedule.disturbance_at(t, channel)
-            b_adaptive = _perturbed(breakdowns, clean, d_adaptive, config)
+            # Outside drift, the schedule returns the very same object
+            # while its active set holds, and that object's breakdown
+            # is already at hand: no dict lookup, no field hashing.
+            d = schedule.disturbance_at(t, channel)
+            if d is not d_adaptive:
+                d_adaptive = d
+                b_adaptive = _perturbed(breakdowns, clean, d, config)
             # Both calls are pure, so until rung 5 moves the adaptive
             # policy off the home channel the static policy sees the
             # very same disturbance and breakdown.
             if channel == HOME_CHANNEL:
                 d_static, b_static = d_adaptive, b_adaptive
             else:
-                d_static = schedule.disturbance_at(t, HOME_CHANNEL)
-                b_static = _perturbed(breakdowns, clean, d_static, config)
+                d = schedule.disturbance_at(t, HOME_CHANNEL)
+                if d is not d_static:
+                    d_static = d
+                    b_static = _perturbed(breakdowns, clean, d, config)
             decision = supervisor.step(
                 t, b_adaptive,
                 node_down=d_adaptive.node_down,

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,9 +63,12 @@ class RecoveryAction:
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class SupervisorDecision:
-    """What the supervised link does for one timestep."""
+class SupervisorDecision(NamedTuple):
+    """What the supervised link does for one timestep.
+
+    A named tuple: immutable, cheap to build once per step, and read by
+    attribute only.
+    """
 
     time_s: float
     transmitting: bool
@@ -168,7 +172,7 @@ class LinkSupervisor:
         self._next_reinit_s = 0.0
         self._failed_attempts = 0
         self._mode_index = 0
-        self._rate_fraction = 1.0
+        self._set_rate_fraction(1.0)
         self._branch = "ask"
         self._nominal_noise_dbm: float | None = None
         self._healthy_since: float | None = None
@@ -208,6 +212,11 @@ class LinkSupervisor:
         elif state == HEALTHY and self._outage_span is not None:
             tel.end(self._outage_span)
             self._outage_span = None
+
+    def _set_rate_fraction(self, fraction: float) -> None:
+        """Move the bit rate, and the per-bit energy bonus it buys."""
+        self._rate_fraction = fraction
+        self._rate_bonus_db = float(linear_to_db(1.0 / fraction))
 
     def _backoff_delay(self) -> float:
         """Jittered exponential backoff for the next re-init attempt."""
@@ -331,7 +340,7 @@ class LinkSupervisor:
         # each halving of the bit rate doubles per-bit energy (+3 dB).
         if state == OUTAGE and math.isfinite(raw_snr) \
                 and self._rate_fraction > self.MIN_RATE_FRACTION:
-            self._rate_fraction /= 2.0
+            self._set_rate_fraction(self._rate_fraction / 2.0)
             actions.append(self._log(time_s, "rate-step-down",
                                      f"rate x{self._rate_fraction:g}"))
         elif state == HEALTHY:
@@ -339,7 +348,8 @@ class LinkSupervisor:
                 self._healthy_since = time_s
             elif time_s - self._healthy_since >= self.recovery_hold_s:
                 if self._rate_fraction < 1.0:
-                    self._rate_fraction = min(self._rate_fraction * 2.0, 1.0)
+                    self._set_rate_fraction(
+                        min(self._rate_fraction * 2.0, 1.0))
                     actions.append(self._log(
                         time_s, "rate-step-up",
                         f"rate x{self._rate_fraction:g}"))
@@ -353,29 +363,25 @@ class LinkSupervisor:
         if state != HEALTHY:
             self._healthy_since = None
 
-        rate_bonus_db = float(linear_to_db(1.0 / self._rate_fraction))
-        branch_snrs = {"ask": breakdown.ask_snr_db + rate_bonus_db,
-                       "fsk": breakdown.fsk_snr_db + rate_bonus_db}
+        ask_snr = breakdown.ask_snr_db + self._rate_bonus_db
+        fsk_snr = breakdown.fsk_snr_db + self._rate_bonus_db
 
         # Rungs 1+2: pick the (branch, coding mode) pair that maximises
-        # frame survival.  Outside the healthy state the whole mode
-        # ladder is searched (coding step-down); while healthy only the
-        # current mode is kept, so a clean link stays on its cheap
+        # frame survival, scanning ask before fsk and each branch's
+        # modes in ladder order.  Outside the healthy state the whole
+        # mode ladder is searched (coding step-down); while healthy only
+        # the current mode is kept, so a clean link stays on its cheap
         # configuration.
-        if state != HEALTHY:
-            candidates = [(b, index)
-                          for b in ("ask", "fsk")
-                          for index in range(len(self.modes))]
-        else:
-            candidates = [("ask", self._mode_index),
-                          ("fsk", self._mode_index)]
         branch, best_index, p_frame = self._branch, self._mode_index, -1.0
-        for cand_branch, cand_index in candidates:
-            p = _frame_success(self._success_memo, cand_branch,
-                               branch_snrs[cand_branch], cand_index,
-                               self.modes, self.payload_bytes)
-            if p > p_frame + 1e-12:
-                branch, best_index, p_frame = cand_branch, cand_index, p
+        indices = (range(best_index, best_index + 1) if state == HEALTHY
+                   else range(len(self.modes)))
+        for cand_branch in ("ask", "fsk"):
+            snr = ask_snr if cand_branch == "ask" else fsk_snr
+            for index in indices:
+                p = _frame_success(self._success_memo, cand_branch, snr,
+                                   index, self.modes, self.payload_bytes)
+                if p > p_frame + 1e-12:
+                    branch, best_index, p_frame = cand_branch, index, p
         if branch != self._branch:
             actions.append(self._log(time_s, "branch-fallback",
                                      f"{self._branch} -> {branch}"))
@@ -390,7 +396,7 @@ class LinkSupervisor:
             self._mode_index = best_index
 
         mode = self.modes[self._mode_index]
-        effective_snr = branch_snrs[branch]
+        effective_snr = ask_snr if branch == "ask" else fsk_snr
         return SupervisorDecision(
             time_s=time_s, transmitting=True, branch=branch, mode=mode,
             rate_fraction=self._rate_fraction, raw_snr_db=float(raw_snr),

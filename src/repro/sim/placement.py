@@ -58,9 +58,8 @@ class PlacementSampler:
         self.orientation_range_rad = (math.radians(lo), math.radians(hi))
         # "We place mmX's AP on one side of the room": mid-width, near y=0.
         self.ap_position = Point(room.width_m / 2.0, 0.15)
-        # AP faces into the room.
-        self.ap_orientation_rad = math.pi / 2.0 if self.ap_position.y < room.length_m / 2 \
-            else -math.pi / 2.0
+        # AP faces into the room (+y).
+        self.ap_orientation_rad = math.pi / 2.0
 
     def sample(self) -> Placement:
         """One placement: uniform node location, bounded orientation offset.

@@ -4,10 +4,13 @@
 through ``chaos._perturbed`` and a per-run dict of breakdowns.  Both
 link policies score every distinct (branch, SNR, coding-mode index)
 once, through ``supervisor._frame_success`` and a per-instance dict.
-The slow path here patches those helpers with direct calls of the pure
-functions behind them, which is how every step was scored before the
-dicts existed.  Arrays, health reports, action logs and schedules must
-come out bit-identical.
+The fault schedule composes each distinct active set once, through its
+segment index.  The slow path here patches those helpers with direct
+calls of the pure functions behind them, and the schedule's queries
+with the scan they replaced (``tests/fault_schedule_reference.py``),
+which is how every step was scored before the dicts and the index
+existed.  Arrays, health reports, action logs and schedules must come
+out bit-identical.
 """
 
 from contextlib import contextmanager
@@ -19,13 +22,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.link import perturb_breakdown
+from repro.core.link import facing_link, perturb_breakdown
 from repro.core.throughput import frame_success_probability
 from repro.experiments import chaos as chaos_experiment
-from repro.faults import FaultEvent, FaultInjector, scenario_injector
+from repro.faults import (
+    FaultEvent,
+    FaultInjector,
+    FaultSchedule,
+    scenario_injector,
+)
 from repro.resilience import ChaosSimulation, LinkSupervisor
 from repro.resilience import chaos as chaos_module
 from repro.resilience import supervisor as supervisor_module
+
+from .fault_schedule_reference import ScanSchedule
 
 DISTANCES_M = (2.0, 4.0)
 """Two placements, so a breakdown cached across links would show."""
@@ -36,7 +46,7 @@ _LINKS: dict[float, object] = {}
 def _link(distance_m: float):
     """One ray-traced facing link per distance, shared across examples."""
     if distance_m not in _LINKS:
-        _LINKS[distance_m] = chaos_experiment._facing_link(distance_m)
+        _LINKS[distance_m] = facing_link(distance_m)
     return _LINKS[distance_m]
 
 
@@ -52,12 +62,17 @@ def _direct_frame_success(memo, branch, snr_db, index, modes, payload_bytes):
 
 @contextmanager
 def _direct_scoring():
-    """Score every step afresh: both memo helpers become direct calls."""
+    """Score every step afresh: both memo helpers become direct calls,
+    and the schedule scans and composes on every query."""
     with mock.patch.object(chaos_module, "_perturbed", _direct_perturbed), \
             mock.patch.object(chaos_module, "_frame_success",
                               _direct_frame_success), \
             mock.patch.object(supervisor_module, "_frame_success",
-                              _direct_frame_success):
+                              _direct_frame_success), \
+            mock.patch.object(FaultSchedule, "active_at",
+                              ScanSchedule.active_at), \
+            mock.patch.object(FaultSchedule, "disturbance_at",
+                              ScanSchedule.disturbance_at):
         yield
 
 

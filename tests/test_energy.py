@@ -348,9 +348,9 @@ class TestDutyCycleScheduler:
 
 class TestDormantSupervision:
     def _clean_breakdown(self):
-        from repro.experiments.chaos import _facing_link
+        from repro.core.link import facing_link
 
-        return _facing_link(3.0).snr_breakdown()
+        return facing_link(3.0).snr_breakdown()
 
     def test_dormant_holds_the_ladder(self):
         from repro.resilience import DORMANT, LinkSupervisor

@@ -232,10 +232,9 @@ class TestEnergyOutage:
     def test_harvest_outage_leaves_the_link_budget_alone(self):
         """Starving the rectenna must not also fade the data link."""
         from repro.core.ask_fsk import AskFskConfig
-        from repro.core.link import perturb_breakdown
-        from repro.experiments.chaos import _facing_link
+        from repro.core.link import facing_link, perturb_breakdown
 
-        clean = _facing_link(3.0).snr_breakdown()
+        clean = facing_link(3.0).snr_breakdown()
         dark = perturb_breakdown(clean,
                                  LinkDisturbance(harvest_scale=0.0),
                                  AskFskConfig())

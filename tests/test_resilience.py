@@ -22,8 +22,8 @@ from repro.resilience import (
 
 @pytest.fixture(scope="module")
 def link():
-    from repro.experiments.chaos import _facing_link
-    return _facing_link(4.0)
+    from repro.core.link import facing_link
+    return facing_link(4.0)
 
 
 @pytest.fixture(scope="module")

@@ -214,8 +214,8 @@ _CHAOS_LINK = []
 def _chaos_link():
     """One ray-traced link, shared across examples (tracing is slow)."""
     if not _CHAOS_LINK:
-        from repro.experiments.chaos import _facing_link
-        _CHAOS_LINK.append(_facing_link(4.0))
+        from repro.core.link import facing_link
+        _CHAOS_LINK.append(facing_link(4.0))
     return _CHAOS_LINK[0]
 
 
