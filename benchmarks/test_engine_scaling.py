@@ -32,7 +32,6 @@ from repro.engine import (
 )
 from repro.engine.shard import run_trials
 from repro.experiments.fig11_ber_cdf import placement_trial
-from repro.telemetry import NullRecorder
 
 from conftest import OUTPUT_DIR, record
 
@@ -49,7 +48,7 @@ def test_sharded_supervised_pool_matches_serial():
     """
     trials = [TrialSpec(index=index, seed=seed) for index, seed
               in enumerate(CampaignPlan.child_seeds(7, 24))]
-    serial = list(run_trials(placement_trial, trials, 24, NullRecorder()))
+    serial = list(run_trials(placement_trial, trials))
     for shards, executor in ((1, None), (4, None),
                              (4, SupervisedPool(jobs=2))):
         outcome = Campaign(placement_trial, 24, master_seed=7,
@@ -68,13 +67,10 @@ def test_resumed_campaign_checkpoint(tmp_path):
         def __init__(self, survive):
             self.survive = survive
 
-        def run_shards(self, trial_fn, shards, of_total,
-                       record_telemetry=False):
+        def run_shards(self, trial_fn, shards):
             from repro.engine import SerialExecutor
 
-            inner = SerialExecutor().run_shards(
-                trial_fn, shards, of_total,
-                record_telemetry=record_telemetry)
+            inner = SerialExecutor().run_shards(trial_fn, shards)
             for count, result in enumerate(inner):
                 if count == self.survive:
                     raise KeyboardInterrupt("killed mid-campaign")

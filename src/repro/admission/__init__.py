@@ -11,11 +11,10 @@ an admission-control engine:
   scan (which now runs on the book), and the only record of the
   channel plans and blocked ranges;
 * :class:`SdmPacker` — online, harmonic-collision-aware packing of
-  arrival bearings into spatial channels, using the exact
-  ``count_harmonic_collisions`` predicate;
+  arrival bearings into spatial channels;
 * :class:`AdmissionController` — the policy ladder (FDM first, SDM
-  escalation, reject) with batched re-admission under interferer sweeps
-  and the ``admission.*`` telemetry family;
+  escalation, reject) with batched re-admission under interferer
+  sweeps;
 * :func:`run_saturation` — the offered-load saturation study
   (blocking probability vs load) as a deterministic, resumable
   :mod:`repro.engine` campaign preset.

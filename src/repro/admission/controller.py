@@ -5,7 +5,7 @@ dedicated FDM channel sized to its rate demand while the band has room
 (§7a), shares a channel through TMA spatial reuse when it does not
 (§7b), and — at "billions of things" scale — is ultimately *blocked*
 when neither works.  :class:`AdmissionController` makes the ladder an
-explicit, instrumented object:
+explicit object:
 
 * ``admit`` walks the ladder once per arriving node and returns a
   :class:`AdmissionDecision` naming the rung it landed on;
@@ -13,11 +13,7 @@ explicit, instrumented object:
   interferer sweep: victims are looked up with an indexed range query,
   all their spectrum is freed first, and only then is each re-admitted
   through the ladder — so early movers cannot steal the slots later
-  victims are about to vacate, and no per-node block/probe loop runs;
-* every transition feeds the ``admission.*`` telemetry family
-  (admitted/blocked/evicted/reallocated counters, occupancy and
-  fragmentation gauges) so saturation studies and chaos runs read the
-  same export.
+  victims are about to vacate, and no per-node block/probe loop runs.
 
 SDM's spectral side is modelled deterministically: spatial channel
 ``i`` of ``C`` maps to the fixed equal slice ``i`` of the managed band.
@@ -32,7 +28,6 @@ from dataclasses import dataclass
 
 from ..network.fdm import ChannelPlan, FdmAllocator, SpectrumExhausted
 from ..network.sdm_scheduler import HARMONIC_COLLISION_RAD
-from ..telemetry import NullRecorder, TelemetryRecorder
 from .sdm import SdmAssignment, SdmPacker
 
 __all__ = ["AdmissionDecision", "ReadmissionReport", "AdmissionController"]
@@ -94,8 +89,7 @@ class AdmissionController:
                  allocator: FdmAllocator | None = None,
                  sdm_channels: int = 8,
                  sdm_threshold_rad: float = HARMONIC_COLLISION_RAD,
-                 sdm_max_probes: int = 16,
-                 telemetry: TelemetryRecorder | None = None):
+                 sdm_max_probes: int = 16):
         if sdm_channels < 1:
             raise ValueError("need at least one SDM channel")
         self.allocator = allocator if allocator is not None \
@@ -103,10 +97,6 @@ class AdmissionController:
         self.sdm = SdmPacker(num_channels=sdm_channels,
                              threshold_rad=sdm_threshold_rad,
                              max_probes=sdm_max_probes)
-        self.telemetry = telemetry if telemetry is not None \
-            else NullRecorder()
-        """Sink for the ``admission.*`` family.  The controller never
-        advances the recorder's clock — the driver owns time."""
         self._nodes: dict[int, _NodeState] = {}
         self._slice_hz = self.allocator.total_bandwidth_hz / sdm_channels
 
@@ -138,12 +128,6 @@ class AdmissionController:
         return ChannelPlan(node_id=node_id, center_hz=center,
                            bandwidth_hz=self._slice_hz)
 
-    def _gauges(self) -> None:
-        tel = self.telemetry
-        tel.gauge("admission.occupancy", self.occupancy)
-        tel.gauge("admission.fragmentation", self.fragmentation)
-        tel.gauge("admission.registered", float(len(self._nodes)))
-
     # --- the ladder -------------------------------------------------------
 
     def _try_fdm(self, node_id: int, rate_bps: float) -> ChannelPlan | None:
@@ -174,7 +158,6 @@ class AdmissionController:
         """
         if node_id in self._nodes:
             raise ValueError(f"node {node_id} is already admitted")
-        tel = self.telemetry
         decision_or_none: AdmissionDecision | None = None
         plan = self._try_fdm(node_id, rate_bps)
         if plan is not None:
@@ -185,14 +168,7 @@ class AdmissionController:
         if decision_or_none is not None:
             self._nodes[node_id] = _NodeState(rate_bps, bearing_rad,
                                               decision_or_none)
-            if tel.enabled:
-                tel.count("admission.admitted_fdm"
-                          if decision_or_none.state == "fdm"
-                          else "admission.admitted_sdm")
-                self._gauges()
             return decision_or_none
-        if tel.enabled:
-            tel.count("admission.blocked")
         return AdmissionDecision(node_id=node_id, state="blocked",
                                  plan=None, sdm=None)
 
@@ -205,10 +181,6 @@ class AdmissionController:
             self.allocator.release(node_id)
         else:
             self.sdm.release(node_id)
-        tel = self.telemetry
-        if tel.enabled:
-            tel.count("admission.released")
-            self._gauges()
 
     # --- batched interference handling ------------------------------------
 
@@ -228,7 +200,7 @@ class AdmissionController:
         A victim that no rung can take is **evicted** (its spectrum
         stays free): under an interferer sweep, keeping nodes parked on
         jammed spectrum only manufactures collisions.  The eviction
-        shows up in the report and the ``admission.evicted`` counter.
+        shows up in the report.
         """
         victims = [plan.node_id for plan
                    in self.allocator.plans_overlapping(low_hz, high_hz)
@@ -240,7 +212,6 @@ class AdmissionController:
         moved: list[int] = []
         spilled: list[int] = []
         evicted: list[int] = []
-        tel = self.telemetry
         for node_id in victims:
             state = self._nodes[node_id]
             plan = self._try_fdm(node_id, state.rate_bps)
@@ -248,27 +219,14 @@ class AdmissionController:
                 state.decision = AdmissionDecision(
                     node_id=node_id, state="fdm", plan=plan, sdm=None)
                 moved.append(node_id)
-                if tel.enabled:
-                    tel.count("admission.reallocated")
                 continue
             decision_or_none = self._try_sdm(node_id, state.bearing_rad)
             if decision_or_none is not None:
                 state.decision = decision_or_none
                 spilled.append(node_id)
-                if tel.enabled:
-                    tel.count("admission.reallocated")
-                    tel.count("admission.sdm_spill")
                 continue
             del self._nodes[node_id]
             evicted.append(node_id)
-            if tel.enabled:
-                tel.count("admission.evicted")
-        if tel.enabled:
-            self._gauges()
-            tel.event("admission.interference", low_hz=low_hz,
-                      high_hz=high_hz, victims=len(victims),
-                      moved=len(moved), spilled=len(spilled),
-                      evicted=len(evicted))
         return ReadmissionReport(victims=tuple(victims),
                                  moved=tuple(moved),
                                  spilled_to_sdm=tuple(spilled),

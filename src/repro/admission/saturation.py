@@ -98,8 +98,8 @@ class SaturationConfig:
         return len(self.loads) * self.replicates
 
     def build_controller(self) -> AdmissionController:
-        """A fresh (telemetry-free) controller per trial — trials must
-        be hermetic for the serial/parallel determinism contract."""
+        """A fresh controller per trial — trials must be hermetic for
+        the serial/parallel determinism contract."""
         kwargs: dict[str, Any] = {}
         if self.band_low_hz is not None:
             kwargs["band_low_hz"] = self.band_low_hz

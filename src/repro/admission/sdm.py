@@ -10,13 +10,13 @@ channel it can join without creating a harmonic collision, or reject.
 
 :class:`SdmPacker` keeps, per spatial channel, the member bearings in a
 sorted ring and admits a node only where both circular neighbours are at
-least ``threshold_rad`` away — the exact pairwise predicate
-:func:`repro.network.sdm_scheduler.count_harmonic_collisions` counts,
-so a packer-built assignment always scores **zero** collisions (a
-property test pins this).  Channel choice is deterministic: the
-least-loaded compatible channel wins (ties to the lowest index), probing
-at most ``max_probes`` candidates — a documented cap that keeps
-admission O(log C) instead of O(C) under heavy load.
+least ``threshold_rad`` away (by default
+:data:`repro.network.sdm_scheduler.HARMONIC_COLLISION_RAD`), so a
+packer-built assignment never holds a harmonic collision (a property
+test pins this).  Channel choice is deterministic: the least-loaded
+compatible channel wins (ties to the lowest index), probing at most
+``max_probes`` candidates — a documented cap that keeps admission
+O(log C) instead of O(C) under heavy load.
 """
 
 from __future__ import annotations
@@ -76,8 +76,8 @@ class SdmPacker:
         """Whether ``bearing`` keeps the channel collision-free.
 
         Checks the two circular neighbours in the sorted bearing ring
-        with the same ``abs(normalize_angle(a - b)) < threshold``
-        predicate ``count_harmonic_collisions`` uses; since members are
+        with the harmonic-collision predicate
+        ``abs(normalize_angle(a - b)) < threshold``; since members are
         pairwise compatible by induction, the neighbours are the only
         candidates that could collide with the newcomer.
         """

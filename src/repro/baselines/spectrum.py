@@ -34,8 +34,6 @@ class WifiChannelModel:
 
     Attributes
     ----------
-    capacity_bps:
-        Channel PHY capacity (e.g. 120 Mbps for clean 802.11n).
     efficiency:
         Fraction of airtime that carries payload once contention,
         preambles and ACKs are paid; 0.6 is generous for dense cells.
@@ -45,21 +43,15 @@ class WifiChannelModel:
         stream can consume 2/6 of the channel, not 2/120.
     """
 
-    capacity_bps: float = 120e6
     efficiency: float = 0.6
     low_rate_phy_bps: float = 6e6
 
     def __post_init__(self):
-        if self.capacity_bps <= 0 or self.low_rate_phy_bps <= 0:
-            raise ValueError("rates must be positive")
+        if self.low_rate_phy_bps <= 0:
+            raise ValueError("PHY rate must be positive")
         if not 0 < self.efficiency <= 1:
             raise ValueError("efficiency must be in (0, 1]")
         self._airtime_used = 0.0
-
-    @property
-    def airtime_used(self) -> float:
-        """Fraction of the channel's usable airtime committed."""
-        return self._airtime_used
 
     def airtime_for(self, offered_load_bps: float,
                     phy_rate_bps: float | None = None) -> float:
@@ -77,10 +69,6 @@ class WifiChannelModel:
             return False
         self._airtime_used += needed
         return True
-
-    def reset(self) -> None:
-        """Release all airtime."""
-        self._airtime_used = 0.0
 
 
 @dataclass

@@ -13,10 +13,9 @@ runs in §9.5).  This package runs them: it turns any
 * **crash-safe** — a :class:`ResultStore` journals each completed shard
   to JSONL with SHA-256 integrity hashes, so a killed campaign resumes
   executing only the unfinished shards;
-* **deterministic** — the merge restores serial trial order and absorbs
-  per-shard telemetry snapshots in shard order, making aggregate
-  results and telemetry exports byte-identical to a serial run for the
-  same master seed and plan;
+* **deterministic** — the merge restores serial trial order, making
+  aggregate results byte-identical to a serial run for the same master
+  seed and plan;
 * **supervised** — the :class:`SupervisedPool` survives worker crashes,
   hangs and corrupt payloads: per-attempt deadlines (absolute and
   adaptive), deterministic exponential backoff, validation of every

@@ -11,16 +11,13 @@ sharded Monte-Carlo campaign:
 3. an optional :class:`~repro.engine.store.ResultStore` journals each
    shard as it completes, so a killed campaign resumes executing *only*
    the unfinished shards;
-4. the merge re-sorts shards into index order and absorbs per-shard
-   telemetry snapshots in shard order — aggregate results and telemetry
-   exports are byte-identical for the same master seed and shard plan,
-   whichever executor ran the shards and however many times the
-   campaign was interrupted and resumed.
+4. the merge re-sorts shards into index order — aggregate results are
+   byte-identical for the same master seed and shard plan, whichever
+   executor ran the shards and however many times the campaign was
+   interrupted and resumed.
 
 Determinism contract: shard count changes *partitioning*, never seeds —
-``num_shards=1`` and ``num_shards=64`` produce identical trial values
-(and identical exports for the engine's own ``sim.trial`` telemetry,
-which records no float-summed histograms across shard boundaries).
+``num_shards=1`` and ``num_shards=64`` produce identical trial values.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..telemetry import NullRecorder, TelemetryRecorder
 from .plan import CampaignPlan
 from .policy import SupervisionReport
 from .pool import SerialExecutor, ShardExecutor
@@ -123,8 +119,7 @@ class Campaign:
     def __init__(self, trial_fn: TrialFn, num_trials: int,
                  master_seed: int = 0, num_shards: int | None = None,
                  executor: ShardExecutor | None = None,
-                 store: ResultStore | str | Path | None = None,
-                 telemetry: TelemetryRecorder | None = None) -> None:
+                 store: ResultStore | str | Path | None = None) -> None:
         self.trial_fn = trial_fn
         self.executor: ShardExecutor = (executor if executor is not None
                                         else SerialExecutor())
@@ -135,15 +130,9 @@ class Campaign:
                                        num_shards=num_shards)
         self.store = (store if isinstance(store, ResultStore)
                       or store is None else ResultStore(store))
-        self.telemetry = (telemetry if telemetry is not None
-                          else NullRecorder())
 
     def run(self) -> CampaignResult:
         """Execute (or resume) the campaign and merge the results.
-
-        Raises :class:`EngineError` when a telemetry-enabled campaign
-        resumes from a journal written without telemetry (the merged
-        export would silently miss the resumed trials).
 
         Under a supervised executor (one exposing a
         :class:`~repro.engine.policy.SupervisionReport` as
@@ -153,7 +142,6 @@ class Campaign:
         whose shards were quarantined returns an explicit
         :class:`PartialCampaignResult` instead of raising.
         """
-        record_telemetry = self.telemetry.enabled
         completed: dict[int, ShardResult] = {}
         if self.store is not None:
             completed = self.store.load_or_create(self.plan)
@@ -161,19 +149,10 @@ class Campaign:
             if callable(attach):
                 attach(self.store.record_attempt)
         resumed = tuple(sorted(completed))
-        if record_telemetry:
-            for shard_id in resumed:
-                if completed[shard_id].telemetry is None:
-                    raise EngineError(
-                        f"shard {shard_id} in the result store was "
-                        "journaled without telemetry; re-run the "
-                        "campaign untraced or start a fresh store")
         pending = [shard for shard in self.plan.shards
                    if shard.shard_id not in completed]
         executed: list[int] = []
-        for result in self.executor.run_shards(
-                self.trial_fn, pending, self.plan.num_trials,
-                record_telemetry=record_telemetry):
+        for result in self.executor.run_shards(self.trial_fn, pending):
             if self.store is not None:
                 self.store.record_shard(result)
             completed[result.shard_id] = result
@@ -215,13 +194,9 @@ class Campaign:
             if shard.shard_id not in completed:
                 continue
             expected_indices.extend(shard.indices)
-            shard_result = completed[shard.shard_id]
-            for index, seed, values in shard_result.trials:
+            for index, seed, values in completed[shard.shard_id].trials:
                 results.append(TrialResult(index=index, seed=seed,
                                            values=values))
-            snapshot = shard_result.telemetry
-            if self.telemetry.enabled and snapshot is not None:
-                self.telemetry.absorb(snapshot)
         results.sort(key=lambda r: r.index)
         if [r.index for r in results] != sorted(expected_indices):
             raise EngineError(

@@ -184,5 +184,4 @@ def corrupt_shard_result(result: ShardResult) -> ShardResult:
         (index + (1_000_000_007 if position == 0 else 0), seed + 1,
          dict(values))
         for position, (index, seed, values) in enumerate(result.trials))
-    return ShardResult(shard_id=result.shard_id, trials=tampered,
-                       telemetry=result.telemetry)
+    return ShardResult(shard_id=result.shard_id, trials=tampered)

@@ -3,18 +3,18 @@
 Two implementations of one tiny protocol (:class:`ShardExecutor`):
 
 * :class:`SerialExecutor` — runs shards in-process, in shard order.
-  The fallback and the reference: campaign results and telemetry under
-  any other executor are pinned byte-identical to this one.
+  The fallback and the reference: campaign results under any other
+  executor are pinned byte-identical to this one.
 * :class:`~repro.engine.supervisor.SupervisedPool` — every
   multi-process run: fans shards out over ``jobs`` worker processes and
   yields results in *completion* order, so the campaign can journal
   each shard the moment it lands (crash-safety) while the final merge
   re-sorts by shard id (determinism).
 
-Workers receive everything they need — the trial function, the shard's
-planned seeds, the campaign trial count — as pickled arguments; they
-consult no global state, no wall clock and no process-local RNG, so a
-shard computes the same result on any worker, any host, any run.
+Workers receive everything they need — the trial function and the
+shard's planned seeds — as pickled arguments; they consult no global
+state, no wall clock and no process-local RNG, so a shard computes the
+same result on any worker, any host, any run.
 """
 
 from __future__ import annotations
@@ -41,9 +41,7 @@ class ShardExecutor(Protocol):
     """The executor contract :class:`~repro.engine.Campaign` drives."""
 
     def run_shards(self, trial_fn: TrialFn,
-                   shards: Sequence[ShardSpec], of_total: int,
-                   record_telemetry: bool = False
-                   ) -> Iterator[ShardResult]:
+                   shards: Sequence[ShardSpec]) -> Iterator[ShardResult]:
         """Execute ``shards``, yielding each result as it completes."""
         ...
 
@@ -57,10 +55,7 @@ class SerialExecutor:
     """
 
     def run_shards(self, trial_fn: TrialFn,
-                   shards: Sequence[ShardSpec], of_total: int,
-                   record_telemetry: bool = False
-                   ) -> Iterator[ShardResult]:
+                   shards: Sequence[ShardSpec]) -> Iterator[ShardResult]:
         """Yield each shard's result immediately after running it."""
         for shard in shards:
-            yield run_shard(trial_fn, shard, of_total,
-                            record_telemetry=record_telemetry)
+            yield run_shard(trial_fn, shard)

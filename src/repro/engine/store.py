@@ -46,7 +46,6 @@ from ..durability.fsck import (
 )
 from ..durability.integrity import canonical_json, digest
 from ..durability.io import FsBackend, append_line, atomic_replace
-from ..telemetry import TelemetrySnapshot
 from .plan import CampaignPlan
 from .policy import FAILURE_KINDS, FailureKind, ShardFailure
 from .shard import ShardResult
@@ -110,14 +109,17 @@ class ResultStore:
                        fs=self.fs)
 
     def record_shard(self, result: ShardResult) -> None:
-        """Journal one completed shard with an integrity hash."""
+        """Journal one completed shard with an integrity hash.
+
+        The ``telemetry`` key is always ``null``; schema 2 keeps it so
+        journals stay byte-identical across versions.
+        """
         payload: dict[str, Any] = {
             "record": "shard",
             "shard_id": result.shard_id,
             "trials": [[index, seed, values]
                        for index, seed, values in result.trials],
-            "telemetry": (None if result.telemetry is None
-                          else result.telemetry.to_dict()),
+            "telemetry": None,
         }
         try:
             payload["integrity"] = digest(payload)
@@ -280,14 +282,11 @@ class ResultStore:
                       ) -> ShardResult:
         """A verified ``shard`` payload -> :class:`ShardResult`."""
         try:
-            telemetry = payload["telemetry"]
             return ShardResult(
                 shard_id=int(payload["shard_id"]),
                 trials=tuple((int(index), int(seed), dict(values))
                              for index, seed, values
                              in payload["trials"]),
-                telemetry=(None if telemetry is None
-                           else TelemetrySnapshot.from_dict(telemetry)),
             )
         except (ValueError, KeyError, TypeError) as exc:
             raise StoreError(

@@ -30,8 +30,7 @@ a supervised campaign in which no fault fires is byte-identical to the
 
 The wall clock appears in exactly one place (the process backend's
 ``now_s``/``sleep``): deadlines and backoff are *executor* concerns,
-measured in real seconds, and never leak into results or sim-time
-telemetry.
+measured in real seconds, and never leak into results.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from concurrent.futures import wait as futures_wait
 from dataclasses import dataclass
 from typing import Protocol
 
-from ..telemetry import NullRecorder, TelemetryRecorder
 from .campaign import EngineError
 from .faults import WorkerFaultSchedule
 from .plan import ShardSpec
@@ -184,13 +182,10 @@ class _ProcessBackend:
     a hung worker costs throughput, never correctness.
     """
 
-    def __init__(self, jobs: int, trial_fn: TrialFn, of_total: int,
-                 record_telemetry: bool,
+    def __init__(self, jobs: int, trial_fn: TrialFn,
                  faults: WorkerFaultSchedule | None) -> None:
         self.jobs = jobs
         self.trial_fn = trial_fn
-        self.of_total = of_total
-        self.record_telemetry = record_telemetry
         self.faults = faults
         self._executor = ProcessPoolExecutor(max_workers=jobs)
         self._live: set[Future[ShardResult]] = set()
@@ -206,8 +201,7 @@ class _ProcessBackend:
 
     def submit(self, shard: ShardSpec, attempt: int) -> object:
         future = self._executor.submit(
-            _execute_attempt, self.trial_fn, shard, self.of_total,
-            self.record_telemetry, attempt, self.faults)
+            _execute_attempt, self.trial_fn, shard, attempt, self.faults)
         self._live.add(future)
         return future
 
@@ -238,15 +232,13 @@ class _ProcessBackend:
             self._live.discard(token)
 
     def run_inline(self, shard: ShardSpec) -> ShardResult:
-        return run_shard(self.trial_fn, shard, self.of_total,
-                         record_telemetry=self.record_telemetry)
+        return run_shard(self.trial_fn, shard)
 
     def close(self) -> None:
         self._executor.shutdown(wait=False, cancel_futures=True)
 
 
-def _execute_attempt(trial_fn: TrialFn, shard: ShardSpec, of_total: int,
-                     record_telemetry: bool, attempt: int,
+def _execute_attempt(trial_fn: TrialFn, shard: ShardSpec, attempt: int,
                      faults: WorkerFaultSchedule | None) -> ShardResult:
     """Worker-process entry point: apply scripted faults, run the shard.
 
@@ -256,8 +248,7 @@ def _execute_attempt(trial_fn: TrialFn, shard: ShardSpec, of_total: int,
     """
     if faults is not None:
         faults.apply_before(shard.shard_id, attempt)
-    result = run_shard(trial_fn, shard, of_total,
-                       record_telemetry=record_telemetry)
+    result = run_shard(trial_fn, shard)
     if faults is not None:
         result = faults.apply_after(result, attempt)
     return result
@@ -284,12 +275,9 @@ class ShardSupervisor:
     """
 
     def __init__(self, policy: SupervisionPolicy,
-                 telemetry: TelemetryRecorder | None = None,
                  failure_sink: Callable[[ShardFailure], None] | None = None
                  ) -> None:
         self.policy = policy
-        self.telemetry = (telemetry if telemetry is not None
-                          else NullRecorder())
         self.failure_sink = failure_sink
         self.report: SupervisionReport | None = None
 
@@ -298,22 +286,16 @@ class ShardSupervisor:
         """Supervise ``shards`` on ``backend``; yield validated results."""
         ledger = _ReportBuilder()
         self.report = None
-        tel = self.telemetry
-        span = tel.begin("engine.supervisor.run",
-                         shards=len(shards)) if tel.enabled else None
         try:
             yield from self._supervise(backend, shards, ledger)
         finally:
             self.report = ledger.build()
-            if span is not None:
-                tel.end(span)
             backend.close()
 
     def _supervise(self, backend: WorkBackend,
                    shards: Sequence[ShardSpec],
                    ledger: _ReportBuilder) -> Iterator[ShardResult]:
         policy = self.policy
-        tel = self.telemetry
         ready: deque[tuple[ShardSpec, int]] = deque(
             (shard, 1) for shard in shards)
         retry: list[tuple[float, int, ShardSpec, int]] = []
@@ -332,13 +314,6 @@ class ShardSupervisor:
             ledger.failures.append(failure)
             if self.failure_sink is not None:
                 self.failure_sink(failure)
-            if tel.enabled:
-                tel.count("engine.supervisor.failures")
-                if kind == "timeout":
-                    tel.count("engine.shard.timeouts")
-                tel.event("engine.supervisor.failure",
-                          shard=shard.shard_id, attempt=attempt,
-                          kind=kind)
             if attempt >= policy.max_attempts:
                 if policy.on_failure == "fail":
                     raise EngineError(
@@ -347,10 +322,8 @@ class ShardSupervisor:
                         f"failure: {kind} ({detail})")
                 quarantined[shard.shard_id] = shard
                 ledger.quarantined.append(shard.shard_id)
-                tel.count("engine.shard.quarantined")
             else:
                 ledger.retries += 1
-                tel.count("engine.shard.retries")
                 retry_seq += 1
                 heapq.heappush(
                     retry, (now + policy.backoff_s(attempt),
@@ -370,7 +343,6 @@ class ShardSupervisor:
                     deadline_s=None if timeout is None
                     else now + timeout)
                 ledger.attempts += 1
-                tel.count("engine.supervisor.attempts")
             wait_s = self._wait_budget(running, retry, backend, now)
             if running:
                 completions = backend.wait(wait_s)
@@ -394,14 +366,6 @@ class ShardSupervisor:
                                  str(exc), now)
                     continue
                 runtimes.append(max(0.0, now - state.started_s))
-                if tel.enabled:
-                    # Wall-clock attempt runtime: the supervisor's own
-                    # recorder is wall-time territory (it measures the
-                    # executor, not the simulation) and is kept apart
-                    # from sim-time campaign telemetry for exactly that
-                    # reason.
-                    tel.observe("engine.supervisor.attempt_runtime_s",
-                                runtimes[-1], least=1e-3)
                 yield completion.result
             expired = [token for token, state in running.items()
                        if state.deadline_s is not None
@@ -447,7 +411,6 @@ class ShardSupervisor:
         worker) but not validation — a shard whose trial function is
         genuinely broken stays quarantined.
         """
-        tel = self.telemetry
         for shard_id in sorted(quarantined):
             shard = quarantined[shard_id]
             # The fallback must outlive any trial-function failure: a
@@ -466,9 +429,6 @@ class ShardSupervisor:
                     self.failure_sink(failure)
                 continue
             ledger.degraded.append(shard_id)
-            if tel.enabled:
-                tel.count("engine.supervisor.degraded")
-                tel.event("engine.supervisor.degraded", shard=shard_id)
             yield result
 
 
@@ -511,9 +471,7 @@ class SupervisedPool:
         self._failure_sink = sink
 
     def run_shards(self, trial_fn: TrialFn,
-                   shards: Sequence[ShardSpec], of_total: int,
-                   record_telemetry: bool = False
-                   ) -> Iterator[ShardResult]:
+                   shards: Sequence[ShardSpec]) -> Iterator[ShardResult]:
         """Supervised shard fan-out; yields results in completion order.
 
         A worker failure does not propagate (unless
@@ -527,8 +485,7 @@ class SupervisedPool:
         if workers == 0:
             self.last_report = _ReportBuilder().build()
             return
-        backend = _ProcessBackend(workers, trial_fn, of_total,
-                                  record_telemetry, self.faults)
+        backend = _ProcessBackend(workers, trial_fn, self.faults)
         supervisor = ShardSupervisor(self.policy,
                                      failure_sink=self._failure_sink)
         try:

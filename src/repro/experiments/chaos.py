@@ -138,7 +138,8 @@ def run_all(seed: int = 0, duration_s: float = 30.0,
     cumulative clock and absorbed in scenario order, so the merged
     timeline matches the serial one span-for-span and event-for-event
     (same ids, nesting, order, values).  Timestamps alone can differ
-    in the last ulp: the serial clock folds float time-steps across
+    in their last ulps (hundreds of them at most, about 1e-11 s for
+    30 s scenarios): the serial clock folds float time-steps across
     scenario boundaries, while the merge computes offset + local time.
     No result store rides along: scenario outcomes are rich objects,
     not JSON rows, and the sweep is seconds long.

@@ -84,9 +84,10 @@ class FaultEvent:
     def __post_init__(self):
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}")
-        if self.start_s < 0:
+        # Written so that NaN fails: every comparison with NaN is False.
+        if not self.start_s >= 0:
             raise ValueError("fault cannot start before the run")
-        if self.duration_s <= 0:
+        if not self.duration_s > 0:
             raise ValueError("fault duration must be positive")
         if self.kind == "stuck_beam" and self.severity not in (0.0, 1.0):
             raise ValueError("stuck_beam severity is the beam index (0 or 1)")

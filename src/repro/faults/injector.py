@@ -14,7 +14,6 @@ instant, from the point of view of a victim on any FDM channel.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import replace
 
@@ -61,7 +60,7 @@ class FaultSchedule:
     """
 
     def __init__(self, events, duration_s: float):
-        if duration_s <= 0:
+        if not duration_s > 0:  # NaN fails too
             raise ValueError("schedule duration must be positive")
         self.events: tuple[FaultEvent, ...] = tuple(
             sorted(events, key=lambda e: (e.start_s, e.kind)))
@@ -69,12 +68,9 @@ class FaultSchedule:
         for event in self.events:
             if event.start_s >= self.duration_s:
                 raise ValueError("event starts after the schedule ends")
-        # A NaN time is no edge: an event with a NaN start or end is
-        # never active, and a NaN query bisects past every edge.
         self._edges = tuple(sorted(
             {time for event in self.events
-             for time in (event.start_s, event.end_s)
-             if not math.isnan(time)}))
+             for time in (event.start_s, event.end_s)}))
         self._segments: tuple[tuple[FaultEvent, ...], ...] = ((),) + tuple(
             tuple(e for e in self.events if e.active_at(edge))
             for edge in self._edges)

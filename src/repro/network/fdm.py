@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..constants import ISM_24GHZ_HIGH_HZ, ISM_24GHZ_LOW_HZ
-from ..telemetry import NullRecorder, TelemetryRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - import-cycle guard
     from ..admission.book import SpectrumBook
@@ -70,8 +69,7 @@ class FdmAllocator:
                  band_high_hz: float = ISM_24GHZ_HIGH_HZ,
                  bandwidth_per_bps: float = 2.0,
                  guard_fraction: float = 0.25,
-                 min_channel_hz: float = 1e6,
-                 telemetry: TelemetryRecorder | None = None):
+                 min_channel_hz: float = 1e6):
         if band_high_hz <= band_low_hz:
             raise ValueError("invalid band edges")
         if bandwidth_per_bps <= 0 or min_channel_hz <= 0:
@@ -83,12 +81,6 @@ class FdmAllocator:
         self.bandwidth_per_bps = bandwidth_per_bps
         self.guard_fraction = guard_fraction
         self.min_channel_hz = min_channel_hz
-        self.telemetry = telemetry if telemetry is not None \
-            else NullRecorder()
-        """Sink for the ``fdm.*`` metric family: allocation-churn
-        counters (allocations / releases / exhausted / blocked_ranges)
-        and the committed-spectrum gauge.  The allocator never touches
-        the recorder's clock — the driver owns time."""
         # Deferred import: repro.admission.controller imports this
         # module back, so a top-level import would cycle.
         from ..admission.book import SpectrumBook
@@ -125,20 +117,13 @@ class FdmAllocator:
         if node_id in self._book:
             raise ValueError(f"node {node_id} already holds a channel")
         width = self.channel_bandwidth_for_rate(demanded_rate_bps)
-        tel = self.telemetry
         cursor = self._book.place(width, self.guard_fraction)
         if cursor is None:
-            if tel.enabled:
-                tel.count("fdm.exhausted")
             raise SpectrumExhausted(
                 f"no room for a {width/1e6:.1f} MHz channel")
         plan = ChannelPlan(node_id=node_id, center_hz=cursor + width / 2.0,
                            bandwidth_hz=width)
         self._book.commit(plan)
-        if tel.enabled:
-            tel.count("fdm.allocations")
-            tel.gauge("fdm.allocated_bandwidth_hz",
-                      self.allocated_bandwidth_hz)
         return plan
 
     # --- interference avoidance ------------------------------------------
@@ -154,8 +139,6 @@ class FdmAllocator:
         if high_hz <= low_hz:
             raise ValueError("invalid blocked range")
         self._book.block(float(low_hz), float(high_hz))
-        if self.telemetry.enabled:
-            self.telemetry.count("fdm.blocked_ranges")
 
     @property
     def blocked_ranges(self) -> tuple[tuple[float, float], ...]:
@@ -190,10 +173,6 @@ class FdmAllocator:
     def release(self, node_id: int) -> None:
         """Return a node's channel to the pool."""
         self._book.release(node_id)
-        if self.telemetry.enabled:
-            self.telemetry.count("fdm.releases")
-            self.telemetry.gauge("fdm.allocated_bandwidth_hz",
-                                 self.allocated_bandwidth_hz)
 
     def plan_for(self, node_id: int) -> ChannelPlan:
         """Look up a node's channel."""

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..rng import ensure_rng
-from ..telemetry import NullRecorder, TelemetryRecorder
 
 __all__ = ["PacketQueue", "UplinkStats", "UplinkSimulator"]
 
@@ -111,8 +110,7 @@ class UplinkSimulator:
                  frame_success_probability: float,
                  queue: PacketQueue | None = None,
                  max_retries: int = 3,
-                 rng: np.random.Generator | None = None,
-                 telemetry: TelemetryRecorder | None = None):
+                 rng: np.random.Generator | None = None):
         if link_rate_bps <= 0 or frame_bits <= 0:
             raise ValueError("link rate and frame size must be positive")
         if not 0.0 <= frame_success_probability <= 1.0:
@@ -125,11 +123,6 @@ class UplinkSimulator:
         self.queue = queue or PacketQueue()
         self.max_retries = max_retries
         self.rng = ensure_rng(rng)
-        self.telemetry = telemetry if telemetry is not None \
-            else NullRecorder()
-        """Sink for the ``mac.*`` metric family (see
-        docs/observability.md); the default :class:`NullRecorder`
-        keeps the hot loop at seed-repo cost."""
 
     @property
     def frame_airtime_s(self) -> float:
@@ -141,8 +134,6 @@ class UplinkSimulator:
         """Simulate a periodic source for ``duration_s`` seconds."""
         if duration_s <= 0 or packet_interval_s <= 0:
             raise ValueError("durations must be positive")
-        tel = self.telemetry
-        queue_drops_before = self.queue.dropped
         offered = 0
         delivered = 0
         arq_lost = 0
@@ -179,36 +170,17 @@ class UplinkSimulator:
                     break
             retransmissions += attempts - 1
             clock = start
-            if tel.enabled:
-                tel.count("mac.frame_attempts", attempts)
             if not success:
                 arq_lost += 1
             elif clock <= duration_s:
                 delivered += 1
                 goodput_bits += size * 8
                 latencies.append(clock - arrival)
-                if tel.enabled:
-                    tel.observe("mac.latency_s", clock - arrival)
         # Every offered packet lands in exactly one bucket: delivered,
         # dropped (tail-drop or ARQ exhaustion), or expired (missed the
         # deadline — still queued, or completed after the window).
         dropped = self.queue.dropped + arq_lost
         expired = offered - delivered - dropped
-        if tel.enabled:
-            # The uplink window just simulated advances the shared
-            # telemetry timeline; counters use per-run deltas so a
-            # reused queue's history is not double-counted.
-            tel.clock.advance(duration_s)
-            tel.count("mac.frames_offered", offered)
-            tel.count("mac.frames_delivered", delivered)
-            tel.count("mac.frames_arq_lost", arq_lost)
-            tel.count("mac.frames_expired", expired)
-            tel.count("mac.queue_drops",
-                      self.queue.dropped - queue_drops_before)
-            tel.count("mac.retransmissions", retransmissions)
-            tel.event("mac.run", duration_s=duration_s,
-                      offered=offered, delivered=delivered,
-                      goodput_bps=goodput_bits / duration_s)
         return UplinkStats(
             offered_packets=offered,
             delivered_packets=delivered,

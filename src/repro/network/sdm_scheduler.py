@@ -19,58 +19,15 @@ import numpy as np
 
 from ..sim.geometry import normalize_angle
 from ..sim.placement import Placement
-from ..telemetry import TelemetryRecorder
 
 __all__ = ["arrival_bearing_rad", "RoundRobinScheduler",
            "AngularSdmScheduler", "assignment_min_separation_rad",
-           "count_harmonic_collisions", "HARMONIC_COLLISION_RAD"]
+           "HARMONIC_COLLISION_RAD"]
 
 HARMONIC_COLLISION_RAD = math.radians(10.0)
 """Co-channel pairs closer than this arrival-bearing gap sit inside
-each other's TMA harmonic beam — the scheduler's failure mode the
-``sdm.harmonic_collisions`` counter tracks."""
-
-
-def count_harmonic_collisions(placements: list[Placement],
-                              channels: list[int],
-                              threshold_rad: float = HARMONIC_COLLISION_RAD
-                              ) -> int:
-    """Co-channel pairs whose angular gap is below ``threshold_rad``.
-
-    Each such pair is a harmonic collision: the TMA cannot separate the
-    two directions, so their uplinks interfere at full strength.
-    """
-    if len(placements) != len(channels):
-        raise ValueError("one channel per placement required")
-    if threshold_rad <= 0:
-        raise ValueError("threshold must be positive")
-    bearings = [arrival_bearing_rad(p) for p in placements]
-    collisions = 0
-    for i in range(len(placements)):
-        for j in range(i + 1, len(placements)):
-            if channels[i] != channels[j]:
-                continue
-            if abs(normalize_angle(bearings[i] - bearings[j])) \
-                    < threshold_rad:
-                collisions += 1
-    return collisions
-
-
-def _record_assignment(telemetry: TelemetryRecorder | None,
-                       placements: list[Placement],
-                       channels: list[int]) -> None:
-    """Emit the ``sdm.*`` family for one completed assignment."""
-    if telemetry is None or not telemetry.enabled:
-        return
-    telemetry.count("sdm.assignments")
-    telemetry.count("sdm.nodes", len(placements))
-    if placements:
-        telemetry.gauge(
-            "sdm.min_separation_rad",
-            assignment_min_separation_rad(placements, channels))
-        collisions = count_harmonic_collisions(placements, channels)
-        if collisions:
-            telemetry.count("sdm.harmonic_collisions", collisions)
+each other's TMA harmonic beam, so their uplinks interfere at full
+strength (a harmonic collision)."""
 
 
 def arrival_bearing_rad(placement: Placement) -> float:
@@ -87,20 +44,11 @@ class RoundRobinScheduler:
 
     num_channels: int
 
-    def assign(self, placements: list[Placement],
-               telemetry: TelemetryRecorder | None = None) -> list[int]:
-        """Ignore geometry entirely.
-
-        ``telemetry`` (optional) receives the ``sdm.*`` family — the
-        assignment count, node count, worst-pair separation gauge and
-        harmonic-collision counter — for churn comparisons against the
-        angular policy.
-        """
+    def assign(self, placements: list[Placement]) -> list[int]:
+        """Ignore geometry entirely."""
         if self.num_channels < 1:
             raise ValueError("need at least one channel")
-        channels = [i % self.num_channels for i in range(len(placements))]
-        _record_assignment(telemetry, placements, channels)
-        return channels
+        return [i % self.num_channels for i in range(len(placements))]
 
 
 @dataclass(frozen=True)
@@ -116,15 +64,8 @@ class AngularSdmScheduler:
 
     num_channels: int
 
-    def assign(self, placements: list[Placement],
-               telemetry: TelemetryRecorder | None = None) -> list[int]:
-        """Channel index per placement (same order as the input).
-
-        ``telemetry`` (optional) receives the ``sdm.*`` family
-        (assignment/node counters, the worst-pair separation gauge and
-        the harmonic-collision counter) so scheduler churn shows up in
-        the same export as the rest of the stack.
-        """
+    def assign(self, placements: list[Placement]) -> list[int]:
+        """Channel index per placement (same order as the input)."""
         if self.num_channels < 1:
             raise ValueError("need at least one channel")
         n = len(placements)
@@ -136,7 +77,6 @@ class AngularSdmScheduler:
             # different channels, so co-channel partners sit C ranks
             # apart — the widest achievable worst-pair separation.
             channels[int(idx)] = rank % self.num_channels
-        _record_assignment(telemetry, placements, channels)
         return channels
 
 

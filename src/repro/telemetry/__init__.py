@@ -1,22 +1,22 @@
 """``repro.telemetry`` — sim-time observability for the whole stack.
 
 The repo's simulations used to report only end-of-run aggregates; this
-package adds the instrumentation layer mmX's own evaluation (§9) is
-built on: per-event counters, last-value gauges, exponential-bucket
-latency histograms, and spans measured in **simulated seconds** — never
-wall time, so every export regenerates byte-identically from a seed.
+package adds an instrumentation layer for the chaos, resilience and
+cluster runs: per-event counters, last-value gauges, point events, and
+spans measured in **simulated seconds** — never wall time, so every
+export regenerates byte-identically from a seed.
 
 Pieces
 ------
 ``clock``     :class:`SimClock` — the simulated-time source of truth
-``metrics``   :class:`Counter` / :class:`Gauge` / :class:`Histogram`
-              behind a :class:`MetricsRegistry`
+``metrics``   :class:`Counter` / :class:`Gauge` behind a
+              :class:`MetricsRegistry`
 ``tracer``    :class:`Tracer` — scoped and cross-step spans
 ``recorder``  the facade: :class:`Recorder` records,
               :class:`NullRecorder` (the default everywhere) costs ~0
-``snapshot``  :class:`TelemetrySnapshot` — serializable capture of one
+``snapshot``  :class:`TelemetrySnapshot` — picklable capture of one
               recorder, merged across processes via ``Recorder.absorb``
-``export``    deterministic JSONL / CSV / flamegraph exporters
+``export``    deterministic JSONL / flamegraph exporters
 ``summary``   per-subsystem tables for ``repro telemetry summarize``
 
 Usage
@@ -30,14 +30,10 @@ Usage
 """
 
 from .clock import SimClock
-from .export import (
-    collapsed_stacks,
-    to_csv,
-    to_jsonl_lines,
-)
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .export import collapsed_stacks, to_jsonl_lines
+from .metrics import Counter, Gauge, MetricsRegistry
 from .recorder import EventRecord, NullRecorder, Recorder, TelemetryRecorder
-from .snapshot import SNAPSHOT_SCHEMA_VERSION, TelemetrySnapshot
+from .snapshot import TelemetrySnapshot
 from .summary import (
     SpanStats,
     SubsystemSummary,
@@ -55,11 +51,9 @@ __all__ = [
     "Counter",
     "EventRecord",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NullRecorder",
     "Recorder",
-    "SNAPSHOT_SCHEMA_VERSION",
     "SimClock",
     "SpanRecord",
     "SpanStats",
@@ -74,6 +68,5 @@ __all__ = [
     "render",
     "spans_to_collapsed",
     "summarize",
-    "to_csv",
     "to_jsonl_lines",
 ]

@@ -1,4 +1,4 @@
-"""Deterministic JSONL / CSV / collapsed-stack exporters.
+"""Deterministic JSONL and collapsed-stack exporters.
 
 Exports are a *replayable artifact*: two runs of the same code with the
 same seed must produce byte-identical files (the hypothesis test in
@@ -13,8 +13,8 @@ could wobble is nailed down:
   every line is strict JSON.
 
 The JSONL layout is one self-describing object per line with a
-``record`` discriminator: ``meta``, ``counter``, ``gauge``,
-``histogram``, ``span``, ``event``.  ``collapsed_stacks`` renders
+``record`` discriminator: ``meta``, ``counter``, ``gauge``, ``span``,
+``event``.  ``collapsed_stacks`` renders
 finished spans in the Brendan-Gregg collapsed format
 (``root;child value``) that flamegraph tooling consumes, with values in
 simulated microseconds.
@@ -29,8 +29,7 @@ from typing import Any
 from .recorder import Recorder
 from .tracer import SpanRecord
 
-__all__ = ["EXPORT_FORMAT_VERSION", "collapsed_stacks", "to_csv",
-           "to_jsonl_lines"]
+__all__ = ["EXPORT_FORMAT_VERSION", "collapsed_stacks", "to_jsonl_lines"]
 
 EXPORT_FORMAT_VERSION = 1
 """Bump on any change to the JSONL line layout."""
@@ -64,14 +63,6 @@ def to_jsonl_lines(recorder: Recorder) -> list[str]:
     for gauge in recorder.metrics.gauges():
         lines.append(_dumps({"record": "gauge", "name": gauge.name,
                              "value": gauge.value}))
-    for histogram in recorder.metrics.histograms():
-        lines.append(_dumps({
-            "record": "histogram", "name": histogram.name,
-            "count": histogram.count, "sum": histogram.total,
-            "min": histogram.min if histogram.count else None,
-            "max": histogram.max if histogram.count else None,
-            "buckets": [[upper, count]
-                        for upper, count in histogram.buckets()]}))
     for span in recorder.tracer.finished:
         lines.append(_dumps({
             "record": "span", "id": span.span_id, "name": span.name,
@@ -82,45 +73,6 @@ def to_jsonl_lines(recorder: Recorder) -> list[str]:
                              "time_s": event.time_s,
                              "fields": event.fields}))
     return lines
-
-
-def to_csv(recorder: Recorder) -> str:
-    """A flat CSV view: ``record,name,time_s,value,detail`` rows.
-
-    Spreadsheets cannot ingest nested JSON; this projection keeps one
-    row per telemetry item with the distribution/attribute detail
-    packed into the final column.
-    """
-    rows = ["record,name,time_s,value,detail"]
-
-    def cell(value: Any) -> str:
-        text = "" if value is None else str(value)
-        if any(c in text for c in ",\"\n"):
-            text = '"' + text.replace('"', '""') + '"'
-        return text
-
-    for counter in recorder.metrics.counters():
-        rows.append(f"counter,{cell(counter.name)},,{counter.value},")
-    for gauge in recorder.metrics.gauges():
-        value = _json_safe(gauge.value)
-        rows.append(f"gauge,{cell(gauge.name)},,"
-                    f"{'' if value is None else value},")
-    for histogram in recorder.metrics.histograms():
-        detail = (f"sum={histogram.total};mean={histogram.mean};"
-                  f"min={histogram.min if histogram.count else ''};"
-                  f"max={histogram.max if histogram.count else ''}")
-        rows.append(f"histogram,{cell(histogram.name)},,"
-                    f"{histogram.count},{cell(detail)}")
-    for span in recorder.tracer.finished:
-        detail = f"id={span.span_id};parent={span.parent_id}"
-        rows.append(f"span,{cell(span.name)},{span.start_s},"
-                    f"{span.duration_s},{cell(detail)}")
-    for event in recorder.events:
-        detail = ";".join(f"{k}={_json_safe(v)}"
-                          for k, v in sorted(event.fields.items()))
-        rows.append(f"event,{cell(event.name)},{event.time_s},,"
-                    f"{cell(detail)}")
-    return "\n".join(rows) + "\n"
 
 
 def collapsed_stacks(spans: list[SpanRecord]) -> list[str]:

@@ -2,9 +2,8 @@
 
 Components never import the registry or tracer directly; they take an
 optional ``telemetry`` argument typed as :class:`TelemetryRecorder` and
-call five verbs — :meth:`~TelemetryRecorder.count`,
-:meth:`~TelemetryRecorder.gauge`, :meth:`~TelemetryRecorder.observe`,
-:meth:`~TelemetryRecorder.event` and
+call four verbs — :meth:`~TelemetryRecorder.count`,
+:meth:`~TelemetryRecorder.gauge`, :meth:`~TelemetryRecorder.event` and
 :meth:`~TelemetryRecorder.span`/:meth:`~TelemetryRecorder.begin`/
 :meth:`~TelemetryRecorder.end`.  Two implementations exist:
 
@@ -27,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .clock import SimClock
-from .metrics import Histogram, MetricsRegistry
+from .metrics import MetricsRegistry
 from .tracer import ActiveSpan, Primitive, Tracer
 
 if TYPE_CHECKING:  # imported lazily to avoid a snapshot<->recorder cycle
@@ -84,11 +83,6 @@ class TelemetryRecorder:
         """Set the gauge ``name`` to ``value`` (no-op here)."""
         return None
 
-    def observe(self, name: str, value: float, least: float = 1e-6,
-                growth: float = 2.0) -> None:
-        """Record ``value`` into the histogram ``name`` (no-op here)."""
-        return None
-
     def event(self, name: str, **fields: Primitive) -> None:
         """Log a point event at the clock's current instant (no-op here)."""
         return None
@@ -142,12 +136,6 @@ class Recorder(TelemetryRecorder):
         """Set the gauge ``name`` to ``value``."""
         self.metrics.gauge(name).set(value)
 
-    def observe(self, name: str, value: float, least: float = 1e-6,
-                growth: float = 2.0) -> None:
-        """Record one observation into the histogram ``name``."""
-        self.metrics.histogram(name, least=least, growth=growth) \
-            .observe(value)
-
     def event(self, name: str, **fields: Primitive) -> None:
         """Append a point event stamped with the current sim time."""
         self.events.append(EventRecord(
@@ -171,29 +159,19 @@ class Recorder(TelemetryRecorder):
         """Merge a :class:`~repro.telemetry.snapshot.TelemetrySnapshot`
         captured from another recorder (typically in a worker process).
 
-        Counters add, gauges take the snapshot's last value, histograms
-        merge bucket-by-bucket, spans are renumbered onto this tracer's
-        id sequence (:meth:`~repro.telemetry.tracer.Tracer.absorb`),
-        events append in recorded order, and the clock advances to the
-        snapshot's final instant.  Absorbing shard snapshots in shard
-        order therefore reproduces exactly the state one shared
-        recorder would have reached serially.
+        Counters add, gauges take the snapshot's last value, spans are
+        renumbered onto this tracer's id sequence
+        (:meth:`~repro.telemetry.tracer.Tracer.absorb`), events append
+        in recorded order, and the clock advances to the snapshot's
+        final instant.  Absorbing scenario snapshots in scenario order
+        therefore reproduces the state one shared recorder would have
+        reached serially.
         """
         for name, value in snapshot.counters:
             self.metrics.counter(name).inc(value)
         for name, gauge_value in snapshot.gauges:
             if gauge_value is not None:
                 self.metrics.gauge(name).set(gauge_value)
-        for spec in snapshot.histograms:
-            source = Histogram.from_state(
-                str(spec["name"]), least=float(spec["least"]),
-                growth=float(spec["growth"]), count=int(spec["count"]),
-                total=float(spec["total"]),
-                min_value=spec["min"], max_value=spec["max"],
-                bucket_counts={int(i): int(n)
-                               for i, n in spec["buckets"].items()})
-            self.metrics.histogram(source.name, least=source.least,
-                                   growth=source.growth).absorb(source)
         self.tracer.absorb(snapshot.span_records())
         self.events.extend(snapshot.event_records())
         self.clock.advance_to(snapshot.clock_s)

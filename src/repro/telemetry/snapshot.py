@@ -1,23 +1,22 @@
-"""Serializable telemetry snapshots for cross-process merging.
+"""Picklable telemetry snapshots for cross-process merging.
 
-A :class:`Recorder` lives in one process; a sharded Monte-Carlo campaign
-(:mod:`repro.engine`) runs trials in *worker* processes, each with its
-own recorder.  :class:`TelemetrySnapshot` is the bridge: it captures
-everything a worker recorded as plain JSON-safe primitives, travels back
-over the pickle/JSONL boundary, and is absorbed into the campaign's
-recorder with :meth:`Recorder.absorb`.
+A :class:`Recorder` lives in one process; a parallel chaos sweep
+(:func:`repro.experiments.chaos.run_all` with an executor) runs its
+scenarios in *worker* processes, each with its own recorder.
+:class:`TelemetrySnapshot` is the bridge: it captures everything a
+worker recorded as plain primitives, travels back over the pickle
+boundary, and is absorbed into the sweep's recorder with
+:meth:`Recorder.absorb`.
 
-The merge discipline is what keeps exports byte-identical to a serial
-run.  Snapshots are absorbed in shard order (global trial order), and:
+The merge discipline is what keeps exports matching a serial run.
+Snapshots are absorbed in scenario order, and:
 
 * spans are renumbered onto the target tracer's id sequence in *begin*
   order, then appended in *completion* order — exactly the ids and
   ordering one shared tracer would have assigned;
 * events are appended in recorded order with their recorded sim-time
   stamps;
-* counters add, gauges last-write-wins in absorb order, histograms
-  merge bucket-by-bucket (the layouts match because both sides name the
-  same instrument);
+* counters add, gauges last-write-wins in absorb order;
 * the target clock advances to the latest instant the snapshot saw
   (:meth:`~repro.telemetry.clock.SimClock.advance_to` keeps it
   monotone).
@@ -31,11 +30,7 @@ from typing import Any
 from .recorder import EventRecord, Recorder
 from .tracer import Primitive, SpanRecord
 
-__all__ = ["SNAPSHOT_SCHEMA_VERSION", "TelemetrySnapshot"]
-
-SNAPSHOT_SCHEMA_VERSION = 1
-"""Bump on any change to the snapshot dict layout; ``from_dict``
-refuses unknown schemas rather than misreading them."""
+__all__ = ["TelemetrySnapshot"]
 
 
 def _primitive(value: Any) -> Primitive:
@@ -51,21 +46,15 @@ class TelemetrySnapshot:
     """One recorder's complete contents as plain primitives.
 
     Everything is a tuple/dict of JSON scalars, so a snapshot pickles
-    across process boundaries and round-trips through the engine's
-    JSONL result store without loss.
+    across process boundaries without loss.
     """
 
-    schema_version: int = SNAPSHOT_SCHEMA_VERSION
     clock_s: float = 0.0
     counters: tuple[tuple[str, float], ...] = ()
     """Name-sorted ``(name, value)`` pairs."""
 
     gauges: tuple[tuple[str, float | None], ...] = ()
     """Name-sorted ``(name, last_value)`` pairs."""
-
-    histograms: tuple[dict[str, Any], ...] = field(default_factory=tuple)
-    """Name-sorted dicts: name, least, growth, count, total, min, max,
-    and the sparse ``{bucket_index: count}`` map."""
 
     spans: tuple[dict[str, Any], ...] = field(default_factory=tuple)
     """Finished spans in completion order, with the source tracer's
@@ -83,14 +72,6 @@ class TelemetrySnapshot:
                          for c in recorder.metrics.counters())
         gauges = tuple((g.name, g.value)
                        for g in recorder.metrics.gauges())
-        histograms = tuple(
-            {"name": h.name, "least": h.least, "growth": h.growth,
-             "count": h.count, "total": h.total,
-             "min": h.min if h.count else None,
-             "max": h.max if h.count else None,
-             "buckets": {str(i): n
-                         for i, n in sorted(h.bucket_counts().items())}}
-            for h in recorder.metrics.histograms())
         spans = tuple(
             {"id": s.span_id, "name": s.name, "start_s": s.start_s,
              "end_s": s.end_s, "parent": s.parent_id,
@@ -100,57 +81,15 @@ class TelemetrySnapshot:
             {"time_s": e.time_s, "name": e.name,
              "fields": {k: _primitive(v) for k, v in e.fields.items()}}
             for e in recorder.events)
-        return cls(schema_version=SNAPSHOT_SCHEMA_VERSION,
-                   clock_s=recorder.clock.now_s, counters=counters,
-                   gauges=gauges, histograms=histograms, spans=spans,
-                   events=events)
-
-    # --- serialisation ----------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        """Serialise to a JSON-safe dict (tuples become lists)."""
-        return {
-            "schema_version": self.schema_version,
-            "clock_s": self.clock_s,
-            "counters": [list(pair) for pair in self.counters],
-            "gauges": [list(pair) for pair in self.gauges],
-            "histograms": [dict(h) for h in self.histograms],
-            "spans": [dict(s) for s in self.spans],
-            "events": [dict(e) for e in self.events],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> TelemetrySnapshot:
-        """Deserialise, verifying the schema version."""
-        if not isinstance(data, dict):
-            raise ValueError("telemetry snapshot must be a dict")
-        version = data.get("schema_version")
-        if version != SNAPSHOT_SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported telemetry snapshot schema {version!r} "
-                f"(this build reads {SNAPSHOT_SCHEMA_VERSION})")
-        try:
-            return cls(
-                schema_version=int(version),
-                clock_s=float(data["clock_s"]),
-                counters=tuple((str(n), float(v))
-                               for n, v in data["counters"]),
-                gauges=tuple(
-                    (str(n), None if v is None else float(v))
-                    for n, v in data["gauges"]),
-                histograms=tuple(dict(h) for h in data["histograms"]),
-                spans=tuple(dict(s) for s in data["spans"]),
-                events=tuple(dict(e) for e in data["events"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"malformed telemetry snapshot: {exc}") from exc
+        return cls(clock_s=recorder.clock.now_s, counters=counters,
+                   gauges=gauges, spans=spans, events=events)
 
     # --- merge ------------------------------------------------------------
 
     def shifted(self, offset_s: float) -> TelemetrySnapshot:
         """A copy with every timestamp moved ``offset_s`` later.
 
-        Workers record on private clocks that start at zero; a campaign
+        Workers record on private clocks that start at zero; a sweep
         that wants worker timelines to *stack* (the way serial drivers
         sharing one recorder accumulate a cumulative axis) shifts each
         snapshot to the merge clock's current instant before absorbing
@@ -167,10 +106,8 @@ class TelemetrySnapshot:
         events = tuple(dict(e, time_s=float(e["time_s"]) + offset_s)
                        for e in self.events)
         return TelemetrySnapshot(
-            schema_version=self.schema_version,
             clock_s=self.clock_s + offset_s, counters=self.counters,
-            gauges=self.gauges, histograms=self.histograms,
-            spans=spans, events=events)
+            gauges=self.gauges, spans=spans, events=events)
 
     def span_records(self) -> list[SpanRecord]:
         """The snapshot's spans as :class:`SpanRecord` objects.

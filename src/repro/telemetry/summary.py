@@ -75,7 +75,6 @@ class SubsystemSummary:
     name: str
     counters: dict[str, float] = field(default_factory=dict)
     gauges: dict[str, float | None] = field(default_factory=dict)
-    histograms: dict[str, dict[str, Any]] = field(default_factory=dict)
     spans: dict[str, SpanStats] = field(default_factory=dict)
     events: dict[str, int] = field(default_factory=dict)
 
@@ -96,7 +95,11 @@ class TelemetrySummary:
 
 
 def summarize(records: list[dict[str, Any]]) -> TelemetrySummary:
-    """Fold parsed JSONL records into a :class:`TelemetrySummary`."""
+    """Fold parsed JSONL records into a :class:`TelemetrySummary`.
+
+    A record of any other kind (say, the ``histogram`` lines older
+    exports carry) is skipped.
+    """
     summary = TelemetrySummary()
     for record in records:
         kind = record["record"]
@@ -104,7 +107,7 @@ def summarize(records: list[dict[str, Any]]) -> TelemetrySummary:
             summary.clock_s = float(record.get("clock_s") or 0.0)
             continue
         name = str(record.get("name", ""))
-        if not name:
+        if not name or kind not in ("counter", "gauge", "span", "event"):
             continue
         bucket = summary.subsystem(subsystem_of(name))
         if kind == "counter":
@@ -112,16 +115,6 @@ def summarize(records: list[dict[str, Any]]) -> TelemetrySummary:
         elif kind == "gauge":
             value = record["value"]
             bucket.gauges[name] = None if value is None else float(value)
-        elif kind == "histogram":
-            count = int(record["count"])
-            total = float(record["sum"])
-            bucket.histograms[name] = {
-                "count": count,
-                "sum": total,
-                "mean": total / count if count else 0.0,
-                "min": record.get("min"),
-                "max": record.get("max"),
-            }
         elif kind == "span":
             stats = bucket.spans.get(name)
             if stats is None:
@@ -159,16 +152,6 @@ def render(summary: TelemetrySummary) -> str:
             for metric in sorted(bucket.gauges):
                 lines.append(f"    {metric:<42} "
                              f"{_fmt(bucket.gauges[metric]):>12}")
-        if bucket.histograms:
-            lines.append("  histograms"
-                         + " " * 22 + f"{'count':>8} {'mean':>10} "
-                         f"{'min':>10} {'max':>10}")
-            for metric in sorted(bucket.histograms):
-                h = bucket.histograms[metric]
-                lines.append(
-                    f"    {metric:<28} {_fmt(h['count']):>8} "
-                    f"{_fmt(h['mean']):>10} {_fmt(h['min']):>10} "
-                    f"{_fmt(h['max']):>10}")
         if bucket.spans:
             lines.append("  spans" + " " * 27
                          + f"{'count':>8} {'total_s':>10} "

@@ -13,17 +13,11 @@ from collections.abc import Iterator
 
 from repro.engine import CampaignPlan, TrialFn, TrialResult, TrialSpec
 from repro.engine.shard import run_trials
-from repro.telemetry import NullRecorder, TelemetryRecorder
 
 
 def serial_trials(trial_fn: TrialFn, num_trials: int,
-                  master_seed: int = 0,
-                  telemetry: TelemetryRecorder | None = None
-                  ) -> Iterator[TrialResult]:
+                  master_seed: int = 0) -> Iterator[TrialResult]:
     """Yield each trial's result in index order as soon as it lands."""
     seeds = CampaignPlan.child_seeds(master_seed, num_trials)
-    trials = [TrialSpec(index=index, seed=seed)
-              for index, seed in enumerate(seeds)]
-    return run_trials(trial_fn, trials, num_trials,
-                      telemetry if telemetry is not None
-                      else NullRecorder())
+    return run_trials(trial_fn, [TrialSpec(index=index, seed=seed)
+                                 for index, seed in enumerate(seeds)])

@@ -9,9 +9,10 @@ The load-bearing claims:
   sequences of allocates / releases / blocks);
 * occupancy accounting never drifts: the book's incremental ``free_hz``
   always equals the brute-force complement of the live plans + blocks;
-* the SDM packer never admits a harmonic collision (the exact
-  :func:`~repro.network.sdm_scheduler.count_harmonic_collisions`
-  predicate over every admitted pair);
+* the SDM packer never admits a harmonic collision (co-channel
+  bearings closer than
+  :data:`~repro.network.sdm_scheduler.HARMONIC_COLLISION_RAD`, checked
+  over every admitted pair);
 * the saturation campaign is byte-identical serial vs supervised
   parallel at a fixed master seed.
 """
@@ -35,7 +36,6 @@ from repro.admission import (
 from repro.network.fdm import ChannelPlan, FdmAllocator, SpectrumExhausted
 from repro.network.sdm_scheduler import HARMONIC_COLLISION_RAD
 from repro.sim.geometry import normalize_angle
-from repro.telemetry import Recorder
 
 
 class ReferenceFirstFit:
@@ -215,8 +215,8 @@ class TestSdmPacker:
             assignment = packer.admit(node_id, bearing)
             if assignment is not None:
                 admitted.append(assignment)
-        # The exact count_harmonic_collisions predicate over every
-        # admitted co-channel pair: zero collisions, always.
+        # The harmonic-collision predicate over every admitted
+        # co-channel pair: zero collisions, always.
         for i, a in enumerate(admitted):
             for b in admitted[i + 1:]:
                 if a.channel_index != b.channel_index:
@@ -313,20 +313,6 @@ class TestAdmissionLadder:
         assert ctrl.occupancy == pytest.approx(0.5)
         assert 0.0 <= ctrl.fragmentation <= 1.0
 
-    def test_telemetry_counters(self):
-        tel = Recorder()
-        ctrl = self._tiny(telemetry=tel)
-        ctrl.admit(0, 100.0, bearing_rad=0.0)   # fdm
-        ctrl.admit(1, 10.0, bearing_rad=1.0)    # sdm spill
-        ctrl.admit(2, 10.0)                     # blocked (no bearing)
-        ctrl.release(0)
-        counters = {c.name: c.value for c in tel.metrics.counters()}
-        assert counters["admission.admitted_fdm"] == 1
-        assert counters["admission.admitted_sdm"] == 1
-        assert counters["admission.blocked"] == 1
-        assert counters["admission.released"] == 1
-
-
 class TestBatchedReadmission:
     def _tiny(self, **kwargs) -> AdmissionController:
         alloc = FdmAllocator(band_low_hz=0.0, band_high_hz=100.0,
@@ -373,17 +359,6 @@ class TestBatchedReadmission:
         assert report.evicted == (1,)
         assert ctrl.decision_for(0).state == "sdm"
         assert not _is_admitted(ctrl, 1)
-
-    def test_interference_telemetry(self):
-        tel = Recorder()
-        ctrl = self._tiny(sdm_channels=2, telemetry=tel)
-        ctrl.admit(0, 60.0, bearing_rad=0.0)
-        ctrl.admit(1, 30.0)
-        ctrl.mark_interference(0.0, 100.0)
-        counters = {c.name: c.value for c in tel.metrics.counters()}
-        assert counters["admission.sdm_spill"] == 1
-        assert counters["admission.evicted"] == 1
-
 
 class TestSaturationCampaign:
     def test_serial_vs_supervised_byte_identical(self):

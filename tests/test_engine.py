@@ -4,8 +4,7 @@ The load-bearing guarantees under test:
 
 * the engine's seed derivation is a plain serial sweep's, so campaign
   trials see the exact RNG streams one unsharded trial loop would;
-* results and merged telemetry exports are byte-identical across shard
-  counts and executors;
+* results are byte-identical across shard counts and executors;
 * a killed campaign resumes from its journal executing only the
   unfinished shards, and a journal that does not match the campaign
   (different plan, interior corruption) is rejected instead of mixed in.
@@ -14,7 +13,6 @@ The load-bearing guarantees under test:
 from __future__ import annotations
 
 import functools
-import gc
 import json
 import time
 from pathlib import Path
@@ -22,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.durability.integrity import canonical_json, digest
 from repro.engine import (
     Campaign,
     CampaignPlan,
@@ -34,8 +33,6 @@ from repro.engine import (
     SupervisionPolicy,
     run_shard,
 )
-from repro.telemetry import Recorder
-from repro.telemetry.export import to_jsonl_lines
 
 from .engine_reference import serial_trials
 
@@ -118,24 +115,14 @@ class TestRunShard:
     def test_values_and_specs_round_trip(self):
         plan = CampaignPlan.build(master_seed=3, num_trials=4,
                                   num_shards=2)
-        result = run_shard(uniform_trial, plan.shards[1], 4)
+        result = run_shard(uniform_trial, plan.shards[1])
         assert result.shard_id == 1
         assert [index for index, _, _ in result.trials] == [2, 3]
-        assert result.telemetry is None
 
     def test_non_dict_values_rejected(self):
         plan = CampaignPlan.build(num_trials=1, num_shards=1)
         with pytest.raises(TypeError):
-            run_shard(non_dict_trial, plan.shards[0], 1)
-
-    def test_telemetry_snapshot_captured_on_request(self):
-        plan = CampaignPlan.build(num_trials=3, num_shards=1)
-        result = run_shard(uniform_trial, plan.shards[0], 3,
-                           record_telemetry=True)
-        assert result.telemetry is not None
-        names = [s["name"] for s in result.telemetry.spans]
-        assert names == ["sim.trial"] * 3
-
+            run_shard(non_dict_trial, plan.shards[0])
 
 class TestCampaignDeterminism:
     def test_matches_plain_runner_exactly(self):
@@ -156,25 +143,6 @@ class TestCampaignDeterminism:
                           executor=SupervisedPool(jobs=2)).run()
         assert [r.values for r in pooled.results] \
             == [r.values for r in reference.results]
-
-    @pytest.mark.parametrize("executor", [
-        pytest.param(SerialExecutor, id="serial"),
-        pytest.param(functools.partial(SupervisedPool, jobs=2),
-                     id="supervised"),
-    ])
-    @pytest.mark.parametrize("shards", [1, 3, 8])
-    def test_merged_telemetry_export_is_byte_identical(self, executor,
-                                                        shards):
-        tel_serial = Recorder()
-        streamed = list(serial_trials(uniform_trial, 8, master_seed=5,
-                                      telemetry=tel_serial))
-        tel_campaign = Recorder()
-        outcome = Campaign(uniform_trial, 8, master_seed=5,
-                           num_shards=shards, executor=executor(),
-                           telemetry=tel_campaign).run()
-        assert [(r.index, r.seed, r.values) for r in outcome.results] \
-            == [(r.index, r.seed, r.values) for r in streamed]
-        assert to_jsonl_lines(tel_campaign) == to_jsonl_lines(tel_serial)
 
     def test_collect_and_summary(self):
         outcome = Campaign(uniform_trial, 6, master_seed=1,
@@ -207,11 +175,8 @@ class _DyingExecutor:
     def __init__(self, survive: int) -> None:
         self.survive = survive
 
-    def run_shards(self, trial_fn, shards, of_total,
-                   record_telemetry=False):
-        inner = SerialExecutor().run_shards(
-            trial_fn, shards, of_total,
-            record_telemetry=record_telemetry)
+    def run_shards(self, trial_fn, shards):
+        inner = SerialExecutor().run_shards(trial_fn, shards)
         for count, result in enumerate(inner):
             if count == self.survive:
                 raise KeyboardInterrupt("killed mid-campaign")
@@ -312,37 +277,30 @@ class TestResultStore:
         assert header["fingerprint"] == plan.fingerprint()
         assert header["master_seed"] == 4
 
-    def test_telemetry_round_trips_through_the_journal(self, tmp_path):
+    def test_shard_records_keep_a_null_telemetry_key(self, tmp_path):
         store_path = tmp_path / "campaign.jsonl"
-        tel_direct = Recorder()
-        Campaign(uniform_trial, 6, master_seed=3, num_shards=3,
-                 telemetry=tel_direct).run()
-
-        with pytest.raises(KeyboardInterrupt):
-            Campaign(uniform_trial, 6, master_seed=3, num_shards=3,
-                     executor=_DyingExecutor(survive=2),
-                     store=store_path, telemetry=Recorder()).run()
-        tel_resumed = Recorder()
-        Campaign(uniform_trial, 6, master_seed=3, num_shards=3,
-                 store=store_path, telemetry=tel_resumed).run()
-        assert to_jsonl_lines(tel_resumed) == to_jsonl_lines(tel_direct)
-
-    def test_traced_resume_refuses_untraced_journal(self, tmp_path):
-        store_path = tmp_path / "campaign.jsonl"
-        with pytest.raises(KeyboardInterrupt):
-            Campaign(uniform_trial, 6, num_shards=3,
-                     executor=_DyingExecutor(survive=1),
-                     store=store_path).run()
-        with pytest.raises(EngineError, match="without telemetry"):
-            Campaign(uniform_trial, 6, num_shards=3,
-                     store=store_path, telemetry=Recorder()).run()
+        Campaign(uniform_trial, 4, num_shards=2, store=store_path).run()
+        lines = store_path.read_text().splitlines()
+        records = [json.loads(line) for line in lines[1:]]
+        assert [record["telemetry"] for record in records] == [None, None]
+        # Older traced campaigns journaled a snapshot under the key;
+        # such a journal still resumes, because the loader ignores it.
+        payload = {key: value for key, value in records[0].items()
+                   if key != "integrity"}
+        payload["telemetry"] = {"schema_version": 1, "spans": []}
+        payload["integrity"] = digest(payload)
+        lines[1] = canonical_json(payload)
+        store_path.write_text("\n".join(lines) + "\n")
+        again = Campaign(uniform_trial, 4, num_shards=2,
+                         store=store_path).run()
+        assert again.resumed_shards == (0, 1)
+        assert again.executed_shards == ()
 
 
 class _SkippingExecutor:
     """Silently drops every shard — a broken executor."""
 
-    def run_shards(self, trial_fn, shards, of_total,
-                   record_telemetry=False):
+    def run_shards(self, trial_fn, shards):
         return iter(())
 
 
@@ -386,21 +344,6 @@ class TestSerialCampaign:
     def test_non_dict_trial_rejected(self):
         with pytest.raises(TypeError):
             Campaign(non_dict_trial, 1).run()
-
-
-class TestStreamAbandonment:
-    def test_abandoned_stream_leaves_no_open_spans(self):
-        tel = Recorder()
-        stream = serial_trials(uniform_trial, 10, telemetry=tel)
-        for _ in range(3):
-            next(stream)
-        del stream
-        gc.collect()
-        assert not tel.tracer._open
-        trial_spans = [s for s in tel.tracer.finished
-                       if s.name == "sim.trial"]
-        assert len(trial_spans) == 3
-        assert [s.attrs["index"] for s in trial_spans] == [0, 1, 2]
 
 
 class TestExperimentCampaigns:

@@ -7,7 +7,7 @@ The load-bearing guarantees under test:
   every failure path — retry/backoff, absolute and adaptive deadlines,
   quarantine, the in-process degrade fallback — with zero real sleeps;
 * a supervised campaign in which no fault fires is byte-identical to
-  the serial reference (values, seeds, and telemetry export);
+  the serial reference (values and seeds);
 * under any seeded worker-fault schedule the supervisor terminates with
   either a full result or an *explicit* partial one — never a silent
   hole, never a hang;
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -45,8 +44,6 @@ from repro.engine import (
     validate_shard_result,
 )
 from repro.engine.supervisor import AttemptCompletion
-from repro.telemetry import Recorder
-from repro.telemetry.export import to_jsonl_lines
 
 from .engine_reference import serial_trials
 
@@ -240,8 +237,7 @@ class TestValidation:
 
     def test_genuine_shard_result_validates(self):
         shard = _shards()[1]
-        validate_shard_result(
-            run_shard(uniform_trial, shard, 6), shard)
+        validate_shard_result(run_shard(uniform_trial, shard), shard)
 
     def test_wrong_shard_id_rejected(self):
         shards = _shards()
@@ -441,8 +437,7 @@ class TestShardSupervisor:
         assert sorted((f.shard_id, f.kind) for f in seen) \
             == [(0, "error"), (2, "invalid")]
 
-    def test_supervisor_telemetry_counts_the_faults(self):
-        tel = Recorder()
+    def test_supervision_report_counts_the_faults(self):
         backend = ScriptedBackend(
             script={(0, 1): ("error", 0.1), (1, 1): ("hang",),
                     (2, 1): ("error", 0.1), (2, 2): ("error", 0.1)})
@@ -450,13 +445,12 @@ class TestShardSupervisor:
                                    adaptive_timeout_factor=None,
                                    backoff_base_s=0.01,
                                    on_failure="quarantine")
-        _drive(policy, backend, _shards(), telemetry=tel)
-        counters = {c.name: c.value for c in tel.metrics.counters()}
-        assert counters["engine.supervisor.attempts"] == 6
-        assert counters["engine.supervisor.failures"] == 4
-        assert counters["engine.shard.retries"] == 3
-        assert counters["engine.shard.timeouts"] == 1
-        assert counters["engine.shard.quarantined"] == 1
+        _, report = _drive(policy, backend, _shards())
+        assert report.attempts == 6
+        assert len(report.failures) == 4
+        assert report.retries == 3
+        assert [f.kind for f in report.failures].count("timeout") == 1
+        assert report.quarantined == (2,)
 
 
 NUM_FUZZ_SHARDS = st.integers(min_value=1, max_value=4)
@@ -510,11 +504,8 @@ class _DyingExecutor:
     def __init__(self, survive):
         self.survive = survive
 
-    def run_shards(self, trial_fn, shards, of_total,
-                   record_telemetry=False):
-        inner = SerialExecutor().run_shards(
-            trial_fn, shards, of_total,
-            record_telemetry=record_telemetry)
+    def run_shards(self, trial_fn, shards):
+        inner = SerialExecutor().run_shards(trial_fn, shards)
         for count, result in enumerate(inner):
             if count == self.survive:
                 raise KeyboardInterrupt("killed mid-campaign")
@@ -531,42 +522,34 @@ class TestKillResumeByteIdentity:
             self, tmp_path_factory, master_seed, survive):
         store_path = tmp_path_factory.mktemp("resume") / "campaign.jsonl"
 
-        tel_direct = Recorder()
         direct = Campaign(uniform_trial, 8, master_seed=master_seed,
-                          num_shards=4, telemetry=tel_direct).run()
+                          num_shards=4).run()
 
         with pytest.raises(KeyboardInterrupt):
             Campaign(uniform_trial, 8, master_seed=master_seed,
                      num_shards=4,
                      executor=_DyingExecutor(survive=survive),
-                     store=store_path, telemetry=Recorder()).run()
+                     store=store_path).run()
 
-        tel_resumed = Recorder()
         resumed = Campaign(uniform_trial, 8,
                            master_seed=master_seed, num_shards=4,
-                           store=store_path, telemetry=tel_resumed).run()
+                           store=store_path).run()
         assert len(resumed.resumed_shards) == survive
         assert [(r.index, r.seed, r.values) for r in resumed.results] \
             == [(r.index, r.seed, r.values) for r in direct.results]
-        assert to_jsonl_lines(tel_resumed) == to_jsonl_lines(tel_direct)
 
 
 class TestSupervisedPool:
     """The production process backend, end to end (kept tiny)."""
 
     def test_fault_free_supervised_matches_serial_exactly(self):
-        tel_serial = Recorder()
-        serial = list(serial_trials(uniform_trial, 8, master_seed=5,
-                                    telemetry=tel_serial))
-        tel_pool = Recorder()
+        serial = list(serial_trials(uniform_trial, 8, master_seed=5))
         pooled = Campaign(uniform_trial, 8, master_seed=5,
                           num_shards=4,
-                          executor=SupervisedPool(jobs=2),
-                          telemetry=tel_pool).run()
+                          executor=SupervisedPool(jobs=2)).run()
         assert not pooled.is_partial
         assert [(r.seed, r.values) for r in pooled.results] \
             == [(r.seed, r.values) for r in serial]
-        assert to_jsonl_lines(tel_pool) == to_jsonl_lines(tel_serial)
 
     def test_injected_crash_is_retried_to_a_full_result(self):
         faults = WorkerFaultSchedule(
@@ -628,6 +611,6 @@ class TestSupervisedPool:
         with pytest.raises(ValueError):
             SupervisedPool(jobs=0)
         pool = SupervisedPool(jobs=2)
-        assert list(pool.run_shards(uniform_trial, [], 0)) == []
+        assert list(pool.run_shards(uniform_trial, [])) == []
         assert pool.last_report is not None
         assert pool.last_report.attempts == 0

@@ -145,10 +145,14 @@ class TestSdmScheduler:
 class TestWifiChannelModel:
     def test_airtime_accumulates(self):
         wifi = WifiChannelModel()
+        share = wifi.airtime_for(1e6)
         assert wifi.admit(1e6)
-        first = wifi.airtime_used
         assert wifi.admit(1e6)
-        assert wifi.airtime_used == pytest.approx(2 * first)
+        # Two devices hold 2 * share: a load needing a little more than
+        # the rest of the airtime is refused, a little less admitted.
+        rest_bps = (1.0 - 2 * share) / share * 1e6
+        assert not wifi.admit(1.01 * rest_bps)
+        assert wifi.admit(0.99 * rest_bps)
 
     def test_saturates(self):
         wifi = WifiChannelModel(low_rate_phy_bps=6e6, efficiency=0.6)
@@ -169,12 +173,6 @@ class TestWifiChannelModel:
         # The paper's §1 point in one assert: the same load admits far
         # fewer devices when each runs a low-rate PHY.
         assert n_fast > 10 * n_slow
-
-    def test_reset(self):
-        wifi = WifiChannelModel()
-        wifi.admit(1e6)
-        wifi.reset()
-        assert wifi.airtime_used == 0.0
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

@@ -107,12 +107,21 @@ class TestIndexMatchesScan:
     @pytest.mark.parametrize("start, duration", [
         (math.nan, 1.0), (1.0, math.nan), (1.0, math.inf), (8.0, 1e-16)])
     def test_events_that_never_end_or_never_start(self, start, duration):
-        """NaN times, an endless event, an end that rounds onto the start."""
+        """An endless event and an end that rounds onto the start are
+        indexed like the scan; an event with a NaN time is refused."""
+        if math.isnan(start) or math.isnan(duration):
+            with pytest.raises(ValueError):
+                FaultEvent("blockage", start, duration, severity=10.0)
+            return
         events = [FaultEvent("blockage", start, duration, severity=10.0),
                   FaultEvent("dropout", 0.5, 2.0)]
         schedule = FaultSchedule(events, DURATION_S)
         _assert_matches_scan(schedule, _probe_times(schedule)
                              + [1e16, -math.inf])
+
+    def test_nan_schedule_duration_is_refused(self):
+        with pytest.raises(ValueError):
+            FaultSchedule([FaultEvent("dropout", 0.5, 2.0)], math.nan)
 
     def test_empty_schedule(self):
         schedule = FaultSchedule([], DURATION_S)

@@ -4,17 +4,14 @@ and the instrumentation wired through the simulation stack."""
 from __future__ import annotations
 
 import json
-import math
 import re
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.telemetry import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     NullRecorder,
     Recorder,
@@ -26,7 +23,6 @@ from repro.telemetry import (
     render,
     spans_to_collapsed,
     summarize,
-    to_csv,
     to_jsonl_lines,
 )
 
@@ -81,50 +77,12 @@ class TestMetrics:
         gauge.set(0.25)
         assert gauge.value == pytest.approx(0.25)
 
-    def test_histogram_bucket_edges(self):
-        hist = Histogram("mac.latency_s", least=1e-3, growth=2.0)
-        assert hist.bucket_index(1e-3) == 0
-        assert hist.bucket_index(1e-4) == 0
-        assert hist.bucket_index(2e-3) == 1
-        assert hist.bucket_index(2.1e-3) == 2
-        # Observations always fall at or below their bucket's bound.
-        for value in (1e-3, 1.5e-3, 2e-3, 3e-3, 1.0, 37.0):
-            assert value <= hist.upper_bound(hist.bucket_index(value))
-
-    def test_histogram_stats(self):
-        hist = Histogram("mac.latency_s")
-        for value in (0.001, 0.002, 0.004):
-            hist.observe(value)
-        assert hist.count == 3
-        assert hist.mean == pytest.approx(0.007 / 3)
-        assert hist.min == pytest.approx(0.001)
-        assert hist.max == pytest.approx(0.004)
-        uppers = [u for u, _ in hist.buckets()]
-        assert uppers == sorted(uppers)
-
-    def test_histogram_rejects_bad_values(self):
-        hist = Histogram("mac.latency_s")
-        with pytest.raises(ValueError):
-            hist.observe(-1.0)
-        with pytest.raises(ValueError):
-            hist.observe(math.inf)
-
-    def test_histogram_quantile(self):
-        hist = Histogram("mac.latency_s", least=1.0, growth=2.0)
-        for value in [1.0] * 9 + [100.0]:
-            hist.observe(value)
-        assert hist.quantile(0.5) == pytest.approx(1.0)
-        assert hist.quantile(1.0) == pytest.approx(100.0)
-        assert Histogram("mac.empty_s").quantile(0.5) == 0.0
-
     def test_registry_get_or_create(self):
         registry = MetricsRegistry()
         assert registry.counter("a.b") is registry.counter("a.b")
         registry.gauge("a.g")
-        registry.histogram("a.h")
-        assert [m.name for m in (*registry.counters(), *registry.gauges(),
-                                 *registry.histograms())] \
-            == ["a.b", "a.g", "a.h"]
+        assert [m.name for m in (*registry.counters(), *registry.gauges())] \
+            == ["a.b", "a.g"]
 
     def test_registry_iteration_is_name_sorted(self):
         registry = MetricsRegistry()
@@ -175,7 +133,6 @@ class TestRecorders:
         assert not null.enabled
         null.count("mac.frames")
         null.gauge("mac.depth", 1.0)
-        null.observe("mac.latency_s", 0.1)
         null.event("mac.run", ok=True)
         handle = null.begin("sim.trial")
         null.end(handle)
@@ -191,11 +148,9 @@ class TestRecorders:
         rec.clock.advance(1.5)
         rec.count("mac.frames", 3)
         rec.gauge("transport.rto_s", 0.2)
-        rec.observe("mac.latency_s", 0.01)
         rec.event("mac.run", offered=5)
         assert rec.metrics.counter("mac.frames").value == 3.0
         assert rec.metrics.gauge("transport.rto_s").value == 0.2
-        assert rec.metrics.histogram("mac.latency_s").count == 1
         assert rec.events[0].time_s == pytest.approx(1.5)
         assert rec.events[0].fields == {"offered": 5}
 
@@ -211,7 +166,6 @@ class TestExport:
         rec = Recorder()
         rec.count("mac.frames", 2)
         rec.gauge("resilience.snr_db", float("-inf"))
-        rec.observe("mac.latency_s", 0.004)
         with rec.span("sim.trial", index=0):
             rec.clock.advance(1.0)
         rec.event("mac.run", goodput_bps=1e6)
@@ -223,8 +177,7 @@ class TestExport:
         assert records[0]["record"] == "meta"
         assert records[0]["format"] == "repro-telemetry"
         kinds = {r["record"] for r in records}
-        assert kinds == {"meta", "counter", "gauge", "histogram",
-                         "span", "event"}
+        assert kinds == {"meta", "counter", "gauge", "span", "event"}
 
     def test_non_finite_exports_as_null(self):
         records = [json.loads(line)
@@ -235,12 +188,6 @@ class TestExport:
     def test_jsonl_is_valid_strict_json(self):
         for line in to_jsonl_lines(self._small_recorder()):
             json.loads(line)  # raises on NaN/Infinity literals
-
-    def test_csv_projection(self):
-        rec = self._small_recorder()
-        text = to_csv(rec)
-        assert text.splitlines()[0] == "record,name,time_s,value,detail"
-        assert "counter,mac.frames" in text
 
     def test_collapsed_stacks_self_time(self):
         rec = Recorder()
@@ -280,12 +227,29 @@ class TestSummary:
         rec = Recorder()
         rec.count("mac.frames", 4)
         rec.gauge("mac.queue_depth", 7.0)
-        rec.observe("mac.latency_s", 0.01)
         rec.event("mac.run")
         text = render(summarize(load_jsonl("\n".join(to_jsonl_lines(rec)))))
-        for needle in ("mac.frames", "mac.queue_depth",
-                       "mac.latency_s", "mac.run", "telemetry summary"):
+        for needle in ("mac.frames", "mac.queue_depth", "mac.run",
+                       "telemetry summary"):
             assert needle in text
+
+    def test_summarize_skips_histogram_lines_of_older_exports(self):
+        rec = Recorder()
+        rec.count("chaos.steps", 4)
+        with rec.span("chaos.scenario"):
+            rec.clock.advance(1.0)
+        lines = to_jsonl_lines(rec)
+        # A histogram line as exports written before the histogram kind
+        # was deleted carry it, in a subsystem nothing else reports.
+        histogram = json.dumps(
+            {"buckets": [[0.016384, 1]], "count": 1, "max": 0.01,
+             "min": 0.01, "name": "mac.latency_s", "record": "histogram",
+             "sum": 0.01}, sort_keys=True, separators=(",", ":"))
+        older = [*lines[:2], histogram, *lines[2:]]
+        summary = summarize(load_jsonl("\n".join(older)))
+        assert set(summary.subsystems) == {"chaos"}
+        assert render(summary) \
+            == render(summarize(load_jsonl("\n".join(lines))))
 
     def test_spans_to_collapsed_matches_export(self):
         rec = Recorder()
@@ -300,23 +264,6 @@ class TestSummary:
 
 class TestStackInstrumentation:
     """The wired subsystems actually report, and NullRecorder stays inert."""
-
-    def test_uplink_simulator_reports_mac_family(self):
-        from repro.network.mac import UplinkSimulator
-
-        rec = Recorder()
-        sim = UplinkSimulator(link_rate_bps=1e6, frame_bits=8192,
-                              frame_success_probability=0.9,
-                              rng=np.random.default_rng(0),
-                              telemetry=rec)
-        stats = sim.run(duration_s=1.0, packet_interval_s=0.02)
-        counters = {c.name: c.value for c in rec.metrics.counters()}
-        assert counters["mac.frames_offered"] == stats.offered_packets
-        assert counters["mac.frames_delivered"] == stats.delivered_packets
-        assert counters["mac.retransmissions"] == stats.retransmissions
-        assert rec.metrics.histogram("mac.latency_s").count \
-            == stats.delivered_packets
-        assert rec.clock.now_s == pytest.approx(1.0)
 
     def test_chaos_simulation_reports_and_spans(self):
         from repro.experiments.chaos import run
@@ -362,41 +309,6 @@ class TestStackInstrumentation:
             == traced.result.adaptive_delivery_ratio
         assert plain.result.actions == traced.result.actions
 
-    def test_fdm_allocator_counters(self):
-        from repro.network.fdm import FdmAllocator, SpectrumExhausted
-
-        rec = Recorder()
-        allocator = FdmAllocator(telemetry=rec)
-        allocator.allocate(0, 1e6)
-        allocator.allocate(1, 1e6)
-        allocator.block_range(allocator.band_low_hz,
-                              allocator.band_low_hz + 1e6)
-        allocator.release(1)
-        with pytest.raises(SpectrumExhausted):
-            allocator.allocate(2, 1e12)
-        counters = {c.name: c.value for c in rec.metrics.counters()}
-        assert counters["fdm.allocations"] == 2
-        assert counters["fdm.releases"] == 1
-        assert counters["fdm.blocked_ranges"] == 1
-        assert counters["fdm.exhausted"] == 1
-        assert rec.metrics.gauge("fdm.allocated_bandwidth_hz").value > 0
-
-    def test_sdm_scheduler_records_assignment(self, sampler):
-        from repro.network.sdm_scheduler import (AngularSdmScheduler,
-                                                 RoundRobinScheduler)
-
-        placements = sampler.sample_many(8)
-        rec = Recorder()
-        channels = AngularSdmScheduler(num_channels=4).assign(
-            placements, telemetry=rec)
-        RoundRobinScheduler(num_channels=4).assign(placements,
-                                                   telemetry=rec)
-        assert len(channels) == 8
-        counters = {c.name: c.value for c in rec.metrics.counters()}
-        assert counters["sdm.assignments"] == 2
-        assert counters["sdm.nodes"] == 16
-        assert rec.metrics.gauge("sdm.min_separation_rad").value >= 0.0
-
     def test_failover_reports_cluster_family(self):
         from repro.experiments.chaos import run_failover
 
@@ -413,22 +325,6 @@ class TestStackInstrumentation:
                    if s.name == "cluster.ap_outage"]
         assert outages, "AP recovery should close the outage span"
         assert outages[0].duration_s > 0
-
-    def test_monte_carlo_trials_become_spans(self):
-        rec = Recorder()
-
-        def trial(rng, index):
-            rec.clock.advance(0.5)
-            return {"x": float(rng.random())}
-
-        results = list(serial_trials(trial, 4, master_seed=7,
-                                     telemetry=rec))
-        assert [r.index for r in results] == [0, 1, 2, 3]
-        trial_spans = [s for s in rec.tracer.finished
-                       if s.name == "sim.trial"]
-        assert len(trial_spans) == 4
-        assert rec.metrics.counter("sim.trials").value == 4
-        assert len([e for e in rec.events if e.name == "sim.trial"]) == 4
 
     def test_run_stream_yields_incrementally(self):
         stream = serial_trials(lambda rng, index: {"v": index}, 3,

@@ -4,31 +4,32 @@ The whole point of the sim-time clock is that a telemetry export is a
 *replayable artifact*: no wall-clock stamp, no host jitter, no dict
 ordering wobble anywhere in the pipeline.  These tests pin that
 property end to end — the same scenario with the same seed must render
-exactly the same JSONL and CSV bytes every run, including when the seed
-arrives through the ``REPRO_SEED`` environment variable instead of an
-explicit argument.
+exactly the same JSONL bytes every run, and a parallel chaos sweep must
+merge its workers' snapshots into the serial sweep's export.  The
+``REPRO_SEED`` environment variable pins the fallback RNG a run uses
+when no explicit one is passed.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import json
+from typing import Any
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import SerialExecutor, SupervisedPool
 from repro.faults import SCENARIOS
 from repro.network.mac import UplinkSimulator
-from repro.telemetry import Recorder, to_csv, to_jsonl_lines
+from repro.telemetry import Recorder, to_jsonl_lines
 
 SCENARIO_NAMES = sorted(SCENARIOS)
 
-
-def _uplink_run(recorder: Recorder,
-                rng: np.random.Generator | None = None) -> None:
-    """Half a second of a lossy uplink: retries, drops and latencies."""
-    UplinkSimulator(link_rate_bps=1e6, frame_bits=8192,
-                    frame_success_probability=0.8, rng=rng,
-                    telemetry=recorder).run(duration_s=0.5,
-                                            packet_interval_s=0.01)
+TIMESTAMP_KEYS = ("start_s", "end_s", "time_s", "clock_s")
+"""Record keys on the sweep's shared clock.  A merged worker stamp is
+offset plus local time, the serial clock a running float sum, so the
+two may differ in the last ulps (``docs/scaling.md``)."""
 
 
 def _chaos_export(scenario: str, seed: int,
@@ -49,16 +50,6 @@ class TestByteIdenticalExports:
         second = _chaos_export(scenario, seed, duration_s=4.0)
         assert first == second
 
-    @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
-    @settings(max_examples=6, deadline=None)
-    def test_uplink_exports_regenerate(self, seed):
-        def export() -> tuple[list[str], str]:
-            recorder = Recorder()
-            _uplink_run(recorder, np.random.default_rng(seed))
-            return to_jsonl_lines(recorder), to_csv(recorder)
-
-        assert export() == export()
-
     def test_different_seeds_differ(self):
         # The converse sanity check: a chaotic scenario's export is
         # actually seed-sensitive, so byte-equality above is meaningful.
@@ -67,20 +58,57 @@ class TestByteIdenticalExports:
         assert a != b
 
 
-class TestReproSeedEnvironment:
-    def test_repro_seed_pins_fallback_rng_exports(self, monkeypatch):
-        """Two runs with the same ``REPRO_SEED`` and *no* explicit rng
-        argument are byte-identical; the env var is the seed."""
+def _sweep_export(**kwargs: Any) -> list[dict[str, Any]]:
+    from repro.experiments.chaos import run_all
 
-        def export() -> list[str]:
-            recorder = Recorder()
-            _uplink_run(recorder)
-            return to_jsonl_lines(recorder)
+    recorder = Recorder()
+    run_all(seed=0, duration_s=30, telemetry=recorder, **kwargs)
+    return [json.loads(line) for line in to_jsonl_lines(recorder)]
+
+
+class TestParallelSweepMerge:
+    """The one path through ``TelemetrySnapshot.capture`` → ``shifted``
+    → ``Recorder.absorb``: a chaos sweep fanned out over an executor."""
+
+    @pytest.mark.parametrize("kwargs", [
+        pytest.param({"executor": SerialExecutor(), "num_shards": 3},
+                     id="serial-executor-3-shards"),
+        pytest.param({"executor": SupervisedPool(jobs=2)},
+                     id="supervised-pool"),
+    ])
+    def test_merged_export_matches_serial_sweep(self, kwargs):
+        serial = _sweep_export()
+        merged = _sweep_export(**kwargs)
+        assert {r["attrs"]["scenario"] for r in serial
+                if r.get("name") == "chaos.scenario"} == set(SCENARIO_NAMES)
+        assert len(merged) == len(serial)
+        for ours, theirs in zip(merged, serial):
+            assert {k: v for k, v in ours.items()
+                    if k not in TIMESTAMP_KEYS} \
+                == {k: v for k, v in theirs.items()
+                    if k not in TIMESTAMP_KEYS}
+            for key in TIMESTAMP_KEYS:
+                if key in theirs:
+                    assert ours[key] == pytest.approx(theirs[key],
+                                                      rel=0.0, abs=1e-9)
+
+
+class TestReproSeedEnvironment:
+    def test_repro_seed_pins_fallback_rng_results(self, monkeypatch):
+        """Two runs with the same ``REPRO_SEED`` and *no* explicit rng
+        argument are identical; the env var is the seed."""
+
+        def run() -> object:
+            # Half a second of a lossy uplink: its retries, drops and
+            # latencies all come from the fallback generator.
+            return UplinkSimulator(
+                link_rate_bps=1e6, frame_bits=8192,
+                frame_success_probability=0.8).run(
+                    duration_s=0.5, packet_interval_s=0.01)
 
         monkeypatch.setenv("REPRO_SEED", "424242")
-        first = export()
-        second = export()
-        assert first == second
+        first = run()
+        assert run() == first
 
         monkeypatch.setenv("REPRO_SEED", "424243")
-        assert export() != first
+        assert run() != first
