@@ -90,7 +90,7 @@ def test_telemetry_overhead_gates():
 
     # The recording run must actually have recorded — an accidentally
     # disabled recorder would pass the gates vacuously.
-    assert recorder.metrics.counter("chaos.steps").value \
+    assert recorder.counters["chaos.steps"] \
         == float(steps * (1 + ROUNDS))
 
 

@@ -124,12 +124,10 @@ from .sim import (
     default_lab_room,
 )
 from .telemetry import (
-    MetricsRegistry,
     NullRecorder,
     Recorder,
     SimClock,
     TelemetryRecorder,
-    TelemetrySnapshot,
     Tracer,
 )
 
@@ -170,7 +168,6 @@ __all__ = [
     "LinkHealthReport",
     "LinkReport",
     "LinkSupervisor",
-    "MetricsRegistry",
     "MmxAccessPoint",
     "MmxNode",
     "MultiNodeNetwork",
@@ -198,7 +195,6 @@ __all__ = [
     "SpectrumBook",
     "SupervisedPool",
     "TelemetryRecorder",
-    "TelemetrySnapshot",
     "TimeModulatedArray",
     "Tracer",
     "comparison_table",

@@ -14,8 +14,7 @@ quantitative with a standard airtime model:
   split by FDM, so each admitted device consumes its own channel and
   nobody else's airtime.
 
-The capacity headroom comparison feeds the motivation example and an
-extension benchmark.
+The capacity headroom comparison feeds an extension benchmark.
 """
 
 from __future__ import annotations
@@ -53,18 +52,16 @@ class WifiChannelModel:
             raise ValueError("efficiency must be in (0, 1]")
         self._airtime_used = 0.0
 
-    def airtime_for(self, offered_load_bps: float,
-                    phy_rate_bps: float | None = None) -> float:
-        """Airtime fraction one device's load costs at its PHY rate."""
+    def airtime_for(self, offered_load_bps: float) -> float:
+        """Airtime fraction one device's load costs at the model's
+        ``low_rate_phy_bps``."""
         if offered_load_bps < 0:
             raise ValueError("load cannot be negative")
-        rate = phy_rate_bps or self.low_rate_phy_bps
-        return offered_load_bps / (rate * self.efficiency)
+        return offered_load_bps / (self.low_rate_phy_bps * self.efficiency)
 
-    def admit(self, offered_load_bps: float,
-              phy_rate_bps: float | None = None) -> bool:
+    def admit(self, offered_load_bps: float) -> bool:
         """Try to admit a device; False once the channel saturates."""
-        needed = self.airtime_for(offered_load_bps, phy_rate_bps)
+        needed = self.airtime_for(offered_load_bps)
         if self._airtime_used + needed > 1.0:
             return False
         self._airtime_used += needed

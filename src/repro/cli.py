@@ -9,8 +9,8 @@ Commands
 ``chaos --scenario NAME``  fault-injection run: recovery ladder vs static
 ``chaos --ap-crash``       multi-AP failover vs a frozen single AP
 ``chaos ... --json``       same run, but emit the telemetry export (JSONL)
-``chaos --scenario all``   the scenario sweep; ``--jobs N`` spreads it
-                           across N worker processes
+``chaos --scenario all``   the scenario sweep, in-process (``campaign
+                           chaos --jobs N`` runs it on N workers)
 ``admission saturate``     offered-load saturation study: blocking
                            probability vs load through the admission
                            ladder (``--nodes``, ``--load``, ``--jobs``,
@@ -36,10 +36,10 @@ Commands
                            telemetry exports for corruption; ``--repair``
                            salvages the valid records and quarantines
                            the damaged ones; nonzero exit on damage
-``lint [paths...]``        run the reprolint static analyser (repo
-                           checkouts; ``--json`` / ``--sarif`` /
-                           ``--changed-only``; exit codes match fsck)
 ``list``                   available experiment names
+
+The reprolint static analyser is repo tooling, not a subcommand: run
+``python tools/reprolint`` from a checkout.
 """
 
 from __future__ import annotations
@@ -122,11 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--json", action="store_true", dest="as_json",
                        help="emit the run's telemetry export as JSONL "
                             "on stdout instead of the text report")
-    chaos.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the '--scenario all' "
-                            "sweep (1 = in-process serial; >1 runs "
-                            "supervised); other runs are single "
-                            "scenarios and stay serial")
 
     adm = sub.add_parser(
         "admission",
@@ -228,18 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "the artifact is rewritten atomically")
     fsck.add_argument("--json", action="store_true", dest="as_json",
                       help="emit one JSON report object per path")
-
-    lint = sub.add_parser(
-        "lint", help="run the reprolint static analyser over the repo")
-    lint.add_argument("paths", nargs="*",
-                      help="files or directories to lint (default: src/)")
-    lint.add_argument("--json", action="store_true", dest="as_json",
-                      help="emit findings as JSON")
-    lint.add_argument("--sarif", action="store_true", dest="as_sarif",
-                      help="emit findings as SARIF 2.1.0")
-    lint.add_argument("--changed-only", action="store_true",
-                      help="report findings only for files changed vs "
-                           "git HEAD")
 
     sub.add_parser("list", help="list experiment names")
     return parser
@@ -374,27 +357,26 @@ def _usage_error(prog: str, message: str) -> int:
 def _campaign_flag_error(args: argparse.Namespace) -> str | None:
     """Why the shared campaign flags cannot run, or ``None``.
 
-    Checks ``--seed``, ``--jobs`` and, where the command declares them,
-    ``--shards``, the supervision knobs and ``--out``/``--resume``.
+    Checks the flags every preset declares (``--seed``, ``--jobs``,
+    ``--shards``, ``--out``/``--resume``) and, where the command
+    declares them, the supervision knobs.
     """
-    shards = getattr(args, "shards", None)
     max_retries = getattr(args, "max_retries", None)
     shard_timeout = getattr(args, "shard_timeout", None)
-    out = getattr(args, "out", None)
-    resume = getattr(args, "resume", False)
+    out = args.out
     if args.seed < 0:
         return "--seed cannot be negative"
     if args.jobs < 1:
         return "--jobs must be at least 1"
-    if shards is not None and shards < 1:
+    if args.shards is not None and args.shards < 1:
         return "--shards must be at least 1"
     if max_retries is not None and max_retries < 0:
         return "--max-retries cannot be negative"
     if shard_timeout is not None and shard_timeout <= 0:
         return "--shard-timeout must be positive"
-    if resume and out is None:
+    if args.resume and out is None:
         return "--resume needs --out (the store to resume from)"
-    if out is not None and Path(out).exists() and not resume:
+    if out is not None and Path(out).exists() and not args.resume:
         return (f"{out} already exists; pass --resume to continue that "
                 "campaign, or choose a fresh path")
     return None
@@ -514,28 +496,24 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     from .faults import SCENARIOS
     from .telemetry import Recorder, to_jsonl_lines
 
-    error = (_campaign_flag_error(args)
-             or _chaos_duration_error(args.duration, args.ap_crash))
+    error = ("--seed cannot be negative" if args.seed < 0
+             else _chaos_duration_error(args.duration, args.ap_crash))
     if error is not None:
         return _usage_error("repro chaos", error)
-    # With --json every run records into one Recorder and the export —
-    # the same deterministic JSONL the library writes — goes to stdout.
+    # With --json every run records into one in-process Recorder and the
+    # export — the same deterministic JSONL the library writes — goes to
+    # stdout.
     recorder = Recorder() if args.as_json else None
     common: dict[str, Any] = {"seed": args.seed,
                               "duration_s": args.duration,
                               "telemetry": recorder}
-    executor: ShardExecutor | None = None
     execute: Callable[[], Any]
     render: Callable[[Any], str]
     if args.ap_crash:
         execute = partial(chaos.run_failover, **common)
         render = chaos.render_failover
     elif args.scenario == "all":
-        # One job stays the plain in-process sweep, whose recorder folds
-        # every scenario onto one clock.
-        if args.jobs > 1:
-            executor = _campaign_executor(args)
-        execute = partial(chaos.run_all, executor=executor, **common)
+        execute = partial(chaos.run_all, **common)
         render = chaos.render_all
     elif args.scenario in SCENARIOS:
         execute = partial(chaos.run, args.scenario, **common)
@@ -552,7 +530,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             return "\n".join(to_jsonl_lines(recorder))
         return render(outcome)
 
-    return _report("repro chaos", run, executor)
+    return _report("repro chaos", run)
 
 
 def _cmd_admission_saturate(args: argparse.Namespace) -> int:
@@ -701,36 +679,6 @@ def _cmd_fsck(paths: list[str], repair: bool, as_json: bool) -> int:
     return exit_code
 
 
-def _cmd_lint(paths: list[str], as_json: bool, as_sarif: bool = False,
-              changed_only: bool = False) -> int:
-    # The linter lives in tools/ (it is repo tooling, not part of the
-    # installed package), so `repro lint` only works from a checkout:
-    # walk up from this file until a tools/reprolint directory appears.
-    for parent in Path(__file__).resolve().parents:
-        tools_dir = parent / "tools"
-        if (tools_dir / "reprolint" / "__init__.py").is_file():
-            break
-    else:
-        print("repro lint: tools/reprolint not found; run from a repo "
-              "checkout or use `python tools/reprolint` directly",
-              file=sys.stderr)
-        return 2
-    if str(tools_dir) not in sys.path:
-        sys.path.insert(0, str(tools_dir))
-    from reprolint.cli import main as reprolint_main
-
-    argv = list(paths) or [str(parent / "src")]
-    if as_json:
-        argv += ["--format", "json"]
-    elif as_sarif:
-        argv += ["--format", "sarif"]
-    if changed_only:
-        argv += ["--changed-only"]
-    # Exit codes already share the fsck contract:
-    # 0 clean / 1 findings / 2 fatal.
-    return reprolint_main(argv)
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
@@ -754,9 +702,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_telemetry(args.telemetry_command, args.path)
     if args.command == "fsck":
         return _cmd_fsck(args.paths, args.repair, args.as_json)
-    if args.command == "lint":
-        return _cmd_lint(args.paths, args.as_json, args.as_sarif,
-                         args.changed_only)
     if args.command == "list":
         print("fig06 fig07 fig08 fig09 fig10 fig11 fig12 fig13 "
               "table1 ablations extensions chaos")

@@ -72,8 +72,7 @@ class Cluster:
                  heartbeat: HeartbeatMonitor | None = None,
                  telemetry: TelemetryRecorder | None = None,
                  checkpoint_dir: str | Path | None = None,
-                 liveness: NodeLivenessTracker | None = None,
-                 silence_failover: bool = False):
+                 liveness: NodeLivenessTracker | None = None):
         if not aps:
             raise ValueError("a cluster needs at least one AP")
         self.members: dict[int, ApMember] = {
@@ -109,19 +108,15 @@ class Cluster:
         self.liveness = liveness
         """Optional per-node liveness tracker.  When present,
         :meth:`register_node` starts watching each admitted node and
-        :meth:`node_heard` / :meth:`node_dormant` feed it; liveness
-        reason codes then qualify node silence in :meth:`step`."""
-        self.silence_failover = bool(silence_failover)
-        """Opt-in second detection path: when every *awake* node an
-        alive-looking AP serves has gone :data:`NODE_SILENT`, treat the
-        AP's backhaul heartbeat as a liar (a beating AP whose whole
-        radio plane is mute) and fail its nodes over.  Nodes classified
-        :data:`NODE_DORMANT` are exempt — a fleet recharging in lock
-        step is silent *on purpose* and must never count as evidence —
-        and an AP serving only dormant nodes is never suspected.
-        Requires ``liveness``."""
-        if self.silence_failover and self.liveness is None:
-            raise ValueError("silence_failover requires a liveness tracker")
+        :meth:`node_heard` / :meth:`node_dormant` feed it, and it arms a
+        second detection path in :meth:`step`: when every *awake* node
+        an alive-looking AP serves has gone :data:`NODE_SILENT`, the
+        AP's backhaul heartbeat is treated as a liar (a beating AP whose
+        whole radio plane is mute) and its nodes fail over.  Nodes
+        classified :data:`NODE_DORMANT` are exempt — a fleet recharging
+        in lock step is silent *on purpose* and must never count as
+        evidence — and an AP serving only dormant nodes is never
+        suspected."""
         self.silence_failovers = 0
         """How many APs were failed over on node-silence evidence."""
 
@@ -227,8 +222,6 @@ class Cluster:
     def _report_bad_checkpoint(self, ap_id: int, reason: str) -> None:
         """Record (never raise) one unusable checkpoint at recovery."""
         self.recovery_errors.append((ap_id, reason))
-        if self.telemetry.enabled:
-            self.telemetry.count("cluster.corrupt_checkpoints")
 
     def crash(self, ap_id: int) -> None:
         """Kill an AP (it silently stops beating; detection comes later)."""
@@ -238,7 +231,7 @@ class Cluster:
     def step(self, now_s: float) -> dict[int, list[int]]:
         """One heartbeat round: alive APs beat, deaths trigger failover.
 
-        With :attr:`silence_failover` armed, an alive-looking AP whose
+        With a :attr:`liveness` tracker, an alive-looking AP whose
         whole *awake* served population is :data:`NODE_SILENT` is also
         failed over — its backhaul beat no longer vouches for its radio
         plane.  Dormant nodes never feed that suspicion: a duty-cycled
@@ -260,17 +253,11 @@ class Cluster:
                         "cluster.ap_outage", ap_id=ap_id)
             migrations[ap_id] = self.fail_over(ap_id)
         for ap_id in self._silence_suspects(now_s):
-            if tel.enabled:
-                tel.count("cluster.silence_failovers")
             self.crash(ap_id)
             self.silence_failovers += 1
             migrations[ap_id] = self.fail_over(ap_id)
         if tel.enabled:
             tel.gauge("cluster.alive_aps", float(len(self.alive_ap_ids())))
-            if self.liveness is not None:
-                codes = self.liveness.classify_all(now_s)
-                tel.gauge("cluster.dormant_nodes", float(
-                    sum(c == NODE_DORMANT for c in codes.values())))
         return migrations
 
     def _silence_suspects(self, now_s: float) -> list[int]:
@@ -281,7 +268,7 @@ class Cluster:
         Dormant nodes are invisible to the test — declared sleep is not
         evidence — so a fully-dormant fleet can never condemn its AP.
         """
-        if self.liveness is None or not self.silence_failover:
+        if self.liveness is None:
             return []
         suspects = []
         for ap_id in self.alive_ap_ids():
@@ -342,9 +329,8 @@ class Cluster:
 
         A checkpoint that turns out to be corrupt (in memory that can't
         happen, but an on-disk one can rot, tear, or be tampered with)
-        is *skipped and reported* — logged on
-        :attr:`recovery_errors`, counted as
-        ``cluster.corrupt_checkpoints`` — and the AP reboots empty.
+        is *skipped and reported* on :attr:`recovery_errors`, and the AP
+        reboots empty.
         Raising mid-failover would turn one bad file into a cluster
         outage; ``repro fsck`` on the file tells the rest of the story.
         """

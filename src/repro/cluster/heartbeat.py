@@ -161,8 +161,3 @@ class NodeLivenessTracker:
         if now_s - last < self.detection_latency_s:
             return NODE_ACTIVE
         return NODE_SILENT
-
-    def classify_all(self, now_s: float) -> dict[int, str]:
-        """Reason codes for every watched node (sorted by id)."""
-        return {node_id: self.classify(node_id, now_s)
-                for node_id in sorted(self._last_heard_s)}

@@ -134,7 +134,7 @@ def outage_trial(rng: np.random.Generator, index: int, *,
         interval_s=config.dt_s,
         miss_threshold=config.liveness_miss_threshold)
     cluster = Cluster([MmxAccessPoint(), MmxAccessPoint()],
-                      liveness=liveness, silence_failover=True)
+                      liveness=liveness)
 
     model = HarvestModel()
     lo, hi = config.harvest_distance_m

@@ -24,7 +24,7 @@ from ..cluster import FailoverResult
 from ..core.link import facing_link
 from ..faults import scenario_injector
 from ..resilience import ChaosResult, ChaosSimulation
-from ..telemetry import Recorder, TelemetryRecorder, TelemetrySnapshot
+from ..telemetry import TelemetryRecorder
 
 __all__ = ["ChaosRunResult", "FailoverRunResult", "run", "run_all",
            "run_failover", "render", "render_all", "render_failover",
@@ -92,30 +92,22 @@ def scenario_trial(rng: np.random.Generator, index: int,
                    scenario_names: tuple[str, ...] = (),
                    seed: int = 0, duration_s: float = 30.0,
                    quiet_tail_s: float = QUIET_TAIL_S,
-                   distance_m: float = DEFAULT_DISTANCE_M,
-                   record_telemetry: bool = False) -> dict[str, Any]:
+                   distance_m: float = DEFAULT_DISTANCE_M
+                   ) -> dict[str, Any]:
     """One chaos sweep trial: a single named scenario, worker-side.
 
     The engine's per-trial ``rng`` is deliberately unused: every
     scenario re-derives its fault schedule and supervisor jitter from
     the sweep's master ``seed`` (exactly what :func:`run` does
     serially), so a parallel sweep produces bit-identical
-    :class:`ChaosRunResult` objects.  When ``record_telemetry`` is set
-    the scenario runs against a private worker
-    :class:`~repro.telemetry.Recorder` whose contents come back as a
-    :class:`~repro.telemetry.TelemetrySnapshot` for the driver to
-    absorb.  Module-level so it pickles into
+    :class:`ChaosRunResult` objects.  Module-level so it pickles into
     :class:`~repro.engine.SupervisedPool` workers.
     """
     del rng
-    name = scenario_names[index]
-    worker_tel = Recorder() if record_telemetry else None
-    outcome = run(name, seed=seed, duration_s=duration_s,
-                  quiet_tail_s=quiet_tail_s, distance_m=distance_m,
-                  telemetry=worker_tel)
-    snapshot = (TelemetrySnapshot.capture(worker_tel)
-                if worker_tel is not None else None)
-    return {"outcome": outcome, "telemetry": snapshot}
+    return {"outcome": run(scenario_names[index], seed=seed,
+                           duration_s=duration_s,
+                           quiet_tail_s=quiet_tail_s,
+                           distance_m=distance_m)}
 
 
 def run_all(seed: int = 0, duration_s: float = 30.0,
@@ -133,16 +125,12 @@ def run_all(seed: int = 0, duration_s: float = 30.0,
     ``executor`` (optional) fans the scenarios out through
     :class:`repro.engine.Campaign` — e.g. ``SupervisedPool(jobs=4)`` runs
     four scenarios at once.  Results are bit-identical to the serial
-    sweep (each scenario derives everything from ``seed``), and each
-    worker's telemetry snapshot is shifted onto the shared recorder's
-    cumulative clock and absorbed in scenario order, so the merged
-    timeline matches the serial one span-for-span and event-for-event
-    (same ids, nesting, order, values).  Timestamps alone can differ
-    in their last ulps (hundreds of them at most, about 1e-11 s for
-    30 s scenarios): the serial clock folds float time-steps across
-    scenario boundaries, while the merge computes offset + local time.
-    No result store rides along: scenario outcomes are rich objects,
-    not JSON rows, and the sweep is seconds long.
+    sweep, because each scenario derives everything from ``seed``.  An
+    export is only ever recorded in one process, so an enabled
+    ``telemetry`` recorder together with an ``executor`` raises
+    :class:`ValueError` rather than losing the workers' telemetry.  No
+    result store rides along: scenario outcomes are rich objects, not
+    JSON rows, and the sweep is seconds long.
     """
     from ..faults import SCENARIOS
 
@@ -152,23 +140,17 @@ def run_all(seed: int = 0, duration_s: float = 30.0,
                     quiet_tail_s=quiet_tail_s, distance_m=distance_m,
                     telemetry=telemetry)
                 for name in names]
+    if telemetry is not None and telemetry.enabled:
+        raise ValueError("a recorded sweep runs in one process; pass "
+                         "telemetry or an executor, not both")
     from ..engine import Campaign
 
-    tel = telemetry
     trial_fn = partial(scenario_trial, scenario_names=names, seed=seed,
                        duration_s=duration_s, quiet_tail_s=quiet_tail_s,
-                       distance_m=distance_m,
-                       record_telemetry=bool(tel is not None
-                                             and tel.enabled))
+                       distance_m=distance_m)
     outcome = Campaign(trial_fn, len(names), master_seed=seed,
                        num_shards=num_shards, executor=executor).run()
-    results: list[ChaosRunResult] = []
-    for trial in outcome.results:
-        snapshot = trial["telemetry"]
-        if snapshot is not None and tel is not None:
-            tel.absorb(snapshot.shifted(tel.clock.now_s))
-        results.append(trial["outcome"])
-    return results
+    return [trial["outcome"] for trial in outcome.results]
 
 
 @dataclass(frozen=True)

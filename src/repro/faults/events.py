@@ -79,7 +79,6 @@ class FaultEvent:
     duration_s: float
     severity: float = 1.0
     channel_index: int | None = None
-    label: str = ""
 
     def __post_init__(self):
         if self.kind not in FAULT_KINDS:

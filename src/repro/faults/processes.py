@@ -67,8 +67,7 @@ class TransientBlockerProcess:
             events.append(FaultEvent(
                 kind="blockage", start_s=t,
                 duration_s=float(rng.uniform(*self.crossing_s)),
-                severity=float(rng.uniform(*self.loss_db)),
-                label="transient blocker"))
+                severity=float(rng.uniform(*self.loss_db))))
             t += float(rng.exponential(60.0 / self.rate_per_minute))
         return events
 
@@ -93,8 +92,7 @@ class PersistentBlockerProcess:
             return []
         return [FaultEvent(kind="blockage", start_s=self.start_s,
                            duration_s=self.duration_s,
-                           severity=self.loss_db,
-                           label="persistent blocker")]
+                           severity=self.loss_db)]
 
 
 @dataclass(frozen=True)
@@ -122,8 +120,7 @@ class VcoDriftProcess:
             return []
         return [FaultEvent(kind="vco_drift", start_s=self.start_s,
                            duration_s=self.duration_s,
-                           severity=self.peak_offset_hz,
-                           label="VCO thermal drift")]
+                           severity=self.peak_offset_hz)]
 
 
 @dataclass(frozen=True)
@@ -153,8 +150,7 @@ class StuckBeamProcess:
             return []
         return [FaultEvent(kind="stuck_beam", start_s=self.start_s,
                            duration_s=self.duration_s,
-                           severity=float(self.beam),
-                           label=f"SPDT stuck on beam {self.beam}")]
+                           severity=float(self.beam))]
 
 
 @dataclass(frozen=True)
@@ -183,8 +179,7 @@ class NodeDropoutProcess:
         while t < duration_s:
             width = float(rng.uniform(*self.outage_s))
             events.append(FaultEvent(kind="dropout", start_s=t,
-                                     duration_s=width,
-                                     label="power dropout"))
+                                     duration_s=width))
             t += width + float(rng.exponential(60.0 / self.rate_per_minute))
         return events
 
@@ -205,8 +200,7 @@ class SideChannelOutageProcess:
         if self.start_s >= duration_s:
             return []
         return [FaultEvent(kind="side_channel_outage", start_s=self.start_s,
-                           duration_s=self.duration_s,
-                           label="side-channel outage")]
+                           duration_s=self.duration_s)]
 
 
 @dataclass(frozen=True)
@@ -238,8 +232,7 @@ class InterfererProcess:
         return [FaultEvent(kind="interference", start_s=self.start_s,
                            duration_s=self.duration_s,
                            severity=self.power_dbm,
-                           channel_index=self.channel_index,
-                           label="in-band ISM interferer")]
+                           channel_index=self.channel_index)]
 
 
 @dataclass(frozen=True)
@@ -275,8 +268,7 @@ class EnergyOutageProcess:
             return []
         return [FaultEvent(kind="energy_outage", start_s=self.start_s,
                            duration_s=self.duration_s,
-                           severity=self.severity,
-                           label="harvesting field outage")]
+                           severity=self.severity)]
 
 
 @dataclass(frozen=True)
@@ -307,5 +299,4 @@ class ApCrashProcess:
             return []
         return [FaultEvent(kind="ap_crash", start_s=self.start_s,
                            duration_s=self.duration_s,
-                           severity=float(self.ap_index),
-                           label=f"AP {self.ap_index} crash")]
+                           severity=float(self.ap_index))]

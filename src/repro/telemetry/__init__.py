@@ -4,18 +4,17 @@ The repo's simulations used to report only end-of-run aggregates; this
 package adds an instrumentation layer for the chaos, resilience and
 cluster runs: per-event counters, last-value gauges, point events, and
 spans measured in **simulated seconds** — never wall time, so every
-export regenerates byte-identically from a seed.
+export regenerates byte-identically from a seed.  Every export is
+recorded in one process by one :class:`Recorder`; nothing merges
+recorders across processes.
 
 Pieces
 ------
 ``clock``     :class:`SimClock` — the simulated-time source of truth
-``metrics``   :class:`Counter` / :class:`Gauge` behind a
-              :class:`MetricsRegistry`
 ``tracer``    :class:`Tracer` — scoped and cross-step spans
-``recorder``  the facade: :class:`Recorder` records,
+``recorder``  the facade: :class:`Recorder` keeps the counter and
+              gauge dicts, the tracer and the event log;
               :class:`NullRecorder` (the default everywhere) costs ~0
-``snapshot``  :class:`TelemetrySnapshot` — picklable capture of one
-              recorder, merged across processes via ``Recorder.absorb``
 ``export``    deterministic JSONL / flamegraph exporters
 ``summary``   per-subsystem tables for ``repro telemetry summarize``
 
@@ -31,9 +30,7 @@ Usage
 
 from .clock import SimClock
 from .export import collapsed_stacks, to_jsonl_lines
-from .metrics import Counter, Gauge, MetricsRegistry
 from .recorder import EventRecord, NullRecorder, Recorder, TelemetryRecorder
-from .snapshot import TelemetrySnapshot
 from .summary import (
     SpanStats,
     SubsystemSummary,
@@ -48,10 +45,7 @@ from .tracer import ActiveSpan, SpanRecord, Tracer
 
 __all__ = [
     "ActiveSpan",
-    "Counter",
     "EventRecord",
-    "Gauge",
-    "MetricsRegistry",
     "NullRecorder",
     "Recorder",
     "SimClock",
@@ -59,7 +53,6 @@ __all__ = [
     "SpanStats",
     "SubsystemSummary",
     "TelemetryRecorder",
-    "TelemetrySnapshot",
     "TelemetrySummary",
     "Tracer",
     "collapsed_stacks",

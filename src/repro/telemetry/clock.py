@@ -11,12 +11,12 @@ advances it.  That is the property the whole subsystem hangs on:
   timeline, so per-trial spans stack into a flamegraph-style profile of
   *simulated* seconds.
 
-Drivers own the clock: :class:`repro.resilience.ChaosSimulation`,
-:class:`repro.cluster.FailoverSimulation` and
-:class:`repro.network.mac.UplinkSimulator` each advance the recorder's
-clock by their own time step as they run.  Leaf components (allocators,
-supervisors, schedulers) never touch it — they just record against
-whatever instant the driver has established.
+The stepping simulations own the clock:
+:class:`repro.resilience.ChaosSimulation` and
+:class:`repro.cluster.FailoverSimulation` each advance the recorder's
+clock by their own time step as they run.  Leaf components (supervisors,
+the cluster) never touch it — they just record against whatever instant
+the simulation has established.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ class SimClock:
     """A monotone simulated-seconds counter advanced by sim drivers.
 
     The clock never consults the host: it starts at ``start_s`` and
-    moves only through :meth:`advance` (relative) or :meth:`advance_to`
-    (absolute, clamped monotone).  Reading it is a plain attribute
-    access, cheap enough for hot loops.
+    moves only through :meth:`advance`.  Reading it is a plain
+    attribute access, cheap enough for hot loops.
     """
 
     __slots__ = ("now_s",)
@@ -45,15 +44,4 @@ class SimClock:
         if dt_s < 0.0:
             raise ValueError("simulated time cannot run backwards")
         self.now_s += float(dt_s)
-        return self.now_s
-
-    def advance_to(self, now_s: float) -> float:
-        """Move to an absolute instant, never backwards.
-
-        An ``advance_to`` earlier than the current reading is a no-op
-        rather than an error: independent drivers sharing one recorder
-        each keep their own local origin, and the shared timeline is
-        the running maximum.
-        """
-        self.now_s = max(self.now_s, float(now_s))
         return self.now_s

@@ -57,12 +57,12 @@ def to_jsonl_lines(recorder: Recorder) -> list[str]:
     lines = [_dumps({"record": "meta", "format": "repro-telemetry",
                      "version": EXPORT_FORMAT_VERSION,
                      "clock_s": recorder.clock.now_s})]
-    for counter in recorder.metrics.counters():
-        lines.append(_dumps({"record": "counter", "name": counter.name,
-                             "value": counter.value}))
-    for gauge in recorder.metrics.gauges():
-        lines.append(_dumps({"record": "gauge", "name": gauge.name,
-                             "value": gauge.value}))
+    for name in sorted(recorder.counters):
+        lines.append(_dumps({"record": "counter", "name": name,
+                             "value": recorder.counters[name]}))
+    for name in sorted(recorder.gauges):
+        lines.append(_dumps({"record": "gauge", "name": name,
+                             "value": recorder.gauges[name]}))
     for span in recorder.tracer.finished:
         lines.append(_dumps({
             "record": "span", "id": span.span_id, "name": span.name,

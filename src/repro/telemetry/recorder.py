@@ -1,6 +1,6 @@
 """The recorder facade every instrumented layer talks to.
 
-Components never import the registry or tracer directly; they take an
+Components never import the tracer directly; they take an
 optional ``telemetry`` argument typed as :class:`TelemetryRecorder` and
 call four verbs — :meth:`~TelemetryRecorder.count`,
 :meth:`~TelemetryRecorder.gauge`, :meth:`~TelemetryRecorder.event` and
@@ -13,26 +13,38 @@ call four verbs — :meth:`~TelemetryRecorder.count`,
   batch their instrumentation behind ``if telemetry.enabled:`` to make
   the disabled cost indistinguishable from the seed code — the
   ``benchmarks/test_telemetry_overhead.py`` gate pins this.
-* :class:`Recorder` — the real thing: a
-  :class:`~repro.telemetry.metrics.MetricsRegistry`, a
+* :class:`Recorder` — the real thing: a counter dict, a gauge dict, a
   :class:`~repro.telemetry.tracer.Tracer` and an ordered event log, all
   stamped from one :class:`~repro.telemetry.clock.SimClock`.
+
+The metric model is two kinds, each a name-to-float dict entry: a
+counter is a monotone total (``chaos.steps``), a gauge a last-value
+sample (``cluster.alive_aps``).  Names follow a ``subsystem.metric``
+convention, checked on first use: the segment before the first dot is
+the subsystem the summarizer groups tables by.  See
+``docs/observability.md`` for the full catalogue.
 """
 
 from __future__ import annotations
 
+import re
 from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from .clock import SimClock
-from .metrics import MetricsRegistry
 from .tracer import ActiveSpan, Primitive, Tracer
 
-if TYPE_CHECKING:  # imported lazily to avoid a snapshot<->recorder cycle
-    from .snapshot import TelemetrySnapshot
-
 __all__ = ["EventRecord", "NullRecorder", "Recorder", "TelemetryRecorder"]
+
+_NAME_RE = re.compile(r"^[a-z0-9_]+(\.[a-z0-9_-]+)+$")
+
+
+def _check_name(name: str) -> None:
+    """Enforce the ``subsystem.metric`` naming convention."""
+    if not _NAME_RE.match(name):
+        raise ValueError(
+            f"metric name {name!r} must be lowercase dotted "
+            "'subsystem.metric' (segments of [a-z0-9_-])")
 
 
 @dataclass(frozen=True)
@@ -100,10 +112,6 @@ class TelemetryRecorder:
         """Context manager tracing one scoped block (no-op here)."""
         return _NULL_SPAN
 
-    def absorb(self, snapshot: TelemetrySnapshot) -> None:
-        """Merge a cross-process telemetry snapshot (no-op here)."""
-        return None
-
 
 class NullRecorder(TelemetryRecorder):
     """The explicit zero-overhead recorder — the default everywhere.
@@ -117,24 +125,36 @@ class NullRecorder(TelemetryRecorder):
 
 
 class Recorder(TelemetryRecorder):
-    """A live recorder: metrics + spans + events on one sim clock."""
+    """A live recorder: counters, gauges, spans and events on one sim
+    clock."""
 
     enabled = True
-    __slots__ = ("metrics", "tracer", "events")
+    __slots__ = ("counters", "gauges", "tracer", "events")
 
     def __init__(self) -> None:
         super().__init__()
-        self.metrics = MetricsRegistry()
+        self.counters: dict[str, float] = {}
+        """Counter totals by name; the export lists them name-sorted."""
+        self.gauges: dict[str, float] = {}
+        """Last gauge readings by name (non-finite values are kept
+        as-is here and exported as ``null``)."""
         self.tracer = Tracer(self.clock)
         self.events: list[EventRecord] = []
 
     def count(self, name: str, amount: float = 1.0) -> None:
-        """Increment the counter ``name`` by ``amount``."""
-        self.metrics.counter(name).inc(amount)
+        """Add ``amount`` (never negative) to the counter ``name``."""
+        if amount < 0.0:
+            raise ValueError("counters only go up")
+        if name not in self.counters:
+            _check_name(name)
+            self.counters[name] = 0.0
+        self.counters[name] += float(amount)
 
     def gauge(self, name: str, value: float) -> None:
         """Set the gauge ``name`` to ``value``."""
-        self.metrics.gauge(name).set(value)
+        if name not in self.gauges:
+            _check_name(name)
+        self.gauges[name] = float(value)
 
     def event(self, name: str, **fields: Primitive) -> None:
         """Append a point event stamped with the current sim time."""
@@ -154,24 +174,3 @@ class Recorder(TelemetryRecorder):
              ) -> AbstractContextManager[ActiveSpan | _NullSpan]:
         """Context manager tracing one scoped block in sim time."""
         return self.tracer.span(name, **attrs)
-
-    def absorb(self, snapshot: TelemetrySnapshot) -> None:
-        """Merge a :class:`~repro.telemetry.snapshot.TelemetrySnapshot`
-        captured from another recorder (typically in a worker process).
-
-        Counters add, gauges take the snapshot's last value, spans are
-        renumbered onto this tracer's id sequence
-        (:meth:`~repro.telemetry.tracer.Tracer.absorb`), events append
-        in recorded order, and the clock advances to the snapshot's
-        final instant.  Absorbing scenario snapshots in scenario order
-        therefore reproduces the state one shared recorder would have
-        reached serially.
-        """
-        for name, value in snapshot.counters:
-            self.metrics.counter(name).inc(value)
-        for name, gauge_value in snapshot.gauges:
-            if gauge_value is not None:
-                self.metrics.gauge(name).set(gauge_value)
-        self.tracer.absorb(snapshot.span_records())
-        self.events.extend(snapshot.event_records())
-        self.clock.advance_to(snapshot.clock_s)

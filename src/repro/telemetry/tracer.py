@@ -18,7 +18,7 @@ rolls up into flamegraph stacks
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -103,32 +103,3 @@ class Tracer:
             yield handle
         finally:
             self.end(handle)
-
-    def absorb(self, spans: Iterable[SpanRecord]) -> list[SpanRecord]:
-        """Adopt finished spans from another tracer, renumbering ids.
-
-        The incoming records carry the *source* tracer's local ids.
-        Fresh ids are assigned in the source's begin order (ascending
-        local id — the order one shared tracer would have issued them),
-        parent references are remapped, and the renumbered records are
-        appended to :attr:`finished` preserving the source's completion
-        order.  This is the merge step that makes a sharded campaign's
-        trace byte-identical to a serial run's
-        (:mod:`repro.engine`).
-        """
-        records = list(spans)
-        mapping: dict[int, int] = {}
-        for local_id in sorted(r.span_id for r in records):
-            mapping[local_id] = self._next_id
-            self._next_id += 1
-        absorbed = []
-        for record in records:
-            parent = record.parent_id
-            renumbered = SpanRecord(
-                span_id=mapping[record.span_id], name=record.name,
-                start_s=record.start_s, end_s=record.end_s,
-                parent_id=None if parent is None else mapping.get(parent),
-                attrs=dict(record.attrs))
-            self.finished.append(renumbered)
-            absorbed.append(renumbered)
-        return absorbed

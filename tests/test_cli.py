@@ -62,11 +62,13 @@ class TestParser:
         args = build_parser().parse_args(["chaos", "--json"])
         assert args.as_json
 
-    def test_chaos_jobs_flag(self):
-        args = build_parser().parse_args(["chaos", "--scenario", "all",
-                                          "--jobs", "4"])
-        assert args.jobs == 4
-        assert build_parser().parse_args(["chaos"]).jobs == 1
+    def test_chaos_has_no_jobs_flag(self):
+        # The parallel sweep is `campaign chaos --jobs N`; `chaos` runs
+        # in one process so its --json export comes from one recorder.
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["chaos", "--scenario", "all",
+                                       "--jobs", "2"])
+        assert exc.value.code == 2
 
     def test_campaign_options(self):
         args = build_parser().parse_args(
@@ -178,10 +180,6 @@ class TestCommands:
     def test_chaos_unknown_scenario_fails(self, capsys):
         assert main(["chaos", "--scenario", "nope"]) == 2
         assert "unknown scenario" in capsys.readouterr().err
-
-    def test_chaos_bad_jobs_fails(self, capsys):
-        assert main(["chaos", "--jobs", "0"]) == 2
-        assert "--jobs" in capsys.readouterr().err
 
     def test_campaign_fig11(self, capsys):
         assert main(["campaign", "fig11", "--trials", "6",
@@ -375,6 +373,13 @@ class TestCommands:
         assert title in captured.out
         assert "nan" in captured.out
         assert "quarantined shards [0] never completed" in captured.err
+
+    def test_campaign_chaos_prints_the_chaos_sweep(self, capsys):
+        assert main(["campaign", "chaos", "--duration", "10"]) == 0
+        campaign = capsys.readouterr().out
+        assert main(["chaos", "--scenario", "all", "--duration", "10"]) == 0
+        assert capsys.readouterr().out == campaign
+        assert "recovered" in campaign
 
     def test_chaos_ap_crash(self, capsys):
         assert main(["chaos", "--ap-crash", "--seed", "7"]) == 0

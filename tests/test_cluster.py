@@ -359,25 +359,6 @@ class TestCluster:
         ap_id, reason = rebooted.recovery_errors[0]
         assert ap_id == 0 and "integrity" in reason
 
-    def test_corrupt_checkpoint_recovery_counts_telemetry(
-            self, tmp_path):
-        from repro.telemetry import Recorder
-
-        recorder = Recorder()
-        cluster = Cluster(
-            aps=[MmxAccessPoint()],
-            heartbeat=HeartbeatMonitor(interval_s=0.5,
-                                       miss_threshold=2),
-            telemetry=recorder, checkpoint_dir=tmp_path)
-        cluster.checkpoint_all()
-        (tmp_path / "ap0.ckpt").write_text("junk\n")
-        cluster.members[0].checkpoint = None  # simulate restart
-        cluster.crash(0)
-        cluster.recover(0, 1.0)
-        counters = {c.name: c.value
-                    for c in recorder.metrics.counters()}
-        assert counters.get("cluster.corrupt_checkpoints") == 1
-
     def test_empty_cluster_rejected(self):
         with pytest.raises(ValueError):
             Cluster(aps=[])

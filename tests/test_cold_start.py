@@ -133,7 +133,7 @@ import contextlib, io, json, sys
 from pathlib import Path
 from repro.cli import main
 
-tmp, lint_target = Path(sys.argv[1]), sys.argv[2]
+tmp = Path(sys.argv[1])
 telemetry = tmp / "chaos.jsonl"
 journal = tmp / "campaign.jsonl"
 codes = {}
@@ -161,7 +161,6 @@ run("campaign", "fig11", "--trials", "1", "--out", str(journal))
 run("telemetry", "summarize", str(telemetry))
 run("telemetry", "flame", str(telemetry))
 run("fsck", str(journal), str(telemetry))
-run("lint", lint_target)
 print(json.dumps({"codes": codes, "loaded": sorted(sys.modules)}))
 """
 
@@ -172,8 +171,7 @@ def test_every_cli_subcommand_loads_no_scipy(tmp_path):
     module behind."""
     from repro.cli import build_parser
 
-    done = _fresh_python("-c", _EVERY_SUBCOMMAND, str(tmp_path),
-                         str(SRC_DIR / "repro" / "rng.py"))
+    done = _fresh_python("-c", _EVERY_SUBCOMMAND, str(tmp_path))
     outcome = json.loads(done.stdout.splitlines()[-1])
     subparsers = next(action for action in build_parser()._actions
                       if action.dest == "command")

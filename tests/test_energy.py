@@ -399,7 +399,7 @@ class TestNodeLivenessTracker:
         """
         liveness = NodeLivenessTracker(interval_s=0.5, miss_threshold=3)
         cluster = Cluster([MmxAccessPoint(), MmxAccessPoint()],
-                          liveness=liveness, silence_failover=True)
+                          liveness=liveness)
         for node_id in range(4):
             cluster.register_node(node_id, 1e6, preference=[0, 1],
                                   now_s=0.0)
@@ -414,7 +414,7 @@ class TestNodeLivenessTracker:
         """The converse gate: truly silent fleets still fail over."""
         liveness = NodeLivenessTracker(interval_s=0.5, miss_threshold=3)
         cluster = Cluster([MmxAccessPoint(), MmxAccessPoint()],
-                          liveness=liveness, silence_failover=True)
+                          liveness=liveness)
         for node_id in range(4):
             cluster.register_node(node_id, 1e6, preference=[0, 1],
                                   now_s=0.0)
@@ -427,10 +427,6 @@ class TestNodeLivenessTracker:
         assert cluster.silence_failovers == 1
         assert 0 not in cluster.alive_ap_ids()
         assert len(migrated.get(0, [])) == 4
-
-    def test_silence_failover_requires_liveness(self):
-        with pytest.raises(ValueError, match="liveness"):
-            Cluster([MmxAccessPoint()], silence_failover=True)
 
 
 class TestEnergyCampaigns:

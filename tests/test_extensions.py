@@ -164,11 +164,11 @@ class TestWifiChannelModel:
 
     def test_fast_phy_admits_more(self):
         slow = WifiChannelModel()
-        fast = WifiChannelModel()
+        fast = WifiChannelModel(low_rate_phy_bps=120e6)
         n_slow = n_fast = 0
         while slow.admit(1e6):
             n_slow += 1
-        while fast.admit(1e6, phy_rate_bps=120e6):
+        while fast.admit(1e6):
             n_fast += 1
         # The paper's §1 point in one assert: the same load admits far
         # fewer devices when each runs a low-rate PHY.

@@ -10,9 +10,6 @@ from pathlib import Path
 import pytest
 
 from repro.telemetry import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
     NullRecorder,
     Recorder,
     SimClock,
@@ -43,12 +40,6 @@ class TestSimClock:
         with pytest.raises(ValueError):
             SimClock().advance(-0.1)
 
-    def test_advance_to_is_monotone(self):
-        clock = SimClock()
-        clock.advance_to(3.0)
-        clock.advance_to(1.0)  # backwards is a clamped no-op
-        assert clock.now_s == 3.0
-
     def test_negative_start_rejected(self):
         with pytest.raises(ValueError):
             SimClock(start_s=-1.0)
@@ -56,40 +47,52 @@ class TestSimClock:
 
 class TestMetrics:
     def test_counter_accumulates(self):
-        counter = Counter("mac.frames")
-        counter.inc()
-        counter.inc(2.5)
-        assert counter.value == pytest.approx(3.5)
+        rec = Recorder()
+        rec.count("mac.frames")
+        rec.count("mac.frames", 2.5)
+        assert rec.counters == {"mac.frames": pytest.approx(3.5)}
 
     def test_counter_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Counter("mac.frames").inc(-1.0)
+        rec = Recorder()
+        with pytest.raises(ValueError, match="only go up"):
+            rec.count("mac.frames", -1.0)
+        assert rec.counters == {}
 
     @pytest.mark.parametrize("bad", ["frames", "MAC.frames", "mac.",
                                      ".frames", "mac frames", ""])
     def test_name_convention_enforced(self, bad):
-        with pytest.raises(ValueError):
-            Counter(bad)
+        rec = Recorder()
+        with pytest.raises(ValueError, match="subsystem.metric"):
+            rec.count(bad)
+        with pytest.raises(ValueError, match="subsystem.metric"):
+            rec.gauge(bad, 1.0)
+        assert rec.counters == {} and rec.gauges == {}
 
     def test_gauge_none_until_set(self):
-        gauge = Gauge("transport.rto_s")
-        assert gauge.value is None
-        gauge.set(0.25)
-        assert gauge.value == pytest.approx(0.25)
+        rec = Recorder()
+        assert rec.gauges.get("transport.rto_s") is None
+        rec.gauge("transport.rto_s", 0.5)
+        rec.gauge("transport.rto_s", 0.25)
+        assert rec.gauges == {"transport.rto_s": pytest.approx(0.25)}
 
     def test_registry_get_or_create(self):
-        registry = MetricsRegistry()
-        assert registry.counter("a.b") is registry.counter("a.b")
-        registry.gauge("a.g")
-        assert [m.name for m in (*registry.counters(), *registry.gauges())] \
-            == ["a.b", "a.g"]
+        rec = Recorder()
+        rec.count("a.b")
+        rec.count("a.b")
+        rec.gauge("a.g", 1.0)
+        assert rec.counters == {"a.b": 2.0}
+        assert rec.gauges == {"a.g": 1.0}
 
     def test_registry_iteration_is_name_sorted(self):
-        registry = MetricsRegistry()
+        rec = Recorder()
         for name in ("z.last", "a.first", "m.mid"):
-            registry.counter(name)
-        assert [c.name for c in registry.counters()] == [
-            "a.first", "m.mid", "z.last"]
+            rec.count(name)
+            rec.gauge(name.replace(".", ".g_"), 1.0)
+        records = [json.loads(line) for line in to_jsonl_lines(rec)]
+        assert [(r["record"], r["name"]) for r in records[1:]] == [
+            ("counter", "a.first"), ("counter", "m.mid"),
+            ("counter", "z.last"), ("gauge", "a.g_first"),
+            ("gauge", "m.g_mid"), ("gauge", "z.g_last")]
 
 
 class TestTracer:
@@ -149,8 +152,8 @@ class TestRecorders:
         rec.count("mac.frames", 3)
         rec.gauge("transport.rto_s", 0.2)
         rec.event("mac.run", offered=5)
-        assert rec.metrics.counter("mac.frames").value == 3.0
-        assert rec.metrics.gauge("transport.rto_s").value == 0.2
+        assert rec.counters["mac.frames"] == 3.0
+        assert rec.gauges["transport.rto_s"] == 0.2
         assert rec.events[0].time_s == pytest.approx(1.5)
         assert rec.events[0].fields == {"offered": 5}
 
@@ -271,7 +274,7 @@ class TestStackInstrumentation:
         rec = Recorder()
         outcome = run("kitchen-sink", seed=3, duration_s=8.0,
                       telemetry=rec)
-        counters = {c.name: c.value for c in rec.metrics.counters()}
+        counters = rec.counters
         assert counters["chaos.steps"] == len(outcome.result.times_s)
         assert counters["resilience.actions"] \
             == len(outcome.result.actions)
@@ -289,15 +292,14 @@ class TestStackInstrumentation:
         section = doc[doc.index("## The recorder"):]
         start = section.index("```python\n") + len("```python\n")
         example = section[start:section.index("```", start)]
-        shown = re.search(r'counter\("chaos\.steps"\)\.value\s+#\s*(\S+)',
+        shown = re.search(r'counters\["chaos\.steps"\]\s+#\s*(\S+)',
                           example)
         assert shown is not None
         namespace: dict[str, object] = {}
         exec(example, namespace)
         tel = namespace["tel"]
         assert isinstance(tel, Recorder)
-        assert tel.metrics.counter("chaos.steps").value \
-            == float(shown.group(1))
+        assert tel.counters["chaos.steps"] == float(shown.group(1))
 
     def test_telemetry_does_not_change_results(self):
         from repro.experiments.chaos import run
@@ -316,7 +318,7 @@ class TestStackInstrumentation:
         outcome = run_failover(seed=0, duration_s=16.0,
                                crash_start_s=4.0, crash_duration_s=6.0,
                                telemetry=rec)
-        counters = {c.name: c.value for c in rec.metrics.counters()}
+        counters = rec.counters
         assert counters["cluster.heartbeat_deaths"] >= 1
         assert counters["cluster.failovers"] \
             == outcome.result.failover_count

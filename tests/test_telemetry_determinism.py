@@ -4,32 +4,24 @@ The whole point of the sim-time clock is that a telemetry export is a
 *replayable artifact*: no wall-clock stamp, no host jitter, no dict
 ordering wobble anywhere in the pipeline.  These tests pin that
 property end to end — the same scenario with the same seed must render
-exactly the same JSONL bytes every run, and a parallel chaos sweep must
-merge its workers' snapshots into the serial sweep's export.  The
+exactly the same JSONL bytes every run, and an export is only ever
+recorded in one process, so a recorded sweep refuses an executor.  The
 ``REPRO_SEED`` environment variable pins the fallback RNG a run uses
 when no explicit one is passed.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Any
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import SerialExecutor, SupervisedPool
+from repro.engine import SerialExecutor
 from repro.faults import SCENARIOS
 from repro.network.mac import UplinkSimulator
-from repro.telemetry import Recorder, to_jsonl_lines
+from repro.telemetry import NullRecorder, Recorder, to_jsonl_lines
 
 SCENARIO_NAMES = sorted(SCENARIOS)
-
-TIMESTAMP_KEYS = ("start_s", "end_s", "time_s", "clock_s")
-"""Record keys on the sweep's shared clock.  A merged worker stamp is
-offset plus local time, the serial clock a running float sum, so the
-two may differ in the last ulps (``docs/scaling.md``)."""
 
 
 def _chaos_export(scenario: str, seed: int,
@@ -58,39 +50,23 @@ class TestByteIdenticalExports:
         assert a != b
 
 
-def _sweep_export(**kwargs: Any) -> list[dict[str, Any]]:
-    from repro.experiments.chaos import run_all
+class TestOneProcessExport:
+    def test_recorded_sweep_refuses_an_executor(self):
+        from repro.experiments.chaos import run_all
 
-    recorder = Recorder()
-    run_all(seed=0, duration_s=30, telemetry=recorder, **kwargs)
-    return [json.loads(line) for line in to_jsonl_lines(recorder)]
+        recorder = Recorder()
+        with pytest.raises(ValueError, match="one process"):
+            run_all(seed=0, duration_s=4.0, telemetry=recorder,
+                    executor=SerialExecutor())
+        assert to_jsonl_lines(recorder) == to_jsonl_lines(Recorder())
 
+    def test_null_recorder_rides_along_with_an_executor(self):
+        from repro.experiments.chaos import run_all
 
-class TestParallelSweepMerge:
-    """The one path through ``TelemetrySnapshot.capture`` → ``shifted``
-    → ``Recorder.absorb``: a chaos sweep fanned out over an executor."""
-
-    @pytest.mark.parametrize("kwargs", [
-        pytest.param({"executor": SerialExecutor(), "num_shards": 3},
-                     id="serial-executor-3-shards"),
-        pytest.param({"executor": SupervisedPool(jobs=2)},
-                     id="supervised-pool"),
-    ])
-    def test_merged_export_matches_serial_sweep(self, kwargs):
-        serial = _sweep_export()
-        merged = _sweep_export(**kwargs)
-        assert {r["attrs"]["scenario"] for r in serial
-                if r.get("name") == "chaos.scenario"} == set(SCENARIO_NAMES)
-        assert len(merged) == len(serial)
-        for ours, theirs in zip(merged, serial):
-            assert {k: v for k, v in ours.items()
-                    if k not in TIMESTAMP_KEYS} \
-                == {k: v for k, v in theirs.items()
-                    if k not in TIMESTAMP_KEYS}
-            for key in TIMESTAMP_KEYS:
-                if key in theirs:
-                    assert ours[key] == pytest.approx(theirs[key],
-                                                      rel=0.0, abs=1e-9)
+        swept = run_all(seed=0, duration_s=4.0, quiet_tail_s=1.0,
+                        telemetry=NullRecorder(),
+                        executor=SerialExecutor())
+        assert [r.scenario for r in swept] == SCENARIO_NAMES
 
 
 class TestReproSeedEnvironment:

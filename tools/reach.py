@@ -78,7 +78,6 @@ CLI: tuple[tuple[str, ...], ...] = (
     ("chaos", "--ap-crash", "--seed", "0", "--json"),
     ("chaos", "--scenario", "all", "--seed", "0", "--duration", "30",
      "--json"),
-    ("chaos", "--scenario", "all", "--jobs", "2", "--json"),
     ("chaos", "--scenario", "kitchen-sink", "--seed", "1", "--duration",
      "10", "--json", ">{tmp}/chaos.jsonl"),
     ("admission", "saturate", "--nodes", "200", "--replicates", "1",
@@ -101,12 +100,12 @@ CLI: tuple[tuple[str, ...], ...] = (
      "--max-retries", "1", "--shard-timeout", "120", "--on-failure",
      "degrade"),
     ("campaign", "chaos", "--duration", "30"),
+    ("campaign", "chaos", "--duration", "30", "--jobs", "2"),
     ("telemetry", "summarize", "{tmp}/chaos.jsonl"),
     ("telemetry", "flame", "{tmp}/chaos.jsonl"),
     ("fsck", "{tmp}/fig13.jsonl", "{tmp}/chaos.jsonl"),
     ("fsck", "--json", "{tmp}/saturate.jsonl"),
     ("fsck", "--repair", "{tmp}/fig13.jsonl"),
-    ("lint",),
 )
 """``python -m repro`` invocations, run in order in one interpreter.
 ``{tmp}`` is a scratch directory; a final ``>PATH`` argument saves the

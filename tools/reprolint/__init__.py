@@ -24,7 +24,7 @@ rules traverse.
 Usage::
 
     python tools/reprolint [paths...] [--format human|json|sarif]
-    python -m repro lint [paths...]        # same thing, via the repro CLI
+        [--changed-only]
 
 Per-line suppression (dead directives are reported as ``SUP001``)::
 
