@@ -196,13 +196,40 @@ def perturb_breakdown(breakdown: SnrBreakdown,
     perturbed levels (phases are unknowable once faults perturb the
     traced channel); the fault-free path through
     :meth:`OtamLink.snr_breakdown` is untouched.
+
+    Only the FSK SNR reads the VCO offset, so the function is the
+    composition of two halves: :func:`_drift_free` scores everything
+    else, and :func:`_with_drift` applies the drift penalty.  A caller
+    stepping through a drift segment, where only the offset moves,
+    scores the first half once and the second per step.
+    """
+    return _with_drift(_drift_free(breakdown, disturbance),
+                       disturbance.vco_offset_hz, config)
+
+
+_DriftFree = tuple[float, float, float, float, float | None, float, bool]
+"""(beam 1 level, beam 0 level, noise, ASK SNR, FSK level, no-OTAM SNR,
+inverted): a perturbed breakdown short of its FSK SNR.  The FSK level
+is None for a node that is down, whose FSK branch is silent at any
+VCO offset."""
+
+
+def _drift_free_key(disturbance) -> tuple[object, ...]:
+    """Every disturbance field :func:`_drift_free` reads, as a dict key."""
+    d = disturbance
+    return (d.node_down, d.beam1_extra_loss_db, d.beam0_extra_loss_db,
+            d.stuck_beam, d.interference_dbm)
+
+
+def _drift_free(breakdown: SnrBreakdown, disturbance) -> _DriftFree:
+    """The half of :func:`perturb_breakdown` that ignores VCO drift.
+
+    It reads the disturbance fields :func:`_drift_free_key` lists and
+    no other.
     """
     if disturbance.node_down:
         ninf = float("-inf")
-        return SnrBreakdown(
-            beam1_level_dbm=ninf, beam0_level_dbm=ninf,
-            noise_dbm=breakdown.noise_dbm, ask_snr_db=ninf,
-            fsk_snr_db=ninf, no_otam_snr_db=ninf, inverted=False)
+        return (ninf, ninf, breakdown.noise_dbm, ninf, None, ninf, False)
     level1 = breakdown.beam1_level_dbm - disturbance.beam1_extra_loss_db
     level0 = breakdown.beam0_level_dbm - disturbance.beam0_extra_loss_db
     if disturbance.stuck_beam == 1:
@@ -216,17 +243,29 @@ def perturb_breakdown(breakdown: SnrBreakdown,
     a1, a0 = _amplitude(level1), _amplitude(level0)
     ask_snr = _level(abs(a1 - a0)) - noise_dbm
     fsk_level = _level(math.sqrt((a1 * a1 + a0 * a0) / 2.0))
-    penalty = _fsk_drift_penalty_db(disturbance.vco_offset_hz, config)
-    fsk_snr = float("-inf") if math.isinf(penalty) \
-        else fsk_level - penalty - noise_dbm
+    return (level1, level0, noise_dbm, ask_snr, fsk_level,
+            level1 - noise_dbm, a0 > a1)
+
+
+def _with_drift(part: _DriftFree, vco_offset_hz: float,
+                config: AskFskConfig) -> SnrBreakdown:
+    """The breakdown of ``part`` with the FSK tones ``vco_offset_hz`` off
+    their Goertzel bins (the other half of :func:`perturb_breakdown`)."""
+    level1, level0, noise_dbm, ask_snr, fsk_level, no_otam, inverted = part
+    if fsk_level is None:
+        fsk_snr = float("-inf")
+    else:
+        penalty = _fsk_drift_penalty_db(vco_offset_hz, config)
+        fsk_snr = float("-inf") if math.isinf(penalty) \
+            else fsk_level - penalty - noise_dbm
     return SnrBreakdown(
         beam1_level_dbm=level1,
         beam0_level_dbm=level0,
         noise_dbm=noise_dbm,
         ask_snr_db=ask_snr,
         fsk_snr_db=fsk_snr,
-        no_otam_snr_db=level1 - noise_dbm,
-        inverted=a0 > a1,
+        no_otam_snr_db=no_otam,
+        inverted=inverted,
     )
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..cluster import FailoverResult
 from ..core.link import facing_link
-from ..faults import scenario_injector
+from ..faults import FaultInjector, scenario_injector
 from ..resilience import ChaosResult, ChaosSimulation
 from ..telemetry import TelemetryRecorder
 
@@ -78,12 +78,18 @@ def run(scenario: str = "kitchen-sink", seed: int = 0,
     the ``chaos.*`` / ``resilience.*`` families for export.
     """
     injector = scenario_injector(scenario, master_seed=seed)
-    sim = ChaosSimulation(facing_link(distance_m), injector,
-                          time_step_s=time_step_s,
+    sim = ChaosSimulation(facing_link(distance_m), time_step_s=time_step_s,
                           telemetry=telemetry)
-    tel = sim.telemetry
-    with tel.span("chaos.scenario", scenario=scenario, seed=seed):
-        result = sim.run(duration_s, quiet_tail_s=quiet_tail_s)
+    return _run_scenario(sim, scenario, injector, seed, duration_s,
+                         quiet_tail_s)
+
+
+def _run_scenario(sim: ChaosSimulation, scenario: str,
+                  injector: FaultInjector, seed: int, duration_s: float,
+                  quiet_tail_s: float) -> ChaosRunResult:
+    """``injector``'s run on ``sim``, inside its ``chaos.scenario`` span."""
+    with sim.telemetry.span("chaos.scenario", scenario=scenario, seed=seed):
+        result = sim.run(injector, duration_s, quiet_tail_s=quiet_tail_s)
     return ChaosRunResult(scenario=scenario, seed=seed,
                           duration_s=duration_s, result=result)
 
@@ -120,7 +126,10 @@ def run_all(seed: int = 0, duration_s: float = 30.0,
 
     One recorder (``telemetry``) spans the whole sweep, so scenario
     spans stack side by side on a single cumulative sim-time axis —
-    exactly the shape the flamegraph export collapses.
+    exactly the shape the flamegraph export collapses.  Every scenario
+    runs on the same placement, so the serial sweep traces and scores
+    the link once and runs each scenario on that one
+    :class:`~repro.resilience.ChaosSimulation`.
 
     ``executor`` (optional) fans the scenarios out through
     :class:`repro.engine.Campaign` — e.g. ``SupervisedPool(jobs=4)`` runs
@@ -136,9 +145,10 @@ def run_all(seed: int = 0, duration_s: float = 30.0,
 
     names = tuple(sorted(SCENARIOS))
     if executor is None:
-        return [run(name, seed=seed, duration_s=duration_s,
-                    quiet_tail_s=quiet_tail_s, distance_m=distance_m,
-                    telemetry=telemetry)
+        sim = ChaosSimulation(facing_link(distance_m), telemetry=telemetry)
+        return [_run_scenario(sim, name,
+                              scenario_injector(name, master_seed=seed),
+                              seed, duration_s, quiet_tail_s)
                 for name in names]
     if telemetry is not None and telemetry.enabled:
         raise ValueError("a recorded sweep runs in one process; pass "
@@ -188,7 +198,7 @@ def run_failover(seed: int = 0, duration_s: float = 30.0,
     all) the moment it dies — the seed repository's behaviour.
     """
     from ..cluster import FailoverSimulation, HeartbeatMonitor
-    from ..faults import ApCrashProcess, FaultInjector
+    from ..faults import ApCrashProcess
     from ..sim.environment import Room
     from ..sim.geometry import Point
 

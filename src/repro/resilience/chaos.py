@@ -1,8 +1,8 @@
 """Chaos runs: one fault schedule, two link-management policies.
 
-:class:`ChaosSimulation` traces the clean analytic link once, then
-replays a :class:`~repro.faults.FaultSchedule` against two policies in
-lock-step:
+:class:`ChaosSimulation` scores the clean analytic link once, when it
+is built, then replays each :class:`~repro.faults.FaultSchedule` it is
+given against two policies in lock-step:
 
 * **static** — the seed repo's implicit policy: the conventional ASK
   decision branch, uncoded frames, the originally allocated channel,
@@ -16,25 +16,31 @@ attributable to link management alone.  Delivery is accounted in
 expectation — per-step frame survival probability — which keeps the
 comparison deterministic and free of sampling noise.
 
-Each distinct link state is scored once per run.  A schedule holds few
-distinct disturbances (most steps repeat the one before), so
-:meth:`ChaosSimulation.run` keeps one per-run dict from
-:class:`~repro.faults.LinkDisturbance` to the perturbed breakdown,
-shared by both policies, and each policy keeps its own dict from
-(branch, SNR, coding-mode index) to frame survival.  That is exact:
-:func:`~repro.core.link.perturb_breakdown`, the BER curves and
-:func:`~repro.core.throughput.frame_success_probability` are pure, the
-keys are frozen, a ±0.0 field gives the same SNRs as 0.0, and a NaN
-field never matches a key (only the very same float object is found
-again, by identity).
+A step costs only what changed since the step before:
 
-The schedule itself composes each distinct active set once per
-schedule and hands back that same object while the set holds, except
-while a drift event is active, when it composes per step (see
-:class:`~repro.faults.FaultSchedule`).  So a step whose disturbance is
-the very object of the step before reuses the breakdown at hand and
-skips the dict.  Nothing is cached across runs: the schedule, like the
-dicts, is built per run.
+* The schedule composes each distinct active set once per schedule
+  and hands back that same object while the set holds, except while a
+  drift event is active, when it composes per step (see
+  :class:`~repro.faults.FaultSchedule`).  A step whose disturbance is
+  the very object of the step before reuses the breakdown at hand.
+* A new disturbance is scored in two halves
+  (:func:`~repro.core.link.perturb_breakdown` is their composition).
+  The half that ignores VCO drift is scored once per run for each
+  distinct (node down, beam losses, stuck beam, interference power),
+  through one per-run dict shared by both policies; inside a drift
+  segment only the VCO offset moves, so a drift step pays only the
+  FSK drift penalty.
+* The static policy reuses its last (SNR, frame success) while the
+  breakdown object holds, and the supervisor searches its ladder only
+  when an input of the search changed.
+
+That is exact: the two halves, the BER curves and
+:func:`~repro.core.throughput.frame_success_probability` are pure, the
+dict keys hold every field the drift-free half reads, a ±0.0 field
+gives the same SNRs as 0.0, and a NaN field never matches a key (only
+the very same float object is found again, by identity).  Nothing is
+cached across runs except the clean breakdown: the schedule, like the
+dict, is built per run.
 """
 
 from __future__ import annotations
@@ -44,7 +50,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.ask_fsk import AskFskConfig
-from ..core.link import SnrBreakdown, perturb_breakdown
+from ..core.link import (
+    SnrBreakdown,
+    _drift_free,
+    _drift_free_key,
+    _DriftFree,
+    _with_drift,
+)
 from ..core.throughput import CODING_MODES
 from ..faults.events import LinkDisturbance
 from ..faults.injector import FaultInjector, FaultSchedule
@@ -118,53 +130,75 @@ class ChaosResult:
                     and post >= self.clean_snr_db - tolerance_db)
 
 
-def _perturbed(memo: dict[LinkDisturbance, SnrBreakdown],
-               clean: SnrBreakdown, disturbance: LinkDisturbance,
+def _perturbed(memo: dict[tuple[object, ...], _DriftFree],
+               clean: SnrBreakdown,
+               disturbance: LinkDisturbance,
                config: AskFskConfig) -> SnrBreakdown:
-    """``clean`` under ``disturbance``, scored once per key of ``memo``."""
-    breakdown = memo.get(disturbance)
-    if breakdown is None:
-        breakdown = memo[disturbance] = perturb_breakdown(
-            clean, disturbance, config)
-    return breakdown
+    """``clean`` under ``disturbance``, its drift-free half scored once
+    per key of ``memo``."""
+    key = _drift_free_key(disturbance)
+    part = memo.get(key)
+    if part is None:
+        part = memo[key] = _drift_free(clean, disturbance)
+    return _with_drift(part, disturbance.vco_offset_hz, config)
+
+
+_SILENT = (float("-inf"), 0.0)
+"""(decision SNR, frame success) of a step without a link."""
 
 
 class _StaticPolicy:
-    """The do-nothing baseline: frozen configuration, naive retries."""
+    """The do-nothing baseline: frozen configuration, naive retries.
+
+    A live step's (SNR, frame success) depends on the breakdown alone,
+    so it is scored once per breakdown object and reused while the
+    chaos loop hands back that same object.
+    """
 
     def __init__(self, payload_bytes: int):
         self.payload_bytes = payload_bytes
         self.initialized = True
         self._success_memo: dict[tuple[str, float, int], float] = {}
+        self._scored: SnrBreakdown | None = None
+        self._live = _SILENT
 
     def step(self, breakdown, *, node_down: bool,
              side_channel_up: bool) -> tuple[float, float]:
         """(decision snr, frame success) for one step."""
         if node_down:
             self.initialized = False
-            return (float("-inf"), 0.0)
+            return _SILENT
         if not self.initialized:
             # Immediate tight-loop retry every step until the side
             # channel answers; the handshake consumes the step.
             if side_channel_up:
                 self.initialized = True
-            return (float("-inf"), 0.0)
-        snr = breakdown.ask_snr_db
-        return (snr, _frame_success(self._success_memo, "ask", snr, 0,
-                                    CODING_MODES, self.payload_bytes))
+            return _SILENT
+        if breakdown is not self._scored:
+            snr = breakdown.ask_snr_db
+            self._live = (snr, _frame_success(
+                self._success_memo, "ask", snr, 0, CODING_MODES,
+                self.payload_bytes))
+            self._scored = breakdown
+        return self._live
 
 
 class ChaosSimulation:
-    """Replays one fault schedule against both link-management policies."""
+    """Replays fault schedules against both link-management policies.
 
-    def __init__(self, link, injector: FaultInjector,
-                 time_step_s: float = 0.1,
+    The link is scored once, here: every :meth:`run` starts from this
+    one clean breakdown, so a sweep of scenarios on one placement ray
+    traces the room once.
+    """
+
+    def __init__(self, link, time_step_s: float = 0.1,
                  payload_bytes: int = 256,
                  telemetry: TelemetryRecorder | None = None):
-        if time_step_s <= 0:
+        if not time_step_s > 0:  # NaN fails too
             raise ValueError("time step must be positive")
-        self.link = link
-        self.injector = injector
+        self.clean = link.snr_breakdown()
+        """The fault-free breakdown every run perturbs."""
+        self.config = link.config
         self.time_step_s = time_step_s
         self.payload_bytes = payload_bytes
         self.telemetry = telemetry if telemetry is not None \
@@ -174,9 +208,9 @@ class ChaosSimulation:
         family lands in the same export.  The simulation drives the
         recorder's clock one ``time_step_s`` per step."""
 
-    def run(self, duration_s: float,
+    def run(self, injector: FaultInjector, duration_s: float,
             quiet_tail_s: float = 0.0) -> ChaosResult:
-        """One deterministic chaos run.
+        """One deterministic chaos run of ``injector``'s faults.
 
         The injector's master seed spawns both the fault schedule and
         the supervisor's backoff-jitter stream, so the whole run —
@@ -184,18 +218,17 @@ class ChaosSimulation:
         bit-identically.  ``quiet_tail_s`` reserves a fault-free window
         at the end so post-fault recovery is always measurable.
 
-        Each distinct disturbance is scored once per run: one dict,
-        built here and dropped on return, maps every disturbance seen
-        to its perturbed breakdown for both policies (see the module
-        docstring for why that is exact).  The ``chaos.steps`` counter
-        and the two success gauges are recorded once, after the loop,
-        with the run's step count and the last step's values.
+        Each step costs only what changed since the step before (see
+        the module docstring for how, and why that is exact).  The
+        ``chaos.steps`` counter and the two success gauges are
+        recorded once, after the loop, with the run's step count and
+        the last step's values.
         """
         if duration_s <= 0:
             raise ValueError("duration must be positive")
 
-        schedule = self.injector.schedule(duration_s, quiet_tail_s)
-        ss = np.random.SeedSequence(self.injector.master_seed + 1)
+        schedule = injector.schedule(duration_s, quiet_tail_s)
+        ss = np.random.SeedSequence(injector.master_seed + 1)
         supervisor = LinkSupervisor(
             monitor=LinkHealthMonitor(),
             payload_bytes=self.payload_bytes,
@@ -204,7 +237,7 @@ class ChaosSimulation:
         static = _StaticPolicy(self.payload_bytes)
         static_monitor = LinkHealthMonitor()
 
-        clean = self.link.snr_breakdown()
+        clean = self.clean
         steps = int(round(duration_s / self.time_step_s))
         times = np.arange(steps) * self.time_step_s
 
@@ -214,17 +247,22 @@ class ChaosSimulation:
         # plan, and rung 5 marks its channel interfered — the batched
         # re-admission pass then lands it on clean spectrum (the fresh
         # band guarantees an FDM move, so the schedule-visible outcome
-        # — one successful move, then refusals — is unchanged).
+        # — one successful move, then refusals — is unchanged).  Only
+        # the first move request builds the controller: nothing else
+        # reads it, and most runs never ask.
         from ..admission.controller import AdmissionController
 
-        admission = AdmissionController()
+        admission: AdmissionController | None = None
         victim_id = 0
-        admission.admit(victim_id, rate_bps=1e6)
         adaptive_channel = [HOME_CHANNEL]
 
         def reallocate() -> bool:
+            nonlocal admission
             if adaptive_channel[0] != HOME_CHANNEL:
                 return False
+            if admission is None:
+                admission = AdmissionController()
+                admission.admit(victim_id, rate_bps=1e6)
             plan = admission.decision_for(victim_id).plan
             assert plan is not None
             report = admission.mark_interference(plan.low_hz, plan.high_hz)
@@ -233,65 +271,73 @@ class ChaosSimulation:
             adaptive_channel[0] = HOME_CHANNEL + 1
             return True
 
-        adaptive_snr = np.empty(steps)
-        static_snr = np.empty(steps)
-        adaptive_success = np.empty(steps)
-        static_success = np.empty(steps)
-        breakdowns: dict[LinkDisturbance, SnrBreakdown] = {}
-        config = self.link.config
+        adaptive_snr: list[float] = []
+        static_snr: list[float] = []
+        adaptive_success: list[float] = []
+        static_success: list[float] = []
+        parts: dict[tuple[object, ...], _DriftFree] = {}
+        config = self.config
         tel = self.telemetry
+        recording = tel.enabled
+        # The recorder's clock moves one step per step, the way
+        # SimClock.advance moves it; __init__ checked the step
+        # positive, so the loop adds it in place and the recorded path
+        # pays no call per step.
+        clock, time_step_s = tel.clock, float(self.time_step_s)
+        disturbance_at = schedule.disturbance_at
+        supervise = supervisor.step
+        static_step = static.step
+        static_observe = static_monitor.observe
         d_adaptive = d_static = b_adaptive = b_static = None
-        for i, t in enumerate(times.tolist()):
-            if tel.enabled:
-                tel.clock.advance(self.time_step_s)
+        for t in times.tolist():
+            if recording:
+                clock.now_s += time_step_s
             channel = adaptive_channel[0]
             # Outside drift, the schedule returns the very same object
             # while its active set holds, and that object's breakdown
-            # is already at hand: no dict lookup, no field hashing.
-            d = schedule.disturbance_at(t, channel)
+            # is already at hand.
+            d = disturbance_at(t, channel)
             if d is not d_adaptive:
                 d_adaptive = d
-                b_adaptive = _perturbed(breakdowns, clean, d, config)
+                b_adaptive = _perturbed(parts, clean, d, config)
             # Both calls are pure, so until rung 5 moves the adaptive
             # policy off the home channel the static policy sees the
             # very same disturbance and breakdown.
             if channel == HOME_CHANNEL:
                 d_static, b_static = d_adaptive, b_adaptive
             else:
-                d = schedule.disturbance_at(t, HOME_CHANNEL)
+                d = disturbance_at(t, HOME_CHANNEL)
                 if d is not d_static:
                     d_static = d
-                    b_static = _perturbed(breakdowns, clean, d, config)
-            decision = supervisor.step(
+                    b_static = _perturbed(parts, clean, d, config)
+            decision = supervise(
                 t, b_adaptive,
                 node_down=d_adaptive.node_down,
                 side_channel_up=d_adaptive.side_channel_up,
                 reallocate=reallocate)
-            adaptive_snr[i] = decision.effective_snr_db
-            adaptive_success[i] = decision.frame_success
-            snr, p = static.step(b_static,
-                                 node_down=d_static.node_down,
+            adaptive_snr.append(decision.effective_snr_db)
+            adaptive_success.append(decision.frame_success)
+            snr, p = static_step(b_static, node_down=d_static.node_down,
                                  side_channel_up=d_static.side_channel_up)
-            static_monitor.observe(t, snr)
-            static_snr[i] = snr
-            static_success[i] = p
-        if tel.enabled:
+            static_observe(t, snr)
+            static_snr.append(snr)
+            static_success.append(p)
+        if recording:
             # Exact: a counter adds whole steps exactly, and an export
             # keeps only a gauge's last value.
             if steps:
                 tel.count("chaos.steps", steps)
-                tel.gauge("chaos.adaptive_success",
-                          float(adaptive_success[-1]))
-                tel.gauge("chaos.static_success", float(static_success[-1]))
+                tel.gauge("chaos.adaptive_success", adaptive_success[-1])
+                tel.gauge("chaos.static_success", static_success[-1])
             tel.count("chaos.runs")
             tel.event("chaos.run", duration_s=duration_s, steps=steps,
                       faults=len(schedule.events))
         return ChaosResult(
             times_s=times,
-            adaptive_snr_db=adaptive_snr,
-            static_snr_db=static_snr,
-            adaptive_success=adaptive_success,
-            static_success=static_success,
+            adaptive_snr_db=np.array(adaptive_snr, dtype=np.float64),
+            static_snr_db=np.array(static_snr, dtype=np.float64),
+            adaptive_success=np.array(adaptive_success, dtype=np.float64),
+            static_success=np.array(static_success, dtype=np.float64),
             clean_snr_db=float(max(clean.ask_snr_db, clean.fsk_snr_db)),
             adaptive_report=supervisor.monitor.report(),
             static_report=static_monitor.report(),

@@ -6,6 +6,11 @@ estimate) feeds an EWMA, a three-state classifier (healthy / degraded /
 outage, with hysteresis so a single noisy capture cannot flap the
 state), and at the end of a run a :class:`LinkHealthReport` with the
 numbers an operator actually asks for — availability, MTTR, MTBF.
+
+:meth:`LinkHealthMonitor.observe` runs on every capture of every link,
+so it is one flat update: fold the sample into the EWMA, step the
+state machine, and append the time, the estimate and the state to
+three parallel lists that only the end-of-run report reads.
 """
 
 from __future__ import annotations
@@ -120,37 +125,54 @@ class LinkHealthMonitor:
                  degraded_margin_db: float = 5.0,
                  hysteresis_db: float = 2.0,
                  alpha: float = 0.3):
-        if degraded_margin_db <= 0 or hysteresis_db < 0:
+        # Written so that NaN fails: every comparison with NaN is False.
+        # An infinite threshold or margin would pin the state machine.
+        if not math.isfinite(outage_db):
+            raise ValueError("outage threshold must be finite")
+        if not 0.0 < degraded_margin_db < math.inf \
+                or not 0.0 <= hysteresis_db < math.inf:
             raise ValueError("margins must be positive")
         self.outage_db = outage_db
         self.degraded_db = outage_db + degraded_margin_db
         self.hysteresis_db = hysteresis_db
         self.ewma = EwmaEstimator(alpha)
         self.state = HEALTHY
-        self._samples: list[tuple[float, float, str]] = []
+        self._times: list[float] = []
+        self._values: list[float] = []
+        self._states: list[str] = []
 
     # --- observation -----------------------------------------------------
 
     def observe(self, time_s: float, snr_db: float) -> str:
-        """Fold one SNR measurement in; returns the new state."""
-        if self._samples and time_s < self._samples[-1][0]:
+        """Fold one SNR measurement in; returns the new state.
+
+        Times must not decrease, and a NaN time is refused, first
+        sample included.
+        """
+        time_s = float(time_s)
+        times = self._times
+        # Written so that NaN fails: every comparison with NaN is False.
+        if not time_s >= (times[-1] if times else -math.inf):
             raise ValueError("observations must arrive in time order")
         value = self.ewma.update(float(snr_db))
-        if self.state == HEALTHY:
+        state = self.state
+        if state == HEALTHY:
             if value < self.outage_db:
-                self.state = OUTAGE
+                state = OUTAGE
             elif value < self.degraded_db:
-                self.state = DEGRADED
-        elif self.state == DEGRADED:
+                state = DEGRADED
+        elif state == DEGRADED:
             if value < self.outage_db:
-                self.state = OUTAGE
+                state = OUTAGE
             elif value > self.degraded_db + self.hysteresis_db:
-                self.state = HEALTHY
-        else:  # OUTAGE
-            if value > self.outage_db + self.hysteresis_db:
-                self.state = DEGRADED
-        self._samples.append((float(time_s), value, self.state))
-        return self.state
+                state = HEALTHY
+        elif value > self.outage_db + self.hysteresis_db:  # OUTAGE
+            state = DEGRADED
+        self.state = state
+        times.append(time_s)
+        self._values.append(value)
+        self._states.append(state)
+        return state
 
     def reset_estimate(self) -> None:
         """Forget the EWMA (after re-init / channel move), keep history."""
@@ -164,13 +186,13 @@ class LinkHealthMonitor:
         The final sample's state extends one median inter-sample gap,
         mirroring ``LinkTrace.outage_events``.
         """
-        if not self._samples:
+        times = self._times
+        if not times:
             return []
-        times = [t for t, _, _ in self._samples]
         dt = (float(np.median(np.diff(times))) if len(times) > 1 else 0.0)
         intervals = []
         start = None
-        for t, _, state in self._samples:
+        for t, state in zip(times, self._states):
             if state == OUTAGE and start is None:
                 start = t
             elif state != OUTAGE and start is not None:
@@ -182,11 +204,11 @@ class LinkHealthMonitor:
 
     def report(self) -> LinkHealthReport:
         """Summarise everything observed so far."""
-        if not self._samples:
+        times = self._times
+        if not times:
             raise ValueError("no observations to report on")
-        times = np.asarray([t for t, _, _ in self._samples])
-        values = np.asarray([v for _, v, _ in self._samples])
-        states = [s for _, _, s in self._samples]
+        values = np.asarray(self._values)
+        states = self._states
         duration = (float(times[-1] - times[0]) if len(times) > 1
                     else 0.0)
         outage_frac = states.count(OUTAGE) / len(states)

@@ -66,7 +66,8 @@ class RecoveryAction:
 class SupervisorDecision(NamedTuple):
     """What the supervised link does for one timestep.
 
-    A named tuple: immutable, cheap to build once per step, and read by
+    A named tuple: immutable, cheap to build once per step (built
+    positionally: keyword arguments double the cost), and read by
     attribute only.
     """
 
@@ -110,16 +111,21 @@ def _frame_success(memo: dict[tuple[str, float, int], float], branch: str,
 class LinkSupervisor:
     """Watches one link's health and applies the recovery ladder.
 
-    The frame-success ladder is scored once per distinct (branch, SNR,
-    coding-mode index) per supervisor: :meth:`step` looks each
-    candidate up in a per-instance dict and scores only new keys.  That
-    is exact because the BER curves and
+    A step costs only what changed.  The rung-1/2 ladder search is a
+    pure function of five inputs: healthy or not, the current branch,
+    the current coding-mode index and the two rate-adjusted SNRs.
+    :meth:`step` searches again only when one of them differs from the
+    step before and otherwise reuses the last (branch, mode, frame
+    success), so a steady link scores no candidate at all.  A search
+    looks each candidate up in a per-instance dict from (branch, SNR,
+    coding-mode index) to frame survival and scores only new keys.
+    Both are exact because the BER curves and
     :func:`~repro.core.throughput.frame_success_probability` are pure,
     ``payload_bytes`` and ``modes`` are fixed per instance, a ±0.0 SNR
-    gives the same BER either way, and a NaN SNR never matches a key
-    (only the very same float object is found again, by identity).  A
-    link held on one unchanged breakdown (the energy-outage drill)
-    scores each candidate once.
+    gives the same BER either way, and a NaN SNR never matches (only
+    the very same float object is found again, by identity).  A link
+    held on one unchanged breakdown (the energy-outage drill) scores
+    each candidate once.
     """
 
     MIN_RATE_FRACTION = 0.25
@@ -135,18 +141,21 @@ class LinkSupervisor:
                  recovery_hold_s: float = 1.0,
                  rng: np.random.Generator | None = None,
                  telemetry: TelemetryRecorder | None = None):
-        if payload_bytes <= 0:
+        # Written so that NaN fails: every comparison with NaN is False.
+        if not payload_bytes > 0:
             raise ValueError("payload must be positive")
         if not modes:
             raise ValueError("need at least one coding mode")
-        if reinit_backoff_s <= 0 or max_backoff_s < reinit_backoff_s:
+        if not reinit_backoff_s > 0 or not max_backoff_s >= reinit_backoff_s:
             raise ValueError("invalid backoff window")
-        if backoff_factor < 1.0:
+        if not backoff_factor >= 1.0:
             raise ValueError("backoff factor must be >= 1")
         if not 0.0 <= backoff_jitter < 1.0:
             raise ValueError("jitter must be in [0, 1)")
-        if noise_jump_db <= 0:
+        if not noise_jump_db > 0:
             raise ValueError("noise jump threshold must be positive")
+        if not recovery_hold_s >= 0:
+            raise ValueError("recovery hold must be non-negative")
         self.monitor = monitor or LinkHealthMonitor()
         self.payload_bytes = payload_bytes
         self.modes = modes
@@ -180,6 +189,10 @@ class LinkSupervisor:
         self._reinit_span = None
         self._dormant = False
         self._success_memo: dict[tuple[str, float, int], float] = {}
+        # The last ladder search: its five inputs and its (branch, mode
+        # index, frame success).  No search has run yet.
+        self._ladder_inputs: tuple[bool, str, int, float, float] | None = None
+        self._ladder: tuple[str, int, float] = ("ask", 0, 0.0)
 
     # --- helpers ---------------------------------------------------------
 
@@ -229,11 +242,9 @@ class LinkSupervisor:
     def _silent_decision(self, time_s: float, state: str,
                          actions: list[RecoveryAction]) -> SupervisorDecision:
         return SupervisorDecision(
-            time_s=time_s, transmitting=False, branch=self._branch,
-            mode=self.modes[self._mode_index],
-            rate_fraction=self._rate_fraction,
-            raw_snr_db=float("-inf"), effective_snr_db=float("-inf"),
-            state=state, frame_success=0.0, actions=tuple(actions))
+            time_s, False, self._branch, self.modes[self._mode_index],
+            self._rate_fraction, float("-inf"), float("-inf"), state, 0.0,
+            tuple(actions))
 
     # --- the per-timestep control loop -----------------------------------
 
@@ -334,7 +345,11 @@ class LinkSupervisor:
 
         raw_snr = max(breakdown.ask_snr_db, breakdown.fsk_snr_db)
         state = self.monitor.observe(time_s, raw_snr)
-        self._track_state(state)
+        healthy = state == HEALTHY
+        # The outage span has something to record only when the link
+        # crosses into or out of HEALTHY.
+        if healthy == (self._outage_span is not None):
+            self._track_state(state)
 
         # Rung 3: when the link sits in outage, trade rate for SNR —
         # each halving of the bit rate doubles per-bit energy (+3 dB).
@@ -343,7 +358,7 @@ class LinkSupervisor:
             self._set_rate_fraction(self._rate_fraction / 2.0)
             actions.append(self._log(time_s, "rate-step-down",
                                      f"rate x{self._rate_fraction:g}"))
-        elif state == HEALTHY:
+        elif healthy:
             if self._healthy_since is None:
                 self._healthy_since = time_s
             elif time_s - self._healthy_since >= self.recovery_hold_s:
@@ -360,7 +375,7 @@ class LinkSupervisor:
                         f"{self.modes[0].name}"))
                     self._mode_index = 0
                 self._healthy_since = time_s
-        if state != HEALTHY:
+        if not healthy:
             self._healthy_since = None
 
         ask_snr = breakdown.ask_snr_db + self._rate_bonus_db
@@ -371,17 +386,23 @@ class LinkSupervisor:
         # modes in ladder order.  Outside the healthy state the whole
         # mode ladder is searched (coding step-down); while healthy only
         # the current mode is kept, so a clean link stays on its cheap
-        # configuration.
-        branch, best_index, p_frame = self._branch, self._mode_index, -1.0
-        indices = (range(best_index, best_index + 1) if state == HEALTHY
-                   else range(len(self.modes)))
-        for cand_branch in ("ask", "fsk"):
-            snr = ask_snr if cand_branch == "ask" else fsk_snr
-            for index in indices:
-                p = _frame_success(self._success_memo, cand_branch, snr,
-                                   index, self.modes, self.payload_bytes)
-                if p > p_frame + 1e-12:
-                    branch, best_index, p_frame = cand_branch, index, p
+        # configuration.  The search reads nothing but these five
+        # inputs, so it runs again only when one of them changed.
+        inputs = (healthy, self._branch, self._mode_index, ask_snr, fsk_snr)
+        if inputs != self._ladder_inputs:
+            branch, best_index, p_frame = self._branch, self._mode_index, -1.0
+            indices = (range(best_index, best_index + 1) if healthy
+                       else range(len(self.modes)))
+            for cand_branch in ("ask", "fsk"):
+                snr = ask_snr if cand_branch == "ask" else fsk_snr
+                for index in indices:
+                    p = _frame_success(self._success_memo, cand_branch, snr,
+                                       index, self.modes, self.payload_bytes)
+                    if p > p_frame + 1e-12:
+                        branch, best_index, p_frame = cand_branch, index, p
+            self._ladder_inputs = inputs
+            self._ladder = (branch, best_index, float(max(p_frame, 0.0)))
+        branch, best_index, frame_success = self._ladder
         if branch != self._branch:
             actions.append(self._log(time_s, "branch-fallback",
                                      f"{self._branch} -> {branch}"))
@@ -398,7 +419,5 @@ class LinkSupervisor:
         mode = self.modes[self._mode_index]
         effective_snr = ask_snr if branch == "ask" else fsk_snr
         return SupervisorDecision(
-            time_s=time_s, transmitting=True, branch=branch, mode=mode,
-            rate_fraction=self._rate_fraction, raw_snr_db=float(raw_snr),
-            effective_snr_db=float(effective_snr), state=state,
-            frame_success=float(max(p_frame, 0.0)), actions=tuple(actions))
+            time_s, True, branch, mode, self._rate_fraction, float(raw_snr),
+            float(effective_snr), state, frame_success, tuple(actions))

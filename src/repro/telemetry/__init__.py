@@ -23,7 +23,7 @@ Usage
 >>> from repro.telemetry import Recorder, to_jsonl_lines
 >>> from repro.resilience import ChaosSimulation  # doctest: +SKIP
 >>> rec = Recorder()                              # doctest: +SKIP
->>> ChaosSimulation(link, injector, telemetry=rec).run(30)  # doctest: +SKIP
+>>> ChaosSimulation(link, telemetry=rec).run(injector, 30)  # doctest: +SKIP
 >>> for line in to_jsonl_lines(rec):              # doctest: +SKIP
 ...     print(line)
 """

@@ -28,8 +28,10 @@ class SimClock:
     """A monotone simulated-seconds counter advanced by sim drivers.
 
     The clock never consults the host: it starts at ``start_s`` and
-    moves only through :meth:`advance`.  Reading it is a plain
-    attribute access, cheap enough for hot loops.
+    moves only forward, through :meth:`advance`.  Reading it is a plain
+    attribute access, cheap enough for hot loops; a driver's hot loop
+    that adds a step it has already checked may also add it to
+    ``now_s`` in place, which is what :meth:`advance` does.
     """
 
     __slots__ = ("now_s",)

@@ -92,6 +92,43 @@ class TestLinkHealthMonitor:
         with pytest.raises(ValueError):
             LinkHealthMonitor().report()
 
+    def test_nan_time_refused(self):
+        with pytest.raises(ValueError):
+            LinkHealthMonitor().observe(float("nan"), 30.0)
+        monitor = LinkHealthMonitor()
+        monitor.observe(1.0, 30.0)
+        with pytest.raises(ValueError):
+            monitor.observe(float("nan"), 30.0)
+        with pytest.raises(ValueError):
+            monitor.observe(0.5, 30.0)
+        monitor.observe(1.5, 30.0)
+        assert monitor.report().duration_s == 0.5
+
+    @pytest.mark.parametrize("kwargs", [
+        {"outage_db": float("nan")},
+        {"outage_db": float("inf")},
+        {"degraded_margin_db": float("nan")},
+        {"degraded_margin_db": 0.0},
+        {"degraded_margin_db": float("inf")},
+        {"hysteresis_db": float("nan")},
+        {"hysteresis_db": -1.0},
+        {"hysteresis_db": float("inf")},
+        {"alpha": float("nan")},
+    ])
+    def test_bad_parameters_refused(self, kwargs):
+        with pytest.raises(ValueError):
+            LinkHealthMonitor(**kwargs)
+
+    def test_degraded_link_recovers_past_the_hysteresis(self):
+        """The climb a NaN hysteresis would block: 12 dB x5 degrades
+        the link, 40 dB x30 brings it back."""
+        monitor = LinkHealthMonitor()
+        samples = [12.0] * 5 + [40.0] * 30
+        states = [monitor.observe(0.1 * i, snr)
+                  for i, snr in enumerate(samples)]
+        assert DEGRADED in states
+        assert states[-1] == HEALTHY
+
 
 class TestPerturbBreakdown:
     def test_clear_disturbance_keeps_the_clean_breakdown(self, clean, link):
@@ -149,6 +186,24 @@ class TestPerturbBreakdown:
 
 
 class TestLinkSupervisor:
+    @pytest.mark.parametrize("kwargs", [
+        {"payload_bytes": 0},
+        {"reinit_backoff_s": float("nan")},
+        {"reinit_backoff_s": 0.0},
+        {"max_backoff_s": float("nan")},
+        {"max_backoff_s": 0.1},
+        {"backoff_factor": float("nan")},
+        {"backoff_factor": 0.5},
+        {"backoff_jitter": float("nan")},
+        {"noise_jump_db": float("nan")},
+        {"noise_jump_db": 0.0},
+        {"recovery_hold_s": float("nan")},
+        {"recovery_hold_s": -5.0},
+    ])
+    def test_bad_parameters_refused(self, kwargs):
+        with pytest.raises(ValueError):
+            LinkSupervisor(**kwargs)
+
     def test_clean_link_never_acts(self, clean):
         supervisor = LinkSupervisor(rng=np.random.default_rng(0))
         for i in range(20):
@@ -216,21 +271,25 @@ class TestChaosSimulation:
     def test_deterministic_from_master_seed(self, link):
         runs = []
         for _ in range(2):
-            sim = ChaosSimulation(
-                link, scenario_injector("kitchen-sink", master_seed=11),
-                time_step_s=0.25)
-            runs.append(sim.run(20.0, quiet_tail_s=3.0))
+            sim = ChaosSimulation(link, time_step_s=0.25)
+            runs.append(sim.run(
+                scenario_injector("kitchen-sink", master_seed=11), 20.0,
+                quiet_tail_s=3.0))
         a, b = runs
         assert np.array_equal(a.adaptive_success, b.adaptive_success)
         assert np.array_equal(a.static_success, b.static_success)
         assert a.schedule.events == b.schedule.events
         assert [x.policy for x in a.actions] == [x.policy for x in b.actions]
 
+    @pytest.mark.parametrize("step", [0.0, -0.1, float("nan")])
+    def test_bad_time_step_refused(self, link, step):
+        with pytest.raises(ValueError):
+            ChaosSimulation(link, time_step_s=step)
+
     def test_quiet_tail_guarantees_recovery_window(self, link):
-        sim = ChaosSimulation(
-            link, scenario_injector("kitchen-sink", master_seed=11),
-            time_step_s=0.25)
-        result = sim.run(20.0, quiet_tail_s=3.0)
+        sim = ChaosSimulation(link, time_step_s=0.25)
+        result = sim.run(scenario_injector("kitchen-sink", master_seed=11),
+                         20.0, quiet_tail_s=3.0)
         assert np.isfinite(result.post_fault_snr_db(settle_s=1.0))
 
     def test_robustness_doc_sample_sweep_is_current(self):

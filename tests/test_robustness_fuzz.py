@@ -313,8 +313,8 @@ class TestFaultScheduleProperties:
         """Same fault schedule, same seed: the recovery ladder can only
         help (the static configuration is always in its search space)."""
         injector = FaultInjector(processes, master_seed=seed)
-        sim = ChaosSimulation(_chaos_link(), injector, time_step_s=0.25)
-        result = sim.run(10.0)
+        sim = ChaosSimulation(_chaos_link(), time_step_s=0.25)
+        result = sim.run(injector, 10.0)
         assert (result.adaptive_delivery_ratio
                 >= result.static_delivery_ratio - 1e-9)
 
