@@ -26,7 +26,7 @@ import time
 from repro.durability import (
     FS_FAULT_KINDS,
     FaultyFs,
-    FsFaultSchedule,
+    FsFault,
     InjectedFsCrash,
     fsck_path,
 )
@@ -75,7 +75,7 @@ def test_every_crash_point_resumes_byte_identical(tmp_path):
     for kind in FS_FAULT_KINDS:
         for op in range(1, num_ops + 1):
             path = tmp_path / f"{kind}-{op}.jsonl"
-            faulty = FaultyFs(FsFaultSchedule.single(kind, op))
+            faulty = FaultyFs({op: FsFault(kind)})
             try:
                 run_journaled(path, fs=faulty)
             except InjectedFsCrash:
@@ -137,8 +137,7 @@ def test_fsck_report_artifact(tmp_path):
         i + 1 for i, entry in enumerate(probe.trace)
         if entry.startswith("write:") and i + 1 > 5
     )  # the first shard-append write after the 5-op atomic create
-    faulty = FaultyFs(FsFaultSchedule.single("short_write",
-                                             append_write))
+    faulty = FaultyFs({append_write: FsFault("short_write")})
     run_journaled(path, fs=faulty)
 
     before = fsck_path(path)

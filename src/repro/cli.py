@@ -372,8 +372,8 @@ def _campaign_flag_error(args: argparse.Namespace) -> str | None:
         return "--shards must be at least 1"
     if max_retries is not None and max_retries < 0:
         return "--max-retries cannot be negative"
-    if shard_timeout is not None and shard_timeout <= 0:
-        return "--shard-timeout must be positive"
+    if shard_timeout is not None and not 0 < shard_timeout < math.inf:
+        return "--shard-timeout must be positive and finite"
     if args.resume and out is None:
         return "--resume needs --out (the store to resume from)"
     if out is not None and Path(out).exists() and not args.resume:

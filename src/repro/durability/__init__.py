@@ -13,10 +13,10 @@ all go through one seam:
   (append-with-fsync), over an injectable :class:`FsBackend`;
 * :mod:`~repro.durability.integrity` — the canonical-JSON SHA-256
   sealing every hashed record in the repo shares;
-* :mod:`~repro.durability.faults` — the seeded, picklable
-  :class:`FsFaultSchedule` / :class:`FaultyFs` harness (torn write,
-  short write, bit flip, ``ENOSPC``, ``EIO``, crash-at-syscall-N),
-  mirroring the worker-fault harness of :mod:`repro.engine.faults`;
+* :mod:`~repro.durability.faults` — the :class:`FaultyFs` harness,
+  which strikes at scripted syscall ordinals (torn write, short write,
+  bit flip, ``ENOSPC``, ``EIO``, crash-at-syscall-N), mirroring the
+  worker-fault harness of :mod:`repro.engine.faults`;
 * :mod:`~repro.durability.fsck` — scan/verify/repair for journals,
   checkpoints, and telemetry exports, wired up as
   ``python -m repro fsck``.
@@ -34,7 +34,6 @@ from .faults import (
     FaultyFs,
     FsFault,
     FsFaultKind,
-    FsFaultSchedule,
     InjectedFsCrash,
 )
 from .fsck import (
@@ -69,7 +68,6 @@ __all__ = [
     "FsBackend",
     "FsFault",
     "FsFaultKind",
-    "FsFaultSchedule",
     "FsckReport",
     "InjectedFsCrash",
     "IntegrityError",

@@ -1,10 +1,10 @@
 """Deterministic filesystem-fault harness for durable persistence.
 
-PR 6 chaos-tested the campaign *executor* with a seeded, picklable
-:class:`~repro.engine.faults.WorkerFaultSchedule`; this module does the
-same to the campaign's *storage*.  An :class:`FsFaultSchedule` is a
-frozen map from syscall ordinal (1-based, counted across every mutating
-operation a :class:`FaultyFs` performs) to one :class:`FsFault`:
+A :class:`~repro.engine.faults.WorkerFaultSchedule` scripts faults into
+the campaign *executor*; this module does the same to the campaign's
+*storage*.  A :class:`FaultyFs` takes a map from syscall ordinal
+(1-based, counted across every mutating operation it performs) to one
+:class:`FsFault`:
 
 ``torn_write``   a prefix of the buffer lands, then the process dies —
                  the classic crash-mid-append
@@ -28,18 +28,17 @@ behind.  Resume the "rebooted process" with a fresh backend.
 
 Fault decisions are keyed on the operation ordinal, never on wall time
 or shared RNG state, so a faulty run replays identically — and a
-:class:`FaultyFs` with an empty schedule doubles as the op counter that
+:class:`FaultyFs` with no faults doubles as the op counter that
 enumerates every crash point for the sweep gate.
 """
 
 from __future__ import annotations
 
 import errno
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal
-
-import numpy as np
 
 from .io import REAL_FS
 
@@ -48,7 +47,6 @@ __all__ = [
     "FaultyFs",
     "FsFault",
     "FsFaultKind",
-    "FsFaultSchedule",
     "InjectedFsCrash",
 ]
 
@@ -89,103 +87,27 @@ class FsFault:
             raise ValueError("bit cannot be negative")
 
 
-@dataclass(frozen=True)
-class FsFaultSchedule:
-    """A frozen ``syscall ordinal -> FsFault`` schedule.
-
-    Ordinals are 1-based and count every *mutating* backend call —
-    ``open``, ``write``, ``fsync``, ``replace``, ``remove``,
-    ``fsync_dir`` (``close`` is free: it is never a durability point).
-    Plain data, so it pickles; immutable, so every replay consults the
-    same script.
-    """
-
-    faults: dict[int, FsFault] = field(default_factory=dict)
-
-    def fault_for(self, op_index: int) -> FsFault | None:
-        """The fault scripted for this operation, if any."""
-        return self.faults.get(op_index)
-
-    @property
-    def num_faults(self) -> int:
-        """How many operations this schedule sabotages."""
-        return len(self.faults)
-
-    @classmethod
-    def crash_at(cls, op_index: int) -> FsFaultSchedule:
-        """Die at exactly syscall ``op_index`` — the sweep primitive."""
-        if op_index < 1:
-            raise ValueError("syscall ordinals are 1-based")
-        return cls(faults={op_index: FsFault(kind="crash")})
-
-    @classmethod
-    def single(cls, kind: FsFaultKind, op_index: int, *,
-               fraction: float = 0.5, bit: int = 0) -> FsFaultSchedule:
-        """One fault of ``kind`` at syscall ``op_index``."""
-        if op_index < 1:
-            raise ValueError("syscall ordinals are 1-based")
-        return cls(faults={op_index: FsFault(kind=kind,
-                                             fraction=fraction,
-                                             bit=bit)})
-
-    @classmethod
-    def build(cls, seed: int, num_ops: int, *,
-              torn_write: float = 0.0, short_write: float = 0.0,
-              bit_flip: float = 0.0, enospc: float = 0.0,
-              eio: float = 0.0, crash: float = 0.0,
-              fraction: float = 0.5) -> FsFaultSchedule:
-        """A seeded random schedule: per-operation fault probabilities.
-
-        For each of the first ``num_ops`` operations, one draw from a
-        generator seeded with ``seed`` picks at most one fault kind
-        (the rates must sum to at most 1).  The same seed always yields
-        the same schedule.  ``bit_flip`` targets a seeded random bit.
-        """
-        rates: dict[FsFaultKind, float] = {
-            "torn_write": torn_write, "short_write": short_write,
-            "bit_flip": bit_flip, "enospc": enospc, "eio": eio,
-            "crash": crash}
-        for kind, rate in rates.items():
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{kind} rate must be in [0, 1]")
-        if sum(rates.values()) > 1.0:
-            raise ValueError("fault rates sum to more than 1; at most "
-                             "one fault fires per operation")
-        if num_ops < 0:
-            raise ValueError("num_ops cannot be negative")
-        rng = np.random.default_rng(seed)
-        faults: dict[int, FsFault] = {}
-        for op_index in range(1, num_ops + 1):
-            draw = float(rng.uniform())
-            bit = int(rng.integers(0, 1 << 14))
-            edge = 0.0
-            for kind, rate in rates.items():
-                edge += rate
-                if draw < edge:
-                    faults[op_index] = FsFault(kind=kind,
-                                               fraction=fraction,
-                                               bit=bit)
-                    break
-        return cls(faults=faults)
-
-
 class FaultyFs:
     """A fault-injecting :class:`~repro.durability.io.FsBackend`.
 
     Wraps the real backend, counts every mutating operation, and strikes
-    when the count hits a scheduled ordinal.  With an empty schedule it
-    is a pure op counter/tracer: run once fault-free, read
-    :attr:`op_count`, and you have enumerated every crash point the
-    sweep gate must cover.
+    when the count hits an ordinal in ``faults``.  Ordinals are 1-based
+    and count every *mutating* backend call — ``open``, ``write``,
+    ``fsync``, ``replace``, ``remove``, ``fsync_dir`` (``close`` is
+    free: it is never a durability point).  With no faults it is a pure
+    op counter/tracer: run once fault-free, read :attr:`op_count`, and
+    you have enumerated every crash point the sweep gate must cover.
 
     :attr:`trace` records one ``"op:target"`` entry per counted call
     (e.g. ``"fsync_dir:/tmp/x"`` → ``"fsync_dir:x"`` uses base names),
     which is what the dir-fsync regression tests assert against.
     """
 
-    def __init__(self, schedule: FsFaultSchedule | None = None) -> None:
-        self.schedule = schedule if schedule is not None \
-            else FsFaultSchedule()
+    def __init__(self, faults: Mapping[int, FsFault] | None = None
+                 ) -> None:
+        self.faults = dict(faults or {})
+        if any(op_index < 1 for op_index in self.faults):
+            raise ValueError("syscall ordinals are 1-based")
         self.op_count = 0
         self.crashed = False
         self.trace: list[str] = []
@@ -199,7 +121,7 @@ class FaultyFs:
             return None
         self.op_count += 1
         self.trace.append(f"{op}:{target}")
-        return self.schedule.fault_for(self.op_count)
+        return self.faults.get(self.op_count)
 
     def _strike(self, fault: FsFault, op: str) -> None:
         """Apply a non-write fault (write handles its own kinds)."""

@@ -18,10 +18,10 @@ Two primitives cover all of them:
 
 All syscalls go through an :class:`FsBackend`, defaulting to the real
 :class:`RealFs`.  Tests inject :class:`repro.durability.faults.FaultyFs`
-instead, which replays a seeded :class:`~repro.durability.faults.
-FsFaultSchedule` — torn writes, short writes, bit flips, ``ENOSPC``,
-``EIO``, crash-at-syscall-N — so storage chaos is as deterministic and
-picklable as the worker-fault harness in :mod:`repro.engine.faults`.
+instead, which strikes at scripted syscall ordinals — torn writes,
+short writes, bit flips, ``ENOSPC``, ``EIO``, crash-at-syscall-N — so
+storage chaos is as deterministic as the worker-fault harness in
+:mod:`repro.engine.faults`.
 """
 
 from __future__ import annotations

@@ -39,7 +39,6 @@ from .classes import (
     NodeClassSpec,
     POWER_SOURCES,
     node_class,
-    register_node_class,
 )
 from .compare import (
     CompareConfig,
@@ -77,7 +76,6 @@ __all__ = [
     "node_class",
     "outage_trial",
     "rectified_power_w",
-    "register_node_class",
     "run_compare",
     "run_outage",
 ]

@@ -10,10 +10,10 @@ of their lives — and those differ in *capabilities*, not parameters.
 This module factors the assumptions into a :class:`NodeClassSpec`
 descriptor (power source, carrier source, modulation, duty model, plus
 the cost/power/bitrate figures the Table-1 comparison reports) and a
-process-wide registry.  The registry is populated once at import time
-with the three built-in classes and is **read-only from worker code**:
-campaign trials only ever look classes up, so parallel shards see the
-same frozen specs and the serial/parallel determinism contract holds.
+registry of the three built-in classes, built once at import time.
+Campaign trials only ever look classes up with :func:`node_class`, so
+parallel shards see the same frozen specs and the serial/parallel
+determinism contract holds.
 
 Built-in classes
 ----------------
@@ -46,7 +46,6 @@ __all__ = [
     "NodeClassSpec",
     "POWER_SOURCES",
     "node_class",
-    "register_node_class",
 ]
 
 POWER_SOURCES = ("mains", "battery", "harvested", "passive")
@@ -136,30 +135,12 @@ class NodeClassSpec:
         return self.power.tx_w
 
 
-_REGISTRY: dict[str, NodeClassSpec] = {}
-
-
-def register_node_class(spec: NodeClassSpec, *,
-                        replace: bool = False) -> NodeClassSpec:
-    """Register a node class; refuses silent redefinition.
-
-    Registration is an import-time act (module top level), never done
-    from campaign trial code — the registry must look identical to
-    every worker process for determinism.
-    """
-    if spec.name in _REGISTRY and not replace:
-        raise ValueError(f"node class {spec.name!r} is already "
-                         "registered (pass replace=True to override)")
-    _REGISTRY[spec.name] = spec
-    return spec
-
-
 def node_class(name: str) -> NodeClassSpec:
-    """Look up one registered class by name."""
+    """Look up one built-in class by name."""
     try:
         return _REGISTRY[name]
     except KeyError:
-        known = ", ".join(sorted(_REGISTRY)) or "<none>"
+        known = ", ".join(sorted(_REGISTRY))
         raise KeyError(f"unknown node class {name!r}; "
                        f"registered: {known}") from None
 
@@ -241,6 +222,6 @@ def _builtin_harvesting() -> NodeClassSpec:
     )
 
 
-register_node_class(_builtin_active())
-register_node_class(_builtin_backscatter())
-register_node_class(_builtin_harvesting())
+_REGISTRY: dict[str, NodeClassSpec] = {
+    spec.name: spec for spec in (_builtin_active(), _builtin_backscatter(),
+                                 _builtin_harvesting())}

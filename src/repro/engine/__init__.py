@@ -21,7 +21,7 @@ runs in §9.5).  This package runs them: it turns any
   adaptive), deterministic exponential backoff, validation of every
   payload against the plan, quarantine of poison shards (the campaign
   completes as an explicit :class:`PartialCampaignResult`), and an
-  optional in-process degrade fallback — chaos-tested by the seeded
+  optional in-process degrade fallback — chaos-tested by the scripted
   worker-fault harness in :mod:`repro.engine.faults`.
 
 Usage

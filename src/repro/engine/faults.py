@@ -1,13 +1,12 @@
 """Deterministic worker-fault harness for the campaign supervisor.
 
-PR 1 chaos-tested the simulated radio link with seeded fault processes
-(:mod:`repro.faults`); this module does the same to the campaign
-*executor*.  A :class:`WorkerFaultSchedule` is a frozen, picklable map
-from ``(shard_id, attempt)`` to one :class:`WorkerFault`, built either
-explicitly (pin exactly which attempt misbehaves, for gates) or from a
-seed and per-kind rates (for fuzzing).  The supervisor ships the
-schedule to every worker; the worker consults it *before* running its
-shard and misbehaves on cue:
+:mod:`repro.faults` chaos-tests the simulated radio link with seeded
+fault processes; this module does the same to the campaign *executor*.
+A :class:`WorkerFaultSchedule` is a frozen, picklable map from
+``(shard_id, attempt)`` to one :class:`WorkerFault`, which pins exactly
+which attempt misbehaves.  The supervisor ships the schedule to every
+worker; the worker consults it *before* running its shard and
+misbehaves on cue:
 
 ``crash``    raise :class:`InjectedWorkerCrash` instead of returning
 ``hang``     sleep past any sane deadline, then return normally — the
@@ -26,11 +25,10 @@ schedule) leaves the worker path byte-identical to the serial one.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Literal
-
-import numpy as np
 
 from .shard import ShardResult
 
@@ -67,8 +65,8 @@ class WorkerFault:
         if self.kind not in WORKER_FAULT_KINDS:
             raise ValueError(f"unknown worker fault kind {self.kind!r}; "
                              f"choose from {WORKER_FAULT_KINDS}")
-        if self.delay_s < 0.0:
-            raise ValueError("delay_s cannot be negative")
+        if not 0.0 <= self.delay_s < math.inf:
+            raise ValueError("delay_s must be finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -89,62 +87,6 @@ class WorkerFaultSchedule:
                   ) -> WorkerFault | None:
         """The fault scripted for this attempt, if any."""
         return self.faults.get((shard_id, attempt))
-
-    @property
-    def num_faults(self) -> int:
-        """How many attempts this schedule sabotages."""
-        return len(self.faults)
-
-    def worst_attempt(self, shard_id: int) -> int:
-        """The highest attempt number scripted to fail for ``shard_id``
-        (0 when the shard is never sabotaged) — handy for sizing
-        ``max_attempts`` so a test campaign is guaranteed to recover."""
-        return max((attempt for sid, attempt in self.faults
-                    if sid == shard_id), default=0)
-
-    @classmethod
-    def build(cls, seed: int, num_shards: int, *,
-              crash: float = 0.0, hang: float = 0.0,
-              slow: float = 0.0, corrupt: float = 0.0,
-              max_faulty_attempts: int = 2,
-              hang_s: float = 30.0, slow_s: float = 0.05
-              ) -> WorkerFaultSchedule:
-        """A seeded random schedule: per-attempt fault probabilities.
-
-        For each of the first ``max_faulty_attempts`` attempts of each
-        shard, one draw from a generator seeded with ``seed`` picks at
-        most one fault kind (probabilities ``crash``/``hang``/``slow``/
-        ``corrupt``, which must sum to at most 1).  The same seed always
-        yields the same schedule; later attempts are never sabotaged,
-        so any shard survives ``max_faulty_attempts + 1`` attempts.
-        """
-        rates: dict[WorkerFaultKind, float] = {
-            "crash": crash, "hang": hang, "slow": slow,
-            "corrupt": corrupt}
-        for kind, rate in rates.items():
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{kind} rate must be in [0, 1]")
-        if sum(rates.values()) > 1.0:
-            raise ValueError("fault rates sum to more than 1; at most "
-                             "one fault fires per attempt")
-        if max_faulty_attempts < 0:
-            raise ValueError("max_faulty_attempts cannot be negative")
-        delays: dict[WorkerFaultKind, float] = {
-            "crash": 0.0, "hang": hang_s, "slow": slow_s,
-            "corrupt": 0.0}
-        rng = np.random.default_rng(seed)
-        faults: dict[tuple[int, int], WorkerFault] = {}
-        for shard_id in range(num_shards):
-            for attempt in range(1, max_faulty_attempts + 1):
-                draw = float(rng.uniform())
-                edge = 0.0
-                for kind, rate in rates.items():
-                    edge += rate
-                    if draw < edge:
-                        faults[(shard_id, attempt)] = WorkerFault(
-                            kind=kind, delay_s=delays[kind])
-                        break
-        return cls(faults=faults)
 
     def apply_before(self, shard_id: int, attempt: int) -> None:
         """Run the pre-execution half of any scripted fault.

@@ -24,6 +24,7 @@ the attempt number, so a retried campaign replays identically.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Literal
@@ -143,28 +144,29 @@ class SupervisionPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("a shard needs at least one attempt")
-        if self.backoff_base_s < 0.0:
-            raise ValueError("backoff_base_s cannot be negative")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1 (backoff "
-                             "never shrinks)")
-        if self.backoff_max_s < 0.0:
-            raise ValueError("backoff_max_s cannot be negative")
-        if self.shard_timeout_s is not None and self.shard_timeout_s <= 0.0:
-            raise ValueError("shard_timeout_s must be positive (or None "
-                             "to disable)")
+        if not 0.0 <= self.backoff_base_s < math.inf:
+            raise ValueError("backoff_base_s must be finite and >= 0")
+        if not 1.0 <= self.backoff_factor < math.inf:
+            raise ValueError("backoff_factor must be finite and >= 1 "
+                             "(backoff never shrinks)")
+        if not 0.0 <= self.backoff_max_s < math.inf:
+            raise ValueError("backoff_max_s must be finite and >= 0")
+        if self.shard_timeout_s is not None \
+                and not 0.0 < self.shard_timeout_s < math.inf:
+            raise ValueError("shard_timeout_s must be positive and finite "
+                             "(or None to disable)")
         if self.adaptive_timeout_factor is not None \
-                and self.adaptive_timeout_factor < 1.0:
-            raise ValueError("adaptive_timeout_factor must be >= 1: a "
-                             "deadline below the observed runtime "
+                and not 1.0 <= self.adaptive_timeout_factor < math.inf:
+            raise ValueError("adaptive_timeout_factor must be finite and "
+                             ">= 1: a deadline below the observed runtime "
                              "percentile would kill healthy shards")
         if not 0.0 < self.adaptive_timeout_percentile <= 100.0:
             raise ValueError("adaptive_timeout_percentile must be in "
                              "(0, 100]")
         if self.adaptive_min_samples < 1:
             raise ValueError("adaptive_min_samples must be at least 1")
-        if self.adaptive_floor_s < 0.0:
-            raise ValueError("adaptive_floor_s cannot be negative")
+        if not 0.0 <= self.adaptive_floor_s < math.inf:
+            raise ValueError("adaptive_floor_s must be finite and >= 0")
         if self.on_failure not in ON_FAILURE_MODES:
             raise ValueError(
                 f"on_failure must be one of {ON_FAILURE_MODES}, "

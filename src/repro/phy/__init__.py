@@ -8,13 +8,7 @@ The mmX core in :mod:`repro.core` composes these pieces.
 
 from .ber import (
     qfunc,
-    qfunc_inv,
-    ber_ook_coherent,
-    ber_ook_noncoherent,
-    ber_ask_coherent,
     ber_fsk_noncoherent,
-    ber_bpsk,
-    snr_db_for_target_ber,
 )
 from .bits import (
     bits_to_bytes,
@@ -25,7 +19,6 @@ from .bits import (
 )
 from .coding import (
     crc16_ccitt,
-    RepetitionCode,
     HammingCode74,
     interleave,
     deinterleave,
@@ -57,17 +50,12 @@ from .waveform import (
 __all__ = [
     "BARKER13",
     "HammingCode74",
-    "RepetitionCode",
     "Waveform",
     "apply_cfo",
     "apply_iq_imbalance",
     "apply_phase_noise",
     "awgn_noise",
-    "ber_ask_coherent",
-    "ber_bpsk",
     "ber_fsk_noncoherent",
-    "ber_ook_coherent",
-    "ber_ook_noncoherent",
     "bits_to_bytes",
     "bytes_to_bits",
     "correlate_preamble",
@@ -82,10 +70,8 @@ __all__ = [
     "noise_figure_cascade_db",
     "pack_uint",
     "qfunc",
-    "qfunc_inv",
     "quantize",
     "random_bits",
-    "snr_db_for_target_ber",
     "threshold_levels",
     "two_level_waveform",
     "unpack_uint",

@@ -1,8 +1,9 @@
-"""Channel coding: CRC-16, repetition and Hamming(7,4) codes.
+"""Channel coding: CRC-16, the Hamming(7,4) code and a block interleaver.
 
 Section 9.3 notes mmX's physical BER "can be reduced even further by using
-an error correction coding scheme"; these codes make that concrete and give
-the packet layer an integrity check (CRC) and two simple FEC options.
+an error correction coding scheme"; these make that concrete and give the
+packet layer an integrity check (CRC) and its FEC option: Hamming(7,4),
+optionally interleaved against bursts.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from .bits import as_bit_array
 
 __all__ = [
     "crc16_ccitt",
-    "RepetitionCode",
     "HammingCode74",
     "interleave",
     "deinterleave",
@@ -31,32 +31,6 @@ def crc16_ccitt(data: bytes, initial: int = 0xFFFF) -> int:
             else:
                 crc = (crc << 1) & 0xFFFF
     return crc
-
-
-class RepetitionCode:
-    """Rate-1/n repetition code with majority-vote decoding."""
-
-    def __init__(self, repetitions: int = 3):
-        if repetitions < 1 or repetitions % 2 == 0:
-            raise ValueError("repetitions must be a positive odd number")
-        self.repetitions = repetitions
-
-    @property
-    def rate(self) -> float:
-        """Code rate (information bits per channel bit)."""
-        return 1.0 / self.repetitions
-
-    def encode(self, bits) -> np.ndarray:
-        """Repeat every information bit ``repetitions`` times."""
-        return np.repeat(as_bit_array(bits), self.repetitions)
-
-    def decode(self, coded) -> np.ndarray:
-        """Majority vote over each group of ``repetitions`` channel bits."""
-        arr = as_bit_array(coded)
-        if arr.size % self.repetitions != 0:
-            raise ValueError("coded length not a multiple of the repetition factor")
-        groups = arr.reshape(-1, self.repetitions)
-        return (groups.sum(axis=1) > self.repetitions // 2).astype(np.uint8)
 
 
 class HammingCode74:

@@ -258,6 +258,10 @@ class TestCommands:
                      id="admission-nan-load"),
         pytest.param(["link", "--offset-deg", "nan"], "--offset-deg",
                      id="link-nan-offset"),
+        pytest.param(["campaign", "fig11", "--shard-timeout", "inf"],
+                     "--shard-timeout", id="campaign-infinite-shard-timeout"),
+        pytest.param(["campaign", "fig11", "--shard-timeout", "nan"],
+                     "--shard-timeout", id="campaign-nan-shard-timeout"),
         pytest.param(["link", "--distance", "0"], "--distance",
                      id="link-zero-distance"),
     ])

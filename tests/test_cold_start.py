@@ -2,8 +2,8 @@
 
 ``import repro`` loads no scipy, and neither does any CLI subcommand:
 scipy is a test-only oracle.  BER calls never load it either:
-:mod:`repro.phy.ber` runs its own ports of the Cephes kernels behind
-``scipy.special.erfc``/``erfcinv`` and returns their bits.  Each check
+:mod:`repro.phy.ber` runs its own port of the Cephes kernel behind
+``scipy.special.erfc`` and returns its bits.  Each check
 runs in a fresh interpreter, because this test process may already hold
 scipy.
 """
@@ -65,21 +65,24 @@ def test_cli_list_loads_no_scipy():
 _FIRST_BER_CALLS = """
 import json, sys
 import numpy as np
-from repro.phy.ber import qfunc, qfunc_inv, snr_db_for_target_ber
-from repro.units import linear_to_db
+from repro.phy.ber import ber_ask_table, ber_fsk_noncoherent, qfunc
+from repro.units import db_to_linear
 
 x = {x}
-p = {p}
-q, q_inv = qfunc(x), qfunc_inv(p)
-snr = [snr_db_for_target_ber(1e-6, m) for m in ("ook", "bpsk")]
+snr_db = {snr_db}
+q = qfunc(x)
+ask, fsk = ber_ask_table(snr_db), ber_fsk_noncoherent(snr_db)
 loaded = sorted(sys.modules)
 from scipy import special
 
-want_q = 0.5 * special.erfc(np.asarray(x) / np.sqrt(2.0))
-want_inv = np.sqrt(2.0) * special.erfcinv(2.0 * np.asarray(p))
-inv = float(np.sqrt(2.0) * special.erfcinv(2.0 * 1e-6))
-want_snr = [float(linear_to_db(2.0 * inv ** 2)),
-            float(linear_to_db(inv ** 2 / 2.0))]
+
+def q_oracle(v):
+    return 0.5 * special.erfc(np.asarray(v) / np.sqrt(2.0))
+
+
+gamma = db_to_linear(snr_db)
+want_ask = q_oracle(np.sqrt(gamma))
+want_fsk = 0.5 * np.exp(-gamma / 2.0)
 
 
 def same(a, b):
@@ -88,29 +91,29 @@ def same(a, b):
         and a.tobytes() == b.tobytes()
 
 
-print(json.dumps({{"loaded": loaded, "q": same(q, want_q),
-                  "q_inv": same(q_inv, want_inv),
-                  "snr": same(snr, want_snr)}}))
+print(json.dumps({{"loaded": loaded, "q": same(q, q_oracle(x)),
+                  "ask": same(ask, want_ask),
+                  "fsk": same(fsk, want_fsk)}}))
 """
 
 
-@pytest.mark.parametrize("x, p", [
-    ("np.linspace(-8.0, 40.0, 4001)", "np.linspace(1e-12, 0.999, 5001)"),
-    ("2.5", "1e-6"),
-    ("np.float64(-0.75)", "np.float64(0.3)"),
+@pytest.mark.parametrize("x, snr_db", [
+    ("np.linspace(-8.0, 40.0, 4001)", "np.linspace(-5.0, 25.0, 301)"),
+    ("2.5", "15.0"),
+    ("np.float64(-0.75)", "np.float64(12.5)"),
 ], ids=["arrays", "floats", "numpy-scalars"])
-def test_ber_calls_load_no_scipy_and_keep_bits(x, p):
-    """qfunc, qfunc_inv and snr_db_for_target_ber load no scipy module
+def test_ber_calls_load_no_scipy_and_keep_bits(x, snr_db):
+    """qfunc, ber_ask_table and ber_fsk_noncoherent load no scipy module
     and return the direct scipy expressions bit for bit."""
-    outcome = _fresh_json(_FIRST_BER_CALLS.format(x=x, p=p))
+    outcome = _fresh_json(_FIRST_BER_CALLS.format(x=x, snr_db=snr_db))
     assert _scipy_modules(outcome.pop("loaded")) == []
-    assert outcome == {"q": True, "q_inv": True, "snr": True}
+    assert outcome == {"q": True, "ask": True, "fsk": True}
 
 
 def test_ber_calls_run_no_import_statement():
     """The BER hot path runs no import statement per call."""
-    for fn in (ber.qfunc, ber.qfunc_inv, ber._erfc, ber._erfcinv,
-               ber._ndtri):
+    for fn in (ber.qfunc, ber._erfc, ber.ber_ask_table,
+               ber.ber_fsk_noncoherent):
         opnames = {ins.opname for ins in dis.get_instructions(fn)}
         assert "IMPORT_NAME" not in opnames, fn.__name__
 

@@ -11,7 +11,6 @@ to an uninterrupted one after any single crash).
 from __future__ import annotations
 
 import os
-import pickle
 
 import pytest
 
@@ -19,7 +18,6 @@ from repro.durability import (
     DurableFile,
     FaultyFs,
     FsFault,
-    FsFaultSchedule,
     InjectedFsCrash,
     IntegrityError,
     append_line,
@@ -90,7 +88,7 @@ class TestAtomicReplace:
             self, tmp_path, crash_op):
         target = tmp_path / "x.json"
         target.write_text("old")
-        faulty = FaultyFs(FsFaultSchedule.crash_at(crash_op))
+        faulty = FaultyFs({crash_op: FsFault("crash")})
         with pytest.raises(InjectedFsCrash):
             atomic_replace(target, "new", fs=faulty)
         assert target.read_text() == "old"
@@ -98,7 +96,7 @@ class TestAtomicReplace:
     def test_crash_after_rename_still_published(self, tmp_path):
         target = tmp_path / "x.json"
         target.write_text("old")
-        faulty = FaultyFs(FsFaultSchedule.crash_at(5))  # the fsync_dir
+        faulty = FaultyFs({5: FsFault("crash")})  # the fsync_dir
         with pytest.raises(InjectedFsCrash):
             atomic_replace(target, "new", fs=faulty)
         assert target.read_text() == "new"
@@ -106,7 +104,7 @@ class TestAtomicReplace:
     def test_enospc_survivable_and_leaves_no_debris(self, tmp_path):
         target = tmp_path / "x.json"
         target.write_text("old")
-        faulty = FaultyFs(FsFaultSchedule.single("enospc", 2))
+        faulty = FaultyFs({2: FsFault("enospc")})
         with pytest.raises(OSError):
             atomic_replace(target, "new", fs=faulty)
         assert not faulty.crashed
@@ -155,8 +153,7 @@ class TestFaultyFs:
 
     def test_torn_write_leaves_prefix_and_kills(self, tmp_path):
         path = tmp_path / "f"
-        faulty = FaultyFs(FsFaultSchedule.single(
-            "torn_write", 2, fraction=0.5))
+        faulty = FaultyFs({2: FsFault("torn_write", fraction=0.5)})
         fd = self._open(faulty, path)
         with pytest.raises(InjectedFsCrash):
             faulty.write(fd, b"abcdefgh")
@@ -166,8 +163,7 @@ class TestFaultyFs:
 
     def test_short_write_lies_and_survives(self, tmp_path):
         path = tmp_path / "f"
-        faulty = FaultyFs(FsFaultSchedule.single(
-            "short_write", 2, fraction=0.25))
+        faulty = FaultyFs({2: FsFault("short_write", fraction=0.25)})
         fd = self._open(faulty, path)
         assert faulty.write(fd, b"abcdefgh") == 8  # the lie
         faulty.close(fd)
@@ -176,7 +172,7 @@ class TestFaultyFs:
 
     def test_bit_flip_flips_exactly_one_bit(self, tmp_path):
         path = tmp_path / "f"
-        faulty = FaultyFs(FsFaultSchedule.single("bit_flip", 2, bit=9))
+        faulty = FaultyFs({2: FsFault("bit_flip", bit=9)})
         fd = self._open(faulty, path)
         assert faulty.write(fd, b"\x00\x00") == 2
         faulty.close(fd)
@@ -186,7 +182,7 @@ class TestFaultyFs:
         import errno
 
         for kind, code in (("enospc", errno.ENOSPC), ("eio", errno.EIO)):
-            faulty = FaultyFs(FsFaultSchedule.single(kind, 1))
+            faulty = FaultyFs({1: FsFault(kind)})
             with pytest.raises(OSError) as info:
                 self._open(faulty, tmp_path / "f")
             assert info.value.errno == code
@@ -194,7 +190,7 @@ class TestFaultyFs:
     def test_crashed_backend_is_inert(self, tmp_path):
         path = tmp_path / "f"
         path.write_bytes(b"keep")
-        faulty = FaultyFs(FsFaultSchedule.crash_at(1))
+        faulty = FaultyFs({1: FsFault("crash")})
         with pytest.raises(InjectedFsCrash):
             self._open(faulty, path)
         # A dead process makes no syscalls: everything below must
@@ -208,7 +204,7 @@ class TestFaultyFs:
 
     def test_non_write_ordinals_degrade_to_crash(self, tmp_path):
         # A torn_write scheduled on an fsync still faults that ordinal.
-        faulty = FaultyFs(FsFaultSchedule.single("torn_write", 2))
+        faulty = FaultyFs({2: FsFault("torn_write")})
         fd = self._open(faulty, tmp_path / "f")
         with pytest.raises(InjectedFsCrash):
             faulty.fsync(fd)
@@ -220,34 +216,13 @@ class TestFaultyFs:
         assert faulty.op_count == 5
         assert not faulty.crashed
 
-
-class TestFsFaultSchedule:
-    def test_build_is_deterministic(self):
-        a = FsFaultSchedule.build(3, 50, crash=0.2, bit_flip=0.1)
-        b = FsFaultSchedule.build(3, 50, crash=0.2, bit_flip=0.1)
-        assert a == b
-        assert a.num_faults > 0
-
-    def test_different_seeds_differ(self):
-        a = FsFaultSchedule.build(3, 200, crash=0.3)
-        b = FsFaultSchedule.build(4, 200, crash=0.3)
-        assert a != b
-
-    def test_schedules_pickle(self):
-        schedule = FsFaultSchedule.build(1, 20, torn_write=0.5)
-        assert pickle.loads(pickle.dumps(schedule)) == schedule
-
-    def test_rates_must_not_exceed_one(self):
-        with pytest.raises(ValueError):
-            FsFaultSchedule.build(0, 10, crash=0.7, eio=0.7)
-
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             FsFault(kind="gremlin")  # type: ignore[arg-type]
 
     def test_ordinals_are_one_based(self):
-        with pytest.raises(ValueError):
-            FsFaultSchedule.crash_at(0)
+        with pytest.raises(ValueError, match="1-based"):
+            FaultyFs({0: FsFault("crash")})
 
 
 class TestJournalScan:
@@ -408,7 +383,7 @@ class TestStoreIntegration:
         make_journal(tmp_path / "probe.jsonl", faulty=probe)
         for crash_op in range(1, probe.op_count + 1):
             path = tmp_path / f"j{crash_op}.jsonl"
-            faulty = FaultyFs(FsFaultSchedule.crash_at(crash_op))
+            faulty = FaultyFs({crash_op: FsFault("crash")})
             try:
                 make_journal(path, faulty=faulty)
             except InjectedFsCrash:
@@ -436,7 +411,7 @@ class TestStoreIntegration:
 
         ap.register_node(1, 1e6)
         for crash_op in range(1, 5):
-            faulty = FaultyFs(FsFaultSchedule.crash_at(crash_op))
+            faulty = FaultyFs({crash_op: FsFault("crash")})
             with pytest.raises(InjectedFsCrash):
                 ApCheckpoint.capture(ap).save(path, fs=faulty)
             assert path.read_text() == before

@@ -33,7 +33,6 @@ from repro.energy import (
     NodeClassSpec,
     node_class,
     rectified_power_w,
-    register_node_class,
 )
 from repro.hardware.chains import NodeHardware
 from repro.hardware.power import PowerStateProfile, active_node_profile
@@ -83,14 +82,6 @@ class TestNodeClassRegistry:
                           duty_model="sometimes", cost_usd=1.0,
                           power=PowerStateProfile(1.0, 0.5, 0.2, 0.1),
                           bitrate_bps=1e6, tx_power_dbm=0.0, range_m=1.0)
-
-    def test_silent_redefinition_refused(self):
-        spec = node_class(ACTIVE_CLASS)
-        with pytest.raises(ValueError, match="already registered"):
-            register_node_class(spec)
-        # Explicit replacement with the identical spec is a no-op.
-        register_node_class(spec, replace=True)
-        assert node_class(ACTIVE_CLASS) is spec
 
     def test_unknown_class_names_the_registry(self):
         with pytest.raises(KeyError, match="mmx-active"):

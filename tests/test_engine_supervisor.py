@@ -8,7 +8,7 @@ The load-bearing guarantees under test:
   quarantine, the in-process degrade fallback — with zero real sleeps;
 * a supervised campaign in which no fault fires is byte-identical to
   the serial reference (values and seeds);
-* under any seeded worker-fault schedule the supervisor terminates with
+* under any scripted worker-fault map the supervisor terminates with
   either a full result or an *explicit* partial one — never a silent
   hole, never a hang;
 * failed attempts and quarantine decisions are journaled, and a
@@ -24,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import (
+    WORKER_FAULT_KINDS,
     Campaign,
     CampaignPlan,
     EngineError,
@@ -227,6 +228,17 @@ class TestSupervisionPolicy:
         with pytest.raises(ValueError):
             SupervisionPolicy(**bad)
 
+    @pytest.mark.parametrize("knob", [
+        "backoff_base_s", "backoff_factor", "backoff_max_s",
+        "shard_timeout_s", "adaptive_timeout_factor",
+        "adaptive_timeout_percentile", "adaptive_floor_s"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_knobs_rejected(self, knob, value):
+        # An infinite deadline overflows the pool's wait, and a NaN one
+        # never fires while the supervisor polls wait(0) in a busy loop.
+        with pytest.raises(ValueError):
+            SupervisionPolicy(**{knob: value})
+
 
 class TestValidation:
     def test_fingerprint_is_stable_and_order_sensitive(self):
@@ -275,28 +287,12 @@ class TestWorkerFaultSchedule:
         with pytest.raises(ValueError, match="negative"):
             WorkerFault(kind="hang", delay_s=-1.0)
 
-    def test_build_is_seed_deterministic(self):
-        kwargs = dict(crash=0.3, hang=0.2, corrupt=0.2,
-                      max_faulty_attempts=2)
-        a = WorkerFaultSchedule.build(7, 20, **kwargs)
-        b = WorkerFaultSchedule.build(7, 20, **kwargs)
-        assert a.faults == b.faults
-        assert a.num_faults > 0
-
-    def test_build_validates_rates(self):
-        with pytest.raises(ValueError, match="in \\[0, 1\\]"):
-            WorkerFaultSchedule.build(0, 4, crash=-0.1)
-        with pytest.raises(ValueError, match="more than 1"):
-            WorkerFaultSchedule.build(0, 4, crash=0.6, hang=0.6)
-        with pytest.raises(ValueError, match="max_faulty_attempts"):
-            WorkerFaultSchedule.build(0, 4, max_faulty_attempts=-1)
-
-    def test_worst_attempt_bounds_the_sabotage(self):
-        schedule = WorkerFaultSchedule.build(3, 16, crash=0.5,
-                                             max_faulty_attempts=2)
-        assert any(schedule.worst_attempt(s) for s in range(16))
-        assert all(schedule.worst_attempt(s) <= 2 for s in range(16))
-        assert schedule.fault_for(0, 99) is None
+    @pytest.mark.parametrize("delay_s", [math.nan, math.inf])
+    def test_delay_must_be_finite(self, delay_s):
+        # time.sleep raises on either, which would turn a scripted hang
+        # into an error attempt instead of a timeout.
+        with pytest.raises(ValueError, match="finite"):
+            WorkerFault(kind="hang", delay_s=delay_s)
 
     def test_crash_raises_on_cue(self):
         schedule = WorkerFaultSchedule(
@@ -453,8 +449,6 @@ class TestShardSupervisor:
         assert report.quarantined == (2,)
 
 
-NUM_FUZZ_SHARDS = st.integers(min_value=1, max_value=4)
-
 _SCRIPTED_OUTCOME = {
     "crash": ("error", 0.2),
     "hang": ("hang",),
@@ -463,21 +457,28 @@ _SCRIPTED_OUTCOME = {
 }
 
 
+@st.composite
+def _fault_scripts(draw):
+    """A shard count and a ``(shard, attempt) -> fault kind`` map over
+    its shards' first three attempts."""
+    num_shards = draw(st.integers(min_value=1, max_value=4))
+    attempts = st.tuples(st.integers(0, num_shards - 1),
+                         st.integers(1, 3))
+    kinds = st.sampled_from(WORKER_FAULT_KINDS)
+    return num_shards, draw(st.dictionaries(attempts, kinds))
+
+
 class TestSupervisorFuzz:
-    """Seeded fault schedules: the supervisor always ends explicitly."""
+    """Scripted fault maps: the supervisor always ends explicitly."""
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**16),
-           num_shards=NUM_FUZZ_SHARDS,
-           max_faulty=st.integers(min_value=1, max_value=3),
+    @given(case=_fault_scripts(),
            on_failure=st.sampled_from(["quarantine", "degrade"]))
-    def test_terminates_with_full_or_explicit_partial(
-            self, seed, num_shards, max_faulty, on_failure):
-        schedule = WorkerFaultSchedule.build(
-            seed, num_shards, crash=0.3, hang=0.2, slow=0.1,
-            corrupt=0.2, max_faulty_attempts=max_faulty)
-        script = {key: _SCRIPTED_OUTCOME[fault.kind]
-                  for key, fault in schedule.faults.items()}
+    def test_terminates_with_full_or_explicit_partial(self, case,
+                                                      on_failure):
+        num_shards, kinds = case
+        script = {key: _SCRIPTED_OUTCOME[kind]
+                  for key, kind in kinds.items()}
         shards = _shards(num_trials=2 * num_shards,
                          num_shards=num_shards)
         backend = ScriptedBackend(script=script)

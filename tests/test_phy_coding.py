@@ -1,8 +1,9 @@
-"""Tests for repro.phy.coding: CRC, repetition, Hamming, interleaving."""
+"""Tests for repro.phy.coding: CRC, Hamming, interleaving."""
 
 import numpy as np
 import pytest
 
+from repro.core.packet import PacketCodec
 from repro.phy import coding as C
 from repro.phy.bits import random_bits
 
@@ -20,32 +21,6 @@ class TestCrc16:
         good = C.crc16_ccitt(bytes(data))
         data[3] ^= 0x10
         assert C.crc16_ccitt(bytes(data)) != good
-
-
-class TestRepetition:
-    def test_roundtrip_clean(self, rng):
-        code = C.RepetitionCode(3)
-        bits = random_bits(64, rng)
-        assert np.array_equal(code.decode(code.encode(bits)), bits)
-
-    def test_corrects_single_error_per_group(self, rng):
-        code = C.RepetitionCode(3)
-        bits = random_bits(32, rng)
-        coded = code.encode(bits)
-        # Flip the first channel bit of every group.
-        coded[::3] ^= 1
-        assert np.array_equal(code.decode(coded), bits)
-
-    def test_rate(self):
-        assert C.RepetitionCode(5).rate == pytest.approx(0.2)
-
-    def test_even_repetitions_rejected(self):
-        with pytest.raises(ValueError):
-            C.RepetitionCode(2)
-
-    def test_bad_length_rejected(self):
-        with pytest.raises(ValueError):
-            C.RepetitionCode(3).decode([1, 0])
 
 
 class TestHamming74:
@@ -90,22 +65,23 @@ class TestInterleaver:
         assert np.array_equal(
             C.deinterleave(C.interleave(bits, 6), 6), bits)
 
-    def test_spreads_bursts(self):
-        code = C.RepetitionCode(3)
-        bits = np.zeros(12, dtype=np.uint8)
-        coded = code.encode(bits)       # 36 channel bits
-        inter = C.interleave(coded, 12)
-        # A 12-bit burst hits each codeword group at most once after
-        # deinterleaving, so majority vote still wins everywhere.
-        inter[:12] ^= 1
-        recovered = code.decode(C.deinterleave(inter, 12))
+    # The codec's pairing: Hamming(7,4) interleaved at depth 7, so a
+    # burst as long as the depth hits each codeword at most once.
+    DEPTH = PacketCodec.INTERLEAVE_DEPTH
+
+    def test_spreads_bursts(self, rng):
+        code = C.HammingCode74()
+        bits = random_bits(4 * self.DEPTH, rng)
+        inter = C.interleave(code.encode(bits), self.DEPTH)
+        inter[:self.DEPTH] ^= 1
+        recovered = code.decode(C.deinterleave(inter, self.DEPTH))
         assert np.array_equal(recovered, bits)
 
-    def test_burst_without_interleaving_fails(self):
-        code = C.RepetitionCode(3)
-        bits = np.zeros(12, dtype=np.uint8)
+    def test_burst_without_interleaving_fails(self, rng):
+        code = C.HammingCode74()
+        bits = random_bits(4 * self.DEPTH, rng)
         coded = code.encode(bits)
-        coded[:12] ^= 1  # wipes out four whole groups
+        coded[:self.DEPTH] ^= 1  # wipes out one whole codeword
         recovered = code.decode(coded)
         assert not np.array_equal(recovered, bits)
 

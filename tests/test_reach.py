@@ -1,10 +1,11 @@
 """tools/reach.py: the keep file, the entry list and the gate's verdict.
 
-The sweep itself runs in CI as a gate (about 40 s).  Tier-1 checks what
+The sweep itself runs in CI as a gate (about 30 s).  Tier-1 checks what
 can go stale or wrong without running it: every keep entry still names
-a module or a definition under ``src/repro``; the entry list runs every
-leaf subcommand of the CLI; and the verdict exits 1 when a definition is
-neither reached nor kept, or when a keep entry keeps nothing.
+a function, method or class under ``src/repro``, never a module; the
+entry list runs every leaf subcommand of the CLI; and the verdict exits
+1 when a definition is neither reached nor kept, or when a keep entry
+keeps nothing or names no definition.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ import reach  # noqa: E402
 
 
 def test_every_keep_entry_names_a_definition():
-    src = REPO_DIR / "src"
-    names = {d.name for d in reach.inventory(src)} | reach.modules(src)
+    names = {d.name for d in reach.inventory(REPO_DIR / "src")}
     keep = reach.load_keep(reach.KEEP_FILE)
     assert keep
     assert sorted(set(keep) - names) == []
@@ -109,6 +109,15 @@ def test_verdict_fails_on_a_keep_entry_that_keeps_nothing(tmp_path):
         in reach.report(result, verdict, tmp_path)
 
 
+def test_verdict_fails_on_a_keep_entry_that_names_a_module(tmp_path):
+    result = _sweep(_package(tmp_path), {"repro.mod.used", "repro.mod.C"})
+    verdict = reach.judge(result, {"repro.mod": "whole module"})
+    assert [d.name for d in verdict.left] \
+        == ["repro.mod.helper", "repro.mod.C.method"]
+    assert verdict.stale == ["repro.mod"]
+    assert verdict.status == 1
+
+
 def test_inventory_and_keep_prefixes(tmp_path):
     package = tmp_path / "repro"
     package.mkdir()
@@ -135,7 +144,8 @@ def test_inventory_and_keep_prefixes(tmp_path):
     assert found["repro.mod.f"].first == 7
     assert (found["repro.mod.C.p"].first, found["repro.mod.C.p"].line) \
         == (13, 14)
-    keep = {"repro.mod.C": "kept class", "repro.mod": "kept module"}
+    keep = {"repro.mod.C": "kept class", "repro.mod.f": "kept function"}
     assert reach.keep_entry("repro.mod.C.p", keep) == "repro.mod.C"
-    assert reach.keep_entry("repro.mod.f", keep) == "repro.mod"
+    assert reach.keep_entry("repro.mod.f.<locals>.inner", keep) \
+        == "repro.mod.f"
     assert reach.keep_entry("repro.other.g", keep) is None

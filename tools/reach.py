@@ -19,20 +19,22 @@ method-less classes are seen).
 Pool workers are separate processes and are not traced.  Anything that
 runs only there, and anything kept on purpose although no entry point
 reaches it, is listed in the keep file (``tools/reach_keep.txt``), one
-reason per entry.  The ``bench/layers.py`` targets and the workloads'
-trial boundaries are kept automatically, because the bench harness
-fails when one of them disappears.
+reason per entry.  An entry names a function, method or class, never a
+module, so no entry can hide a module's unused definitions.  The
+``bench/layers.py`` targets and the workloads' trial boundaries are
+kept automatically, because the bench harness fails when one of them
+disappears.
 
 The report prints the reached count, the kept count per reason, every
 definition that is neither reached nor kept, with its ``file:line`` and
 line count, and every keep entry that keeps nothing (everything under
-it is reached, or it names nothing).  It is a gate: the exit status is
-1 when either list is non-empty, so a definition only tests reach is
-answered by deleting it or by keeping it with a reason.  An entry point
-that fails also stops the sweep.  ``--root`` sweeps another checkout
-with this entry list and keep file; ``--json`` writes the reached and
-unreached names for comparing two checkouts.  A sweep takes about 40 s
-on two cores.
+it is reached, or it names no definition).  It is a gate: the exit
+status is 1 when either list is non-empty, so a definition only tests
+reach is answered by deleting it or by keeping it with a reason.  An
+entry point that fails also stops the sweep.  ``--root`` sweeps another
+checkout with this entry list and keep file; ``--json`` writes the
+reached and unreached names for comparing two checkouts.  A sweep takes
+about 30 s on two cores.
 """
 
 from __future__ import annotations
@@ -181,12 +183,6 @@ def inventory(src: Path) -> list[Definition]:
         found.extend(_definitions(tree.body, module_name(src, path),
                                   path.resolve()))
     return found
-
-
-def modules(src: Path) -> set[str]:
-    """Every module name under ``src/repro``."""
-    return {module_name(src, path)
-            for path in (src / "repro").rglob("*.py")}
 
 
 # --- keep file ---------------------------------------------------------
@@ -426,9 +422,12 @@ def judge(result: Sweep, keep: dict[str, str],
           targets: frozenset[str] = frozenset()) -> Verdict:
     """Sort the unreached definitions by the keep entry that keeps
     them.  ``targets`` (the bench layer targets) are kept too, but are
-    never stale."""
+    never stale.  An entry that names no definition (a module, or a
+    name that is gone) keeps nothing, so it is stale."""
+    names = {d.name for d in result.definitions}
     everything = dict.fromkeys(targets, "bench/layers.py target")
-    everything.update(keep)
+    everything.update((name, reason) for name, reason in keep.items()
+                      if name in names)
     kept: Counter[str] = Counter()
     left: list[Definition] = []
     used: set[str] = set()
