@@ -9,8 +9,7 @@ Commands
 ``chaos --scenario NAME``  fault-injection run: recovery ladder vs static
 ``chaos --ap-crash``       multi-AP failover vs a frozen single AP
 ``chaos ... --json``       same run, but emit the telemetry export (JSONL)
-``chaos --scenario all``   the scenario sweep, in-process (``campaign
-                           chaos --jobs N`` runs it on N workers)
+``chaos --scenario all``   the scenario sweep
 ``admission saturate``     offered-load saturation study: blocking
                            probability vs load through the admission
                            ladder (``--nodes``, ``--load``, ``--jobs``,
@@ -175,16 +174,13 @@ def build_parser() -> argparse.ArgumentParser:
         "campaign",
         help="run a figure sweep as a sharded, resumable campaign")
     camp.add_argument("experiment",
-                      choices=["fig10", "fig11", "fig13", "chaos"],
+                      choices=["fig10", "fig11", "fig13"],
                       help="which sweep to run")
     camp.add_argument("--trials", type=int, default=None,
                       help="trial count (fig11: placements, fig13: "
                            "trials per node count; fig10's count is "
-                           "its grid, chaos runs every scenario)")
+                           "its grid)")
     _add_campaign_flags(camp)
-    camp.add_argument("--duration", type=float, default=30.0,
-                      help="simulated seconds per scenario "
-                           "(chaos campaigns only)")
     camp.add_argument("--max-retries", type=int, default=None,
                       help="supervise the campaign: retry each failed "
                            "shard up to N times (deterministic "
@@ -383,7 +379,7 @@ def _campaign_flag_error(args: argparse.Namespace) -> str | None:
 
 
 def _chaos_duration_error(duration_s: float,
-                          ap_crash: bool = False) -> str | None:
+                          ap_crash: bool) -> str | None:
     """Why a chaos ``--duration`` cannot run, or ``None``.
 
     Every scenario run ends in the fault-free
@@ -599,32 +595,17 @@ def _cmd_energy(args: argparse.Namespace) -> int:
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
     prog = "repro campaign"
-    if args.out is not None and args.experiment == "chaos":
-        return _usage_error(prog, "chaos outcomes are rich objects, not "
-                                  "JSON rows; --out is not supported for "
-                                  "the chaos sweep")
-    fixed_count = {"fig10": "fig10's trial count is its placement grid",
-                   "chaos": "the chaos sweep runs every scenario once"}
-    if args.trials is not None and args.experiment in fixed_count:
-        return _usage_error(prog, f"{fixed_count[args.experiment]}; "
-                                  "--trials does not apply")
+    if args.trials is not None and args.experiment == "fig10":
+        return _usage_error(prog, "fig10's trial count is its placement "
+                                  "grid; --trials does not apply")
     if args.trials is not None and args.trials < 1:
         return _usage_error(prog, "--trials must be at least 1")
-    if args.experiment == "chaos":
-        error = _chaos_duration_error(args.duration)
-        if error is not None:
-            return _usage_error(prog, error)
     trials = args.trials if args.trials is not None else 30
 
     def run(executor: ShardExecutor) -> str:
         campaign: dict[str, Any] = {
             "seed": args.seed, "executor": executor,
             "num_shards": args.shards}
-        if args.experiment == "chaos":
-            from .experiments import chaos
-
-            return chaos.render_all(chaos.run_all(
-                duration_s=args.duration, **campaign))
         if args.experiment == "fig10":
             from .experiments import fig10_snr_map
 

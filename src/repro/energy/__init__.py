@@ -5,8 +5,8 @@ The "billions of things" pitch needs tiers below it.  This package
 supplies them, layered bottom-up:
 
 * :mod:`~repro.energy.classes` — the node-class registry: per-class
-  capability descriptors (power source, carrier source, modulation,
-  duty model) with the paper's active node re-registered unchanged;
+  capability descriptors (modulation, duty model, cost, power,
+  bitrate, range) with the paper's active node re-registered unchanged;
 * :mod:`~repro.energy.backscatter` — passive reflection-coefficient
   ASK tags riding the *unchanged* envelope/Goertzel receiver (the
   bistatic budget lives in :func:`repro.core.link.bistatic_breakdown`);
@@ -32,12 +32,10 @@ from .battery import (
 from .classes import (
     ACTIVE_CLASS,
     BACKSCATTER_CLASS,
-    CARRIER_SOURCES,
     DUTY_MODELS,
     HARVESTING_CLASS,
     MODULATIONS,
     NodeClassSpec,
-    POWER_SOURCES,
     node_class,
 )
 from .compare import (
@@ -54,7 +52,6 @@ __all__ = [
     "ACTIVE_CLASS",
     "BACKSCATTER_CLASS",
     "BackscatterLink",
-    "CARRIER_SOURCES",
     "CompareConfig",
     "CompareResult",
     "DUTY_MODELS",
@@ -69,7 +66,6 @@ __all__ = [
     "NodeClassSpec",
     "OutageConfig",
     "OutageResult",
-    "POWER_SOURCES",
     "SchedulerStats",
     "backscatter_config",
     "compare_trial",

@@ -8,9 +8,9 @@ an AP-provided carrier, and harvesting-powered nodes that sleep most
 of their lives — and those differ in *capabilities*, not parameters.
 
 This module factors the assumptions into a :class:`NodeClassSpec`
-descriptor (power source, carrier source, modulation, duty model, plus
-the cost/power/bitrate figures the Table-1 comparison reports) and a
-registry of the three built-in classes, built once at import time.
+descriptor (modulation and duty model, plus the cost/power/bitrate/
+range figures the Table-1 comparison reports) and a registry of the
+three built-in classes, built once at import time.
 Campaign trials only ever look classes up with :func:`node_class`, so
 parallel shards see the same frozen specs and the serial/parallel
 determinism contract holds.
@@ -30,31 +30,20 @@ Built-in classes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..constants import NODE_EIRP_DBM
 from ..hardware.chains import NodeHardware
 from ..hardware.power import PowerStateProfile, active_node_profile
 
 __all__ = [
     "ACTIVE_CLASS",
     "BACKSCATTER_CLASS",
-    "CARRIER_SOURCES",
     "DUTY_MODELS",
     "HARVESTING_CLASS",
     "MODULATIONS",
     "NodeClassSpec",
-    "POWER_SOURCES",
     "node_class",
 ]
-
-POWER_SOURCES = ("mains", "battery", "harvested", "passive")
-"""Where the node's energy comes from.  ``passive`` means the device
-consumes only what its logic sips — it has no transmitter to feed."""
-
-CARRIER_SOURCES = ("self", "ap")
-"""Who generates the mmWave carrier: the node's own VCO, or the AP
-illuminating the node (backscatter)."""
 
 MODULATIONS = ("ask-fsk", "backscatter-ask")
 """How data gets onto the carrier: the paper's joint beam-switched
@@ -78,28 +67,16 @@ class NodeClassSpec:
     """
 
     name: str
-    power_source: str
-    carrier_source: str
     modulation: str
     duty_model: str
     cost_usd: float
     power: PowerStateProfile
     bitrate_bps: float
-    tx_power_dbm: float
     range_m: float
-    carrier_ghz: float = 24.125
-    description: str = field(default="", compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("node class needs a name")
-        if self.power_source not in POWER_SOURCES:
-            raise ValueError(f"unknown power source {self.power_source!r}; "
-                             f"choose from {POWER_SOURCES}")
-        if self.carrier_source not in CARRIER_SOURCES:
-            raise ValueError(f"unknown carrier source "
-                             f"{self.carrier_source!r}; "
-                             f"choose from {CARRIER_SOURCES}")
         if self.modulation not in MODULATIONS:
             raise ValueError(f"unknown modulation {self.modulation!r}; "
                              f"choose from {MODULATIONS}")
@@ -112,17 +89,6 @@ class NodeClassSpec:
             raise ValueError("bitrate must be positive")
         if self.range_m <= 0:
             raise ValueError("range must be positive")
-        if self.carrier_ghz <= 0:
-            raise ValueError("carrier frequency must be positive")
-        # Capability coherence: a backscatter modulator by definition
-        # rides an external carrier, and a self-carrier node cannot be
-        # purely passive (its VCO alone burns milliwatts).
-        if self.modulation == "backscatter-ask" \
-                and self.carrier_source != "ap":
-            raise ValueError("backscatter modulation needs an AP carrier")
-        if self.power_source == "passive" and self.carrier_source == "self":
-            raise ValueError("a passive node cannot generate its own "
-                             "carrier")
 
     @property
     def energy_per_bit_j(self) -> float:
@@ -155,16 +121,12 @@ def _builtin_active() -> NodeClassSpec:
     hw = NodeHardware()
     return NodeClassSpec(
         name=ACTIVE_CLASS,
-        power_source="mains",
-        carrier_source="self",
         modulation="ask-fsk",
         duty_model="always-on",
         cost_usd=hw.total_cost_usd,
         power=active_node_profile(hw),
         bitrate_bps=hw.max_bitrate_bps,
-        tx_power_dbm=hw.radiated_eirp_dbm,
         range_m=18.0,
-        description="the paper's always-on active transmitter (§8)",
     )
 
 
@@ -174,25 +136,19 @@ def _builtin_backscatter() -> NodeClassSpec:
     The bill of materials is an antenna, an RF switch and control
     logic — a few dollars.  The "tx" state is the switch toggling the
     reflection coefficient (tens of microwatts); the tag radiates no
-    carrier of its own, so ``tx_power_dbm`` is the *conversion-loss
-    budget* applied to the illumination, not an EIRP (the bistatic
-    budget in :mod:`repro.core.link` computes the actual reflected
-    level).  Bitrate is envelope-limited, far below the active 100
-    Mbps.
+    carrier of its own (the bistatic budget in :mod:`repro.core.link`
+    computes the reflected level).  Bitrate is envelope-limited, far
+    below the active 100 Mbps.
     """
     return NodeClassSpec(
         name=BACKSCATTER_CLASS,
-        power_source="passive",
-        carrier_source="ap",
         modulation="backscatter-ask",
         duty_model="illuminated",
         cost_usd=4.0,
         power=PowerStateProfile(tx_w=30e-6, rx_w=10e-6,
                                 idle_w=2e-6, sleep_w=0.5e-6),
         bitrate_bps=1e6,
-        tx_power_dbm=-10.0,
         range_m=4.0,
-        description="passive reflection-coefficient ASK tag",
     )
 
 
@@ -208,17 +164,13 @@ def _builtin_harvesting() -> NodeClassSpec:
     active = active_node_profile(hw)
     return NodeClassSpec(
         name=HARVESTING_CLASS,
-        power_source="harvested",
-        carrier_source="self",
         modulation="ask-fsk",
         duty_model="duty-cycled",
         cost_usd=hw.total_cost_usd + 8.0,
         power=PowerStateProfile(tx_w=active.tx_w, rx_w=active.rx_w,
                                 idle_w=active.idle_w, sleep_w=100e-6),
         bitrate_bps=hw.max_bitrate_bps,
-        tx_power_dbm=NODE_EIRP_DBM,
         range_m=18.0,
-        description="duty-cycled energy-harvesting node",
     )
 
 

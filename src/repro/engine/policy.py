@@ -178,11 +178,19 @@ class SupervisionPolicy:
         Deterministic exponential backoff: ``base * factor**(attempt-1)``
         capped at ``backoff_max_s``.  No jitter — two runs of the same
         campaign retry on the same schedule, which is what keeps a
-        supervised campaign replayable.
+        supervised campaign replayable.  A power past ``2**1023`` is
+        never evaluated, since it would overflow for a large factor or
+        attempt number: by then the delay exceeds any cap below
+        ``2**1023`` times the base, so the cap is returned.
         """
         if attempt < 1:
             raise ValueError("attempt numbers are 1-based")
-        delay = self.backoff_base_s * self.backoff_factor ** (attempt - 1)
+        if self.backoff_base_s == 0.0:
+            return 0.0
+        exponent = attempt - 1
+        if exponent * math.log2(self.backoff_factor) > 1023.0:
+            return self.backoff_max_s
+        delay = self.backoff_base_s * self.backoff_factor ** exponent
         return min(delay, self.backoff_max_s)
 
     def deadline_s(self, completed_runtimes: Sequence[float]

@@ -15,10 +15,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
-from typing import Any
-
-import numpy as np
 
 from ..cluster import FailoverResult
 from ..core.link import facing_link
@@ -27,8 +23,7 @@ from ..resilience import ChaosResult, ChaosSimulation
 from ..telemetry import TelemetryRecorder
 
 __all__ = ["ChaosRunResult", "FailoverRunResult", "run", "run_all",
-           "run_failover", "render", "render_all", "render_failover",
-           "scenario_trial"]
+           "run_failover", "render", "render_all", "render_failover"]
 
 DEFAULT_DISTANCE_M = 4.0
 """Node-AP distance for the chaos placement: mid-room, facing, well
@@ -94,73 +89,27 @@ def _run_scenario(sim: ChaosSimulation, scenario: str,
                           duration_s=duration_s, result=result)
 
 
-def scenario_trial(rng: np.random.Generator, index: int,
-                   scenario_names: tuple[str, ...] = (),
-                   seed: int = 0, duration_s: float = 30.0,
-                   quiet_tail_s: float = QUIET_TAIL_S,
-                   distance_m: float = DEFAULT_DISTANCE_M
-                   ) -> dict[str, Any]:
-    """One chaos sweep trial: a single named scenario, worker-side.
-
-    The engine's per-trial ``rng`` is deliberately unused: every
-    scenario re-derives its fault schedule and supervisor jitter from
-    the sweep's master ``seed`` (exactly what :func:`run` does
-    serially), so a parallel sweep produces bit-identical
-    :class:`ChaosRunResult` objects.  Module-level so it pickles into
-    :class:`~repro.engine.SupervisedPool` workers.
-    """
-    del rng
-    return {"outcome": run(scenario_names[index], seed=seed,
-                           duration_s=duration_s,
-                           quiet_tail_s=quiet_tail_s,
-                           distance_m=distance_m)}
-
-
 def run_all(seed: int = 0, duration_s: float = 30.0,
             quiet_tail_s: float = QUIET_TAIL_S,
             distance_m: float = DEFAULT_DISTANCE_M,
-            telemetry: TelemetryRecorder | None = None,
-            executor=None,
-            num_shards: int | None = None) -> list[ChaosRunResult]:
+            telemetry: TelemetryRecorder | None = None
+            ) -> list[ChaosRunResult]:
     """Every registered scenario from one master seed.
 
     One recorder (``telemetry``) spans the whole sweep, so scenario
     spans stack side by side on a single cumulative sim-time axis —
     exactly the shape the flamegraph export collapses.  Every scenario
-    runs on the same placement, so the serial sweep traces and scores
-    the link once and runs each scenario on that one
+    runs on the same placement, so the sweep traces and scores the link
+    once and runs each scenario on that one
     :class:`~repro.resilience.ChaosSimulation`.
-
-    ``executor`` (optional) fans the scenarios out through
-    :class:`repro.engine.Campaign` — e.g. ``SupervisedPool(jobs=4)`` runs
-    four scenarios at once.  Results are bit-identical to the serial
-    sweep, because each scenario derives everything from ``seed``.  An
-    export is only ever recorded in one process, so an enabled
-    ``telemetry`` recorder together with an ``executor`` raises
-    :class:`ValueError` rather than losing the workers' telemetry.  No
-    result store rides along: scenario outcomes are rich objects, not
-    JSON rows, and the sweep is seconds long.
     """
     from ..faults import SCENARIOS
 
-    names = tuple(sorted(SCENARIOS))
-    if executor is None:
-        sim = ChaosSimulation(facing_link(distance_m), telemetry=telemetry)
-        return [_run_scenario(sim, name,
-                              scenario_injector(name, master_seed=seed),
-                              seed, duration_s, quiet_tail_s)
-                for name in names]
-    if telemetry is not None and telemetry.enabled:
-        raise ValueError("a recorded sweep runs in one process; pass "
-                         "telemetry or an executor, not both")
-    from ..engine import Campaign
-
-    trial_fn = partial(scenario_trial, scenario_names=names, seed=seed,
-                       duration_s=duration_s, quiet_tail_s=quiet_tail_s,
-                       distance_m=distance_m)
-    outcome = Campaign(trial_fn, len(names), master_seed=seed,
-                       num_shards=num_shards, executor=executor).run()
-    return [trial["outcome"] for trial in outcome.results]
+    sim = ChaosSimulation(facing_link(distance_m), telemetry=telemetry)
+    return [_run_scenario(sim, name,
+                          scenario_injector(name, master_seed=seed),
+                          seed, duration_s, quiet_tail_s)
+            for name in sorted(SCENARIOS)]
 
 
 @dataclass(frozen=True)

@@ -45,14 +45,6 @@ class HammingCode74:
         [1, 1, 1],
     ], dtype=np.uint8)
 
-    codeword_length = 7
-    message_length = 4
-
-    @property
-    def rate(self) -> float:
-        """Code rate (4 information bits per 7 channel bits)."""
-        return self.message_length / self.codeword_length
-
     def encode(self, bits) -> np.ndarray:
         """Encode; input length must be a multiple of 4."""
         arr = as_bit_array(bits)

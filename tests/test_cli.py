@@ -63,8 +63,8 @@ class TestParser:
         assert args.as_json
 
     def test_chaos_has_no_jobs_flag(self):
-        # The parallel sweep is `campaign chaos --jobs N`; `chaos` runs
-        # in one process so its --json export comes from one recorder.
+        # The chaos sweep runs in one process, so its --json export
+        # comes from one recorder.
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["chaos", "--scenario", "all",
                                        "--jobs", "2"])
@@ -94,6 +94,18 @@ class TestParser:
     def test_campaign_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["campaign", "fig99"])
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["campaign", "chaos"], id="no-chaos-preset"),
+        pytest.param(["campaign", "fig11", "--duration", "5"],
+                     id="no-duration-flag"),
+    ])
+    def test_campaign_has_no_chaos_sweep(self, argv, capsys):
+        # The chaos sweep is `chaos --scenario all`, in one process.
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_campaign_supervision_options(self):
         args = build_parser().parse_args(
@@ -226,14 +238,10 @@ class TestCommands:
                      id="fig11-negative-trials"),
         pytest.param(["campaign", "fig13", "--trials", "0"], "--trials",
                      id="fig13-zero-trials"),
-        pytest.param(["campaign", "chaos", "--trials", "5", "--duration",
-                      "5"], "every scenario", id="campaign-chaos-trials"),
         pytest.param(["chaos", "--duration", "2"], "--duration",
                      id="chaos-inside-quiet-tail"),
         pytest.param(["chaos", "--scenario", "all", "--duration", "nan"],
                      "--duration", id="chaos-nan-duration"),
-        pytest.param(["campaign", "chaos", "--duration", "2"], "--duration",
-                     id="campaign-chaos-inside-quiet-tail"),
         pytest.param(["chaos", "--ap-crash", "--duration", "0"],
                      "--duration", id="ap-crash-zero-duration"),
         pytest.param(["network", "--nodes", "0"], "--nodes",
@@ -285,13 +293,8 @@ class TestCommands:
     def test_chaos_duration_must_be_finite(self):
         # An infinite run never returns, so this checks the validator
         # directly: a regression fails here instead of hanging main().
-        assert _chaos_duration_error(math.inf) is not None
+        assert _chaos_duration_error(math.inf, ap_crash=False) is not None
         assert _chaos_duration_error(math.inf, ap_crash=True) is not None
-
-    def test_campaign_chaos_rejects_out(self, tmp_path, capsys):
-        out = str(tmp_path / "chaos.jsonl")
-        assert main(["campaign", "chaos", "--out", out]) == 2
-        assert "not supported" in capsys.readouterr().err
 
     def test_campaign_bad_jobs_and_shards_fail(self, capsys):
         assert main(["campaign", "fig11", "--jobs", "0"]) == 2
@@ -377,13 +380,6 @@ class TestCommands:
         assert title in captured.out
         assert "nan" in captured.out
         assert "quarantined shards [0] never completed" in captured.err
-
-    def test_campaign_chaos_prints_the_chaos_sweep(self, capsys):
-        assert main(["campaign", "chaos", "--duration", "10"]) == 0
-        campaign = capsys.readouterr().out
-        assert main(["chaos", "--scenario", "all", "--duration", "10"]) == 0
-        assert capsys.readouterr().out == campaign
-        assert "recovered" in campaign
 
     def test_chaos_ap_crash(self, capsys):
         assert main(["chaos", "--ap-crash", "--seed", "7"]) == 0

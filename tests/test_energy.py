@@ -59,29 +59,18 @@ class TestNodeClassRegistry:
         assert spec.energy_per_bit_j == pytest.approx(
             hw.total_power_w / hw.max_bitrate_bps)
         assert spec.duty_model == "always-on"
-        assert spec.carrier_source == "self"
 
     def test_backscatter_class_capabilities(self):
         spec = node_class(BACKSCATTER_CLASS)
-        assert spec.power_source == "passive"
-        assert spec.carrier_source == "ap"
         assert spec.modulation == "backscatter-ask"
         assert spec.active_power_w < 1e-3  # microwatts, not watts
 
     def test_capability_coherence_enforced(self):
-        with pytest.raises(ValueError, match="AP carrier"):
-            NodeClassSpec(name="bad-tag", power_source="passive",
-                          carrier_source="self",
-                          modulation="backscatter-ask",
-                          duty_model="illuminated", cost_usd=1.0,
-                          power=PowerStateProfile(1e-6, 1e-6, 1e-6, 1e-6),
-                          bitrate_bps=1e6, tx_power_dbm=0.0, range_m=1.0)
         with pytest.raises(ValueError, match="unknown duty model"):
-            NodeClassSpec(name="bad-duty", power_source="mains",
-                          carrier_source="self", modulation="ask-fsk",
+            NodeClassSpec(name="bad-duty", modulation="ask-fsk",
                           duty_model="sometimes", cost_usd=1.0,
                           power=PowerStateProfile(1.0, 0.5, 0.2, 0.1),
-                          bitrate_bps=1e6, tx_power_dbm=0.0, range_m=1.0)
+                          bitrate_bps=1e6, range_m=1.0)
 
     def test_unknown_class_names_the_registry(self):
         with pytest.raises(KeyError, match="mmx-active"):

@@ -371,16 +371,3 @@ class TestExperimentCampaigns:
                                       executor=SerialExecutor())
         assert np.array_equal(serial.mean_sinr_db, sharded.mean_sinr_db)
         assert np.array_equal(serial.std_sinr_db, sharded.std_sinr_db)
-
-    def test_chaos_sweep_independent_of_executor(self):
-        from repro.experiments import chaos
-
-        serial = chaos.run_all(seed=1, duration_s=4.0,
-                               quiet_tail_s=1.0)
-        sharded = chaos.run_all(seed=1, duration_s=4.0,
-                                quiet_tail_s=1.0,
-                                executor=SerialExecutor(), num_shards=2)
-        assert [r.scenario for r in sharded] \
-            == [r.scenario for r in serial]
-        assert [r.result.adaptive_delivery_ratio for r in sharded] \
-            == [r.result.adaptive_delivery_ratio for r in serial]

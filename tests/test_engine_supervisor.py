@@ -176,6 +176,23 @@ class TestSupervisionPolicy:
                                    backoff_factor=10.0, backoff_max_s=3.0)
         assert policy.backoff_s(5) == 3.0
 
+    @pytest.mark.parametrize("cap", [5.0, 1e308])
+    @pytest.mark.parametrize("factor", [2.0, 10.0, 1e200])
+    def test_backoff_caps_instead_of_overflowing(self, factor, cap):
+        # 2.0 ** 1024 and 1e200 ** 2 overflow a float; the cap must win
+        # before the power is evaluated, even a cap near the float range.
+        policy = SupervisionPolicy(backoff_base_s=0.05,
+                                   backoff_factor=factor, backoff_max_s=cap)
+        delays = [policy.backoff_s(a) for a in (1, 2, 3, 1025, 10**6)]
+        assert all(math.isfinite(d) and d <= cap for d in delays)
+        assert delays == sorted(delays)
+        assert delays[-1] == cap
+
+    def test_zero_base_never_backs_off(self):
+        policy = SupervisionPolicy(backoff_base_s=0.0)
+        assert [policy.backoff_s(a) for a in (1, 1025, 10**6)] \
+            == [0.0, 0.0, 0.0]
+
     def test_backoff_rejects_zero_based_attempts(self):
         with pytest.raises(ValueError, match="1-based"):
             SupervisionPolicy().backoff_s(0)

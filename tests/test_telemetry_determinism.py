@@ -4,22 +4,19 @@ The whole point of the sim-time clock is that a telemetry export is a
 *replayable artifact*: no wall-clock stamp, no host jitter, no dict
 ordering wobble anywhere in the pipeline.  These tests pin that
 property end to end — the same scenario with the same seed must render
-exactly the same JSONL bytes every run, and an export is only ever
-recorded in one process, so a recorded sweep refuses an executor.  The
-``REPRO_SEED`` environment variable pins the fallback RNG a run uses
-when no explicit one is passed.
+exactly the same JSONL bytes every run.  The ``REPRO_SEED`` environment
+variable pins the fallback RNG a run uses when no explicit one is
+passed.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine import SerialExecutor
 from repro.faults import SCENARIOS
 from repro.network.mac import UplinkSimulator
-from repro.telemetry import NullRecorder, Recorder, to_jsonl_lines
+from repro.telemetry import Recorder, to_jsonl_lines
 
 SCENARIO_NAMES = sorted(SCENARIOS)
 
@@ -48,25 +45,6 @@ class TestByteIdenticalExports:
         a = _chaos_export("kitchen-sink", 0, duration_s=6.0)
         b = _chaos_export("kitchen-sink", 1, duration_s=6.0)
         assert a != b
-
-
-class TestOneProcessExport:
-    def test_recorded_sweep_refuses_an_executor(self):
-        from repro.experiments.chaos import run_all
-
-        recorder = Recorder()
-        with pytest.raises(ValueError, match="one process"):
-            run_all(seed=0, duration_s=4.0, telemetry=recorder,
-                    executor=SerialExecutor())
-        assert to_jsonl_lines(recorder) == to_jsonl_lines(Recorder())
-
-    def test_null_recorder_rides_along_with_an_executor(self):
-        from repro.experiments.chaos import run_all
-
-        swept = run_all(seed=0, duration_s=4.0, quiet_tail_s=1.0,
-                        telemetry=NullRecorder(),
-                        executor=SerialExecutor())
-        assert [r.scenario for r in swept] == SCENARIO_NAMES
 
 
 class TestReproSeedEnvironment:

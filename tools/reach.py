@@ -101,8 +101,6 @@ CLI: tuple[tuple[str, ...], ...] = (
     ("campaign", "fig11", "--trials", "4", "--jobs", "2",
      "--max-retries", "1", "--shard-timeout", "120", "--on-failure",
      "degrade"),
-    ("campaign", "chaos", "--duration", "30"),
-    ("campaign", "chaos", "--duration", "30", "--jobs", "2"),
     ("telemetry", "summarize", "{tmp}/chaos.jsonl"),
     ("telemetry", "flame", "{tmp}/chaos.jsonl"),
     ("fsck", "{tmp}/fig13.jsonl", "{tmp}/chaos.jsonl"),
