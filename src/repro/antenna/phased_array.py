@@ -71,14 +71,11 @@ class PhasedArray:
                                   self.spacing_m, self.frequency_hz,
                                   weights=weights)
 
-    def codebook_directions_rad(self, num_beams: int | None = None) -> np.ndarray:
+    def codebook_directions_rad(self) -> np.ndarray:
         """A uniform-in-sine steering codebook covering ±90°.
 
-        Defaults to ``num_elements`` beams — the resolution limit of the
-        array — matching how exhaustive search enumerates beams.
+        One beam per element — the resolution limit of the array —
+        matching how exhaustive search enumerates beams.
         """
-        count = num_beams or self.num_elements
-        if count < 1:
-            raise ValueError("codebook needs at least one beam")
-        sines = np.linspace(-0.9, 0.9, count)
+        sines = np.linspace(-0.9, 0.9, self.num_elements)
         return np.arcsin(sines)

@@ -48,9 +48,9 @@ class ExhaustiveBeamSearch:
     enough to enable mobile applications" — O(N) probes, O(N) feedback.
     """
 
-    def __init__(self, array: PhasedArray, num_beams: int | None = None):
+    def __init__(self, array: PhasedArray):
         self.array = array
-        self.directions = array.codebook_directions_rad(num_beams)
+        self.directions = array.codebook_directions_rad()
 
     def search(self, metric_fn) -> BeamSearchResult:
         """Run the sweep; ``metric_fn(direction_rad) -> SNR dB`` at the AP."""

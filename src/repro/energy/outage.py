@@ -32,7 +32,7 @@ import numpy as np
 from ..cluster import Cluster, NodeLivenessTracker
 from ..core.link import facing_link
 from ..engine import Campaign, CampaignResult, ResultStore, ShardExecutor
-from ..faults import EnergyOutageProcess, FaultInjector
+from ..faults import FaultEvent, FaultInjector
 from ..node.access_point import MmxAccessPoint
 from ..resilience import LinkSupervisor
 from .battery import EnergyStateMachine, EnergyStore
@@ -123,9 +123,8 @@ def outage_trial(rng: np.random.Generator, index: int, *,
     """
     spec = node_class(HARVESTING_CLASS)
     injector = FaultInjector(
-        [EnergyOutageProcess(start_s=config.outage_start_s,
-                             duration_s=config.outage_duration_s,
-                             severity=config.severity)],
+        [FaultEvent("energy_outage", config.outage_start_s,
+                    config.outage_duration_s, severity=config.severity)],
         master_seed=int(rng.integers(2 ** 31)))
     schedule = injector.schedule(config.duration_s)
     clean = facing_link(config.link_distance_m).snr_breakdown()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from ..cluster import FailoverResult
 from ..core.link import facing_link
-from ..faults import FaultInjector, scenario_injector
+from ..faults import FaultEvent, FaultInjector, scenario_injector
 from ..resilience import ChaosResult, ChaosSimulation
 from ..telemetry import TelemetryRecorder
 
@@ -139,15 +139,15 @@ def run_failover(seed: int = 0, duration_s: float = 30.0,
     """Crash one AP of a two-AP cluster and score the failover machinery.
 
     A 20 x 10 m hall with an AP at each end and four nodes split
-    between them; the :class:`~repro.faults.ApCrashProcess` takes AP
-    ``ap_index`` down for ``crash_duration_s``.  The adaptive cluster
-    detects the death by heartbeat, fails the stranded nodes over to
-    the survivor, and restores the rebooted AP from its checkpoint; the
-    frozen baseline parks everyone on AP 0 and loses them (state and
-    all) the moment it dies — the seed repository's behaviour.
+    between them; an ``ap_crash`` :class:`~repro.faults.FaultEvent`
+    takes AP ``ap_index`` down for ``crash_duration_s``.  The adaptive
+    cluster detects the death by heartbeat, fails the stranded nodes
+    over to the survivor, and restores the rebooted AP from its
+    checkpoint; the frozen baseline parks everyone on AP 0 and loses
+    them (state and all) the moment it dies — the seed repository's
+    behaviour.
     """
     from ..cluster import FailoverSimulation, HeartbeatMonitor
-    from ..faults import ApCrashProcess
     from ..sim.environment import Room
     from ..sim.geometry import Point
 
@@ -160,9 +160,8 @@ def run_failover(seed: int = 0, duration_s: float = 30.0,
         heartbeat=HeartbeatMonitor(interval_s=0.5, miss_threshold=3),
         telemetry=telemetry)
     injector = FaultInjector(
-        [ApCrashProcess(start_s=crash_start_s,
-                        duration_s=crash_duration_s,
-                        ap_index=ap_index)],
+        [FaultEvent("ap_crash", crash_start_s, crash_duration_s,
+                    severity=float(ap_index))],
         master_seed=seed)
     tel = sim.telemetry
     with tel.span("cluster.failover_run", seed=seed,

@@ -9,7 +9,10 @@ the paper's own section 9.2 blockage protocol).  This module defines the
 vocabulary for that regime:
 
 * :class:`FaultEvent` — one fault of a given *kind* occupying a time
-  window with a kind-specific severity.
+  window with a kind-specific severity.  A fixed window (the section
+  9.2 parked blocker, a welded switch, an AP crash) is also its own
+  fault process: :meth:`FaultEvent.events` hands the injector the
+  event itself.
 * :class:`LinkDisturbance` — the *composition* of all faults active at
   one instant, expressed as perturbations of the analytic link state
   (per-beam excess loss, VCO frequency offset, a welded SPDT, a dead
@@ -23,6 +26,8 @@ them without import cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 __all__ = ["FAULT_KINDS", "FaultEvent", "LinkDisturbance", "NO_DISTURBANCE"]
 
@@ -90,8 +95,10 @@ class FaultEvent:
             raise ValueError("fault duration must be positive")
         if self.kind == "stuck_beam" and self.severity not in (0.0, 1.0):
             raise ValueError("stuck_beam severity is the beam index (0 or 1)")
-        if self.kind == "interference" and self.channel_index is None:
-            raise ValueError("interference events must name a channel")
+        if self.kind == "interference" and (
+                self.channel_index is None or self.channel_index < 0):
+            raise ValueError("interference events must name a channel "
+                             "(a non-negative index)")
         if self.kind == "ap_crash" and (
                 self.severity < 0 or self.severity != int(self.severity)):
             raise ValueError("ap_crash severity is a non-negative AP index")
@@ -103,6 +110,16 @@ class FaultEvent:
     def end_s(self) -> float:
         """First instant the fault is no longer active."""
         return self.start_s + self.duration_s
+
+    def events(self, rng: np.random.Generator,
+               duration_s: float) -> list[FaultEvent]:
+        """The event as a process: itself if it starts inside the run.
+
+        A fixed window draws nothing, so ``rng`` is unused; the
+        :class:`~repro.faults.FaultInjector` still spawns it a child
+        stream, which keeps every later process's draws where they are.
+        """
+        return [self] if self.start_s < duration_s else []
 
     def active_at(self, time_s: float) -> bool:
         """Whether the fault is in force at an instant."""

@@ -3,9 +3,12 @@
 :class:`FaultInjector` owns the RNG discipline: one master seed spawns
 one independent child stream per process (the same
 ``np.random.SeedSequence`` pattern as
-:meth:`repro.engine.CampaignPlan.child_seeds`), so adding, removing or reordering one process never
-perturbs the draws of another, and an entire chaos campaign regenerates
-bit-identically from a single integer.
+:meth:`repro.engine.CampaignPlan.child_seeds`), so adding, removing or
+reordering one process never perturbs the draws of another, and an
+entire chaos campaign regenerates bit-identically from a single
+integer.  A process is anything with ``events(rng, duration_s)``: one
+of the stochastic processes, or a :class:`FaultEvent`, the fixed
+window that draws nothing but still holds its child stream's place.
 
 :class:`FaultSchedule` is the materialised result: a sorted event list
 that can be queried for the composed :class:`LinkDisturbance` at any
@@ -14,6 +17,7 @@ instant, from the point of view of a victim on any FDM channel.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import replace
 
@@ -21,16 +25,7 @@ import numpy as np
 
 from ..units import dbm_to_milliwatts, milliwatts_to_dbm
 from .events import NO_DISTURBANCE, FaultEvent, LinkDisturbance
-from .processes import (
-    EnergyOutageProcess,
-    InterfererProcess,
-    NodeDropoutProcess,
-    PersistentBlockerProcess,
-    SideChannelOutageProcess,
-    StuckBeamProcess,
-    TransientBlockerProcess,
-    VcoDriftProcess,
-)
+from .processes import NodeDropoutProcess, TransientBlockerProcess
 
 __all__ = ["FaultSchedule", "FaultInjector", "SCENARIOS", "scenario_injector"]
 
@@ -60,8 +55,9 @@ class FaultSchedule:
     """
 
     def __init__(self, events, duration_s: float):
-        if not duration_s > 0:  # NaN fails too
-            raise ValueError("schedule duration must be positive")
+        if not 0 < duration_s < math.inf:  # NaN fails too
+            raise ValueError("schedule duration must be positive and "
+                             "finite")
         self.events: tuple[FaultEvent, ...] = tuple(
             sorted(events, key=lambda e: (e.start_s, e.kind)))
         self.duration_s = float(duration_s)
@@ -191,8 +187,8 @@ class FaultInjector:
         clipped to it) so recovery — post-fault SNR returning to the
         clean baseline — is always measurable.
         """
-        if duration_s <= 0:
-            raise ValueError("duration must be positive")
+        if not 0 < duration_s < math.inf:  # NaN fails too
+            raise ValueError("duration must be positive and finite")
         if not 0.0 <= quiet_tail_s < duration_s:
             raise ValueError("quiet tail must fit inside the run")
         horizon = duration_s - quiet_tail_s
@@ -209,71 +205,48 @@ class FaultInjector:
         return FaultSchedule(events, duration_s)
 
 
-def _blockage_processes():
-    return [
-        TransientBlockerProcess(rate_per_minute=8.0),
-        PersistentBlockerProcess(start_s=8.0, duration_s=8.0),
-    ]
-
-
-def _interference_processes():
-    return [InterfererProcess(start_s=5.0, duration_s=15.0,
-                              power_dbm=-60.0, channel_index=0)]
-
-
-def _dropout_processes():
-    return [
-        NodeDropoutProcess(rate_per_minute=4.0),
-        SideChannelOutageProcess(start_s=10.0, duration_s=4.0),
-    ]
-
-
-def _stuck_beam_processes():
-    return [StuckBeamProcess(start_s=6.0, duration_s=12.0, beam=1)]
-
-
-def _drift_processes():
-    return [VcoDriftProcess(start_s=5.0, duration_s=14.0,
-                            peak_offset_hz=0.6e6)]
-
-
-def _energy_outage_processes():
-    return [EnergyOutageProcess(start_s=6.0, duration_s=12.0,
-                                severity=1.0)]
-
-
-def _kitchen_sink_processes():
-    return [
-        TransientBlockerProcess(rate_per_minute=6.0),
-        PersistentBlockerProcess(start_s=4.0, duration_s=6.0),
-        VcoDriftProcess(start_s=12.0, duration_s=6.0,
-                        peak_offset_hz=0.5e6),
-        StuckBeamProcess(start_s=20.0, duration_s=5.0, beam=1),
-        NodeDropoutProcess(rate_per_minute=2.0),
-        SideChannelOutageProcess(start_s=27.0, duration_s=2.0),
-        InterfererProcess(start_s=14.0, duration_s=8.0,
-                          power_dbm=-60.0, channel_index=0),
-    ]
-
-
 SCENARIOS = {
-    "blockage": _blockage_processes,
-    "interference": _interference_processes,
-    "dropout": _dropout_processes,
-    "stuck-beam": _stuck_beam_processes,
-    "drift": _drift_processes,
-    "energy-outage": _energy_outage_processes,
-    "kitchen-sink": _kitchen_sink_processes,
+    "blockage": (
+        TransientBlockerProcess(rate_per_minute=8.0),
+        FaultEvent("blockage", 8.0, 8.0, severity=27.5),
+    ),
+    "interference": (
+        FaultEvent("interference", 5.0, 15.0, severity=-60.0,
+                   channel_index=0),
+    ),
+    "dropout": (
+        NodeDropoutProcess(rate_per_minute=4.0),
+        FaultEvent("side_channel_outage", 10.0, 4.0),
+    ),
+    "stuck-beam": (FaultEvent("stuck_beam", 6.0, 12.0, severity=1.0),),
+    "drift": (FaultEvent("vco_drift", 5.0, 14.0, severity=0.6e6),),
+    "energy-outage": (
+        FaultEvent("energy_outage", 6.0, 12.0, severity=1.0),
+    ),
+    "kitchen-sink": (
+        TransientBlockerProcess(rate_per_minute=6.0),
+        FaultEvent("blockage", 4.0, 6.0, severity=27.5),
+        FaultEvent("vco_drift", 12.0, 6.0, severity=0.5e6),
+        FaultEvent("stuck_beam", 20.0, 5.0, severity=1.0),
+        NodeDropoutProcess(rate_per_minute=2.0),
+        FaultEvent("side_channel_outage", 27.0, 2.0),
+        FaultEvent("interference", 14.0, 8.0, severity=-60.0,
+                   channel_index=0),
+    ),
 }
-"""Named fault scenarios the chaos experiment and CLI expose."""
+"""Named fault scenarios the chaos experiment and CLI expose.
+
+Each name maps to the processes its injector composes, in child-stream
+order: the stochastic processes and fixed :class:`FaultEvent` windows
+(a parked blocker costs the middle of the paper's 20-35 dB band)."""
 
 
 def scenario_injector(name: str, master_seed: int = 0) -> FaultInjector:
     """Build the injector for a named scenario."""
     try:
-        builder = SCENARIOS[name]
+        processes = SCENARIOS[name]
     except KeyError:
         raise ValueError(
             f"unknown scenario {name!r}; choose from "
             f"{', '.join(sorted(SCENARIOS))}") from None
-    return FaultInjector(builder(), master_seed=master_seed)
+    return FaultInjector(processes, master_seed=master_seed)

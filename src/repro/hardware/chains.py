@@ -65,11 +65,9 @@ class NodeHardware:
         """The FCC-compliant operating EIRP the paper quotes (10 dBm)."""
         return NODE_EIRP_DBM
 
-    def energy_per_bit_j(self, bitrate_bps: float | None = None) -> float:
-        """Energy per bit [J] at a bitrate (default: the 100 Mbps cap)."""
-        rate = bitrate_bps or self.max_bitrate_bps
-        self.switch.validate_bitrate(rate)
-        return self.total_power_w / rate
+    def energy_per_bit_j(self) -> float:
+        """Energy per bit [J] at the 100 Mbps cap — 11 nJ (section 9.1)."""
+        return self.total_power_w / self.max_bitrate_bps
 
 
 @dataclass

@@ -52,9 +52,6 @@ class TestPhasedArray:
         assert dirs.size == 8
         assert dirs[0] < 0 < dirs[-1]
 
-    def test_codebook_custom_size(self):
-        assert PhasedArray(8, FREQ).codebook_directions_rad(32).size == 32
-
     def test_minimum_elements(self):
         with pytest.raises(ValueError):
             PhasedArray(1, FREQ)

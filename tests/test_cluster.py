@@ -379,10 +379,10 @@ class TestFailoverSimulation:
             heartbeat=HeartbeatMonitor(interval_s=0.5, miss_threshold=3))
 
     def _schedule(self, seed=7):
-        from repro.faults import ApCrashProcess, FaultInjector
+        from repro.faults import FaultEvent, FaultInjector
 
         injector = FaultInjector(
-            [ApCrashProcess(start_s=8.0, duration_s=12.0, ap_index=0)],
+            [FaultEvent("ap_crash", 8.0, 12.0, severity=0.0)],
             master_seed=seed)
         return injector.schedule(duration_s=30.0)
 

@@ -19,7 +19,9 @@ from repro.faults import (
     FAULT_KINDS,
     NO_DISTURBANCE,
     FaultEvent,
+    FaultInjector,
     FaultSchedule,
+    TransientBlockerProcess,
     scenario_injector,
 )
 
@@ -120,8 +122,14 @@ class TestIndexMatchesScan:
                              + [1e16, -math.inf])
 
     def test_nan_schedule_duration_is_refused(self):
-        with pytest.raises(ValueError):
-            FaultSchedule([FaultEvent("dropout", 0.5, 2.0)], math.nan)
+        """A NaN or infinite duration is refused before anything runs
+        (the injector's Poisson loop would never end on an infinite
+        horizon)."""
+        for duration in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                FaultSchedule([FaultEvent("dropout", 0.5, 2.0)], duration)
+            with pytest.raises(ValueError):
+                FaultInjector([TransientBlockerProcess()]).schedule(duration)
 
     def test_empty_schedule(self):
         schedule = FaultSchedule([], DURATION_S)

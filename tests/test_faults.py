@@ -1,9 +1,12 @@
 """Unit tests for the fault-injection framework (repro.faults)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.faults import (
+    FAULT_KINDS,
     NO_DISTURBANCE,
     SCENARIOS,
     FaultEvent,
@@ -13,15 +16,7 @@ from repro.faults import (
     scenario_injector,
 )
 from repro.faults.injector import NLOS_BLOCKAGE_FRACTION
-from repro.faults.processes import (
-    InterfererProcess,
-    NodeDropoutProcess,
-    PersistentBlockerProcess,
-    SideChannelOutageProcess,
-    StuckBeamProcess,
-    TransientBlockerProcess,
-    VcoDriftProcess,
-)
+from repro.faults.processes import NodeDropoutProcess, TransientBlockerProcess
 
 
 class TestFaultEvent:
@@ -38,6 +33,20 @@ class TestFaultEvent:
         with pytest.raises(ValueError):
             FaultEvent(kind="interference", start_s=0.0, duration_s=1.0,
                        severity=-60.0)  # no channel named
+        with pytest.raises(ValueError):
+            # A negative index names no channel: no victim would match.
+            FaultEvent(kind="interference", start_s=0.0, duration_s=1.0,
+                       severity=-60.0, channel_index=-1)
+
+    def test_robustness_doc_table_lists_every_kind(self):
+        """docs/robustness.md's fault-kind table names each kind in
+        ``FAULT_KINDS``, in order, and nothing else."""
+        doc = (Path(__file__).resolve().parents[1] / "docs"
+               / "robustness.md").read_text(encoding="utf-8")
+        table = doc[doc.index("| kind "):]
+        rows = table[:table.index("\n\n")].splitlines()[2:]
+        kinds = tuple(row.split("|")[1].strip().strip("`") for row in rows)
+        assert kinds == FAULT_KINDS
 
     def test_active_window_half_open(self):
         event = FaultEvent(kind="blockage", start_s=2.0, duration_s=3.0)
@@ -156,7 +165,8 @@ class TestFaultInjector:
         assert schedule.disturbance_at(27.0) is NO_DISTURBANCE
 
     def test_quiet_tail_must_fit(self):
-        injector = FaultInjector([SideChannelOutageProcess()], master_seed=0)
+        injector = FaultInjector(
+            [FaultEvent("side_channel_outage", 5.0, 5.0)], master_seed=0)
         with pytest.raises(ValueError):
             injector.schedule(10.0, quiet_tail_s=10.0)
 
@@ -179,16 +189,24 @@ class TestProcesses:
         assert 20.0 < float(np.mean(counts)) < 40.0
 
     def test_deterministic_windows_ignore_rng(self):
-        for process in (PersistentBlockerProcess(), VcoDriftProcess(),
-                        StuckBeamProcess(), SideChannelOutageProcess(),
-                        InterfererProcess()):
-            a = process.events(np.random.default_rng(0), 30.0)
-            b = process.events(np.random.default_rng(99), 30.0)
-            assert a == b
+        """A fixed window is a FaultEvent, which is its own process."""
+        for event in (FaultEvent("blockage", 5.0, 10.0, severity=27.5),
+                      FaultEvent("vco_drift", 5.0, 10.0, severity=5e5),
+                      FaultEvent("stuck_beam", 5.0, 10.0, severity=1.0),
+                      FaultEvent("side_channel_outage", 5.0, 5.0),
+                      FaultEvent("interference", 5.0, 10.0, severity=-65.0,
+                                 channel_index=0)):
+            rng = np.random.default_rng(0)
+            before = rng.bit_generator.state
+            assert event.events(rng, 30.0) == [event]
+            assert rng.bit_generator.state == before  # no draw taken
 
     def test_window_beyond_duration_yields_nothing(self):
-        assert PersistentBlockerProcess(start_s=50.0).events(
-            np.random.default_rng(0), 30.0) == []
+        event = FaultEvent("blockage", 50.0, 10.0, severity=27.5)
+        assert event.events(np.random.default_rng(0), 30.0) == []
+        # Starting exactly at the horizon is outside the run too.
+        assert event.events(np.random.default_rng(0), 50.0) == []
+        assert event.events(np.random.default_rng(0), 50.5) == [event]
 
     def test_dropouts_do_not_overlap(self):
         rng = np.random.default_rng(1)
@@ -205,13 +223,9 @@ class TestEnergyOutage:
             LinkDisturbance(harvest_scale=-0.1)
 
     def test_severities_compose_multiplicatively(self):
-        from repro.faults.processes import EnergyOutageProcess
-
         injector = FaultInjector(
-            [EnergyOutageProcess(start_s=0.0, duration_s=10.0,
-                                 severity=0.5),
-             EnergyOutageProcess(start_s=5.0, duration_s=10.0,
-                                 severity=0.5)],
+            [FaultEvent("energy_outage", 0.0, 10.0, severity=0.5),
+             FaultEvent("energy_outage", 5.0, 10.0, severity=0.5)],
             master_seed=0)
         schedule = injector.schedule(20.0)
         assert schedule.disturbance_at(2.0).harvest_scale \

@@ -110,9 +110,10 @@ class TestNodeHardware:
     def test_bitrate_cap(self):
         assert NodeHardware().max_bitrate_bps == 100e6
 
-    def test_energy_per_bit_validates_rate(self):
+    def test_switch_refuses_rate_above_cap(self):
+        """The node's rate check is its switch's (``MmxNode`` runs it)."""
         with pytest.raises(ValueError):
-            NodeHardware().energy_per_bit_j(1e9)
+            NodeHardware().switch.validate_bitrate(1e9)
 
 
 class TestApHardware:

@@ -22,14 +22,7 @@ from repro.faults import (
     FaultInjector,
     FaultSchedule,
 )
-from repro.faults.processes import (
-    InterfererProcess,
-    NodeDropoutProcess,
-    PersistentBlockerProcess,
-    StuckBeamProcess,
-    TransientBlockerProcess,
-    VcoDriftProcess,
-)
+from repro.faults.processes import NodeDropoutProcess, TransientBlockerProcess
 from repro.network.tma import TimeModulatedArray
 from repro.phy.waveform import Waveform
 from repro.resilience import ChaosSimulation, LinkHealthMonitor
@@ -179,32 +172,35 @@ def side_channel_safe_processes(draw):
         processes.append(TransientBlockerProcess(
             rate_per_minute=draw(st.floats(min_value=2.0, max_value=20.0))))
     if draw(st.booleans()):
-        processes.append(PersistentBlockerProcess(
+        processes.append(FaultEvent(
+            "blockage",
             start_s=draw(st.floats(min_value=0.0, max_value=5.0)),
             duration_s=draw(st.floats(min_value=0.5, max_value=6.0)),
-            loss_db=draw(st.floats(min_value=10.0, max_value=40.0))))
+            severity=draw(st.floats(min_value=10.0, max_value=40.0))))
     if draw(st.booleans()):
-        processes.append(VcoDriftProcess(
+        processes.append(FaultEvent(
+            "vco_drift",
             start_s=draw(st.floats(min_value=0.0, max_value=5.0)),
             duration_s=draw(st.floats(min_value=0.5, max_value=6.0)),
-            peak_offset_hz=draw(st.floats(min_value=1e4, max_value=2e6))))
+            severity=draw(st.floats(min_value=1e4, max_value=2e6))))
     if draw(st.booleans()):
-        processes.append(StuckBeamProcess(
+        processes.append(FaultEvent(
+            "stuck_beam",
             start_s=draw(st.floats(min_value=0.0, max_value=5.0)),
             duration_s=draw(st.floats(min_value=0.5, max_value=6.0)),
-            beam=draw(st.sampled_from((0, 1)))))
+            severity=float(draw(st.sampled_from((0, 1))))))
     if draw(st.booleans()):
         processes.append(NodeDropoutProcess(
             rate_per_minute=draw(st.floats(min_value=1.0, max_value=10.0))))
     if draw(st.booleans()):
-        processes.append(InterfererProcess(
+        processes.append(FaultEvent(
+            "interference",
             start_s=draw(st.floats(min_value=0.0, max_value=5.0)),
             duration_s=draw(st.floats(min_value=0.5, max_value=6.0)),
-            power_dbm=draw(st.floats(min_value=-80.0, max_value=-50.0)),
+            severity=draw(st.floats(min_value=-80.0, max_value=-50.0)),
             channel_index=0))
     if not processes:
-        processes.append(PersistentBlockerProcess(start_s=1.0,
-                                                  duration_s=3.0))
+        processes.append(FaultEvent("blockage", 1.0, 3.0, severity=27.5))
     return processes
 
 
@@ -250,7 +246,8 @@ class TestFaultScheduleProperties:
     @settings(max_examples=15)
     def test_appending_a_process_preserves_earlier_streams(self, seed):
         base = [TransientBlockerProcess()]
-        extended = base + [InterfererProcess()]
+        extended = base + [FaultEvent("interference", 5.0, 10.0,
+                                      severity=-65.0, channel_index=0)]
         a = FaultInjector(base, master_seed=seed).schedule(20.0)
         b = FaultInjector(extended, master_seed=seed).schedule(20.0)
         blockages = [e for e in b.events if e.kind == "blockage"]
