@@ -21,11 +21,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro import MmxAccessPoint, MmxNode, OtamLink, default_lab_room
+from repro.channel.noise import complex_awgn
 from repro.constants import HD_VIDEO_BITRATE_BPS
 from repro.core.ask_fsk import AskFskConfig
 from repro.hardware.power import EnergyModel
 from repro.network.init_protocol import InitializationProtocol
-from repro.phy.waveform import Waveform, awgn_noise
 from repro.sim.geometry import Point, Segment
 from repro.sim.mobility import LinearCrossing, WalkingBlocker, los_blocker_between
 from repro.sim.placement import Placement
@@ -89,16 +89,12 @@ def main() -> None:
             link = OtamLink(placement=placement, room=room,
                             config=SIM_CONFIG)
             channel = link.channel_response()
-            _, clean = camera.transmit(
+            _, capture = camera.transmit(
                 f"{name} frame {step}".encode(), channel)
-            # Scale into the receiver's dBm-referenced units + noise.
-            capture = Waveform(
-                clean.samples + awgn_noise(
-                    len(clean),
-                    10 ** (link.snr_breakdown(channel).noise_dbm / 10.0)
-                    * 10 ** (-1.0),  # demod integrates over the bit
-                    rng),
-                clean.sample_rate_hz)
+            # Receiver noise in the capture's dBm-referenced units,
+            # 10 dB under the channel's (demod integrates over the bit).
+            complex_awgn(capture.samples,
+                         link.snr_breakdown(channel).noise_dbm - 10.0, rng)
             packet = hub.try_receive_packet(camera.node_id, capture)
             if packet is not None:
                 delivered[name] += 1

@@ -384,15 +384,19 @@ def _chaos_duration_error(duration_s: float,
 
     Every scenario run ends in the fault-free
     :data:`~repro.experiments.chaos.QUIET_TAIL_S`, so it must last
-    longer than that; the AP-crash drill has no quiet tail.  Either run
-    steps through the whole duration, so it must be finite.
+    longer than that; the AP-crash drill has no quiet tail, but must
+    last past its :data:`~repro.experiments.chaos.CRASH_START_S`.
+    Either run steps through the whole duration, so it must be finite.
     """
-    from .experiments.chaos import QUIET_TAIL_S
+    from .experiments.chaos import CRASH_START_S, QUIET_TAIL_S
 
     if not math.isfinite(duration_s):
         return "--duration must be finite"
     if ap_crash:
-        return None if duration_s > 0 else "--duration must be positive"
+        if duration_s > CRASH_START_S:
+            return None
+        return (f"--duration must exceed the {CRASH_START_S:g} s crash "
+                "start of the AP-crash drill")
     if duration_s > QUIET_TAIL_S:
         return None
     return (f"--duration must exceed the {QUIET_TAIL_S:g} s fault-free "

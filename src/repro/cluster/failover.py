@@ -461,14 +461,21 @@ class FailoverSimulation:
 
     def _crash_windows(self, schedule: FaultSchedule
                        ) -> list[tuple[float, float, int]]:
-        """Extract (start_s, end_s, ap_index) from ``ap_crash`` events."""
+        """Extract (start_s, end_s, ap_index) from ``ap_crash`` events.
+
+        Raises :class:`ValueError` for an event naming no AP of this
+        simulation, which could never crash anything.
+        """
         windows: list[tuple[float, float, int]] = []
         for event in schedule.events:
             if event.kind != "ap_crash":
                 continue
             ap_index = int(event.severity)
-            if 0 <= ap_index < len(self.ap_positions):
-                windows.append((event.start_s, event.end_s, ap_index))
+            if ap_index >= len(self.ap_positions):
+                raise ValueError(
+                    f"ap_crash event names AP {ap_index}; the simulation "
+                    f"has {len(self.ap_positions)}")
+            windows.append((event.start_s, event.end_s, ap_index))
         return windows
 
     def run(self, schedule: FaultSchedule,

@@ -489,13 +489,13 @@ class OtamLink:
         """Noisy AP baseband capture for a transmitted bit sequence."""
         ch = channel or self.channel_response()
         if use_otam:
-            clean = self.modulator.received_waveform(bits, ch)
+            wave = self.modulator.received_waveform(bits, ch)
         else:
-            clean = self.modulator.ask_only_waveform(bits, ch)
+            wave = self.modulator.ask_only_waveform(bits, ch)
         noise_dbm = noise_power_dbm(self.config.sample_rate_hz,
                                     self.ap_hardware.cascade_noise_figure_db)
-        noise = complex_awgn(len(clean), noise_dbm, rng)
-        return Waveform(clean.samples + noise, clean.sample_rate_hz)
+        complex_awgn(wave.samples, noise_dbm, rng)
+        return wave
 
     def simulate_transmission(self, bits,
                               channel: ChannelResponse | None = None,

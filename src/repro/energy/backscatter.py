@@ -134,7 +134,7 @@ class BackscatterLink:
         bit_array = transmitted_beam_bits(bits)
         if bit_array.size == 0:
             raise ValueError("cannot modulate an empty bit sequence")
-        clean = two_level_waveform(
+        wave = two_level_waveform(
             bit_array,
             bit_rate_bps=self.config.bit_rate_bps,
             sample_rate_hz=self.config.sample_rate_hz,
@@ -145,8 +145,8 @@ class BackscatterLink:
         noise_dbm = noise_power_dbm(
             self.config.sample_rate_hz,
             self.ap_hardware.cascade_noise_figure_db)
-        noise = complex_awgn(len(clean), noise_dbm, rng)
-        return Waveform(clean.samples + noise, clean.sample_rate_hz)
+        complex_awgn(wave.samples, noise_dbm, rng)
+        return wave
 
     def simulate_transmission(self, bits,
                               rng: np.random.Generator | None = None,

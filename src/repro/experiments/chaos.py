@@ -33,6 +33,9 @@ QUIET_TAIL_S = 3.0
 """Fault-free seconds at the end of every scenario run, so post-fault
 recovery is measurable; a run must last longer than this."""
 
+CRASH_START_S = 8.0
+"""When the AP-crash drill takes its AP down; the drill must outlast it."""
+
 
 @dataclass(frozen=True)
 class ChaosRunResult:
@@ -130,7 +133,7 @@ class FailoverRunResult:
 
 
 def run_failover(seed: int = 0, duration_s: float = 30.0,
-                 crash_start_s: float = 8.0,
+                 crash_start_s: float = CRASH_START_S,
                  crash_duration_s: float = 12.0,
                  ap_index: int = 0,
                  time_step_s: float = 0.1,
@@ -145,12 +148,17 @@ def run_failover(seed: int = 0, duration_s: float = 30.0,
     over to the survivor, and restores the rebooted AP from its
     checkpoint; the frozen baseline parks everyone on AP 0 and loses
     them (state and all) the moment it dies — the seed repository's
-    behaviour.
+    behaviour.  Raises :class:`ValueError` for a crash that could not
+    run: an ``ap_index`` naming neither AP, or a ``crash_start_s`` that
+    is not before ``duration_s``.
     """
     from ..cluster import FailoverSimulation, HeartbeatMonitor
     from ..sim.environment import Room
     from ..sim.geometry import Point
 
+    if not crash_start_s < duration_s:
+        raise ValueError(f"crash start {crash_start_s} s is not before "
+                         f"the {duration_s} s run's end")
     room = Room.rectangular(width_m=20.0, length_m=10.0)
     ap_positions = [Point(2.0, 5.0), Point(18.0, 5.0)]
     node_positions = [Point(4.0, 3.0), Point(6.0, 7.0),

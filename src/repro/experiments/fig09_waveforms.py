@@ -15,17 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..channel.multipath import ChannelResponse
+from ..channel.noise import complex_awgn
 from ..core.ask_fsk import AskFskConfig
 from ..core.demodulator import JointDemodulator
 from ..core.link import OtamLink
 from ..core.otam import OtamModulator
 from ..phy.bits import random_bits
 from ..phy.preamble import default_preamble_bits
-from ..phy.waveform import Waveform
 from ..sim.environment import default_lab_room
 from ..sim.mobility import los_blocker_between
 from ..sim.placement import PlacementSampler
-from ..units import db_to_amplitude, db_to_linear
+from ..units import amplitude_to_db, db_to_amplitude
 from .report import format_table
 
 __all__ = ["WaveformExample", "Fig9Result", "run", "render"]
@@ -68,15 +68,12 @@ def _example(label: str, channel: ChannelResponse, rng: np.random.Generator,
     demod = JointDemodulator(config)
     bits = np.concatenate([default_preamble_bits(),
                            random_bits(64, rng)])
-    clean = modulator.received_waveform(bits, channel)
+    wave = modulator.received_waveform(bits, channel)
     # Noise set relative to the stronger level so both cases see the same
     # receiver floor.
     strong = max(abs(channel.h1), abs(channel.h0))
-    noise_power = strong**2 / float(db_to_linear(snr_setup_db))
-    noise = (np.sqrt(noise_power / 2)
-             * (rng.standard_normal(len(clean))
-                + 1j * rng.standard_normal(len(clean))))
-    wave = Waveform(clean.samples + noise, clean.sample_rate_hz)
+    complex_awgn(wave.samples, float(amplitude_to_db(strong)) - snr_setup_db,
+                 rng)
     result = demod.demodulate(wave)
     n = min(bits.size, result.bits.size)
     errors = int(np.count_nonzero(bits[:n] != result.bits[:n]))

@@ -44,7 +44,6 @@ from .snr import (
 from .waveform import (
     Waveform,
     two_level_waveform,
-    awgn_noise,
 )
 
 __all__ = [
@@ -54,7 +53,6 @@ __all__ = [
     "apply_cfo",
     "apply_iq_imbalance",
     "apply_phase_noise",
-    "awgn_noise",
     "ber_fsk_noncoherent",
     "bits_to_bytes",
     "bytes_to_bits",

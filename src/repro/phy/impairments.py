@@ -51,7 +51,7 @@ def apply_phase_noise(wave: Waveform, linewidth_hz: float,
         return Waveform(wave.samples.copy(), wave.sample_rate_hz)
     rng = ensure_rng(rng)
     sigma = np.sqrt(2.0 * np.pi * linewidth_hz / wave.sample_rate_hz)
-    phase = np.cumsum(sigma * rng.standard_normal(len(wave)))
+    phase = np.cumsum(sigma * rng.standard_normal(wave.samples.size))
     return Waveform(wave.samples * np.exp(1j * phase), wave.sample_rate_hz)
 
 

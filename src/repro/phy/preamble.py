@@ -11,6 +11,7 @@ single correlation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -26,6 +27,9 @@ __all__ = [
 
 BARKER13 = np.array([1, 1, 1, 1, 1, 0, 0, 1, 1, 0, 1, 0, 1], dtype=np.uint8)
 """Barker-13 code in bit form (+1 -> 1, -1 -> 0)."""
+
+_BLOCK_ROWS = 1024
+"""Most preamble windows :func:`correlate_preamble` squares at once."""
 
 
 def default_preamble_bits(repeats: int = 2) -> np.ndarray:
@@ -52,10 +56,21 @@ def correlate_preamble(soft_bits: np.ndarray, preamble) -> np.ndarray:
     if x.size < p.size:
         return np.zeros(0)
     windows = np.lib.stride_tricks.sliding_window_view(x, p.size)
-    norms = np.linalg.norm(windows, axis=1) * np.linalg.norm(p)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        corr = windows @ p / norms
-    return np.nan_to_num(corr)
+    p_norm = np.linalg.norm(p)
+    count = windows.shape[0]
+    corr = np.empty(count)
+    # Row blocks bound the squared windows the norms need.  They are
+    # near-equal, so no block has a single row unless the whole search
+    # does: matmul sums a window view's rows in order, but hands a
+    # one-row block to BLAS's dot product, which sums in another.
+    blocks = -(-count // _BLOCK_ROWS)
+    edges = [count * k // blocks for k in range(blocks + 1)]
+    for start, stop in pairwise(edges):
+        block = windows[start:stop]
+        norms = np.linalg.norm(block, axis=1) * p_norm
+        with np.errstate(invalid="ignore", divide="ignore"):
+            np.divide(block @ p, norms, out=corr[start:stop])
+    return np.nan_to_num(corr, copy=False)
 
 
 @dataclass(frozen=True)

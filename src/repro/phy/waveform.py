@@ -14,12 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from ..rng import ensure_rng
-
 __all__ = [
     "Waveform",
     "two_level_waveform",
-    "awgn_noise",
 ]
 
 ComplexArray = npt.NDArray[np.complex128]
@@ -39,9 +36,6 @@ class Waveform:
             raise ValueError("sample rate must be positive")
         if samples.ndim != 1:
             raise ValueError("waveform samples must be one-dimensional")
-
-    def __len__(self) -> int:
-        return self.samples.size
 
 
 def _samples_per_bit(bit_rate_bps: float, sample_rate_hz: float) -> int:
@@ -66,32 +60,32 @@ def two_level_waveform(bits: npt.ArrayLike, bit_rate_bps: float,
     optionally a slightly different VCO frequency (joint ASK-FSK,
     section 6.3).  Phase is kept continuous across bit boundaries, as a free
     running VCO would.
+
+    The capture is one complex buffer from start to finish: the phase is
+    integrated in its imaginary part, exponentiated in place and scaled
+    per bit under the bit mask, so synthesis holds no full-length
+    temporary besides that mask.
     """
     bit_array = np.asarray(bits, dtype=np.uint8).ravel()
     sps = _samples_per_bit(bit_rate_bps, sample_rate_hz)
-    n = bit_array.size * sps
-    amps = np.where(np.repeat(bit_array, sps) == 1, amp_one, amp_zero)
-    freqs = np.where(np.repeat(bit_array, sps) == 1, freq_one_hz,
-                     freq_zero_hz)
-    # Continuous phase: integrate the instantaneous frequency.
-    dt = 1.0 / sample_rate_hz
-    phase = 2.0 * np.pi * np.cumsum(freqs) * dt
-    phase = np.concatenate([[0.0], phase[:-1]])
-    samples = amps * np.exp(1j * phase)
-    assert samples.size == n
+    ones = np.repeat(bit_array == 1, sps)
+    samples = np.empty(ones.size, dtype=np.complex128)
+    # Continuous phase: sample k carries the integral of the
+    # instantaneous frequency over samples 0..k-1.
+    phase = samples.imag
+    phase[:1] = 0.0
+    phase[1:] = freq_zero_hz
+    phase[1:][ones[:-1]] = freq_one_hz
+    np.cumsum(phase, out=phase)
+    phase *= 2.0 * np.pi
+    phase *= 1.0 / sample_rate_hz
+    samples.real = 0.0
+    np.exp(samples, out=samples)
+    # Tone first, amplitude second.  Complex multiply rounds through FMA,
+    # so the operand order decides the last bit; this is the order numpy's
+    # temporary elision gave long captures of ``amps * exp(...)``, and
+    # writing it out keeps a sample's bits independent of the capture's
+    # length.
+    np.multiply(samples, amp_one, out=samples, where=ones)
+    np.multiply(samples, amp_zero, out=samples, where=~ones)
     return Waveform(samples, sample_rate_hz)
-
-
-def awgn_noise(n: int, noise_power: float,
-               rng: np.random.Generator | None = None) -> ComplexArray:
-    """Complex AWGN samples with total (I+Q) power ``noise_power``."""
-    if n < 0:
-        raise ValueError("sample count must be non-negative")
-    if noise_power < 0:
-        raise ValueError("noise power must be non-negative")
-    generator = ensure_rng(rng)
-    sigma = np.sqrt(noise_power / 2.0)
-    noise: ComplexArray = sigma * (generator.standard_normal(n)
-                                   + 1j * generator.standard_normal(n))
-    return noise
-

@@ -244,6 +244,8 @@ class TestCommands:
                      "--duration", id="chaos-nan-duration"),
         pytest.param(["chaos", "--ap-crash", "--duration", "0"],
                      "--duration", id="ap-crash-zero-duration"),
+        pytest.param(["chaos", "--ap-crash", "--duration", "5"],
+                     "--duration", id="ap-crash-before-the-crash"),
         pytest.param(["network", "--nodes", "0"], "--nodes",
                      id="network-no-nodes"),
         pytest.param(["network", "--seed", "-1"], "--seed",
@@ -287,8 +289,17 @@ class TestCommands:
         assert main(["chaos", "--duration", str(QUIET_TAIL_S)]) == 2
         assert f"{QUIET_TAIL_S:g} s" in capsys.readouterr().err
         assert main(["chaos", "--duration", str(QUIET_TAIL_S + 0.5)]) == 0
+
+    def test_ap_crash_duration_bound_is_the_crash_start(self, capsys):
+        # The drill has no quiet tail; a run that ends before its crash
+        # would report a failover that never happened.
+        from repro.experiments.chaos import CRASH_START_S
+
         assert main(["chaos", "--ap-crash", "--duration",
-                     str(QUIET_TAIL_S)]) == 0
+                     str(CRASH_START_S)]) == 2
+        assert f"{CRASH_START_S:g} s" in capsys.readouterr().err
+        assert main(["chaos", "--ap-crash", "--duration",
+                     str(CRASH_START_S + 0.5)]) == 0
 
     def test_chaos_duration_must_be_finite(self):
         # An infinite run never returns, so this checks the validator

@@ -1,6 +1,7 @@
 """Tests for checkpointing, heartbeat detection, and multi-AP failover."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -408,6 +409,16 @@ class TestFailoverSimulation:
         assert np.array_equal(a.adaptive_success, b.adaptive_success)
         assert np.array_equal(a.static_success, b.static_success)
 
+    def test_crash_naming_no_ap_is_refused(self):
+        # Skipping it would score a crash that never ran.
+        from repro.faults import FaultEvent, FaultInjector
+
+        injector = FaultInjector(
+            [FaultEvent("ap_crash", 8.0, 12.0, severity=2.0)],
+            master_seed=7)
+        with pytest.raises(ValueError, match="AP 2"):
+            self._sim().run(injector.schedule(duration_s=30.0))
+
     def test_no_crash_schedule_is_a_tie_at_full_delivery(self):
         from repro.faults.injector import FaultSchedule
 
@@ -417,3 +428,26 @@ class TestFailoverSimulation:
         # Both policies serve everyone; only link quality separates them.
         assert result.adaptive_delivery_ratio > 0.9
         assert result.static_delivery_ratio > 0.9
+
+
+class TestRunFailover:
+    """The drill refuses a crash it could not run instead of scoring it."""
+
+    @pytest.mark.parametrize("kwargs", [
+        pytest.param({"ap_index": 5}, id="no-such-ap"),
+        pytest.param({"ap_index": -1}, id="negative-ap"),
+        pytest.param({"crash_start_s": 40.0}, id="starts-after-the-run"),
+        pytest.param({"crash_start_s": 30.0}, id="starts-at-the-end"),
+        pytest.param({"crash_start_s": math.nan}, id="nan-start"),
+    ])
+    def test_crash_that_cannot_run_is_refused(self, kwargs):
+        from repro.experiments.chaos import run_failover
+
+        with pytest.raises(ValueError):
+            run_failover(seed=0, duration_s=30.0, **kwargs)
+
+    def test_second_ap_crash_fails_over(self):
+        from repro.experiments.chaos import run_failover
+
+        outcome = run_failover(seed=0, duration_s=16.0, ap_index=1)
+        assert outcome.result.failover_count > 0

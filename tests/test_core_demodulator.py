@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.channel.multipath import ChannelResponse
+from repro.channel.noise import complex_awgn
 from repro.core.ask_fsk import AskFskConfig
 from repro.core.demodulator import JointDemodulator
 from repro.core.otam import OtamModulator
 from repro.phy.bits import random_bits
 from repro.phy.preamble import default_preamble_bits
-from repro.phy.waveform import Waveform, awgn_noise
+from repro.phy.waveform import Waveform
 
 
 @pytest.fixture
@@ -26,10 +27,8 @@ def _capture(cfg, rng, h1, h0, snr_db=30.0, num_data_bits=96,
     mod = OtamModulator(cfg, eirp_dbm=0.0)
     clean = mod.received_waveform(bits, ChannelResponse(h1=h1, h0=h0, paths=()))
     strong = max(abs(h1), abs(h0))
-    noise_power = strong**2 / 10 ** (snr_db / 10.0)
-    noisy = Waveform(clean.samples + awgn_noise(len(clean), noise_power, rng),
-                     cfg.sample_rate_hz)
-    return bits, noisy
+    complex_awgn(clean.samples, 20.0 * np.log10(strong) - snr_db, rng)
+    return bits, clean
 
 
 class TestAskBranch:

@@ -74,7 +74,7 @@ class TestReceivedWaveform:
         bits = np.ones(32, dtype=np.uint8)
         wave = mod.received_waveform(bits, channel(h1=1.0, h0=1.0))
         spectrum = np.abs(np.fft.fft(wave.samples))
-        freqs = np.fft.fftfreq(len(wave), 1 / cfg.sample_rate_hz)
+        freqs = np.fft.fftfreq(wave.samples.size, 1 / cfg.sample_rate_hz)
         peak_freq = freqs[int(np.argmax(spectrum))]
         assert peak_freq == pytest.approx(cfg.freq_one_hz, abs=2e5)
 

@@ -2,13 +2,14 @@
 
 import math
 
+from repro.channel.noise import complex_awgn
 from repro.core.ask_fsk import AskFskConfig
 from repro.core.link import OtamLink
 from repro.core.packet import Packet, PacketCodec
 from repro.network.init_protocol import InitializationProtocol
 from repro.node.access_point import MmxAccessPoint
 from repro.node.node import MmxNode
-from repro.phy.waveform import Waveform, awgn_noise
+from repro.phy.waveform import Waveform
 from repro.sim.environment import Blocker, default_lab_room
 from repro.sim.geometry import Point, Segment, segment_circle_intersects_xy
 from repro.sim.mobility import LinearCrossing, WalkingBlocker, los_blocker_between
@@ -37,8 +38,7 @@ class TestSmartHomeScenario:
     def _deliver(self, ap, camera, link, payload, rng):
         channel = link.channel_response()
         job, clean = camera.transmit(payload, channel)
-        noise = awgn_noise(len(clean), 1e-9, rng)
-        capture = Waveform(clean.samples * 1e3 + noise * 1e3,
+        capture = Waveform(complex_awgn(clean.samples * 1e3, -30.0, rng),
                            clean.sample_rate_hz)
         return ap.try_receive_packet(camera.node_id, capture)
 
@@ -147,8 +147,7 @@ class TestMultiCameraNetwork:
                             config=CONFIG)
             channel = link.channel_response()
             _, clean = node.transmit(f"cam{i}".encode(), channel)
-            capture = Waveform(clean.samples * 1e3
-                               + awgn_noise(len(clean), 1e-9, rng) * 1e3,
+            capture = Waveform(complex_awgn(clean.samples * 1e3, -30.0, rng),
                                clean.sample_rate_hz)
             packet = ap.try_receive_packet(i, capture)
             delivered += packet is not None

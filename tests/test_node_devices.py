@@ -63,7 +63,7 @@ class TestMmxNode:
         node.assign_channel(24.1e9)
         job, wave = node.transmit(b"hi", ChannelResponse(h1=1.0, h0=0.1,
                                                          paths=()))
-        assert len(wave) == job.beam_bits.size * node.config.samples_per_bit
+        assert wave.samples.size == job.beam_bits.size * node.config.samples_per_bit
 
     def test_bitrate_over_cap_rejected_at_construction(self):
         with pytest.raises(ValueError):
@@ -117,16 +117,17 @@ class TestMmxAccessPoint:
         channel = ChannelResponse(h1=1.0, h0=0.15, paths=())
         _, wave = node.transmit(b"sensor reading 42", channel)
         # Add mild receiver noise.
-        from repro.phy.waveform import Waveform, awgn_noise
-        noisy = Waveform(wave.samples + awgn_noise(len(wave), 1e-4, rng),
-                         wave.sample_rate_hz)
-        packet = ap.receive_packet(3, noisy)
+        from repro.channel.noise import complex_awgn
+        complex_awgn(wave.samples, -40.0, rng)
+        packet = ap.receive_packet(3, wave)
         assert packet.payload == b"sensor reading 42"
 
     def test_try_receive_returns_none_on_garbage(self, rng):
         ap = MmxAccessPoint()
         config = AskFskConfig(bit_rate_bps=1e6, sample_rate_hz=8e6)
         ap.register_node(4, 1e6, config=config)
-        from repro.phy.waveform import Waveform, awgn_noise
-        garbage = Waveform(awgn_noise(800, 1.0, rng), 8e6)
+        from repro.channel.noise import complex_awgn
+        from repro.phy.waveform import Waveform
+        garbage = Waveform(complex_awgn(np.zeros(800, complex), 0.0, rng),
+                           8e6)
         assert ap.try_receive_packet(4, garbage) is None

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from repro.channel.multipath import ChannelResponse
+from repro.channel.noise import complex_awgn
 from repro.core.ask_fsk import AskFskConfig
 from repro.core.demodulator import JointDemodulator
 from repro.core.otam import OtamModulator
 from repro.phy import impairments as I
 from repro.phy.bits import random_bits
 from repro.phy.preamble import default_preamble_bits
-from repro.phy.waveform import Waveform, awgn_noise
+from repro.phy.waveform import Waveform
 
 from .signal_fixtures import carrier
 
@@ -21,7 +22,7 @@ class TestCfo:
         wave = carrier(0.0, 1e-3, fs)
         shifted = I.apply_cfo(wave, 1e6)
         spectrum = np.abs(np.fft.fft(shifted.samples))
-        freqs = np.fft.fftfreq(len(shifted), 1 / fs)
+        freqs = np.fft.fftfreq(shifted.samples.size, 1 / fs)
         assert freqs[int(np.argmax(spectrum))] == pytest.approx(1e6, abs=2e3)
 
     def test_zero_offset_identity(self):
@@ -73,7 +74,7 @@ class TestQuantize:
         assert len(np.unique(out.samples.real)) <= 2
 
     def test_quantisation_noise_scales(self, rng):
-        wave = Waveform(awgn_noise(4000, 1.0, rng), 8e6)
+        wave = Waveform(complex_awgn(np.zeros(4000, complex), 0.0, rng), 8e6)
         err8 = np.mean(np.abs(I.quantize(wave, 8).samples - wave.samples) ** 2)
         err4 = np.mean(np.abs(I.quantize(wave, 4).samples - wave.samples) ** 2)
         assert err4 > 10 * err8
@@ -89,7 +90,7 @@ class TestIqImbalance:
         wave = carrier(1e6, 1e-3, fs)
         out = I.apply_iq_imbalance(wave, gain_db=1.0, phase_deg=5.0)
         spectrum = np.abs(np.fft.fft(out.samples)) ** 2
-        freqs = np.fft.fftfreq(len(out), 1 / fs)
+        freqs = np.fft.fftfreq(out.samples.size, 1 / fs)
         image_bin = int(np.argmin(np.abs(freqs + 1e6)))
         main_bin = int(np.argmin(np.abs(freqs - 1e6)))
         assert spectrum[image_bin] > 0.0
@@ -109,8 +110,8 @@ class TestDemodulatorUnderImpairments:
         mod = OtamModulator(config, eirp_dbm=0.0)
         wave = mod.received_waveform(
             bits, ChannelResponse(h1=h1, h0=h0, paths=()))
-        noise = awgn_noise(len(wave), 1e-3, rng)
-        return bits, Waveform(wave.samples + noise, wave.sample_rate_hz)
+        complex_awgn(wave.samples, -30.0, rng)
+        return bits, wave
 
     def _errors(self, config, bits, wave):
         result = JointDemodulator(config).demodulate(wave)

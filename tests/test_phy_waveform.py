@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.channel.noise import complex_awgn
 from repro.phy import waveform as W
 
 from .signal_fixtures import carrier
@@ -23,9 +24,9 @@ class TestCarrier:
         f, fs = 1e6, 16e6
         w = carrier(f, 1e-3, fs)
         spectrum = np.fft.fft(w.samples)
-        freqs = np.fft.fftfreq(len(w), 1 / fs)
+        freqs = np.fft.fftfreq(w.samples.size, 1 / fs)
         peak = freqs[np.argmax(np.abs(spectrum))]
-        assert peak == pytest.approx(f, abs=fs / len(w))
+        assert peak == pytest.approx(f, abs=fs / w.samples.size)
 
     def test_phase_offset(self):
         w = carrier(0.0, 1e-4, 8e6, phase_rad=np.pi / 2)
@@ -59,15 +60,19 @@ class TestTwoLevel:
         w = W.two_level_waveform([1] * 16, 1e6, fs, 1.0, 1.0,
                                  freq_one_hz=5e5, freq_zero_hz=-5e5)
         spectrum = np.abs(np.fft.fft(w.samples))
-        freqs = np.fft.fftfreq(len(w), 1 / fs)
+        freqs = np.fft.fftfreq(w.samples.size, 1 / fs)
         assert freqs[np.argmax(spectrum)] == pytest.approx(5e5, abs=1e5)
 
 
 class TestAwgn:
-    def test_noise_power(self, rng):
-        noise = W.awgn_noise(200_000, 0.25, rng)
-        assert np.mean(np.abs(noise) ** 2) == pytest.approx(0.25, rel=0.02)
+    """:func:`repro.channel.noise.complex_awgn` adds to a capture in place."""
 
-    def test_negative_noise_power_rejected(self):
-        with pytest.raises(ValueError):
-            W.awgn_noise(10, -1.0)
+    def test_noise_power(self, rng):
+        noise = complex_awgn(np.zeros(200_000, complex), -6.0, rng)
+        assert np.mean(np.abs(noise) ** 2) == pytest.approx(10 ** -0.6,
+                                                            rel=0.02)
+
+    @pytest.mark.parametrize("dtype", [float, np.complex64])
+    def test_other_dtypes_rejected(self, dtype):
+        with pytest.raises(TypeError):
+            complex_awgn(np.zeros(10, dtype), 0.0)

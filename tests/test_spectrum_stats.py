@@ -29,7 +29,7 @@ def occupied_bandwidth_hz(wave: Waveform, fraction: float = 0.99) -> float:
     from scipy.signal import welch
 
     freqs, psd = welch(wave.samples, fs=wave.sample_rate_hz,
-                       nperseg=min(1024, len(wave)),
+                       nperseg=min(1024, wave.samples.size),
                        return_onesided=False, detrend=False)
     order = np.argsort(freqs)
     freqs, psd = freqs[order], psd[order]
