@@ -97,7 +97,7 @@ class CompareConfig:
             raise ValueError("bit counts must be positive")
         if not 0.0 < self.illumination_duty <= 1.0:
             raise ValueError("illumination duty must be in (0, 1]")
-        if self.sim_steps < 1 or self.dt_s <= 0:
+        if self.sim_steps < 1 or not 0 < self.dt_s < math.inf:  # NaN fails too
             raise ValueError("need a positive simulation horizon")
         if not 0.0 <= self.frame_success_probability <= 1.0:
             raise ValueError("frame success must be a probability")

@@ -23,6 +23,7 @@ a fixed master seed — gated by ``benchmarks/test_energy_nodes.py``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Any
@@ -82,9 +83,11 @@ class OutageConfig:
     def __post_init__(self) -> None:
         if self.nodes < 1 or self.replicates < 1:
             raise ValueError("need at least one node and replicate")
-        if self.duration_s <= 0 or self.dt_s <= 0:
+        # Range checks, so that NaN fails them too.
+        if not (0 < self.duration_s < math.inf and 0 < self.dt_s < math.inf):
             raise ValueError("need a positive simulation horizon")
-        if self.outage_start_s < 0 or self.outage_duration_s <= 0:
+        if not (0 <= self.outage_start_s < math.inf
+                and 0 < self.outage_duration_s < math.inf):
             raise ValueError("need a valid outage window")
         if self.outage_start_s + self.outage_duration_s >= self.duration_s:
             raise ValueError("the outage must end before the run does "

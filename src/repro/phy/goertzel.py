@@ -1,9 +1,17 @@
-"""Goertzel single-tone power detection — the FSK half of the demodulator.
+"""Per-block tone powers — the FSK half of the demodulator.
 
-Per-bit the AP must decide which of two closely spaced tones was present
-(section 6.3).  A full FFT per bit is wasteful; the Goertzel recursion
-computes one bin in O(N) with O(1) state, which is the textbook choice for
-two-tone FSK discrimination and mirrors what a low-cost baseband would do.
+Per bit the AP must decide which of two closely spaced tones was present
+(section 6.3).  A full FFT per bit is wasteful: the decision needs one
+DFT bin per tone, ``X(f) = Σ x[n] e^{-j2πfn/fs}`` over the bit's
+samples.  A Goertzel filter is the textbook way to compute such a bin;
+this module evaluates the same sum directly, block by block, as one
+sum of products of the capture's blocks against a small conjugated
+tone matrix.
+
+The sum runs in numpy's own ``einsum`` loop, not a BLAS matrix product.
+BLAS would allocate per-thread work buffers that ``tracemalloc`` does not
+see, and its kernel is picked for the host CPU at load time, so the
+powers' last bits would depend on the host's BLAS core.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ def goertzel_block_powers(samples: npt.ArrayLike, block_size: int,
     t = np.arange(block_size) / sample_rate_hz
     # (num_freqs, block_size) conjugated tone matrix.
     tones = np.exp(-2j * np.pi * np.outer(freqs, t))
-    spectra = blocks @ tones.T  # (num_blocks, num_freqs)
+    # (num_blocks, num_freqs); einsum without optimize= never calls BLAS.
+    spectra = np.einsum("ij,kj->ik", blocks, tones)
     powers: FloatArray = (np.abs(spectra) ** 2) / (block_size * block_size)
     return powers

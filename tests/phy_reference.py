@@ -1,4 +1,4 @@
-"""Reference capture path: synthesis, noise and preamble search as arrays.
+"""Reference capture path: synthesis, noise, preamble search and tone bank.
 
 These are :func:`repro.phy.waveform.two_level_waveform`,
 :func:`repro.channel.noise.complex_awgn`, the two ``received_with_noise``
@@ -18,6 +18,13 @@ From 16,384 samples (256 KiB of complex128) numpy's temporary elision
 evaluates that in place on the ``exp`` temporary with the operands
 swapped, so its long captures equal the ordered form and its short ones
 may differ from it in the last bit.
+
+``reference_goertzel_block_powers`` is
+:func:`repro.phy.goertzel.goertzel_block_powers` as it was while its bins
+were a BLAS matrix product (``blocks @ tones.T``).  BLAS sums in another
+order than the program's ``einsum`` loop, and in an order that depends on
+the kernel it picks for the host CPU, so the tests hold the two within a
+rounding bound, not bit for bit.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ __all__ = [
     "reference_backscatter_received_with_noise",
     "reference_complex_awgn",
     "reference_correlate_preamble",
+    "reference_goertzel_block_powers",
     "reference_otam_received_with_noise",
     "reference_two_level_waveform",
     "reference_two_level_waveform_ordered",
@@ -147,3 +155,20 @@ def reference_correlate_preamble(soft_bits: np.ndarray,
     with np.errstate(invalid="ignore", divide="ignore"):
         corr = windows @ p / norms
     return np.nan_to_num(corr)
+
+
+def reference_goertzel_block_powers(samples, block_size: int,
+                                    frequencies_hz,
+                                    sample_rate_hz: float) -> np.ndarray:
+    x = np.asarray(samples, dtype=np.complex128)
+    if block_size < 1:
+        raise ValueError("block size must be >= 1")
+    freqs = np.atleast_1d(np.asarray(frequencies_hz, dtype=float))
+    num_blocks = x.size // block_size
+    blocks = x[: num_blocks * block_size].reshape(num_blocks, block_size)
+    t = np.arange(block_size) / sample_rate_hz
+    # (num_freqs, block_size) conjugated tone matrix.
+    tones = np.exp(-2j * np.pi * np.outer(freqs, t))
+    spectra = blocks @ tones.T  # (num_blocks, num_freqs)
+    powers = (np.abs(spectra) ** 2) / (block_size * block_size)
+    return powers

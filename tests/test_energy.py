@@ -8,6 +8,9 @@ at high SNR, and the end-to-end dormancy semantics: a sleeping fleet
 must never look like a dead AP.
 """
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -437,3 +440,50 @@ class TestEnergyCampaigns:
         assert summary["orphaned_nodes"] == 0
         assert summary["dormant_holds"] >= 1
         assert summary["dormant_wakes"] >= 1
+
+
+_NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestCampaignConfigValidation:
+    """Non-finite times are refused when the config is built.
+
+    ``x <= 0`` is False for NaN, so a check written that way let a NaN
+    ``dt_s`` through to the campaign, which then failed after its trials
+    had run (or, under ``python -O``, reported a zero duty cycle).
+    """
+
+    @pytest.mark.parametrize("dt_s", [*_NON_FINITE, 0.0, -1.0])
+    def test_compare_refuses_dt(self, dt_s):
+        from repro.energy import compare
+
+        with pytest.raises(ValueError, match="simulation horizon"):
+            dataclasses.replace(
+                compare.default_config(replicates=1, num_bits=50),
+                dt_s=dt_s)
+
+    @pytest.mark.parametrize("field", ["duration_s", "dt_s"])
+    @pytest.mark.parametrize("value", [*_NON_FINITE, 0.0])
+    def test_outage_refuses_horizon(self, field, value):
+        from repro.energy import outage
+
+        with pytest.raises(ValueError, match="simulation horizon"):
+            outage.OutageConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["outage_start_s", "outage_duration_s"])
+    @pytest.mark.parametrize("value", _NON_FINITE)
+    def test_outage_refuses_window(self, field, value):
+        from repro.energy import outage
+
+        with pytest.raises(ValueError, match="outage window"):
+            outage.OutageConfig(**{field: value})
+
+    def test_finite_values_still_build(self):
+        from repro.energy import compare, outage
+
+        assert dataclasses.replace(compare.default_config(),
+                                   dt_s=0.5).dt_s == 0.5
+        cfg = outage.OutageConfig(duration_s=60.0, dt_s=0.5,
+                                  outage_start_s=0.0,
+                                  outage_duration_s=10.0)
+        assert cfg.num_steps == 120
