@@ -11,7 +11,6 @@ Run:  python examples/reproduce_paper.py          (all experiments)
 from __future__ import annotations
 
 import sys
-import time
 
 from repro.experiments import (
     ablations,
@@ -78,10 +77,8 @@ def main() -> None:
         print("=" * 72)
         print(title)
         print("=" * 72)
-        start = time.perf_counter()
         print(runner())
-        print(f"\n[{name} regenerated in "
-              f"{time.perf_counter() - start:.1f} s]\n")
+        print()
 
 
 if __name__ == "__main__":

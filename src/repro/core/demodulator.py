@@ -63,7 +63,7 @@ class JointDemodulator:
         self.config = config
         self.preamble = default_preamble_bits()
 
-    # --- per-branch soft demodulation -----------------------------------
+    # --- per-bit observables -----------------------------------------------
 
     def ask_soft_values(self, wave: Waveform) -> np.ndarray:
         """Per-bit mean envelope (the ASK observable)."""
@@ -81,65 +81,54 @@ class JointDemodulator:
             [self.config.freq_zero_hz, self.config.freq_one_hz],
             wave.sample_rate_hz)
 
-    # --- branch decisions -------------------------------------------------
-
-    def demodulate_ask(self, wave: Waveform) -> tuple[np.ndarray, float]:
-        """Envelope threshold decisions plus the branch decision SNR.
-
-        Bits are *raw* (possibly inverted); polarity is resolved later
-        against the preamble.
-        """
-        soft = self.ask_soft_values(wave)
-        if soft.size == 0:
-            return np.zeros(0, dtype=np.uint8), float("-inf")
-        low, high, threshold = threshold_levels(soft)
-        bits = (soft > threshold).astype(np.uint8)
-        snr_db = estimate_snr_two_level(soft, bits)
-        return bits, snr_db
-
-    def demodulate_fsk(self, wave: Waveform) -> tuple[np.ndarray, float]:
-        """Tone-contrast decisions plus the branch decision SNR.
-
-        Decision statistic per bit is ``P(f1) - P(f0)``; its SNR is the
-        separation of the two decision clusters, same metric as the ASK
-        branch so the joint comparison is apples-to-apples.
-        """
-        powers = self.fsk_tone_powers(wave)
-        if powers.shape[0] == 0:
-            return np.zeros(0, dtype=np.uint8), float("-inf")
-        contrast = powers[:, 1] - powers[:, 0]
-        bits = (contrast > 0.0).astype(np.uint8)
-        # Normalise contrast to an SNR-like separation statistic.
-        snr_db = estimate_snr_two_level(contrast, bits)
-        return bits, snr_db
-
     # --- joint decision ---------------------------------------------------
 
     def demodulate(self, wave: Waveform) -> DemodResult:
         """Full joint ASK-FSK demodulation with polarity resolution.
 
         The capture must start on a bit edge: bit ``k`` is the sample
-        block ``[k * samples_per_bit, (k + 1) * samples_per_bit)``.
+        block ``[k * samples_per_bit, (k + 1) * samples_per_bit)``.  The
+        whole capture is one block of observables for :meth:`decide`.
         """
-        ask_bits, ask_snr = self.demodulate_ask(wave)
-        fsk_bits, fsk_snr = self.demodulate_fsk(wave)
+        return self.decide(self.ask_soft_values(wave),
+                           self.fsk_tone_powers(wave))
+
+    def decide(self, soft: np.ndarray, powers: np.ndarray) -> DemodResult:
+        """Joint decision on a capture's per-bit observables.
+
+        ``soft`` is the capture's :meth:`ask_soft_values` and ``powers``
+        its :meth:`fsk_tone_powers`, one row per bit.  Each row depends
+        on its own bit period only, so a receiver may compute them block
+        by block.
+        """
+        if soft.size == 0:
+            return DemodResult(bits=np.zeros(0, dtype=np.uint8),
+                               branch="none",
+                               ask_snr_db=float("-inf"),
+                               fsk_snr_db=float("-inf"),
+                               inverted=False, preamble_found=False)
+        # ASK: envelope threshold decisions, *raw* (possibly inverted).
+        _, _, threshold = threshold_levels(soft)
+        ask_bits = (soft > threshold).astype(np.uint8)
+        ask_snr = estimate_snr_two_level(soft, ask_bits)
+        # FSK: the decision statistic per bit is ``P(f1) - P(f0)``; its
+        # SNR is the separation of the two decision clusters, the same
+        # metric as the ASK branch's, so the comparison is fair.
+        contrast = powers[:, 1] - powers[:, 0]
+        fsk_bits = (contrast > 0.0).astype(np.uint8)
+        fsk_snr = estimate_snr_two_level(contrast, fsk_bits)
 
         # Resolve ASK polarity against the preamble (start of capture).
         inverted = False
         preamble_found = False
         if ask_bits.size >= self.preamble.size:
-            soft = 2.0 * ask_bits.astype(float) - 1.0
-            detection = locate_preamble(soft, self.preamble)
+            detection = locate_preamble(2.0 * ask_bits.astype(float) - 1.0,
+                                        self.preamble)
             preamble_found = detection.found
             if detection.found and detection.inverted:
                 inverted = True
                 ask_bits = (1 - ask_bits).astype(np.uint8)
 
-        if ask_bits.size == 0 and fsk_bits.size == 0:
-            return DemodResult(bits=np.zeros(0, dtype=np.uint8),
-                               branch="none",
-                               ask_snr_db=ask_snr, fsk_snr_db=fsk_snr,
-                               inverted=False, preamble_found=False)
         # If the ASK branch found no preamble its polarity is a
         # guess; a clean FSK branch is then preferable even at
         # comparable SNR.

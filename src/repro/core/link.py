@@ -31,7 +31,7 @@ from ..channel.multipath import (
     two_beam_gains,
     two_beam_responses,
 )
-from ..channel.noise import complex_awgn, noise_power_dbm
+from ..channel.noise import CaptureNoise, noise_power_dbm
 from ..channel.pathloss import friis_received_power_dbm
 from ..constants import (
     AP_ANTENNA_GAIN_DBI,
@@ -43,7 +43,7 @@ from ..constants import (
 )
 from ..hardware.chains import AccessPointHardware
 from ..phy import ber as ber_theory
-from ..phy.waveform import Waveform
+from ..phy.waveform import Keying, Waveform, synthesize_block
 from ..sim.environment import default_lab_room
 from ..sim.geometry import Point, angle_of
 from ..sim.placement import Placement
@@ -55,11 +55,11 @@ from ..units import (
 )
 from .ask_fsk import AskFskConfig
 from .demodulator import DemodResult, JointDemodulator
-from .otam import OtamModulator
+from .otam import OtamModulator, transmitted_beam_bits
 
-__all__ = ["BistaticBreakdown", "SnrBreakdown", "LinkReport", "OtamLink",
-           "bistatic_breakdown", "facing_link", "ism_carriers",
-           "perturb_breakdown"]
+__all__ = ["CAPTURE_BLOCK_BITS", "BistaticBreakdown", "LinkReport",
+           "OtamLink", "SnrBreakdown", "bistatic_breakdown", "facing_link",
+           "ism_carriers", "perturb_breakdown", "transmit"]
 
 
 def ism_carriers(num_carriers: int) -> np.ndarray:
@@ -328,15 +328,17 @@ def bistatic_breakdown(*, downlink_m: float, uplink_m: float | None = None,
     co-located illuminator and receiver).  ``excess_loss_db`` lets
     fault disturbances (blockage) tax both trips.
     """
-    if downlink_m <= 0:
-        raise ValueError("downlink distance must be positive")
+    # Written so that NaN fails every check.
+    if not 0 < downlink_m < math.inf:
+        raise ValueError("downlink distance must be positive and finite")
     up_m = downlink_m if uplink_m is None else uplink_m
-    if up_m <= 0:
-        raise ValueError("uplink distance must be positive")
+    if not 0 < up_m < math.inf:
+        raise ValueError("uplink distance must be positive and finite")
     if not 0.0 <= gamma_off < gamma_on <= 1.0:
         raise ValueError("need 0 <= gamma_off < gamma_on <= 1")
-    if conversion_loss_db < 0 or excess_loss_db < 0:
-        raise ValueError("losses cannot be negative")
+    if not (0 <= conversion_loss_db < math.inf
+            and 0 <= excess_loss_db < math.inf):
+        raise ValueError("losses must be finite and not negative")
     nf = noise_figure_db if noise_figure_db is not None \
         else AccessPointHardware().cascade_noise_figure_db
     carrier_at_tag = float(friis_received_power_dbm(
@@ -483,34 +485,82 @@ class OtamLink:
 
     # --- sample-level view ------------------------------------------------------
 
-    def received_with_noise(self, bits, channel: ChannelResponse | None = None,
-                            rng: np.random.Generator | None = None,
-                            use_otam: bool = True) -> Waveform:
-        """Noisy AP baseband capture for a transmitted bit sequence."""
-        ch = channel or self.channel_response()
-        if use_otam:
-            wave = self.modulator.received_waveform(bits, ch)
-        else:
-            wave = self.modulator.ask_only_waveform(bits, ch)
-        noise_dbm = noise_power_dbm(self.config.sample_rate_hz,
-                                    self.ap_hardware.cascade_noise_figure_db)
-        complex_awgn(wave.samples, noise_dbm, rng)
-        return wave
-
     def simulate_transmission(self, bits,
                               channel: ChannelResponse | None = None,
                               rng: np.random.Generator | None = None,
                               use_otam: bool = True) -> LinkReport:
-        """Transmit, receive with noise, jointly demodulate, count errors."""
-        bits = np.asarray(bits, dtype=np.uint8).ravel()
-        wave = self.received_with_noise(bits, channel, rng, use_otam)
-        demod = self.demodulator.demodulate(wave)
-        n = min(bits.size, demod.bits.size)
-        errors = int(np.count_nonzero(bits[:n] != demod.bits[:n]))
-        errors += abs(bits.size - demod.bits.size)
-        ber = errors / bits.size if bits.size else 0.0
-        return LinkReport(demod=demod, bit_errors=errors, ber=ber,
-                          num_bits=int(bits.size))
+        """Transmit, receive with noise, jointly demodulate, count errors.
+
+        ``use_otam=False`` sends the paper's without-OTAM baseline
+        instead (:meth:`OtamModulator.keying`).
+        """
+        ch = channel or self.channel_response()
+        keying = self.modulator.keying(ch, use_otam=use_otam, fsk=use_otam)
+        return transmit(bits, keying, self.demodulator,
+                        self.ap_hardware.cascade_noise_figure_db, rng)
+
+
+CAPTURE_BLOCK_BITS = 1024
+"""Bits of a capture :func:`transmit` synthesises, adds noise to and
+reduces at a time."""
+
+
+def transmit(bits, keying: Keying, demodulator: JointDemodulator,
+             noise_figure_db: float,
+             rng: np.random.Generator | None = None) -> LinkReport:
+    """Send ``bits`` keyed by ``keying``, receive with noise, decode, count.
+
+    The capture streams through the receiver (:func:`_observe_capture`)
+    and the demodulator decides once, on the whole burst's per-bit
+    observables.  Bit for bit, the report is that of
+    :meth:`JointDemodulator.demodulate` on the whole noisy capture built
+    in one piece, with the same generator state afterwards.
+    """
+    bits = np.asarray(bits, dtype=np.uint8).ravel()
+    sent = transmitted_beam_bits(bits)
+    if sent.size == 0:
+        raise ValueError("cannot modulate an empty bit sequence")
+    demod = demodulator.decide(*_observe_capture(
+        sent, keying, demodulator, noise_figure_db, rng))
+    errors = int(np.count_nonzero(bits != demod.bits))
+    return LinkReport(demod=demod, bit_errors=errors,
+                      ber=errors / bits.size, num_bits=int(bits.size))
+
+
+def _observe_capture(sent: np.ndarray, keying: Keying,
+                     demodulator: JointDemodulator, noise_figure_db: float,
+                     rng: np.random.Generator | None
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-bit observables of the noisy capture of ``sent``, in blocks.
+
+    The AP decodes its baseband one bit period at a time (§6.3), so the
+    capture never exists whole: each block of :data:`CAPTURE_BLOCK_BITS`
+    bits is synthesised into one reused buffer, gets its receiver noise
+    (bandwidth: the sample rate) and is reduced to its mean envelopes
+    and tone powers.  The one array as long as the burst is the noise's
+    I draws, half a capture's bytes (:class:`CaptureNoise`); it is gone
+    before the decision runs.
+    """
+    config = demodulator.config
+    sps = config.samples_per_bit
+    noise = CaptureNoise(
+        sent.size * sps,
+        noise_power_dbm(config.sample_rate_hz, noise_figure_db), rng)
+    soft = np.empty(sent.size)
+    powers = np.empty((sent.size, 2))
+    capture = np.empty(min(sent.size, CAPTURE_BLOCK_BITS) * sps,
+                       dtype=np.complex128)
+    tone_sum = 0.0
+    for start in range(0, sent.size, CAPTURE_BLOCK_BITS):
+        rows = slice(start, start + CAPTURE_BLOCK_BITS)
+        block = sent[rows]
+        wave = Waveform(capture[: block.size * sps], config.sample_rate_hz)
+        tone_sum = synthesize_block(wave.samples, block, sps,
+                                    config.sample_rate_hz, keying, tone_sum)
+        noise.add(wave.samples)
+        soft[rows] = demodulator.ask_soft_values(wave)
+        powers[rows] = demodulator.fsk_tone_powers(wave)
+    return soft, powers
 
 
 def facing_link(distance_m: float) -> OtamLink:

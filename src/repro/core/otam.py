@@ -22,7 +22,7 @@ import numpy as np
 from ..channel.multipath import ChannelResponse
 from ..hardware.switch import ADRF5020Switch
 from ..phy.bits import as_bit_array
-from ..phy.waveform import Waveform, two_level_waveform
+from ..phy.waveform import Keying, Waveform, two_level_waveform
 from ..units import db_to_amplitude
 from .ask_fsk import AskFskConfig
 
@@ -83,6 +83,29 @@ class OtamModulator:
         amp_zero = scale * (channel.h0 * through + channel.h1 * leak)
         return complex(amp_one), complex(amp_zero)
 
+    def keying(self, channel: ChannelResponse, *, use_otam: bool = True,
+               fsk: bool = True) -> Keying:
+        """Amplitude and tone each bit value reaches the AP with.
+
+        With ``use_otam`` each bit picks its beam, so the channel keys
+        the amplitude (:meth:`per_bit_amplitudes`).  Without it the node
+        is the paper's *without OTAM* baseline, scenario (1) of
+        section 9.2: it switches the carrier on and off at the radio and
+        always radiates through the broadside Beam 1, so when Beam 1's
+        path is weak the whole signal is weak, with no second beam to
+        fall back on.  With ``fsk`` each bit also nudges the VCO to its
+        own tone (joint ASK-FSK, section 6.3); without it both bits ride
+        the bit-1 tone.
+        """
+        if use_otam:
+            amp_one, amp_zero = self.per_bit_amplitudes(channel)
+        else:
+            amp_one = float(db_to_amplitude(self.eirp_dbm)) * channel.h1
+            amp_zero = 0.0
+        freq_one = self.config.freq_one_hz
+        return Keying(amp_one, amp_zero, freq_one,
+                      self.config.freq_zero_hz if fsk else freq_one)
+
     def received_waveform(self, data_bits,
                           channel: ChannelResponse) -> Waveform:
         """Noise-free waveform at the AP's baseband for a bit sequence.
@@ -95,36 +118,6 @@ class OtamModulator:
         bits = transmitted_beam_bits(data_bits)
         if bits.size == 0:
             raise ValueError("cannot modulate an empty bit sequence")
-        amp_one, amp_zero = self.per_bit_amplitudes(channel)
-        return two_level_waveform(
-            bits,
-            bit_rate_bps=self.config.bit_rate_bps,
-            sample_rate_hz=self.config.sample_rate_hz,
-            amp_one=amp_one,
-            amp_zero=amp_zero,
-            freq_one_hz=self.config.freq_one_hz,
-            freq_zero_hz=self.config.freq_zero_hz,
-        )
-
-    def ask_only_waveform(self, data_bits,
-                          channel: ChannelResponse) -> Waveform:
-        """The paper's *without OTAM* baseline: OOK through Beam 1 only.
-
-        The node modulates at the radio (carrier on/off) and always uses
-        the broadside beam — precisely scenario (1) of section 9.2.  When
-        Beam 1's path is weak the whole signal is weak; there is no
-        second beam to fall back on.
-        """
-        bits = transmitted_beam_bits(data_bits)
-        if bits.size == 0:
-            raise ValueError("cannot modulate an empty bit sequence")
-        scale = float(db_to_amplitude(self.eirp_dbm))
-        return two_level_waveform(
-            bits,
-            bit_rate_bps=self.config.bit_rate_bps,
-            sample_rate_hz=self.config.sample_rate_hz,
-            amp_one=scale * channel.h1,
-            amp_zero=0.0,
-            freq_one_hz=self.config.freq_one_hz,
-            freq_zero_hz=self.config.freq_one_hz,
-        )
+        return two_level_waveform(bits, self.config.bit_rate_bps,
+                                  self.config.sample_rate_hz,
+                                  *self.keying(channel))

@@ -26,13 +26,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..channel.multipath import ChannelResponse
-from ..channel.noise import complex_awgn, noise_power_dbm
 from ..core.ask_fsk import AskFskConfig
 from ..core.demodulator import JointDemodulator
-from ..core.link import BistaticBreakdown, LinkReport, bistatic_breakdown
-from ..core.otam import OtamModulator, transmitted_beam_bits
+from ..core.link import (
+    BistaticBreakdown,
+    LinkReport,
+    bistatic_breakdown,
+    transmit,
+)
+from ..core.otam import OtamModulator
 from ..hardware.chains import AccessPointHardware
-from ..phy.waveform import Waveform, two_level_waveform
 from ..units import db_to_amplitude
 from .classes import BACKSCATTER_CLASS, NodeClassSpec, node_class
 
@@ -118,46 +121,18 @@ class BackscatterLink:
         return ChannelResponse(h1=complex(h_on), h0=complex(h_off),
                                paths=())
 
-    def received_with_noise(self, bits,
-                            rng: np.random.Generator | None = None,
-                            excess_loss_db: float = 0.0) -> Waveform:
-        """Noisy AP baseband capture of one tag burst.
-
-        Amplitudes come from the stock OTAM modulator (its
-        leak-through model doubles as the tag's residual Γ_off
-        reflection), but both bits ride the *same* tone — a tag cannot
-        nudge the illuminator's frequency, so the FSK dimension
-        carries no information by construction.
-        """
-        channel = self.reflection_channel(excess_loss_db)
-        amp_one, amp_zero = self.modulator.per_bit_amplitudes(channel)
-        bit_array = transmitted_beam_bits(bits)
-        if bit_array.size == 0:
-            raise ValueError("cannot modulate an empty bit sequence")
-        wave = two_level_waveform(
-            bit_array,
-            bit_rate_bps=self.config.bit_rate_bps,
-            sample_rate_hz=self.config.sample_rate_hz,
-            amp_one=amp_one,
-            amp_zero=amp_zero,
-            freq_one_hz=self.config.freq_one_hz,
-            freq_zero_hz=self.config.freq_one_hz)
-        noise_dbm = noise_power_dbm(
-            self.config.sample_rate_hz,
-            self.ap_hardware.cascade_noise_figure_db)
-        complex_awgn(wave.samples, noise_dbm, rng)
-        return wave
-
     def simulate_transmission(self, bits,
                               rng: np.random.Generator | None = None,
                               excess_loss_db: float = 0.0) -> LinkReport:
-        """Backscatter, receive with noise, demodulate, count errors."""
-        bits = np.asarray(bits, dtype=np.uint8).ravel()
-        wave = self.received_with_noise(bits, rng, excess_loss_db)
-        demod = self.demodulator.demodulate(wave)
-        n = min(bits.size, demod.bits.size)
-        errors = int(np.count_nonzero(bits[:n] != demod.bits[:n]))
-        errors += abs(bits.size - demod.bits.size)
-        ber = errors / bits.size if bits.size else 0.0
-        return LinkReport(demod=demod, bit_errors=errors, ber=ber,
-                          num_bits=int(bits.size))
+        """Backscatter, receive with noise, demodulate, count errors.
+
+        Amplitudes come from the stock OTAM modulator (its leak-through
+        model doubles as the tag's residual Γ_off reflection), but both
+        bits ride the *same* tone — a tag cannot nudge the illuminator's
+        frequency, so the FSK dimension carries no information by
+        construction.
+        """
+        keying = self.modulator.keying(
+            self.reflection_channel(excess_loss_db), fsk=False)
+        return transmit(bits, keying, self.demodulator,
+                        self.ap_hardware.cascade_noise_figure_db, rng)

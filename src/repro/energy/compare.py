@@ -95,6 +95,10 @@ class CompareConfig:
             raise ValueError("need at least one replicate")
         if self.num_bits < 1 or self.frame_bits < 1:
             raise ValueError("bit counts must be positive")
+        for name in ("active_distance_m", "backscatter_distance_m",
+                     "harvest_distance_m"):
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ValueError(f"{name} must be positive and finite")
         if not 0.0 < self.illumination_duty <= 1.0:
             raise ValueError("illumination duty must be in (0, 1]")
         if self.sim_steps < 1 or not 0 < self.dt_s < math.inf:  # NaN fails too

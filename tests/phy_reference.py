@@ -2,16 +2,18 @@
 
 These are :func:`repro.phy.waveform.two_level_waveform`,
 :func:`repro.channel.noise.complex_awgn`, the two ``received_with_noise``
-bodies (:class:`repro.core.link.OtamLink`,
-:class:`repro.energy.backscatter.BackscatterLink`) and
+methods the links had (``OtamLink``, ``BackscatterLink``) and
 :func:`repro.phy.preamble.correlate_preamble` as they were before the
 capture became one in-place buffer, kept verbatim so the differential
-tests can demand the same bits from the fast path.  The one addition is
+tests can demand the same bits from the fast path.  The additions are
 :func:`reference_two_level_waveform_ordered`, the same synthesis with the
-tone-times-amplitude multiply order written out.  The two
-``received_with_noise`` bodies synthesise through the program's
-modulator, so they check only the in-place noise against ``clean +
-noise``; the synthesis has its own reference.
+tone-times-amplitude multiply order written out, and the keying the two
+``received_with_noise`` bodies took from ``OtamModulator``: its
+``received_waveform`` and ``ask_only_waveform`` as they were, written
+inline.  The bodies synthesise through the program's
+``two_level_waveform``, which has its own reference.  A link now streams
+its capture through the receiver block by block; demodulating a
+``received_with_noise`` capture whole is the path it must match.
 
 ``reference_two_level_waveform`` computes ``amps * np.exp(1j * phase)``.
 From 16,384 samples (256 KiB of complex128) numpy's temporary elision
@@ -36,7 +38,7 @@ from repro.core.otam import transmitted_beam_bits
 from repro.phy.bits import as_bit_array
 from repro.phy.waveform import Waveform, _samples_per_bit, two_level_waveform
 from repro.rng import ensure_rng
-from repro.units import dbm_to_milliwatts
+from repro.units import db_to_amplitude, dbm_to_milliwatts
 
 __all__ = [
     "ELISION_MIN_SAMPLES",
@@ -106,10 +108,26 @@ def reference_otam_received_with_noise(link, bits, channel=None, rng=None,
                                        use_otam: bool = True) -> Waveform:
     """``OtamLink.received_with_noise`` on ``link``, noise as a second array."""
     ch = channel or link.channel_response()
+    mod = link.modulator
+    bit_array = transmitted_beam_bits(bits)
+    if bit_array.size == 0:
+        raise ValueError("cannot modulate an empty bit sequence")
     if use_otam:
-        clean = link.modulator.received_waveform(bits, ch)
+        amp_one, amp_zero = mod.per_bit_amplitudes(ch)
+        freq_zero = mod.config.freq_zero_hz
     else:
-        clean = link.modulator.ask_only_waveform(bits, ch)
+        # The without-OTAM baseline: OOK through Beam 1 only.
+        amp_one = float(db_to_amplitude(mod.eirp_dbm)) * ch.h1
+        amp_zero = 0.0
+        freq_zero = mod.config.freq_one_hz
+    clean = two_level_waveform(
+        bit_array,
+        bit_rate_bps=mod.config.bit_rate_bps,
+        sample_rate_hz=mod.config.sample_rate_hz,
+        amp_one=amp_one,
+        amp_zero=amp_zero,
+        freq_one_hz=mod.config.freq_one_hz,
+        freq_zero_hz=freq_zero)
     noise_dbm = noise_power_dbm(link.config.sample_rate_hz,
                                 link.ap_hardware.cascade_noise_figure_db)
     noise = reference_complex_awgn(len(clean.samples), noise_dbm, rng)

@@ -31,13 +31,25 @@ def _capture(cfg, rng, h1, h0, snr_db=30.0, num_data_bits=96,
     return bits, clean
 
 
+def _ask_alone(demod, wave):
+    """The joint decision with no tone contrast: the ASK branch decides."""
+    soft = demod.ask_soft_values(wave)
+    return demod.decide(soft, np.zeros((soft.size, 2)))
+
+
+def _fsk_alone(demod, wave):
+    """The joint decision on a flat envelope: the FSK branch decides."""
+    powers = demod.fsk_tone_powers(wave)
+    return demod.decide(np.zeros(powers.shape[0]), powers)
+
+
 class TestAskBranch:
     def test_clean_decoding(self, cfg, rng):
         bits, wave = _capture(cfg, rng, h1=1.0, h0=0.15)
-        demod = JointDemodulator(cfg)
-        decoded, snr = demod.demodulate_ask(wave)
-        assert np.array_equal(decoded, bits)
-        assert snr > 15.0
+        result = _ask_alone(JointDemodulator(cfg), wave)
+        assert result.branch == "ask"
+        assert np.array_equal(result.bits, bits)
+        assert result.ask_snr_db > 15.0
 
     def test_soft_values_two_clusters(self, cfg, rng):
         bits, wave = _capture(cfg, rng, h1=1.0, h0=0.2)
@@ -48,16 +60,16 @@ class TestAskBranch:
 
     def test_equal_levels_fail_ask(self, cfg, rng):
         _, wave = _capture(cfg, rng, h1=0.7, h0=0.7 * np.exp(1j))
-        _, snr = JointDemodulator(cfg).demodulate_ask(wave)
-        assert snr < 10.0
+        assert JointDemodulator(cfg).demodulate(wave).ask_snr_db < 10.0
 
 
 class TestFskBranch:
     def test_clean_decoding(self, cfg, rng):
         bits, wave = _capture(cfg, rng, h1=0.7, h0=0.7 * np.exp(1j))
-        decoded, snr = JointDemodulator(cfg).demodulate_fsk(wave)
-        assert np.array_equal(decoded, bits)
-        assert snr > 10.0
+        result = _fsk_alone(JointDemodulator(cfg), wave)
+        assert result.branch == "fsk"
+        assert np.array_equal(result.bits, bits)
+        assert result.fsk_snr_db > 10.0
 
     def test_tone_power_matrix_shape(self, cfg, rng):
         bits, wave = _capture(cfg, rng, h1=1.0, h0=1.0)
@@ -68,8 +80,9 @@ class TestFskBranch:
         # FSK decisions are tied to the transmitted tone, so even an
         # 'inverted' channel (h0 stronger) decodes without flipping.
         bits, wave = _capture(cfg, rng, h1=0.3, h0=1.0)
-        decoded, _ = JointDemodulator(cfg).demodulate_fsk(wave)
-        assert np.array_equal(decoded, bits)
+        result = _fsk_alone(JointDemodulator(cfg), wave)
+        assert result.branch == "fsk"
+        assert np.array_equal(result.bits, bits)
 
 
 class TestJointDecision:

@@ -7,6 +7,7 @@ from repro.channel.multipath import ChannelResponse
 from repro.core.ask_fsk import AskFskConfig
 from repro.core.otam import OtamModulator, transmitted_beam_bits
 from repro.hardware.switch import ADRF5020Switch
+from repro.phy.waveform import two_level_waveform
 
 
 @pytest.fixture
@@ -93,18 +94,46 @@ class TestReceivedWaveform:
             OtamModulator(cfg, switch=slow)
 
 
+def _baseline_waveform(mod, bits, ch):
+    """The without-OTAM baseline's noise-free capture."""
+    return two_level_waveform(bits, mod.config.bit_rate_bps,
+                              mod.config.sample_rate_hz,
+                              *mod.keying(ch, use_otam=False, fsk=False))
+
+
 class TestAskOnlyBaseline:
     def test_off_bits_are_silent(self, cfg):
         mod = OtamModulator(cfg, eirp_dbm=0.0)
         bits = np.array([1, 0], dtype=np.uint8)
-        wave = mod.ask_only_waveform(bits, channel(h1=1.0, h0=1.0))
+        wave = _baseline_waveform(mod, bits, channel(h1=1.0, h0=1.0))
         env = np.abs(wave.samples).reshape(2, cfg.samples_per_bit).mean(axis=1)
         assert env[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_ignores_beam0_channel(self, cfg):
         mod = OtamModulator(cfg, eirp_dbm=0.0)
         bits = np.array([1, 1], dtype=np.uint8)
-        strong_h0 = mod.ask_only_waveform(bits, channel(h1=0.5, h0=5.0))
-        weak_h0 = mod.ask_only_waveform(bits, channel(h1=0.5, h0=0.0))
+        strong_h0 = _baseline_waveform(mod, bits, channel(h1=0.5, h0=5.0))
+        weak_h0 = _baseline_waveform(mod, bits, channel(h1=0.5, h0=0.0))
         assert np.mean(np.abs(strong_h0.samples) ** 2) == pytest.approx(
             np.mean(np.abs(weak_h0.samples) ** 2))
+
+
+class TestKeying:
+    def test_otam_keys_beam_and_tone(self, cfg):
+        mod = OtamModulator(cfg, eirp_dbm=3.0)
+        ch = channel(h1=0.8, h0=0.2j)
+        assert mod.keying(ch) == (*mod.per_bit_amplitudes(ch),
+                                  cfg.freq_one_hz, cfg.freq_zero_hz)
+
+    def test_single_tone_keeps_the_beams(self, cfg):
+        mod = OtamModulator(cfg)
+        ch = channel(h1=0.8, h0=0.2j)
+        keying = mod.keying(ch, fsk=False)
+        assert (keying.amp_one, keying.amp_zero) == mod.per_bit_amplitudes(ch)
+        assert keying.freq_one_hz == keying.freq_zero_hz == cfg.freq_one_hz
+
+    def test_baseline_is_beam1_on_off(self, cfg):
+        mod = OtamModulator(cfg, eirp_dbm=0.0)
+        keying = mod.keying(channel(h1=0.5 - 0.1j, h0=5.0), use_otam=False,
+                            fsk=False)
+        assert keying == (0.5 - 0.1j, 0.0, cfg.freq_one_hz, cfg.freq_one_hz)

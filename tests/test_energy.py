@@ -118,6 +118,22 @@ class TestBistaticBudget:
             bistatic_breakdown(downlink_m=1.0, gamma_on=0.1,
                                gamma_off=0.8)
 
+    # NaN passes a check written ``d <= 0``, and inf walks the budget
+    # to a BER instead of an error.
+    @pytest.mark.parametrize("field", ["downlink_m", "uplink_m"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, 0.0])
+    def test_distances_validated(self, field, value):
+        kwargs = {"downlink_m": 1.0, field: value}
+        with pytest.raises(ValueError, match="distance"):
+            bistatic_breakdown(**kwargs)
+
+    @pytest.mark.parametrize("field", ["conversion_loss_db",
+                                       "excess_loss_db"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    def test_losses_validated(self, field, value):
+        with pytest.raises(ValueError, match="losses"):
+            bistatic_breakdown(downlink_m=1.0, **{field: value})
+
 
 class TestBackscatterLink:
     def test_high_snr_ber_pins_the_closed_form(self, rng):
@@ -446,7 +462,7 @@ _NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 class TestCampaignConfigValidation:
-    """Non-finite times are refused when the config is built.
+    """Non-finite times and distances are refused when the config is built.
 
     ``x <= 0`` is False for NaN, so a check written that way let a NaN
     ``dt_s`` through to the campaign, which then failed after its trials
@@ -461,6 +477,21 @@ class TestCampaignConfigValidation:
             dataclasses.replace(
                 compare.default_config(replicates=1, num_bits=50),
                 dt_s=dt_s)
+
+    # A NaN or infinite tag distance ran the whole campaign to a BER of
+    # about 0.55 with delivery 0; a NaN harvest distance failed only
+    # after every trial, on the energy store's conservation check.
+    @pytest.mark.parametrize("field", ["active_distance_m",
+                                       "backscatter_distance_m",
+                                       "harvest_distance_m"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, 0.0])
+    def test_compare_refuses_distance(self, field, value):
+        from repro.energy import compare
+
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(
+                compare.default_config(replicates=1, num_bits=50),
+                **{field: value})
 
     @pytest.mark.parametrize("field", ["duration_s", "dt_s"])
     @pytest.mark.parametrize("value", [*_NON_FINITE, 0.0])

@@ -25,7 +25,11 @@ from repro.phy.preamble import default_preamble_bits
 from repro.phy.waveform import two_level_waveform
 from repro.sim.mobility import los_blocker_between
 
-from .phy_reference import reference_goertzel_block_powers
+from .phy_reference import (
+    reference_backscatter_received_with_noise,
+    reference_goertzel_block_powers,
+    reference_otam_received_with_noise,
+)
 from .test_cold_start import _fresh_python
 
 BIT_RATE_BPS = 1e6
@@ -118,15 +122,22 @@ def _otam_capture(use_otam: bool = True, blocked: bool = False):
         placement = link.placement
         link.room.add_blocker(los_blocker_between(placement.node_position,
                                                   placement.ap_position))
-    wave = link.received_with_noise(_payload(7), rng=np.random.default_rng(8),
-                                    use_otam=use_otam)
+    wave = reference_otam_received_with_noise(
+        link, _payload(7), rng=np.random.default_rng(8), use_otam=use_otam)
     return link.demodulator, wave
 
 
 def _tag_capture():
     tag = BackscatterLink(downlink_m=1.0, spec=node_class(BACKSCATTER_CLASS))
-    wave = tag.received_with_noise(_payload(7), np.random.default_rng(8))
+    wave = reference_backscatter_received_with_noise(
+        tag, _payload(7), np.random.default_rng(8))
     return tag.demodulator, wave
+
+
+def _fsk_bits(demod, wave) -> np.ndarray:
+    """The FSK branch's decisions: the stronger of the two tones."""
+    powers = demod.fsk_tone_powers(wave)
+    return (powers[:, 1] - powers[:, 0] > 0.0).astype(np.uint8)
 
 
 class TestDemodulatorDecisions:
@@ -141,11 +152,11 @@ class TestDemodulatorDecisions:
     def test_same_bits_branch_and_polarity(self, capture, monkeypatch):
         demod, wave = capture()
         fast = demod.demodulate(wave)
-        fast_fsk, _ = demod.demodulate_fsk(wave)
+        fast_fsk = _fsk_bits(demod, wave)
         monkeypatch.setattr(demodulator_module, "goertzel_block_powers",
                             reference_goertzel_block_powers)
         ref = demod.demodulate(wave)
-        ref_fsk, _ = demod.demodulate_fsk(wave)
+        ref_fsk = _fsk_bits(demod, wave)
         assert np.array_equal(fast.bits, ref.bits)
         assert np.array_equal(fast_fsk, ref_fsk)
         assert fast.branch == ref.branch
@@ -157,12 +168,14 @@ class TestDemodulatorDecisions:
 _POWERS_DIGEST = """\
 import hashlib
 import numpy as np
+from repro.channel.noise import complex_awgn
 from repro.core.link import facing_link
 from repro.phy.preamble import default_preamble_bits
 bits = np.concatenate([default_preamble_bits(),
                        np.random.default_rng(0).integers(0, 2, 2000)])
 link = facing_link(4.0)
-wave = link.received_with_noise(bits, rng=np.random.default_rng(1))
+wave = link.modulator.received_waveform(bits, link.channel_response())
+complex_awgn(wave.samples, -100.0, np.random.default_rng(1))
 powers = link.demodulator.fsk_tone_powers(wave)
 print(hashlib.sha256(powers.tobytes()).hexdigest())
 """
