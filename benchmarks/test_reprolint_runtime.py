@@ -2,15 +2,13 @@
 on every push.
 
 Two budgets, measured over the real ``src/`` tree with the real rule
-pack (file-scope extraction + the PAR0xx project graph):
+pack (file-scope rules + the PAR0xx project graph), each run analysing
+every file in process:
 
-* **cold** — empty summary cache, parallel extraction: < 10 s;
-* **warm** — second run against the same cache: < 2 s.
+* **first run** — loading the rule pack included: < 10 s;
+* **second run** — the same pass again: < 2 s.
 
-A warm run must also be a *full* cache hit (every summary served from
-disk, zero re-parses) and report byte-identical findings — a cache
-that is fast because it silently recomputes, or silently diverges, is
-worse than no cache.
+Both runs must report byte-identical findings.
 """
 
 from __future__ import annotations
@@ -30,15 +28,13 @@ COLD_BUDGET_S = 10.0
 WARM_BUDGET_S = 2.0
 
 
-def test_lint_runtime_budgets(tmp_path):
-    cache = tmp_path / "reprolint-cache"
-
+def test_lint_runtime_budgets():
     start = time.perf_counter()
-    cold = run_lint([SRC], cache_dir=cache)
+    cold = run_lint([SRC])
     cold_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    warm = run_lint([SRC], cache_dir=cache)
+    warm = run_lint([SRC])
     warm_s = time.perf_counter() - start
 
     assert cold_s < COLD_BUDGET_S, \
@@ -46,7 +42,4 @@ def test_lint_runtime_budgets(tmp_path):
     assert warm_s < WARM_BUDGET_S, \
         f"warm lint took {warm_s:.2f}s (budget {WARM_BUDGET_S}s)"
 
-    assert cold.stats["cache_misses"] == cold.stats["files"]
-    assert warm.stats["cache_hits"] == warm.stats["files"]
-    assert warm.stats["cache_misses"] == 0
     assert warm.findings == cold.findings

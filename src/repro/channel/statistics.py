@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..constants import CARRIER_FREQUENCY_HZ, SPEED_OF_LIGHT
 from ..units import db_to_amplitude, linear_to_db
 from .pathloss import free_space_path_loss_db
 from .raytrace import PropagationPath, trace_paths
@@ -27,8 +28,6 @@ __all__ = [
     "ChannelStats",
     "characterize",
 ]
-
-_SPEED_OF_LIGHT = 299_792_458.0
 
 
 def path_amplitudes(paths: list[PropagationPath],
@@ -72,7 +71,7 @@ def rms_delay_spread_s(paths: list[PropagationPath],
     amps = path_amplitudes(paths, frequency_hz)
     if amps.size == 0:
         return 0.0
-    delays = np.asarray([p.length_m / _SPEED_OF_LIGHT for p in paths])
+    delays = np.asarray([p.length_m / SPEED_OF_LIGHT for p in paths])
     weights = amps**2 / np.sum(amps**2)
     mean_delay = float(np.sum(weights * delays))
     return float(np.sqrt(np.sum(weights * (delays - mean_delay) ** 2)))
@@ -121,7 +120,8 @@ class ChannelStats:
         return symbol_s >= 10.0 * self.median_delay_spread_ns * 1e-9
 
 
-def characterize(room, placements, frequency_hz: float = 24.125e9,
+def characterize(room, placements,
+                 frequency_hz: float = CARRIER_FREQUENCY_HZ,
                  max_bounces: int = 1) -> ChannelStats:
     """Trace many placements and summarise the channel's character."""
     counts, k_factors, spreads, angles = [], [], [], []

@@ -298,13 +298,12 @@ class BistaticBreakdown:
     noise) — the only modulation dimension a passive tag has."""
 
 
-def bistatic_breakdown(*, downlink_m: float, uplink_m: float | None = None,
+def bistatic_breakdown(*, downlink_m: float,
                        ap_eirp_dbm: float = 20.0,
                        ap_rx_gain_dbi: float = AP_ANTENNA_GAIN_DBI,
                        tag_gain_dbi: float = 5.0,
                        gamma_on: float = 0.8, gamma_off: float = 0.1,
                        conversion_loss_db: float = 6.0,
-                       excess_loss_db: float = 0.0,
                        frequency_hz: float = CARRIER_FREQUENCY_HZ,
                        bandwidth_hz: float = 1e6,
                        noise_figure_db: float | None = None
@@ -318,33 +317,27 @@ def bistatic_breakdown(*, downlink_m: float, uplink_m: float | None = None,
        conversion loss + ``20 log10 |Γ|`` (the tag re-radiates through
        the same aperture; the modulator's insertion cost and scattering
        inefficiency sit in ``conversion_loss_db``);
-    3. level at the AP = reflected EIRP − FSPL(uplink) + AP rx gain.
+    3. level at the AP = reflected EIRP − FSPL(downlink) + AP rx gain:
+       the illuminator and the receiver are co-located
+       (monostatic-style), so the return trip is as long as the first.
 
     The ASK decision distance is the *amplitude difference* of the two
     reflection states — identical maths to the OTAM beam-contrast
     decision in :func:`perturb_breakdown`, which is why the existing
     envelope/Goertzel demodulator decodes backscatter unchanged.
-    ``uplink_m`` defaults to the downlink distance (monostatic-style
-    co-located illuminator and receiver).  ``excess_loss_db`` lets
-    fault disturbances (blockage) tax both trips.
     """
     # Written so that NaN fails every check.
     if not 0 < downlink_m < math.inf:
         raise ValueError("downlink distance must be positive and finite")
-    up_m = downlink_m if uplink_m is None else uplink_m
-    if not 0 < up_m < math.inf:
-        raise ValueError("uplink distance must be positive and finite")
     if not 0.0 <= gamma_off < gamma_on <= 1.0:
         raise ValueError("need 0 <= gamma_off < gamma_on <= 1")
-    if not (0 <= conversion_loss_db < math.inf
-            and 0 <= excess_loss_db < math.inf):
+    if not 0 <= conversion_loss_db < math.inf:
         raise ValueError("losses must be finite and not negative")
     nf = noise_figure_db if noise_figure_db is not None \
         else AccessPointHardware().cascade_noise_figure_db
     carrier_at_tag = float(friis_received_power_dbm(
         eirp_dbm=ap_eirp_dbm, rx_gain_dbi=tag_gain_dbi,
-        distance_m=downlink_m, frequency_hz=frequency_hz)) \
-        - excess_loss_db
+        distance_m=downlink_m, frequency_hz=frequency_hz))
 
     def _reflected_level(gamma: float) -> float:
         if gamma == 0.0:
@@ -356,7 +349,7 @@ def bistatic_breakdown(*, downlink_m: float, uplink_m: float | None = None,
                           + float(amplitude_to_db(gamma)))
         return float(friis_received_power_dbm(
             eirp_dbm=reflected_eirp, rx_gain_dbi=ap_rx_gain_dbi,
-            distance_m=up_m, frequency_hz=frequency_hz)) - excess_loss_db
+            distance_m=downlink_m, frequency_hz=frequency_hz))
 
     on_level = _reflected_level(gamma_on)
     off_level = _reflected_level(gamma_off)

@@ -68,7 +68,6 @@ class BackscatterLink:
     """
 
     downlink_m: float = 2.0
-    uplink_m: float | None = None
     ap_eirp_dbm: float = 20.0
     gamma_on: float = 0.8
     gamma_off: float = 0.1
@@ -90,22 +89,19 @@ class BackscatterLink:
         self.modulator = OtamModulator(self.config, eirp_dbm=0.0)
         self.demodulator = JointDemodulator(self.config)
 
-    def breakdown(self, excess_loss_db: float = 0.0) -> BistaticBreakdown:
+    def breakdown(self) -> BistaticBreakdown:
         """The bistatic AP → tag → AP budget for this geometry."""
         return bistatic_breakdown(
             downlink_m=self.downlink_m,
-            uplink_m=self.uplink_m,
             ap_eirp_dbm=self.ap_eirp_dbm,
             tag_gain_dbi=self.tag_gain_dbi,
             gamma_on=self.gamma_on,
             gamma_off=self.gamma_off,
             conversion_loss_db=self.conversion_loss_db,
-            excess_loss_db=excess_loss_db,
             bandwidth_hz=self.config.bit_rate_bps,
             noise_figure_db=self.ap_hardware.cascade_noise_figure_db)
 
-    def reflection_channel(self,
-                           excess_loss_db: float = 0.0) -> ChannelResponse:
+    def reflection_channel(self) -> ChannelResponse:
         """The tag's two reflection states as a two-"beam" channel.
 
         ``h1``/``h0`` carry the *received field amplitudes* of the
@@ -113,7 +109,7 @@ class BackscatterLink:
         ``eirp_dbm=0`` normalisation), so the OTAM modulator reproduces
         the bistatic budget sample-for-sample.
         """
-        bd = self.breakdown(excess_loss_db)
+        bd = self.breakdown()
         h_on = 0.0 if bd.on_level_dbm == float("-inf") \
             else float(db_to_amplitude(bd.on_level_dbm))
         h_off = 0.0 if bd.off_level_dbm == float("-inf") \
@@ -122,8 +118,8 @@ class BackscatterLink:
                                paths=())
 
     def simulate_transmission(self, bits,
-                              rng: np.random.Generator | None = None,
-                              excess_loss_db: float = 0.0) -> LinkReport:
+                              rng: np.random.Generator | None = None
+                              ) -> LinkReport:
         """Backscatter, receive with noise, demodulate, count errors.
 
         Amplitudes come from the stock OTAM modulator (its leak-through
@@ -132,7 +128,7 @@ class BackscatterLink:
         frequency, so the FSK dimension carries no information by
         construction.
         """
-        keying = self.modulator.keying(
-            self.reflection_channel(excess_loss_db), fsk=False)
+        keying = self.modulator.keying(self.reflection_channel(),
+                                       fsk=False)
         return transmit(bits, keying, self.demodulator,
                         self.ap_hardware.cascade_noise_figure_db, rng)

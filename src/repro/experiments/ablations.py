@@ -27,6 +27,7 @@ from ..baselines.beam_search import (
     HierarchicalBeamSearch,
 )
 from ..channel.multipath import beam_channel_gain
+from ..constants import CARRIER_FREQUENCY_HZ
 from ..core.link import OtamLink
 from ..sim.environment import default_lab_room
 from ..sim.mobility import los_blocker_between
@@ -227,7 +228,7 @@ def run_beam_search(num_array_elements: int = 16,
     raised-cosine profile) — search *cost* depends only on the search
     trajectory, not on which direction wins.
     """
-    array = PhasedArray(num_array_elements, 24.125e9)
+    array = PhasedArray(num_array_elements, CARRIER_FREQUENCY_HZ)
     best_direction = np.radians(20.0)
 
     def metric(direction_rad: float) -> float:
@@ -336,7 +337,7 @@ def run_oracle_comparison(seed: int = 0, num_placements: int = 120,
     rng = np.random.default_rng(seed)
     room = default_lab_room()
     sampler = PlacementSampler(room, rng)
-    array = PhasedArray(num_elements, 24.125e9)
+    array = PhasedArray(num_elements, CARRIER_FREQUENCY_HZ)
     directions = array.codebook_directions_rad()
     # Precompute steered patterns once; they are placement-independent.
     steered = [array.steered_pattern(d) for d in directions]

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..constants import CARRIER_FREQUENCY_HZ
 from ..network.tma import TimeModulatedArray
 from .report import format_table
 
@@ -67,7 +68,7 @@ def run(arrival_degs=(0.0, 40.0), num_elements: int = 8,
     two co-channel signals from well-separated directions.
     """
     tma = TimeModulatedArray(num_elements=num_elements,
-                             frequency_hz=24.125e9,
+                             frequency_hz=CARRIER_FREQUENCY_HZ,
                              switching_rate_hz=switching_rate_hz)
     sample_rate = switching_rate_hz * tma.samples_per_period
     num_samples = tma.samples_per_period * 64

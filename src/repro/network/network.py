@@ -23,7 +23,6 @@ from ..sim.placement import Placement, PlacementSampler
 from ..units import db_to_linear, linear_to_db
 from .interference import InterferenceModel
 from .sdm_scheduler import arrival_bearing_rad
-from .tma import TimeModulatedArray
 
 __all__ = ["NodeStats", "NetworkSnapshot", "MultiNodeNetwork",
            "frame_success_matrix"]
@@ -112,12 +111,9 @@ class MultiNodeNetwork:
         if demodulator_rejection_db < 0:
             raise ValueError("demodulator rejection cannot be negative")
         self.demodulator_rejection_db = demodulator_rejection_db
-        # TMA switching rate must exceed the per-channel bandwidth so the
-        # harmonic images fall outside the victim channel's neighbours.
-        self.tma = TimeModulatedArray(
-            num_elements=tma_elements,
-            frequency_hz=24.125e9,
-            switching_rate_hz=2.0 * channel_bandwidth_hz)
+        if tma_elements < 2:
+            raise ValueError("TMA needs at least 2 elements")
+        self.tma_elements = tma_elements
 
     # --- evaluation -----------------------------------------------------------------
 
@@ -129,7 +125,7 @@ class MultiNodeNetwork:
         main-lobe width; arrivals closer than that land on the same
         harmonic and cannot be told apart.
         """
-        return 2.0 / self.tma.num_elements
+        return 2.0 / self.tma_elements
 
     def _tma_suppression_db(self, victim: Placement,
                             interferer: Placement) -> float:

@@ -134,11 +134,10 @@ def reference_otam_received_with_noise(link, bits, channel=None, rng=None,
     return Waveform(clean.samples + noise, clean.sample_rate_hz)
 
 
-def reference_backscatter_received_with_noise(tag, bits, rng=None,
-                                              excess_loss_db: float = 0.0
+def reference_backscatter_received_with_noise(tag, bits, rng=None
                                               ) -> Waveform:
     """``BackscatterLink.received_with_noise`` on ``tag``, likewise."""
-    channel = tag.reflection_channel(excess_loss_db)
+    channel = tag.reflection_channel()
     amp_one, amp_zero = tag.modulator.per_bit_amplitudes(channel)
     bit_array = transmitted_beam_bits(bits)
     if bit_array.size == 0:

@@ -120,15 +120,13 @@ class TestBistaticBudget:
 
     # NaN passes a check written ``d <= 0``, and inf walks the budget
     # to a BER instead of an error.
-    @pytest.mark.parametrize("field", ["downlink_m", "uplink_m"])
+    @pytest.mark.parametrize("field", ["downlink_m"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0, 0.0])
     def test_distances_validated(self, field, value):
-        kwargs = {"downlink_m": 1.0, field: value}
         with pytest.raises(ValueError, match="distance"):
-            bistatic_breakdown(**kwargs)
+            bistatic_breakdown(**{field: value})
 
-    @pytest.mark.parametrize("field", ["conversion_loss_db",
-                                       "excess_loss_db"])
+    @pytest.mark.parametrize("field", ["conversion_loss_db"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
     def test_losses_validated(self, field, value):
         with pytest.raises(ValueError, match="losses"):
@@ -154,15 +152,6 @@ class TestBackscatterLink:
         link = BackscatterLink(downlink_m=0.5)
         report = link.simulate_transmission(_burst(rng, 256), rng=rng)
         assert report.demod.branch == "ask"
-
-    def test_excess_loss_degrades_the_link(self, rng):
-        link = BackscatterLink(downlink_m=1.0)
-        clean = link.breakdown()
-        taxed = link.breakdown(excess_loss_db=15.0)
-        assert taxed.ask_snr_db < clean.ask_snr_db
-        report = link.simulate_transmission(_burst(rng, 400), rng=rng,
-                                            excess_loss_db=60.0)
-        assert report.ber > 0.1
 
     def test_rejects_non_backscatter_class(self):
         with pytest.raises(ValueError, match="not a backscatter"):

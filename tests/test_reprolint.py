@@ -5,8 +5,7 @@ rule has at least one file designed to trip it and one designed not to.
 These tests pin the contract the CI gate relies on: findings where
 expected, silence where expected, two-call-hop reachability for the
 PAR0xx race detectors, exit codes, JSON/SARIF output, the suppression
-syntax (including unused-suppression reporting), baselines, and the
-content-hash summary cache.
+syntax (including unused-suppression reporting) and baselines.
 """
 
 from __future__ import annotations
@@ -27,10 +26,12 @@ FIXTURES = TOOLS_DIR / "reprolint" / "tests" / "fixtures"
 
 sys.path.insert(0, str(TOOLS_DIR))
 
-from reprolint import lint_file, lint_paths, run_lint  # noqa: E402
+from reprolint import lint_file, lint_paths  # noqa: E402
 from reprolint.baseline import (  # noqa: E402
     apply_baseline, load_baseline, write_baseline)
 from reprolint.cli import main as reprolint_main  # noqa: E402
+from reprolint.core import analyze_file, collect_files  # noqa: E402
+from reprolint.project import ProjectGraph  # noqa: E402
 from reprolint.registry import all_rules  # noqa: E402
 from reprolint.sarif import SARIF_VERSION, to_sarif  # noqa: E402
 
@@ -158,6 +159,21 @@ class TestParallelRules:
         """time.monotonic() in the driver (not worker-reachable) passes."""
         assert codes_under(FIXTURES / "par003_ok") == set()
 
+    def test_par003_follows_a_local_partial_handoff(self):
+        """`fn = partial(trial, ...); Campaign(fn, ...)` hands `trial`
+        over: the clock two hops below it is worker-reachable."""
+        messages = [f.message for f in lint_paths(
+            [FIXTURES / "par003_partial_bad"], select=["PAR003"])]
+        assert len(messages) == 1
+        assert ("par003_partial_bad.work.trial -> "
+                "par003_partial_bad.work.step -> "
+                "par003_partial_bad.clock.stamp") in messages[0]
+
+    def test_par001_module_function_call_is_not_mutation(self):
+        """`np.sort(np.insert(...))` calls numpy functions named like
+        list methods; it mutates no module-global container."""
+        assert codes_under(FIXTURES / "par001_module_call_ok") == set()
+
     def test_par004_transitive_unseeded_rng(self):
         messages = [f.message for f in
                     lint_paths([FIXTURES / "par004_bad"], select=["PAR004"])]
@@ -181,6 +197,7 @@ class TestParallelRules:
         """
         for name, codes in [("par001_bad", {"PAR001"}),
                             ("par003_bad", {"PAR003", "DET001"}),
+                            ("par003_partial_bad", {"PAR003", "DET001"}),
                             ("par004_bad", {"PAR004", "RNG001"}),
                             ("par005_bad", {"PAR005"})]:
             assert codes_under(FIXTURES / name) == codes, name
@@ -268,73 +285,20 @@ class TestBaseline:
     def test_cli_write_then_apply(self, tmp_path, capsys):
         baseline = tmp_path / "base.json"
         bad = str(FIXTURES / "exc001_bad.py")
-        assert reprolint_main([bad, "--no-cache", "--write-baseline",
+        assert reprolint_main([bad, "--write-baseline",
                                "--baseline", str(baseline)]) == 0
         capsys.readouterr()
-        assert reprolint_main([bad, "--no-cache",
-                               "--baseline", str(baseline)]) == 0
+        assert reprolint_main([bad, "--baseline", str(baseline)]) == 0
         assert reprolint_main([str(FIXTURES / "det001_bad.py"),
-                               "--no-cache",
                                "--baseline", str(baseline)]) == 1
 
     def test_cli_corrupt_baseline_exits_two(self, tmp_path, capsys):
         baseline = tmp_path / "base.json"
         baseline.write_text("not json")
-        code = reprolint_main([str(FIXTURES / "exc001_bad.py"), "--no-cache",
+        code = reprolint_main([str(FIXTURES / "exc001_bad.py"),
                                "--baseline", str(baseline)])
         assert code == 2
         assert "baseline" in capsys.readouterr().err
-
-
-class TestSummaryCache:
-    def _tree(self, tmp_path: Path) -> Path:
-        root = tmp_path / "proj"
-        root.mkdir()
-        (root / "clean.py").write_text("def f(x):\n    return x\n")
-        (root / "other.py").write_text("def g(y):\n    return y + 1\n")
-        return root
-
-    def test_cold_then_warm(self, tmp_path):
-        root = self._tree(tmp_path)
-        cache = tmp_path / "cache"
-        cold = run_lint([root], cache_dir=cache)
-        assert (cold.stats["cache_misses"], cold.stats["cache_hits"]) == (2, 0)
-        warm = run_lint([root], cache_dir=cache)
-        assert (warm.stats["cache_misses"], warm.stats["cache_hits"]) == (0, 2)
-
-    def test_edit_invalidates_only_the_edited_file(self, tmp_path):
-        root = self._tree(tmp_path)
-        cache = tmp_path / "cache"
-        run_lint([root], cache_dir=cache)
-        (root / "other.py").write_text(
-            "def g(y):\n"
-            "    try:\n"
-            "        return y + 1\n"
-            "    except Exception:\n"
-            "        pass\n")
-        edited = run_lint([root], cache_dir=cache)
-        assert edited.stats["cache_hits"] == 1
-        assert edited.stats["cache_misses"] == 1
-        assert {f.code for f in edited.findings} == {"EXC001"}
-
-    def test_cached_findings_match_fresh_findings(self, tmp_path):
-        """A warm run reports byte-identical findings to a cold one."""
-        cache = tmp_path / "cache"
-        target = FIXTURES / "exc001_bad.py"
-        cold = run_lint([target], cache_dir=cache).findings
-        warm = run_lint([target], cache_dir=cache).findings
-        assert warm == cold == lint_file(target)
-
-    def test_selection_change_does_not_poison_the_cache(self, tmp_path):
-        """The cache stores unfiltered findings; selection is applied
-        after retrieval, so a narrow run must not hide later findings."""
-        cache = tmp_path / "cache"
-        target = FIXTURES / "exc001_bad.py"
-        narrow = run_lint([target], select=["RNG001"], cache_dir=cache)
-        assert narrow.findings == []
-        full = run_lint([target], cache_dir=cache)
-        assert full.stats["cache_hits"] == 1
-        assert {f.code for f in full.findings} == {"EXC001"}
 
 
 class TestSarif:
@@ -359,7 +323,7 @@ class TestSarif:
             assert region["startColumn"] >= 1
 
     def test_cli_sarif_round_trips(self, capsys):
-        reprolint_main([str(FIXTURES / "exc001_bad.py"), "--no-cache",
+        reprolint_main([str(FIXTURES / "exc001_bad.py"),
                         "--format", "sarif"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["$schema"].endswith("sarif-schema-2.1.0.json")
@@ -383,7 +347,7 @@ class TestChangedOnly:
         (repo / "touched.py").write_text(bad + "\n# touched\n")
         result = subprocess.run(
             [sys.executable, str(TOOLS_DIR / "reprolint"), ".",
-             "--no-cache", "--changed-only", "--format", "json"],
+             "--changed-only", "--format", "json"],
             cwd=repo, capture_output=True, text=True, timeout=60)
         assert result.returncode == 1, result.stderr
         paths = {item["path"] for item in json.loads(result.stdout)}
@@ -393,7 +357,7 @@ class TestChangedOnly:
         (tmp_path / "a.py").write_text("X = 1\n")
         result = subprocess.run(
             [sys.executable, str(TOOLS_DIR / "reprolint"), "a.py",
-             "--no-cache", "--changed-only"],
+             "--changed-only"],
             cwd=tmp_path, capture_output=True, text=True, timeout=60,
             env={"PATH": "/usr/bin:/bin", "HOME": str(tmp_path),
                  "GIT_CEILING_DIRECTORIES": str(tmp_path.parent)})
@@ -403,12 +367,12 @@ class TestChangedOnly:
 
 class TestCliContract:
     def test_fixture_corpus_exits_nonzero(self, capsys):
-        assert reprolint_main([str(FIXTURES), "--no-cache"]) == 1
+        assert reprolint_main([str(FIXTURES)]) == 1
         assert "findings" in capsys.readouterr().out
 
     def test_clean_tree_exits_zero(self, capsys):
         clean = FIXTURES / "api001_ok"
-        assert reprolint_main([str(clean), "--no-cache"]) == 0
+        assert reprolint_main([str(clean)]) == 0
         assert capsys.readouterr().out == ""
 
     def test_repo_src_is_clean(self):
@@ -424,13 +388,24 @@ class TestCliContract:
         assert findings == [], "\n".join(f.render() for f in findings)
 
     def test_src_graph_sees_the_campaign_entry_points(self):
-        """run_shards/Campaign handoffs in src make workers reachable."""
-        run = run_lint([REPO_ROOT / "src"])
-        assert run.stats["worker_entries"] >= 1
-        assert run.stats["worker_reachable"] >= run.stats["worker_entries"]
+        """Every campaign's trial function is a worker entry, though
+        each reaches ``Campaign`` through a local ``partial``."""
+        graph = ProjectGraph([analyze_file(path) for path
+                              in collect_files([REPO_ROOT / "src"])])
+        entries = {graph.fn_display(entry.fn) for entry in graph.entries}
+        assert entries == {
+            "repro.admission.saturation.saturation_trial",
+            "repro.energy.compare.compare_trial",
+            "repro.energy.outage.outage_trial",
+            "repro.engine.supervisor._execute_attempt",
+            "repro.experiments.fig10_snr_map.grid_cell_trial",
+            "repro.experiments.fig11_ber_cdf.placement_trial",
+            "repro.experiments.fig13_multinode.network_trial",
+        }
+        assert len(graph.reachable) > len(entries)
 
     def test_json_output_round_trips(self, capsys):
-        reprolint_main([str(FIXTURES / "exc001_bad.py"), "--no-cache",
+        reprolint_main([str(FIXTURES / "exc001_bad.py"),
                         "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert all({"code", "message", "path", "line", "col"} <= set(item)
@@ -438,7 +413,7 @@ class TestCliContract:
         assert {item["code"] for item in payload} == {"EXC001"}
 
     def test_usage_error_exits_two(self, capsys):
-        assert reprolint_main([str(FIXTURES), "--no-cache",
+        assert reprolint_main([str(FIXTURES),
                                "--select", "NOPE999"]) == 2
         assert "error" in capsys.readouterr().err
 
@@ -452,16 +427,15 @@ class TestCliContract:
         assert "[project]" in out and "[file]" in out
 
     def test_statistics_go_to_stderr(self, capsys):
-        reprolint_main([str(FIXTURES / "api001_ok"), "--no-cache",
-                        "--statistics"])
+        reprolint_main([str(FIXTURES / "api001_ok"), "--statistics"])
         err = capsys.readouterr().err
-        assert "files=" in err and "cache_" in err
+        assert "files=" in err and "worker_entries=" in err
 
     def test_directory_invocation_via_subprocess(self):
         """`python tools/reprolint <clean dir>` is the documented entry."""
         result = subprocess.run(
             [sys.executable, str(TOOLS_DIR / "reprolint"),
-             str(FIXTURES / "api001_ok"), "--no-cache"],
+             str(FIXTURES / "api001_ok")],
             capture_output=True, text=True, cwd=REPO_ROOT, timeout=60)
         assert result.returncode == 0, result.stdout + result.stderr
 

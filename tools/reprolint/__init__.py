@@ -16,9 +16,9 @@ codebase's correctness actually hangs on:
   and nothing unpicklable may cross the process boundary
   (``PAR001``-``PAR005`` — the parallel-safety race detector).
 
-v2 analyses the *whole project* at once: per-file AST summaries are
-cached by content hash (``.reprolint-cache/``), extracted in parallel,
-and assembled into a symbol/import/call graph that the interprocedural
+v2 analyses the *whole project* at once: each run parses every file
+once, distils it into a per-file AST summary, and assembles the
+summaries into a symbol/import/call graph that the interprocedural
 rules traverse.
 
 Usage::

@@ -14,14 +14,12 @@ import ast
 
 __all__ = [
     "GLOBAL_STATE_CALLS",
-    "MUTABLE_CONSTRUCTORS",
     "MUTATING_METHODS",
     "WALL_CLOCK_DATETIME_ATTRS",
     "WALL_CLOCK_TIME_ATTRS",
     "WRITE_METHODS",
     "attr_chain",
     "is_env_read",
-    "is_mutable_literal",
     "is_np_random",
     "is_unseeded_rng_call",
     "write_mode",
@@ -47,12 +45,6 @@ MUTATING_METHODS = frozenset({
     "append", "extend", "insert", "remove", "pop", "clear", "add",
     "discard", "update", "setdefault", "popitem", "sort", "reverse",
     "appendleft", "extendleft", "popleft",
-})
-
-#: Constructor names whose result is a mutable container.
-MUTABLE_CONSTRUCTORS = frozenset({
-    "list", "dict", "set", "bytearray", "deque", "defaultdict",
-    "OrderedDict", "Counter",
 })
 
 WRITE_METHODS = frozenset({"write_text", "write_bytes"})
@@ -116,17 +108,4 @@ def is_env_read(node: ast.AST) -> bool:
         return chain in (["os", "getenv"], ["os", "environ", "get"])
     if isinstance(node, ast.Subscript):
         return attr_chain(node.value) == ["os", "environ"]
-    return False
-
-
-def is_mutable_literal(node: ast.AST) -> bool:
-    """Whether an expression definitely builds a mutable container."""
-    if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                         ast.DictComp, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else (
-            func.attr if isinstance(func, ast.Attribute) else None)
-        return name in MUTABLE_CONSTRUCTORS
     return False

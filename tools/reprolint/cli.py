@@ -7,8 +7,7 @@ Exit codes follow the same contract as ``python -m repro fsck``:
 * ``2`` — fatal error (unknown rule code, missing path, bad baseline).
 
 v2 additions: SARIF output (``--format sarif``), baselines
-(``--baseline`` / ``--write-baseline``), the parallel summary cache
-(``--cache-dir`` / ``--no-cache`` / ``--jobs``), diff-scoped reporting
+(``--baseline`` / ``--write-baseline``), diff-scoped reporting
 (``--changed-only``) and ``--statistics``.
 """
 
@@ -18,7 +17,6 @@ import argparse
 import json
 import subprocess
 import sys
-from pathlib import Path
 from typing import Sequence
 
 from .core import run_lint
@@ -26,7 +24,6 @@ from .registry import all_rules
 
 __all__ = ["main", "build_parser"]
 
-DEFAULT_CACHE_DIR = ".reprolint-cache"
 DEFAULT_BASELINE = ".reprolint-baseline.json"
 
 
@@ -50,15 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated rule codes to skip")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalogue and exit")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="analysis worker processes "
-                             "(default: CPU count, capped at 8)")
-    parser.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR,
-                        metavar="DIR",
-                        help="per-file summary cache location "
-                             f"(default: {DEFAULT_CACHE_DIR})")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="disable the summary cache entirely")
     parser.add_argument("--baseline", metavar="FILE", default=None,
                         help="subtract findings fingerprinted in FILE "
                              f"(see --write-baseline; default file: "
@@ -71,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "vs git HEAD (analysis still covers the "
                              "whole project)")
     parser.add_argument("--statistics", action="store_true",
-                        help="print cache/graph statistics to stderr")
+                        help="print file/graph statistics to stderr")
     return parser
 
 
@@ -120,13 +108,10 @@ def main(argv: Sequence[str] | None = None) -> int:
                   "checkout", file=sys.stderr)
             return 2
 
-    cache_dir = None if args.no_cache else Path(args.cache_dir)
     try:
         run = run_lint(args.paths,
                        select=_split_codes(args.select),
                        ignore=_split_codes(args.ignore),
-                       jobs=args.jobs,
-                       cache_dir=cache_dir,
                        report_paths=report_paths)
     except (KeyError, FileNotFoundError) as exc:
         print(f"reprolint: error: {exc}", file=sys.stderr)

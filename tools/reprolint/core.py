@@ -1,15 +1,13 @@
-"""Linter engine: discovery, cached analysis, rule dispatch, suppression.
+"""Linter engine: discovery, per-file analysis, rule dispatch, suppression.
 
-v2 runs in two layers:
+Every run analyses each file once, in process, in two layers:
 
-* **file scope** — classic rules that see one file at a time.  Their
-  findings depend only on the file's bytes, so the engine computes them
-  inside the per-file analysis workers and caches them with the
-  :class:`reprolint.project.ModuleSummary` under the content hash.
+* **file scope** — classic rules that see one file at a time.
+  :func:`analyze_file` parses the file, distils its
+  :class:`reprolint.project.ModuleSummary` and runs these rules.
 * **project scope** — rules that traverse the whole-project
   :class:`reprolint.project.ProjectGraph` (``API001``, the ``PAR0xx``
-  race detectors).  These re-run every invocation; they are cheap once
-  the summaries exist.
+  race detectors), built from every file's summary.
 
 The engine also owns the two findings no rule emits: ``PARSE001`` for
 unparsable files and ``SUP001`` for ``# reprolint: disable=`` comments
@@ -22,16 +20,15 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
+from .project import ModuleSummary, ProjectGraph, extract_summary
 from .registry import all_rules
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .project import ModuleSummary, ProjectGraph
-
-__all__ = ["Finding", "LintRun", "SourceUnit", "Suppressions",
-           "collect_files", "file_scope_rules", "lint_file",
-           "lint_paths", "project_scope_rules", "run_lint"]
+__all__ = ["AnalyzedFile", "Finding", "LintRun", "SourceUnit",
+           "Suppressions", "analyze_file", "collect_files",
+           "file_scope_rules", "lint_file", "lint_paths",
+           "project_scope_rules", "run_lint"]
 
 PARSE_ERROR_CODE = "PARSE001"
 UNUSED_SUPPRESSION_CODE = "SUP001"
@@ -62,13 +59,6 @@ class Finding:
         """JSON-ready representation."""
         return {"code": self.code, "message": self.message,
                 "path": self.path, "line": self.line, "col": self.col}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "Finding":
-        """Inverse of :meth:`to_dict` (cache deserialisation)."""
-        return cls(code=payload["code"], message=payload["message"],
-                   path=payload["path"], line=payload["line"],
-                   col=payload["col"])
 
 
 @dataclass
@@ -135,7 +125,6 @@ class SourceUnit:
     path: Path
     source: str
     tree: ast.Module
-    summary: "ModuleSummary | None" = None
 
     @property
     def filename(self) -> str:
@@ -147,10 +136,6 @@ class SourceUnit:
         return Finding(code=code, message=message, path=str(self.path),
                        line=getattr(node, "lineno", 1),
                        col=getattr(node, "col_offset", 0))
-
-
-#: Backwards-compatible alias — v1 rules called this ``LintContext``.
-LintContext = SourceUnit
 
 
 def _instantiate(codes: Iterable[str]) -> list:
@@ -183,18 +168,45 @@ def _selected_codes(select: Iterable[str] | None,
 
 def collect_files(paths: Iterable[Path | str]) -> Iterator[Path]:
     """Expand files/directories into a deterministic list of .py files."""
-    from .project import CACHE_DIR_NAME
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
-            yield from sorted(
-                p for p in path.rglob("*.py")
-                if "__pycache__" not in p.parts
-                and CACHE_DIR_NAME not in p.parts)
+            yield from sorted(p for p in path.rglob("*.py")
+                              if "__pycache__" not in p.parts)
         elif path.suffix == ".py":
             yield path
         else:
             raise FileNotFoundError(f"not a python file or directory: {path}")
+
+
+@dataclass
+class AnalyzedFile:
+    """One file's analysis products: its summary and file-scope findings.
+
+    A file that does not parse has no summary, and its one finding is
+    the ``PARSE001``.
+    """
+
+    path: Path                   # as given on the command line
+    source: str
+    summary: ModuleSummary | None
+    findings: list[Finding]
+
+
+def analyze_file(path: Path) -> AnalyzedFile:
+    """Parse one file, distil its summary, run the file-scope rules."""
+    source = path.read_text(encoding="utf-8")
+    try:
+        tree = ast.parse(source, filename=str(path))
+    except SyntaxError as exc:
+        return AnalyzedFile(path, source, None, [Finding(
+            code=PARSE_ERROR_CODE,
+            message=f"could not parse file: {exc.msg or 'syntax error'}",
+            path=str(path), line=exc.lineno or 1, col=exc.offset or 0)])
+    unit = SourceUnit(path=path, source=source, tree=tree)
+    findings = [finding for rule in file_scope_rules()
+                for finding in rule.check(unit)]
+    return AnalyzedFile(path, source, extract_summary(tree), findings)
 
 
 @dataclass
@@ -209,41 +221,25 @@ def run_lint(paths: Iterable[Path | str],
              select: Iterable[str] | None = None,
              ignore: Iterable[str] | None = None,
              *,
-             jobs: int | None = None,
-             cache_dir: Path | None = None,
              report_paths: set[str] | None = None) -> LintRun:
     """Analyze, build the graph, run both rule scopes, filter, sort.
 
-    ``cache_dir=None`` disables the summary cache (the library-call
-    default; the CLI turns it on).  ``report_paths``, when given, limits
-    *reported* findings to those files while still building the project
-    graph over everything — the ``--changed-only`` contract: analysis
-    stays whole-project so interprocedural findings do not flicker with
-    the diff.
+    ``report_paths``, when given, limits *reported* findings to those
+    files while still building the project graph over everything — the
+    ``--changed-only`` contract: analysis stays whole-project so
+    interprocedural findings do not flicker with the diff.
     """
-    from .project import ProjectAnalyzer, ProjectGraph
-
     selected = _selected_codes(select, ignore)
     files = list(collect_files(paths))
-    analyzer = ProjectAnalyzer(cache_dir=cache_dir, jobs=jobs)
-    analyzed = analyzer.analyze(files)
+    analyzed = [analyze_file(path) for path in files]
 
     suppressions: dict[str, Suppressions] = {}
     raw: list[Finding] = []
     for item in analyzed:
-        display = str(item.path)
-        suppressions[display] = Suppressions(item.source)
-        if item.parse_error is not None:
-            err = item.parse_error
-            raw.append(Finding(
-                code=PARSE_ERROR_CODE,
-                message=f"could not parse file: {err['msg']}",
-                path=display, line=err["line"], col=err["col"]))
-            continue
-        for payload in item.local_findings:
-            finding = Finding.from_dict(payload)
-            if finding.code in selected:
-                raw.append(finding)
+        suppressions[str(item.path)] = Suppressions(item.source)
+        raw.extend(finding for finding in item.findings
+                   if finding.code in selected
+                   or finding.code == PARSE_ERROR_CODE)
 
     graph = ProjectGraph(analyzed)
     for rule in project_scope_rules():
@@ -277,8 +273,6 @@ def run_lint(paths: Iterable[Path | str],
     kept.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     stats = {
         "files": len(files),
-        "cache_hits": analyzer.hits,
-        "cache_misses": analyzer.misses,
         "rules": len(selected),
         "worker_entries": len(graph.entries),
         "worker_reachable": len(graph.reachable),

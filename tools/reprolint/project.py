@@ -1,23 +1,19 @@
-"""Whole-project analysis: summaries, the content-hash cache, the graph.
+"""Whole-project analysis: per-file summaries and the project graph.
 
 reprolint v1 saw one file at a time, so a worker trial function that
 *calls into* a module using global RNG or wall-clock time sailed
-through.  v2 fixes that with a three-stage pipeline:
+through.  v2 fixes that with a two-stage pipeline:
 
 1. **Extraction** — each file is parsed once and distilled into a
    :class:`ModuleSummary`: imports and aliases, every function with its
    call sites, worker handoffs, module-global reads/writes, and
-   impurity sites (wall clock, env, RNG, raw writes).  Summaries are
-   plain JSON-serialisable facts, which makes them cacheable and cheap
-   to ship across process boundaries.
-2. **Caching / parallelism** — summaries (and the file-scope rule
-   findings) are cached under a content hash; unchanged files are never
-   re-parsed.  Cold runs fan extraction out over a process pool.
-3. **Graph assembly** — :class:`ProjectGraph` indexes the summaries
+   impurity sites (wall clock, env, RNG, raw writes).
+2. **Graph assembly** — :class:`ProjectGraph` indexes the summaries
    into a symbol/import/call graph, resolves call edges through import
    aliases, collects worker *entry points* (anything handed to
    ``run_shard`` / ``run_shards`` / executor ``submit`` /
-   ``Campaign``, unwrapping ``functools.partial``),
+   ``Campaign``, unwrapping ``functools.partial`` and locals bound
+   once to a partial),
    and computes the worker-reachable closure the PAR0xx rules walk.
 
 Known static limits (documented in ``docs/static-analysis.md``): calls
@@ -29,45 +25,36 @@ worker-reachable.
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
-import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .astutil import (
     GLOBAL_STATE_CALLS,
     MUTATING_METHODS,
     WALL_CLOCK_DATETIME_ATTRS,
     WALL_CLOCK_TIME_ATTRS,
+    WRITE_METHODS,
     attr_chain,
     is_env_read,
-    is_mutable_literal,
     is_np_random,
     is_unseeded_rng_call,
     write_mode,
 )
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .core import AnalyzedFile
+
 __all__ = [
-    "CACHE_DIR_NAME",
     "FunctionSummary",
     "ModuleSummary",
-    "ProjectAnalyzer",
     "ProjectGraph",
-    "default_jobs",
     "extract_summary",
 ]
 
-#: Bump to invalidate every cached summary (format change).
-SUMMARY_VERSION = 2
-
-CACHE_DIR_NAME = ".reprolint-cache"
-
 #: Call-site names that hand a function across the worker boundary.
-#: ``submit`` covers ``ProcessPoolExecutor``/backend submission;
+#: ``submit`` covers executor/backend submission;
 #: ``run_shards`` the executor protocol; ``Campaign`` the engine
 #: driver.  The *first positional* argument (or the ``trial_fn``
 #: keyword) is the handed-off callable.
@@ -75,17 +62,9 @@ HANDOFF_CALLEES = frozenset({
     "run_shards", "submit", "Campaign",
 })
 
-def default_jobs() -> int:
-    """Worker count for parallel extraction: bounded CPU affinity."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # platforms without sched_getaffinity
-        cpus = os.cpu_count() or 1
-    return max(1, min(8, cpus))
-
 
 # ---------------------------------------------------------------------------
-# Summary data model (plain data, JSON round-trippable)
+# Summary data model (plain data)
 # ---------------------------------------------------------------------------
 
 
@@ -160,12 +139,10 @@ class RelativeImport:
 
 @dataclass
 class ModuleSummary:
-    """The distilled, cacheable view of one source file."""
+    """The distilled view of one source file."""
 
     top_bindings: frozenset[str] = frozenset()
-    top_functions: frozenset[str] = frozenset()
     top_classes: frozenset[str] = frozenset()
-    mutable_globals: frozenset[str] = frozenset()
     import_aliases: dict[str, str] = field(default_factory=dict)
     from_absolute: dict[str, tuple[str, str]] = field(default_factory=dict)
     from_relative: dict[str, tuple[int, str | None, str]] = \
@@ -175,61 +152,7 @@ class ModuleSummary:
     all_dynamic: bool = False
     all_line: int = 0
     all_col: int = 0
-    class_methods: dict[str, tuple[str, ...]] = field(default_factory=dict)
     functions: dict[str, FunctionSummary] = field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready representation (cache payload)."""
-        payload = asdict(self)
-        for key in ("top_bindings", "top_functions", "top_classes",
-                    "mutable_globals"):
-            payload[key] = sorted(payload[key])
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "ModuleSummary":
-        """Rebuild a summary from its cached JSON form."""
-        def _tt(items: Iterable[Iterable[Any]]) -> tuple[tuple[Any, ...], ...]:
-            return tuple(tuple(item) for item in items)
-
-        functions = {}
-        for qualname, fn in payload["functions"].items():
-            functions[qualname] = FunctionSummary(
-                qualname=fn["qualname"], name=fn["name"], kind=fn["kind"],
-                owner_class=fn["owner_class"], line=fn["line"],
-                col=fn["col"],
-                calls=tuple(CallSite(tuple(c["chain"]), c["line"], c["col"])
-                            for c in fn["calls"]),
-                handoffs=tuple(Handoff(h["callee"], h["arg_flavor"],
-                                       h["arg_ref"], h["line"], h["col"])
-                               for h in fn["handoffs"]),
-                global_uses=tuple(SymbolUse(u["name"], u["access"],
-                                            u["line"], u["col"])
-                                  for u in fn["global_uses"]),
-                impurities=tuple(Impurity(i["kind"], i["detail"],
-                                          i["line"], i["col"])
-                                 for i in fn["impurities"]))
-        return cls(
-            top_bindings=frozenset(payload["top_bindings"]),
-            top_functions=frozenset(payload["top_functions"]),
-            top_classes=frozenset(payload["top_classes"]),
-            mutable_globals=frozenset(payload["mutable_globals"]),
-            import_aliases=dict(payload["import_aliases"]),
-            from_absolute={k: (v[0], v[1])
-                           for k, v in payload["from_absolute"].items()},
-            from_relative={k: (v[0], v[1], v[2])
-                           for k, v in payload["from_relative"].items()},
-            relative_imports=tuple(
-                RelativeImport(r["level"], r["module"], _tt(r["names"]),
-                               r["line"], r["col"])
-                for r in payload["relative_imports"]),
-            all_literal=(None if payload["all_literal"] is None
-                         else tuple(payload["all_literal"])),
-            all_dynamic=payload["all_dynamic"],
-            all_line=payload["all_line"], all_col=payload["all_col"],
-            class_methods={k: tuple(v)
-                           for k, v in payload["class_methods"].items()},
-            functions=functions)
 
 
 # ---------------------------------------------------------------------------
@@ -242,20 +165,27 @@ import builtins as _builtins
 _BUILTIN_NAMES = frozenset(dir(_builtins))
 
 
-def _local_bindings(body: Iterable[ast.stmt]) -> set[str]:
+def _local_bindings(body: Iterable[ast.stmt]
+                    ) -> dict[str, ast.expr | None]:
     """Names bound by a sequence of statements (one function's locals).
 
+    Each name maps to the value of its binding when it is bound exactly
+    once, by a plain ``name = value`` assignment, and to None otherwise.
     Descends into control flow but *not* into nested function or class
     bodies (their assignments bind in their own scope); nested def /
     class names themselves do bind locally.
     """
-    names: set[str] = set()
+    names: dict[str, ast.expr | None] = {}
 
-    def bind_target(target: ast.AST) -> None:
+    def bind(name: str, value: ast.expr | None = None) -> None:
+        names[name] = None if name in names else value
+
+    def bind_target(target: ast.AST, value: ast.expr | None = None
+                    ) -> None:
         # Only genuine binding forms: `x[i] = v` / `x.a = v` mutate an
         # existing object, they do not bind `x` in this scope.
         if isinstance(target, ast.Name):
-            names.add(target.id)
+            bind(target.id, value)
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
                 bind_target(element)
@@ -266,11 +196,11 @@ def _local_bindings(body: Iterable[ast.stmt]) -> set[str]:
         for node in stmts:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
-                names.add(node.name)
+                bind(node.name)
                 continue
             if isinstance(node, ast.Assign):
                 for target in node.targets:
-                    bind_target(target)
+                    bind_target(target, node.value)
             elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
                 bind_target(node.target)
             elif isinstance(node, (ast.For, ast.AsyncFor)):
@@ -281,11 +211,11 @@ def _local_bindings(body: Iterable[ast.stmt]) -> set[str]:
                         bind_target(item.optional_vars)
             elif isinstance(node, ast.Import):
                 for alias in node.names:
-                    names.add(alias.asname or alias.name.split(".")[0])
+                    bind(alias.asname or alias.name.split(".")[0])
             elif isinstance(node, ast.ImportFrom):
                 for alias in node.names:
                     if alias.name != "*":
-                        names.add(alias.asname or alias.name)
+                        bind(alias.asname or alias.name)
             # Recurse into compound statements (but not nested scopes).
             for attr in ("body", "orelse", "finalbody"):
                 inner = getattr(node, attr, None)
@@ -293,7 +223,7 @@ def _local_bindings(body: Iterable[ast.stmt]) -> set[str]:
                     visit(inner)
             for handler in getattr(node, "handlers", ()) or ():
                 if handler.name:
-                    names.add(handler.name)
+                    bind(handler.name)
                 visit(handler.body)
     visit(body)
     return names
@@ -345,12 +275,19 @@ class _FunctionExtractor(ast.NodeVisitor):
         self.impurities: list[Impurity] = []
         self.global_names: set[str] = set()
         self._mutated: set[tuple[str, int]] = set()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            self.locals = (_function_params(node)
-                           | (_local_bindings(node.body)
-                              if not isinstance(node, ast.Lambda)
-                              else set()))
+        # Locals bound once to a value, e.g. `fn = partial(trial, ...)`:
+        # a handoff of `fn` hands over whatever that value wraps.
+        self.bound_once: dict[str, ast.expr] = {}
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            params = _function_params(node)
+            bindings = _local_bindings(node.body)
+            self.locals = params | set(bindings)
+            self.bound_once = {name: value
+                               for name, value in bindings.items()
+                               if value is not None
+                               and name not in params}
+        elif isinstance(node, ast.Lambda):
+            self.locals = _function_params(node)
         else:  # "<module>": top-level statements, everything is global
             self.locals = set()
 
@@ -415,6 +352,8 @@ class _FunctionExtractor(ast.NodeVisitor):
     def _classify_handoff_arg(self, arg: ast.expr
                               ) -> tuple[str, str | None]:
         arg = _unwrap_partial(arg)
+        if isinstance(arg, ast.Name) and arg.id in self.bound_once:
+            arg = _unwrap_partial(self.bound_once[arg.id])
         if isinstance(arg, ast.Lambda):
             qualname = (f"{self.qualname}."
                         f"<lambda:{arg.lineno}:{arg.col_offset}>")
@@ -475,13 +414,16 @@ class _FunctionExtractor(ast.NodeVisitor):
                         self._record_impurity(
                             "rng-unseeded",
                             "unseeded np.random.default_rng()", node)
-                if func.attr in self.extractor.write_methods:
+                if func.attr in WRITE_METHODS:
                     self._record_impurity(
                         "raw-write", f".{func.attr}()", node)
-                # In-place mutation of a module-level container.
+                # In-place mutation of a module-level container (a
+                # call on an imported module, `np.sort(...)`, is not).
                 if (func.attr in MUTATING_METHODS
                         and isinstance(func.value, ast.Name)
-                        and self._is_module_name(func.value.id)):
+                        and self._is_module_name(func.value.id)
+                        and func.value.id
+                        not in self.extractor.import_aliases):
                     self.global_uses.append(SymbolUse(
                         name=func.value.id, access="mutate",
                         line=node.lineno, col=node.col_offset))
@@ -561,7 +503,6 @@ class _ModuleExtractor:
     def __init__(self, tree: ast.Module) -> None:
         self.tree = tree
         self.top_bindings: set[str] = set()
-        self.write_methods = frozenset({"write_text", "write_bytes"})
         self.functions: dict[str, FunctionSummary] = {}
         # Shared alias maps: top-level imports bind here, and
         # *function-local* imports (the cycle-breaking idiom) are merged
@@ -614,10 +555,7 @@ class _ModuleExtractor:
     def run(self) -> ModuleSummary:
         """Extract the whole module summary."""
         relative_imports: list[RelativeImport] = []
-        top_functions: set[str] = set()
         top_classes: set[str] = set()
-        mutable_globals: set[str] = set()
-        class_methods: dict[str, tuple[str, ...]] = {}
         all_literal: tuple[str, ...] | None = None
         all_dynamic = False
         all_line = all_col = 0
@@ -645,7 +583,6 @@ class _ModuleExtractor:
                 elif isinstance(node, (ast.FunctionDef,
                                        ast.AsyncFunctionDef)):
                     self.top_bindings.add(node.name)
-                    top_functions.add(node.name)
                 elif isinstance(node, ast.ClassDef):
                     self.top_bindings.add(node.name)
                     top_classes.add(node.name)
@@ -666,14 +603,9 @@ class _ModuleExtractor:
                                     all_literal = tuple(literal)
                                 all_line = node.lineno
                                 all_col = node.col_offset
-                            elif is_mutable_literal(node.value):
-                                mutable_globals.add(leaf.id)
                 elif isinstance(node, ast.AnnAssign) and isinstance(
                         node.target, ast.Name):
                     self.top_bindings.add(node.target.id)
-                    if node.value is not None \
-                            and is_mutable_literal(node.value):
-                        mutable_globals.add(node.target.id)
                 elif isinstance(node, ast.AugAssign) and isinstance(
                         node.target, ast.Name):
                     self.top_bindings.add(node.target.id)
@@ -695,34 +627,27 @@ class _ModuleExtractor:
                 self.extract_function(node, node.name, node.name,
                                       "function", None, set())
             elif isinstance(node, ast.ClassDef):
-                methods: list[str] = []
                 for stmt in node.body:
                     if isinstance(stmt, (ast.FunctionDef,
                                          ast.AsyncFunctionDef)):
-                        methods.append(stmt.name)
                         self.extract_function(
                             stmt, f"{node.name}.{stmt.name}", stmt.name,
                             "method", node.name, set())
-                class_methods[node.name] = tuple(methods)
         # Module top level (handoffs at import time still register
         # entry points; its impurities are never worker-reachable).
         self.extract_function(self.tree, "<module>", "<module>",
                               "module", None, set())
 
-        summary = ModuleSummary(
+        return ModuleSummary(
             top_bindings=frozenset(self.top_bindings),
-            top_functions=frozenset(top_functions),
             top_classes=frozenset(top_classes),
-            mutable_globals=frozenset(mutable_globals),
             import_aliases=self.import_aliases,
             from_absolute=self.from_absolute,
             from_relative=self.from_relative,
             relative_imports=tuple(relative_imports),
             all_literal=all_literal, all_dynamic=all_dynamic,
             all_line=all_line, all_col=all_col,
-            class_methods=class_methods,
             functions=self.functions)
-        return summary
 
 
 def _literal_strings(node: ast.AST) -> list[str] | None:
@@ -737,160 +662,6 @@ def _literal_strings(node: ast.AST) -> list[str] | None:
 def extract_summary(tree: ast.Module) -> ModuleSummary:
     """Distil one parsed module into its :class:`ModuleSummary`."""
     return _ModuleExtractor(tree).run()
-
-
-# ---------------------------------------------------------------------------
-# Cache + parallel analysis
-# ---------------------------------------------------------------------------
-
-
-def _content_key(display_path: str, source: str) -> str:
-    digest = hashlib.sha256()
-    digest.update(display_path.encode())
-    digest.update(b"\x00")
-    digest.update(source.encode())
-    return digest.hexdigest()
-
-
-def _analyze_one(display_path: str, source: str,
-                 pack_signature: str) -> dict[str, Any]:
-    """Worker entry point: parse, extract, run the file-scope rules.
-
-    Returns a JSON-serialisable payload (exactly what the cache
-    stores).  Parse failures come back as a ``parse_error`` payload so
-    the parent can turn them into ``PARSE001`` findings.
-    """
-    try:
-        tree = ast.parse(source, filename=display_path)
-    except SyntaxError as exc:
-        return {"version": SUMMARY_VERSION, "pack": pack_signature,
-                "parse_error": {"msg": exc.msg or "syntax error",
-                                "line": exc.lineno or 1,
-                                "col": exc.offset or 0},
-                "summary": None, "findings": []}
-    summary = extract_summary(tree)
-    from .core import SourceUnit, file_scope_rules
-    unit = SourceUnit(path=Path(display_path), source=source, tree=tree,
-                      summary=summary)
-    findings = []
-    for rule in file_scope_rules():
-        for finding in rule.check(unit):
-            findings.append(finding.to_dict())
-    return {"version": SUMMARY_VERSION, "pack": pack_signature,
-            "parse_error": None, "summary": summary.to_dict(),
-            "findings": findings}
-
-
-@dataclass
-class AnalyzedFile:
-    """One file's analysis products, cache-hit or freshly computed."""
-
-    path: Path                   # as given on the command line
-    source: str
-    summary: ModuleSummary | None
-    local_findings: list[dict[str, Any]]
-    parse_error: dict[str, Any] | None
-    from_cache: bool
-
-
-class ProjectAnalyzer:
-    """Cached, parallel per-file analysis over a set of source files.
-
-    ``cache_dir=None`` disables the cache entirely.  ``jobs`` bounds
-    the extraction pool; serial below ``parallel_threshold`` files to
-    dodge pool spin-up for small runs.
-    """
-
-    def __init__(self, cache_dir: Path | None, jobs: int | None = None,
-                 parallel_threshold: int = 24) -> None:
-        self.cache_dir = cache_dir
-        self.jobs = jobs if jobs is not None else default_jobs()
-        self.parallel_threshold = parallel_threshold
-        self.hits = 0
-        self.misses = 0
-
-    def _pack_signature(self) -> str:
-        from .core import file_scope_rules
-        codes = ",".join(sorted(rule.code for rule in file_scope_rules()))
-        return f"{SUMMARY_VERSION}|{codes}"
-
-    def _cache_path(self, key: str) -> Path | None:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / f"{key[:2]}" / f"{key}.json"
-
-    def _load_cached(self, key: str,
-                     signature: str) -> dict[str, Any] | None:
-        path = self._cache_path(key)
-        if path is None or not path.is_file():
-            return None
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-        if not isinstance(payload, dict):
-            return None
-        if payload.get("version") != SUMMARY_VERSION \
-                or payload.get("pack") != signature:
-            return None
-        return payload
-
-    def _store(self, key: str, payload: dict[str, Any]) -> None:
-        path = self._cache_path(key)
-        if path is None:
-            return
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(payload), encoding="utf-8")
-            os.replace(tmp, path)
-        except OSError:
-            pass  # a cold cache next run beats failing the lint
-
-    def analyze(self, files: Iterable[Path]) -> list[AnalyzedFile]:
-        """Analyze every file, via cache where possible, pool otherwise."""
-        signature = self._pack_signature()
-        ordered: list[tuple[Path, str, str]] = []
-        results: dict[str, dict[str, Any]] = {}
-        misses: list[tuple[Path, str, str]] = []
-        for path in files:
-            source = Path(path).read_text(encoding="utf-8")
-            key = _content_key(str(path), source)
-            ordered.append((Path(path), source, key))
-            cached = self._load_cached(key, signature)
-            if cached is not None:
-                results[key] = cached
-                self.hits += 1
-            else:
-                misses.append((Path(path), source, key))
-                self.misses += 1
-        if misses:
-            if self.jobs > 1 and len(misses) >= self.parallel_threshold:
-                with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                    payloads = list(pool.map(
-                        _analyze_one,
-                        [str(p) for p, _, _ in misses],
-                        [s for _, s, _ in misses],
-                        [signature] * len(misses),
-                        chunksize=8))
-            else:
-                payloads = [_analyze_one(str(p), s, signature)
-                            for p, s, _ in misses]
-            for (path, _, key), payload in zip(misses, payloads):
-                results[key] = payload
-                self._store(key, payload)
-        analyzed: list[AnalyzedFile] = []
-        fresh_keys = {key for _, _, key in misses}
-        for path, source, key in ordered:
-            payload = results[key]
-            summary = (None if payload["summary"] is None
-                       else ModuleSummary.from_dict(payload["summary"]))
-            analyzed.append(AnalyzedFile(
-                path=path, source=source, summary=summary,
-                local_findings=list(payload["findings"]),
-                parse_error=payload["parse_error"],
-                from_cache=key not in fresh_keys))
-        return analyzed
 
 
 # ---------------------------------------------------------------------------
@@ -922,8 +693,7 @@ class ProjectGraph:
     instead of re-reading source.
     """
 
-    def __init__(self, analyzed: Iterable[AnalyzedFile],
-                 roots: Iterable[Path] = ()) -> None:
+    def __init__(self, analyzed: Iterable[AnalyzedFile]) -> None:
         self.files: dict[str, AnalyzedFile] = {}
         self.display: dict[str, str] = {}
         self.module_name: dict[str, str | None] = {}
@@ -932,7 +702,7 @@ class ProjectGraph:
             abs_path = str(Path(item.path).resolve())
             self.files[abs_path] = item
             self.display[abs_path] = str(item.path)
-        self._index_module_names(roots)
+        self._index_module_names()
         self.functions: dict[FnKey, FunctionSummary] = {}
         for abs_path, item in self.files.items():
             if item.summary is None:
@@ -950,14 +720,13 @@ class ProjectGraph:
 
     # -- naming -----------------------------------------------------------
 
-    def _index_module_names(self, roots: Iterable[Path]) -> None:
+    def _index_module_names(self) -> None:
         """Dotted module names derived from the package structure.
 
         Walk up from each file while ``__init__.py`` markers continue —
         the same resolution the interpreter performs — so names come
         out identical no matter which directory the lint was rooted at.
         """
-        del roots  # kept for signature stability; names are structural
         for abs_path in self.files:
             path = Path(abs_path)
             if path.name == "__init__.py":

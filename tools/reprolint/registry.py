@@ -32,10 +32,7 @@ def register(rule_cls: type) -> type:
 def all_rules() -> dict[str, type]:
     """All registered rules, keyed by code (import side effect included)."""
     _ensure_loaded()
-    # Safe shared read: the registry is populated by @register at import
-    # time and is immutable afterwards, so every analysis worker sees
-    # the same snapshot.
-    return dict(_RULES)  # reprolint: disable=PAR001
+    return dict(_RULES)
 
 
 def get_rule(code: str) -> type:
